@@ -9,21 +9,14 @@ from .arith import (
     kronecker,
     prime_discriminant_factorization,
 )
-from .class_group import (
-    ClassGroup,
-    IdealBasis,
-    build_class_group,
-    form_to_ideal,
-    ideal_mul,
-    ideal_to_form,
-    prime_ideal_class,
-)
+from .class_group import ClassGroup, build_class_group, prime_ideal_class
 from .forms import (
     QuadForm,
     automorph_count,
     reduce_form,
     reduced_forms,
     representation_count,
+    represented_coprime_value,
 )
 from .genus import (
     GenusCharacter,
@@ -31,7 +24,6 @@ from .genus import (
     character_pairs,
     character_value,
     orthogonality_sum,
-    represented_coprime_value,
 )
 from .hecke import (
     HeckeCheckResult,

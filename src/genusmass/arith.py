@@ -177,8 +177,8 @@ def prime_discriminant_factorization(delta: int) -> tuple[int, ...]:
         factors.append(p if p % 4 == 1 else -p)
     odd_part = math.prod(factors) if factors else 1
     even_part = delta // odd_part
-    assert even_part * odd_part == delta
-    assert even_part in (1, -4, 8, -8)
+    if even_part * odd_part != delta or even_part not in (1, -4, 8, -8):
+        raise RuntimeError(f"{delta} = {even_part} * {odd_part} is not a prime-discriminant split")
     if even_part != 1:
         factors.append(even_part)
     return tuple(sorted(factors, key=abs))

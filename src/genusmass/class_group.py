@@ -1,231 +1,75 @@
-"""Ideals of the maximal imaginary quadratic order and the form class group.
+"""The form class group of a negative fundamental discriminant.
 
-Elements of Z + Z*w, w = (delta + sqrt(delta))/2, are stored as coordinate
-pairs (u, v) meaning u + v*w.  An ideal is a rank-2 sublattice closed under
-multiplication by w; composition of form classes is ideal multiplication
-pushed through the ideal <-> form dictionary.
+Classes are the reduced forms.  Composition is Dirichlet composition of two
+reduced triples followed by Gauss reduction, computed on demand; no
+composition table is stored.  The genus of a class is read off the assigned
+characters (one per prime discriminant of delta) at a value the class
+represents coprime to delta, and the build checks the group laws and the
+principal genus theorem (the squares are exactly the principal genus).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .arith import ext_gcd, is_prime, kronecker
-from .forms import QuadForm, automorph_count, reduce_form, reduced_forms
+from .arith import ext_gcd, is_prime, kronecker, prime_discriminant_factorization
+from .forms import (
+    QuadForm,
+    automorph_count,
+    reduce_form,
+    reduce_triple,
+    reduced_forms,
+    represented_coprime_value,
+)
 
 __all__ = [
-    "IdealBasis",
-    "form_to_ideal",
-    "ideal_to_form",
-    "ideal_mul",
-    "ideal_conj",
-    "ideal_scale",
-    "ideal_points_up_to_norm",
     "ClassGroup",
     "build_class_group",
     "prime_form",
-    "prime_ideal",
     "prime_ideal_class",
 ]
 
-Coord = tuple[int, int]
+Triple = tuple[int, int, int]
 
 
-def _omega_norm(delta: int) -> int:
-    # N(w) = w * conj(w) = (delta^2 - delta)/4; integral since delta = 0, 1 (mod 4)
-    return (delta * delta - delta) // 4
+def _compose_triples(f1: Triple, f2: Triple) -> Triple:
+    """Reduced Dirichlet composition of two primitive forms of one discriminant.
 
-
-def elem_mul(delta: int, x: Coord, y: Coord) -> Coord:
-    u1, v1 = x
-    u2, v2 = y
-    nw = _omega_norm(delta)
-    return (u1 * u2 - v1 * v2 * nw, u1 * v2 + u2 * v1 + v1 * v2 * delta)
-
-
-def elem_conj(delta: int, x: Coord) -> Coord:
-    u, v = x
-    return (u + v * delta, -v)
-
-
-def elem_norm(delta: int, x: Coord) -> int:
-    u, v = x
-    return u * u + delta * u * v + _omega_norm(delta) * v * v
-
-
-def elem_trace(delta: int, x: Coord) -> int:
-    u, v = x
-    return 2 * u + v * delta
-
-
-def lattice_hnf(rows: list[Coord]) -> tuple[Coord, Coord]:
-    """Hermite-reduce integer generators of a rank-2 lattice to ((n, 0), (f, g)).
-
-    n > 0, g > 0, 0 <= f < n; raises if the rows span a lattice of rank < 2.
+    Cohen, A Course in Computational Algebraic Number Theory, Algorithm 5.4.7.
     """
-    f = g = 0
-    scalars: list[int] = []
-    for u, v in rows:
-        if v == 0:
-            scalars.append(u)
-            continue
-        if g == 0:
-            f, g = u, v
-            continue
-        d, s, t = ext_gcd(g, v)
-        # unimodular 2x2 move: keep one row with second coord gcd, zero the other
-        scalars.append((v // d) * f - (g // d) * u)
-        f, g = s * f + t * u, d
-    if g < 0:
-        f, g = -f, -g
-    n = 0
-    for u in scalars:
-        n = math.gcd(n, u)
-    if g == 0 or n == 0:
-        raise ValueError("generators do not span a rank-2 lattice")
-    return (n, 0), (f % n, g)
-
-
-def _lattice_contains(basis: tuple[Coord, Coord], z: Coord) -> bool:
-    (n, _), (f, g) = basis
-    u, v = z
-    if v % g:
-        return False
-    return (u - (v // g) * f) % n == 0
-
-
-@dataclass(frozen=True)
-class IdealBasis:
-    """An ideal of the maximal order, as a Z-basis <alpha, beta> in (u, v) coordinates."""
-
-    delta: int
-    alpha: Coord
-    beta: Coord
-
-    def __post_init__(self) -> None:
-        if self.delta >= 0 or self.delta % 4 not in (0, 1):
-            raise ValueError(f"invalid discriminant {self.delta}")
-        hnf = lattice_hnf([self.alpha, self.beta])  # raises when rank-deficient
-        omega = (0, 1)
-        for gen in (self.alpha, self.beta):
-            if not _lattice_contains(hnf, elem_mul(self.delta, omega, gen)):
-                raise ValueError(f"lattice <{self.alpha}, {self.beta}> is not an ideal")
-
-    @property
-    def norm(self) -> int:
-        """Index [O : I] = |det| of the basis matrix over {1, w}."""
-        (u1, v1), (u2, v2) = self.alpha, self.beta
-        return abs(u1 * v2 - u2 * v1)
-
-    def canonical(self) -> "IdealBasis":
-        """The same lattice with its Hermite-normal basis."""
-        a, b = lattice_hnf([self.alpha, self.beta])
-        return IdealBasis(self.delta, a, b)
-
-    def contains(self, z: Coord) -> bool:
-        return _lattice_contains(lattice_hnf([self.alpha, self.beta]), z)
-
-
-def _ideal_from_rows(delta: int, rows: list[Coord]) -> IdealBasis:
-    a, b = lattice_hnf(rows)
-    return IdealBasis(delta, a, b)
-
-
-def form_to_ideal(q: QuadForm) -> IdealBasis:
-    """The ideal <a, (-b + sqrt(delta))/2> attached to the form [a, b, c]; norm a."""
-    delta = q.discriminant()
-    # (-b + sqrt(delta))/2 = (-b - delta)/2 + w
-    return _ideal_from_rows(delta, [(q.a, 0), ((-q.b - delta) // 2, 1)])
-
-
-def ideal_to_form(ideal: IdealBasis) -> QuadForm:
-    """Reduced representative of the norm form of the ideal.
-
-    The basis is orientation-normalized (Im(beta/alpha) > 0) so the class of
-    the result depends only on the ideal class, and the map inverts
-    form_to_ideal exactly on reduced forms.
-    """
-    delta = ideal.delta
-    alpha, beta = ideal.alpha, ideal.beta
-    orient = elem_mul(delta, beta, elem_conj(delta, alpha))[1]
-    if orient < 0:
-        beta = (-beta[0], -beta[1])
-    n = ideal.norm
-    a = elem_norm(delta, alpha)
-    b = -elem_trace(delta, elem_mul(delta, alpha, elem_conj(delta, beta)))
-    c = elem_norm(delta, beta)
-    assert a % n == 0 and b % n == 0 and c % n == 0
-    q = QuadForm(a // n, b // n, c // n)
-    assert q.discriminant() == delta
-    return reduce_form(q)
-
-
-def ideal_mul(i1: IdealBasis, i2: IdealBasis) -> IdealBasis:
-    """Product ideal: the lattice spanned by the four pairwise generator products."""
-    if i1.delta != i2.delta:
-        raise ValueError("ideal product across different discriminants")
-    delta = i1.delta
-    rows = [
-        elem_mul(delta, g1, g2)
-        for g1 in (i1.alpha, i1.beta)
-        for g2 in (i2.alpha, i2.beta)
-    ]
-    return _ideal_from_rows(delta, rows)
-
-
-def ideal_conj(ideal: IdealBasis) -> IdealBasis:
-    delta = ideal.delta
-    return _ideal_from_rows(
-        delta, [elem_conj(delta, ideal.alpha), elem_conj(delta, ideal.beta)]
-    )
-
-
-def ideal_scale(ideal: IdealBasis, k: int) -> IdealBasis:
-    """The ideal (k) * I."""
-    if k == 0:
-        raise ValueError("cannot scale an ideal by 0")
-    (u1, v1), (u2, v2) = ideal.alpha, ideal.beta
-    return _ideal_from_rows(ideal.delta, [(k * u1, k * v1), (k * u2, k * v2)])
-
-
-def ideal_points_up_to_norm(ideal: IdealBasis, bound: int) -> list[Coord]:
-    """All lattice points m of the ideal with N(m) <= bound, as (u, v) coordinates."""
-    delta = ideal.delta
-    alpha, beta = ideal.alpha, ideal.beta
-    a = elem_norm(delta, alpha)
-    b = elem_trace(delta, elem_mul(delta, alpha, elem_conj(delta, beta)))
-    c = elem_norm(delta, beta)
-    abs_disc = 4 * a * c - b * b  # = |delta| * norm^2
-    points = []
-    if bound < 0:
-        return points
-    xmax = math.isqrt(4 * c * bound // abs_disc)
-    for x in range(-xmax, xmax + 1):
-        s2 = 4 * c * bound - abs_disc * x * x
-        if s2 < 0:
-            continue
-        s = math.isqrt(s2)
-        ylo = -((b * x + s) // (2 * c))
-        yhi = (-b * x + s) // (2 * c)
-        for y in range(ylo, yhi + 1):
-            points.append((x * alpha[0] + y * beta[0], x * alpha[1] + y * beta[1]))
-    return points
+    if f1[0] > f2[0]:
+        f1, f2 = f2, f1
+    a1, b1, _ = f1
+    a2, b2, c2 = f2
+    s = (b1 + b2) // 2
+    n = b2 - s
+    if a2 % a1 == 0:
+        y1, d = 0, a1
+    else:
+        d, y1, _ = ext_gcd(a2, a1)
+    if s % d == 0:
+        x2, y2, d1 = 0, -1, d
+    else:
+        d1, x2, y2 = ext_gcd(s, d)
+        y2 = -y2
+    v1, v2 = a1 // d1, a2 // d1
+    r = (y1 * y2 * n - x2 * c2) % v1
+    return reduce_triple(v1 * v2, b2 + 2 * v2 * r, (c2 * d1 + r * (b2 + v2 * r)) // v1)
 
 
 @dataclass(frozen=True)
 class ClassGroup:
     """The form class group of a fundamental discriminant, with its genus partition.
 
-    classes holds the lexicographically sorted reduced forms; table is the
-    full composition table (indices into classes); genus ids are the smallest
-    class index in each coset of the subgroup of squares.
+    classes holds the lexicographically sorted reduced forms and index_of maps
+    each one's (a, b, c) to its position; genus ids are the smallest class
+    index in each genus.
     """
 
     delta: int
     classes: tuple[QuadForm, ...]
-    table: tuple[tuple[int, ...], ...]
+    index_of: dict[Triple, int] = field(repr=False, compare=False)
     identity: int
     inverses: tuple[int, ...]
     squares: tuple[int, ...]
@@ -241,7 +85,7 @@ class ClassGroup:
         return automorph_count(self.delta)
 
     def compose(self, h1: int, h2: int) -> int:
-        return self.table[h1][h2]
+        return self.index_of[_compose_triples(self.classes[h1].triple(), self.classes[h2].triple())]
 
     def inverse(self, h: int) -> int:
         return self.inverses[h]
@@ -251,58 +95,59 @@ class ClassGroup:
 
     def genus_product(self, g1: int, g2: int) -> int:
         """Product in the genus group G = H/H^2, via coset representatives."""
-        return self.genus_of[self.table[g1][g2]]
+        return self.genus_of[self.compose(g1, g2)]
 
     @property
     def principal_genus(self) -> int:
         return self.genus_of[self.identity]
 
 
+def _check_group(group: ClassGroup) -> None:
+    """Raise unless the identity and inverse laws and the principal genus theorem hold."""
+    for i in range(group.h):
+        if group.compose(group.identity, i) != i:
+            raise RuntimeError(f"delta={group.delta}: the principal class is not the identity at {i}")
+        if group.compose(i, group.inverses[i]) != group.identity:
+            raise RuntimeError(f"delta={group.delta}: the inverse law fails at {i}")
+    principal = group.genus_members(group.principal_genus)
+    if group.squares != principal:
+        raise RuntimeError(
+            f"delta={group.delta}: squares {group.squares} are not the principal genus {principal}"
+        )
+    sizes = {len(group.genus_members(g)) for g in group.genus_ids}
+    if sizes != {len(group.squares)}:
+        raise RuntimeError(f"delta={group.delta}: genera of unequal sizes {sorted(sizes)}")
+
+
 @lru_cache(maxsize=None)
 def build_class_group(delta: int) -> ClassGroup:
-    """Class group of a fundamental discriminant: composition table, squares, genera."""
+    """Class group of a fundamental discriminant: classes, inverses, squares, genera."""
     classes = reduced_forms(delta)
-    index = {q.triple(): i for i, q in enumerate(classes)}
-    ideals = [form_to_ideal(q) for q in classes]
-    h = len(classes)
+    index_of = {q.triple(): i for i, q in enumerate(classes)}
+    identity = index_of[reduce_triple(1, delta % 2, (delta % 2 - delta) // 4)]
+    inverses = tuple(index_of[reduce_triple(q.a, -q.b, q.c)] for q in classes)
 
-    table = [[0] * h for _ in range(h)]
-    for i in range(h):
-        for j in range(i, h):
-            k = index[ideal_to_form(ideal_mul(ideals[i], ideals[j])).triple()]
-            table[i][j] = table[j][i] = k
+    # assigned characters at a value coprime to delta; the first class of each genus names it
+    factors = prime_discriminant_factorization(delta)
+    first_of: dict[tuple[int, ...], int] = {}
+    genus_of = []
+    for i, q in enumerate(classes):
+        r = represented_coprime_value(q, -delta)
+        genus_of.append(first_of.setdefault(tuple(kronecker(p, r) for p in factors), i))
 
-    principal = index[reduce_form(QuadForm(1, delta % 2, (delta % 2 - delta) // 4)).triple()]
-    inverses = tuple(index[reduce_form(q.opposite()).triple()] for q in classes)
-    for i in range(h):
-        assert table[principal][i] == i, "principal class is not the identity"
-        assert table[i][inverses[i]] == principal, "inverse law fails"
-
-    squares = tuple(sorted({table[i][i] for i in range(h)}))
-    genus_of = [-1] * h
-    genus_ids = []
-    for i in range(h):
-        if genus_of[i] >= 0:
-            continue
-        coset = sorted(table[i][s] for s in squares)
-        assert coset[0] == i
-        genus_ids.append(i)
-        for member in coset:
-            genus_of[member] = i
-
-    sizes = {len([c for c in range(h) if genus_of[c] == g]) for g in genus_ids}
-    assert sizes == {len(squares)}, "genera are not equal-sized cosets"
-
-    return ClassGroup(
+    squares = tuple(sorted({index_of[_compose_triples(t, t)] for t in index_of}))
+    group = ClassGroup(
         delta=delta,
         classes=classes,
-        table=tuple(tuple(row) for row in table),
-        identity=principal,
+        index_of=index_of,
+        identity=identity,
         inverses=inverses,
         squares=squares,
         genus_of=tuple(genus_of),
-        genus_ids=tuple(genus_ids),
+        genus_ids=tuple(first_of.values()),
     )
+    _check_group(group)
+    return group
 
 
 def prime_form(delta: int, p: int) -> QuadForm:
@@ -320,12 +165,6 @@ def prime_form(delta: int, p: int) -> QuadForm:
     raise AssertionError(f"no square root of {delta} mod {4 * p} found for non-inert {p}")
 
 
-def prime_ideal(delta: int, p: int) -> IdealBasis:
-    """The degree-one prime ideal of norm p (one of the pair when p splits)."""
-    return form_to_ideal(prime_form(delta, p))
-
-
 def prime_ideal_class(group: ClassGroup, p: int) -> int:
     """Class index of the prime ideal above a split or ramified p."""
-    q = reduce_form(prime_form(group.delta, p))
-    return group.classes.index(q)
+    return group.index_of[reduce_form(prime_form(group.delta, p)).triple()]

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import is_fundamental, is_squarefree
-from .class_group import build_class_group
+from .class_group import ClassGroup, build_class_group
 from .genus import build_genus_characters
 from .qseries import QSeries
 from .series import (
@@ -84,17 +84,29 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _composition_table(group: ClassGroup) -> list[list[int]]:
+    """Every product i*j, composed once per unordered pair."""
+    table = [[0] * group.h for _ in range(group.h)]
+    for i in range(group.h):
+        for j in range(i, group.h):
+            table[i][j] = table[j][i] = group.compose(i, j)
+    return table
+
+
 def cmd_classgroup(cfg: CliConfig) -> int:
     require_fundamental(cfg.disc)
+    if cfg.fmt not in ("json", "text"):
+        raise UsageError(f"classgroup supports text or json output, not {cfg.fmt}")
     group = build_class_group(cfg.disc)
     chars = build_genus_characters(group)
+    table = _composition_table(group)
     if cfg.fmt == "json":
         payload = {
             "delta": group.delta,
             "h": group.h,
             "w": group.w,
             "classes": [q.triple() for q in group.classes],
-            "composition_table": [list(row) for row in group.table],
+            "composition_table": table,
             "identity": group.identity,
             "squares": list(group.squares),
             "genera": {str(g): list(group.genus_members(g)) for g in group.genus_ids},
@@ -105,8 +117,6 @@ def cmd_classgroup(cfg: CliConfig) -> int:
         }
         _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
         return 0
-    if cfg.fmt != "text":
-        raise UsageError(f"classgroup supports text or json output, not {cfg.fmt}")
     lines = [
         f"discriminant {group.delta}: h = {group.h}, w = {group.w}",
         "classes:",
@@ -114,7 +124,7 @@ def cmd_classgroup(cfg: CliConfig) -> int:
     for i, q in enumerate(group.classes):
         lines.append(f"  {i}: {q!r}")
     lines.append("composition table:")
-    for i, row in enumerate(group.table):
+    for i, row in enumerate(table):
         lines.append(f"  {i}: " + " ".join(str(k) for k in row))
     lines.append(f"squares H^2: {list(group.squares)}")
     lines.append("genera (id: classes):")

@@ -10,12 +10,13 @@ from .arith import is_fundamental
 
 __all__ = [
     "QuadForm",
+    "reduce_triple",
     "reduce_form",
-    "reduce_with_matrix",
     "reduced_forms",
     "representation_count",
     "representation_counts",
     "automorph_count",
+    "represented_coprime_value",
 ]
 
 
@@ -60,31 +61,23 @@ class QuadForm:
         return -a < b <= a <= c and (b >= 0 or a < c)
 
 
-def reduce_with_matrix(q: QuadForm) -> tuple[QuadForm, tuple[int, int, int, int]]:
-    """Gauss reduction; returns (reduced form, M) with M = (m11, m12, m21, m22).
-
-    M is in SL2(Z) and q(m11*x + m12*y, m21*x + m22*y) equals the reduced form.
-    """
-    a, b, c = q.a, q.b, q.c
-    m11, m12, m21, m22 = 1, 0, 0, 1
+def reduce_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """Gauss reduction of the positive definite form (a, b, c), on bare integers."""
     while True:
         # shift x -> x + r*y to bring b into (-a, a]
         r = (a - b) // (2 * a)
         if r:
             b, c = b + 2 * r * a, a * r * r + b * r + c
-            m12, m22 = m12 + r * m11, m22 + r * m21
         if a > c or (a == c and b < 0):
             # (x, y) -> (-y, x)
             a, b, c = c, -b, a
-            m11, m12 = m12, -m11
-            m21, m22 = m22, -m21
         else:
-            return QuadForm(a, b, c), (m11, m12, m21, m22)
+            return a, b, c
 
 
 def reduce_form(q: QuadForm) -> QuadForm:
     """The unique reduced form SL2(Z)-equivalent to q."""
-    return reduce_with_matrix(q)[0]
+    return QuadForm(*reduce_triple(q.a, q.b, q.c))
 
 
 @lru_cache(maxsize=None)
@@ -170,3 +163,24 @@ def automorph_count(delta: int) -> int:
     if delta == -4:
         return 4
     return 2
+
+
+def represented_coprime_value(q: QuadForm, d: int) -> int:
+    """Smallest positive value of q coprime to d, by expanding square shells.
+
+    Primitive forms represent values coprime to any fixed modulus, so the
+    search never legitimately exhausts its |x|,|y| <= 4d region.
+    """
+    if d < 1:
+        raise ValueError(f"expected d >= 1, got {d}")
+    for k in range(1, 4 * d + 1):
+        best = None
+        for x in range(-k, k + 1):
+            ys = (-k, k) if abs(x) < k else range(-k, k + 1)
+            for y in ys:
+                value = q(x, y)
+                if value > 0 and math.gcd(value, d) == 1 and (best is None or value < best):
+                    best = value
+        if best is not None:
+            return best
+    raise RuntimeError(f"no value of {q} coprime to {d} in |x|,|y| <= {4 * d}")

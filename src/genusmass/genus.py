@@ -5,16 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, prod
+from math import prod
 
 from .arith import is_fundamental, kronecker, prime_discriminant_factorization
 from .class_group import ClassGroup
-from .forms import QuadForm
+from .forms import represented_coprime_value
 
 __all__ = [
     "GenusCharacter",
     "character_pairs",
-    "represented_coprime_value",
     "character_value",
     "build_genus_characters",
     "orthogonality_sum",
@@ -39,32 +38,12 @@ def character_pairs(delta: int) -> list[tuple[int, int]]:
     return [(d, delta // d) for d in sorted(ds)]
 
 
-def represented_coprime_value(q: QuadForm, d: int) -> int:
-    """Smallest positive value of q coprime to d, by expanding square shells.
-
-    Primitive forms represent values coprime to any fixed modulus, so the
-    search never legitimately exhausts its |x|,|y| <= 4d region.
-    """
-    if d < 1:
-        raise ValueError(f"expected d >= 1, got {d}")
-    for k in range(1, 4 * d + 1):
-        best = None
-        for x in range(-k, k + 1):
-            ys = (-k, k) if abs(x) < k else range(-k, k + 1)
-            for y in ys:
-                value = q(x, y)
-                if value > 0 and gcd(value, d) == 1 and (best is None or value < best):
-                    best = value
-        if best is not None:
-            return best
-    raise RuntimeError(f"no value of {q} coprime to {d} in |x|,|y| <= {4 * d}")
-
-
 def character_value(group: ClassGroup, d: int, genus_id: int) -> int:
     """chi_{d,D}(g) = (d | r) for any r > 0 represented by the genus with gcd(r, d) = 1."""
     r = represented_coprime_value(group.classes[genus_id], d)
     value = kronecker(d, r)
-    assert value in (-1, 1)
+    if value not in (-1, 1):
+        raise RuntimeError(f"({d}|{r}) = {value}: {r} is not coprime to {d}")
     return value
 
 

@@ -18,6 +18,7 @@ from .arith import (
     divisors,
     is_fundamental,
     kronecker,
+    prime_discriminant_factorization,
     primes_up_to,
 )
 from .class_group import build_class_group
@@ -134,13 +135,32 @@ class DirichletConfig:
     tol: float = 1e-2
 
 
+def _kronecker_table(delta: int) -> np.ndarray:
+    """[(delta|r) for r in range(|delta|)] as int8, the product of the characters
+    of the prime discriminants of delta.  An odd prime discriminant's character
+    at r >= 0 is the Legendre symbol (r|p); the -4, 8 or -8 factor has period at
+    most 8 and is read from kronecker itself."""
+    q = -delta
+    table = np.ones(q, dtype=np.int8)
+    for factor in prime_discriminant_factorization(delta):
+        m = abs(factor)
+        if m % 2:
+            period = np.full(m, -1, dtype=np.int8)
+            period[0] = 0
+            x = np.arange(1, (m + 1) // 2, dtype=np.int64)
+            period[x * x % m] = 1
+        else:
+            period = np.array([kronecker(factor, r) for r in range(m)], dtype=np.int8)
+        table *= np.resize(period, q)
+    return table
+
+
 def _dirichlet_l1(delta: int, terms: int) -> float:
     """Partial sums of sum chi(n)/n, smoothed by averaging the last two partial
     sums and averaging once more."""
-    q = -delta
-    table = np.array([kronecker(delta, r) for r in range(q)], dtype=np.float64)
-    n = np.arange(1, terms + 1, dtype=np.int64)
-    terms_arr = table[n % q] / n
+    table = _kronecker_table(delta).astype(np.float64)
+    terms_arr = np.resize(np.roll(table, -1), terms)  # chi(n) at index n - 1
+    terms_arr /= np.arange(1, terms + 1, dtype=np.int64)
     s0 = float(np.sum(terms_arr))
     s1 = s0 - float(terms_arr[-1])
     s2 = s1 - float(terms_arr[-2])

@@ -1,16 +1,21 @@
 """Independent brute-force oracles the tests check the library against.
 
-Everything here is deliberately naive: box scans, full enumeration, and the
-classical coefficient-level composition formula, kept separate from the
-library's lattice/ideal code paths.
+Everything here is deliberately naive: box scans, full enumeration, the
+classical coefficient-level composition formula, the ideal lattices of the
+maximal order with the full h x h composition table built from them, and the
+scalar L(1) partial sums, all kept separate from the library's code paths.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
-from genusmass.arith import ext_gcd, is_fundamental
-from genusmass.forms import QuadForm, reduce_form
+import numpy as np
+
+from genusmass.arith import ext_gcd, is_fundamental, kronecker
+from genusmass.class_group import prime_form
+from genusmass.forms import QuadForm, reduce_form, reduced_forms
 
 # Textbook class numbers for negative fundamental discriminants.
 KNOWN_CLASS_NUMBERS = {
@@ -85,7 +90,7 @@ def _solve_linmod(a: int, b: int, m: int) -> tuple[int, int]:
 def compose_forms_oracle(f1: QuadForm, f2: QuadForm) -> QuadForm:
     """Classical coefficient-level (united forms) composition, reduced.
 
-    Independent of the library's ideal-multiplication route.
+    Independent of the library's composition algorithm and of the ideal lattices.
     """
     a, b, c = f1.triple()
     a2, b2, _c2 = f2.triple()
@@ -105,3 +110,288 @@ def compose_forms_oracle(f1: QuadForm, f2: QuadForm) -> QuadForm:
     out_b = j * u - (k * t + ell * s)
     out_c = k * ell - j * m
     return reduce_form(QuadForm(out_a, out_b, out_c))
+
+
+def dirichlet_l1_oracle(delta: int, terms: int) -> float:
+    """Smoothed partial sums of sum (delta|n)/n from one scalar Kronecker symbol
+    per residue, indexed by n mod |delta|."""
+    q = -delta
+    table = np.array([kronecker(delta, r) for r in range(q)], dtype=np.float64)
+    n = np.arange(1, terms + 1, dtype=np.int64)
+    terms_arr = table[n % q] / n
+    s0 = float(np.sum(terms_arr))
+    s1 = s0 - float(terms_arr[-1])
+    s2 = s1 - float(terms_arr[-2])
+    return (s0 + 2 * s1 + s2) / 4
+
+
+def reduce_with_matrix(q: QuadForm) -> tuple[QuadForm, tuple[int, int, int, int]]:
+    """Gauss reduction; returns (reduced form, M) with M = (m11, m12, m21, m22).
+
+    M is in SL2(Z) and q(m11*x + m12*y, m21*x + m22*y) equals the reduced form.
+    """
+    a, b, c = q.a, q.b, q.c
+    m11, m12, m21, m22 = 1, 0, 0, 1
+    while True:
+        # shift x -> x + r*y to bring b into (-a, a]
+        r = (a - b) // (2 * a)
+        if r:
+            b, c = b + 2 * r * a, a * r * r + b * r + c
+            m12, m22 = m12 + r * m11, m22 + r * m21
+        if a > c or (a == c and b < 0):
+            # (x, y) -> (-y, x)
+            a, b, c = c, -b, a
+            m11, m12 = m12, -m11
+            m21, m22 = m22, -m21
+        else:
+            return QuadForm(a, b, c), (m11, m12, m21, m22)
+
+
+
+# Ideals of the maximal order.  Elements of Z + Z*w, w = (delta + sqrt(delta))/2,
+# are coordinate pairs (u, v) meaning u + v*w; an ideal is a rank-2 sublattice
+# closed under multiplication by w.
+
+Coord = tuple[int, int]
+
+
+def _omega_norm(delta: int) -> int:
+    # N(w) = w * conj(w) = (delta^2 - delta)/4; integral since delta = 0, 1 (mod 4)
+    return (delta * delta - delta) // 4
+
+
+def elem_mul(delta: int, x: Coord, y: Coord) -> Coord:
+    u1, v1 = x
+    u2, v2 = y
+    nw = _omega_norm(delta)
+    return (u1 * u2 - v1 * v2 * nw, u1 * v2 + u2 * v1 + v1 * v2 * delta)
+
+
+def elem_conj(delta: int, x: Coord) -> Coord:
+    u, v = x
+    return (u + v * delta, -v)
+
+
+def elem_norm(delta: int, x: Coord) -> int:
+    u, v = x
+    return u * u + delta * u * v + _omega_norm(delta) * v * v
+
+
+def elem_trace(delta: int, x: Coord) -> int:
+    u, v = x
+    return 2 * u + v * delta
+
+
+def lattice_hnf(rows: list[Coord]) -> tuple[Coord, Coord]:
+    """Hermite-reduce integer generators of a rank-2 lattice to ((n, 0), (f, g)).
+
+    n > 0, g > 0, 0 <= f < n; raises if the rows span a lattice of rank < 2.
+    """
+    f = g = 0
+    scalars: list[int] = []
+    for u, v in rows:
+        if v == 0:
+            scalars.append(u)
+            continue
+        if g == 0:
+            f, g = u, v
+            continue
+        d, s, t = ext_gcd(g, v)
+        # unimodular 2x2 move: keep one row with second coord gcd, zero the other
+        scalars.append((v // d) * f - (g // d) * u)
+        f, g = s * f + t * u, d
+    if g < 0:
+        f, g = -f, -g
+    n = 0
+    for u in scalars:
+        n = math.gcd(n, u)
+    if g == 0 or n == 0:
+        raise ValueError("generators do not span a rank-2 lattice")
+    return (n, 0), (f % n, g)
+
+
+def _lattice_contains(basis: tuple[Coord, Coord], z: Coord) -> bool:
+    (n, _), (f, g) = basis
+    u, v = z
+    if v % g:
+        return False
+    return (u - (v // g) * f) % n == 0
+
+
+@dataclass(frozen=True)
+class IdealBasis:
+    """An ideal of the maximal order, as a Z-basis <alpha, beta> in (u, v) coordinates."""
+
+    delta: int
+    alpha: Coord
+    beta: Coord
+
+    def __post_init__(self) -> None:
+        if self.delta >= 0 or self.delta % 4 not in (0, 1):
+            raise ValueError(f"invalid discriminant {self.delta}")
+        hnf = lattice_hnf([self.alpha, self.beta])  # raises when rank-deficient
+        omega = (0, 1)
+        for gen in (self.alpha, self.beta):
+            if not _lattice_contains(hnf, elem_mul(self.delta, omega, gen)):
+                raise ValueError(f"lattice <{self.alpha}, {self.beta}> is not an ideal")
+
+    @property
+    def norm(self) -> int:
+        """Index [O : I] = |det| of the basis matrix over {1, w}."""
+        (u1, v1), (u2, v2) = self.alpha, self.beta
+        return abs(u1 * v2 - u2 * v1)
+
+    def canonical(self) -> "IdealBasis":
+        """The same lattice with its Hermite-normal basis."""
+        a, b = lattice_hnf([self.alpha, self.beta])
+        return IdealBasis(self.delta, a, b)
+
+    def contains(self, z: Coord) -> bool:
+        return _lattice_contains(lattice_hnf([self.alpha, self.beta]), z)
+
+
+def _ideal_from_rows(delta: int, rows: list[Coord]) -> IdealBasis:
+    a, b = lattice_hnf(rows)
+    return IdealBasis(delta, a, b)
+
+
+def form_to_ideal(q: QuadForm) -> IdealBasis:
+    """The ideal <a, (-b + sqrt(delta))/2> attached to the form [a, b, c]; norm a."""
+    delta = q.discriminant()
+    # (-b + sqrt(delta))/2 = (-b - delta)/2 + w
+    return _ideal_from_rows(delta, [(q.a, 0), ((-q.b - delta) // 2, 1)])
+
+
+def ideal_to_form(ideal: IdealBasis) -> QuadForm:
+    """Reduced representative of the norm form of the ideal.
+
+    The basis is orientation-normalized (Im(beta/alpha) > 0) so the class of
+    the result depends only on the ideal class, and the map inverts
+    form_to_ideal exactly on reduced forms.
+    """
+    delta = ideal.delta
+    alpha, beta = ideal.alpha, ideal.beta
+    orient = elem_mul(delta, beta, elem_conj(delta, alpha))[1]
+    if orient < 0:
+        beta = (-beta[0], -beta[1])
+    n = ideal.norm
+    a = elem_norm(delta, alpha)
+    b = -elem_trace(delta, elem_mul(delta, alpha, elem_conj(delta, beta)))
+    c = elem_norm(delta, beta)
+    assert a % n == 0 and b % n == 0 and c % n == 0
+    q = QuadForm(a // n, b // n, c // n)
+    assert q.discriminant() == delta
+    return reduce_form(q)
+
+
+def ideal_mul(i1: IdealBasis, i2: IdealBasis) -> IdealBasis:
+    """Product ideal: the lattice spanned by the four pairwise generator products."""
+    if i1.delta != i2.delta:
+        raise ValueError("ideal product across different discriminants")
+    delta = i1.delta
+    rows = [
+        elem_mul(delta, g1, g2)
+        for g1 in (i1.alpha, i1.beta)
+        for g2 in (i2.alpha, i2.beta)
+    ]
+    return _ideal_from_rows(delta, rows)
+
+
+def ideal_conj(ideal: IdealBasis) -> IdealBasis:
+    delta = ideal.delta
+    return _ideal_from_rows(
+        delta, [elem_conj(delta, ideal.alpha), elem_conj(delta, ideal.beta)]
+    )
+
+
+def ideal_scale(ideal: IdealBasis, k: int) -> IdealBasis:
+    """The ideal (k) * I."""
+    if k == 0:
+        raise ValueError("cannot scale an ideal by 0")
+    (u1, v1), (u2, v2) = ideal.alpha, ideal.beta
+    return _ideal_from_rows(ideal.delta, [(k * u1, k * v1), (k * u2, k * v2)])
+
+
+def ideal_points_up_to_norm(ideal: IdealBasis, bound: int) -> list[Coord]:
+    """All lattice points m of the ideal with N(m) <= bound, as (u, v) coordinates."""
+    delta = ideal.delta
+    alpha, beta = ideal.alpha, ideal.beta
+    a = elem_norm(delta, alpha)
+    b = elem_trace(delta, elem_mul(delta, alpha, elem_conj(delta, beta)))
+    c = elem_norm(delta, beta)
+    abs_disc = 4 * a * c - b * b  # = |delta| * norm^2
+    points = []
+    if bound < 0:
+        return points
+    xmax = math.isqrt(4 * c * bound // abs_disc)
+    for x in range(-xmax, xmax + 1):
+        s2 = 4 * c * bound - abs_disc * x * x
+        if s2 < 0:
+            continue
+        s = math.isqrt(s2)
+        ylo = -((b * x + s) // (2 * c))
+        yhi = (-b * x + s) // (2 * c)
+        for y in range(ylo, yhi + 1):
+            points.append((x * alpha[0] + y * beta[0], x * alpha[1] + y * beta[1]))
+    return points
+
+
+def prime_ideal(delta: int, p: int) -> IdealBasis:
+    """The degree-one prime ideal of norm p (one of the pair when p splits)."""
+    return form_to_ideal(prime_form(delta, p))
+
+
+@dataclass(frozen=True)
+class TableClassGroup:
+    """A class group held as its full composition table (indices into classes)."""
+
+    classes: tuple[QuadForm, ...]
+    table: tuple[tuple[int, ...], ...]
+    identity: int
+    inverses: tuple[int, ...]
+    squares: tuple[int, ...]
+    genus_of: tuple[int, ...]
+    genus_ids: tuple[int, ...]
+
+
+def class_group_table_oracle(delta: int) -> TableClassGroup:
+    """h(h+1)/2 ideal products give the table; genera are the cosets of the squares,
+    each named by its smallest class index."""
+    classes = reduced_forms(delta)
+    index = {q.triple(): i for i, q in enumerate(classes)}
+    ideals = [form_to_ideal(q) for q in classes]
+    h = len(classes)
+
+    table = [[0] * h for _ in range(h)]
+    for i in range(h):
+        for j in range(i, h):
+            k = index[ideal_to_form(ideal_mul(ideals[i], ideals[j])).triple()]
+            table[i][j] = table[j][i] = k
+
+    principal = index[reduce_form(QuadForm(1, delta % 2, (delta % 2 - delta) // 4)).triple()]
+    inverses = tuple(index[reduce_form(q.opposite()).triple()] for q in classes)
+    for i in range(h):
+        assert table[principal][i] == i, "principal class is not the identity"
+        assert table[i][inverses[i]] == principal, "inverse law fails"
+
+    squares = tuple(sorted({table[i][i] for i in range(h)}))
+    genus_of = [-1] * h
+    genus_ids = []
+    for i in range(h):
+        if genus_of[i] >= 0:
+            continue
+        coset = sorted(table[i][s] for s in squares)
+        assert coset[0] == i
+        genus_ids.append(i)
+        for member in coset:
+            genus_of[member] = i
+
+    return TableClassGroup(
+        classes=classes,
+        table=tuple(tuple(row) for row in table),
+        identity=principal,
+        inverses=inverses,
+        squares=squares,
+        genus_of=tuple(genus_of),
+        genus_ids=tuple(genus_ids),
+    )

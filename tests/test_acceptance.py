@@ -12,12 +12,7 @@ from collections import Counter
 import pytest
 
 from genusmass.arith import divisors, distinct_prime_count, kronecker, primes_up_to
-from genusmass.class_group import (
-    build_class_group,
-    elem_norm,
-    form_to_ideal,
-    ideal_points_up_to_norm,
-)
+from genusmass.class_group import build_class_group
 from genusmass.forms import automorph_count
 from genusmass.genus import build_genus_characters, character_pairs
 from genusmass.hecke import (
@@ -30,7 +25,13 @@ from genusmass.hecke import (
 )
 from genusmass.series import eisenstein_for_genus, eisenstein_series, genus_eisenstein, theta_series, twisted_sum
 from genusmass.verify import verify_dirichlet
-from oracles import compose_forms_oracle, fundamental_deltas
+from oracles import (
+    compose_forms_oracle,
+    elem_norm,
+    form_to_ideal,
+    fundamental_deltas,
+    ideal_points_up_to_norm,
+)
 
 PRECISION = 200
 FULL_RANGE = fundamental_deltas(-500)
@@ -224,7 +225,7 @@ def test_oracle_cross_checks():
             for j in range(group.h):
                 pair_count += 1
                 expected = compose_forms_oracle(group.classes[i], group.classes[j])
-                if group.classes[group.table[i][j]] != expected:
+                if group.classes[group.compose(i, j)] != expected:
                     composition_failures.append((delta, i, j))
         for h in range(group.h):
             ideal = form_to_ideal(group.classes[h])

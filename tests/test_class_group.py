@@ -1,23 +1,30 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import genusmass
+from genusmass import class_group
 from genusmass.arith import distinct_prime_count, kronecker, primes_up_to
-from genusmass.class_group import (
+from genusmass.class_group import build_class_group, prime_form, prime_ideal_class
+from genusmass.forms import QuadForm, reduce_form, reduced_forms
+from oracles import (
     IdealBasis,
-    build_class_group,
+    class_group_table_oracle,
+    compose_forms_oracle,
+    elem_mul,
     form_to_ideal,
+    fundamental_deltas,
     ideal_conj,
     ideal_mul,
     ideal_scale,
     ideal_to_form,
-    prime_form,
     prime_ideal,
-    prime_ideal_class,
 )
-from genusmass.forms import QuadForm, reduce_form, reduced_forms
-from oracles import compose_forms_oracle, fundamental_deltas
 
 deltas_strategy = st.sampled_from(fundamental_deltas(-250))
 
@@ -82,8 +89,6 @@ class TestIdealBasics:
         ideal = form_to_ideal(QuadForm(2, 1, 3))
         for gen in (ideal.alpha, ideal.beta):
             # w * gen stays inside
-            from genusmass.class_group import elem_mul
-
             assert ideal.contains(elem_mul(-23, (0, 1), gen))
 
 
@@ -130,7 +135,110 @@ class TestCompose:
         i = data.draw(st.integers(min_value=0, max_value=group.h - 1))
         j = data.draw(st.integers(min_value=0, max_value=group.h - 1))
         expected = compose_forms_oracle(group.classes[i], group.classes[j])
-        assert group.classes[group.table[i][j]] == expected
+        assert group.classes[group.compose(i, j)] == expected
+
+
+class TestAgainstTableOracle:
+    def test_compose_and_genera_match_table(self):
+        for delta in fundamental_deltas(-1000):
+            group = build_class_group(delta)
+            oracle = class_group_table_oracle(delta)
+            assert group.classes == oracle.classes
+            for i in range(group.h):
+                for j in range(group.h):
+                    assert group.compose(i, j) == oracle.table[i][j], (delta, i, j)
+            # genera by assigned characters are the cosets of the squares
+            assert group.identity == oracle.identity, delta
+            assert group.inverses == oracle.inverses, delta
+            assert group.squares == oracle.squares, delta
+            assert group.genus_of == oracle.genus_of, delta
+            assert group.genus_ids == oracle.genus_ids, delta
+
+    def test_no_table_is_kept(self, cg84):
+        assert getattr(cg84, "table", None) is None
+        for name in ("IdealBasis", "form_to_ideal", "ideal_mul", "ideal_to_form"):
+            assert not hasattr(genusmass, name)
+            assert not hasattr(class_group, name)
+
+
+class TestLargeClassGroup:
+    DELTA = -400391  # h = 999
+
+    def test_seeded_pairs_match_coefficient_composition(self):
+        group = build_class_group(self.DELTA)
+        rng = random.Random(400391)
+        for _ in range(2000):
+            i, j = rng.randrange(group.h), rng.randrange(group.h)
+            expected = compose_forms_oracle(group.classes[i], group.classes[j])
+            assert group.classes[group.compose(i, j)] == expected, (i, j)
+
+    def test_prime_classes_match_coefficient_composition(self):
+        group = build_class_group(self.DELTA)
+        for p in primes_up_to(50):
+            if kronecker(self.DELTA, p) == -1:
+                continue
+            hp = prime_ideal_class(group, p)
+            for h in range(group.h):
+                expected = compose_forms_oracle(group.classes[h], group.classes[hp])
+                assert group.classes[group.compose(h, hp)] == expected, (p, h)
+
+
+_true_compose = class_group._compose_triples
+
+
+def _first_argument(f1, f2):
+    return f1
+
+
+def _no_inverses(f1, f2):
+    # right except that a class times its opposite form gives the class back
+    if f1[0] == f2[0] and f1[1] == -f2[1] != 0:
+        return f1
+    return _true_compose(f1, f2)
+
+
+def _squares_principal(f1, f2):
+    # right except that every square lands in the principal class
+    if f1 == f2:
+        return _true_compose(f1, (f1[0], -f1[1], f1[2]))
+    return _true_compose(f1, f2)
+
+
+class TestBuildChecks:
+    @pytest.mark.parametrize(
+        "law,delta,message",
+        [
+            (_first_argument, -23, "not the identity"),
+            (_no_inverses, -23, "inverse law"),
+            (_squares_principal, -47, "principal genus"),
+        ],
+    )
+    def test_wrong_law_raises(self, monkeypatch, law, delta, message):
+        monkeypatch.setattr(class_group, "_compose_triples", law)
+        with pytest.raises(RuntimeError, match=message):
+            build_class_group.__wrapped__(delta)
+
+    def test_wrong_law_raises_under_optimize(self):
+        code = (
+            "import sys\n"
+            "import genusmass.class_group as cg\n"
+            "if not sys.flags.optimize:\n"
+            "    sys.exit('not optimized')\n"
+            "cg._compose_triples = lambda f1, f2: f1\n"
+            "try:\n"
+            "    cg.build_class_group(-23)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+            "else:\n"
+            "    sys.exit('no error raised')\n"
+        )
+        src = os.path.dirname(os.path.dirname(genusmass.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        assert "not the identity" in run.stdout
 
 
 class TestBuildClassGroup:
@@ -146,7 +254,7 @@ class TestBuildClassGroup:
 
         g84 = build_class_group(-84)
         assert g84.h == 4
-        assert all(g84.table[i][i] == g84.identity for i in range(4))  # Klein four-group
+        assert all(g84.compose(i, i) == g84.identity for i in range(4))  # Klein four-group
         assert g84.squares == (0,)
         assert len(g84.genus_ids) == 4
 

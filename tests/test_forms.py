@@ -8,7 +8,6 @@ from genusmass.forms import (
     QuadForm,
     automorph_count,
     reduce_form,
-    reduce_with_matrix,
     reduced_forms,
     representation_count,
     representation_counts,
@@ -18,6 +17,7 @@ from oracles import (
     box_representation_count,
     fundamental_deltas,
     reduced_class_set_oracle,
+    reduce_with_matrix,
 )
 
 deltas_strategy = st.sampled_from(fundamental_deltas(-300))
@@ -95,6 +95,7 @@ class TestReduce:
         q = random_equivalent(q0, moves)
         reduced, m = reduce_with_matrix(q)
         assert reduced == q0
+        assert reduce_form(q) == q0
         # transformation is in SL2(Z) and carries q onto the reduced form
         m11, m12, m21, m22 = m
         assert m11 * m22 - m12 * m21 == 1

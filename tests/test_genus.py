@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genusmass.class_group import build_class_group, prime_ideal_class
-from genusmass.forms import QuadForm
+from genusmass.forms import QuadForm, represented_coprime_value
 from genusmass.genus import (
     build_genus_characters,
     character_pairs,
     character_value,
     orthogonality_sum,
-    represented_coprime_value,
 )
 from genusmass.arith import kronecker, primes_up_to
 from oracles import fundamental_deltas

@@ -4,16 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genusmass.arith import kronecker, primes_up_to
-from genusmass.class_group import (
-    build_class_group,
-    form_to_ideal,
-    ideal_conj,
-    ideal_mul,
-    ideal_points_up_to_norm,
-    ideal_scale,
-    prime_ideal,
-    prime_ideal_class,
-)
+from genusmass.class_group import build_class_group, prime_ideal_class
 from genusmass.hecke import (
     check_eigenform,
     check_genus_permutation,
@@ -25,7 +16,15 @@ from genusmass.hecke import (
 )
 from genusmass.qseries import apply_T, apply_U
 from genusmass.series import genus_eisenstein, theta_series
-from oracles import fundamental_deltas
+from oracles import (
+    form_to_ideal,
+    fundamental_deltas,
+    ideal_conj,
+    ideal_mul,
+    ideal_points_up_to_norm,
+    ideal_scale,
+    prime_ideal,
+)
 
 HECKE_DELTAS = (-20, -23, -47, -84, -120)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genusmass.arith import divisors, kronecker
-from genusmass.class_group import build_class_group, form_to_ideal, ideal_points_up_to_norm
+from genusmass.class_group import build_class_group
 from genusmass.forms import QuadForm, automorph_count
 from genusmass.genus import build_genus_characters
 from genusmass.series import (
@@ -18,7 +18,7 @@ from genusmass.series import (
     theta_series,
     twisted_sum,
 )
-from oracles import fundamental_deltas
+from oracles import elem_norm, form_to_ideal, fundamental_deltas, ideal_points_up_to_norm
 
 deltas_strategy = st.sampled_from(fundamental_deltas(-250))
 
@@ -51,18 +51,12 @@ class TestTheta:
                 norms = Counter(
                     n // ideal.norm
                     for n in map(
-                        lambda pt: _norm(delta, pt), ideal_points_up_to_norm(ideal, 50 * ideal.norm)
+                        lambda pt: elem_norm(delta, pt), ideal_points_up_to_norm(ideal, 50 * ideal.norm)
                     )
                 )
                 theta = theta_series(group, h, 50)
                 for n in range(51):
                     assert theta[n] == norms.get(n, 0), (delta, h, n)
-
-
-def _norm(delta, point):
-    from genusmass.class_group import elem_norm
-
-    return elem_norm(delta, point)
 
 
 class TestGenusAverages:

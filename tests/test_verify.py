@@ -1,8 +1,10 @@
 import json
 import math
+import random
 
 import pytest
 
+from genusmass.arith import kronecker
 from genusmass.verify import (
     DirichletConfig,
     delta_range,
@@ -14,7 +16,11 @@ from genusmass.verify import (
     verify_genus_mass,
     verify_twisted_eisenstein,
     _dirichlet_l1,
+    _kronecker_table,
 )
+from oracles import dirichlet_l1_oracle, fundamental_deltas
+
+SAMPLED_DELTAS = random.Random(20000).sample(fundamental_deltas(-20000), 12)
 
 
 class TestExactChecks:
@@ -43,7 +49,24 @@ class TestExactChecks:
         assert f"|G*| = |G| = {count}" in record.detail
 
 
+class TestKroneckerTable:
+    @pytest.mark.parametrize(
+        "delta", [-3, -4, -8, -24, -40, -84, -120, -420, -400391] + SAMPLED_DELTAS
+    )
+    def test_matches_scalar_kronecker(self, delta):
+        table = _kronecker_table(delta)
+        assert table.tolist() == [kronecker(delta, r) for r in range(-delta)]
+
+
 class TestDirichlet:
+    @pytest.mark.parametrize(
+        "delta,terms",
+        [(-3, 10**6), (-4, 10**6), (-20, 10**4), (-163, 10**6), (-420, 12345), (-400391, 10**6)]
+        + [(delta, 10**5) for delta in SAMPLED_DELTAS[:4]],
+    )
+    def test_equals_scalar_table_formula(self, delta, terms):
+        assert _dirichlet_l1(delta, terms) == dirichlet_l1_oracle(delta, terms)
+
     def test_leibniz_oracle(self):
         # L(1) for delta = -4 is pi/4; the smoothed partial sums are good to ~1/(4M)
         assert abs(_dirichlet_l1(-4, 10**6) - math.pi / 4) < 1e-6
