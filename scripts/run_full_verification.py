@@ -23,17 +23,11 @@ def main() -> int:
     parser.add_argument("--hi", type=int, default=-3)
     parser.add_argument("--prec", type=int, default=200)
     parser.add_argument("--primes", type=int, default=50)
-    parser.add_argument("--terms", type=int, default=10**6)
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
     start = time.perf_counter()
-    reports = run_suite(
-        delta_range(args.hi, args.lo),
-        n_max=args.prec,
-        primes_bound=args.primes,
-        terms=args.terms,
-    )
+    reports = run_suite(delta_range(args.hi, args.lo), n_max=args.prec, primes_bound=args.primes)
     elapsed = time.perf_counter() - start
 
     lines = [report_json_line(r) for r in reports]

@@ -15,16 +15,9 @@ from .forms import (
     automorph_count,
     reduce_form,
     reduced_forms,
-    representation_count,
     represented_coprime_value,
 )
-from .genus import (
-    GenusCharacter,
-    build_genus_characters,
-    character_pairs,
-    character_value,
-    orthogonality_sum,
-)
+from .genus import GenusCharacter, build_genus_characters, character_pairs
 from .hecke import (
     HeckeCheckResult,
     check_eigenform,
@@ -41,6 +34,7 @@ from .series import (
     genus_eisenstein,
     l_zero,
     theta_series,
+    theta_total,
     twisted_sum,
 )
 from .verify import (

@@ -64,7 +64,10 @@ class ClassGroup:
 
     classes holds the lexicographically sorted reduced forms and index_of maps
     each one's (a, b, c) to its position; genus ids are the smallest class
-    index in each genus.
+    index in each genus.  genus_signs[k] holds the assigned characters of the
+    genus genus_ids[k]: (p|r) for each prime discriminant p of delta, in
+    prime_discriminant_factorization order, at a value r coprime to delta
+    that the genus represents.
     """
 
     delta: int
@@ -75,6 +78,7 @@ class ClassGroup:
     squares: tuple[int, ...]
     genus_of: tuple[int, ...]
     genus_ids: tuple[int, ...]
+    genus_signs: tuple[tuple[int, ...], ...]
 
     @property
     def h(self) -> int:
@@ -145,6 +149,7 @@ def build_class_group(delta: int) -> ClassGroup:
         squares=squares,
         genus_of=tuple(genus_of),
         genus_ids=tuple(first_of.values()),
+        genus_signs=tuple(first_of),
     )
     _check_group(group)
     return group

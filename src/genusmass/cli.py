@@ -19,7 +19,7 @@ from .series import (
     theta_series,
     twisted_sum,
 )
-from .verify import DirichletConfig, delta_range, report_json_line, run_suite
+from .verify import delta_range, report_json_line, run_suite
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -33,7 +33,6 @@ class CliConfig:
     which: Optional[str] = None
     precision: int = 100
     primes: int = 20
-    terms: int = DirichletConfig.terms
     fmt: str = "text"
     out: Optional[str] = None
 
@@ -181,6 +180,10 @@ def cmd_series(cfg: CliConfig) -> int:
 
 
 def cmd_verify(cfg: CliConfig) -> int:
+    if cfg.precision < 1:
+        raise UsageError(f"precision must be >= 1, got {cfg.precision}")
+    if cfg.primes < 2:
+        raise UsageError(f"prime bound must be >= 2, got {cfg.primes}")
     if cfg.disc is not None:
         deltas = [cfg.disc]
         require_fundamental(cfg.disc)
@@ -188,7 +191,7 @@ def cmd_verify(cfg: CliConfig) -> int:
         deltas = delta_range(*cfg.range_bounds)
     else:
         raise UsageError("verify needs --disc or --range")
-    reports = run_suite(deltas, n_max=cfg.precision, primes_bound=cfg.primes, terms=cfg.terms)
+    reports = run_suite(deltas, n_max=cfg.precision, primes_bound=cfg.primes)
     all_passed = all(r.passed for r in reports)
     if cfg.fmt == "json":
         text = "".join(report_json_line(r) + "\n" for r in reports)
@@ -244,12 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--range", dest="range_", default=None, help="A:B, e.g. -3:-500")
     p_verify.add_argument("--prec", type=int, default=100)
     p_verify.add_argument("--primes", type=int, default=20, help="check primes up to this bound")
-    p_verify.add_argument(
-        "--terms",
-        type=int,
-        default=DirichletConfig.terms,
-        help="terms in the L(1) partial sums (default 10^6)",
-    )
     return parser
 
 
@@ -266,8 +263,6 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
         cfg.precision = args.prec
     if hasattr(args, "primes"):
         cfg.primes = args.primes
-    if hasattr(args, "terms"):
-        cfg.terms = args.terms
     if getattr(args, "which", None) is not None:
         cfg.which = args.which
     return cfg

@@ -13,7 +13,6 @@ __all__ = [
     "reduce_triple",
     "reduce_form",
     "reduced_forms",
-    "representation_count",
     "representation_counts",
     "automorph_count",
     "represented_coprime_value",
@@ -103,34 +102,6 @@ def reduced_forms(delta: int) -> tuple[QuadForm, ...]:
                 continue
             out.append(QuadForm(a, b, c))
     return tuple(sorted(out))
-
-
-def representation_count(q: QuadForm, n: int) -> int:
-    """#{(x, y) in Z^2 : q(x, y) = n}.
-
-    Scans the x-range |x| <= sqrt(4cn/|disc|) forced by positive definiteness
-    and solves the residual quadratic in y exactly.
-    """
-    if n < 0:
-        raise ValueError(f"expected n >= 0, got {n}")
-    if n == 0:
-        return 1
-    a, b, c = q.a, q.b, q.c
-    abs_disc = 4 * a * c - b * b
-    count = 0
-    two_c = 2 * c
-    for x in range(-math.isqrt(4 * c * n // abs_disc), math.isqrt(4 * c * n // abs_disc) + 1):
-        s2 = 4 * c * n - abs_disc * x * x
-        if s2 < 0:
-            continue
-        s = math.isqrt(s2)
-        if s * s != s2:
-            continue
-        if (-b * x + s) % two_c == 0:
-            count += 1
-        if s and (-b * x - s) % two_c == 0:
-            count += 1
-    return count
 
 
 def representation_counts(q: QuadForm, n_max: int) -> list[int]:

@@ -3,20 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from .arith import is_fundamental, kronecker, prime_discriminant_factorization
+from .arith import is_fundamental, prime_discriminant_factorization
 from .class_group import ClassGroup
-from .forms import represented_coprime_value
 
 __all__ = [
     "GenusCharacter",
     "character_pairs",
-    "character_value",
     "build_genus_characters",
-    "orthogonality_sum",
 ]
 
 
@@ -38,15 +34,6 @@ def character_pairs(delta: int) -> list[tuple[int, int]]:
     return [(d, delta // d) for d in sorted(ds)]
 
 
-def character_value(group: ClassGroup, d: int, genus_id: int) -> int:
-    """chi_{d,D}(g) = (d | r) for any r > 0 represented by the genus with gcd(r, d) = 1."""
-    r = represented_coprime_value(group.classes[genus_id], d)
-    value = kronecker(d, r)
-    if value not in (-1, 1):
-        raise RuntimeError(f"({d}|{r}) = {value}: {r} is not coprime to {d}")
-    return value
-
-
 @dataclass(frozen=True, eq=False)
 class GenusCharacter:
     """A real character of the genus group, keyed by its factorization (d, D)."""
@@ -60,16 +47,20 @@ class GenusCharacter:
 
 
 def build_genus_characters(group: ClassGroup) -> tuple[GenusCharacter, ...]:
-    """All genus characters of the class group, in character_pairs order."""
+    """All genus characters of the class group, in character_pairs order.
+
+    chi_{d,D}(g) = (d|r) for a value r of the genus coprime to delta, so it is the
+    product of the genus's assigned characters (p|r) over the prime
+    discriminants p that divide d.
+    """
+    factors = prime_discriminant_factorization(group.delta)
     out = []
     for d, big_d in character_pairs(group.delta):
-        values = {g: character_value(group, d, g) for g in group.genus_ids}
+        values = {}
+        for g, signs in zip(group.genus_ids, group.genus_signs):
+            value = prod(s for p, s in zip(factors, signs) if d % p == 0)
+            if value not in (-1, 1):
+                raise RuntimeError(f"genus {g} of {group.delta}: assigned characters {signs}")
+            values[g] = value
         out.append(GenusCharacter(d=d, D=big_d, values=values))
     return tuple(out)
-
-
-def orthogonality_sum(group: ClassGroup, genus_id: int) -> Fraction:
-    """(1/|G|) * sum over all characters of chi(g): 1 on the principal genus, else 0."""
-    chars = build_genus_characters(group)
-    total = sum(chi.value(genus_id) for chi in chars)
-    return Fraction(total, len(chars))

@@ -6,12 +6,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .arith import kronecker
 from .class_group import ClassGroup, prime_ideal_class
 from .qseries import apply_T, apply_U
-from .series import genus_eisenstein, theta_series
+from .series import genus_eisenstein, theta_series, theta_total
 
 __all__ = [
     "HeckeCheckResult",
@@ -76,9 +76,7 @@ def _result(delta: int, p: int, identity: str, hi: int, mismatch) -> HeckeCheckR
 
 def check_eigenform(group: ClassGroup, p: int, n_max: int) -> HeckeCheckResult:
     """a(pn) + (delta|p) a(n/p) = (1 + (delta|p)) a(n) for the class-group total a."""
-    total = theta_series(group, 0, n_max)
-    for h in range(1, group.h):
-        total = total + theta_series(group, h, n_max)
+    total = theta_total(group, n_max)
     chi = kronecker(group.delta, p)
     hi = n_max // p
     mismatch = None
@@ -164,17 +162,17 @@ def check_genus_permutation(group: ClassGroup, p: int, n_max: int) -> HeckeCheck
     return _compare_per_class(group, p, "genus_permutation", n_max, pairs)
 
 
-def prime_checks(group: ClassGroup, p: int, n_max: int) -> list[HeckeCheckResult]:
-    """All identities that apply at p: eigenform, the per-class theta identity for
-    the prime's type, and (split/ramified only) the genus permutation."""
-    out = [check_eigenform(group, p, n_max)]
+def prime_checks(group: ClassGroup, p: int, n_max: int) -> Iterator[HeckeCheckResult]:
+    """All identities that apply at p, each computed when it is reached: eigenform,
+    the per-class theta identity for the prime's type, and (split/ramified only)
+    the genus permutation."""
+    yield check_eigenform(group, p, n_max)
     kind = classify_prime(group.delta, p)
     if kind == "split":
-        out.append(check_split_theta(group, p, n_max))
-        out.append(check_genus_permutation(group, p, n_max))
+        yield check_split_theta(group, p, n_max)
+        yield check_genus_permutation(group, p, n_max)
     elif kind == "ramified":
-        out.append(check_ramified_theta(group, p, n_max))
-        out.append(check_genus_permutation(group, p, n_max))
+        yield check_ramified_theta(group, p, n_max)
+        yield check_genus_permutation(group, p, n_max)
     else:
-        out.append(check_inert_theta(group, p, n_max))
-    return out
+        yield check_inert_theta(group, p, n_max)

@@ -1,5 +1,6 @@
 """Builders for the concrete q-series: theta series, genus averages, twisted sums,
-divisor-sum Eisenstein series, and the character-weighted combination per genus."""
+divisor-sum Eisenstein series, and the character-weighted combination per genus;
+and L(0) of the Kronecker character, the Eisenstein constant term."""
 
 from __future__ import annotations
 
@@ -7,14 +8,22 @@ import io
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import is_fundamental, is_fundamental_discriminant, kronecker
+import numpy as np
+
+from .arith import (
+    is_fundamental,
+    is_fundamental_discriminant,
+    kronecker,
+    prime_discriminant_factorization,
+)
 from .class_group import ClassGroup, build_class_group
-from .forms import automorph_count, representation_counts
+from .forms import representation_counts
 from .genus import GenusCharacter, build_genus_characters
 from .qseries import QSeries, qseries
 
 __all__ = [
     "theta_series",
+    "theta_total",
     "class_average",
     "genus_eisenstein",
     "twisted_sum",
@@ -36,12 +45,17 @@ def theta_series(group: ClassGroup, h: int, n_max: int) -> QSeries:
     return qseries(group.delta, _theta_coeffs(group.delta, h, n_max))
 
 
-def class_average(group: ClassGroup, n_max: int) -> QSeries:
-    """(1/w) * sum of all theta series; constant term h/w."""
+def theta_total(group: ClassGroup, n_max: int) -> QSeries:
+    """Sum of the theta series of all classes; constant term h."""
     total = theta_series(group, 0, n_max)
     for h in range(1, group.h):
         total = total + theta_series(group, h, n_max)
-    return total.scale(Fraction(1, group.w))
+    return total
+
+
+def class_average(group: ClassGroup, n_max: int) -> QSeries:
+    """(1/w) * sum of all theta series; constant term h/w."""
+    return theta_total(group, n_max).scale(Fraction(1, group.w))
 
 
 def genus_eisenstein(group: ClassGroup, genus_id: int, n_max: int) -> QSeries:
@@ -54,34 +68,48 @@ def genus_eisenstein(group: ClassGroup, genus_id: int, n_max: int) -> QSeries:
 
 
 def twisted_sum(group: ClassGroup, chi: GenusCharacter, n_max: int) -> QSeries:
-    """(1/w) * sum over classes of chi(h) * theta_h.
-
-    Computed both class-by-class and genus-by-genus; the two groupings must
-    agree exactly.
-    """
-    w = group.w
-    by_class = qseries(group.delta, [0] * (n_max + 1))
+    """(1/w) * sum over classes of chi(h) * theta_h."""
+    total = qseries(group.delta, [0] * (n_max + 1))
     for h in range(group.h):
-        sign = chi.value(group.genus_of[h])
         term = theta_series(group, h, n_max)
-        by_class = by_class + (term if sign == 1 else -term)
-    by_class = by_class.scale(Fraction(1, w))
+        total = total + (term if chi.value(group.genus_of[h]) == 1 else -term)
+    return total.scale(Fraction(1, group.w))
 
-    by_genus = qseries(group.delta, [0] * (n_max + 1))
-    for g in group.genus_ids:
-        term = genus_eisenstein(group, g, n_max).scale(chi.value(g))
-        by_genus = by_genus + term
-    by_genus = by_genus.scale(Fraction(len(group.squares), w))
 
-    assert by_class == by_genus, "class-wise and genus-wise twisted sums disagree"
-    return by_class
+def _kronecker_table(delta: int) -> np.ndarray:
+    """[(delta|r) for r in range(|delta|)] as int8, the product of the characters
+    of the prime discriminants of delta.  An odd prime discriminant's character
+    at r >= 0 is the Legendre symbol (r|p); the -4, 8 or -8 factor has period at
+    most 8 and is read from kronecker itself."""
+    q = -delta
+    table = np.ones(q, dtype=np.int8)
+    for factor in prime_discriminant_factorization(delta):
+        m = abs(factor)
+        if m % 2:
+            period = np.full(m, -1, dtype=np.int8)
+            period[0] = 0
+            x = np.arange(1, (m + 1) // 2, dtype=np.int64)
+            period[x * x % m] = 1
+        else:
+            period = np.array([kronecker(factor, r) for r in range(m)], dtype=np.int8)
+        table *= np.resize(period, q)
+    return table
 
 
 @lru_cache(maxsize=None)
 def l_zero(delta: int) -> Fraction:
-    """L(0) for the Kronecker character of delta, as the exact rational 2h/w."""
-    group = build_class_group(delta)
-    return Fraction(2 * group.h, automorph_count(delta))
+    """L(0) for the Kronecker character chi of delta, from the character alone:
+    L(0, chi) = -B_{1,chi} = -(1/|delta|) * sum over 0 <= a < |delta| of chi(a) * a
+    (Washington, Introduction to Cyclotomic Fields, Thm 4.2).
+
+    The sum is an int64 dot product.  It is exact because |sum| < |delta|^2 / 2,
+    which fits in int64 for |delta| < 4 * 10^9; larger |delta| is refused.
+    """
+    q = -delta
+    if q >= 4 * 10**9:
+        raise ValueError(f"|delta| = {q} is too large for an exact int64 L(0) sum")
+    total = np.dot(_kronecker_table(delta).astype(np.int64), np.arange(q, dtype=np.int64))
+    return Fraction(-int(total), q)
 
 
 @lru_cache(maxsize=None)

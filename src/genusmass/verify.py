@@ -1,26 +1,16 @@
-"""Top-level identity suite: the class-group average, the approximate class number
-formula, the twisted and per-genus Eisenstein identities, and character counts,
+"""Top-level identity suite: the class-group average, the class number formula at
+s = 0, the twisted and per-genus Eisenstein identities, and character counts,
 aggregated into per-discriminant reports."""
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .arith import (
-    distinct_prime_count,
-    divisors,
-    is_fundamental,
-    kronecker,
-    prime_discriminant_factorization,
-    primes_up_to,
-)
+from .arith import distinct_prime_count, divisors, is_fundamental, kronecker, primes_up_to
 from .class_group import build_class_group
 from .forms import automorph_count
 from .genus import build_genus_characters, character_pairs
@@ -29,14 +19,14 @@ from .series import (
     eisenstein_for_genus,
     eisenstein_series,
     genus_eisenstein,
-    theta_series,
+    l_zero,
+    theta_total,
     twisted_sum,
 )
 
 __all__ = [
     "CheckRecord",
     "VerificationReport",
-    "DirichletConfig",
     "verify_gauss",
     "verify_dirichlet",
     "verify_twisted_eisenstein",
@@ -108,9 +98,7 @@ def verify_gauss(delta: int, n_max: int) -> CheckRecord:
 
     def run():
         group = build_class_group(delta)
-        total = theta_series(group, 0, n_max)
-        for h in range(1, group.h):
-            total = total + theta_series(group, h, n_max)
+        total = theta_total(group, n_max)
         w = automorph_count(delta)
         for n in range(1, n_max + 1):
             rhs = w * sum(kronecker(delta, t) for t in divisors(n))
@@ -121,67 +109,14 @@ def verify_gauss(delta: int, n_max: int) -> CheckRecord:
     return _timed("gauss_average", run)
 
 
-@dataclass(frozen=True)
-class DirichletConfig:
-    """Frozen settings for the one approximate check.
-
-    Calibrated by scripts/calibrate_dirichlet.py: with 10^6 averaged terms the
-    recovered class number is within 1.1e-4 of the true one for every
-    fundamental discriminant down to -500 (9e-3 at the 10^4-term minimum), so
-    tol = 1e-2 keeps a two-orders-of-magnitude margin at default settings.
-    """
-
-    terms: int = 10**6
-    tol: float = 1e-2
-
-
-def _kronecker_table(delta: int) -> np.ndarray:
-    """[(delta|r) for r in range(|delta|)] as int8, the product of the characters
-    of the prime discriminants of delta.  An odd prime discriminant's character
-    at r >= 0 is the Legendre symbol (r|p); the -4, 8 or -8 factor has period at
-    most 8 and is read from kronecker itself."""
-    q = -delta
-    table = np.ones(q, dtype=np.int8)
-    for factor in prime_discriminant_factorization(delta):
-        m = abs(factor)
-        if m % 2:
-            period = np.full(m, -1, dtype=np.int8)
-            period[0] = 0
-            x = np.arange(1, (m + 1) // 2, dtype=np.int64)
-            period[x * x % m] = 1
-        else:
-            period = np.array([kronecker(factor, r) for r in range(m)], dtype=np.int8)
-        table *= np.resize(period, q)
-    return table
-
-
-def _dirichlet_l1(delta: int, terms: int) -> float:
-    """Partial sums of sum chi(n)/n, smoothed by averaging the last two partial
-    sums and averaging once more."""
-    table = _kronecker_table(delta).astype(np.float64)
-    terms_arr = np.resize(np.roll(table, -1), terms)  # chi(n) at index n - 1
-    terms_arr /= np.arange(1, terms + 1, dtype=np.int64)
-    s0 = float(np.sum(terms_arr))
-    s1 = s0 - float(terms_arr[-1])
-    s2 = s1 - float(terms_arr[-2])
-    return (s0 + 2 * s1 + s2) / 4
-
-
-def verify_dirichlet(
-    delta: int, terms: int = DirichletConfig.terms, tol: Optional[float] = None
-) -> CheckRecord:
-    """|H| = (w sqrt(|delta|) / 2 pi) L(1, (delta|.)), approximately."""
-    if terms < 10**4:
-        raise ValueError(f"need at least 10^4 terms, got {terms}")
-    tol = DirichletConfig.tol if tol is None else tol
+def verify_dirichlet(delta: int) -> CheckRecord:
+    """h = (w/2) L(0, (delta|.)) exactly: Dirichlet's class number formula at s = 0,
+    with h from the class group and L(0) from the character alone."""
 
     def run():
-        group = build_class_group(delta)
-        l1 = _dirichlet_l1(delta, terms)
-        computed = automorph_count(delta) * math.sqrt(-delta) / (2 * math.pi) * l1
-        err = abs(computed - group.h)
-        ok = err < tol
-        return ok, f"computed_h={computed:.6f} h={group.h} err={err:.2e} tol={tol:g}"
+        h = build_class_group(delta).h
+        computed = automorph_count(delta) * l_zero(delta) / 2
+        return computed == h, f"(w/2)L(0)={computed} h={h} exact"
 
     return _timed("dirichlet_class_number", run)
 
@@ -243,8 +178,8 @@ def verify_character_counts(delta: int) -> CheckRecord:
     return _timed("character_counts", run)
 
 
-def _suite_job(args: tuple[int, int, int, int, float]) -> VerificationReport:
-    delta, n_max, primes_bound, terms, tol = args
+def _suite_job(args: tuple[int, int, int]) -> VerificationReport:
+    delta, n_max, primes_bound = args
     start = time.perf_counter()
     if delta >= 0 or delta % 4 not in (0, 1) or not is_fundamental(delta):
         return VerificationReport(
@@ -263,20 +198,23 @@ def _suite_job(args: tuple[int, int, int, int, float]) -> VerificationReport:
         verify_character_counts(delta),
         verify_twisted_eisenstein(delta, n_max),
         verify_genus_mass(delta, n_max),
-        verify_dirichlet(delta, terms=terms, tol=tol),
+        verify_dirichlet(delta),
     ]
     for p in primes_up_to(primes_bound):
+        # prime_checks computes each identity on demand: time each one on its own
         t0 = time.perf_counter()
         for result in prime_checks(group, p, n_max):
+            elapsed_ms = int((time.perf_counter() - t0) * 1000)
             detail = "exact" if result.passed else json.dumps(result.to_dict()["first_mismatch"])
             checks.append(
                 CheckRecord(
                     name=f"{result.identity}[p={p}]",
                     passed=result.passed,
                     detail=f"{result.prime_type}; n=1..{result.checked_hi} {detail}",
-                    elapsed_ms=int((time.perf_counter() - t0) * 1000),
+                    elapsed_ms=elapsed_ms,
                 )
             )
+            t0 = time.perf_counter()
         if kronecker(delta, p) == -1:
             checks.append(
                 CheckRecord(
@@ -309,8 +247,6 @@ def run_suite(
     deltas: Sequence[int],
     n_max: int = 100,
     primes_bound: int = 20,
-    terms: int = DirichletConfig.terms,
-    tol: Optional[float] = None,
     workers: Optional[int] = None,
 ) -> list[VerificationReport]:
     """Run every check for each delta; non-fundamental entries are skipped, never fatal.
@@ -318,8 +254,7 @@ def run_suite(
     Per-delta jobs are independent; GENUSMASS_THREADS (or workers) > 1 fans them
     out over processes.  Reports come back in the order of the input deltas.
     """
-    tol = DirichletConfig.tol if tol is None else tol
-    jobs = [(delta, n_max, primes_bound, terms, tol) for delta in deltas]
+    jobs = [(delta, n_max, primes_bound) for delta in deltas]
     workers = _worker_count() if workers is None else max(1, workers)
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -1,21 +1,25 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is deliberately naive: box scans, full enumeration, the
-classical coefficient-level composition formula, the ideal lattices of the
-maximal order with the full h x h composition table built from them, and the
-scalar L(1) partial sums, all kept separate from the library's code paths.
+scalar representation count, the classical coefficient-level composition
+formula, genus character values from a fresh represented value per genus, the
+ideal lattices of the maximal order with the full h x h composition table
+built from them, and the scalar L(1) partial sums, all kept separate from the
+library's code paths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from genusmass.arith import ext_gcd, is_fundamental, kronecker
-from genusmass.class_group import prime_form
-from genusmass.forms import QuadForm, reduce_form, reduced_forms
+from genusmass.class_group import ClassGroup, prime_form
+from genusmass.forms import QuadForm, reduce_form, reduced_forms, represented_coprime_value
+from genusmass.genus import build_genus_characters
 
 # Textbook class numbers for negative fundamental discriminants.
 KNOWN_CLASS_NUMBERS = {
@@ -62,6 +66,34 @@ def box_representation_count(q: QuadForm, n: int) -> int:
         for y in range(-bound, bound + 1)
         if q(x, y) == n
     )
+
+
+def representation_count(q: QuadForm, n: int) -> int:
+    """#{(x, y) in Z^2 : q(x, y) = n}.
+
+    Scans the x-range |x| <= sqrt(4cn/|disc|) forced by positive definiteness
+    and solves the residual quadratic in y exactly.
+    """
+    if n < 0:
+        raise ValueError(f"expected n >= 0, got {n}")
+    if n == 0:
+        return 1
+    a, b, c = q.a, q.b, q.c
+    abs_disc = 4 * a * c - b * b
+    count = 0
+    two_c = 2 * c
+    for x in range(-math.isqrt(4 * c * n // abs_disc), math.isqrt(4 * c * n // abs_disc) + 1):
+        s2 = 4 * c * n - abs_disc * x * x
+        if s2 < 0:
+            continue
+        s = math.isqrt(s2)
+        if s * s != s2:
+            continue
+        if (-b * x + s) % two_c == 0:
+            count += 1
+        if s and (-b * x - s) % two_c == 0:
+            count += 1
+    return count
 
 
 def reduced_class_set_oracle(delta: int) -> set[QuadForm]:
@@ -123,6 +155,22 @@ def dirichlet_l1_oracle(delta: int, terms: int) -> float:
     s1 = s0 - float(terms_arr[-1])
     s2 = s1 - float(terms_arr[-2])
     return (s0 + 2 * s1 + s2) / 4
+
+
+def character_value(group: ClassGroup, d: int, genus_id: int) -> int:
+    """chi_{d,D}(g) = (d | r) for any r > 0 represented by the genus with gcd(r, d) = 1."""
+    r = represented_coprime_value(group.classes[genus_id], d)
+    value = kronecker(d, r)
+    if value not in (-1, 1):
+        raise RuntimeError(f"({d}|{r}) = {value}: {r} is not coprime to {d}")
+    return value
+
+
+def orthogonality_sum(group: ClassGroup, genus_id: int) -> Fraction:
+    """(1/|G|) * sum over all characters of chi(g): 1 on the principal genus, else 0."""
+    chars = build_genus_characters(group)
+    total = sum(chi.value(genus_id) for chi in chars)
+    return Fraction(total, len(chars))
 
 
 def reduce_with_matrix(q: QuadForm) -> tuple[QuadForm, tuple[int, int, int, int]]:

@@ -1,8 +1,8 @@
 """Acceptance suite: every criterion at full scale, one printed line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines as they complete.  All identity checks are exact (zero tolerance); the
-class number recovery is the one approximate check.
+lines as they complete.  Every check is exact (zero tolerance), the class
+number formula included.
 """
 
 import math
@@ -200,15 +200,15 @@ def test_structure_counts_full_range():
 def test_dirichlet_class_number():
     start = time.perf_counter()
     failures = []
-    for delta in (-3, -4, -7, -8, -20, -23, -84):
-        record = verify_dirichlet(delta, terms=10**6, tol=1e-2)
+    for delta in FULL_RANGE:
+        record = verify_dirichlet(delta)
         if not record.passed:
             failures.append((delta, record.detail))
     elapsed = time.perf_counter() - start
     announce(
         "dirichlet_class_number",
         not failures,
-        f"7 discriminants, 10^6 averaged terms, |err| < 1e-2, {elapsed:.1f}s"
+        f"h = (w/2) L(0) exactly for {len(FULL_RANGE)} discriminants, {elapsed:.1f}s"
         + (f"; failures {failures}" if failures else ""),
     )
     assert not failures

@@ -108,7 +108,7 @@ class TestSeries:
 class TestVerify:
     def test_single_disc_passes(self, capsys):
         code, out, _ = run_cli(
-            capsys, "verify", "--disc", "-84", "--prec", "60", "--primes", "12", "--terms", "100000"
+            capsys, "verify", "--disc", "-84", "--prec", "60", "--primes", "12"
         )
         assert code == 0
         assert "delta=-84" in out and "[ok]" in out
@@ -116,8 +116,7 @@ class TestVerify:
     def test_range_json_lines(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            "verify", "--range", "-3:-20", "--prec", "30", "--primes", "6",
-            "--terms", "10000", "--format", "json",
+            "verify", "--range", "-3:-20", "--prec", "30", "--primes", "6", "--format", "json",
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -132,6 +131,22 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--disc", "-10")
         assert code == 2
         assert "not 0 or 1 (mod 4)" in err
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--prec", "0", "precision must be >= 1, got 0"),
+            ("--prec", "-5", "precision must be >= 1, got -5"),
+            ("--primes", "-3", "prime bound must be >= 2, got -3"),
+            ("--primes", "1", "prime bound must be >= 2, got 1"),
+        ],
+    )
+    def test_bad_numeric_flag_is_usage_error(self, capsys, flag, value, message):
+        # --prec 0 used to pass vacuously, --prec -5 to raise, --primes -3 to run no prime check
+        code, out, err = run_cli(capsys, "verify", "--disc", "-84", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_needs_disc_or_range(self, capsys):
         code, _, err = run_cli(capsys, "verify")
@@ -157,7 +172,7 @@ class TestVerify:
         code, out, _ = run_cli(
             capsys,
             "verify", "--range", "-3:-8", "--prec", "20", "--primes", "5",
-            "--terms", "10000", "--format", "json", "--out", str(target),
+            "--format", "json", "--out", str(target),
         )
         assert code == 0
         assert out == ""

@@ -9,7 +9,6 @@ from genusmass.forms import (
     automorph_count,
     reduce_form,
     reduced_forms,
-    representation_count,
     representation_counts,
 )
 from oracles import (
@@ -18,6 +17,7 @@ from oracles import (
     fundamental_deltas,
     reduced_class_set_oracle,
     reduce_with_matrix,
+    representation_count,
 )
 
 deltas_strategy = st.sampled_from(fundamental_deltas(-300))

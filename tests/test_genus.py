@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -6,14 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from genusmass.class_group import build_class_group, prime_ideal_class
 from genusmass.forms import QuadForm, represented_coprime_value
-from genusmass.genus import (
-    build_genus_characters,
-    character_pairs,
-    character_value,
-    orthogonality_sum,
-)
+from genusmass.genus import build_genus_characters, character_pairs
 from genusmass.arith import kronecker, primes_up_to
-from oracles import fundamental_deltas
+from oracles import character_value, fundamental_deltas, orthogonality_sum
 
 deltas_strategy = st.sampled_from(fundamental_deltas(-250))
 
@@ -87,6 +83,20 @@ class TestCharacterValue:
 
         g_2211 = cg84.genus_of[cg84.classes.index(QuadForm(2, 2, 11))]
         assert character_value(cg84, 21, g_2211) == -1  # (21|2) = -1
+
+    def test_built_characters_match_fresh_values(self):
+        # the library multiplies the assigned characters the class group already
+        # computed; the oracle searches a new value coprime to d for every genus
+        for delta in fundamental_deltas(-1000):
+            group = build_class_group(delta)
+            for chi in build_genus_characters(group):
+                expected = {g: character_value(group, chi.d, g) for g in group.genus_ids}
+                assert chi.values == expected, (delta, chi.d)
+
+    def test_zero_assigned_character_raises(self, cg84):
+        signs = ((0,) + cg84.genus_signs[0][1:],) + cg84.genus_signs[1:]
+        with pytest.raises(RuntimeError, match="assigned characters"):
+            build_genus_characters(replace(cg84, genus_signs=signs))
 
     @given(deltas_strategy, st.data())
     @settings(max_examples=60, deadline=None)

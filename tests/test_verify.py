@@ -1,12 +1,17 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+import genusmass.series as series
+import genusmass.verify as verify
 from genusmass.arith import kronecker
+from genusmass.class_group import build_class_group
+from genusmass.forms import automorph_count
+from genusmass.series import _kronecker_table, l_zero
 from genusmass.verify import (
-    DirichletConfig,
     delta_range,
     report_json_line,
     run_suite,
@@ -15,8 +20,6 @@ from genusmass.verify import (
     verify_gauss,
     verify_genus_mass,
     verify_twisted_eisenstein,
-    _dirichlet_l1,
-    _kronecker_table,
 )
 from oracles import dirichlet_l1_oracle, fundamental_deltas
 
@@ -58,36 +61,73 @@ class TestKroneckerTable:
         assert table.tolist() == [kronecker(delta, r) for r in range(-delta)]
 
 
-class TestDirichlet:
-    @pytest.mark.parametrize(
-        "delta,terms",
-        [(-3, 10**6), (-4, 10**6), (-20, 10**4), (-163, 10**6), (-420, 12345), (-400391, 10**6)]
-        + [(delta, 10**5) for delta in SAMPLED_DELTAS[:4]],
-    )
-    def test_equals_scalar_table_formula(self, delta, terms):
-        assert _dirichlet_l1(delta, terms) == dirichlet_l1_oracle(delta, terms)
+def class_number_from_l1(delta: int, l1: float) -> float:
+    """h = (w sqrt|delta| / 2 pi) L(1), the analytic class number formula."""
+    return automorph_count(delta) * math.sqrt(-delta) / (2 * math.pi) * l1
 
+
+class TestDirichlet:
     def test_leibniz_oracle(self):
-        # L(1) for delta = -4 is pi/4; the smoothed partial sums are good to ~1/(4M)
-        assert abs(_dirichlet_l1(-4, 10**6) - math.pi / 4) < 1e-6
+        # L(1) for delta = -4 is pi/4 = pi L(0) / sqrt 4; the smoothed partial sums
+        # of the reference are good to ~1/(4M)
+        assert l_zero(-4) == Fraction(1, 2)
+        assert abs(dirichlet_l1_oracle(-4, 10**6) - math.pi * l_zero(-4) / 2) < 1e-6
 
     @pytest.mark.parametrize("delta,tol", [(-4, 1e-3), (-3, 1e-3), (-20, 1e-2)])
     def test_recovers_class_number(self, delta, tol):
-        record = verify_dirichlet(delta, terms=10**6, tol=tol)
+        record = verify_dirichlet(delta)
         assert record.passed, record.detail
+        l1 = dirichlet_l1_oracle(delta, 10**6)
+        assert abs(class_number_from_l1(delta, l1) - build_class_group(delta).h) < tol
 
-    def test_rejects_small_term_count(self):
-        with pytest.raises(ValueError):
-            verify_dirichlet(-4, terms=100)
+    def test_l_zero_against_l1_reference(self):
+        # L(1) = pi L(0) / sqrt|delta| ties the exact character sum to the
+        # independent smoothed L(1) partial sums
+        for delta in fundamental_deltas(-500):
+            l1 = math.pi * l_zero(delta) / math.sqrt(-delta)
+            reference = class_number_from_l1(delta, dirichlet_l1_oracle(delta, 10**6))
+            assert abs(class_number_from_l1(delta, l1) - reference) < 1e-2, delta
 
-    def test_frozen_tolerance_is_generous(self):
-        record = verify_dirichlet(-163, terms=DirichletConfig.terms)
-        assert record.passed
+    @pytest.mark.parametrize("delta", [-3, -4, -20, -84, -163, -420])
+    def test_l_zero_equals_scalar_character_sum(self, delta):
+        q = -delta
+        assert l_zero(delta) == Fraction(-sum(kronecker(delta, a) * a for a in range(q)), q)
+
+    def test_large_class_number(self):
+        record = verify_dirichlet(-400391)
+        assert record.passed, record.detail
+        assert "h=999" in record.detail
+
+
+@pytest.fixture
+def wrong_l_zero(monkeypatch):
+    """l_zero off by 2/w, so (w/2) L(0) is h + 1; the caches that hold L(0) are
+    cleared on the way in and out."""
+
+    def wrong(delta):
+        return l_zero(delta) + Fraction(2, automorph_count(delta))
+
+    series._eisenstein_coeffs.cache_clear()
+    monkeypatch.setattr(series, "l_zero", wrong)
+    monkeypatch.setattr(verify, "l_zero", wrong)
+    yield
+    series._eisenstein_coeffs.cache_clear()
+
+
+@pytest.mark.parametrize("delta", [-3, -20, -84])
+def test_checks_fail_on_wrong_l_zero(wrong_l_zero, delta):
+    """The n = 0 comparisons read L(0) from the character, not from the class
+    group, so a wrong L(0) fails all three checks that use it."""
+    assert not verify_dirichlet(delta).passed
+    twisted = verify_twisted_eisenstein(delta, 10)
+    assert not twisted.passed and "mismatch at n=0" in twisted.detail
+    mass = verify_genus_mass(delta, 10)
+    assert not mass.passed and "constant terms" in mass.detail
 
 
 class TestRunSuite:
     def test_small_range_passes(self):
-        reports = run_suite(delta_range(-3, -30), n_max=40, primes_bound=10, terms=10**4, tol=0.05)
+        reports = run_suite(delta_range(-3, -30), n_max=40, primes_bound=10)
         assert reports
         by_delta = {r.delta: r for r in reports}
         assert set(by_delta) == set(range(-3, -31, -1))
@@ -102,11 +142,17 @@ class TestRunSuite:
         assert by_delta[-10].skip_reason == "non-fundamental"
         assert by_delta[-23].skip_reason is None
 
+    def test_check_times_fit_in_report_time(self):
+        # every identity at a prime is timed on its own, so the checks' times
+        # cannot add up to more than the report's own
+        report = run_suite([-84], n_max=200, primes_bound=50)[0]
+        assert sum(c.elapsed_ms for c in report.checks) <= report.elapsed_ms
+
     def test_empty_range(self):
         assert run_suite([]) == []
 
     def test_every_check_listed_even_when_skipped(self):
-        report = run_suite([-20], n_max=40, primes_bound=12, terms=10**4, tol=0.05)[0]
+        report = run_suite([-20], n_max=40, primes_bound=12)[0]
         names = [c.name for c in report.checks]
         assert "gauss_average" in names
         assert "twisted_eisenstein" in names
@@ -121,8 +167,8 @@ class TestRunSuite:
             assert f"eigenform[p={p}]" in names
 
     def test_report_schema_and_determinism(self):
-        first = run_suite([-20, -19], n_max=30, primes_bound=8, terms=10**4, tol=0.05)
-        second = run_suite([-20, -19], n_max=30, primes_bound=8, terms=10**4, tol=0.05)
+        first = run_suite([-20, -19], n_max=30, primes_bound=8)
+        second = run_suite([-20, -19], n_max=30, primes_bound=8)
         lines1 = [report_json_line(r, include_timing=False) for r in first]
         lines2 = [report_json_line(r, include_timing=False) for r in second]
         assert lines1 == lines2
@@ -136,9 +182,9 @@ class TestRunSuite:
         assert "elapsed_ms" in timed and all("elapsed_ms" in c for c in timed["checks"])
 
     def test_workers_option_matches_serial(self):
-        serial = run_suite([-15, -14, -20], n_max=20, primes_bound=5, terms=10**4, tol=0.05)
+        serial = run_suite([-15, -14, -20], n_max=20, primes_bound=5)
         parallel = run_suite(
-            [-15, -14, -20], n_max=20, primes_bound=5, terms=10**4, tol=0.05, workers=2
+            [-15, -14, -20], n_max=20, primes_bound=5, workers=2
         )
         assert [report_json_line(r, include_timing=False) for r in serial] == [
             report_json_line(r, include_timing=False) for r in parallel
