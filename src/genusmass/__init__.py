@@ -26,9 +26,8 @@ from .hecke import (
     check_ramified_theta,
     check_split_theta,
 )
-from .qseries import QSeries, apply_T, apply_U, apply_V, qseries
+from .qseries import QSeries, apply_T, apply_U, apply_V
 from .series import (
-    class_average,
     eisenstein_for_genus,
     eisenstein_series,
     genus_eisenstein,

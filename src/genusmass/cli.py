@@ -66,12 +66,12 @@ def explain_not_fundamental(delta: int) -> str:
     return f"not fundamental: {delta}"
 
 
+def _is_negative_fundamental(delta: int) -> bool:
+    return delta < 0 and delta % 4 in (0, 1) and is_fundamental(delta)
+
+
 def require_fundamental(delta: int) -> None:
-    try:
-        ok = delta < 0 and delta % 4 in (0, 1) and is_fundamental(delta)
-    except ValueError:
-        ok = False
-    if not ok:
+    if not _is_negative_fundamental(delta):
         raise UsageError(explain_not_fundamental(delta))
 
 
@@ -175,7 +175,8 @@ def cmd_series(cfg: CliConfig) -> int:
     elif cfg.fmt == "csv":
         _emit(series_csv(series), cfg.out)
     else:
-        _emit(", ".join(str(c) for c in series.coeffs) + "\n", cfg.out)
+        terms = (str(num) if den == 1 else f"{num}/{den}" for num, den in series.reduced())
+        _emit(", ".join(terms) + "\n", cfg.out)
     return 0
 
 
@@ -184,11 +185,16 @@ def cmd_verify(cfg: CliConfig) -> int:
         raise UsageError(f"precision must be >= 1, got {cfg.precision}")
     if cfg.primes < 2:
         raise UsageError(f"prime bound must be >= 2, got {cfg.primes}")
+    if cfg.disc is not None and cfg.range_bounds is not None:
+        raise UsageError("verify takes --disc or --range, not both")
     if cfg.disc is not None:
         deltas = [cfg.disc]
         require_fundamental(cfg.disc)
     elif cfg.range_bounds is not None:
         deltas = delta_range(*cfg.range_bounds)
+        if not any(_is_negative_fundamental(d) for d in deltas):
+            lo, hi = cfg.range_bounds
+            raise UsageError(f"range {lo}:{hi} holds no negative fundamental discriminant")
     else:
         raise UsageError("verify needs --disc or --range")
     reports = run_suite(deltas, n_max=cfg.precision, primes_bound=cfg.primes)

@@ -1,17 +1,22 @@
 """Per-prime operator identities on theta series: eigenvalue check for the class-group
-sum, the split/ramified/inert per-class identities, and the genus permutation."""
+sum, the split/ramified/inert per-class identities, and the genus permutation.
+
+Each identity is one comparison of integer arrays over all classes (rows of the
+theta matrix) or all genera (sums of those rows), with T_p applied to every row
+at once by slicing."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .arith import kronecker
 from .class_group import ClassGroup, prime_ideal_class
-from .qseries import apply_T, apply_U
-from .series import genus_eisenstein, theta_series, theta_total
+from .qseries import first_unequal, t_rows, u_rows
+from .series import genus_eisenstein, theta_matrix, theta_total
 
 __all__ = [
     "HeckeCheckResult",
@@ -57,9 +62,6 @@ class HeckeCheckResult:
             "first_mismatch": mismatch,
         }
 
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def _result(delta: int, p: int, identity: str, hi: int, mismatch) -> HeckeCheckResult:
     return HeckeCheckResult(
@@ -74,30 +76,31 @@ def _result(delta: int, p: int, identity: str, hi: int, mismatch) -> HeckeCheckR
     )
 
 
+def _compare_rows(group, p, identity, lhs, rhs, unit=Fraction(1)) -> HeckeCheckResult:
+    """Compare two integer arrays (one row per class or genus, or one vector) on
+    n = 1..hi, where the columns are n = 0..hi; the first mismatch in row-major
+    order is reported as (n, lhs, rhs), each entry times unit."""
+    hi = lhs.shape[-1] - 1
+    found = first_unequal(lhs[..., 1:], rhs[..., 1:])
+    mismatch = None
+    if found is not None:
+        row, n = found[0], found[1] + 1
+        left, right = np.atleast_2d(lhs)[row, n], np.atleast_2d(rhs)[row, n]
+        mismatch = (n, int(left) * unit, int(right) * unit)
+    return _result(group.delta, p, identity, hi, mismatch)
+
+
 def check_eigenform(group: ClassGroup, p: int, n_max: int) -> HeckeCheckResult:
     """a(pn) + (delta|p) a(n/p) = (1 + (delta|p)) a(n) for the class-group total a."""
-    total = theta_total(group, n_max)
+    total = theta_total(group, n_max).coeffs
     chi = kronecker(group.delta, p)
-    hi = n_max // p
-    mismatch = None
-    for n in range(1, hi + 1):
-        lhs = total[p * n] + (chi * total[n // p] if n % p == 0 else 0)
-        rhs = (1 + chi) * total[n]
-        if lhs != rhs:
-            mismatch = (n, lhs, rhs)
-            break
-    return _result(group.delta, p, "eigenform", hi, mismatch)
+    lhs = t_rows(total, p, chi)
+    return _compare_rows(group, p, "eigenform", lhs, (1 + chi) * total[: len(lhs)])
 
 
-def _compare_per_class(group, p, identity, n_max, lhs_rhs_pairs) -> HeckeCheckResult:
-    hi = n_max // p
-    mismatch = None
-    for lhs, rhs in lhs_rhs_pairs:
-        found = lhs.first_mismatch(rhs, lo=1, hi=hi)
-        if found is not None:
-            mismatch = found
-            break
-    return _result(group.delta, p, identity, hi, mismatch)
+def _translate(group: ClassGroup, hp: int) -> list[int]:
+    """The class permutation h -> h * hp, one composition per class."""
+    return [group.compose(h, hp) for h in range(group.h)]
 
 
 def check_split_theta(group: ClassGroup, p: int, n_max: int) -> HeckeCheckResult:
@@ -105,15 +108,11 @@ def check_split_theta(group: ClassGroup, p: int, n_max: int) -> HeckeCheckResult
     if kronecker(group.delta, p) != 1:
         raise ValueError(f"{p} is not split for discriminant {group.delta}")
     hp = prime_ideal_class(group, p)
-    hp_conj = group.inverse(hp)
-    pairs = []
-    for h in range(group.h):
-        lhs = apply_T(theta_series(group, h, n_max), p)
-        rhs = theta_series(group, group.compose(h, hp), n_max) + theta_series(
-            group, group.compose(h, hp_conj), n_max
-        )
-        pairs.append((lhs, rhs))
-    return _compare_per_class(group, p, "theta_split", n_max, pairs)
+    theta = theta_matrix(group.delta, n_max)
+    lhs = t_rows(theta, p, 1)
+    cols = lhs.shape[-1]
+    rhs = theta[_translate(group, hp), :cols] + theta[_translate(group, group.inverse(hp)), :cols]
+    return _compare_rows(group, p, "theta_split", lhs, rhs)
 
 
 def check_ramified_theta(group: ClassGroup, p: int, n_max: int) -> HeckeCheckResult:
@@ -121,29 +120,18 @@ def check_ramified_theta(group: ClassGroup, p: int, n_max: int) -> HeckeCheckRes
     if kronecker(group.delta, p) != 0:
         raise ValueError(f"{p} is not ramified for discriminant {group.delta}")
     hp = prime_ideal_class(group, p)
-    pairs = []
-    for h in range(group.h):
-        lhs = apply_U(theta_series(group, h, n_max), p)
-        rhs = theta_series(group, group.compose(h, hp), n_max)
-        pairs.append((lhs, rhs))
-    return _compare_per_class(group, p, "theta_ramified", n_max, pairs)
+    theta = theta_matrix(group.delta, n_max)
+    lhs = u_rows(theta, p)
+    rhs = theta[_translate(group, hp), : lhs.shape[-1]]
+    return _compare_rows(group, p, "theta_ramified", lhs, rhs)
 
 
 def check_inert_theta(group: ClassGroup, p: int, n_max: int) -> HeckeCheckResult:
     """theta_h | T_p = 0 for every class h, inert p."""
     if kronecker(group.delta, p) != -1:
         raise ValueError(f"{p} is not inert for discriminant {group.delta}")
-    hi = n_max // p
-    mismatch = None
-    for h in range(group.h):
-        lhs = apply_T(theta_series(group, h, n_max), p)
-        for n in range(1, hi + 1):
-            if lhs[n] != 0:
-                mismatch = (n, lhs[n], Fraction(0))
-                break
-        if mismatch:
-            break
-    return _result(group.delta, p, "theta_inert", hi, mismatch)
+    lhs = t_rows(theta_matrix(group.delta, n_max), p, -1)
+    return _compare_rows(group, p, "theta_inert", lhs, np.zeros_like(lhs))
 
 
 def check_genus_permutation(group: ClassGroup, p: int, n_max: int) -> HeckeCheckResult:
@@ -151,15 +139,14 @@ def check_genus_permutation(group: ClassGroup, p: int, n_max: int) -> HeckeCheck
     chi = kronecker(group.delta, p)
     if chi == -1:
         raise ValueError(f"{p} is inert for discriminant {group.delta}: no genus translate")
-    hp = prime_ideal_class(group, p)
-    gp = group.genus_of[hp]
-    factor = 2 if chi == 1 else 1
-    pairs = []
-    for g in group.genus_ids:
-        lhs = apply_T(genus_eisenstein(group, g, n_max), p)
-        rhs = genus_eisenstein(group, group.genus_product(g, gp), n_max).scale(factor)
-        pairs.append((lhs, rhs))
-    return _compare_per_class(group, p, "genus_permutation", n_max, pairs)
+    gp = group.genus_of[prime_ideal_class(group, p)]
+    # genus sums in genus_ids order; every genus average has the unit 1/|H^2|
+    sums = np.stack([genus_eisenstein(group, g, n_max).coeffs for g in group.genus_ids])
+    row_of = {g: k for k, g in enumerate(group.genus_ids)}
+    lhs = t_rows(sums, p, chi)
+    targets = [row_of[group.genus_product(g, gp)] for g in group.genus_ids]
+    rhs = (2 if chi == 1 else 1) * sums[targets, : lhs.shape[-1]]
+    return _compare_rows(group, p, "genus_permutation", lhs, rhs, Fraction(1, len(group.squares)))
 
 
 def prime_checks(group: ClassGroup, p: int, n_max: int) -> Iterator[HeckeCheckResult]:

@@ -1,110 +1,138 @@
-"""Exact truncated q-expansions and the index operators U_p, V_p, T_p."""
+"""Exact truncated q-expansions as an integer vector times one rational, and the
+index operators U_p, V_p, T_p as slicing on the last axis of an integer array."""
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
+
+import numpy as np
 
 from .arith import is_prime, kronecker
 
-__all__ = ["QSeries", "qseries", "apply_U", "apply_V", "apply_T"]
+__all__ = ["QSeries", "first_unequal", "u_rows", "t_rows", "apply_U", "apply_V", "apply_T"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QSeries:
-    """Coefficients 0..precision of a q-expansion, exact rationals throughout.
+    """Coefficients 0..precision of a q-expansion: coefficient n is coeffs[n] * unit.
 
+    coeffs is an integer array (int64, or object when its producer's bound says
+    int64 could overflow); unit is one exact rational for the whole series.
     disc is the discriminant whose Kronecker character the T_p operator uses;
     arithmetic between series of different precision truncates to the shorter.
+    Two series compare, add and subtract by cross-multiplying their integer
+    vectors into multiples of one common unit.
     """
 
     disc: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: np.ndarray
+    unit: Fraction = Fraction(1)
 
     @property
     def precision(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, n: int) -> Fraction:
-        return self.coeffs[n]
-
     def __getitem__(self, n: int) -> Fraction:
-        return self.coeffs[n]
+        return int(self.coeffs[n]) * self.unit
 
     def _check_compatible(self, other: "QSeries") -> None:
         if self.disc != other.disc:
             raise ValueError(f"mixed discriminants {self.disc} and {other.disc}")
 
-    def __add__(self, other: "QSeries") -> "QSeries":
+    def _over_common_unit(self, other: "QSeries") -> tuple[np.ndarray, np.ndarray, Fraction]:
+        """Both vectors, truncated to the shorter, cross-multiplied into integer
+        multiples of one common unit: equal entries are equal coefficients."""
         self._check_compatible(other)
-        n = min(self.precision, other.precision)
-        return QSeries(self.disc, tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
+        m = min(self.precision, other.precision) + 1
+        u, v = self.unit, other.unit
+        num = math.gcd(u.numerator, v.numerator) or 1
+        den = math.lcm(u.denominator, v.denominator)
+        return (self.coeffs[:m] * (u.numerator // num * (den // u.denominator)),
+                other.coeffs[:m] * (v.numerator // num * (den // v.denominator)),
+                Fraction(num, den))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        if self.disc != other.disc or self.precision != other.precision:
+            return False
+        a, b, _ = self._over_common_unit(other)
+        return bool(np.array_equal(a, b))
+
+    def __add__(self, other: "QSeries") -> "QSeries":
+        a, b, unit = self._over_common_unit(other)
+        return QSeries(self.disc, a + b, unit)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
-        self._check_compatible(other)
-        n = min(self.precision, other.precision)
-        return QSeries(self.disc, tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)))
+        a, b, unit = self._over_common_unit(other)
+        return QSeries(self.disc, a - b, unit)
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.disc, tuple(-c for c in self.coeffs))
+        return QSeries(self.disc, -self.coeffs, self.unit)
 
     def scale(self, r) -> "QSeries":
-        r = Fraction(r)
-        return QSeries(self.disc, tuple(r * c for c in self.coeffs))
-
-    def truncate(self, n: int) -> "QSeries":
-        if n >= self.precision:
-            return self
-        return QSeries(self.disc, self.coeffs[: n + 1])
-
-    def is_zero(self, lo: int = 0, hi: Optional[int] = None) -> bool:
-        hi = self.precision if hi is None else hi
-        return all(self.coeffs[i] == 0 for i in range(lo, hi + 1))
+        return QSeries(self.disc, self.coeffs, self.unit * Fraction(r))
 
     def first_mismatch(self, other: "QSeries", lo: int = 0, hi: Optional[int] = None):
         """First (n, self[n], other[n]) with differing coefficients, or None.
 
         hi defaults to the smaller precision; never compares beyond it.
         """
-        self._check_compatible(other)
         limit = min(self.precision, other.precision)
         hi = limit if hi is None else min(hi, limit)
-        for n in range(lo, hi + 1):
-            if self.coeffs[n] != other.coeffs[n]:
-                return n, self.coeffs[n], other.coeffs[n]
-        return None
+        a, b, _ = self._over_common_unit(other)
+        found = first_unequal(a[lo : hi + 1], b[lo : hi + 1])
+        if found is None:
+            return None
+        n = lo + found[1]
+        return n, self[n], other[n]
 
-    def agrees_with(self, other: "QSeries", lo: int = 0, hi: Optional[int] = None) -> bool:
-        return self.first_mismatch(other, lo, hi) is None
+    def reduced(self) -> list[tuple[int, int]]:
+        """Each coefficient as (numerator, denominator) in lowest terms, denominator > 0."""
+        nums = self.coeffs * self.unit.numerator
+        gcds = np.gcd(nums, self.unit.denominator)
+        return list(zip((nums // gcds).tolist(), (self.unit.denominator // gcds).tolist()))
 
     def to_dict(self) -> dict:
         return {
             "disc": self.disc,
             "precision": self.precision,
-            "coeffs": [[c.numerator, c.denominator] for c in self.coeffs],
+            "coeffs": [[num, den] for num, den in self.reduced()],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "QSeries":
-        coeffs = tuple(Fraction(num, den) for num, den in data["coeffs"])
-        series = cls(int(data["disc"]), coeffs)
-        if series.precision != int(data["precision"]):
-            raise ValueError("precision field disagrees with coefficient count")
-        return series
 
-    @classmethod
-    def from_json(cls, text: str) -> "QSeries":
-        return cls.from_dict(json.loads(text))
+def first_unequal(lhs: np.ndarray, rhs: np.ndarray) -> Optional[tuple[int, int]]:
+    """(row, column) of the first unequal entry in row-major order, or None.
+
+    A vector counts as one row, so its mismatch is (0, index).
+    """
+    unequal = np.atleast_2d(lhs != rhs)
+    if not unequal.any():
+        return None
+    row, col = divmod(int(unequal.argmax()), unequal.shape[1])
+    return row, col
 
 
-def qseries(disc: int, values: Iterable) -> QSeries:
-    """Build a QSeries from any iterable of ints/Fractions."""
-    return QSeries(disc, tuple(Fraction(v) for v in values))
+def u_rows(a: np.ndarray, p: int) -> np.ndarray:
+    """U_p on the last axis: entry n of the result is entry p*n of a, n = 0..floor(N/p)."""
+    return a[..., :: p]
+
+
+def t_rows(a: np.ndarray, p: int, chi: int) -> np.ndarray:
+    """T_p = U_p + chi V_p on the last axis, n = 0..floor(N/p): entry n is
+    a[p*n] + chi * a[n/p], the second term only where p divides n."""
+    out = a[..., :: p].copy()
+    if chi:
+        hi = out.shape[-1] - 1
+        out[..., :: p] += chi * a[..., : hi // p + 1]
+    return out
 
 
 def _check_prime(p: int) -> None:
@@ -119,24 +147,18 @@ def apply_U(f: QSeries, p: int) -> QSeries:
     unchanged; the operator identities are only ever compared on n >= 1.
     """
     _check_prime(p)
-    n = f.precision // p
-    return QSeries(f.disc, (f.coeffs[0],) + tuple(f.coeffs[p * k] for k in range(1, n + 1)))
+    return QSeries(f.disc, u_rows(f.coeffs, p), f.unit)
 
 
 def apply_V(f: QSeries, p: int) -> QSeries:
     """Index dilation: coefficient p*n of the output is coefficient n of f."""
     _check_prime(p)
-    out = [Fraction(0)] * (f.precision + 1)
-    out[0] = f.coeffs[0]
-    for k in range(1, f.precision // p + 1):
-        out[p * k] = f.coeffs[k]
-    return QSeries(f.disc, tuple(out))
+    out = np.zeros_like(f.coeffs)
+    out[:: p] = f.coeffs[: f.precision // p + 1]
+    return QSeries(f.disc, out, f.unit)
 
 
 def apply_T(f: QSeries, p: int) -> QSeries:
     """Weight-one Hecke operator U_p + (disc|p) V_p, truncated to floor(N/p)."""
-    chi = kronecker(f.disc, p)
-    out = apply_U(f, p)
-    if chi:
-        out = out + apply_V(f, p).scale(chi)
-    return out.truncate(f.precision // p)
+    _check_prime(p)
+    return QSeries(f.disc, t_rows(f.coeffs, p, kronecker(f.disc, p)), f.unit)

@@ -1,10 +1,13 @@
-"""Builders for the concrete q-series: theta series, genus averages, twisted sums,
+"""Builders for the concrete q-series: the theta matrix of a discriminant (one row
+of representation counts per class), theta series, genus averages, twisted sums,
 divisor-sum Eisenstein series, and the character-weighted combination per genus;
-and L(0) of the Kronecker character, the Eisenstein constant term."""
+and L(0) of the Kronecker character, the Eisenstein constant term.  Each series
+is an integer vector times one rational unit."""
 
 from __future__ import annotations
 
 import io
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,12 +22,12 @@ from .arith import (
 from .class_group import ClassGroup, build_class_group
 from .forms import representation_counts
 from .genus import GenusCharacter, build_genus_characters
-from .qseries import QSeries, qseries
+from .qseries import QSeries
 
 __all__ = [
+    "theta_matrix",
     "theta_series",
     "theta_total",
-    "class_average",
     "genus_eisenstein",
     "twisted_sum",
     "eisenstein_series",
@@ -33,47 +36,67 @@ __all__ = [
     "series_csv",
 ]
 
+# Above this, the coefficient arrays of a discriminant hold Python ints (dtype object).
+INT64_BOUND = 2**62
 
-@lru_cache(maxsize=None)
-def _theta_coeffs(delta: int, h: int, n_max: int) -> tuple[int, ...]:
+
+def _coeff_dtype(group: ClassGroup, n_max: int):
+    """int64 for the coefficient arrays of this group's discriminant up to n_max, or
+    object (Python ints) when int64 could overflow; the same code runs on either.
+
+    Every integer the series and the checks form from these arrays is below
+    h^2 w^2 d_max 2|delta|, where d_max = 2 isqrt(n_max) bounds the divisor
+    count d(n) for n <= n_max:
+    - a theta coefficient r(Q, n) is at most w d(n), because the counts of all
+      classes add up to w sum_{t | n} (delta|t);
+    - an Eisenstein coefficient is at most d(n); the unit of E_{1,delta} is 1
+      over a divisor of 2|delta|, and its constant term is L(0)/2 = h/w;
+    - a sum runs over at most h classes or characters;
+    - cross-multiplying two series multiplies by at most w h 2|delta|.
+    """
+    d_max = max(1, 2 * math.isqrt(n_max))
+    bound = group.h**2 * group.w**2 * d_max * 2 * -group.delta
+    return np.int64 if bound < INT64_BOUND else object
+
+
+@lru_cache(maxsize=1)
+def theta_matrix(delta: int, n_max: int) -> np.ndarray:
+    """The h x (n_max + 1) integer matrix whose row h is the theta series of the
+    class h: [r(Q_h, 0), ..., r(Q_h, n_max)].  Read-only.
+
+    Built once per (delta, n_max), and only the last one is kept: every check of
+    a discriminant reads the same matrix, and a run then moves on to the next."""
     group = build_class_group(delta)
-    return tuple(representation_counts(group.classes[h], n_max))
+    theta = np.array(
+        [representation_counts(q, n_max) for q in group.classes], dtype=_coeff_dtype(group, n_max)
+    )
+    theta.setflags(write=False)
+    return theta
 
 
 def theta_series(group: ClassGroup, h: int, n_max: int) -> QSeries:
-    """Theta series of the class h: coefficient n is r(Q_h, n); constant term 1."""
-    return qseries(group.delta, _theta_coeffs(group.delta, h, n_max))
+    """Theta series of the class h: coefficient n is r(Q_h, n); constant term 1.
+    Builds this one row, not the whole theta matrix."""
+    counts = representation_counts(group.classes[h], n_max)
+    return QSeries(group.delta, np.array(counts, dtype=_coeff_dtype(group, n_max)))
 
 
 def theta_total(group: ClassGroup, n_max: int) -> QSeries:
     """Sum of the theta series of all classes; constant term h."""
-    total = theta_series(group, 0, n_max)
-    for h in range(1, group.h):
-        total = total + theta_series(group, h, n_max)
-    return total
-
-
-def class_average(group: ClassGroup, n_max: int) -> QSeries:
-    """(1/w) * sum of all theta series; constant term h/w."""
-    return theta_total(group, n_max).scale(Fraction(1, group.w))
+    return QSeries(group.delta, theta_matrix(group.delta, n_max).sum(axis=0))
 
 
 def genus_eisenstein(group: ClassGroup, genus_id: int, n_max: int) -> QSeries:
     """Average of the theta series over one genus: (1/|H^2|) sum over h in g."""
-    members = group.genus_members(genus_id)
-    total = theta_series(group, members[0], n_max)
-    for h in members[1:]:
-        total = total + theta_series(group, h, n_max)
-    return total.scale(Fraction(1, len(members)))
+    members = list(group.genus_members(genus_id))
+    total = theta_matrix(group.delta, n_max)[members].sum(axis=0)
+    return QSeries(group.delta, total, Fraction(1, len(members)))
 
 
 def twisted_sum(group: ClassGroup, chi: GenusCharacter, n_max: int) -> QSeries:
     """(1/w) * sum over classes of chi(h) * theta_h."""
-    total = qseries(group.delta, [0] * (n_max + 1))
-    for h in range(group.h):
-        term = theta_series(group, h, n_max)
-        total = total + (term if chi.value(group.genus_of[h]) == 1 else -term)
-    return total.scale(Fraction(1, group.w))
+    signs = np.array([chi.value(g) for g in group.genus_of], dtype=np.int64)
+    return QSeries(group.delta, signs @ theta_matrix(group.delta, n_max), Fraction(1, group.w))
 
 
 def _kronecker_table(delta: int) -> np.ndarray:
@@ -113,19 +136,25 @@ def l_zero(delta: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _eisenstein_coeffs(d: int, big_d: int, n_max: int) -> tuple[Fraction, ...]:
+def _eisenstein_coeffs(d: int, big_d: int, n_max: int) -> tuple[np.ndarray, Fraction]:
+    """The integer vector and the unit of E_{d,D}.  For d = 1 the unit is
+    1/(denominator of L(0)/2), so the constant term is an integer too."""
     delta = d * big_d
-    kd = [kronecker(d, m) for m in range(n_max + 1)]
-    kD = [kronecker(big_d, m) for m in range(n_max + 1)]
-    coeffs = [Fraction(0)] * (n_max + 1)
+    dtype = _coeff_dtype(build_class_group(delta), n_max)
+    kd = np.array([kronecker(d, m) for m in range(n_max + 1)], dtype=dtype)
+    coeffs = np.zeros(n_max + 1, dtype=dtype)
     for t in range(1, n_max + 1):
-        if kD[t] == 0:
-            continue
-        for n in range(t, n_max + 1, t):
-            coeffs[n] += kd[n // t] * kD[t]
+        k = kronecker(big_d, t)
+        if k:
+            coeffs[t::t] += k * kd[1 : n_max // t + 1]
+    unit = Fraction(1)
     if d == 1:
-        coeffs[0] = l_zero(delta) / 2
-    return tuple(coeffs)
+        constant = l_zero(delta) / 2
+        coeffs *= constant.denominator
+        coeffs[0] = constant.numerator
+        unit = Fraction(1, constant.denominator)
+    coeffs.setflags(write=False)
+    return coeffs, unit
 
 
 def eisenstein_series(d: int, big_d: int, n_max: int) -> QSeries:
@@ -135,15 +164,16 @@ def eisenstein_series(d: int, big_d: int, n_max: int) -> QSeries:
         raise ValueError(f"need d > 0 > D, got ({d}, {big_d})")
     if not is_fundamental_discriminant(d) or not is_fundamental(d * big_d):
         raise ValueError(f"({d}, {big_d}) is not a discriminant factorization")
-    return QSeries(d * big_d, _eisenstein_coeffs(d, big_d, n_max))
+    coeffs, unit = _eisenstein_coeffs(d, big_d, n_max)
+    return QSeries(d * big_d, coeffs, unit)
 
 
 def eisenstein_for_genus(group: ClassGroup, genus_id: int, n_max: int) -> QSeries:
     """(w/h) * sum over characters of chi(g) * E_{d,D}: the mass-formula series."""
-    total = qseries(group.delta, [0] * (n_max + 1))
+    total = None
     for chi in build_genus_characters(group):
         term = eisenstein_series(chi.d, chi.D, n_max).scale(chi.value(genus_id))
-        total = total + term
+        total = term if total is None else total + term
     return total.scale(Fraction(group.w, group.h))
 
 
@@ -151,6 +181,6 @@ def series_csv(series: QSeries) -> str:
     """CSV dump of one series, one row per coefficient."""
     buf = io.StringIO()
     buf.write("n,numerator,denominator\n")
-    for n, c in enumerate(series.coeffs):
-        buf.write(f"{n},{c.numerator},{c.denominator}\n")
+    for n, (num, den) in enumerate(series.reduced()):
+        buf.write(f"{n},{num},{den}\n")
     return buf.getvalue()

@@ -10,11 +10,14 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import distinct_prime_count, divisors, is_fundamental, kronecker, primes_up_to
+import numpy as np
+
+from .arith import distinct_prime_count, is_fundamental, kronecker, primes_up_to
 from .class_group import build_class_group
 from .forms import automorph_count
 from .genus import build_genus_characters, character_pairs
 from .hecke import prime_checks
+from .qseries import first_unequal
 from .series import (
     eisenstein_for_genus,
     eisenstein_series,
@@ -98,12 +101,15 @@ def verify_gauss(delta: int, n_max: int) -> CheckRecord:
 
     def run():
         group = build_class_group(delta)
-        total = theta_total(group, n_max)
-        w = automorph_count(delta)
-        for n in range(1, n_max + 1):
-            rhs = w * sum(kronecker(delta, t) for t in divisors(n))
-            if total[n] != rhs:
-                return False, f"mismatch at n={n}: {total[n]} != {rhs}"
+        total = theta_total(group, n_max).coeffs
+        rhs = np.zeros_like(total)
+        for t in range(1, n_max + 1):
+            rhs[t::t] += kronecker(delta, t)  # rhs[n] gains (delta|t) for each t | n
+        rhs *= automorph_count(delta)
+        found = first_unequal(total[1:], rhs[1:])
+        if found is not None:
+            n = found[1] + 1
+            return False, f"mismatch at n={n}: {total[n]} != {rhs[n]}"
         return True, f"n=1..{n_max} exact"
 
     return _timed("gauss_average", run)
@@ -259,8 +265,10 @@ def run_suite(
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # a job takes milliseconds: hand them out in chunks, about 8 per worker
+        chunksize = max(1, len(jobs) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_suite_job, jobs))
+            return list(pool.map(_suite_job, jobs, chunksize=chunksize))
     return [_suite_job(job) for job in jobs]
 
 

@@ -4,22 +4,26 @@ Everything here is deliberately naive: box scans, full enumeration, the
 scalar representation count, the classical coefficient-level composition
 formula, genus character values from a fresh represented value per genus, the
 ideal lattices of the maximal order with the full h x h composition table
-built from them, and the scalar L(1) partial sums, all kept separate from the
-library's code paths.
+built from them, the scalar L(1) partial sums, and the q-series operators on
+tuples of Fraction that preceded the integer-vector series, all kept separate
+from the library's code paths.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from genusmass.arith import ext_gcd, is_fundamental, kronecker
+from genusmass.arith import ext_gcd, is_fundamental, is_prime, kronecker
 from genusmass.class_group import ClassGroup, prime_form
 from genusmass.forms import QuadForm, reduce_form, reduced_forms, represented_coprime_value
 from genusmass.genus import build_genus_characters
+from genusmass.qseries import QSeries
+from genusmass.series import theta_total
 
 # Textbook class numbers for negative fundamental discriminants.
 KNOWN_CLASS_NUMBERS = {
@@ -443,3 +447,70 @@ def class_group_table_oracle(delta: int) -> TableClassGroup:
         genus_of=tuple(genus_of),
         genus_ids=tuple(genus_ids),
     )
+
+
+# --- q-series: Fraction-tuple references and helpers the library no longer needs ---
+
+
+def qseries(disc: int, values) -> QSeries:
+    """A QSeries from ints or Fractions: the integers over their common denominator."""
+    fracs = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return QSeries(disc, np.array([int(f * den) for f in fracs], dtype=np.int64), Fraction(1, den))
+
+
+def fraction_coeffs(f: QSeries) -> tuple[Fraction, ...]:
+    return tuple(f[n] for n in range(f.precision + 1))
+
+
+def agrees_with(f: QSeries, g: QSeries, lo: int = 0, hi=None) -> bool:
+    return f.first_mismatch(g, lo, hi) is None
+
+
+def is_zero(f: QSeries, lo: int = 0, hi=None) -> bool:
+    hi = f.precision if hi is None else hi
+    return all(f[n] == 0 for n in range(lo, hi + 1))
+
+
+def series_from_json(text: str) -> QSeries:
+    """Parse the CLI's series JSON, checking the precision field against the coefficients."""
+    data = json.loads(text)
+    series = qseries(int(data["disc"]), [Fraction(num, den) for num, den in data["coeffs"]])
+    if series.precision != int(data["precision"]):
+        raise ValueError("precision field disagrees with coefficient count")
+    return series
+
+
+def class_average(group: ClassGroup, n_max: int) -> QSeries:
+    """(1/w) * sum of all theta series; constant term h/w."""
+    return theta_total(group, n_max).scale(Fraction(1, group.w))
+
+
+def _check_prime_index(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"operator index {p} is not prime")
+
+
+def apply_U_oracle(coeffs: tuple[Fraction, ...], p: int) -> tuple[Fraction, ...]:
+    """Coefficient n of the output is coefficient p*n; precision floor(N/p)."""
+    _check_prime_index(p)
+    n = (len(coeffs) - 1) // p
+    return (coeffs[0],) + tuple(coeffs[p * k] for k in range(1, n + 1))
+
+
+def apply_V_oracle(coeffs: tuple[Fraction, ...], p: int) -> tuple[Fraction, ...]:
+    """Coefficient p*n of the output is coefficient n; precision unchanged."""
+    _check_prime_index(p)
+    out = [Fraction(0)] * len(coeffs)
+    out[0] = coeffs[0]
+    for k in range(1, (len(coeffs) - 1) // p + 1):
+        out[p * k] = coeffs[k]
+    return tuple(out)
+
+
+def apply_T_oracle(disc: int, coeffs: tuple[Fraction, ...], p: int) -> tuple[Fraction, ...]:
+    """U_p + (disc|p) V_p, truncated to floor(N/p)."""
+    chi = kronecker(disc, p)
+    u = apply_U_oracle(coeffs, p)
+    v = apply_V_oracle(coeffs, p)
+    return tuple(u[n] + chi * v[n] for n in range(len(u)))

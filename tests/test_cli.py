@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from genusmass.cli import main, parse_disc
-from genusmass.qseries import QSeries
+from oracles import series_from_json
 
 
 def run_cli(capsys, *argv):
@@ -74,7 +74,7 @@ class TestSeries:
             capsys, "series", "--disc", "-23", "--which", "genus:0", "--prec", "12", "--format", "json"
         )
         assert code == 0
-        series = QSeries.from_json(out)
+        series = series_from_json(out)
         assert series.disc == -23
         assert series.precision == 12
 
@@ -147,6 +147,28 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("bounds", ["3:100", "-1:-2"])
+    def test_range_without_fundamental_is_usage_error(self, capsys, bounds):
+        # such a range used to print only skip lines and exit 0
+        code, out, err = run_cli(capsys, "verify", "--range", bounds)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: range {bounds} holds no negative fundamental discriminant\n"
+
+    def test_disc_and_range_together_is_usage_error(self, capsys):
+        # --range used to be ignored silently next to --disc
+        code, out, err = run_cli(capsys, "verify", "--disc", "-4", "--range", "-3:-3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: verify takes --disc or --range, not both\n"
+
+    def test_range_keeps_skip_lines(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--range", "-1:-4", "--prec", "10", "--primes", "5")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:2] == ["delta=-1 skipped: non-fundamental", "delta=-2 skipped: non-fundamental"]
+        assert lines[2].startswith("delta=-3 h=1") and lines[3].startswith("delta=-4 h=1")
 
     def test_needs_disc_or_range(self, capsys):
         code, _, err = run_cli(capsys, "verify")

@@ -9,7 +9,6 @@ from genusmass.class_group import build_class_group
 from genusmass.forms import QuadForm, automorph_count
 from genusmass.genus import build_genus_characters
 from genusmass.series import (
-    class_average,
     eisenstein_for_genus,
     eisenstein_series,
     genus_eisenstein,
@@ -18,7 +17,13 @@ from genusmass.series import (
     theta_series,
     twisted_sum,
 )
-from oracles import elem_norm, form_to_ideal, fundamental_deltas, ideal_points_up_to_norm
+from oracles import (
+    class_average,
+    elem_norm,
+    form_to_ideal,
+    fundamental_deltas,
+    ideal_points_up_to_norm,
+)
 
 deltas_strategy = st.sampled_from(fundamental_deltas(-250))
 

@@ -182,10 +182,11 @@ class TestRunSuite:
         assert "elapsed_ms" in timed and all("elapsed_ms" in c for c in timed["checks"])
 
     def test_workers_option_matches_serial(self):
-        serial = run_suite([-15, -14, -20], n_max=20, primes_bound=5)
-        parallel = run_suite(
-            [-15, -14, -20], n_max=20, primes_bound=5, workers=2
-        )
+        # 198 jobs over 2 workers go out in chunks of 12: reports keep input order
+        deltas = delta_range(-3, -200)
+        serial = run_suite(deltas, n_max=20, primes_bound=5)
+        parallel = run_suite(deltas, n_max=20, primes_bound=5, workers=2)
+        assert [r.delta for r in parallel] == deltas
         assert [report_json_line(r, include_timing=False) for r in serial] == [
             report_json_line(r, include_timing=False) for r in parallel
         ]
