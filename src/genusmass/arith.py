@@ -138,12 +138,7 @@ def is_fundamental(delta: int) -> bool:
     """
     if delta >= 0:
         raise ValueError(f"expected a negative discriminant, got {delta}")
-    if delta % 4 == 1:
-        return is_squarefree(delta)
-    if delta % 4 == 0:
-        m = delta // 4
-        return m % 4 in (2, 3) and is_squarefree(m)
-    return False
+    return is_fundamental_discriminant(delta)
 
 
 def is_fundamental_discriminant(d: int) -> bool:

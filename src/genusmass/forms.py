@@ -50,15 +50,6 @@ class QuadForm:
     def __call__(self, x: int, y: int) -> int:
         return self.evaluate(x, y)
 
-    def opposite(self) -> "QuadForm":
-        """[a,-b,c]; its class is the group inverse of the class of self."""
-        return QuadForm(self.a, -self.b, self.c)
-
-    @property
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        return -a < b <= a <= c and (b >= 0 or a < c)
-
 
 def reduce_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
     """Gauss reduction of the positive definite form (a, b, c), on bare integers."""

@@ -16,7 +16,7 @@ import numpy as np
 from .arith import kronecker
 from .class_group import ClassGroup, prime_ideal_class
 from .qseries import first_unequal, t_rows, u_rows
-from .series import genus_eisenstein, theta_matrix, theta_total
+from .series import theta_matrix, theta_total
 
 __all__ = [
     "HeckeCheckResult",
@@ -140,8 +140,10 @@ def check_genus_permutation(group: ClassGroup, p: int, n_max: int) -> HeckeCheck
     if chi == -1:
         raise ValueError(f"{p} is inert for discriminant {group.delta}: no genus translate")
     gp = group.genus_of[prime_ideal_class(group, p)]
-    # genus sums in genus_ids order; every genus average has the unit 1/|H^2|
-    sums = np.stack([genus_eisenstein(group, g, n_max).coeffs for g in group.genus_ids])
+    # genus sums in genus_ids order, as one product of the genus membership matrix
+    # with the theta matrix; every genus average has the unit 1/|H^2|
+    theta = theta_matrix(group.delta, n_max)
+    sums = np.equal.outer(group.genus_ids, group.genus_of).astype(theta.dtype) @ theta
     row_of = {g: k for k, g in enumerate(group.genus_ids)}
     lhs = t_rows(sums, p, chi)
     targets = [row_of[group.genus_product(g, gp)] for g in group.genus_ids]

@@ -7,13 +7,23 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .arith import is_prime, kronecker
 
-__all__ = ["QSeries", "first_unequal", "u_rows", "t_rows", "apply_U", "apply_V", "apply_T"]
+__all__ = [
+    "QSeries",
+    "first_unequal",
+    "u_rows",
+    "t_rows",
+    "dirichlet_convolution",
+    "apply_U",
+    "apply_V",
+    "apply_T",
+]
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,6 +142,31 @@ def t_rows(a: np.ndarray, p: int, chi: int) -> np.ndarray:
     if chi:
         hi = out.shape[-1] - 1
         out[..., :: p] += chi * a[..., : hi // p + 1]
+    return out
+
+
+@lru_cache(maxsize=1)
+def _divisor_pairs(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair (t, m) with t * m <= n_max, as two index arrays sorted by t * m
+    (about n_max ln n_max pairs), and where each n = 1..n_max starts among them.
+    Kept for the last n_max."""
+    t = np.arange(1, n_max + 1)
+    counts = n_max // t
+    ts = np.repeat(t, counts)
+    ms = np.arange(len(ts)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    products = ts * ms
+    order = np.argsort(products, kind="stable")
+    return ts[order], ms[order], np.searchsorted(products[order], t)
+
+
+def dirichlet_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Entry n is the sum over t * m = n of f[t] * g[m], for n = 1..N, and entry 0
+    is 0, where f and g are vectors over 0..N of one dtype (int64 or object):
+    one gather of the pairs (t, m) in order of t * m and one np.add.reduceat."""
+    out = np.zeros_like(f)
+    if len(f) > 1:
+        ts, ms, starts = _divisor_pairs(len(f) - 1)
+        out[1:] = np.add.reduceat(f[ts] * g[ms], starts)
     return out
 
 

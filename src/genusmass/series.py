@@ -1,8 +1,9 @@
 """Builders for the concrete q-series: the theta matrix of a discriminant (one row
 of representation counts per class), theta series, genus averages, twisted sums,
 divisor-sum Eisenstein series, and the character-weighted combination per genus;
-and L(0) of the Kronecker character, the Eisenstein constant term.  Each series
-is an integer vector times one rational unit."""
+the Kronecker characters of a discriminant, from one table per prime
+discriminant; and L(0) of the Kronecker character, the Eisenstein constant term.
+Each series is an integer vector times one rational unit."""
 
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .arith import (
 from .class_group import ClassGroup, build_class_group
 from .forms import representation_counts
 from .genus import GenusCharacter, build_genus_characters
-from .qseries import QSeries
+from .qseries import QSeries, dirichlet_convolution
 
 __all__ = [
     "theta_matrix",
@@ -31,6 +32,7 @@ __all__ = [
     "genus_eisenstein",
     "twisted_sum",
     "eisenstein_series",
+    "kronecker_values",
     "l_zero",
     "eisenstein_for_genus",
     "series_csv",
@@ -99,24 +101,62 @@ def twisted_sum(group: ClassGroup, chi: GenusCharacter, n_max: int) -> QSeries:
     return QSeries(group.delta, signs @ theta_matrix(group.delta, n_max), Fraction(1, group.w))
 
 
-def _kronecker_table(delta: int) -> np.ndarray:
-    """[(delta|r) for r in range(|delta|)] as int8, the product of the characters
-    of the prime discriminants of delta.  An odd prime discriminant's character
-    at r >= 0 is the Legendre symbol (r|p); the -4, 8 or -8 factor has period at
-    most 8 and is read from kronecker itself."""
-    q = -delta
-    table = np.ones(q, dtype=np.int8)
+@lru_cache(maxsize=1)
+def _prime_tables(delta: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """(p, [(p|r) for r in range(|p|)] as int8) for each prime discriminant p of
+    delta; read-only, and kept for the last delta only.  An odd prime
+    discriminant's character at r >= 0 is the Legendre symbol (r|p); the -4, 8
+    or -8 factor has period at most 8 and is read from kronecker itself."""
+    tables = []
     for factor in prime_discriminant_factorization(delta):
         m = abs(factor)
         if m % 2:
-            period = np.full(m, -1, dtype=np.int8)
-            period[0] = 0
+            table = np.full(m, -1, dtype=np.int8)
+            table[0] = 0
             x = np.arange(1, (m + 1) // 2, dtype=np.int64)
-            period[x * x % m] = 1
+            table[x * x % m] = 1
         else:
-            period = np.array([kronecker(factor, r) for r in range(m)], dtype=np.int8)
-        table *= np.resize(period, q)
-    return table
+            table = np.array([kronecker(factor, r) for r in range(m)], dtype=np.int8)
+        table.setflags(write=False)
+        tables.append((factor, table))
+    return tuple(tables)
+
+
+def _periodic(table: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """table repeated without end, read at start, ..., stop - 1."""
+    m = len(table)
+    first = start % m
+    last = first + stop - start
+    if last <= m:
+        return table[first:last]
+    return np.tile(table, -(-last // m))[first:last]
+
+
+def kronecker_values(delta: int, a: int, start: int, stop: int) -> np.ndarray:
+    """[(a|m) for start <= m < stop] as int8, where a is delta or a product of
+    some of its prime discriminants (the d or D of a character pair).
+
+    (a|m) is the product of (p|m) over the prime discriminants p of a, and each
+    (p|m) is the table of p read at m mod |p|."""
+    out = np.ones(stop - start, dtype=np.int8)
+    product = 1
+    for p, table in _prime_tables(delta):
+        if a % p == 0:
+            out *= _periodic(table, start, stop)
+            product *= p
+    if product != a:
+        raise ValueError(f"{a} is not a product of prime discriminants of {delta}")
+    return out
+
+
+def _kronecker_table(delta: int) -> np.ndarray:
+    """[(delta|r) for r in range(|delta|)] as int8: one period of the character."""
+    return kronecker_values(delta, delta, 0, -delta)
+
+
+# L(0) sums its character over blocks of this many residues, so that its memory
+# does not grow with |delta|.
+L_ZERO_BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -125,28 +165,36 @@ def l_zero(delta: int) -> Fraction:
     L(0, chi) = -B_{1,chi} = -(1/|delta|) * sum over 0 <= a < |delta| of chi(a) * a
     (Washington, Introduction to Cyclotomic Fields, Thm 4.2).
 
-    The sum is an int64 dot product.  It is exact because |sum| < |delta|^2 / 2,
-    which fits in int64 for |delta| < 4 * 10^9; larger |delta| is refused.
+    The sum runs over blocks s <= a < s + B, B = L_ZERO_BLOCK, as
+    s * sum chi(a) + sum chi(a) * (a - s).  It is exact: each block's int64 sums
+    are below B^2, and the blocks add up as Python ints.  |delta| >= 4 * 10^9
+    is refused: the table of a prime discriminant p, which can be delta itself,
+    is built from int64 squares x^2 < p^2 / 4, which stay below 2^63 only for
+    |p| up to about 6 * 10^9.
     """
     q = -delta
     if q >= 4 * 10**9:
-        raise ValueError(f"|delta| = {q} is too large for an exact int64 L(0) sum")
-    total = np.dot(_kronecker_table(delta).astype(np.int64), np.arange(q, dtype=np.int64))
-    return Fraction(-int(total), q)
+        raise ValueError(f"|delta| = {q} is too large for the int64 character tables of L(0)")
+    offsets = np.arange(min(q, L_ZERO_BLOCK), dtype=np.int64)
+    total = 0
+    for start in range(0, q, L_ZERO_BLOCK):
+        stop = min(start + L_ZERO_BLOCK, q)
+        chi = kronecker_values(delta, delta, start, stop).astype(np.int64)
+        total += start * int(chi.sum()) + int(np.dot(chi, offsets[: stop - start]))
+    return Fraction(-total, q)
 
 
 @lru_cache(maxsize=None)
 def _eisenstein_coeffs(d: int, big_d: int, n_max: int) -> tuple[np.ndarray, Fraction]:
-    """The integer vector and the unit of E_{d,D}.  For d = 1 the unit is
-    1/(denominator of L(0)/2), so the constant term is an integer too."""
+    """The integer vector and the unit of E_{d,D}: the Dirichlet convolution of
+    (D|.) and (d|.).  For d = 1 the unit is 1/(denominator of L(0)/2), so the
+    constant term is an integer too."""
     delta = d * big_d
     dtype = _coeff_dtype(build_class_group(delta), n_max)
-    kd = np.array([kronecker(d, m) for m in range(n_max + 1)], dtype=dtype)
-    coeffs = np.zeros(n_max + 1, dtype=dtype)
-    for t in range(1, n_max + 1):
-        k = kronecker(big_d, t)
-        if k:
-            coeffs[t::t] += k * kd[1 : n_max // t + 1]
+    coeffs = dirichlet_convolution(
+        kronecker_values(delta, big_d, 0, n_max + 1).astype(dtype),
+        kronecker_values(delta, d, 0, n_max + 1).astype(dtype),
+    )
     unit = Fraction(1)
     if d == 1:
         constant = l_zero(delta) / 2
@@ -162,7 +210,8 @@ def eisenstein_series(d: int, big_d: int, n_max: int) -> QSeries:
     sum over t | n of (d | n/t)(D | t), with constant term L(0)/2 when d = 1."""
     if d < 1 or big_d >= 0:
         raise ValueError(f"need d > 0 > D, got ({d}, {big_d})")
-    if not is_fundamental_discriminant(d) or not is_fundamental(d * big_d):
+    if not (is_fundamental_discriminant(d) and is_fundamental_discriminant(big_d)
+            and is_fundamental(d * big_d)):
         raise ValueError(f"({d}, {big_d}) is not a discriminant factorization")
     coeffs, unit = _eisenstein_coeffs(d, big_d, n_max)
     return QSeries(d * big_d, coeffs, unit)

@@ -4,9 +4,10 @@ Everything here is deliberately naive: box scans, full enumeration, the
 scalar representation count, the classical coefficient-level composition
 formula, genus character values from a fresh represented value per genus, the
 ideal lattices of the maximal order with the full h x h composition table
-built from them, the scalar L(1) partial sums, and the q-series operators on
-tuples of Fraction that preceded the integer-vector series, all kept separate
-from the library's code paths.
+built from them, the scalar L(1) partial sums, the q-series operators on
+tuples of Fraction that preceded the integer-vector series, and the per-t
+divisor-sum sieve that preceded the convolution kernel, all kept separate from
+the library's code paths.
 """
 
 from __future__ import annotations
@@ -98,6 +99,17 @@ def representation_count(q: QuadForm, n: int) -> int:
         if s and (-b * x - s) % two_c == 0:
             count += 1
     return count
+
+
+def opposite(q: QuadForm) -> QuadForm:
+    """[a,-b,c]; its class is the group inverse of the class of q."""
+    return QuadForm(q.a, -q.b, q.c)
+
+
+def is_reduced(q: QuadForm) -> bool:
+    """-a < b <= a <= c, and b >= 0 when a = c."""
+    a, b, c = q.a, q.b, q.c
+    return -a < b <= a <= c and (b >= 0 or a < c)
 
 
 def reduced_class_set_oracle(delta: int) -> set[QuadForm]:
@@ -421,7 +433,7 @@ def class_group_table_oracle(delta: int) -> TableClassGroup:
             table[i][j] = table[j][i] = k
 
     principal = index[reduce_form(QuadForm(1, delta % 2, (delta % 2 - delta) // 4)).triple()]
-    inverses = tuple(index[reduce_form(q.opposite()).triple()] for q in classes)
+    inverses = tuple(index[reduce_form(opposite(q)).triple()] for q in classes)
     for i in range(h):
         assert table[principal][i] == i, "principal class is not the identity"
         assert table[i][inverses[i]] == principal, "inverse law fails"
@@ -514,3 +526,14 @@ def apply_T_oracle(disc: int, coeffs: tuple[Fraction, ...], p: int) -> tuple[Fra
     u = apply_U_oracle(coeffs, p)
     v = apply_V_oracle(coeffs, p)
     return tuple(u[n] + chi * v[n] for n in range(len(u)))
+
+
+def dirichlet_convolution_sieve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Entry n is the sum over t | n of f[t] * g[n/t], n >= 1, entry 0 is 0: one
+    strided add per t = 1..N, the sieve the Eisenstein and Gauss divisor sums
+    used before the convolution kernel."""
+    out = np.zeros_like(f)
+    n_max = len(f) - 1
+    for t in range(1, n_max + 1):
+        out[t::t] += f[t] * g[1 : n_max // t + 1]
+    return out

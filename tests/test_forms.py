@@ -15,6 +15,7 @@ from oracles import (
     KNOWN_CLASS_NUMBERS,
     box_representation_count,
     fundamental_deltas,
+    is_reduced,
     reduced_class_set_oracle,
     reduce_with_matrix,
     representation_count,
@@ -104,7 +105,7 @@ class TestReduce:
         assert q(m11 + m12, m21 + m22) == reduced.a + reduced.b + reduced.c
         # idempotent, discriminant-preserving
         assert reduce_form(reduced) == reduced
-        assert reduced.is_reduced
+        assert is_reduced(reduced)
         assert reduced.discriminant() == q.discriminant()
 
 
@@ -134,7 +135,7 @@ class TestReducedForms:
             assert set(forms) == reduced_class_set_oracle(delta)
             assert list(forms) == sorted(forms)
             for q in forms:
-                assert q.is_reduced
+                assert is_reduced(q)
                 assert 1 <= q.a <= math.isqrt(-delta // 3)
 
     def test_known_class_numbers(self):

@@ -8,7 +8,15 @@ from genusmass.arith import kronecker
 from genusmass.class_group import build_class_group
 import numpy as np
 
-from genusmass.qseries import QSeries, apply_T, apply_U, apply_V, t_rows, u_rows
+from genusmass.qseries import (
+    QSeries,
+    apply_T,
+    apply_U,
+    apply_V,
+    dirichlet_convolution,
+    t_rows,
+    u_rows,
+)
 from genusmass.series import theta_matrix
 from genusmass.series import eisenstein_series, theta_series
 from oracles import (
@@ -16,6 +24,7 @@ from oracles import (
     apply_T_oracle,
     apply_U_oracle,
     apply_V_oracle,
+    dirichlet_convolution_sieve,
     fraction_coeffs,
     is_zero,
     qseries,
@@ -186,6 +195,37 @@ class TestAgainstFractionOracle:
         assert f.first_mismatch(g) == (2, Fraction(3), Fraction(4))
         assert f.first_mismatch(g, hi=1) is None
         assert f != g and f == QSeries(-4, np.array([1, 2, 3]))
+
+
+class TestDirichletConvolution:
+    """The pair-index kernel against the per-t sieve, on int64 and on object arrays."""
+
+    @given(st.integers(0, 300), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_int64_matches_sieve(self, n_max, data):
+        values = st.lists(st.integers(-1000, 1000), min_size=n_max + 1, max_size=n_max + 1)
+        f = np.array(data.draw(values), dtype=np.int64)
+        g = np.array(data.draw(values), dtype=np.int64)
+        out = dirichlet_convolution(f, g)
+        assert out.dtype == np.int64
+        assert out.tolist() == dirichlet_convolution_sieve(f, g).tolist()
+
+    @given(st.integers(0, 120), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_object_matches_sieve(self, n_max, data):
+        values = st.lists(st.integers(-(2**80), 2**80), min_size=n_max + 1, max_size=n_max + 1)
+        f = np.array(data.draw(values), dtype=object)
+        g = np.array(data.draw(values), dtype=object)
+        out = dirichlet_convolution(f, g)
+        assert out.dtype == object
+        assert out.tolist() == dirichlet_convolution_sieve(f, g).tolist()
+
+    @pytest.mark.parametrize("n_max", [1, 2, 200, 1000])
+    def test_characters_at_fixed_lengths(self, n_max):
+        chi = np.array([kronecker(-84, m) for m in range(n_max + 1)], dtype=np.int64)
+        ones = np.ones_like(chi)
+        for f, g in ((chi, ones), (ones, chi), (chi, chi)):
+            assert dirichlet_convolution(f, g).tolist() == dirichlet_convolution_sieve(f, g).tolist()
 
 
 class TestEigenform:

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from genusmass.arith import divisors, kronecker
 from genusmass.class_group import build_class_group
 from genusmass.forms import QuadForm, automorph_count
-from genusmass.genus import build_genus_characters
+from genusmass.genus import build_genus_characters, character_pairs
+import genusmass.series as series
 from genusmass.series import (
     eisenstein_for_genus,
     eisenstein_series,
     genus_eisenstein,
+    kronecker_values,
     l_zero,
     series_csv,
     theta_series,
@@ -129,6 +132,47 @@ class TestEisenstein:
             eisenstein_series(2, -10, 10)  # d = 2 is not a discriminant
         with pytest.raises(ValueError):
             eisenstein_series(3, -4, 10)  # -12 not fundamental
+        with pytest.raises(ValueError):
+            eisenstein_series(8, -1, 10)  # -8 is fundamental, but D = -1 is not a discriminant
+
+
+@lru_cache(maxsize=None)
+def scalar_character(a: int, start: int = 0, stop: int = 1001) -> list[int]:
+    return [kronecker(a, m) for m in range(start, stop)]
+
+
+class TestKroneckerValues:
+    """(a|m) from the tables of the prime discriminants of delta, against the
+    scalar Kronecker symbol, for a = d, D and delta of every character pair."""
+
+    def test_every_pair_in_range(self):
+        for delta in fundamental_deltas(-1000):
+            for d, big_d in character_pairs(delta):
+                for a in (d, big_d, delta):
+                    expected = scalar_character(a)
+                    for n_max in (1, 2, 200, 1000):
+                        values = kronecker_values(delta, a, 0, n_max + 1)
+                        assert values.tolist() == expected[: n_max + 1], (delta, a, n_max)
+
+    @pytest.mark.parametrize("delta", [-400391, -10000003])
+    def test_large_discriminants(self, delta):
+        for d, big_d in character_pairs(delta):
+            for a in (d, big_d, delta):
+                values = kronecker_values(delta, a, 0, 201)
+                assert values.tolist() == scalar_character(a, 0, 201), (delta, a)
+
+    @pytest.mark.parametrize(
+        "delta,start,stop",
+        [(-84, 5, 90), (-84, 83, 400), (-455, 12, 13), (-10000003, 769231 - 50, 769231 + 50),
+         (-10000003, 10000003 - 7, 10000003 + 30)],
+    )
+    def test_windows_across_periods(self, delta, start, stop):
+        assert kronecker_values(delta, delta, start, stop).tolist() == scalar_character(delta, start, stop)
+
+    @pytest.mark.parametrize("delta,a", [(-84, 5), (-84, 2), (-8, 8), (-20, -20 * 9)])
+    def test_rejects_non_factors(self, delta, a):
+        with pytest.raises(ValueError):
+            kronecker_values(delta, a, 0, 10)
 
 
 class TestLZero:
@@ -140,6 +184,24 @@ class TestLZero:
     def test_matches_class_data(self, delta):
         group = build_class_group(delta)
         assert l_zero(delta) == Fraction(2 * group.h, automorph_count(delta))
+
+    def test_refuses_discriminants_beyond_the_int64_tables(self):
+        with pytest.raises(ValueError):
+            l_zero(-4 * 10**9 - 3)
+
+    @pytest.mark.parametrize("delta", [-84, -420, -455])
+    @pytest.mark.parametrize("block_offset", [-1, 0, 1, None])
+    def test_blocks_match_scalar_sum(self, monkeypatch, delta, block_offset):
+        """Block sizes just below, at and just above |delta|, and a block of 7
+        that cuts the sum into many blocks and a short last one."""
+        block = 7 if block_offset is None else -delta + block_offset
+        l_zero.cache_clear()
+        monkeypatch.setattr(series, "L_ZERO_BLOCK", block)
+        try:
+            q = -delta
+            assert l_zero(delta) == Fraction(-sum(kronecker(delta, a) * a for a in range(q)), q)
+        finally:
+            l_zero.cache_clear()
 
 
 class TestMassFormulaSeries:

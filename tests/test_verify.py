@@ -125,6 +125,47 @@ def test_checks_fail_on_wrong_l_zero(wrong_l_zero, delta):
     assert not mass.passed and "constant terms" in mass.detail
 
 
+@pytest.fixture
+def flipped_table(monkeypatch):
+    """(p|1) negated in the table of the largest prime discriminant p of
+    target["delta"], read where the library reads the tables; the caches that
+    hold character values are cleared on the way in and out."""
+    original = series._prime_tables
+    target = {}
+
+    def flipped(delta):
+        tables = original(delta)
+        if delta != target.get("delta"):
+            return tables
+        p, table = tables[-1]
+        table = table.copy()
+        table[1] = -table[1]
+        return tables[:-1] + ((p, table),)
+
+    def clear_caches():
+        original.cache_clear()
+        series._eisenstein_coeffs.cache_clear()
+        series.l_zero.cache_clear()
+
+    clear_caches()
+    monkeypatch.setattr(series, "_prime_tables", flipped)
+    yield target
+    clear_caches()
+
+
+@pytest.mark.parametrize("delta", [-84, -455])
+def test_checks_fail_on_flipped_character_table(flipped_table, delta):
+    """The checks whose right side is a divisor sum of the character fail, and
+    the operator identities at the primes, which read only the theta matrix,
+    still pass.  (The L(0) sum need not notice: at -84 the terms a = 1 mod 7
+    that the flip negates add up to 0.)"""
+    flipped_table["delta"] = delta
+    report = run_suite([delta], n_max=200, primes_bound=50, workers=1)[0]
+    failed = [c.name for c in report.checks if not c.passed]
+    assert failed[:3] == ["gauss_average", "twisted_eisenstein", "genus_mass"]
+    assert set(failed[3:]) <= {"dirichlet_class_number"}
+
+
 class TestRunSuite:
     def test_small_range_passes(self):
         reports = run_suite(delta_range(-3, -30), n_max=40, primes_bound=10)
