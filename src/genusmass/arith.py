@@ -10,7 +10,6 @@ __all__ = [
     "is_fundamental",
     "is_fundamental_discriminant",
     "factorize",
-    "divisors",
     "is_squarefree",
     "prime_discriminant_factorization",
     "distinct_prime_count",
@@ -95,14 +94,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         out.append((n, 1))
     return tuple(out)
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending."""
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
 
 
 def is_squarefree(n: int) -> bool:

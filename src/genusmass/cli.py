@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .arith import is_fundamental, is_squarefree
@@ -23,18 +22,6 @@ from .verify import delta_range, report_json_line, run_suite
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
-
-
-@dataclass
-class CliConfig:
-    command: str
-    disc: Optional[int] = None
-    range_bounds: Optional[tuple[int, int]] = None
-    which: Optional[str] = None
-    precision: int = 100
-    primes: int = 20
-    fmt: str = "text"
-    out: Optional[str] = None
 
 
 class UsageError(Exception):
@@ -66,19 +53,18 @@ def explain_not_fundamental(delta: int) -> str:
     return f"not fundamental: {delta}"
 
 
-def _is_negative_fundamental(delta: int) -> bool:
-    return delta < 0 and delta % 4 in (0, 1) and is_fundamental(delta)
-
-
 def require_fundamental(delta: int) -> None:
-    if not _is_negative_fundamental(delta):
+    if not (delta < 0 and is_fundamental(delta)):
         raise UsageError(explain_not_fundamental(delta))
 
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -92,14 +78,15 @@ def _composition_table(group: ClassGroup) -> list[list[int]]:
     return table
 
 
-def cmd_classgroup(cfg: CliConfig) -> int:
-    require_fundamental(cfg.disc)
-    if cfg.fmt not in ("json", "text"):
-        raise UsageError(f"classgroup supports text or json output, not {cfg.fmt}")
-    group = build_class_group(cfg.disc)
+def cmd_classgroup(args: argparse.Namespace) -> int:
+    delta = parse_disc(args.disc)
+    require_fundamental(delta)
+    if args.fmt not in ("json", "text"):
+        raise UsageError(f"classgroup supports text or json output, not {args.fmt}")
+    group = build_class_group(delta)
     chars = build_genus_characters(group)
     table = _composition_table(group)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "delta": group.delta,
             "h": group.h,
@@ -114,7 +101,7 @@ def cmd_classgroup(cfg: CliConfig) -> int:
                 for chi in chars
             ],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
     lines = [
         f"discriminant {group.delta}: h = {group.h}, w = {group.w}",
@@ -133,75 +120,85 @@ def cmd_classgroup(cfg: CliConfig) -> int:
     for chi in chars:
         values = " ".join(f"{chi.value(g):+d}" for g in group.genus_ids)
         lines.append(f"  ({chi.d},{chi.D}): {values}")
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _build_series(cfg: CliConfig) -> QSeries:
-    group = build_class_group(cfg.disc)
-    kind, _, arg = (cfg.which or "").partition(":")
+def _build_series(delta: int, which: str, n_max: int) -> QSeries:
+    group = build_class_group(delta)
+    kind, _, arg = which.partition(":")
     if not arg:
-        raise UsageError(f"unknown series label {cfg.which!r}; use kind:index")
+        raise UsageError(f"unknown series label {which!r}; use kind:index")
     try:
         value = int(arg)
     except ValueError:
-        raise UsageError(f"series label index must be an integer: {cfg.which!r}") from None
+        raise UsageError(f"series label index must be an integer: {which!r}") from None
     if kind == "theta":
         if not 0 <= value < group.h:
             raise UsageError(f"class index {value} out of range 0..{group.h - 1}")
-        return theta_series(group, value, cfg.precision)
+        return theta_series(group, value, n_max)
     if kind == "genus":
         if value not in group.genus_ids:
             raise UsageError(f"genus id {value} not in {list(group.genus_ids)}")
-        return genus_eisenstein(group, value, cfg.precision)
+        return genus_eisenstein(group, value, n_max)
     if kind in ("eisenstein", "twisted"):
         chars = {chi.d: chi for chi in build_genus_characters(group)}
         if value not in chars:
             raise UsageError(f"d = {value} is not a character pair; choose from {sorted(chars)}")
         chi = chars[value]
         if kind == "eisenstein":
-            return eisenstein_series(chi.d, chi.D, cfg.precision)
-        return twisted_sum(group, chi, cfg.precision)
+            return eisenstein_series(chi.d, chi.D, n_max)
+        return twisted_sum(group, chi, n_max)
     raise UsageError(f"unknown series kind {kind!r}; use theta, genus, eisenstein, or twisted")
 
 
-def cmd_series(cfg: CliConfig) -> int:
-    require_fundamental(cfg.disc)
-    if cfg.precision < 1:
-        raise UsageError(f"precision must be >= 1, got {cfg.precision}")
-    series = _build_series(cfg)
-    if cfg.fmt == "json":
-        _emit(series.to_json() + "\n", cfg.out)
-    elif cfg.fmt == "csv":
-        _emit(series_csv(series), cfg.out)
+def cmd_series(args: argparse.Namespace) -> int:
+    delta = parse_disc(args.disc)
+    require_fundamental(delta)
+    if args.prec < 1:
+        raise UsageError(f"precision must be >= 1, got {args.prec}")
+    series = _build_series(delta, args.which, args.prec)
+    if args.fmt == "json":
+        _emit(series.to_json() + "\n", args.out)
+    elif args.fmt == "csv":
+        _emit(series_csv(series), args.out)
     else:
         terms = (str(num) if den == 1 else f"{num}/{den}" for num, den in series.reduced())
-        _emit(", ".join(terms) + "\n", cfg.out)
+        _emit(", ".join(terms) + "\n", args.out)
     return 0
 
 
-def cmd_verify(cfg: CliConfig) -> int:
-    if cfg.precision < 1:
-        raise UsageError(f"precision must be >= 1, got {cfg.precision}")
-    if cfg.primes < 2:
-        raise UsageError(f"prime bound must be >= 2, got {cfg.primes}")
-    if cfg.disc is not None and cfg.range_bounds is not None:
+def cmd_verify(args: argparse.Namespace) -> int:
+    disc = None if args.disc is None else parse_disc(args.disc)
+    bounds = None
+    if args.range_ is not None:
+        parts = args.range_.split(":")
+        if len(parts) != 2:
+            raise UsageError(f"range must look like A:B, got {args.range_!r}")
+        bounds = (parse_disc(parts[0]), parse_disc(parts[1]))
+    if args.prec < 1:
+        raise UsageError(f"precision must be >= 1, got {args.prec}")
+    if args.primes < 2:
+        raise UsageError(f"prime bound must be >= 2, got {args.primes}")
+    if disc is not None and bounds is not None:
         raise UsageError("verify takes --disc or --range, not both")
-    if cfg.disc is not None:
-        deltas = [cfg.disc]
-        require_fundamental(cfg.disc)
-    elif cfg.range_bounds is not None:
-        deltas = delta_range(*cfg.range_bounds)
-        if not any(_is_negative_fundamental(d) for d in deltas):
-            lo, hi = cfg.range_bounds
+    if disc is not None:
+        deltas = [disc]
+        require_fundamental(disc)
+    elif bounds is not None:
+        deltas = delta_range(*bounds)
+        if not any(d < 0 and is_fundamental(d) for d in deltas):
+            lo, hi = bounds
             raise UsageError(f"range {lo}:{hi} holds no negative fundamental discriminant")
     else:
         raise UsageError("verify needs --disc or --range")
-    reports = run_suite(deltas, n_max=cfg.precision, primes_bound=cfg.primes)
+    if args.fmt not in ("json", "text"):
+        raise UsageError(f"verify supports text or json output, not {args.fmt}")
+    reports = run_suite(deltas, n_max=args.prec, primes_bound=args.primes)
     all_passed = all(r.passed for r in reports)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         text = "".join(report_json_line(r) + "\n" for r in reports)
-    elif cfg.fmt == "text":
+    else:
         lines = []
         for r in reports:
             if r.skip_reason:
@@ -217,9 +214,7 @@ def cmd_verify(cfg: CliConfig) -> int:
                 if not c.passed:
                     lines.append(f"  FAIL {c.name}: {c.detail}")
         text = "\n".join(lines) + "\n"
-    else:
-        raise UsageError(f"verify supports text or json output, not {cfg.fmt}")
-    _emit(text, cfg.out)
+    _emit(text, args.out)
     return 0 if all_passed else CHECK_FAILURE
 
 
@@ -256,24 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    cfg = CliConfig(command=args.command, fmt=args.fmt, out=args.out)
-    if getattr(args, "disc", None) is not None:
-        cfg.disc = parse_disc(args.disc)
-    if getattr(args, "range_", None) is not None:
-        parts = args.range_.split(":")
-        if len(parts) != 2:
-            raise UsageError(f"range must look like A:B, got {args.range_!r}")
-        cfg.range_bounds = (parse_disc(parts[0]), parse_disc(parts[1]))
-    if hasattr(args, "prec"):
-        cfg.precision = args.prec
-    if hasattr(args, "primes"):
-        cfg.primes = args.primes
-    if getattr(args, "which", None) is not None:
-        cfg.which = args.which
-    return cfg
-
-
 def _merge_range_flag(argv: list[str]) -> list[str]:
     # argparse reads "-3:-500" as a flag; splice it onto --range with "=".
     out = []
@@ -292,12 +269,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_merge_range_flag(sys.argv[1:] if argv is None else argv))
     try:
-        cfg = _config_from_args(args)
-        if cfg.command == "classgroup":
-            return cmd_classgroup(cfg)
-        if cfg.command == "series":
-            return cmd_series(cfg)
-        return cmd_verify(cfg)
+        if args.command == "classgroup":
+            return cmd_classgroup(args)
+        if args.command == "series":
+            return cmd_series(args)
+        return cmd_verify(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

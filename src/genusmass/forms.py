@@ -44,11 +44,8 @@ class QuadForm:
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    def evaluate(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
-
     def __call__(self, x: int, y: int) -> int:
-        return self.evaluate(x, y)
+        return self.a * x * x + self.b * x * y + self.c * y * y
 
 
 def reduce_triple(a: int, b: int, c: int) -> tuple[int, int, int]:

@@ -30,19 +30,21 @@ __all__ = [
 ]
 
 
+PRIME_TYPES = {1: "split", 0: "ramified", -1: "inert"}
+
+
 def classify_prime(delta: int, p: int) -> str:
-    return {1: "split", 0: "ramified", -1: "inert"}[kronecker(delta, p)]
+    return PRIME_TYPES[kronecker(delta, p)]
 
 
 @dataclass(frozen=True)
 class HeckeCheckResult:
-    """Outcome of one operator identity at one prime, over indices checked_lo..checked_hi."""
+    """Outcome of one operator identity at one prime, over indices 1..checked_hi."""
 
     delta: int
     p: int
     prime_type: str
     identity: str
-    checked_lo: int
     checked_hi: int
     passed: bool
     first_mismatch: Optional[tuple[int, Fraction, Fraction]] = None
@@ -57,29 +59,17 @@ class HeckeCheckResult:
             "p": self.p,
             "prime_type": self.prime_type,
             "identity": self.identity,
-            "checked": [self.checked_lo, self.checked_hi],
+            "checked": [1, self.checked_hi],
             "pass": self.passed,
             "first_mismatch": mismatch,
         }
 
 
-def _result(delta: int, p: int, identity: str, hi: int, mismatch) -> HeckeCheckResult:
-    return HeckeCheckResult(
-        delta=delta,
-        p=p,
-        prime_type=classify_prime(delta, p),
-        identity=identity,
-        checked_lo=1,
-        checked_hi=hi,
-        passed=mismatch is None,
-        first_mismatch=mismatch,
-    )
-
-
-def _compare_rows(group, p, identity, lhs, rhs, unit=Fraction(1)) -> HeckeCheckResult:
+def _compare_rows(group, p, chi, identity, lhs, rhs, unit=Fraction(1)) -> HeckeCheckResult:
     """Compare two integer arrays (one row per class or genus, or one vector) on
     n = 1..hi, where the columns are n = 0..hi; the first mismatch in row-major
-    order is reported as (n, lhs, rhs), each entry times unit."""
+    order is reported as (n, lhs, rhs), each entry times unit.  chi = (delta|p)
+    names the prime's type."""
     hi = lhs.shape[-1] - 1
     found = first_unequal(lhs[..., 1:], rhs[..., 1:])
     mismatch = None
@@ -87,7 +77,15 @@ def _compare_rows(group, p, identity, lhs, rhs, unit=Fraction(1)) -> HeckeCheckR
         row, n = found[0], found[1] + 1
         left, right = np.atleast_2d(lhs)[row, n], np.atleast_2d(rhs)[row, n]
         mismatch = (n, int(left) * unit, int(right) * unit)
-    return _result(group.delta, p, identity, hi, mismatch)
+    return HeckeCheckResult(
+        delta=group.delta,
+        p=p,
+        prime_type=PRIME_TYPES[chi],
+        identity=identity,
+        checked_hi=hi,
+        passed=mismatch is None,
+        first_mismatch=mismatch,
+    )
 
 
 def check_eigenform(group: ClassGroup, p: int, n_max: int) -> HeckeCheckResult:
@@ -95,7 +93,7 @@ def check_eigenform(group: ClassGroup, p: int, n_max: int) -> HeckeCheckResult:
     total = theta_total(group, n_max).coeffs
     chi = kronecker(group.delta, p)
     lhs = t_rows(total, p, chi)
-    return _compare_rows(group, p, "eigenform", lhs, (1 + chi) * total[: len(lhs)])
+    return _compare_rows(group, p, chi, "eigenform", lhs, (1 + chi) * total[: len(lhs)])
 
 
 def _translate(group: ClassGroup, hp: int) -> list[int]:
@@ -112,7 +110,7 @@ def check_split_theta(group: ClassGroup, p: int, n_max: int) -> HeckeCheckResult
     lhs = t_rows(theta, p, 1)
     cols = lhs.shape[-1]
     rhs = theta[_translate(group, hp), :cols] + theta[_translate(group, group.inverse(hp)), :cols]
-    return _compare_rows(group, p, "theta_split", lhs, rhs)
+    return _compare_rows(group, p, 1, "theta_split", lhs, rhs)
 
 
 def check_ramified_theta(group: ClassGroup, p: int, n_max: int) -> HeckeCheckResult:
@@ -123,7 +121,7 @@ def check_ramified_theta(group: ClassGroup, p: int, n_max: int) -> HeckeCheckRes
     theta = theta_matrix(group.delta, n_max)
     lhs = u_rows(theta, p)
     rhs = theta[_translate(group, hp), : lhs.shape[-1]]
-    return _compare_rows(group, p, "theta_ramified", lhs, rhs)
+    return _compare_rows(group, p, 0, "theta_ramified", lhs, rhs)
 
 
 def check_inert_theta(group: ClassGroup, p: int, n_max: int) -> HeckeCheckResult:
@@ -131,7 +129,7 @@ def check_inert_theta(group: ClassGroup, p: int, n_max: int) -> HeckeCheckResult
     if kronecker(group.delta, p) != -1:
         raise ValueError(f"{p} is not inert for discriminant {group.delta}")
     lhs = t_rows(theta_matrix(group.delta, n_max), p, -1)
-    return _compare_rows(group, p, "theta_inert", lhs, np.zeros_like(lhs))
+    return _compare_rows(group, p, -1, "theta_inert", lhs, np.zeros_like(lhs))
 
 
 def check_genus_permutation(group: ClassGroup, p: int, n_max: int) -> HeckeCheckResult:
@@ -148,15 +146,17 @@ def check_genus_permutation(group: ClassGroup, p: int, n_max: int) -> HeckeCheck
     lhs = t_rows(sums, p, chi)
     targets = [row_of[group.genus_product(g, gp)] for g in group.genus_ids]
     rhs = (2 if chi == 1 else 1) * sums[targets, : lhs.shape[-1]]
-    return _compare_rows(group, p, "genus_permutation", lhs, rhs, Fraction(1, len(group.squares)))
+    unit = Fraction(1, len(group.squares))
+    return _compare_rows(group, p, chi, "genus_permutation", lhs, rhs, unit)
 
 
 def prime_checks(group: ClassGroup, p: int, n_max: int) -> Iterator[HeckeCheckResult]:
     """All identities that apply at p, each computed when it is reached: eigenform,
     the per-class theta identity for the prime's type, and (split/ramified only)
     the genus permutation."""
-    yield check_eigenform(group, p, n_max)
-    kind = classify_prime(group.delta, p)
+    eigenform = check_eigenform(group, p, n_max)
+    yield eigenform
+    kind = eigenform.prime_type
     if kind == "split":
         yield check_split_theta(group, p, n_max)
         yield check_genus_permutation(group, p, n_max)

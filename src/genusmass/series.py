@@ -149,11 +149,6 @@ def kronecker_values(delta: int, a: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def _kronecker_table(delta: int) -> np.ndarray:
-    """[(delta|r) for r in range(|delta|)] as int8: one period of the character."""
-    return kronecker_values(delta, delta, 0, -delta)
-
-
 # L(0) sums its character over blocks of this many residues, so that its memory
 # does not grow with |delta|.
 L_ZERO_BLOCK = 1 << 16

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import distinct_prime_count, is_fundamental, kronecker, primes_up_to
+from .arith import distinct_prime_count, is_fundamental, primes_up_to
 from .class_group import build_class_group
 from .forms import automorph_count
 from .genus import build_genus_characters, character_pairs
@@ -190,7 +190,7 @@ def verify_character_counts(delta: int) -> CheckRecord:
 def _suite_job(args: tuple[int, int, int]) -> VerificationReport:
     delta, n_max, primes_bound = args
     start = time.perf_counter()
-    if delta >= 0 or delta % 4 not in (0, 1) or not is_fundamental(delta):
+    if not (delta < 0 and is_fundamental(delta)):
         return VerificationReport(
             delta=delta,
             precision=n_max,
@@ -224,7 +224,7 @@ def _suite_job(args: tuple[int, int, int]) -> VerificationReport:
                 )
             )
             t0 = time.perf_counter()
-        if kronecker(delta, p) == -1:
+        if result.prime_type == "inert":
             checks.append(
                 CheckRecord(
                     name=f"genus_permutation[p={p}]",

@@ -7,7 +7,8 @@ ideal lattices of the maximal order with the full h x h composition table
 built from them, the scalar L(1) partial sums, the q-series operators on
 tuples of Fraction that preceded the integer-vector series, and the per-t
 divisor-sum sieve that preceded the convolution kernel, all kept separate from
-the library's code paths.
+the library's code paths.  Two helpers only the tests need live here too: the
+divisor list of n and one period of the Kronecker character of delta.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from genusmass.arith import ext_gcd, is_fundamental, is_prime, kronecker
+from genusmass.arith import ext_gcd, factorize, is_fundamental, is_prime, kronecker
 from genusmass.class_group import ClassGroup, prime_form
 from genusmass.forms import QuadForm, reduce_form, reduced_forms, represented_coprime_value
 from genusmass.genus import build_genus_characters
 from genusmass.qseries import QSeries
-from genusmass.series import theta_total
+from genusmass.series import kronecker_values, theta_total
 
 # Textbook class numbers for negative fundamental discriminants.
 KNOWN_CLASS_NUMBERS = {
@@ -51,6 +52,19 @@ def is_fundamental_oracle(delta: int) -> bool:
         if delta % (f * f) == 0 and (delta // (f * f)) % 4 in (0, 1):
             return False
     return True
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n >= 1, ascending."""
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+def kronecker_table(delta: int) -> np.ndarray:
+    """[(delta|r) for r in range(|delta|)] as int8: one period of the character."""
+    return kronecker_values(delta, delta, 0, -delta)
 
 
 def sqrt_mod_exists(m: int, p: int) -> bool:

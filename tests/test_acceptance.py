@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from genusmass.arith import divisors, distinct_prime_count, kronecker, primes_up_to
+from genusmass.arith import distinct_prime_count, kronecker, primes_up_to
 from genusmass.class_group import build_class_group
 from genusmass.forms import automorph_count
 from genusmass.genus import build_genus_characters, character_pairs
@@ -27,6 +27,7 @@ from genusmass.series import eisenstein_for_genus, eisenstein_series, genus_eise
 from genusmass.verify import verify_dirichlet
 from oracles import (
     compose_forms_oracle,
+    divisors,
     elem_norm,
     form_to_ideal,
     fundamental_deltas,

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from genusmass.arith import (
-    divisors,
     ext_gcd,
     factorize,
     is_fundamental,
@@ -16,7 +15,7 @@ from genusmass.arith import (
     primes_up_to,
     distinct_prime_count,
 )
-from oracles import fundamental_deltas, is_fundamental_oracle, sqrt_mod_exists
+from oracles import divisors, fundamental_deltas, is_fundamental_oracle, sqrt_mod_exists
 
 
 class TestKronecker:

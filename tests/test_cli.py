@@ -104,6 +104,15 @@ class TestSeries:
         assert out == ""
         assert target.read_text().startswith("n,numerator,denominator")
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "series.csv"
+        code, out, err = run_cli(
+            capsys, "series", "--disc", "-20", "--which", "theta:1", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
 
 class TestVerify:
     def test_single_disc_passes(self, capsys):
@@ -200,6 +209,25 @@ class TestVerify:
         assert out == ""
         lines = target.read_text().strip().splitlines()
         assert [json.loads(line)["delta"] for line in lines] == [-3, -4, -5, -6, -7, -8]
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.jsonl"
+        code, out, err = run_cli(capsys, "verify", "--disc", "-84", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    def test_csv_rejected_before_the_suite_runs(self, capsys, monkeypatch):
+        import genusmass.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_suite called for an unsupported format")
+
+        monkeypatch.setattr(cli, "run_suite", refuse)
+        code, out, err = run_cli(capsys, "verify", "--range", "-3:-500", "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert err == "error: verify supports text or json output, not csv\n"
 
 
 def test_entry_point_subprocess():

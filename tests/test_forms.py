@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genusmass.arith import divisors, kronecker
+from genusmass.arith import kronecker
 from genusmass.forms import (
     QuadForm,
     automorph_count,
@@ -14,6 +14,7 @@ from genusmass.forms import (
 from oracles import (
     KNOWN_CLASS_NUMBERS,
     box_representation_count,
+    divisors,
     fundamental_deltas,
     is_reduced,
     reduced_class_set_oracle,

@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genusmass.arith import divisors, kronecker
+from genusmass.arith import kronecker
 from genusmass.class_group import build_class_group
 from genusmass.forms import QuadForm, automorph_count
 from genusmass.genus import build_genus_characters, character_pairs
@@ -22,6 +22,7 @@ from genusmass.series import (
 )
 from oracles import (
     class_average,
+    divisors,
     elem_norm,
     form_to_ideal,
     fundamental_deltas,

@@ -10,7 +10,7 @@ import genusmass.verify as verify
 from genusmass.arith import kronecker
 from genusmass.class_group import build_class_group
 from genusmass.forms import automorph_count
-from genusmass.series import _kronecker_table, l_zero
+from genusmass.series import l_zero
 from genusmass.verify import (
     delta_range,
     report_json_line,
@@ -21,7 +21,7 @@ from genusmass.verify import (
     verify_genus_mass,
     verify_twisted_eisenstein,
 )
-from oracles import dirichlet_l1_oracle, fundamental_deltas
+from oracles import dirichlet_l1_oracle, fundamental_deltas, kronecker_table
 
 SAMPLED_DELTAS = random.Random(20000).sample(fundamental_deltas(-20000), 12)
 
@@ -57,7 +57,7 @@ class TestKroneckerTable:
         "delta", [-3, -4, -8, -24, -40, -84, -120, -420, -400391] + SAMPLED_DELTAS
     )
     def test_matches_scalar_kronecker(self, delta):
-        table = _kronecker_table(delta)
+        table = kronecker_table(delta)
         assert table.tolist() == [kronecker(delta, r) for r in range(-delta)]
 
 
