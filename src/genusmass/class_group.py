@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from .arith import ext_gcd, is_prime, kronecker, prime_discriminant_factorization
 from .forms import (
     QuadForm,
@@ -123,6 +125,21 @@ def _check_group(group: ClassGroup) -> None:
         raise RuntimeError(f"delta={group.delta}: genera of unequal sizes {sorted(sizes)}")
 
 
+def _coprime_values(classes: tuple[QuadForm, ...], delta: int) -> list[int]:
+    """represented_coprime_value(q, -delta) for every class q, by one np.gcd.
+
+    Its shell |x|, |y| <= 1 gives a reduced form the values a <= c <= a - |b| + c
+    <= a + |b| + c, so the search stops there at the smallest of them coprime to
+    delta; only the classes where none is coprime, such as (3, 0, 7) at -84, run
+    the scalar search."""
+    a, b, c = np.array([q.triple() for q in classes], dtype=np.int64).T
+    shell = np.stack((a, c, a - np.abs(b) + c, a + np.abs(b) + c), axis=1)
+    coprime = np.gcd(shell, -delta) == 1
+    first = shell[np.arange(len(classes)), coprime.argmax(axis=1)].tolist()
+    return [r if found else represented_coprime_value(q, -delta)
+            for q, r, found in zip(classes, first, coprime.any(axis=1).tolist())]
+
+
 @lru_cache(maxsize=None)
 def build_class_group(delta: int) -> ClassGroup:
     """Class group of a fundamental discriminant: classes, inverses, squares, genera."""
@@ -135,8 +152,7 @@ def build_class_group(delta: int) -> ClassGroup:
     factors = prime_discriminant_factorization(delta)
     first_of: dict[tuple[int, ...], int] = {}
     genus_of = []
-    for i, q in enumerate(classes):
-        r = represented_coprime_value(q, -delta)
+    for i, r in enumerate(_coprime_values(classes, delta)):
         genus_of.append(first_of.setdefault(tuple(kronecker(p, r) for p in factors), i))
 
     squares = tuple(sorted({index_of[_compose_triples(t, t)] for t in index_of}))

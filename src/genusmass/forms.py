@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
+
+import numpy as np
 
 from .arith import is_fundamental
 
@@ -67,50 +70,103 @@ def reduce_form(q: QuadForm) -> QuadForm:
     return QuadForm(*reduce_triple(q.a, q.b, q.c))
 
 
+# reduced_forms tests its (a, b) candidates in blocks of this many, so that its
+# memory does not grow with |delta|: the int64 arrays of one block take about 1 MB.
+REDUCED_FORMS_BLOCK = 1 << 14
+
+# representation_counts refuses inputs whose int64 intermediates could reach this.
+INT64_BOUND = 2**62
+
+
 @lru_cache(maxsize=None)
 def reduced_forms(delta: int) -> tuple[QuadForm, ...]:
     """One reduced representative per form class of fundamental discriminant delta.
 
-    Enumerates 0 < a <= sqrt(|delta|/3), -a < b <= a with b = delta (mod 2)
-    and integral c = (b^2 - delta)/(4a) >= a, dropping b < 0 on the a = c
-    boundary.  Lexicographically sorted.
+    The reduced forms are the (a, b, c) with 0 < a <= sqrt(|delta|/3), -a < b <= a,
+    b = delta (mod 2) and integral c = (b^2 - delta)/(4a) >= a, where b >= 0 when
+    a = c (Cohen, A Course in Computational Algebraic Number Theory, 5.3).  As
+    (a, -b, c) is reduced with (a, b, c) when 0 < b < a < c, only 0 <= b <= a is
+    tested, as int64 arrays of REDUCED_FORMS_BLOCK candidates.  Lexicographically
+    sorted.
     """
     if not is_fundamental(delta):
         raise ValueError(f"{delta} is not a negative fundamental discriminant")
-    out = []
-    for a in range(1, math.isqrt(-delta // 3) + 1):
-        for b in range(-a + 1, a + 1):
-            if (b - delta) % 2:
-                continue
-            num = b * b - delta
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a or (b < 0 and a == c):
-                continue
-            out.append(QuadForm(a, b, c))
-    return tuple(sorted(out))
+    a_row = np.arange(1, math.isqrt(-delta // 3) + 1, dtype=np.int64)
+    # row a holds b = delta % 2, delta % 2 + 2, ..., a; candidate k of the whole
+    # enumeration, in row a, is b = b_base[a] + 2k
+    widths = (a_row - delta % 2) // 2 + 1
+    row_ends = np.cumsum(widths)
+    row_starts = row_ends - widths
+    b_base = delta % 2 - 2 * row_starts
+    total = int(row_ends[-1])
+    found = []
+    for start in range(0, total, REDUCED_FORMS_BLOCK):
+        stop = min(start + REDUCED_FORMS_BLOCK, total)
+        lengths = np.minimum(row_ends, stop) - np.maximum(row_starts, start)
+        row = np.repeat(np.arange(len(a_row)), np.maximum(lengths, 0))
+        a = a_row[row]
+        b = b_base[row] + np.arange(2 * start, 2 * stop, 2)
+        c, rem = np.divmod(b * b - delta, 4 * a)
+        keep = (rem == 0) & (c >= a)
+        a, b, c = a[keep], b[keep], c[keep]
+        mirror = (0 < b) & (b < a) & (a < c)
+        found += ((a, b, c), (a[mirror], -b[mirror], c[mirror]))
+    a, b, c = (np.concatenate(parts) for parts in zip(*found))
+    order = np.lexsort((b, a))  # by a, then b
+    return tuple(map(QuadForm, a[order].tolist(), b[order].tolist(), c[order].tolist()))
 
 
-def representation_counts(q: QuadForm, n_max: int) -> list[int]:
-    """Vector [r(q, 0), ..., r(q, n_max)] by one sweep over the ellipse q <= n_max."""
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)) for an int64 array 0 <= n < 2^62: the float64 root, then
+    one integer correction either way (the float error is far below 1 there)."""
+    s = np.sqrt(n).astype(np.int64)
+    s -= s * s > n
+    s += (s + 1) * (s + 1) <= n
+    return s
+
+
+def _ragged(first: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of consecutive integers first[i], first[i] + 1, ... of lengths[i]
+    entries, as two flat arrays: each entry's row i, and its value."""
+    ends = np.cumsum(lengths)
+    values = np.arange(ends[-1]) + np.repeat(first + lengths - ends, lengths)
+    return np.repeat(np.arange(len(lengths)), lengths), values
+
+
+def representation_counts(forms: Sequence[QuadForm], n_max: int) -> np.ndarray:
+    """The len(forms) x (n_max + 1) int64 matrix whose row i is
+    [r(Q_i, 0), ..., r(Q_i, n_max)], by one sweep over the lattice points of
+    every ellipse Q_i <= n_max.
+
+    Row i takes |x| <= isqrt(4 c n_max / |delta|) and, for each x, the y between
+    the roots of Q_i(x, y) = n_max; one np.bincount over i (n_max + 1) + Q_i(x, y)
+    counts the points.  The forms are reduced (|b| <= a <= c), so
+    c <= (|delta| + 1)/4, a x^2 and c y^2 are at most 4 n_max / 3 on the
+    ellipse, and the largest int64 intermediate is 4 c n_max <= (|delta| + 1) n_max;
+    a ValueError is raised when that could reach INT64_BOUND.
+    """
     if n_max < 0:
         raise ValueError(f"expected n_max >= 0, got {n_max}")
-    a, b, c = q.a, q.b, q.c
+    a, b, c = np.array([q.triple() for q in forms], dtype=np.int64).T
+    if not ((np.abs(b) <= a) & (a <= c)).all():
+        raise ValueError("representation_counts needs reduced forms")
     abs_disc = 4 * a * c - b * b
-    counts = [0] * (n_max + 1)
-    two_c = 2 * c
-    xmax = math.isqrt(4 * c * n_max // abs_disc)
-    for x in range(-xmax, xmax + 1):
-        s2 = 4 * c * n_max - abs_disc * x * x
-        if s2 < 0:
-            continue
-        s = math.isqrt(s2)
-        ylo = -((b * x + s) // two_c)
-        yhi = (-b * x + s) // two_c
-        for y in range(ylo, yhi + 1):
-            counts[a * x * x + b * x * y + c * y * y] += 1
-    return counts
+    if (int(abs_disc.max()) + 1) * n_max >= INT64_BOUND:
+        raise ValueError(f"|delta| = {int(abs_disc.max())} and n_max = {n_max} overflow int64")
+    four_cn = 4 * n_max * c
+    xmax = _isqrt(four_cn // abs_disc)
+    # one entry per (class, x)
+    row, x = _ragged(-xmax, 2 * xmax + 1)
+    s = _isqrt(four_cn[row] - abs_disc[row] * x * x)
+    bx, c_row = b[row] * x, c[row]
+    ylo = -((bx + s) // (2 * c_row))
+    yhi = (s - bx) // (2 * c_row)
+    base = row * (n_max + 1) + a[row] * x * x
+    # one entry per lattice point, at index i (n_max + 1) + a x^2 + (b x + c y) y
+    pair, y = _ragged(ylo, yhi - ylo + 1)
+    index = base[pair] + (bx[pair] + c_row[pair] * y) * y
+    counts = np.bincount(index, minlength=len(a) * (n_max + 1))
+    return counts.astype(np.int64, copy=False).reshape(len(a), n_max + 1)
 
 
 def automorph_count(delta: int) -> int:

@@ -20,7 +20,6 @@ from .series import theta_matrix, theta_total
 
 __all__ = [
     "HeckeCheckResult",
-    "classify_prime",
     "check_eigenform",
     "check_split_theta",
     "check_ramified_theta",
@@ -31,10 +30,6 @@ __all__ = [
 
 
 PRIME_TYPES = {1: "split", 0: "ramified", -1: "inert"}
-
-
-def classify_prime(delta: int, p: int) -> str:
-    return PRIME_TYPES[kronecker(delta, p)]
 
 
 @dataclass(frozen=True)
@@ -101,15 +96,27 @@ def _translate(group: ClassGroup, hp: int) -> list[int]:
     return [group.compose(h, hp) for h in range(group.h)]
 
 
+def _split_translates(group: ClassGroup, hp: int) -> tuple[np.ndarray, np.ndarray]:
+    """The class permutations h -> h p and h -> h p', where p' is the inverse of p,
+    from one composition per class.
+
+    The class group is abelian, so the inverse map is an automorphism and
+    h p' = (h' p)': the second permutation is the first, read at the inverses
+    and mapped through them."""
+    inv = np.array(group.inverses)
+    perm = np.array(_translate(group, hp))
+    return perm, inv[perm[inv]]
+
+
 def check_split_theta(group: ClassGroup, p: int, n_max: int) -> HeckeCheckResult:
     """theta_h | T_p = theta_{h p} + theta_{h p'} for every class h, split p."""
     if kronecker(group.delta, p) != 1:
         raise ValueError(f"{p} is not split for discriminant {group.delta}")
-    hp = prime_ideal_class(group, p)
+    perm, perm_bar = _split_translates(group, prime_ideal_class(group, p))
     theta = theta_matrix(group.delta, n_max)
     lhs = t_rows(theta, p, 1)
     cols = lhs.shape[-1]
-    rhs = theta[_translate(group, hp), :cols] + theta[_translate(group, group.inverse(hp)), :cols]
+    rhs = theta[perm, :cols] + theta[perm_bar, :cols]
     return _compare_rows(group, p, 1, "theta_split", lhs, rhs)
 
 

@@ -21,7 +21,7 @@ from .arith import (
     prime_discriminant_factorization,
 )
 from .class_group import ClassGroup, build_class_group
-from .forms import representation_counts
+from .forms import INT64_BOUND, representation_counts
 from .genus import GenusCharacter, build_genus_characters
 from .qseries import QSeries, dirichlet_convolution
 
@@ -37,10 +37,6 @@ __all__ = [
     "eisenstein_for_genus",
     "series_csv",
 ]
-
-# Above this, the coefficient arrays of a discriminant hold Python ints (dtype object).
-INT64_BOUND = 2**62
-
 
 def _coeff_dtype(group: ClassGroup, n_max: int):
     """int64 for the coefficient arrays of this group's discriminant up to n_max, or
@@ -69,9 +65,7 @@ def theta_matrix(delta: int, n_max: int) -> np.ndarray:
     Built once per (delta, n_max), and only the last one is kept: every check of
     a discriminant reads the same matrix, and a run then moves on to the next."""
     group = build_class_group(delta)
-    theta = np.array(
-        [representation_counts(q, n_max) for q in group.classes], dtype=_coeff_dtype(group, n_max)
-    )
+    theta = representation_counts(group.classes, n_max).astype(_coeff_dtype(group, n_max), copy=False)
     theta.setflags(write=False)
     return theta
 
@@ -79,8 +73,8 @@ def theta_matrix(delta: int, n_max: int) -> np.ndarray:
 def theta_series(group: ClassGroup, h: int, n_max: int) -> QSeries:
     """Theta series of the class h: coefficient n is r(Q_h, n); constant term 1.
     Builds this one row, not the whole theta matrix."""
-    counts = representation_counts(group.classes[h], n_max)
-    return QSeries(group.delta, np.array(counts, dtype=_coeff_dtype(group, n_max)))
+    counts = representation_counts([group.classes[h]], n_max)[0]
+    return QSeries(group.delta, counts.astype(_coeff_dtype(group, n_max), copy=False))
 
 
 def theta_total(group: ClassGroup, n_max: int) -> QSeries:

@@ -1,14 +1,16 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is deliberately naive: box scans, full enumeration, the
-scalar representation count, the classical coefficient-level composition
+scalar representation count, the per-form ellipse sweep that preceded the
+all-classes lattice kernel, the classical coefficient-level composition
 formula, genus character values from a fresh represented value per genus, the
 ideal lattices of the maximal order with the full h x h composition table
 built from them, the scalar L(1) partial sums, the q-series operators on
 tuples of Fraction that preceded the integer-vector series, and the per-t
 divisor-sum sieve that preceded the convolution kernel, all kept separate from
-the library's code paths.  Two helpers only the tests need live here too: the
-divisor list of n and one period of the Kronecker character of delta.
+the library's code paths.  Three helpers only the tests need live here too:
+the divisor list of n, one period of the Kronecker character of delta, and
+the type of a prime.
 """
 
 from __future__ import annotations
@@ -113,6 +115,31 @@ def representation_count(q: QuadForm, n: int) -> int:
         if s and (-b * x - s) % two_c == 0:
             count += 1
     return count
+
+
+def representation_counts_oracle(q: QuadForm, n_max: int) -> list[int]:
+    """[r(q, 0), ..., r(q, n_max)] by one sweep over the ellipse q <= n_max, one
+    lattice point at a time."""
+    a, b, c = q.a, q.b, q.c
+    abs_disc = 4 * a * c - b * b
+    counts = [0] * (n_max + 1)
+    two_c = 2 * c
+    xmax = math.isqrt(4 * c * n_max // abs_disc)
+    for x in range(-xmax, xmax + 1):
+        s2 = 4 * c * n_max - abs_disc * x * x
+        if s2 < 0:
+            continue
+        s = math.isqrt(s2)
+        ylo = -((b * x + s) // two_c)
+        yhi = (-b * x + s) // two_c
+        for y in range(ylo, yhi + 1):
+            counts[a * x * x + b * x * y + c * y * y] += 1
+    return counts
+
+
+def classify_prime(delta: int, p: int) -> str:
+    """"split", "ramified" or "inert": the type of p in Q(sqrt(delta)), from (delta|p)."""
+    return {1: "split", 0: "ramified", -1: "inert"}[kronecker(delta, p)]
 
 
 def opposite(q: QuadForm) -> QuadForm:

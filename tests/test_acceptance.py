@@ -21,11 +21,11 @@ from genusmass.hecke import (
     check_inert_theta,
     check_ramified_theta,
     check_split_theta,
-    classify_prime,
 )
 from genusmass.series import eisenstein_for_genus, eisenstein_series, genus_eisenstein, theta_series, twisted_sum
 from genusmass.verify import verify_dirichlet
 from oracles import (
+    classify_prime,
     compose_forms_oracle,
     divisors,
     elem_norm,

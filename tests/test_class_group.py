@@ -11,7 +11,7 @@ import genusmass
 from genusmass import class_group
 from genusmass.arith import distinct_prime_count, kronecker, primes_up_to
 from genusmass.class_group import build_class_group, prime_form, prime_ideal_class
-from genusmass.forms import QuadForm, reduce_form, reduced_forms
+from genusmass.forms import QuadForm, reduce_form, reduced_forms, represented_coprime_value
 from oracles import (
     IdealBasis,
     class_group_table_oracle,
@@ -279,6 +279,24 @@ class TestBuildClassGroup:
     def test_genus_ids_are_coset_minima(self, cg84):
         for g in cg84.genus_ids:
             assert g == min(cg84.genus_members(g))
+
+    def test_coprime_values_match_the_scalar_search(self):
+        for delta in fundamental_deltas(-3000) + [-400391]:
+            classes = reduced_forms(delta)
+            expected = [represented_coprime_value(q, -delta) for q in classes]
+            assert class_group._coprime_values(classes, delta) == expected, delta
+
+    def test_coprime_values_fall_back_past_shell_one(self, monkeypatch):
+        """(3, 0, 7) at -84 has shell values 3, 7, 10, 10, none coprime to 84."""
+        searched = []
+
+        def scalar_search(q, d):
+            searched.append(q.triple())
+            return represented_coprime_value(q, d)
+
+        monkeypatch.setattr(class_group, "represented_coprime_value", scalar_search)
+        assert class_group._coprime_values(reduced_forms(-84), -84) == [1, 11, 19, 5]
+        assert searched == [(3, 0, 7)]
 
 
 class TestPrimeIdealClass:

@@ -1,11 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genusmass import forms as forms_module
 from genusmass.arith import kronecker
 from genusmass.forms import (
     QuadForm,
+    _isqrt,
     automorph_count,
     reduce_form,
     reduced_forms,
@@ -20,6 +23,7 @@ from oracles import (
     reduced_class_set_oracle,
     reduce_with_matrix,
     representation_count,
+    representation_counts_oracle,
 )
 
 deltas_strategy = st.sampled_from(fundamental_deltas(-300))
@@ -131,17 +135,28 @@ class TestReducedForms:
             reduced_forms(5)
 
     def test_against_reduce_everything_oracle(self):
-        for delta in fundamental_deltas(-200):
+        for delta in fundamental_deltas(-1000):
             forms = reduced_forms(delta)
+            assert len(set(forms)) == len(forms)
             assert set(forms) == reduced_class_set_oracle(delta)
             assert list(forms) == sorted(forms)
             for q in forms:
                 assert is_reduced(q)
                 assert 1 <= q.a <= math.isqrt(-delta // 3)
 
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_blocks_split_inside_a_row(self, monkeypatch, block):
+        monkeypatch.setattr(forms_module, "REDUCED_FORMS_BLOCK", block)
+        for delta in fundamental_deltas(-1000):
+            assert reduced_forms.__wrapped__(delta) == reduced_forms(delta), delta
+
     def test_known_class_numbers(self):
         for delta, h in KNOWN_CLASS_NUMBERS.items():
             assert len(reduced_forms(delta)) == h, delta
+
+    @pytest.mark.parametrize("delta,h", [(-400391, 999), (-10000003, 706)])
+    def test_large_class_numbers(self, delta, h):
+        assert len(reduced_forms(delta)) == h
 
 
 class TestRepresentationCount:
@@ -174,8 +189,41 @@ class TestRepresentationCount:
     @settings(max_examples=50)
     def test_bulk_matches_single(self, delta, data):
         q = data.draw(st.sampled_from(reduced_forms(delta)))
-        counts = representation_counts(q, 60)
-        assert counts == [representation_count(q, n) for n in range(61)]
+        counts = representation_counts([q], 60)[0]
+        assert counts.tolist() == [representation_count(q, n) for n in range(61)]
+
+    def test_kernel_matches_per_form_sweep(self):
+        for delta in fundamental_deltas(-1000):
+            classes = reduced_forms(delta)
+            for n_max in (0, 1, 2, 200):
+                counts = representation_counts(classes, n_max)
+                assert counts.dtype == np.int64 and counts.shape == (len(classes), n_max + 1)
+                for row, q in zip(counts.tolist(), classes):
+                    assert row == representation_counts_oracle(q, n_max), (delta, n_max, q)
+
+    @pytest.mark.parametrize("n_max,rows", [(20, 999), (1000, 50)])
+    def test_kernel_at_class_number_999(self, n_max, rows):
+        classes = reduced_forms(-400391)[:rows]
+        counts = representation_counts(classes, n_max)
+        for row, q in zip(counts.tolist(), classes):
+            assert row == representation_counts_oracle(q, n_max), q
+
+    def test_exact_integer_square_root(self):
+        roots = [0, 1, 2, 3, 1000, 2**26 - 1, 2**26, 2**26 + 1, 94906265, 94906266, 2**31 - 1]
+        values = sorted({v for r in roots for v in (r * r - 1, r * r, r * r + 1) if v >= 0}
+                        | {2**53 - 1, 2**53, 2**53 + 1, 2**62 - 1})
+        assert _isqrt(np.array(values, dtype=np.int64)).tolist() == [math.isqrt(v) for v in values]
+
+    def test_int64_bound_is_checked(self, monkeypatch):
+        classes = reduced_forms(-84)
+        monkeypatch.setattr(forms_module, "INT64_BOUND", 85 * 2)
+        assert representation_counts(classes, 1).shape == (4, 2)  # (|delta| + 1) n_max = 85
+        with pytest.raises(ValueError, match="overflow"):
+            representation_counts(classes, 2)
+
+    def test_rejects_unreduced_forms(self):
+        with pytest.raises(ValueError, match="reduced"):
+            representation_counts([QuadForm(4, 21, 29)], 10)
 
     def test_invariant_under_reduction(self):
         q = QuadForm(4, 21, 29)

@@ -70,10 +70,11 @@ def perturbed_theta(monkeypatch):
     original = series.representation_counts
     target = {}
 
-    def perturbed(q, n_max):
-        counts = original(q, n_max)
-        if q.triple() == target.get("form"):
-            counts[35] += 1
+    def perturbed(forms, n_max):
+        counts = original(forms, n_max)
+        for row, q in enumerate(forms):
+            if q.triple() == target.get("form"):
+                counts[row, 35] += 1
         return counts
 
     clear_caches()

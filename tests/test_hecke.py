@@ -6,18 +6,19 @@ from hypothesis import given, settings, strategies as st
 from genusmass.arith import kronecker, primes_up_to
 from genusmass.class_group import build_class_group, prime_ideal_class
 from genusmass.hecke import (
+    _split_translates,
     check_eigenform,
     check_genus_permutation,
     check_inert_theta,
     check_ramified_theta,
     check_split_theta,
-    classify_prime,
     prime_checks,
 )
 from genusmass.qseries import apply_T, apply_U
 from genusmass.series import genus_eisenstein, theta_series
 from oracles import (
     agrees_with,
+    classify_prime,
     form_to_ideal,
     fundamental_deltas,
     ideal_conj,
@@ -144,6 +145,18 @@ class TestPerClassIdentities:
                     g1 = group.genus_of[group.compose(h, hp)]
                     g2 = group.genus_of[group.compose(h, hp_conj)]
                     assert g1 == g2
+
+    def test_conjugate_translate_from_the_inverse_map(self):
+        for delta in fundamental_deltas(-1000) + [-400391]:
+            group = build_class_group(delta)
+            for p in primes_up_to(50):
+                if kronecker(delta, p) != 1:
+                    continue
+                hp = prime_ideal_class(group, p)
+                perm, perm_bar = _split_translates(group, hp)
+                assert perm.tolist() == [group.compose(h, hp) for h in range(group.h)]
+                expected = [group.compose(h, group.inverse(hp)) for h in range(group.h)]
+                assert perm_bar.tolist() == expected, (delta, p)
 
 
 class TestGenusPermutation:
