@@ -9,7 +9,7 @@ from typing import Optional
 
 from .arith import is_fundamental, is_squarefree
 from .class_group import ClassGroup, build_class_group
-from .genus import build_genus_characters
+from .genus import build_genus_characters, character_pairs
 from .qseries import QSeries
 from .series import (
     eisenstein_series,
@@ -84,7 +84,7 @@ def cmd_classgroup(args: argparse.Namespace) -> int:
     if args.fmt not in ("json", "text"):
         raise UsageError(f"classgroup supports text or json output, not {args.fmt}")
     group = build_class_group(delta)
-    chars = build_genus_characters(group)
+    chars = list(zip(character_pairs(delta), build_genus_characters(group).tolist()))
     table = _composition_table(group)
     if args.fmt == "json":
         payload = {
@@ -97,8 +97,8 @@ def cmd_classgroup(args: argparse.Namespace) -> int:
             "squares": list(group.squares),
             "genera": {str(g): list(group.genus_members(g)) for g in group.genus_ids},
             "characters": [
-                {"d": chi.d, "D": chi.D, "values": {str(g): chi.value(g) for g in group.genus_ids}}
-                for chi in chars
+                {"d": d, "D": big_d, "values": {str(g): v for g, v in zip(group.genus_ids, values)}}
+                for (d, big_d), values in chars
             ],
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -117,9 +117,8 @@ def cmd_classgroup(args: argparse.Namespace) -> int:
     for g in group.genus_ids:
         lines.append(f"  {g}: {list(group.genus_members(g))}")
     lines.append("genus characters (d, D | value per genus):")
-    for chi in chars:
-        values = " ".join(f"{chi.value(g):+d}" for g in group.genus_ids)
-        lines.append(f"  ({chi.d},{chi.D}): {values}")
+    for (d, big_d), values in chars:
+        lines.append(f"  ({d},{big_d}): " + " ".join(f"{v:+d}" for v in values))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -140,15 +139,14 @@ def _build_series(delta: int, which: str, n_max: int) -> QSeries:
     if kind == "genus":
         if value not in group.genus_ids:
             raise UsageError(f"genus id {value} not in {list(group.genus_ids)}")
-        return genus_eisenstein(group, value, n_max)
+        return QSeries(delta, *genus_eisenstein(group, n_max, value))
     if kind in ("eisenstein", "twisted"):
-        chars = {chi.d: chi for chi in build_genus_characters(group)}
-        if value not in chars:
-            raise UsageError(f"d = {value} is not a character pair; choose from {sorted(chars)}")
-        chi = chars[value]
+        pairs = dict(character_pairs(delta))
+        if value not in pairs:
+            raise UsageError(f"d = {value} is not a character pair; choose from {sorted(pairs)}")
         if kind == "eisenstein":
-            return eisenstein_series(chi.d, chi.D, n_max)
-        return twisted_sum(group, chi, n_max)
+            return eisenstein_series(value, pairs[value], n_max)
+        return QSeries(delta, *twisted_sum(group, n_max, value))
     raise UsageError(f"unknown series kind {kind!r}; use theta, genus, eisenstein, or twisted")
 
 

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import prod
+
+import numpy as np
 
 from .arith import is_fundamental, prime_discriminant_factorization
 from .class_group import ClassGroup
 
 __all__ = [
-    "GenusCharacter",
     "character_pairs",
     "build_genus_characters",
 ]
@@ -34,33 +34,21 @@ def character_pairs(delta: int) -> list[tuple[int, int]]:
     return [(d, delta // d) for d in sorted(ds)]
 
 
-@dataclass(frozen=True, eq=False)
-class GenusCharacter:
-    """A real character of the genus group, keyed by its factorization (d, D)."""
-
-    d: int
-    D: int
-    values: dict[int, int]  # genus id -> +-1
-
-    def value(self, genus_id: int) -> int:
-        return self.values[genus_id]
-
-
-def build_genus_characters(group: ClassGroup) -> tuple[GenusCharacter, ...]:
-    """All genus characters of the class group, in character_pairs order.
+def build_genus_characters(group: ClassGroup) -> np.ndarray:
+    """The character table X of the genus group, as an int64 matrix:
+    X[i, k] = chi_{d_i}(genus_ids[k]), with rows in character_pairs order.
 
     chi_{d,D}(g) = (d|r) for a value r of the genus coprime to delta, so it is the
     product of the genus's assigned characters (p|r) over the prime
-    discriminants p that divide d.
+    discriminants p that divide d: -1 to the number of those that are -1.
     """
     factors = prime_discriminant_factorization(group.delta)
-    out = []
-    for d, big_d in character_pairs(group.delta):
-        values = {}
-        for g, signs in zip(group.genus_ids, group.genus_signs):
-            value = prod(s for p, s in zip(factors, signs) if d % p == 0)
-            if value not in (-1, 1):
-                raise RuntimeError(f"genus {g} of {group.delta}: assigned characters {signs}")
-            values[g] = value
-        out.append(GenusCharacter(d=d, D=big_d, values=values))
-    return tuple(out)
+    signs = np.array(group.genus_signs, dtype=np.int64).reshape(len(group.genus_ids), len(factors))
+    bad = (np.abs(signs) != 1).any(axis=1)
+    if bad.any():
+        k = int(bad.argmax())
+        raise RuntimeError(f"genus {group.genus_ids[k]} of {group.delta}: "
+                           f"assigned characters {group.genus_signs[k]}")
+    divides = np.array([[d % p == 0 for p in factors] for d, _ in character_pairs(group.delta)],
+                       dtype=np.int64)
+    return 1 - 2 * ((divides @ (signs < 0).T.astype(np.int64)) % 2)

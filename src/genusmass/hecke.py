@@ -2,7 +2,7 @@
 sum, the split/ramified/inert per-class identities, and the genus permutation.
 
 Each identity is one comparison of integer arrays over all classes (rows of the
-theta matrix) or all genera (sums of those rows), with T_p applied to every row
+theta matrix) or all genera (rows of the genus sums), with T_p applied to every row
 at once by slicing."""
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import numpy as np
 
 from .arith import kronecker
 from .class_group import ClassGroup, prime_ideal_class
-from .qseries import first_unequal, t_rows, u_rows
-from .series import theta_matrix, theta_total
+from .qseries import first_mismatch, t_rows, u_rows
+from .series import genus_eisenstein, theta_matrix, theta_total
 
 __all__ = [
     "HeckeCheckResult",
@@ -61,25 +61,17 @@ class HeckeCheckResult:
 
 
 def _compare_rows(group, p, chi, identity, lhs, rhs, unit=Fraction(1)) -> HeckeCheckResult:
-    """Compare two integer arrays (one row per class or genus, or one vector) on
-    n = 1..hi, where the columns are n = 0..hi; the first mismatch in row-major
-    order is reported as (n, lhs, rhs), each entry times unit.  chi = (delta|p)
-    names the prime's type."""
-    hi = lhs.shape[-1] - 1
-    found = first_unequal(lhs[..., 1:], rhs[..., 1:])
-    mismatch = None
-    if found is not None:
-        row, n = found[0], found[1] + 1
-        left, right = np.atleast_2d(lhs)[row, n], np.atleast_2d(rhs)[row, n]
-        mismatch = (n, int(left) * unit, int(right) * unit)
+    """Compare two integer arrays with one unit (one row per class or genus, or one
+    vector) on n >= 1; chi = (delta|p) names the prime's type."""
+    found = first_mismatch(lhs, unit, rhs, unit, lo=1)
     return HeckeCheckResult(
         delta=group.delta,
         p=p,
         prime_type=PRIME_TYPES[chi],
         identity=identity,
-        checked_hi=hi,
-        passed=mismatch is None,
-        first_mismatch=mismatch,
+        checked_hi=lhs.shape[-1] - 1,
+        passed=found is None,
+        first_mismatch=None if found is None else found[1:],
     )
 
 
@@ -145,15 +137,10 @@ def check_genus_permutation(group: ClassGroup, p: int, n_max: int) -> HeckeCheck
     if chi == -1:
         raise ValueError(f"{p} is inert for discriminant {group.delta}: no genus translate")
     gp = group.genus_of[prime_ideal_class(group, p)]
-    # genus sums in genus_ids order, as one product of the genus membership matrix
-    # with the theta matrix; every genus average has the unit 1/|H^2|
-    theta = theta_matrix(group.delta, n_max)
-    sums = np.equal.outer(group.genus_ids, group.genus_of).astype(theta.dtype) @ theta
-    row_of = {g: k for k, g in enumerate(group.genus_ids)}
+    sums, unit = genus_eisenstein(group, n_max)
     lhs = t_rows(sums, p, chi)
-    targets = [row_of[group.genus_product(g, gp)] for g in group.genus_ids]
+    targets = [group.genus_ids.index(group.genus_product(g, gp)) for g in group.genus_ids]
     rhs = (2 if chi == 1 else 1) * sums[targets, : lhs.shape[-1]]
-    unit = Fraction(1, len(group.squares))
     return _compare_rows(group, p, chi, "genus_permutation", lhs, rhs, unit)
 
 

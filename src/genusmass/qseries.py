@@ -16,7 +16,7 @@ from .arith import is_prime, kronecker
 
 __all__ = [
     "QSeries",
-    "first_unequal",
+    "first_mismatch",
     "u_rows",
     "t_rows",
     "dirichlet_convolution",
@@ -58,12 +58,8 @@ class QSeries:
         multiples of one common unit: equal entries are equal coefficients."""
         self._check_compatible(other)
         m = min(self.precision, other.precision) + 1
-        u, v = self.unit, other.unit
-        num = math.gcd(u.numerator, v.numerator) or 1
-        den = math.lcm(u.denominator, v.denominator)
-        return (self.coeffs[:m] * (u.numerator // num * (den // u.denominator)),
-                other.coeffs[:m] * (v.numerator // num * (den // v.denominator)),
-                Fraction(num, den))
+        fu, fv, unit = _common_unit(self.unit, other.unit)
+        return self.coeffs[:m] * fu, other.coeffs[:m] * fv, unit
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
@@ -88,18 +84,13 @@ class QSeries:
         return QSeries(self.disc, self.coeffs, self.unit * Fraction(r))
 
     def first_mismatch(self, other: "QSeries", lo: int = 0, hi: Optional[int] = None):
-        """First (n, self[n], other[n]) with differing coefficients, or None.
-
-        hi defaults to the smaller precision; never compares beyond it.
-        """
+        """First (n, self[n], other[n]) with lo <= n <= hi and differing coefficients,
+        or None; hi defaults to the smaller precision and never passes it."""
+        self._check_compatible(other)
         limit = min(self.precision, other.precision)
         hi = limit if hi is None else min(hi, limit)
-        a, b, _ = self._over_common_unit(other)
-        found = first_unequal(a[lo : hi + 1], b[lo : hi + 1])
-        if found is None:
-            return None
-        n = lo + found[1]
-        return n, self[n], other[n]
+        found = first_mismatch(self.coeffs[: hi + 1], self.unit, other.coeffs[: hi + 1], other.unit, lo)
+        return None if found is None else found[1:]
 
     def reduced(self) -> list[tuple[int, int]]:
         """Each coefficient as (numerator, denominator) in lowest terms, denominator > 0."""
@@ -118,16 +109,28 @@ class QSeries:
         return json.dumps(self.to_dict())
 
 
-def first_unequal(lhs: np.ndarray, rhs: np.ndarray) -> Optional[tuple[int, int]]:
-    """(row, column) of the first unequal entry in row-major order, or None.
+def _common_unit(u: Fraction, v: Fraction) -> tuple[int, int, Fraction]:
+    """Integers fu, fv and one unit c with u = fu * c and v = fv * c."""
+    num = math.gcd(u.numerator, v.numerator) or 1
+    den = math.lcm(u.denominator, v.denominator)
+    return (u.numerator // num * (den // u.denominator), v.numerator // num * (den // v.denominator),
+            Fraction(num, den))
 
-    A vector counts as one row, so its mismatch is (0, index).
-    """
-    unequal = np.atleast_2d(lhs != rhs)
+
+def first_mismatch(lhs: np.ndarray, lhs_unit, rhs: np.ndarray, rhs_unit, lo: int = 0):
+    """The first (row, n, lhs[row, n] * lhs_unit, rhs[row, n] * rhs_unit) in
+    row-major order over the columns n >= lo where the two sides differ, or None;
+    a vector counts as one row.  Only the mismatch found becomes Fractions."""
+    a, b = np.atleast_2d(lhs)[:, lo:], np.atleast_2d(rhs)[:, lo:]
+    if lhs_unit == rhs_unit:
+        unequal = a != b
+    else:
+        fl, fr, _ = _common_unit(Fraction(lhs_unit), Fraction(rhs_unit))
+        unequal = a * fl != b * fr
     if not unequal.any():
         return None
     row, col = divmod(int(unequal.argmax()), unequal.shape[1])
-    return row, col
+    return row, lo + col, int(a[row, col]) * Fraction(lhs_unit), int(b[row, col]) * Fraction(rhs_unit)
 
 
 def u_rows(a: np.ndarray, p: int) -> np.ndarray:
@@ -161,12 +164,14 @@ def _divisor_pairs(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def dirichlet_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Entry n is the sum over t * m = n of f[t] * g[m], for n = 1..N, and entry 0
-    is 0, where f and g are vectors over 0..N of one dtype (int64 or object):
-    one gather of the pairs (t, m) in order of t * m and one np.add.reduceat."""
+    is 0, on the last axis of f and g: vectors over 0..N of one dtype (int64 or
+    object), or matrices with one such vector per row, convolved row by row.
+    One gather of the pairs (t, m) in order of t * m and one np.add.reduceat."""
     out = np.zeros_like(f)
-    if len(f) > 1:
-        ts, ms, starts = _divisor_pairs(len(f) - 1)
-        out[1:] = np.add.reduceat(f[ts] * g[ms], starts)
+    n_max = f.shape[-1] - 1
+    if n_max > 0:
+        ts, ms, starts = _divisor_pairs(n_max)
+        out[..., 1:] = np.add.reduceat(f[..., ts] * g[..., ms], starts, axis=-1)
     return out
 
 

@@ -1,9 +1,11 @@
-"""Builders for the concrete q-series: the theta matrix of a discriminant (one row
-of representation counts per class), theta series, genus averages, twisted sums,
-divisor-sum Eisenstein series, and the character-weighted combination per genus;
+"""Builders for the concrete q-series and for the genus layer of a discriminant:
+the theta matrix (one row of representation counts per class) and theta
+series; the genus sums S, the twisted sums X S, the divisor-sum Eisenstein
+matrix E and the mass-formula rows X^T E, where X is the genus character table;
 the Kronecker characters of a discriminant, from one table per prime
 discriminant; and L(0) of the Kronecker character, the Eisenstein constant term.
-Each series is an integer vector times one rational unit."""
+Each series, and each matrix of series, is an integer array times one rational
+unit."""
 
 from __future__ import annotations
 
@@ -14,15 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import (
-    is_fundamental,
-    is_fundamental_discriminant,
-    kronecker,
-    prime_discriminant_factorization,
-)
+from .arith import kronecker, prime_discriminant_factorization
 from .class_group import ClassGroup, build_class_group
 from .forms import INT64_BOUND, representation_counts
-from .genus import GenusCharacter, build_genus_characters
+from .genus import build_genus_characters, character_pairs
 from .qseries import QSeries, dirichlet_convolution
 
 __all__ = [
@@ -31,6 +28,7 @@ __all__ = [
     "theta_total",
     "genus_eisenstein",
     "twisted_sum",
+    "eisenstein_matrix",
     "eisenstein_series",
     "kronecker_values",
     "l_zero",
@@ -46,11 +44,14 @@ def _coeff_dtype(group: ClassGroup, n_max: int):
     h^2 w^2 d_max 2|delta|, where d_max = 2 isqrt(n_max) bounds the divisor
     count d(n) for n <= n_max:
     - a theta coefficient r(Q, n) is at most w d(n), because the counts of all
-      classes add up to w sum_{t | n} (delta|t);
-    - an Eisenstein coefficient is at most d(n); the unit of E_{1,delta} is 1
-      over a divisor of 2|delta|, and its constant term is L(0)/2 = h/w;
-    - a sum runs over at most h classes or characters;
-    - cross-multiplying two series multiplies by at most w h 2|delta|.
+      classes add up to w sum_{t | n} (delta|t); so is a genus sum or a twisted
+      sum in absolute value;
+    - every row of the Eisenstein matrix E carries one unit 1/k, where k, the
+      denominator of L(0)/2, divides 2|delta|: an entry is at most k d(n), and
+      the constant term of E_{1,delta} is k h/w;
+    - a sum over characters (X^T E) runs over at most h of them;
+    - cross-multiplying two units (1/w and 1/k, or 1/|H^2| and w/(h k))
+      multiplies by at most w h 2|delta|.
     """
     d_max = max(1, 2 * math.isqrt(n_max))
     bound = group.h**2 * group.w**2 * d_max * 2 * -group.delta
@@ -82,17 +83,45 @@ def theta_total(group: ClassGroup, n_max: int) -> QSeries:
     return QSeries(group.delta, theta_matrix(group.delta, n_max).sum(axis=0))
 
 
-def genus_eisenstein(group: ClassGroup, genus_id: int, n_max: int) -> QSeries:
-    """Average of the theta series over one genus: (1/|H^2|) sum over h in g."""
+@lru_cache(maxsize=1)
+def _genus_sums(delta: int, n_max: int) -> np.ndarray:
+    """S: the matrix whose row k is the sum of the theta rows of the classes in the
+    genus genus_ids[k], from one np.add.reduceat over the classes ordered by
+    genus.  Read-only; kept for the last (delta, n_max) only."""
+    group = build_class_group(delta)
+    genus_of = np.array(group.genus_of)
+    order = np.argsort(genus_of, kind="stable")
+    starts = np.searchsorted(genus_of[order], group.genus_ids)
+    sums = np.add.reduceat(theta_matrix(delta, n_max)[order], starts, axis=0)
+    sums.setflags(write=False)
+    return sums
+
+
+def genus_eisenstein(group: ClassGroup, n_max: int, genus_id=None) -> tuple[np.ndarray, Fraction]:
+    """The average of the theta series over each genus, as (S, 1/|H^2|), one row
+    per genus in genus_ids order.  With genus_id, only the row of that genus,
+    summed from its own classes."""
+    unit = Fraction(1, len(group.squares))
+    if genus_id is None:
+        return _genus_sums(group.delta, n_max), unit
     members = list(group.genus_members(genus_id))
-    total = theta_matrix(group.delta, n_max)[members].sum(axis=0)
-    return QSeries(group.delta, total, Fraction(1, len(members)))
+    return theta_matrix(group.delta, n_max)[members].sum(axis=0), unit
 
 
-def twisted_sum(group: ClassGroup, chi: GenusCharacter, n_max: int) -> QSeries:
-    """(1/w) * sum over classes of chi(h) * theta_h."""
-    signs = np.array([chi.value(g) for g in group.genus_of], dtype=np.int64)
-    return QSeries(group.delta, signs @ theta_matrix(group.delta, n_max), Fraction(1, group.w))
+def twisted_sum(group: ClassGroup, n_max: int, d=None) -> tuple[np.ndarray, Fraction]:
+    """(1/w) * sum over classes of chi_{d,D}(h) * theta_h, one row per character
+    pair in character_pairs order, as (X S, 1/w).  With d, only the row of the
+    pair (d, D)."""
+    table = build_genus_characters(group)
+    if d is not None:
+        table = table[[pair[0] for pair in character_pairs(group.delta)].index(d)]
+    return table @ _genus_sums(group.delta, n_max), Fraction(1, group.w)
+
+
+# L(0) sums its character over blocks of this many residues, and an odd prime
+# discriminant's table is filled from blocks of this many squares, so that
+# neither needs int64 working memory that grows with |delta|.
+L_ZERO_BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=1)
@@ -107,8 +136,10 @@ def _prime_tables(delta: int) -> tuple[tuple[int, np.ndarray], ...]:
         if m % 2:
             table = np.full(m, -1, dtype=np.int8)
             table[0] = 0
-            x = np.arange(1, (m + 1) // 2, dtype=np.int64)
-            table[x * x % m] = 1
+            half = (m + 1) // 2
+            for start in range(1, half, L_ZERO_BLOCK):
+                x = np.arange(start, min(start + L_ZERO_BLOCK, half), dtype=np.int64)
+                table[x * x % m] = 1
         else:
             table = np.array([kronecker(factor, r) for r in range(m)], dtype=np.int8)
         table.setflags(write=False)
@@ -143,11 +174,6 @@ def kronecker_values(delta: int, a: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
-# L(0) sums its character over blocks of this many residues, so that its memory
-# does not grow with |delta|.
-L_ZERO_BLOCK = 1 << 16
-
-
 @lru_cache(maxsize=None)
 def l_zero(delta: int) -> Fraction:
     """L(0) for the Kronecker character chi of delta, from the character alone:
@@ -173,46 +199,40 @@ def l_zero(delta: int) -> Fraction:
     return Fraction(-total, q)
 
 
-@lru_cache(maxsize=None)
-def _eisenstein_coeffs(d: int, big_d: int, n_max: int) -> tuple[np.ndarray, Fraction]:
-    """The integer vector and the unit of E_{d,D}: the Dirichlet convolution of
-    (D|.) and (d|.).  For d = 1 the unit is 1/(denominator of L(0)/2), so the
-    constant term is an integer too."""
-    delta = d * big_d
+@lru_cache(maxsize=1)
+def eisenstein_matrix(delta: int, n_max: int, pairs=None) -> tuple[np.ndarray, Fraction]:
+    """E: the divisor sums sum over t | n of (d | n/t)(D | t) of the pairs (d, D) of
+    delta (all character pairs by default, in character_pairs order), one row
+    each, from one Dirichlet convolution of the stacked rows of (D|.) and (d|.).
+    All rows share the unit 1/k, k the denominator of L(0)/2, so that the
+    constant term L(0)/2 of the row d = 1 is an integer too; the other rows
+    have constant term 0.  Read-only; kept for the last request only."""
+    pairs = character_pairs(delta) if pairs is None else pairs
     dtype = _coeff_dtype(build_class_group(delta), n_max)
-    coeffs = dirichlet_convolution(
-        kronecker_values(delta, big_d, 0, n_max + 1).astype(dtype),
-        kronecker_values(delta, d, 0, n_max + 1).astype(dtype),
-    )
-    unit = Fraction(1)
-    if d == 1:
-        constant = l_zero(delta) / 2
-        coeffs *= constant.denominator
-        coeffs[0] = constant.numerator
-        unit = Fraction(1, constant.denominator)
-    coeffs.setflags(write=False)
-    return coeffs, unit
+    big = np.array([kronecker_values(delta, big_d, 0, n_max + 1) for _, big_d in pairs]).astype(dtype)
+    small = np.array([kronecker_values(delta, d, 0, n_max + 1) for d, _ in pairs]).astype(dtype)
+    constant = l_zero(delta) / 2
+    rows = dirichlet_convolution(big, small) * constant.denominator
+    rows[[d == 1 for d, _ in pairs], 0] = constant.numerator
+    rows.setflags(write=False)
+    return rows, Fraction(1, constant.denominator)
 
 
 def eisenstein_series(d: int, big_d: int, n_max: int) -> QSeries:
     """Weight-one Eisenstein series of the pair (d, D): divisor-sum coefficients
-    sum over t | n of (d | n/t)(D | t), with constant term L(0)/2 when d = 1."""
-    if d < 1 or big_d >= 0:
-        raise ValueError(f"need d > 0 > D, got ({d}, {big_d})")
-    if not (is_fundamental_discriminant(d) and is_fundamental_discriminant(big_d)
-            and is_fundamental(d * big_d)):
-        raise ValueError(f"({d}, {big_d}) is not a discriminant factorization")
-    coeffs, unit = _eisenstein_coeffs(d, big_d, n_max)
-    return QSeries(d * big_d, coeffs, unit)
+    sum over t | n of (d | n/t)(D | t), with constant term L(0)/2 when d = 1.
+    Builds this one row, not the whole Eisenstein matrix."""
+    if big_d >= 0 or (d, big_d) not in character_pairs(d * big_d):
+        raise ValueError(f"({d}, {big_d}) is not a character pair of a negative discriminant")
+    rows, unit = eisenstein_matrix(d * big_d, n_max, ((d, big_d),))
+    return QSeries(d * big_d, rows[0], unit)
 
 
-def eisenstein_for_genus(group: ClassGroup, genus_id: int, n_max: int) -> QSeries:
-    """(w/h) * sum over characters of chi(g) * E_{d,D}: the mass-formula series."""
-    total = None
-    for chi in build_genus_characters(group):
-        term = eisenstein_series(chi.d, chi.D, n_max).scale(chi.value(genus_id))
-        total = term if total is None else total + term
-    return total.scale(Fraction(group.w, group.h))
+def eisenstein_for_genus(group: ClassGroup, n_max: int) -> tuple[np.ndarray, Fraction]:
+    """The mass-formula series (w/h) * sum over characters of chi(g) * E_{d,D}, one
+    row per genus g in genus_ids order, as (X^T E, (w/h)/k)."""
+    rows, unit = eisenstein_matrix(group.delta, n_max)
+    return build_genus_characters(group).T @ rows, unit * Fraction(group.w, group.h)
 
 
 def series_csv(series: QSeries) -> str:

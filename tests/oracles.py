@@ -4,8 +4,11 @@ Everything here is deliberately naive: box scans, full enumeration, the
 scalar representation count, the per-form ellipse sweep that preceded the
 all-classes lattice kernel, the classical coefficient-level composition
 formula, genus character values from a fresh represented value per genus, the
-ideal lattices of the maximal order with the full h x h composition table
-built from them, the scalar L(1) partial sums, the q-series operators on
+twisted sums, genus averages and mass-formula series one character or one
+genus at a time (the loops the genus character table replaced), with the
+details the two genus checks report when found that way, the ideal lattices
+of the maximal order with the full h x h composition table built from them,
+the scalar L(1) partial sums, the q-series operators on
 tuples of Fraction that preceded the integer-vector series, and the per-t
 divisor-sum sieve that preceded the convolution kernel, all kept separate from
 the library's code paths.  Three helpers only the tests need live here too:
@@ -25,9 +28,9 @@ import numpy as np
 from genusmass.arith import ext_gcd, factorize, is_fundamental, is_prime, kronecker
 from genusmass.class_group import ClassGroup, prime_form
 from genusmass.forms import QuadForm, reduce_form, reduced_forms, represented_coprime_value
-from genusmass.genus import build_genus_characters
+from genusmass.genus import build_genus_characters, character_pairs
 from genusmass.qseries import QSeries
-from genusmass.series import kronecker_values, theta_total
+from genusmass.series import eisenstein_series, kronecker_values, theta_matrix, theta_total
 
 # Textbook class numbers for negative fundamental discriminants.
 KNOWN_CLASS_NUMBERS = {
@@ -223,11 +226,17 @@ def character_value(group: ClassGroup, d: int, genus_id: int) -> int:
     return value
 
 
+def character_table_oracle(group: ClassGroup) -> np.ndarray:
+    """The genus character table from character_value: entry (i, k) is
+    chi_{d_i}(genus_ids[k]), rows in character_pairs order."""
+    return np.array([[character_value(group, d, g) for g in group.genus_ids]
+                     for d, _ in character_pairs(group.delta)])
+
+
 def orthogonality_sum(group: ClassGroup, genus_id: int) -> Fraction:
     """(1/|G|) * sum over all characters of chi(g): 1 on the principal genus, else 0."""
-    chars = build_genus_characters(group)
-    total = sum(chi.value(genus_id) for chi in chars)
-    return Fraction(total, len(chars))
+    column = build_genus_characters(group)[:, group.genus_ids.index(genus_id)]
+    return Fraction(int(column.sum()), len(column))
 
 
 def reduce_with_matrix(q: QuadForm) -> tuple[QuadForm, tuple[int, int, int, int]]:
@@ -578,3 +587,71 @@ def dirichlet_convolution_sieve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     for t in range(1, n_max + 1):
         out[t::t] += f[t] * g[1 : n_max // t + 1]
     return out
+
+
+# --- the genus layer, one genus or one character at a time ---
+
+
+def _theta_rows(group: ClassGroup, n_max: int) -> list[QSeries]:
+    return [QSeries(group.delta, row) for row in theta_matrix(group.delta, n_max)]
+
+
+def genus_average_oracle(group: ClassGroup, genus_id: int, n_max: int) -> QSeries:
+    """(1/|g|) * sum of the theta series of the classes in the genus g, one class
+    at a time."""
+    theta = _theta_rows(group, n_max)
+    members = group.genus_members(genus_id)
+    total = theta[members[0]]
+    for h in members[1:]:
+        total = total + theta[h]
+    return total.scale(Fraction(1, len(members)))
+
+
+def twisted_sum_oracle(group: ClassGroup, row: int, n_max: int, table: np.ndarray) -> QSeries:
+    """(1/w) * sum over classes of chi(h) * theta_h, one class at a time, for the
+    character whose value on the genus genus_ids[k] is table[row, k]."""
+    value = dict(zip(group.genus_ids, table[row].tolist()))
+    theta = _theta_rows(group, n_max)
+    total = theta[0].scale(value[group.genus_of[0]])
+    for h in range(1, group.h):
+        total = total + theta[h].scale(value[group.genus_of[h]])
+    return total.scale(Fraction(1, group.w))
+
+
+def eisenstein_for_genus_oracle(group: ClassGroup, genus_id: int, n_max: int,
+                                table: np.ndarray) -> QSeries:
+    """(w/h) * sum over characters of chi(g) * E_{d,D}, one character at a time,
+    with chi(g) read from the column of g in table."""
+    column = table[:, group.genus_ids.index(genus_id)].tolist()
+    total = None
+    for (d, big_d), value in zip(character_pairs(group.delta), column):
+        term = eisenstein_series(d, big_d, n_max).scale(value)
+        total = term if total is None else total + term
+    return total.scale(Fraction(group.w, group.h))
+
+
+def twisted_eisenstein_detail_oracle(group: ClassGroup, n_max: int, table: np.ndarray) -> str:
+    """The detail of the twisted_eisenstein check, found one character at a time."""
+    pairs = character_pairs(group.delta)
+    for row, (d, big_d) in enumerate(pairs):
+        lhs = twisted_sum_oracle(group, row, n_max, table)
+        found = lhs.first_mismatch(eisenstein_series(d, big_d, n_max))
+        if found is not None:
+            n, left, right = found
+            return f"(d,D)=({d},{big_d}) mismatch at n={n}: {left} != {right}"
+    return f"{len(pairs)} pairs, n=0..{n_max} exact"
+
+
+def genus_mass_detail_oracle(group: ClassGroup, n_max: int, table: np.ndarray) -> str:
+    """The detail of the genus_mass check, found one genus at a time: a genus
+    whose constant terms are not both 1 is reported before its mismatches."""
+    for g in group.genus_ids:
+        lhs = genus_average_oracle(group, g, n_max)
+        rhs = eisenstein_for_genus_oracle(group, g, n_max, table)
+        if lhs[0] != 1 or rhs[0] != 1:
+            return f"genus {g}: constant terms {lhs[0]}, {rhs[0]} != 1"
+        found = lhs.first_mismatch(rhs)
+        if found is not None:
+            n, left, right = found
+            return f"genus {g} mismatch at n={n}: {left} != {right}"
+    return f"{len(group.genus_ids)} genera, n=0..{n_max} exact"

@@ -14,7 +14,7 @@ import pytest
 from genusmass.arith import distinct_prime_count, kronecker, primes_up_to
 from genusmass.class_group import build_class_group
 from genusmass.forms import automorph_count
-from genusmass.genus import build_genus_characters, character_pairs
+from genusmass.genus import character_pairs
 from genusmass.hecke import (
     check_eigenform,
     check_genus_permutation,
@@ -22,6 +22,7 @@ from genusmass.hecke import (
     check_ramified_theta,
     check_split_theta,
 )
+from genusmass.qseries import QSeries
 from genusmass.series import eisenstein_for_genus, eisenstein_series, genus_eisenstein, theta_series, twisted_sum
 from genusmass.verify import verify_dirichlet
 from oracles import (
@@ -78,13 +79,13 @@ def test_twisted_eisenstein_full_range():
     pair_count = 0
     for delta in FULL_RANGE:
         group = build_class_group(delta)
-        for chi in build_genus_characters(group):
+        for d, big_d in character_pairs(delta):
             pair_count += 1
-            lhs = twisted_sum(group, chi, PRECISION)
-            rhs = eisenstein_series(chi.d, chi.D, PRECISION)
+            lhs = QSeries(delta, *twisted_sum(group, PRECISION, d))
+            rhs = eisenstein_series(d, big_d, PRECISION)
             mismatch = lhs.first_mismatch(rhs, lo=0, hi=PRECISION)
             if mismatch is not None:
-                failures.append((delta, chi.d, mismatch))
+                failures.append((delta, d, mismatch))
     announce(
         "twisted_eisenstein",
         not failures,
@@ -99,10 +100,11 @@ def test_genus_mass_full_range():
     genus_count = 0
     for delta in FULL_RANGE:
         group = build_class_group(delta)
-        for g in group.genus_ids:
+        mass, mass_unit = eisenstein_for_genus(group, PRECISION)
+        for g, mass_row in zip(group.genus_ids, mass):
             genus_count += 1
-            lhs = genus_eisenstein(group, g, PRECISION)
-            rhs = eisenstein_for_genus(group, g, PRECISION)
+            lhs = QSeries(delta, *genus_eisenstein(group, PRECISION, g))
+            rhs = QSeries(delta, mass_row, mass_unit)
             if lhs[0] != 1 or rhs[0] != 1:
                 failures.append((delta, g, "constant-term"))
                 continue

@@ -2,6 +2,7 @@ from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +10,9 @@ from genusmass.class_group import build_class_group, prime_ideal_class
 from genusmass.forms import QuadForm, represented_coprime_value
 from genusmass.genus import build_genus_characters, character_pairs
 from genusmass.arith import kronecker, primes_up_to
-from oracles import character_value, fundamental_deltas, orthogonality_sum
+from genusmass.verify import verify_character_counts
+import genusmass.verify as verify
+from oracles import character_table_oracle, character_value, fundamental_deltas, orthogonality_sum
 
 deltas_strategy = st.sampled_from(fundamental_deltas(-250))
 
@@ -87,16 +90,25 @@ class TestCharacterValue:
     def test_built_characters_match_fresh_values(self):
         # the library multiplies the assigned characters the class group already
         # computed; the oracle searches a new value coprime to d for every genus
-        for delta in fundamental_deltas(-1000):
+        for delta in fundamental_deltas(-1000) + [-120120]:
             group = build_class_group(delta)
-            for chi in build_genus_characters(group):
-                expected = {g: character_value(group, chi.d, g) for g in group.genus_ids}
-                assert chi.values == expected, (delta, chi.d)
+            table = build_genus_characters(group)
+            assert table.dtype == np.int64
+            assert table.tolist() == character_table_oracle(group).tolist(), delta
 
     def test_zero_assigned_character_raises(self, cg84):
         signs = ((0,) + cg84.genus_signs[0][1:],) + cg84.genus_signs[1:]
         with pytest.raises(RuntimeError, match="assigned characters"):
             build_genus_characters(replace(cg84, genus_signs=signs))
+
+    def test_broken_product_relation_fails_character_counts(self, cg84, monkeypatch):
+        # a genus whose assigned characters multiply to -1 repeats another
+        # genus's column of the table, so X X^T != |G| I
+        signs = cg84.genus_signs[:-1] + ((-cg84.genus_signs[-1][0],) + cg84.genus_signs[-1][1:],)
+        monkeypatch.setattr(verify, "build_class_group", lambda delta: replace(cg84, genus_signs=signs))
+        record = verify_character_counts(-84)
+        assert not record.passed
+        assert record.detail == "the character table is not orthogonal: X X^T != 4 I"
 
     @given(deltas_strategy, st.data())
     @settings(max_examples=60, deadline=None)
@@ -114,24 +126,27 @@ class TestCharacterValue:
     @settings(max_examples=60, deadline=None)
     def test_homomorphism(self, delta):
         group = build_class_group(delta)
-        for chi in build_genus_characters(group):
-            for g1 in group.genus_ids:
-                for g2 in group.genus_ids:
-                    assert chi.value(group.genus_product(g1, g2)) == chi.value(g1) * chi.value(g2)
+        table = build_genus_characters(group)
+        col = {g: k for k, g in enumerate(group.genus_ids)}
+        for g1 in group.genus_ids:
+            for g2 in group.genus_ids:
+                product = table[:, col[group.genus_product(g1, g2)]]
+                assert product.tolist() == (table[:, col[g1]] * table[:, col[g2]]).tolist()
 
     @given(deltas_strategy)
     @settings(max_examples=40, deadline=None)
     def test_compatible_with_prime_translation(self, delta):
         # chi(genus of h*p) * chi(genus of h) does not depend on h
         group = build_class_group(delta)
-        chars = build_genus_characters(group)
+        table = build_genus_characters(group)
+        col = {g: k for k, g in enumerate(group.genus_ids)}
         for p in primes_up_to(20):
             if kronecker(delta, p) == -1:
                 continue
             hp = prime_ideal_class(group, p)
-            for chi in chars:
+            for row in table:
                 products = {
-                    chi.value(group.genus_of[group.compose(hp, h)]) * chi.value(group.genus_of[h])
+                    row[col[group.genus_of[group.compose(hp, h)]]] * row[col[group.genus_of[h]]]
                     for h in range(group.h)
                 }
                 assert len(products) == 1
@@ -150,13 +165,13 @@ class TestOrthogonality:
     @settings(max_examples=60, deadline=None)
     def test_row_orthogonality(self, delta):
         group = build_class_group(delta)
-        chars = build_genus_characters(group)
-        n = len(chars)
-        assert n == len(group.genus_ids)
-        for c1 in chars:
-            for c2 in chars:
-                total = sum(c1.value(g) * c2.value(g) for g in group.genus_ids)
-                assert total == (n if c1.d == c2.d else 0)
+        table = build_genus_characters(group)
+        n = len(group.genus_ids)
+        assert table.shape == (n, n)
+        for i, row_i in enumerate(table.tolist()):
+            for j, row_j in enumerate(table.tolist()):
+                total = sum(a * b for a, b in zip(row_i, row_j))
+                assert total == (n if i == j else 0)
 
     @given(deltas_strategy)
     @settings(max_examples=60, deadline=None)
@@ -169,6 +184,5 @@ class TestOrthogonality:
     def test_trivial_character_is_constant_one(self):
         for delta in (-3, -20, -84, -120):
             group = build_class_group(delta)
-            trivial = build_genus_characters(group)[0]
-            assert trivial.d == 1
-            assert all(trivial.value(g) == 1 for g in group.genus_ids)
+            assert character_pairs(delta)[0] == (1, delta)
+            assert build_genus_characters(group)[0].tolist() == [1] * len(group.genus_ids)

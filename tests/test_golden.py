@@ -46,7 +46,8 @@ def verify_lines(capsys) -> list[str]:
 
 def clear_caches():
     series.theta_matrix.cache_clear()
-    series._eisenstein_coeffs.cache_clear()
+    series._genus_sums.cache_clear()
+    series.eisenstein_matrix.cache_clear()
 
 
 def test_verify_json_matches_golden(capsys):

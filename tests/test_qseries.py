@@ -227,6 +227,16 @@ class TestDirichletConvolution:
         for f, g in ((chi, ones), (ones, chi), (chi, chi)):
             assert dirichlet_convolution(f, g).tolist() == dirichlet_convolution_sieve(f, g).tolist()
 
+    @given(st.integers(1, 6), st.integers(0, 120), st.sampled_from([np.int64, object]), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_stacked_rows_match_row_by_row(self, rows, n_max, dtype, data):
+        values = st.lists(st.integers(-1000, 1000), min_size=rows * (n_max + 1), max_size=rows * (n_max + 1))
+        f = np.array(data.draw(values), dtype=dtype).reshape(rows, n_max + 1)
+        g = np.array(data.draw(values), dtype=dtype).reshape(rows, n_max + 1)
+        out = dirichlet_convolution(f, g)
+        assert out.dtype == f.dtype and out.shape == f.shape
+        assert out.tolist() == [dirichlet_convolution(a, b).tolist() for a, b in zip(f, g)]
+
 
 class TestEigenform:
     def test_eisenstein_is_t_eigenform(self):

@@ -2,16 +2,19 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from genusmass.arith import kronecker
 from genusmass.class_group import build_class_group
 from genusmass.forms import QuadForm, automorph_count
-from genusmass.genus import build_genus_characters, character_pairs
+from genusmass.genus import character_pairs
+from genusmass.qseries import QSeries
 import genusmass.series as series
 from genusmass.series import (
     eisenstein_for_genus,
+    eisenstein_matrix,
     eisenstein_series,
     genus_eisenstein,
     kronecker_values,
@@ -30,6 +33,24 @@ from oracles import (
 )
 
 deltas_strategy = st.sampled_from(fundamental_deltas(-250))
+
+
+def rows_as_series(group, layer) -> list[QSeries]:
+    """The rows of a genus-layer matrix (coefficients, unit) as series."""
+    coeffs, unit = layer
+    return [QSeries(group.delta, row, unit) for row in coeffs]
+
+
+def genus_series(group, genus_id, n_max) -> QSeries:
+    return QSeries(group.delta, *genus_eisenstein(group, n_max, genus_id))
+
+
+def twisted_series(group, d, n_max) -> QSeries:
+    return QSeries(group.delta, *twisted_sum(group, n_max, d))
+
+
+def mass_series(group, genus_id, n_max) -> QSeries:
+    return rows_as_series(group, eisenstein_for_genus(group, n_max))[group.genus_ids.index(genus_id)]
 
 
 class TestTheta:
@@ -70,18 +91,19 @@ class TestTheta:
 
 class TestGenusAverages:
     def test_singleton_genus(self, cg20):
-        e = genus_eisenstein(cg20, cg20.principal_genus, 5)
+        e = genus_series(cg20, cg20.principal_genus, 5)
         assert e[5] == 2  # r([1,0,5], 5)
 
     def test_constant_term_one(self):
         for delta in (-20, -47, -84, -120):
             group = build_class_group(delta)
             for g in group.genus_ids:
-                assert genus_eisenstein(group, g, 8)[0] == 1
+                assert genus_series(group, g, 8)[0] == 1
 
     def test_single_genus_average(self):
         group = build_class_group(-47)
-        e = genus_eisenstein(group, 0, 20)
+        e = genus_series(group, 0, 20)
+        assert rows_as_series(group, genus_eisenstein(group, 20)) == [e]
         total = theta_series(group, 0, 20)
         for h in range(1, 5):
             total = total + theta_series(group, h, 20)
@@ -90,14 +112,12 @@ class TestGenusAverages:
 
 class TestTwistedSum:
     def test_trivial_character_constant(self, cg20):
-        chi = build_genus_characters(cg20)[0]
-        e = twisted_sum(cg20, chi, 10)
+        e = twisted_series(cg20, 1, 10)
         assert e[0] == Fraction(cg20.h, cg20.w) == 1
         assert e == class_average(cg20, 10)
 
     def test_first_coefficient(self, cg20):
-        chi = [c for c in build_genus_characters(cg20) if c.d == 5][0]
-        e = twisted_sum(cg20, chi, 1)
+        e = twisted_series(cg20, 5, 1)
         assert e[0] == 0
         assert e[1] == 1
 
@@ -105,9 +125,8 @@ class TestTwistedSum:
     @settings(max_examples=50, deadline=None)
     def test_nontrivial_characters_kill_constant(self, delta):
         group = build_class_group(delta)
-        for chi in build_genus_characters(group):
-            constant = twisted_sum(group, chi, 4)[0]
-            assert constant == (Fraction(group.h, group.w) if chi.d == 1 else 0)
+        for (d, _), twisted in zip(character_pairs(delta), rows_as_series(group, twisted_sum(group, 4))):
+            assert twisted[0] == (Fraction(group.h, group.w) if d == 1 else 0)
 
 
 class TestEisenstein:
@@ -175,6 +194,26 @@ class TestKroneckerValues:
         with pytest.raises(ValueError):
             kronecker_values(delta, a, 0, 10)
 
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_legendre_tables_in_blocks(self, monkeypatch, block):
+        """The odd prime tables filled from blocks of 1 and of 7 squares equal the
+        table filled from all squares at once; -10000003 = 13 * 769231."""
+        series._prime_tables.cache_clear()
+        monkeypatch.setattr(series, "L_ZERO_BLOCK", block)
+        try:
+            for delta in (-3, -84, -455, -10000003):
+                odd = [(p, table) for p, table in series._prime_tables(delta) if p % 2]
+                assert odd
+                for p, table in odd:
+                    m = abs(p)
+                    expected = np.full(m, -1, dtype=np.int8)
+                    expected[0] = 0
+                    x = np.arange(1, (m + 1) // 2, dtype=np.int64)
+                    expected[x * x % m] = 1
+                    assert np.array_equal(table, expected), (delta, p)
+        finally:
+            series._prime_tables.cache_clear()
+
 
 class TestLZero:
     @pytest.mark.parametrize("delta,expected", [(-4, Fraction(1, 2)), (-3, Fraction(1, 3)), (-20, 2)])
@@ -208,7 +247,7 @@ class TestLZero:
 class TestMassFormulaSeries:
     def test_unique_class_case(self):
         group = build_class_group(-4)
-        rhs = eisenstein_for_genus(group, 0, 10)
+        rhs = mass_series(group, 0, 10)
         assert rhs == eisenstein_series(1, -4, 10).scale(4)
         assert rhs[1] == 4
 
@@ -216,11 +255,11 @@ class TestMassFormulaSeries:
         for delta in (-4, -20, -84, -47):
             group = build_class_group(delta)
             for g in group.genus_ids:
-                assert eisenstein_for_genus(group, g, 4)[0] == 1
+                assert mass_series(group, g, 4)[0] == 1
 
     def test_nonprincipal_first_coefficient(self, cg20):
         other = [g for g in cg20.genus_ids if g != cg20.principal_genus][0]
-        assert eisenstein_for_genus(cg20, other, 3)[1] == 0  # r([2,2,3], 1) = 0
+        assert mass_series(cg20, other, 3)[1] == 0  # r([2,2,3], 1) = 0
 
 
 class TestIdentities:
@@ -240,15 +279,16 @@ class TestIdentities:
     @settings(max_examples=30, deadline=None)
     def test_twisted_equals_eisenstein(self, delta):
         group = build_class_group(delta)
-        for chi in build_genus_characters(group):
-            assert twisted_sum(group, chi, 50) == eisenstein_series(chi.d, chi.D, 50)
+        twisted = rows_as_series(group, twisted_sum(group, 50))
+        assert twisted == [eisenstein_series(d, big_d, 50) for d, big_d in character_pairs(delta)]
+        assert twisted == rows_as_series(group, eisenstein_matrix(delta, 50))
 
     @given(deltas_strategy)
     @settings(max_examples=30, deadline=None)
     def test_genus_average_equals_character_combination(self, delta):
         group = build_class_group(delta)
-        for g in group.genus_ids:
-            assert genus_eisenstein(group, g, 50) == eisenstein_for_genus(group, g, 50)
+        averages = rows_as_series(group, genus_eisenstein(group, 50))
+        assert averages == rows_as_series(group, eisenstein_for_genus(group, 50))
 
     def test_constant_term_chain(self):
         # constant of (1/w) sum theta = h/w = L(0)/2 = constant of E_{1,delta}

@@ -26,6 +26,15 @@ from oracles import dirichlet_l1_oracle, fundamental_deltas, kronecker_table
 SAMPLED_DELTAS = random.Random(20000).sample(fundamental_deltas(-20000), 12)
 
 
+def untimed_line(report) -> str:
+    """The report's JSON line without its elapsed_ms fields."""
+    data = json.loads(report_json_line(report))
+    data.pop("elapsed_ms")
+    for check in data["checks"]:
+        check.pop("elapsed_ms")
+    return json.dumps(data)
+
+
 class TestExactChecks:
     @pytest.mark.parametrize("delta", [-3, -4, -7, -20, -23, -47, -84, -120])
     def test_gauss(self, delta):
@@ -107,11 +116,11 @@ def wrong_l_zero(monkeypatch):
     def wrong(delta):
         return l_zero(delta) + Fraction(2, automorph_count(delta))
 
-    series._eisenstein_coeffs.cache_clear()
+    series.eisenstein_matrix.cache_clear()
     monkeypatch.setattr(series, "l_zero", wrong)
     monkeypatch.setattr(verify, "l_zero", wrong)
     yield
-    series._eisenstein_coeffs.cache_clear()
+    series.eisenstein_matrix.cache_clear()
 
 
 @pytest.mark.parametrize("delta", [-3, -20, -84])
@@ -144,7 +153,7 @@ def flipped_table(monkeypatch):
 
     def clear_caches():
         original.cache_clear()
-        series._eisenstein_coeffs.cache_clear()
+        series.eisenstein_matrix.cache_clear()
         series.l_zero.cache_clear()
 
     clear_caches()
@@ -210,8 +219,8 @@ class TestRunSuite:
     def test_report_schema_and_determinism(self):
         first = run_suite([-20, -19], n_max=30, primes_bound=8)
         second = run_suite([-20, -19], n_max=30, primes_bound=8)
-        lines1 = [report_json_line(r, include_timing=False) for r in first]
-        lines2 = [report_json_line(r, include_timing=False) for r in second]
+        lines1 = [untimed_line(r) for r in first]
+        lines2 = [untimed_line(r) for r in second]
         assert lines1 == lines2
         data = json.loads(lines1[0])
         assert data["delta"] == -20
@@ -228,9 +237,7 @@ class TestRunSuite:
         serial = run_suite(deltas, n_max=20, primes_bound=5)
         parallel = run_suite(deltas, n_max=20, primes_bound=5, workers=2)
         assert [r.delta for r in parallel] == deltas
-        assert [report_json_line(r, include_timing=False) for r in serial] == [
-            report_json_line(r, include_timing=False) for r in parallel
-        ]
+        assert [untimed_line(r) for r in serial] == [untimed_line(r) for r in parallel]
 
 
 def test_delta_range_is_descending_inclusive():
