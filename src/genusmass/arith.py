@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import numpy as np
+
 __all__ = [
     "kronecker",
     "is_fundamental",
@@ -12,6 +14,7 @@ __all__ = [
     "factorize",
     "is_squarefree",
     "prime_discriminant_factorization",
+    "prime_discriminant_tables",
     "distinct_prime_count",
     "is_prime",
     "primes_up_to",
@@ -168,6 +171,34 @@ def prime_discriminant_factorization(delta: int) -> tuple[int, ...]:
     if even_part != 1:
         factors.append(even_part)
     return tuple(sorted(factors, key=abs))
+
+
+# An odd prime discriminant's table is filled from blocks of this many squares,
+# so that its int64 working memory does not grow with |delta|.
+SQUARES_BLOCK = 1 << 16
+
+
+@lru_cache(maxsize=1)
+def prime_discriminant_tables(delta: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """(p, [(p|r) for r in range(|p|)] as int8) for each prime discriminant p of
+    delta; read-only, and kept for the last delta only.  An odd prime
+    discriminant's character at r >= 0 is the Legendre symbol (r|p); the -4, 8
+    or -8 factor has period at most 8 and is read from kronecker itself."""
+    tables = []
+    for factor in prime_discriminant_factorization(delta):
+        m = abs(factor)
+        if m % 2:
+            table = np.full(m, -1, dtype=np.int8)
+            table[0] = 0
+            half = (m + 1) // 2
+            for start in range(1, half, SQUARES_BLOCK):
+                x = np.arange(start, min(start + SQUARES_BLOCK, half), dtype=np.int64)
+                table[x * x % m] = 1
+        else:
+            table = np.array([kronecker(factor, r) for r in range(m)], dtype=np.int8)
+        table.setflags(write=False)
+        tables.append((factor, table))
+    return tuple(tables)
 
 
 def distinct_prime_count(delta: int) -> int:

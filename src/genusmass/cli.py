@@ -7,8 +7,10 @@ import json
 import sys
 from typing import Optional
 
+import numpy as np
+
 from .arith import is_fundamental, is_squarefree
-from .class_group import ClassGroup, build_class_group
+from .class_group import ClassGroup, build_class_group, compose_rows
 from .genus import build_genus_characters, character_pairs
 from .qseries import QSeries
 from .series import (
@@ -69,13 +71,24 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+# The classgroup table composes its pairs in blocks of whole rows of at most
+# this many products, so that its working memory does not grow with h^2.
+TABLE_BLOCK = 1 << 14
+
+
 def _composition_table(group: ClassGroup) -> list[list[int]]:
-    """Every product i*j, composed once per unordered pair."""
-    table = [[0] * group.h for _ in range(group.h)]
-    for i in range(group.h):
-        for j in range(i, group.h):
-            table[i][j] = table[j][i] = group.compose(i, j)
-    return table
+    """Every product i*j, composed once per unordered pair i <= j, one compose_rows
+    call per block of rows."""
+    h = group.h
+    table = np.empty((h, h), dtype=np.int64)
+    step = max(1, TABLE_BLOCK // h)
+    for start in range(0, h, step):
+        i = np.repeat(np.arange(start, min(start + step, h)), h)
+        j = np.tile(np.arange(h), len(i) // h)
+        upper = np.flatnonzero(j >= i)
+        i, j = i[upper], j[upper]
+        table[i, j] = table[j, i] = compose_rows(group, i, j)
+    return table.tolist()
 
 
 def cmd_classgroup(args: argparse.Namespace) -> int:

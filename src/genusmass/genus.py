@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import prod
 
@@ -35,20 +36,29 @@ def character_pairs(delta: int) -> list[tuple[int, int]]:
 
 
 def build_genus_characters(group: ClassGroup) -> np.ndarray:
-    """The character table X of the genus group, as an int64 matrix:
+    """The character table X of the genus group, as a read-only int64 matrix:
     X[i, k] = chi_{d_i}(genus_ids[k]), with rows in character_pairs order.
 
     chi_{d,D}(g) = (d|r) for a value r of the genus coprime to delta, so it is the
     product of the genus's assigned characters (p|r) over the prime
     discriminants p that divide d: -1 to the number of those that are -1.
+    Built once per discriminant: only the last table is kept, keyed on delta
+    and on the genera's ids and assigned characters.
     """
-    factors = prime_discriminant_factorization(group.delta)
-    signs = np.array(group.genus_signs, dtype=np.int64).reshape(len(group.genus_ids), len(factors))
+    return _character_table(group.delta, group.genus_ids, group.genus_signs)
+
+
+@lru_cache(maxsize=1)
+def _character_table(delta: int, genus_ids: tuple[int, ...],
+                     genus_signs: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    factors = prime_discriminant_factorization(delta)
+    signs = np.array(genus_signs, dtype=np.int64).reshape(len(genus_ids), len(factors))
     bad = (np.abs(signs) != 1).any(axis=1)
     if bad.any():
         k = int(bad.argmax())
-        raise RuntimeError(f"genus {group.genus_ids[k]} of {group.delta}: "
-                           f"assigned characters {group.genus_signs[k]}")
-    divides = np.array([[d % p == 0 for p in factors] for d, _ in character_pairs(group.delta)],
+        raise RuntimeError(f"genus {genus_ids[k]} of {delta}: assigned characters {genus_signs[k]}")
+    divides = np.array([[d % p == 0 for p in factors] for d, _ in character_pairs(delta)],
                        dtype=np.int64)
-    return 1 - 2 * ((divides @ (signs < 0).T.astype(np.int64)) % 2)
+    table = 1 - 2 * ((divides @ (signs < 0).T.astype(np.int64)) % 2)
+    table.setflags(write=False)
+    return table

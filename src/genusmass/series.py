@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import kronecker, prime_discriminant_factorization
+from .arith import prime_discriminant_tables
 from .class_group import ClassGroup, build_class_group
 from .forms import INT64_BOUND, representation_counts
 from .genus import build_genus_characters, character_pairs
@@ -118,33 +118,9 @@ def twisted_sum(group: ClassGroup, n_max: int, d=None) -> tuple[np.ndarray, Frac
     return table @ _genus_sums(group.delta, n_max), Fraction(1, group.w)
 
 
-# L(0) sums its character over blocks of this many residues, and an odd prime
-# discriminant's table is filled from blocks of this many squares, so that
-# neither needs int64 working memory that grows with |delta|.
+# L(0) sums its character over blocks of this many residues, so that it needs
+# no int64 working memory that grows with |delta|.
 L_ZERO_BLOCK = 1 << 16
-
-
-@lru_cache(maxsize=1)
-def _prime_tables(delta: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """(p, [(p|r) for r in range(|p|)] as int8) for each prime discriminant p of
-    delta; read-only, and kept for the last delta only.  An odd prime
-    discriminant's character at r >= 0 is the Legendre symbol (r|p); the -4, 8
-    or -8 factor has period at most 8 and is read from kronecker itself."""
-    tables = []
-    for factor in prime_discriminant_factorization(delta):
-        m = abs(factor)
-        if m % 2:
-            table = np.full(m, -1, dtype=np.int8)
-            table[0] = 0
-            half = (m + 1) // 2
-            for start in range(1, half, L_ZERO_BLOCK):
-                x = np.arange(start, min(start + L_ZERO_BLOCK, half), dtype=np.int64)
-                table[x * x % m] = 1
-        else:
-            table = np.array([kronecker(factor, r) for r in range(m)], dtype=np.int8)
-        table.setflags(write=False)
-        tables.append((factor, table))
-    return tuple(tables)
 
 
 def _periodic(table: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -165,7 +141,7 @@ def kronecker_values(delta: int, a: int, start: int, stop: int) -> np.ndarray:
     (p|m) is the table of p read at m mod |p|."""
     out = np.ones(stop - start, dtype=np.int8)
     product = 1
-    for p, table in _prime_tables(delta):
+    for p, table in prime_discriminant_tables(delta):
         if a % p == 0:
             out *= _periodic(table, start, stop)
             product *= p

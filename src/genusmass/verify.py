@@ -211,7 +211,7 @@ def _suite_job(args: tuple[int, int, int]) -> VerificationReport:
     for p in primes_up_to(primes_bound):
         # prime_checks computes each identity on demand: time each one on its own
         t0 = time.perf_counter()
-        for result in prime_checks(group, p, n_max):
+        for result in prime_checks(group, p, n_max, primes_bound):
             elapsed_ms = _ms_since(t0)
             detail = "exact" if result.passed else json.dumps(result.to_dict()["first_mismatch"])
             checks.append(

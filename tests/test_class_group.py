@@ -4,13 +4,14 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import genusmass
 from genusmass import class_group
-from genusmass.arith import distinct_prime_count, kronecker, primes_up_to
-from genusmass.class_group import build_class_group, prime_form, prime_ideal_class
+from genusmass.arith import distinct_prime_count, kronecker, prime_discriminant_factorization, primes_up_to
+from genusmass.class_group import build_class_group, compose_rows, prime_form, prime_ideal_class
 from genusmass.forms import QuadForm, reduce_form, reduced_forms, represented_coprime_value
 from oracles import (
     IdealBasis,
@@ -205,6 +206,23 @@ def _squares_principal(f1, f2):
     return _true_compose(f1, f2)
 
 
+_true_compose_arrays = class_group._compose_arrays
+
+
+def _first_argument_rows(f1, f2):
+    return f1.T.copy()
+
+
+def _no_inverses_rows(f1, f2):
+    opposite_rows = (f1[:, 0] == f2[:, 0]) & (f1[:, 1] == -f2[:, 1]) & (f1[:, 1] != 0)
+    return np.where(opposite_rows, f1.T, _true_compose_arrays(f1, f2))
+
+
+def _squares_principal_rows(f1, f2):
+    squares = (f1 == f2).all(axis=1)
+    return np.where(squares, _true_compose_arrays(f1, f1 * [1, -1, 1]), _true_compose_arrays(f1, f2))
+
+
 class TestBuildChecks:
     @pytest.mark.parametrize(
         "law,delta,message",
@@ -215,34 +233,183 @@ class TestBuildChecks:
         ],
     )
     def test_wrong_law_raises(self, monkeypatch, law, delta, message):
+        monkeypatch.setattr(class_group, "ARRAY_MIN_ROWS", float("inf"))
         monkeypatch.setattr(class_group, "_compose_triples", law)
         with pytest.raises(RuntimeError, match=message):
             build_class_group.__wrapped__(delta)
 
+    @pytest.mark.parametrize(
+        "law,delta,message",
+        [
+            (_first_argument_rows, -23, "not the identity"),
+            (_no_inverses_rows, -23, "inverse law"),
+            (_squares_principal_rows, -47, "principal genus"),
+        ],
+    )
+    def test_wrong_law_raises_on_the_array_path(self, monkeypatch, law, delta, message):
+        """The same three wrong laws, written for the array kernel."""
+        monkeypatch.setattr(class_group, "ARRAY_MIN_ROWS", 0)
+        monkeypatch.setattr(class_group, "_compose_arrays", law)
+        with pytest.raises(RuntimeError, match=message):
+            build_class_group.__wrapped__(delta)
+
+    def test_wrong_array_law_raises_under_optimize(self):
+        out = _build_under_optimize("cg.ARRAY_MIN_ROWS = 0\n"
+                                    "cg._compose_arrays = lambda f1, f2: f1.T.copy()\n")
+        assert "not the identity" in out
+
     def test_wrong_law_raises_under_optimize(self):
-        code = (
-            "import sys\n"
-            "import genusmass.class_group as cg\n"
-            "if not sys.flags.optimize:\n"
-            "    sys.exit('not optimized')\n"
-            "cg._compose_triples = lambda f1, f2: f1\n"
-            "try:\n"
-            "    cg.build_class_group(-23)\n"
-            "except RuntimeError as exc:\n"
-            "    print(exc)\n"
-            "else:\n"
-            "    sys.exit('no error raised')\n"
-        )
-        src = os.path.dirname(os.path.dirname(genusmass.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        run = subprocess.run(
-            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert run.returncode == 0, run.stderr
-        assert "not the identity" in run.stdout
+        out = _build_under_optimize("cg.ARRAY_MIN_ROWS = float('inf')\n"
+                                    "cg._compose_triples = lambda f1, f2: f1\n")
+        assert "not the identity" in out
+
+
+def _build_under_optimize(setup: str) -> str:
+    """Build the class group of -23 under python -O after the lines setup (with
+    genusmass.class_group as cg); the RuntimeError the build raises, printed."""
+    code = (
+        "import sys\n"
+        "import genusmass.class_group as cg\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit('not optimized')\n"
+        + setup
+        + "try:\n"
+        "    cg.build_class_group(-23)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    sys.exit('no error raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(genusmass.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def _pairs(h, rng=None, count=None):
+    """Every (i, j) of h classes, or count seeded ones, as two int arrays."""
+    if rng is None:
+        i, j = np.divmod(np.arange(h * h), h)
+        return i, j
+    return np.array([rng.randrange(h) for _ in range(count)]), np.array([rng.randrange(h) for _ in range(count)])
+
+
+@pytest.fixture(params=["scalar", "array"])
+def compose_path(request, monkeypatch):
+    """compose_rows on its scalar loop (crossover at infinity) or on the array
+    kernel (crossover at 0)."""
+    monkeypatch.setattr(class_group, "ARRAY_MIN_ROWS", 0 if request.param == "array" else float("inf"))
+    return request.param
+
+
+def _expected_products(group, i, j):
+    """The oracle's (coefficient-level composition) class of each product, checked
+    against the scalar law _compose_triples on the way."""
+    expected = []
+    for a, b in zip(i.tolist(), j.tolist()):
+        f1, f2 = group.classes[a], group.classes[b]
+        product = group.index_of[compose_forms_oracle(f1, f2).triple()]
+        assert product == group.index_of[class_group._compose_triples(f1.triple(), f2.triple())]
+        expected.append(product)
+    return expected
+
+
+class TestComposeRows:
+    def test_every_pair_matches_oracle_and_scalar(self, compose_path):
+        for delta in fundamental_deltas(-1000):
+            group = build_class_group(delta)
+            i, j = _pairs(group.h)
+            products = compose_rows(group, i, j)
+            assert products.dtype == np.int64
+            assert products.tolist() == _expected_products(group, i, j), delta
+
+    @pytest.mark.parametrize("delta", [-400391, -10000003])
+    def test_seeded_pairs_of_large_groups(self, compose_path, delta):
+        group = build_class_group(delta)
+        i, j = _pairs(group.h, random.Random(delta), 2000)
+        assert compose_rows(group, i, j).tolist() == _expected_products(group, i, j)
+
+    def test_crossover_is_a_row_count(self, monkeypatch):
+        """Below ARRAY_MIN_ROWS rows the scalar law runs, from it on the array kernel."""
+        group = build_class_group(-84)
+        calls = []
+        monkeypatch.setattr(class_group, "_compose_triples",
+                            lambda f1, f2: calls.append(1) or _true_compose(f1, f2))
+        i, j = _pairs(group.h)
+        monkeypatch.setattr(class_group, "ARRAY_MIN_ROWS", len(i) + 1)
+        compose_rows(group, i, j)
+        assert len(calls) == len(i)
+        monkeypatch.setattr(class_group, "ARRAY_MIN_ROWS", len(i))
+        compose_rows(group, i, j)
+        assert len(calls) == len(i)
+
+    def test_empty_rows(self, compose_path):
+        products = compose_rows(build_class_group(-84), [], [])
+        assert products.dtype == np.int64 and products.shape == (0,)
+
+    def test_result_that_is_no_class_raises(self, monkeypatch):
+        monkeypatch.setattr(class_group, "ARRAY_MIN_ROWS", 0)
+        monkeypatch.setattr(class_group, "_compose_arrays", lambda f1, f2: (f1 + [1, 0, 0]).T)
+        with pytest.raises(RuntimeError, match="not a class"):
+            compose_rows(build_class_group(-84), [0, 1], [1, 2])
+
+    def test_int64_bound(self, monkeypatch):
+        """The array path refuses |delta| whose (2|delta|/3)^2 + |delta| reaches
+        INT64_BOUND: 3220 at -84.  The scalar path has Python ints and no bound."""
+        group = build_class_group(-84)
+        i, j = _pairs(group.h)
+        monkeypatch.setattr(class_group, "INT64_BOUND", 3221)
+        monkeypatch.setattr(class_group, "ARRAY_MIN_ROWS", 0)
+        assert compose_rows(group, i, j).tolist() == [group.compose(a, b) for a, b in zip(i, j)]
+        monkeypatch.setattr(class_group, "INT64_BOUND", 3220)
+        with pytest.raises(ValueError, match="too large"):
+            compose_rows(group, i, j)
+        monkeypatch.setattr(class_group, "ARRAY_MIN_ROWS", float("inf"))
+        assert compose_rows(group, i, j).tolist() == [group.compose(a, b) for a, b in zip(i, j)]
+
+
+def _scalar_genera(delta):
+    """genus_of, genus_ids and genus_signs from one scalar kronecker per class and
+    prime discriminant, the first class of each sign tuple naming its genus."""
+    first_of, genus_of = {}, []
+    for i, q in enumerate(reduced_forms(delta)):
+        r = represented_coprime_value(q, -delta)
+        signs = tuple(kronecker(p, r) for p in prime_discriminant_factorization(delta))
+        genus_of.append(first_of.setdefault(signs, i))
+    return tuple(genus_of), tuple(first_of.values()), tuple(first_of)
 
 
 class TestBuildClassGroup:
+    def test_genus_signs_match_scalar_kronecker(self):
+        for delta in fundamental_deltas(-3000) + [-120120, -400391]:
+            group = build_class_group(delta)
+            assert (group.genus_of, group.genus_ids, group.genus_signs) == _scalar_genera(delta), delta
+
+    def test_zero_assigned_character_is_a_genus_of_its_own(self, monkeypatch):
+        """A 0 read from a table (here (p|1) for the largest p of -455, read for
+        the principal class, whose value is 1) is kept apart from +-1: the
+        principal class alone has that sign row, so the principal genus is not
+        the squares, and the build refuses."""
+        original = class_group.prime_discriminant_tables
+
+        def zeroed(delta):
+            tables = original(delta)
+            p, table = tables[-1]
+            table = table.copy()
+            table[1] = 0
+            return tables[:-1] + ((p, table),)
+
+        monkeypatch.setattr(class_group, "prime_discriminant_tables", zeroed)
+        with pytest.raises(RuntimeError, match="principal genus"):
+            build_class_group.__wrapped__(-455)
+
+    def test_inverses_are_the_opposite_forms(self):
+        for delta in fundamental_deltas(-1000) + [-400391]:
+            group = build_class_group(delta)
+            for q, inverse in zip(group.classes, group.inverses):
+                assert group.classes[inverse] == reduce_form(opposite(q)), (delta, q)
+
     def test_structures(self):
         g4 = build_class_group(-4)
         assert g4.h == 1 and g4.genus_ids == (0,)

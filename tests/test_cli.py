@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+import genusmass.class_group as class_group
+import genusmass.cli as cli
+from genusmass.class_group import build_class_group
 from genusmass.cli import main, parse_disc
 from oracles import series_from_json
 
@@ -46,6 +49,18 @@ class TestClassgroup:
         assert data["h"] == 4
         assert len(data["characters"]) == 4
         assert data["composition_table"][0] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 14])
+    @pytest.mark.parametrize("crossover", [0, float("inf")])
+    def test_composition_table_in_blocks(self, monkeypatch, block, crossover):
+        """The table from blocks of one row (block 1 < h), of a few rows, and of
+        all rows, on both paths of compose_rows, is the table of ClassGroup.compose."""
+        monkeypatch.setattr(cli, "TABLE_BLOCK", block)
+        monkeypatch.setattr(class_group, "ARRAY_MIN_ROWS", crossover)
+        for delta in (-3, -84, -455, -5460):
+            group = build_class_group(delta)
+            expected = [[group.compose(i, j) for j in range(group.h)] for i in range(group.h)]
+            assert cli._composition_table(group) == expected, delta
 
     def test_csv_not_supported(self, capsys):
         code, _, err = run_cli(capsys, "classgroup", "--disc", "-20", "--format", "csv")

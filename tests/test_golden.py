@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import genusmass.genus as genus
 import genusmass.series as series
 from genusmass.cli import main
 from genusmass.verify import run_suite
@@ -48,6 +49,7 @@ def clear_caches():
     series.theta_matrix.cache_clear()
     series._genus_sums.cache_clear()
     series.eisenstein_matrix.cache_clear()
+    genus._character_table.cache_clear()
 
 
 def test_verify_json_matches_golden(capsys):

@@ -3,10 +3,12 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import genusmass.hecke as hecke
+
 from genusmass.arith import kronecker, primes_up_to
 from genusmass.class_group import build_class_group, prime_ideal_class
 from genusmass.hecke import (
-    _split_translates,
+    _prime_layer,
     check_eigenform,
     check_genus_permutation,
     check_inert_theta,
@@ -16,6 +18,7 @@ from genusmass.hecke import (
 )
 from genusmass.qseries import QSeries, apply_T, apply_U
 from genusmass.series import genus_eisenstein, theta_series
+from genusmass.verify import run_suite
 from oracles import (
     agrees_with,
     classify_prime,
@@ -149,14 +152,51 @@ class TestPerClassIdentities:
     def test_conjugate_translate_from_the_inverse_map(self):
         for delta in fundamental_deltas(-1000) + [-400391]:
             group = build_class_group(delta)
+            layer = _prime_layer(delta, 50)
             for p in primes_up_to(50):
                 if kronecker(delta, p) != 1:
                     continue
                 hp = prime_ideal_class(group, p)
-                perm, perm_bar = _split_translates(group, hp)
-                assert perm.tolist() == [group.compose(h, hp) for h in range(group.h)]
+                assert layer.perms[p].tolist() == [group.compose(h, hp) for h in range(group.h)]
                 expected = [group.compose(h, group.inverse(hp)) for h in range(group.h)]
-                assert perm_bar.tolist() == expected, (delta, p)
+                assert layer.conjugates[p].tolist() == expected, (delta, p)
+
+
+class TestPrimeLayer:
+    @pytest.mark.parametrize("delta", [-84, -455, -400391])
+    def test_one_character_value_and_prime_class_per_prime(self, monkeypatch, delta):
+        """A suite run reads (delta|p) and the prime class of each p once, from one
+        layer, for all the identities at all the primes."""
+        counts = {"kronecker": [], "prime_class": []}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name].append(args[1])
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(hecke, "kronecker", counted("kronecker", hecke.kronecker))
+        monkeypatch.setattr(hecke, "prime_ideal_class", counted("prime_class", hecke.prime_ideal_class))
+        _prime_layer.cache_clear()
+        report = run_suite([delta], n_max=30, primes_bound=50, workers=1)[0]
+        assert report.passed
+        primes = primes_up_to(50)
+        assert counts["kronecker"] == primes
+        assert counts["prime_class"] == [p for p in primes if kronecker(delta, p) != -1]
+
+    def test_genus_targets_are_the_genera_of_the_translates(self):
+        for delta in (-84, -420, -5460, -120120):
+            group = build_class_group(delta)
+            layer = _prime_layer(delta, 30)
+            for p, perm in layer.perms.items():
+                assert layer.genus_row.tolist() == [group.genus_ids.index(g) for g in group.genus_of]
+                gp = group.genus_of[prime_ideal_class(group, p)]
+                expected = [group.genus_ids.index(group.genus_product(g, gp)) for g in group.genus_ids]
+                assert layer.genus_row[perm[list(group.genus_ids)]].tolist() == expected, (delta, p)
+
+    def test_composite_p_is_refused(self):
+        with pytest.raises(ValueError, match="not prime"):
+            check_eigenform(build_class_group(-84), 9, 20)
 
 
 def genus_series(group, genus_id, n_max) -> QSeries:

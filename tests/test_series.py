@@ -11,6 +11,7 @@ from genusmass.class_group import build_class_group
 from genusmass.forms import QuadForm, automorph_count
 from genusmass.genus import character_pairs
 from genusmass.qseries import QSeries
+import genusmass.arith as arith
 import genusmass.series as series
 from genusmass.series import (
     eisenstein_for_genus,
@@ -198,11 +199,11 @@ class TestKroneckerValues:
     def test_legendre_tables_in_blocks(self, monkeypatch, block):
         """The odd prime tables filled from blocks of 1 and of 7 squares equal the
         table filled from all squares at once; -10000003 = 13 * 769231."""
-        series._prime_tables.cache_clear()
-        monkeypatch.setattr(series, "L_ZERO_BLOCK", block)
+        arith.prime_discriminant_tables.cache_clear()
+        monkeypatch.setattr(arith, "SQUARES_BLOCK", block)
         try:
             for delta in (-3, -84, -455, -10000003):
-                odd = [(p, table) for p, table in series._prime_tables(delta) if p % 2]
+                odd = [(p, table) for p, table in arith.prime_discriminant_tables(delta) if p % 2]
                 assert odd
                 for p, table in odd:
                     m = abs(p)
@@ -212,7 +213,7 @@ class TestKroneckerValues:
                     expected[x * x % m] = 1
                     assert np.array_equal(table, expected), (delta, p)
         finally:
-            series._prime_tables.cache_clear()
+            arith.prime_discriminant_tables.cache_clear()
 
 
 class TestLZero:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import genusmass.class_group as class_group
+import genusmass.genus as genus
 import genusmass.series as series
 import genusmass.verify as verify
 from genusmass.arith import kronecker
@@ -137,9 +139,10 @@ def test_checks_fail_on_wrong_l_zero(wrong_l_zero, delta):
 @pytest.fixture
 def flipped_table(monkeypatch):
     """(p|1) negated in the table of the largest prime discriminant p of
-    target["delta"], read where the library reads the tables; the caches that
-    hold character values are cleared on the way in and out."""
-    original = series._prime_tables
+    target["delta"], read where the series read the tables (the class group
+    reads them on its own: target["flipped"] is the flipped reader); the caches
+    that hold character values are cleared on the way in and out."""
+    original = series.prime_discriminant_tables
     target = {}
 
     def flipped(delta):
@@ -155,9 +158,11 @@ def flipped_table(monkeypatch):
         original.cache_clear()
         series.eisenstein_matrix.cache_clear()
         series.l_zero.cache_clear()
+        genus._character_table.cache_clear()
 
     clear_caches()
-    monkeypatch.setattr(series, "_prime_tables", flipped)
+    monkeypatch.setattr(series, "prime_discriminant_tables", flipped)
+    target["flipped"] = flipped
     yield target
     clear_caches()
 
@@ -173,6 +178,26 @@ def test_checks_fail_on_flipped_character_table(flipped_table, delta):
     failed = [c.name for c in report.checks if not c.passed]
     assert failed[:3] == ["gauss_average", "twisted_eisenstein", "genus_mass"]
     assert set(failed[3:]) <= {"dirichlet_class_number"}
+
+
+@pytest.mark.parametrize("delta", [-84, -455])
+def test_flipped_table_in_the_genera_is_caught(flipped_table, monkeypatch, delta):
+    """The class group reads the assigned characters of its genera from the same
+    tables.  The flip gives the principal class (value 1) the wrong characters:
+    at -455 that splits the principal genus, which the build refuses; at -84,
+    with one class per genus, the build stands and its character table is not
+    orthogonal."""
+    flipped_table["delta"] = delta
+    monkeypatch.setattr(class_group, "prime_discriminant_tables", flipped_table["flipped"])
+    if delta == -455:
+        with pytest.raises(RuntimeError, match="principal genus"):
+            build_class_group.__wrapped__(delta)
+        return
+    group = build_class_group.__wrapped__(delta)
+    monkeypatch.setattr(verify, "build_class_group", lambda d: group)
+    record = verify_character_counts(delta)
+    assert not record.passed
+    assert record.detail == "the character table is not orthogonal: X X^T != 4 I"
 
 
 class TestRunSuite:
