@@ -149,22 +149,8 @@ class ClassGroup:
     def w(self) -> int:
         return automorph_count(self.delta)
 
-    def compose(self, h1: int, h2: int) -> int:
-        return int(compose_rows(self, [h1], [h2])[0])
-
-    def inverse(self, h: int) -> int:
-        return self.inverses[h]
-
     def genus_members(self, genus_id: int) -> tuple[int, ...]:
         return tuple(i for i in range(self.h) if self.genus_of[i] == genus_id)
-
-    def genus_product(self, g1: int, g2: int) -> int:
-        """Product in the genus group G = H/H^2, via coset representatives."""
-        return self.genus_of[self.compose(g1, g2)]
-
-    @property
-    def principal_genus(self) -> int:
-        return self.genus_of[self.identity]
 
 
 # compose_rows runs the scalar _compose_triples loop below this many rows, and

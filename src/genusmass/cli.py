@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import Optional
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .series import (
     theta_series,
     twisted_sum,
 )
-from .verify import delta_range, report_json_line, run_suite
+from .verify import VerificationReport, delta_range, iter_suite, report_json_line
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -60,15 +62,41 @@ def require_fundamental(delta: int) -> None:
         raise UsageError(explain_not_fundamental(delta))
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
+@contextmanager
+def _output(out: Optional[str]) -> Iterator[Callable[[str], None]]:
+    """A write(text) to stdout, or to the file out, which is opened first; each
+    text is flushed as it is written.  An OSError on out is a usage error."""
+
+    def unwritable(exc: OSError) -> UsageError:
+        return UsageError(f"cannot write {out}: {exc.strerror}")
+
+    try:
+        fh = open(out, "w", encoding="utf-8") if out else sys.stdout
+    except OSError as exc:
+        raise unwritable(exc) from None
+
+    def write(text: str) -> None:
         try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            fh.write(text)
+            fh.flush()
         except OSError as exc:
-            raise UsageError(f"cannot write {out}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(text)
+            if not out:
+                raise
+            raise unwritable(exc) from None
+
+    try:
+        yield write
+    finally:
+        if out:
+            try:
+                fh.close()  # after a failed write, this fails on the text still buffered
+            except OSError as exc:
+                raise unwritable(exc) from None
+
+
+def _emit(text: str, out: Optional[str]) -> None:
+    with _output(out) as write:
+        write(text)
 
 
 # The classgroup table composes its pairs in blocks of whole rows of at most
@@ -205,28 +233,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("verify needs --disc or --range")
     if args.fmt not in ("json", "text"):
         raise UsageError(f"verify supports text or json output, not {args.fmt}")
-    reports = run_suite(deltas, n_max=args.prec, primes_bound=args.primes)
-    all_passed = all(r.passed for r in reports)
-    if args.fmt == "json":
-        text = "".join(report_json_line(r) + "\n" for r in reports)
-    else:
-        lines = []
-        for r in reports:
-            if r.skip_reason:
-                lines.append(f"delta={r.delta} skipped: {r.skip_reason}")
-                continue
-            n_ok = sum(c.passed for c in r.checks)
-            status = "ok" if r.passed else "FAIL"
-            lines.append(
-                f"delta={r.delta} h={r.class_number} t={r.t} genera={r.genus_count} "
-                f":: {n_ok}/{len(r.checks)} checks passed [{status}]"
-            )
-            for c in r.checks:
-                if not c.passed:
-                    lines.append(f"  FAIL {c.name}: {c.detail}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    with _output(args.out) as write:
+        all_passed = True
+        for report in iter_suite(deltas, n_max=args.prec, primes_bound=args.primes):
+            all_passed = all_passed and report.passed
+            write(report_json_line(report) + "\n" if args.fmt == "json" else _report_text(report))
     return 0 if all_passed else CHECK_FAILURE
+
+
+def _report_text(r: VerificationReport) -> str:
+    """A report's lines in the text format: a summary, then each failed check."""
+    if r.skip_reason:
+        return f"delta={r.delta} skipped: {r.skip_reason}\n"
+    n_ok = sum(c.passed for c in r.checks)
+    status = "ok" if r.passed else "FAIL"
+    lines = [
+        f"delta={r.delta} h={r.class_number} t={r.t} genera={r.genus_count} "
+        f":: {n_ok}/{len(r.checks)} checks passed [{status}]"
+    ]
+    lines.extend(f"  FAIL {c.name}: {c.detail}" for c in r.checks if not c.passed)
+    return "".join(line + "\n" for line in lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,6 +314,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # stdout's reader left before the end (verify ... | head): not every check
+        # was written, so exit 1, without a traceback; stdout goes to devnull so
+        # that the interpreter's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CHECK_FAILURE
 
 
 if __name__ == "__main__":

@@ -8,13 +8,19 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import distinct_prime_count, is_fundamental, primes_up_to
+from .arith import (
+    distinct_prime_count,
+    factorize,
+    is_fundamental,
+    prime_discriminant_factorization,
+    primes_up_to,
+)
 from .class_group import build_class_group
-from .forms import automorph_count
+from .forms import automorph_count, reduced_forms
 from .genus import build_genus_characters, character_pairs
 from .hecke import prime_checks
 from .qseries import dirichlet_convolution, first_mismatch
@@ -37,6 +43,7 @@ __all__ = [
     "verify_genus_mass",
     "verify_character_counts",
     "run_suite",
+    "iter_suite",
     "report_json_line",
 ]
 
@@ -186,8 +193,18 @@ def verify_character_counts(delta: int) -> CheckRecord:
     return _timed("character_counts", run)
 
 
+# The caches without a size bound.  _suite_job empties them before each delta,
+# so that a range run holds one delta's entries at a time; CLI series and
+# classgroup requests, which do not run the suite, still reuse a class group.
+# They are held here, not looked up by module name, since a wrapper bound over
+# a module's name (a tracer's, say) has no cache_clear.
+_PER_DELTA_CACHES = (build_class_group, reduced_forms, l_zero, factorize, prime_discriminant_factorization)
+
+
 def _suite_job(args: tuple[int, int, int]) -> VerificationReport:
     delta, n_max, primes_bound = args
+    for cache in _PER_DELTA_CACHES:
+        cache.cache_clear()
     start = time.perf_counter()
     if not (delta < 0 and is_fundamental(delta)):
         return VerificationReport(
@@ -251,27 +268,74 @@ def _worker_count() -> int:
         return 1
 
 
+def _pool_size(workers: Optional[int], n_jobs: int) -> int:
+    """Processes to run n_jobs jobs on: workers, or GENUSMASS_THREADS when it is
+    None; 1 means in-process."""
+    workers = _worker_count() if workers is None else max(1, workers)
+    return workers if n_jobs > 1 else 1
+
+
+# A pool worker sends back a chunk's reports in one piece, and the parent holds
+# them until they are handed out, so a chunk has at most this many jobs.  On
+# [-10^4, -3] at prec 200 / primes 50 with 2 workers (2 vCPU), chunks of 624
+# jobs peaked at 42.7 MB in the parent and 36.0 MB in a worker, chunks of 128
+# at 35.2 and 30.5 MB, in the same wall time (9.0 and 8.9 s).  With 2 workers
+# the cap acts only on ranges of more than 16 * 128 jobs.
+CHUNK_JOBS = 128
+
+
+def _pool_reports(jobs: list[tuple[int, int, int]], workers: int) -> Iterator[VerificationReport]:
+    """The reports of jobs from a pool of processes, in input order, each as soon
+    as it and every earlier one are done.  The pool starts when the first report
+    is asked for.  It is shut down, its queued jobs cancelled and its processes
+    joined, when the iterator is exhausted, closed or garbage-collected, or
+    passes on a job's exception."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    # a job takes milliseconds: hand them out in chunks, about 8 per worker
+    chunksize = max(1, min(len(jobs) // (8 * workers), CHUNK_JOBS))
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(_suite_job, jobs, chunksize=chunksize)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def iter_suite(
+    deltas: Sequence[int],
+    n_max: int = 100,
+    primes_bound: int = 20,
+    workers: Optional[int] = None,
+) -> Iterator[VerificationReport]:
+    """The reports of run_suite one at a time, in the order of the input deltas.
+    In-process each job runs when its report is asked for; with workers > 1
+    they come from a pool (see _pool_reports).  Nothing here keeps a report
+    once it is handed out."""
+    jobs = [(delta, n_max, primes_bound) for delta in deltas]
+    workers = _pool_size(workers, len(jobs))
+    if workers > 1:
+        return _pool_reports(jobs, workers)
+    return (_suite_job(job) for job in jobs)
+
+
 def run_suite(
     deltas: Sequence[int],
     n_max: int = 100,
     primes_bound: int = 20,
     workers: Optional[int] = None,
-) -> list[VerificationReport]:
+) -> list[VerificationReport] | Iterator[VerificationReport]:
     """Run every check for each delta; non-fundamental entries are skipped, never fatal.
 
     Per-delta jobs are independent; GENUSMASS_THREADS (or workers) > 1 fans them
-    out over processes.  Reports come back in the order of the input deltas.
+    out over processes.  Reports come in the order of the input deltas.
+    In-process this runs every job and returns the list of reports, so that all
+    of the work, and any exception, happens inside the call.  With workers > 1
+    it returns iter_suite's iterator over the pool, which hands out each report
+    as soon as it and every earlier one are done rather than after the last.
     """
-    jobs = [(delta, n_max, primes_bound) for delta in deltas]
-    workers = _worker_count() if workers is None else max(1, workers)
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a job takes milliseconds: hand them out in chunks, about 8 per worker
-        chunksize = max(1, len(jobs) // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_suite_job, jobs, chunksize=chunksize))
-    return [_suite_job(job) for job in jobs]
+    workers = _pool_size(workers, len(deltas))
+    reports = iter_suite(deltas, n_max, primes_bound, workers)
+    return reports if workers > 1 else list(reports)
 
 
 def delta_range(hi: int, lo: int) -> list[int]:

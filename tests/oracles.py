@@ -11,9 +11,10 @@ of the maximal order with the full h x h composition table built from them,
 the scalar L(1) partial sums, the q-series operators on
 tuples of Fraction that preceded the integer-vector series, and the per-t
 divisor-sum sieve that preceded the convolution kernel, all kept separate from
-the library's code paths.  Three helpers only the tests need live here too:
-the divisor list of n, one period of the Kronecker character of delta, and
-the type of a prime.
+the library's code paths.  Helpers only the tests need live here too: the
+divisor list of n, one period of the Kronecker character of delta, the type
+of a prime, and the product, inverse, genus product and principal genus of
+classes one at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from genusmass.arith import ext_gcd, factorize, is_fundamental, is_prime, kronecker
-from genusmass.class_group import ClassGroup, prime_form
+from genusmass.class_group import ClassGroup, compose_rows, prime_form
 from genusmass.forms import QuadForm, reduce_form, reduced_forms, represented_coprime_value
 from genusmass.genus import build_genus_characters, character_pairs
 from genusmass.qseries import QSeries
@@ -202,6 +203,24 @@ def compose_forms_oracle(f1: QuadForm, f2: QuadForm) -> QuadForm:
     out_b = j * u - (k * t + ell * s)
     out_c = k * ell - j * m
     return reduce_form(QuadForm(out_a, out_b, out_c))
+
+
+def compose(group: ClassGroup, h1: int, h2: int) -> int:
+    """The class index of the product h1 * h2, one row of the library's compose_rows."""
+    return int(compose_rows(group, [h1], [h2])[0])
+
+
+def inverse(group: ClassGroup, h: int) -> int:
+    return group.inverses[h]
+
+
+def genus_product(group: ClassGroup, g1: int, g2: int) -> int:
+    """Product in the genus group G = H/H^2, via coset representatives."""
+    return group.genus_of[compose(group, g1, g2)]
+
+
+def principal_genus(group: ClassGroup) -> int:
+    return group.genus_of[group.identity]
 
 
 def dirichlet_l1_oracle(delta: int, terms: int) -> float:

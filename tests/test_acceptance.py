@@ -27,6 +27,7 @@ from genusmass.series import eisenstein_for_genus, eisenstein_series, genus_eise
 from genusmass.verify import verify_dirichlet
 from oracles import (
     classify_prime,
+    compose,
     compose_forms_oracle,
     divisors,
     elem_norm,
@@ -228,7 +229,7 @@ def test_oracle_cross_checks():
             for j in range(group.h):
                 pair_count += 1
                 expected = compose_forms_oracle(group.classes[i], group.classes[j])
-                if group.classes[group.compose(i, j)] != expected:
+                if group.classes[compose(group, i, j)] != expected:
                     composition_failures.append((delta, i, j))
         for h in range(group.h):
             ideal = form_to_ideal(group.classes[h])

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import genusmass.class_group as class_group
 import genusmass.cli as cli
 from genusmass.class_group import build_class_group
 from genusmass.cli import main, parse_disc
-from oracles import series_from_json
+from oracles import compose, series_from_json
 
 
 def run_cli(capsys, *argv):
@@ -54,12 +55,12 @@ class TestClassgroup:
     @pytest.mark.parametrize("crossover", [0, float("inf")])
     def test_composition_table_in_blocks(self, monkeypatch, block, crossover):
         """The table from blocks of one row (block 1 < h), of a few rows, and of
-        all rows, on both paths of compose_rows, is the table of ClassGroup.compose."""
+        all rows, on both paths of compose_rows, is the table of the pairwise products."""
         monkeypatch.setattr(cli, "TABLE_BLOCK", block)
         monkeypatch.setattr(class_group, "ARRAY_MIN_ROWS", crossover)
         for delta in (-3, -84, -455, -5460):
             group = build_class_group(delta)
-            expected = [[group.compose(i, j) for j in range(group.h)] for i in range(group.h)]
+            expected = [[compose(group, i, j) for j in range(group.h)] for i in range(group.h)]
             assert cli._composition_table(group) == expected, delta
 
     def test_csv_not_supported(self, capsys):
@@ -208,7 +209,7 @@ class TestVerify:
             delta=-20, precision=10, class_number=2, t=2, genus_count=2,
             checks=(CheckRecord(name="gauss_average", passed=False, detail="forced"),),
         )
-        monkeypatch.setattr(cli, "run_suite", lambda *a, **k: [bad])
+        monkeypatch.setattr(cli, "iter_suite", lambda *a, **k: iter([bad]))
         code, out, _ = run_cli(capsys, "verify", "--disc", "-20")
         assert code == 1
         assert "FAIL gauss_average" in out
@@ -232,17 +233,105 @@ class TestVerify:
         assert out == ""
         assert err == f"error: cannot write {target}: No such file or directory\n"
 
+    def test_unwritable_out_fails_before_any_delta_runs(self, capsys, monkeypatch, tmp_path):
+        # the whole range used to run before the output file was opened
+        import genusmass.verify as verify
+
+        calls = []
+        job = verify._suite_job
+        monkeypatch.setattr(verify, "_suite_job", lambda args: calls.append(args) or job(args))
+        target = tmp_path / "missing" / "report.jsonl"
+        code, out, err = run_cli(capsys, "verify", "--range", "-3:-500", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+        assert calls == []
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_each_report_is_written_as_it_arrives(self, capsys, monkeypatch, fmt):
+        """Before the job for a delta runs, the output of every earlier delta is
+        on stdout already."""
+        import genusmass.verify as verify
+
+        seen = {}
+        job = verify._suite_job
+
+        def recording(args):
+            seen[args[0]] = capsys.readouterr().out
+            return job(args)
+
+        monkeypatch.setattr(verify, "_suite_job", recording)
+        code, out, _ = run_cli(capsys, "verify", "--range", "-3:-8", "--prec", "10", "--primes", "5",
+                               "--format", fmt)
+        assert code == 0
+        assert seen[-3] == ""
+        for delta in (-4, -5, -6, -7, -8):
+            assert seen[delta].splitlines()[0].startswith(
+                f'{{"delta": {delta + 1},' if fmt == "json" else f"delta={delta + 1} "
+            )
+
+    def test_failure_exit_code_with_a_later_pass(self, capsys, monkeypatch):
+        # the exit status is worked out as the reports arrive: one failure makes it 1
+        from genusmass.verify import CheckRecord, VerificationReport
+
+        def report(delta, passed):
+            return VerificationReport(
+                delta=delta, precision=10, class_number=1, t=1, genus_count=1,
+                checks=(CheckRecord(name="gauss_average", passed=passed, detail="forced"),),
+            )
+
+        monkeypatch.setattr(cli, "iter_suite", lambda *a, **k: iter([report(-3, False), report(-4, True)]))
+        code, out, _ = run_cli(capsys, "verify", "--range", "-3:-4")
+        assert code == 1
+        assert out.splitlines() == [
+            "delta=-3 h=1 t=1 genera=1 :: 0/1 checks passed [FAIL]",
+            "  FAIL gauss_average: forced",
+            "delta=-4 h=1 t=1 genera=1 :: 1/1 checks passed [ok]",
+        ]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--range", "-3:-30", "--prec", "10", "--out", "/dev/full")
+        assert code == 2
+        assert out == ""
+        assert err == "error: cannot write /dev/full: No space left on device\n"
+
     def test_csv_rejected_before_the_suite_runs(self, capsys, monkeypatch):
         import genusmass.cli as cli
 
         def refuse(*args, **kwargs):
-            raise AssertionError("run_suite called for an unsupported format")
+            raise AssertionError("iter_suite called for an unsupported format")
 
-        monkeypatch.setattr(cli, "run_suite", refuse)
+        monkeypatch.setattr(cli, "iter_suite", refuse)
         code, out, err = run_cli(capsys, "verify", "--range", "-3:-500", "--format", "csv")
         assert code == 2
         assert out == ""
         assert err == "error: verify supports text or json output, not csv\n"
+
+
+def test_series_requests_reuse_the_class_group(capsys):
+    build_class_group.cache_clear()
+    for which in ("theta:0", "genus:0"):
+        code, _, _ = run_cli(capsys, "series", "--disc", "-84", "--which", which, "--prec", "10")
+        assert code == 0
+    assert build_class_group.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_reader_leaving_early_stops_verify_without_a_traceback(threads):
+    # about 180 KB of JSON lines, more than a pipe holds, flushed line by line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "genusmass.cli", "verify", "--range", "-3:-300",
+         "--prec", "10", "--primes", "5", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "GENUSMASS_THREADS": threads},
+    )
+    assert json.loads(proc.stdout.readline())["delta"] == -3
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 1
 
 
 def test_entry_point_subprocess():

@@ -1,6 +1,11 @@
+import functools
 import json
 import math
+import multiprocessing
+import os
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -260,9 +265,118 @@ class TestRunSuite:
         # 198 jobs over 2 workers go out in chunks of 12: reports keep input order
         deltas = delta_range(-3, -200)
         serial = run_suite(deltas, n_max=20, primes_bound=5)
-        parallel = run_suite(deltas, n_max=20, primes_bound=5, workers=2)
+        parallel = list(run_suite(deltas, n_max=20, primes_bound=5, workers=2))
         assert [r.delta for r in parallel] == deltas
         assert [untimed_line(r) for r in serial] == [untimed_line(r) for r in parallel]
+
+
+class TestPool:
+    """run_suite with workers > 1 returns an iterator that owns its process pool."""
+
+    @pytest.mark.parametrize("let_go", ["close", "drop"])
+    def test_partly_read_iterator_leaves_no_process(self, let_go):
+        reports = run_suite(delta_range(-3, -200), n_max=20, primes_bound=5, workers=2)
+        assert [next(reports).delta for _ in range(3)] == [-3, -4, -5]
+        assert multiprocessing.active_children()
+        if let_go == "close":
+            reports.close()
+        else:
+            del reports  # garbage-collected at once: nothing else refers to it
+        assert multiprocessing.active_children() == []
+
+    def test_reports_arrive_before_the_last_job_is_done(self, monkeypatch, tmp_path):
+        # the job for -200 waits until the first report has been handed out, so
+        # a pool that held every report until the last job was done would time out
+        marker = tmp_path / "first-report-seen"
+        monkeypatch.setattr(verify, "_suite_job", _waiting_at_minus_200(verify._suite_job, str(marker)))
+        reports = run_suite(delta_range(-3, -200), n_max=20, primes_bound=5, workers=2)
+        first = next(reports)
+        marker.touch()
+        assert [first.delta] + [r.delta for r in reports] == delta_range(-3, -200)
+        assert first.passed
+
+    def test_raising_job_propagates_and_leaves_no_process(self, monkeypatch):
+        monkeypatch.setattr(verify, "_suite_job", _raising_at_minus_100(verify._suite_job))
+        reports = run_suite(delta_range(-3, -200), n_max=20, primes_bound=5, workers=2)
+        seen = []
+        with pytest.raises(ValueError, match="job for -100 failed"):
+            for report in reports:
+                seen.append(report.delta)
+        # the reports come in input order up to the chunk that holds -100
+        assert seen == delta_range(-3, -2 - len(seen)) and -100 not in seen
+        assert multiprocessing.active_children() == []
+
+    def test_serial_call_runs_every_job_inside_it(self, monkeypatch):
+        monkeypatch.setattr(verify, "_suite_job", _raising_at_minus_100(verify._suite_job))
+        with pytest.raises(ValueError, match="job for -100 failed"):
+            run_suite(delta_range(-3, -200), n_max=20, primes_bound=5, workers=1)
+
+
+def _waiting_at_minus_200(job, marker):
+    """job, except that the job for -200 first waits up to 60 s for the file marker."""
+
+    @functools.wraps(job)
+    def waiting(args):
+        if args[0] == -200:
+            deadline = time.monotonic() + 60
+            while not os.path.exists(marker):
+                if time.monotonic() > deadline:
+                    raise TimeoutError(f"{marker} did not appear")
+                time.sleep(0.01)
+        return job(args)
+
+    return waiting
+
+
+def _raising_at_minus_100(job):
+    """job, except that the job for -100 raises.  Bound as verify._suite_job, the
+    wrapper pickles by that name, so a forked pool worker runs it too."""
+
+    @functools.wraps(job)
+    def raising(args):
+        if args[0] == -100:
+            raise ValueError("job for -100 failed")
+        return job(args)
+
+    return raising
+
+
+class TestCacheScope:
+    def test_range_run_keeps_at_most_one_delta(self):
+        run_suite(delta_range(-3, -300), n_max=20, primes_bound=5, workers=1)
+        assert build_class_group.cache_info().currsize <= 1
+        assert class_group.reduced_forms.cache_info().currsize <= 1
+        assert l_zero.cache_info().currsize <= 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_suite_runs_under_plain_wrappers(self, monkeypatch, workers):
+        """A tracer rebinds build_class_group and verify._suite_job in every module
+        to wrappers without cache_clear; the suite still runs, in-process and on
+        a pool, and still empties the class group cache."""
+        deltas = delta_range(-3, -60)
+        expected = [untimed_line(r) for r in run_suite(deltas, n_max=20, primes_bound=5, workers=1)]
+        originals = {"build_class_group": build_class_group, "_suite_job": verify._suite_job}
+        calls = []
+        for name, original in originals.items():
+
+            def wrapper(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            wrapper = functools.wraps(original)(wrapper)
+            assert not hasattr(wrapper, "cache_clear")
+            for modname, module in list(sys.modules.items()):
+                if modname.startswith("genusmass."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, wrapper)
+        assert verify._suite_job is not originals["_suite_job"]
+        reports = run_suite(deltas, n_max=20, primes_bound=5, workers=workers)
+        assert [untimed_line(r) for r in reports] == expected
+        if workers == 1:
+            assert calls.count("_suite_job") == len(deltas)
+            assert "build_class_group" in calls
+            assert build_class_group.cache_info().currsize <= 1
 
 
 def test_delta_range_is_descending_inclusive():
