@@ -19,15 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import ext_gcd, is_prime, kronecker, prime_discriminant_tables
-from .forms import (
-    INT64_BOUND,
-    QuadForm,
-    automorph_count,
-    reduce_form,
-    reduce_triple,
-    reduced_forms,
-    represented_coprime_value,
-)
+from .forms import INT64_BOUND, automorph_count, reduce_triple, reduced_forms, represented_coprime_value
 
 __all__ = [
     "ClassGroup",
@@ -120,9 +112,9 @@ def _compose_arrays(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
 class ClassGroup:
     """The form class group of a fundamental discriminant, with its genus partition.
 
-    classes holds the lexicographically sorted reduced forms, triples the same
-    (a, b, c) as a read-only h x 3 int64 array, and index_of maps each (a, b, c)
-    to its position; genus ids are the smallest class index in each genus.
+    classes holds the lexicographically sorted reduced forms (a, b, c) as the rows
+    of a read-only h x 3 int64 array, and index_of maps each (a, b, c) to its
+    position; genus ids are the smallest class index in each genus.
     genus_signs[k] holds the assigned characters of the genus genus_ids[k]:
     (p|r) for each prime discriminant p of delta, in
     prime_discriminant_factorization order, at a value r coprime to delta
@@ -131,8 +123,7 @@ class ClassGroup:
     """
 
     delta: int
-    classes: tuple[QuadForm, ...]
-    triples: np.ndarray = field(repr=False, compare=False)
+    classes: np.ndarray = field(compare=False)
     index_of: dict[Triple, int] = field(repr=False, compare=False)
     identity: int
     inverses: tuple[int, ...]
@@ -158,12 +149,12 @@ class ClassGroup:
 ARRAY_MIN_ROWS = 192
 
 
-def _class_keys(triples: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _class_keys(classes: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort keys a m + b, m = 2 a_max + 1, of the classes and of the pairs (a, b):
     increasing in the lexicographic order of the classes, and one key per (a, b)
     with |b| <= a <= a_max."""
-    m = 2 * triples[-1, 0] + 1
-    return triples[:, 0] * m + triples[:, 1], a * m + b
+    m = 2 * classes[-1, 0] + 1
+    return classes[:, 0] * m + classes[:, 1], a * m + b
 
 
 def compose_rows(group: ClassGroup, left, right) -> np.ndarray:
@@ -191,18 +182,18 @@ def compose_rows(group: ClassGroup, left, right) -> np.ndarray:
     """
     left = np.asarray(left, dtype=np.int64)
     right = np.asarray(right, dtype=np.int64)
+    classes = group.classes
     if len(left) < ARRAY_MIN_ROWS:
-        classes, index_of = group.classes, group.index_of
-        return np.array([index_of[_compose_triples(classes[i].triple(), classes[j].triple())]
-                         for i, j in zip(left.tolist(), right.tolist())], dtype=np.int64)
+        index_of = group.index_of
+        pairs = zip(map(tuple, classes[left].tolist()), map(tuple, classes[right].tolist()))
+        return np.array([index_of[_compose_triples(f1, f2)] for f1, f2 in pairs], dtype=np.int64)
     q = -group.delta
     if (2 * q) ** 2 // 9 + q >= INT64_BOUND:
         raise ValueError(f"|delta| = {q} is too large for int64 composition")
-    triples = group.triples
-    products = _compose_arrays(triples.take(left, axis=0), triples.take(right, axis=0))
-    keys, found = _class_keys(triples, products[0], products[1])
+    products = _compose_arrays(classes.take(left, axis=0), classes.take(right, axis=0))
+    keys, found = _class_keys(classes, products[0], products[1])
     index = np.searchsorted(keys, found).clip(max=group.h - 1)
-    bad = (triples.take(index, axis=0) != products.T).any(axis=1)
+    bad = (classes.take(index, axis=0) != products.T).any(axis=1)
     if bad.any():
         k = int(bad.argmax())
         raise RuntimeError(f"delta={group.delta}: the product of classes {left[k]} and {right[k]} "
@@ -235,22 +226,22 @@ def _check_group(group: ClassGroup) -> None:
         raise RuntimeError(f"delta={group.delta}: genera of unequal sizes {sorted(sizes)}")
 
 
-def _coprime_values(classes: tuple[QuadForm, ...], delta: int) -> list[int]:
+def _coprime_values(classes: np.ndarray, delta: int) -> list[int]:
     """represented_coprime_value(q, -delta) for every class q, by one np.gcd.
 
     Its shell |x|, |y| <= 1 gives a reduced form the values a <= c <= a - |b| + c
     <= a + |b| + c, so the search stops there at the smallest of them coprime to
     delta; only the classes where none is coprime, such as (3, 0, 7) at -84, run
     the scalar search."""
-    a, b, c = np.array([q.triple() for q in classes], dtype=np.int64).T
+    a, b, c = classes.T
     shell = np.stack((a, c, a - np.abs(b) + c, a + np.abs(b) + c), axis=1)
     coprime = np.gcd(shell, -delta) == 1
     first = shell[np.arange(len(classes)), coprime.argmax(axis=1)].tolist()
     return [r if found else represented_coprime_value(q, -delta)
-            for q, r, found in zip(classes, first, coprime.any(axis=1).tolist())]
+            for q, r, found in zip(classes.tolist(), first, coprime.any(axis=1).tolist())]
 
 
-def _genera(classes: tuple[QuadForm, ...], delta: int) -> tuple[list[int], dict[tuple[int, ...], int]]:
+def _genera(classes: np.ndarray, delta: int) -> tuple[list[int], dict[tuple[int, ...], int]]:
     """genus_of, and the first class of each genus by its assigned characters:
     the characters (p|r) of every class, each read from the table of p at r mod
     |p|, where r is the class's value coprime to delta.  The first class with a
@@ -266,20 +257,17 @@ def _genera(classes: tuple[QuadForm, ...], delta: int) -> tuple[list[int], dict[
 def build_class_group(delta: int) -> ClassGroup:
     """Class group of a fundamental discriminant: classes, inverses, squares, genera."""
     classes = reduced_forms(delta)
-    triples = np.array([q.triple() for q in classes], dtype=np.int64).reshape(-1, 3)
-    triples.setflags(write=False)
-    index_of = {q.triple(): i for i, q in enumerate(classes)}
+    index_of = {tuple(q): i for i, q in enumerate(classes.tolist())}
     identity = index_of[reduce_triple(1, delta % 2, (delta % 2 - delta) // 4)]
     # the inverse of (a, b, c) is (a, -b, c): a class of its own, or, when b = a
     # or a = c, not reduced and the class itself
-    keys, opposite = _class_keys(triples, triples[:, 0], -triples[:, 1])
+    keys, opposite = _class_keys(classes, classes[:, 0], -classes[:, 1])
     index = np.searchsorted(keys, opposite).clip(max=len(classes) - 1)
     inverses = np.where(keys[index] == opposite, index, np.arange(len(classes)))
     genus_of, first_of = _genera(classes, delta)
     group = ClassGroup(
         delta=delta,
         classes=classes,
-        triples=triples,
         index_of=index_of,
         identity=identity,
         inverses=tuple(inverses.tolist()),
@@ -292,8 +280,8 @@ def build_class_group(delta: int) -> ClassGroup:
     return group
 
 
-def prime_form(delta: int, p: int) -> QuadForm:
-    """The form [p, b, (b^2 - delta)/(4p)] for the smallest valid b in [0, 2p).
+def prime_form(delta: int, p: int) -> Triple:
+    """The form (p, b, (b^2 - delta)/(4p)) for the smallest valid b in [0, 2p).
 
     Exists exactly when p is not inert, i.e. (delta|p) != -1.
     """
@@ -303,10 +291,10 @@ def prime_form(delta: int, p: int) -> QuadForm:
         raise ValueError(f"{p} is inert for discriminant {delta}: no ideal of norm {p}")
     for b in range(0, 2 * p):
         if (b - delta) % 2 == 0 and (b * b - delta) % (4 * p) == 0:
-            return QuadForm(p, b, (b * b - delta) // (4 * p))
+            return p, b, (b * b - delta) // (4 * p)
     raise AssertionError(f"no square root of {delta} mod {4 * p} found for non-inert {p}")
 
 
 def prime_ideal_class(group: ClassGroup, p: int) -> int:
     """Class index of the prime ideal above a split or ramified p."""
-    return group.index_of[reduce_form(prime_form(group.delta, p)).triple()]
+    return group.index_of[reduce_triple(*prime_form(group.delta, p))]

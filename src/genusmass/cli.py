@@ -132,7 +132,7 @@ def cmd_classgroup(args: argparse.Namespace) -> int:
             "delta": group.delta,
             "h": group.h,
             "w": group.w,
-            "classes": [q.triple() for q in group.classes],
+            "classes": group.classes.tolist(),
             "composition_table": table,
             "identity": group.identity,
             "squares": list(group.squares),
@@ -148,8 +148,8 @@ def cmd_classgroup(args: argparse.Namespace) -> int:
         f"discriminant {group.delta}: h = {group.h}, w = {group.w}",
         "classes:",
     ]
-    for i, q in enumerate(group.classes):
-        lines.append(f"  {i}: {q!r}")
+    for i, (a, b, c) in enumerate(group.classes.tolist()):
+        lines.append(f"  {i}: [{a},{b},{c}]")
     lines.append("composition table:")
     for i, row in enumerate(table):
         lines.append(f"  {i}: " + " ".join(str(k) for k in row))
@@ -242,14 +242,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _report_text(r: VerificationReport) -> str:
-    """A report's lines in the text format: a summary, then each failed check."""
+    """A report's lines in the text format: a summary, with the count of skipped
+    checks when there are any, then each failed check."""
     if r.skip_reason:
         return f"delta={r.delta} skipped: {r.skip_reason}\n"
-    n_ok = sum(c.passed for c in r.checks)
+    n_ok = sum(c.status == "pass" for c in r.checks)
+    n_skipped = sum(c.status == "skip" for c in r.checks)
+    skipped = f", {n_skipped} skipped" if n_skipped else ""
     status = "ok" if r.passed else "FAIL"
     lines = [
         f"delta={r.delta} h={r.class_number} t={r.t} genera={r.genus_count} "
-        f":: {n_ok}/{len(r.checks)} checks passed [{status}]"
+        f":: {n_ok}/{len(r.checks)} checks passed{skipped} [{status}]"
     ]
     lines.extend(f"  FAIL {c.name}: {c.detail}" for c in r.checks if not c.passed)
     return "".join(line + "\n" for line in lines)

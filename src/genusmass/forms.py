@@ -3,52 +3,19 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .arith import is_fundamental
 
 __all__ = [
-    "QuadForm",
     "reduce_triple",
-    "reduce_form",
     "reduced_forms",
     "representation_counts",
     "automorph_count",
     "represented_coprime_value",
 ]
-
-
-@dataclass(frozen=True, order=True)
-class QuadForm:
-    """An integral form a*x^2 + b*x*y + c*y^2, positive definite and primitive."""
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self) -> None:
-        if self.a <= 0:
-            raise ValueError(f"leading coefficient must be positive: ({self.a},{self.b},{self.c})")
-        if self.discriminant() >= 0:
-            raise ValueError(f"form is not positive definite: ({self.a},{self.b},{self.c})")
-        if math.gcd(self.a, math.gcd(self.b, self.c)) != 1:
-            raise ValueError(f"form is not primitive: ({self.a},{self.b},{self.c})")
-
-    def __repr__(self) -> str:
-        return f"[{self.a},{self.b},{self.c}]"
-
-    def triple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
-
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def __call__(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
 
 
 def reduce_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -65,11 +32,6 @@ def reduce_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
             return a, b, c
 
 
-def reduce_form(q: QuadForm) -> QuadForm:
-    """The unique reduced form SL2(Z)-equivalent to q."""
-    return QuadForm(*reduce_triple(q.a, q.b, q.c))
-
-
 # reduced_forms tests its (a, b) candidates in blocks of this many, so that its
 # memory does not grow with |delta|: the int64 arrays of one block take about 1 MB.
 REDUCED_FORMS_BLOCK = 1 << 14
@@ -79,15 +41,18 @@ INT64_BOUND = 2**62
 
 
 @lru_cache(maxsize=None)
-def reduced_forms(delta: int) -> tuple[QuadForm, ...]:
-    """One reduced representative per form class of fundamental discriminant delta.
+def reduced_forms(delta: int) -> np.ndarray:
+    """One reduced representative (a, b, c) per form class of fundamental
+    discriminant delta, as the rows of a read-only h x 3 int64 array.
 
     The reduced forms are the (a, b, c) with 0 < a <= sqrt(|delta|/3), -a < b <= a,
     b = delta (mod 2) and integral c = (b^2 - delta)/(4a) >= a, where b >= 0 when
     a = c (Cohen, A Course in Computational Algebraic Number Theory, 5.3).  As
     (a, -b, c) is reduced with (a, b, c) when 0 < b < a < c, only 0 <= b <= a is
     tested, as int64 arrays of REDUCED_FORMS_BLOCK candidates.  Lexicographically
-    sorted.
+    sorted.  Every row is a positive definite primitive form: a >= 1, c is
+    integral by the divisibility test, and a common factor g > 1 of a, b, c
+    would make delta/g^2 a discriminant, which a fundamental delta excludes.
     """
     if not is_fundamental(delta):
         raise ValueError(f"{delta} is not a negative fundamental discriminant")
@@ -113,7 +78,9 @@ def reduced_forms(delta: int) -> tuple[QuadForm, ...]:
         found += ((a, b, c), (a[mirror], -b[mirror], c[mirror]))
     a, b, c = (np.concatenate(parts) for parts in zip(*found))
     order = np.lexsort((b, a))  # by a, then b
-    return tuple(map(QuadForm, a[order].tolist(), b[order].tolist(), c[order].tolist()))
+    forms = np.stack((a[order], b[order], c[order]), axis=1)
+    forms.setflags(write=False)
+    return forms
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -133,10 +100,11 @@ def _ragged(first: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.repeat(np.arange(len(lengths)), lengths), values
 
 
-def representation_counts(forms: Sequence[QuadForm], n_max: int) -> np.ndarray:
+def representation_counts(forms: np.ndarray, n_max: int) -> np.ndarray:
     """The len(forms) x (n_max + 1) int64 matrix whose row i is
-    [r(Q_i, 0), ..., r(Q_i, n_max)], by one sweep over the lattice points of
-    every ellipse Q_i <= n_max.
+    [r(Q_i, 0), ..., r(Q_i, n_max)] for the forms Q_i = (a, b, c), the rows of an
+    m x 3 integer array, by one sweep over the lattice points of every ellipse
+    Q_i <= n_max.
 
     Row i takes |x| <= isqrt(4 c n_max / |delta|) and, for each x, the y between
     the roots of Q_i(x, y) = n_max; one np.bincount over i (n_max + 1) + Q_i(x, y)
@@ -147,7 +115,7 @@ def representation_counts(forms: Sequence[QuadForm], n_max: int) -> np.ndarray:
     """
     if n_max < 0:
         raise ValueError(f"expected n_max >= 0, got {n_max}")
-    a, b, c = np.array([q.triple() for q in forms], dtype=np.int64).T
+    a, b, c = np.asarray(forms, dtype=np.int64).reshape(-1, 3).T
     if not ((np.abs(b) <= a) & (a <= c)).all():
         raise ValueError("representation_counts needs reduced forms")
     abs_disc = 4 * a * c - b * b
@@ -180,20 +148,22 @@ def automorph_count(delta: int) -> int:
     return 2
 
 
-def represented_coprime_value(q: QuadForm, d: int) -> int:
-    """Smallest positive value of q coprime to d, by expanding square shells.
+def represented_coprime_value(q: tuple[int, int, int], d: int) -> int:
+    """Smallest positive value of the primitive form q = (a, b, c) coprime to d,
+    by expanding square shells.
 
     Primitive forms represent values coprime to any fixed modulus, so the
     search never legitimately exhausts its |x|,|y| <= 4d region.
     """
     if d < 1:
         raise ValueError(f"expected d >= 1, got {d}")
+    a, b, c = q
     for k in range(1, 4 * d + 1):
         best = None
         for x in range(-k, k + 1):
             ys = (-k, k) if abs(x) < k else range(-k, k + 1)
             for y in ys:
-                value = q(x, y)
+                value = a * x * x + b * x * y + c * y * y
                 if value > 0 and math.gcd(value, d) == 1 and (best is None or value < best):
                     best = value
         if best is not None:

@@ -9,6 +9,7 @@ non-inert prime class in one compose_rows call."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +23,7 @@ from .qseries import first_mismatch, t_rows, u_rows
 from .series import genus_eisenstein, theta_matrix, theta_total
 
 __all__ = [
-    "HeckeCheckResult",
+    "CheckRecord",
     "check_eigenform",
     "check_split_theta",
     "check_ramified_theta",
@@ -35,47 +36,43 @@ __all__ = [
 PRIME_TYPES = {1: "split", 0: "ramified", -1: "inert"}
 
 
-@dataclass(frozen=True)
-class HeckeCheckResult:
-    """Outcome of one operator identity at one prime, over indices 1..checked_hi."""
+def _mismatch_dict(n: int, lhs: Fraction, rhs: Fraction) -> dict:
+    return {"n": n, "lhs": str(lhs), "rhs": str(rhs)}
 
-    delta: int
-    p: int
-    prime_type: str
-    identity: str
-    checked_hi: int
-    passed: bool
+
+@dataclass(frozen=True)
+class CheckRecord:
+    """One check of a report: its status ("pass", "fail" or "skip"), a detail
+    line, the first mismatch (n, lhs, rhs) where the check has one, and its time.
+    Every check returns one; it lives here because verify imports this module."""
+
+    name: str
+    status: str
+    detail: str
     first_mismatch: Optional[tuple[int, Fraction, Fraction]] = None
+    elapsed_ms: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.status != "fail"
 
     def to_dict(self) -> dict:
-        mismatch = None
-        if self.first_mismatch is not None:
-            n, lhs, rhs = self.first_mismatch
-            mismatch = {"n": n, "lhs": str(lhs), "rhs": str(rhs)}
-        return {
-            "delta": self.delta,
-            "p": self.p,
-            "prime_type": self.prime_type,
-            "identity": self.identity,
-            "checked": [1, self.checked_hi],
-            "pass": self.passed,
-            "first_mismatch": mismatch,
-        }
+        out = {"name": self.name, "pass": self.passed, "status": self.status, "detail": self.detail}
+        if self.status == "fail" and self.first_mismatch is not None:
+            out["first_mismatch"] = _mismatch_dict(*self.first_mismatch)
+        out["elapsed_ms"] = self.elapsed_ms
+        return out
 
 
-def _compare_rows(group, p, chi, identity, lhs, rhs, unit=Fraction(1)) -> HeckeCheckResult:
+def _compare_rows(p, chi, identity, lhs, rhs, unit=Fraction(1)) -> CheckRecord:
     """Compare two integer arrays with one unit (one row per class or genus, or one
     vector) on n >= 1; chi = (delta|p) names the prime's type."""
+    name, checked = f"{identity}[p={p}]", f"{PRIME_TYPES[chi]}; n=1..{lhs.shape[-1] - 1}"
     found = first_mismatch(lhs, unit, rhs, unit, lo=1)
-    return HeckeCheckResult(
-        delta=group.delta,
-        p=p,
-        prime_type=PRIME_TYPES[chi],
-        identity=identity,
-        checked_hi=lhs.shape[-1] - 1,
-        passed=found is None,
-        first_mismatch=None if found is None else found[1:],
-    )
+    if found is None:
+        return CheckRecord(name, "pass", f"{checked} exact")
+    mismatch = found[1:]
+    return CheckRecord(name, "fail", f"{checked} {json.dumps(_mismatch_dict(*mismatch))}", mismatch)
 
 
 class _PrimeLayer(NamedTuple):
@@ -123,15 +120,15 @@ def _layer(group: ClassGroup, p: int, bound) -> _PrimeLayer:
     return layer
 
 
-def check_eigenform(group: ClassGroup, p: int, n_max: int, bound=None) -> HeckeCheckResult:
+def check_eigenform(group: ClassGroup, p: int, n_max: int, bound=None) -> CheckRecord:
     """a(pn) + (delta|p) a(n/p) = (1 + (delta|p)) a(n) for the class-group total a."""
     total = theta_total(group, n_max).coeffs
     chi = _layer(group, p, bound).chi[p]
     lhs = t_rows(total, p, chi)
-    return _compare_rows(group, p, chi, "eigenform", lhs, (1 + chi) * total[: len(lhs)])
+    return _compare_rows(p, chi, "eigenform", lhs, (1 + chi) * total[: len(lhs)])
 
 
-def check_split_theta(group: ClassGroup, p: int, n_max: int, bound=None) -> HeckeCheckResult:
+def check_split_theta(group: ClassGroup, p: int, n_max: int, bound=None) -> CheckRecord:
     """theta_h | T_p = theta_{h p} + theta_{h p'} for every class h, split p."""
     layer = _layer(group, p, bound)
     if layer.chi[p] != 1:
@@ -140,10 +137,10 @@ def check_split_theta(group: ClassGroup, p: int, n_max: int, bound=None) -> Heck
     lhs = t_rows(theta, p, 1)
     cols = lhs.shape[-1]
     rhs = theta[layer.perms[p], :cols] + theta[layer.conjugates[p], :cols]
-    return _compare_rows(group, p, 1, "theta_split", lhs, rhs)
+    return _compare_rows(p, 1, "theta_split", lhs, rhs)
 
 
-def check_ramified_theta(group: ClassGroup, p: int, n_max: int, bound=None) -> HeckeCheckResult:
+def check_ramified_theta(group: ClassGroup, p: int, n_max: int, bound=None) -> CheckRecord:
     """theta_h | U_p = theta_{h p} for every class h, ramified p."""
     layer = _layer(group, p, bound)
     if layer.chi[p] != 0:
@@ -151,18 +148,18 @@ def check_ramified_theta(group: ClassGroup, p: int, n_max: int, bound=None) -> H
     theta = theta_matrix(group.delta, n_max)
     lhs = u_rows(theta, p)
     rhs = theta[layer.perms[p], : lhs.shape[-1]]
-    return _compare_rows(group, p, 0, "theta_ramified", lhs, rhs)
+    return _compare_rows(p, 0, "theta_ramified", lhs, rhs)
 
 
-def check_inert_theta(group: ClassGroup, p: int, n_max: int, bound=None) -> HeckeCheckResult:
+def check_inert_theta(group: ClassGroup, p: int, n_max: int, bound=None) -> CheckRecord:
     """theta_h | T_p = 0 for every class h, inert p."""
     if _layer(group, p, bound).chi[p] != -1:
         raise ValueError(f"{p} is not inert for discriminant {group.delta}")
     lhs = t_rows(theta_matrix(group.delta, n_max), p, -1)
-    return _compare_rows(group, p, -1, "theta_inert", lhs, np.zeros_like(lhs))
+    return _compare_rows(p, -1, "theta_inert", lhs, np.zeros_like(lhs))
 
 
-def check_genus_permutation(group: ClassGroup, p: int, n_max: int, bound=None) -> HeckeCheckResult:
+def check_genus_permutation(group: ClassGroup, p: int, n_max: int, bound=None) -> CheckRecord:
     """E_g | T_p = 2 E_{g p} (split) or E_{g p} (ramified) for every genus g: the
     target of the genus g is the genus of the class g p."""
     layer = _layer(group, p, bound)
@@ -173,23 +170,23 @@ def check_genus_permutation(group: ClassGroup, p: int, n_max: int, bound=None) -
     lhs = t_rows(sums, p, chi)
     targets = layer.genus_row[layer.perms[p][list(group.genus_ids)]]
     rhs = (2 if chi == 1 else 1) * sums[targets, : lhs.shape[-1]]
-    return _compare_rows(group, p, chi, "genus_permutation", lhs, rhs, unit)
+    return _compare_rows(p, chi, "genus_permutation", lhs, rhs, unit)
 
 
-def prime_checks(group: ClassGroup, p: int, n_max: int, bound=None) -> Iterator[HeckeCheckResult]:
-    """All identities that apply at p, each computed when it is reached: eigenform,
-    the per-class theta identity for the prime's type, and (split/ramified only)
-    the genus permutation.  They read one prime layer for the primes up to bound
-    (default p): a caller that checks every prime up to a bound passes it, so
-    that the layer is built once for all of them."""
-    eigenform = check_eigenform(group, p, n_max, bound)
-    yield eigenform
-    kind = eigenform.prime_type
-    if kind == "split":
+def prime_checks(group: ClassGroup, p: int, n_max: int, bound=None) -> Iterator[CheckRecord]:
+    """All identities at p, each computed when it is reached: eigenform, the
+    per-class theta identity for the prime's type, and the genus permutation,
+    which is a skip record at an inert p.  They read one prime layer for the
+    primes up to bound (default p): a caller that checks every prime up to a
+    bound passes it, so that the layer is built once for all of them."""
+    yield check_eigenform(group, p, n_max, bound)
+    chi = _layer(group, p, bound).chi[p]
+    if chi == 1:
         yield check_split_theta(group, p, n_max, bound)
-        yield check_genus_permutation(group, p, n_max, bound)
-    elif kind == "ramified":
+    elif chi == 0:
         yield check_ramified_theta(group, p, n_max, bound)
-        yield check_genus_permutation(group, p, n_max, bound)
     else:
         yield check_inert_theta(group, p, n_max, bound)
+        yield CheckRecord(f"genus_permutation[p={p}]", "skip", "skipped: p inert, no genus translate")
+        return
+    yield check_genus_permutation(group, p, n_max, bound)

@@ -74,7 +74,7 @@ def theta_matrix(delta: int, n_max: int) -> np.ndarray:
 def theta_series(group: ClassGroup, h: int, n_max: int) -> QSeries:
     """Theta series of the class h: coefficient n is r(Q_h, n); constant term 1.
     Builds this one row, not the whole theta matrix."""
-    counts = representation_counts([group.classes[h]], n_max)[0]
+    counts = representation_counts(group.classes[[h]], n_max)[0]
     return QSeries(group.delta, counts.astype(_coeff_dtype(group, n_max), copy=False))
 
 

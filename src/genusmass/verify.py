@@ -22,7 +22,7 @@ from .arith import (
 from .class_group import build_class_group
 from .forms import automorph_count, reduced_forms
 from .genus import build_genus_characters, character_pairs
-from .hecke import prime_checks
+from .hecke import CheckRecord, prime_checks
 from .qseries import dirichlet_convolution, first_mismatch
 from .series import (
     eisenstein_for_genus,
@@ -35,7 +35,6 @@ from .series import (
 )
 
 __all__ = [
-    "CheckRecord",
     "VerificationReport",
     "verify_gauss",
     "verify_dirichlet",
@@ -46,17 +45,6 @@ __all__ = [
     "iter_suite",
     "report_json_line",
 ]
-
-
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    passed: bool
-    detail: str
-    elapsed_ms: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "pass": self.passed, "detail": self.detail, "elapsed_ms": self.elapsed_ms}
 
 
 @dataclass(frozen=True)
@@ -98,99 +86,79 @@ def _ms_since(start: float) -> float:
     return round((time.perf_counter() - start) * 1000, 3)
 
 
-def _timed(name: str, fn) -> CheckRecord:
-    start = time.perf_counter()
-    passed, detail = fn()
-    return CheckRecord(name=name, passed=passed, detail=detail, elapsed_ms=_ms_since(start))
-
-
 def verify_gauss(delta: int, n_max: int) -> CheckRecord:
     """sum over classes of r(Q_h, n) = w * sum over t | n of (delta|t), n = 1..n_max."""
-
-    def run():
-        group = build_class_group(delta)
-        total = theta_total(group, n_max).coeffs
-        chi = kronecker_values(delta, delta, 0, n_max + 1).astype(total.dtype)
-        rhs = automorph_count(delta) * dirichlet_convolution(chi, np.ones_like(chi))
-        found = first_mismatch(total, 1, rhs, 1, lo=1)
-        if found is not None:
-            _, n, left, right = found
-            return False, f"mismatch at n={n}: {left} != {right}"
-        return True, f"n=1..{n_max} exact"
-
-    return _timed("gauss_average", run)
+    total = theta_total(build_class_group(delta), n_max).coeffs
+    chi = kronecker_values(delta, delta, 0, n_max + 1).astype(total.dtype)
+    rhs = automorph_count(delta) * dirichlet_convolution(chi, np.ones_like(chi))
+    found = first_mismatch(total, 1, rhs, 1, lo=1)
+    if found is not None:
+        _, n, left, right = found
+        return CheckRecord("gauss_average", "fail", f"mismatch at n={n}: {left} != {right}", found[1:])
+    return CheckRecord("gauss_average", "pass", f"n=1..{n_max} exact")
 
 
 def verify_dirichlet(delta: int) -> CheckRecord:
     """h = (w/2) L(0, (delta|.)) exactly: Dirichlet's class number formula at s = 0,
     with h from the class group and L(0) from the character alone."""
-
-    def run():
-        h = build_class_group(delta).h
-        computed = automorph_count(delta) * l_zero(delta) / 2
-        return computed == h, f"(w/2)L(0)={computed} h={h} exact"
-
-    return _timed("dirichlet_class_number", run)
+    h = build_class_group(delta).h
+    computed = automorph_count(delta) * l_zero(delta) / 2
+    status = "pass" if computed == h else "fail"
+    return CheckRecord("dirichlet_class_number", status, f"(w/2)L(0)={computed} h={h} exact")
 
 
 def verify_twisted_eisenstein(delta: int, n_max: int) -> CheckRecord:
     """Twisted theta sums equal the divisor-sum Eisenstein series, X S = w E, every
     character pair at once; the first mismatch is reported in character order."""
-
-    def run():
-        pairs = character_pairs(delta)
-        lhs, lhs_unit = twisted_sum(build_class_group(delta), n_max)
-        rhs, rhs_unit = eisenstein_matrix(delta, n_max)
-        found = first_mismatch(lhs, lhs_unit, rhs, rhs_unit)
-        if found is not None:
-            row, n, left, right = found
-            d, big_d = pairs[row]
-            return False, f"(d,D)=({d},{big_d}) mismatch at n={n}: {left} != {right}"
-        return True, f"{len(pairs)} pairs, n=0..{n_max} exact"
-
-    return _timed("twisted_eisenstein", run)
+    pairs = character_pairs(delta)
+    lhs, lhs_unit = twisted_sum(build_class_group(delta), n_max)
+    rhs, rhs_unit = eisenstein_matrix(delta, n_max)
+    found = first_mismatch(lhs, lhs_unit, rhs, rhs_unit)
+    if found is not None:
+        row, n, left, right = found
+        d, big_d = pairs[row]
+        detail = f"(d,D)=({d},{big_d}) mismatch at n={n}: {left} != {right}"
+        return CheckRecord("twisted_eisenstein", "fail", detail, found[1:])
+    return CheckRecord("twisted_eisenstein", "pass", f"{len(pairs)} pairs, n=0..{n_max} exact")
 
 
 def verify_genus_mass(delta: int, n_max: int) -> CheckRecord:
     """Genus theta averages equal the character-weighted Eisenstein combinations,
     S / |H^2| = (w/h) X^T E, every genus at once.  A genus whose two constant
     terms are not both 1 is reported ahead of any mismatch in it or after it."""
-
-    def run():
-        group = build_class_group(delta)
-        lhs, lhs_unit = genus_eisenstein(group, n_max)
-        rhs, rhs_unit = eisenstein_for_genus(group, n_max)
-        found = first_mismatch(lhs, lhs_unit, rhs, rhs_unit)
-        lhs0, rhs0 = lhs[:, 0] * lhs_unit, rhs[:, 0] * rhs_unit
-        bad = (lhs0 != 1) | (rhs0 != 1)
-        if bad.any() and (found is None or bad.argmax() <= found[0]):
-            k = int(bad.argmax())
-            return False, f"genus {group.genus_ids[k]}: constant terms {lhs0[k]}, {rhs0[k]} != 1"
-        if found is not None:
-            row, n, left, right = found
-            return False, f"genus {group.genus_ids[row]} mismatch at n={n}: {left} != {right}"
-        return True, f"{len(group.genus_ids)} genera, n=0..{n_max} exact"
-
-    return _timed("genus_mass", run)
+    group = build_class_group(delta)
+    lhs, lhs_unit = genus_eisenstein(group, n_max)
+    rhs, rhs_unit = eisenstein_for_genus(group, n_max)
+    found = first_mismatch(lhs, lhs_unit, rhs, rhs_unit)
+    lhs0, rhs0 = lhs[:, 0] * lhs_unit, rhs[:, 0] * rhs_unit
+    bad = (lhs0 != 1) | (rhs0 != 1)
+    if bad.any() and (found is None or bad.argmax() <= found[0]):
+        k = int(bad.argmax())
+        detail = f"genus {group.genus_ids[k]}: constant terms {lhs0[k]}, {rhs0[k]} != 1"
+        return CheckRecord("genus_mass", "fail", detail)
+    if found is not None:
+        row, n, left, right = found
+        detail = f"genus {group.genus_ids[row]} mismatch at n={n}: {left} != {right}"
+        return CheckRecord("genus_mass", "fail", detail, found[1:])
+    return CheckRecord("genus_mass", "pass", f"{len(group.genus_ids)} genera, n=0..{n_max} exact")
 
 
 def verify_character_counts(delta: int) -> CheckRecord:
     """|G*| = |G| = 2^(t-1), and the character table X is orthogonal: X X^T = |G| I."""
-
-    def run():
-        group = build_class_group(delta)
-        pairs = character_pairs(delta)
-        expected = 2 ** (distinct_prime_count(delta) - 1)
-        if len(pairs) != expected:
-            return False, f"{len(pairs)} pairs != 2^(t-1) = {expected}"
-        if len(group.genus_ids) != expected:
-            return False, f"{len(group.genus_ids)} genera != 2^(t-1) = {expected}"
-        table = build_genus_characters(group)
-        if not np.array_equal(table @ table.T, expected * np.eye(expected, dtype=np.int64)):
-            return False, f"the character table is not orthogonal: X X^T != {expected} I"
-        return True, f"|G*| = |G| = {expected}, genera of size {len(group.squares)}"
-
-    return _timed("character_counts", run)
+    group = build_class_group(delta)
+    pairs = character_pairs(delta)
+    expected = 2 ** (distinct_prime_count(delta) - 1)
+    if len(pairs) != expected:
+        return CheckRecord("character_counts", "fail", f"{len(pairs)} pairs != 2^(t-1) = {expected}")
+    if len(group.genus_ids) != expected:
+        detail = f"{len(group.genus_ids)} genera != 2^(t-1) = {expected}"
+        return CheckRecord("character_counts", "fail", detail)
+    table = build_genus_characters(group)
+    if not np.array_equal(table @ table.T, expected * np.eye(expected, dtype=np.int64)):
+        detail = f"the character table is not orthogonal: X X^T != {expected} I"
+        return CheckRecord("character_counts", "fail", detail)
+    detail = f"|G*| = |G| = {expected}, genera of size {len(group.squares)}"
+    return CheckRecord("character_counts", "pass", detail)
 
 
 # The caches without a size bound.  _suite_job empties them before each delta,
@@ -199,6 +167,19 @@ def verify_character_counts(delta: int) -> CheckRecord:
 # They are held here, not looked up by module name, since a wrapper bound over
 # a module's name (a tracer's, say) has no cache_clear.
 _PER_DELTA_CACHES = (build_class_group, reduced_forms, l_zero, factorize, prime_discriminant_factorization)
+
+
+def _report_checks(group, n_max: int, primes_bound: int) -> Iterator[CheckRecord]:
+    """The checks of one report, each run when it is reached, through the module
+    names that a tracer can rebind."""
+    delta = group.delta
+    yield verify_gauss(delta, n_max)
+    yield verify_character_counts(delta)
+    yield verify_twisted_eisenstein(delta, n_max)
+    yield verify_genus_mass(delta, n_max)
+    yield verify_dirichlet(delta)
+    for p in primes_up_to(primes_bound):
+        yield from prime_checks(group, p, n_max, primes_bound)
 
 
 def _suite_job(args: tuple[int, int, int]) -> VerificationReport:
@@ -218,37 +199,12 @@ def _suite_job(args: tuple[int, int, int]) -> VerificationReport:
             skip_reason="non-fundamental",
         )
     group = build_class_group(delta)
-    checks = [
-        verify_gauss(delta, n_max),
-        verify_character_counts(delta),
-        verify_twisted_eisenstein(delta, n_max),
-        verify_genus_mass(delta, n_max),
-        verify_dirichlet(delta),
-    ]
-    for p in primes_up_to(primes_bound):
-        # prime_checks computes each identity on demand: time each one on its own
+    checks = []
+    t0 = time.perf_counter()
+    for record in _report_checks(group, n_max, primes_bound):
+        checks.append(CheckRecord(record.name, record.status, record.detail, record.first_mismatch,
+                                  _ms_since(t0)))
         t0 = time.perf_counter()
-        for result in prime_checks(group, p, n_max, primes_bound):
-            elapsed_ms = _ms_since(t0)
-            detail = "exact" if result.passed else json.dumps(result.to_dict()["first_mismatch"])
-            checks.append(
-                CheckRecord(
-                    name=f"{result.identity}[p={p}]",
-                    passed=result.passed,
-                    detail=f"{result.prime_type}; n=1..{result.checked_hi} {detail}",
-                    elapsed_ms=elapsed_ms,
-                )
-            )
-            t0 = time.perf_counter()
-        if result.prime_type == "inert":
-            checks.append(
-                CheckRecord(
-                    name=f"genus_permutation[p={p}]",
-                    passed=True,
-                    detail="skipped: p inert, no genus translate",
-                    elapsed_ms=0.0,
-                )
-            )
     return VerificationReport(
         delta=delta,
         precision=n_max,
@@ -311,11 +267,10 @@ def iter_suite(
     In-process each job runs when its report is asked for; with workers > 1
     they come from a pool (see _pool_reports).  Nothing here keeps a report
     once it is handed out."""
-    jobs = [(delta, n_max, primes_bound) for delta in deltas]
-    workers = _pool_size(workers, len(jobs))
+    workers = _pool_size(workers, len(deltas))
     if workers > 1:
-        return _pool_reports(jobs, workers)
-    return (_suite_job(job) for job in jobs)
+        return _pool_reports([(delta, n_max, primes_bound) for delta in deltas], workers)
+    return (_suite_job((delta, n_max, primes_bound)) for delta in deltas)
 
 
 def run_suite(
@@ -338,7 +293,7 @@ def run_suite(
     return reports if workers > 1 else list(reports)
 
 
-def delta_range(hi: int, lo: int) -> list[int]:
+def delta_range(hi: int, lo: int) -> range:
     """All integers from max(hi, lo) down to min(hi, lo), inclusive."""
     top, bottom = max(hi, lo), min(hi, lo)
-    return list(range(top, bottom - 1, -1))
+    return range(top, bottom - 1, -1)

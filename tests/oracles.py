@@ -13,8 +13,9 @@ tuples of Fraction that preceded the integer-vector series, and the per-t
 divisor-sum sieve that preceded the convolution kernel, all kept separate from
 the library's code paths.  Helpers only the tests need live here too: the
 divisor list of n, one period of the Kronecker character of delta, the type
-of a prime, and the product, inverse, genus product and principal genus of
-classes one at a time.
+of a prime, the product, inverse, genus product and principal genus of
+classes one at a time, and the QuadForm type with its reduction, which the
+library replaced by rows of an integer array.
 """
 
 from __future__ import annotations
@@ -28,10 +29,50 @@ import numpy as np
 
 from genusmass.arith import ext_gcd, factorize, is_fundamental, is_prime, kronecker
 from genusmass.class_group import ClassGroup, compose_rows, prime_form
-from genusmass.forms import QuadForm, reduce_form, reduced_forms, represented_coprime_value
+from genusmass.forms import reduce_triple, reduced_forms, represented_coprime_value
 from genusmass.genus import build_genus_characters, character_pairs
 from genusmass.qseries import QSeries
 from genusmass.series import eisenstein_series, kronecker_values, theta_matrix, theta_total
+
+
+@dataclass(frozen=True, order=True)
+class QuadForm:
+    """An integral form a*x^2 + b*x*y + c*y^2, positive definite and primitive."""
+
+    a: int
+    b: int
+    c: int
+
+    def __post_init__(self) -> None:
+        if self.a <= 0:
+            raise ValueError(f"leading coefficient must be positive: ({self.a},{self.b},{self.c})")
+        if self.discriminant() >= 0:
+            raise ValueError(f"form is not positive definite: ({self.a},{self.b},{self.c})")
+        if math.gcd(self.a, math.gcd(self.b, self.c)) != 1:
+            raise ValueError(f"form is not primitive: ({self.a},{self.b},{self.c})")
+
+    def __repr__(self) -> str:
+        return f"[{self.a},{self.b},{self.c}]"
+
+    def triple(self) -> tuple[int, int, int]:
+        return (self.a, self.b, self.c)
+
+    def discriminant(self) -> int:
+        return self.b * self.b - 4 * self.a * self.c
+
+    def __call__(self, x: int, y: int) -> int:
+        return self.a * x * x + self.b * x * y + self.c * y * y
+
+
+def reduce_form(q: QuadForm) -> QuadForm:
+    """The unique reduced form SL2(Z)-equivalent to q."""
+    return QuadForm(*reduce_triple(q.a, q.b, q.c))
+
+
+def class_forms(delta: int) -> tuple[QuadForm, ...]:
+    """The rows of the library's reduced_forms(delta), as QuadForms."""
+    return tuple(QuadForm(*row) for row in reduced_forms(delta).tolist())
+
 
 # Textbook class numbers for negative fundamental discriminants.
 KNOWN_CLASS_NUMBERS = {
@@ -238,7 +279,7 @@ def dirichlet_l1_oracle(delta: int, terms: int) -> float:
 
 def character_value(group: ClassGroup, d: int, genus_id: int) -> int:
     """chi_{d,D}(g) = (d | r) for any r > 0 represented by the genus with gcd(r, d) = 1."""
-    r = represented_coprime_value(group.classes[genus_id], d)
+    r = represented_coprime_value(tuple(group.classes[genus_id].tolist()), d)
     value = kronecker(d, r)
     if value not in (-1, 1):
         raise RuntimeError(f"({d}|{r}) = {value}: {r} is not coprime to {d}")
@@ -471,7 +512,7 @@ def ideal_points_up_to_norm(ideal: IdealBasis, bound: int) -> list[Coord]:
 
 def prime_ideal(delta: int, p: int) -> IdealBasis:
     """The degree-one prime ideal of norm p (one of the pair when p splits)."""
-    return form_to_ideal(prime_form(delta, p))
+    return form_to_ideal(QuadForm(*prime_form(delta, p)))
 
 
 @dataclass(frozen=True)
@@ -490,7 +531,7 @@ class TableClassGroup:
 def class_group_table_oracle(delta: int) -> TableClassGroup:
     """h(h+1)/2 ideal products give the table; genera are the cosets of the squares,
     each named by its smallest class index."""
-    classes = reduced_forms(delta)
+    classes = class_forms(delta)
     index = {q.triple(): i for i, q in enumerate(classes)}
     ideals = [form_to_ideal(q) for q in classes]
     h = len(classes)

@@ -26,6 +26,7 @@ from genusmass.qseries import QSeries
 from genusmass.series import eisenstein_for_genus, eisenstein_series, genus_eisenstein, theta_series, twisted_sum
 from genusmass.verify import verify_dirichlet
 from oracles import (
+    class_forms,
     classify_prime,
     compose,
     compose_forms_oracle,
@@ -225,14 +226,14 @@ def test_oracle_cross_checks():
     pair_count = 0
     for delta in (-20, -23, -47, -84):
         group = build_class_group(delta)
+        forms = class_forms(delta)
         for i in range(group.h):
             for j in range(group.h):
                 pair_count += 1
-                expected = compose_forms_oracle(group.classes[i], group.classes[j])
-                if group.classes[compose(group, i, j)] != expected:
+                if forms[compose(group, i, j)] != compose_forms_oracle(forms[i], forms[j]):
                     composition_failures.append((delta, i, j))
         for h in range(group.h):
-            ideal = form_to_ideal(group.classes[h])
+            ideal = form_to_ideal(forms[h])
             norms = Counter(
                 elem_norm(delta, point) // ideal.norm
                 for point in ideal_points_up_to_norm(ideal, 50 * ideal.norm)

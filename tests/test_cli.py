@@ -138,6 +138,12 @@ class TestVerify:
         assert code == 0
         assert "delta=-84" in out and "[ok]" in out
 
+    def test_skipped_checks_are_counted_apart(self, capsys):
+        # 11 is inert for -20: its genus_permutation record is a skip, not a pass
+        code, out, _ = run_cli(capsys, "verify", "--disc", "-20", "--prec", "30", "--primes", "11")
+        assert code == 0
+        assert out == "delta=-20 h=2 t=2 genera=2 :: 19/20 checks passed, 1 skipped [ok]\n"
+
     def test_range_json_lines(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -203,11 +209,12 @@ class TestVerify:
     def test_failure_exit_code(self, capsys, monkeypatch):
         # a failing check must surface as exit code 1
         import genusmass.cli as cli
-        from genusmass.verify import CheckRecord, VerificationReport
+        from genusmass.hecke import CheckRecord
+        from genusmass.verify import VerificationReport
 
         bad = VerificationReport(
             delta=-20, precision=10, class_number=2, t=2, genus_count=2,
-            checks=(CheckRecord(name="gauss_average", passed=False, detail="forced"),),
+            checks=(CheckRecord(name="gauss_average", status="fail", detail="forced"),),
         )
         monkeypatch.setattr(cli, "iter_suite", lambda *a, **k: iter([bad]))
         code, out, _ = run_cli(capsys, "verify", "--disc", "-20")
@@ -272,12 +279,13 @@ class TestVerify:
 
     def test_failure_exit_code_with_a_later_pass(self, capsys, monkeypatch):
         # the exit status is worked out as the reports arrive: one failure makes it 1
-        from genusmass.verify import CheckRecord, VerificationReport
+        from genusmass.hecke import CheckRecord
+        from genusmass.verify import VerificationReport
 
         def report(delta, passed):
             return VerificationReport(
                 delta=delta, precision=10, class_number=1, t=1, genus_count=1,
-                checks=(CheckRecord(name="gauss_average", passed=passed, detail="forced"),),
+                checks=(CheckRecord(name="gauss_average", status="pass" if passed else "fail", detail="forced"),),
             )
 
         monkeypatch.setattr(cli, "iter_suite", lambda *a, **k: iter([report(-3, False), report(-4, True)]))

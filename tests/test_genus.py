@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genusmass.class_group import build_class_group, prime_ideal_class
-from genusmass.forms import QuadForm, represented_coprime_value
+from genusmass.forms import represented_coprime_value
 from genusmass.genus import build_genus_characters, character_pairs
 from genusmass.arith import kronecker, primes_up_to
 from genusmass.verify import verify_character_counts
 import genusmass.verify as verify
 from oracles import (
     character_table_oracle,
+    class_forms,
     character_value,
     compose,
     fundamental_deltas,
@@ -54,15 +55,14 @@ class TestRepresentedValue:
         [((1, 0, 5), 5, 1), ((2, 2, 3), 5, 2), ((2, 1, 3), 23, 2)],
     )
     def test_examples(self, triple, d, expected):
-        assert represented_coprime_value(QuadForm(*triple), d) == expected
+        assert represented_coprime_value(triple, d) == expected
 
     @given(deltas_strategy, st.data())
     @settings(max_examples=100)
     def test_coprime_and_represented(self, delta, data):
-        group = build_class_group(delta)
-        q = data.draw(st.sampled_from(group.classes))
+        q = data.draw(st.sampled_from(class_forms(delta)))
         d = data.draw(st.sampled_from([p[0] for p in character_pairs(delta)]))
-        r = represented_coprime_value(q, d)
+        r = represented_coprime_value(q.triple(), d)
         assert r > 0 and gcd(r, d) == 1
         # r really is represented
         assert any(q(x, y) == r for x in range(-r, r + 1) for y in range(-r, r + 1))
@@ -92,7 +92,7 @@ class TestCharacterValue:
         assert character_value(cg20, 5, principal) == 1
         assert character_value(cg20, 5, other) == -1  # (5|2) = -1
 
-        g_2211 = cg84.genus_of[cg84.classes.index(QuadForm(2, 2, 11))]
+        g_2211 = cg84.genus_of[cg84.index_of[(2, 2, 11)]]
         assert character_value(cg84, 21, g_2211) == -1  # (21|2) = -1
 
     def test_built_characters_match_fresh_values(self):
@@ -126,7 +126,7 @@ class TestCharacterValue:
         for g in group.genus_ids:
             expected = character_value(group, d, g)
             for h in group.genus_members(g):
-                q = group.classes[h]
+                q = class_forms(delta)[h]
                 for r in smallest_admissible_values(q, d):
                     assert kronecker(d, r) == expected
 

@@ -87,7 +87,7 @@ def perturbed_case(delta, n_max, monkeypatch, kind, column):
 
         def perturbed(forms, n):
             counts = original(forms, n)
-            counts[[q == target for q in forms], column] += 1
+            counts[(forms == target).all(axis=1), column] += 1
             return counts
 
         monkeypatch.setattr(series, "representation_counts", perturbed)

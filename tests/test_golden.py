@@ -1,6 +1,9 @@
 """Byte-for-byte pins of the CLI's verify and series output, and of the records a
 perturbed theta count fails, against files written by the Fraction-tuple
-implementation that preceded the integer-vector series (tests/data/)."""
+implementation that preceded the integer-vector series (tests/data/).  Each
+check line of verify.jsonl has since gained its "status" key, inserted after
+"pass" in the file as written: "skip" for the inert-prime genus permutation
+records, "pass" for the rest."""
 
 import json
 from pathlib import Path
@@ -75,8 +78,8 @@ def perturbed_theta(monkeypatch):
 
     def perturbed(forms, n_max):
         counts = original(forms, n_max)
-        for row, q in enumerate(forms):
-            if q.triple() == target.get("form"):
+        for row, q in enumerate(forms.tolist()):
+            if tuple(q) == target.get("form"):
                 counts[row, 35] += 1
         return counts
 
@@ -96,6 +99,26 @@ def test_perturbed_theta_fails_the_same_records(perturbed_theta, delta):
     expected = json.loads((DATA / "perturbed.json").read_text())[str(delta)]
     assert len(expected) == 15
     assert failed == expected
+
+
+def test_failing_records_carry_their_first_mismatch(perturbed_theta):
+    """A failing record holds its first mismatch as data, and its JSON carries it
+    as {"n", "lhs", "rhs"}: at each [p=...] record the same as in its detail."""
+    perturbed_theta["form"] = PERTURBED_FORM[-84]
+    report = run_suite([-84], n_max=200, primes_bound=50, workers=1)[0]
+    checks = report.to_dict()["checks"]
+    failed = [c for c in checks if c["status"] == "fail"]
+    assert len(failed) == 15 and not any(c["pass"] for c in failed)
+    assert all("first_mismatch" not in c for c in checks if c["status"] != "fail")
+    for record, data in zip(report.checks, checks):
+        if record.status != "fail":
+            continue
+        n, lhs, rhs = record.first_mismatch
+        assert data["first_mismatch"] == {"n": n, "lhs": str(lhs), "rhs": str(rhs)}
+        if "[p=" in record.name:
+            assert json.loads(record.detail.split(" ", 2)[2]) == data["first_mismatch"], record.name
+        else:
+            assert f"mismatch at n={n}: {lhs} != {rhs}" in record.detail, record.name
 
 
 def test_object_dtype_gives_the_same_report(capsys, monkeypatch):

@@ -21,6 +21,7 @@ from genusmass.series import genus_eisenstein, theta_series
 from genusmass.verify import run_suite
 from oracles import (
     agrees_with,
+    class_forms,
     classify_prime,
     compose,
     form_to_ideal,
@@ -46,8 +47,9 @@ class TestEigenform:
     def test_examples(self, delta, p, kind):
         group = build_class_group(delta)
         result = check_eigenform(group, p, 60)
-        assert result.prime_type == kind
-        assert result.passed
+        assert result.name == f"eigenform[p={p}]"
+        assert result.detail.startswith(f"{kind}; ")
+        assert result.status == "pass" and result.passed
         assert result.first_mismatch is None
 
     def test_explicit_values(self):
@@ -69,7 +71,7 @@ class TestPerClassIdentities:
         # p = 3: both prime classes land in the [2,2,3] class
         group = build_class_group(-20)
         hp = prime_ideal_class(group, 3)
-        assert group.classes[hp].triple() == (2, 2, 3)
+        assert group.classes[hp].tolist() == [2, 2, 3]
         assert inverse(group, hp) == hp
         lhs = apply_T(theta_series(group, group.identity, 60), 3)
         rhs = theta_series(group, hp, 60).scale(2)
@@ -254,7 +256,7 @@ class TestLatticeInclusionExclusion:
                 frakp = prime_ideal(delta, p)
                 frakp_conj = ideal_conj(frakp)
                 for h in range(group.h):
-                    ideal = form_to_ideal(group.classes[h])
+                    ideal = form_to_ideal(class_forms(delta)[h])
                     bound = 30 * p * ideal.norm
                     left = ideal_mul(ideal, frakp)
                     right = ideal_mul(ideal, frakp_conj)
@@ -271,18 +273,20 @@ class TestResultRecords:
         result = check_eigenform(group, 3, 40)
         data = json.loads(json.dumps(result.to_dict()))
         assert data == {
-            "delta": -20,
-            "p": 3,
-            "prime_type": "split",
-            "identity": "eigenform",
-            "checked": [1, 13],
+            "name": "eigenform[p=3]",
             "pass": True,
-            "first_mismatch": None,
+            "status": "pass",
+            "detail": "split; n=1..13 exact",
+            "elapsed_ms": 0.0,
         }
 
     def test_prime_checks_bundle(self):
         group = build_class_group(-20)
-        names = [r.identity for r in prime_checks(group, 3, 40)]
-        assert names == ["eigenform", "theta_split", "genus_permutation"]
-        names = [r.identity for r in prime_checks(group, 11, 40)]
-        assert names == ["eigenform", "theta_inert"]
+        records = [(r.name, r.status) for r in prime_checks(group, 3, 40)]
+        assert records == [("eigenform[p=3]", "pass"), ("theta_split[p=3]", "pass"),
+                           ("genus_permutation[p=3]", "pass")]
+        records = list(prime_checks(group, 11, 40))
+        assert [(r.name, r.status) for r in records] == [
+            ("eigenform[p=11]", "pass"), ("theta_inert[p=11]", "pass"), ("genus_permutation[p=11]", "skip"),
+        ]
+        assert records[-1].passed and records[-1].detail == "skipped: p inert, no genus translate"

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from genusmass.arith import kronecker
 from genusmass.class_group import build_class_group
-from genusmass.forms import QuadForm, automorph_count
+from genusmass.forms import automorph_count
 from genusmass.genus import character_pairs
 from genusmass.qseries import QSeries
 import genusmass.arith as arith
@@ -26,6 +26,7 @@ from genusmass.series import (
 )
 from oracles import (
     class_average,
+    class_forms,
     divisors,
     elem_norm,
     form_to_ideal,
@@ -64,7 +65,7 @@ class TestTheta:
     def test_single_coefficient(self, cg20):
         # (0,+-1) and (+-1,-+1) all hit 3: four representations, matching the
         # divisor-sum identity since r([1,0,5],3) = 0 and w(1 + (-20|3)) = 4
-        h = cg20.classes.index(QuadForm(2, 2, 3))
+        h = cg20.index_of[(2, 2, 3)]
         assert theta_series(cg20, h, 3)[3] == 4
 
     @given(deltas_strategy, st.data())
@@ -79,7 +80,7 @@ class TestTheta:
         for delta in (-20, -23, -47, -84):
             group = build_class_group(delta)
             for h in range(group.h):
-                ideal = form_to_ideal(group.classes[h])
+                ideal = form_to_ideal(class_forms(delta)[h])
                 norms = Counter(
                     n // ideal.norm
                     for n in map(

@@ -6,6 +6,7 @@ import os
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,13 @@ import genusmass.class_group as class_group
 import genusmass.genus as genus
 import genusmass.series as series
 import genusmass.verify as verify
-from genusmass.arith import kronecker
+from genusmass.arith import kronecker, primes_up_to
 from genusmass.class_group import build_class_group
 from genusmass.forms import automorph_count
 from genusmass.series import l_zero
 from genusmass.verify import (
     delta_range,
+    iter_suite,
     report_json_line,
     run_suite,
     verify_character_counts,
@@ -28,7 +30,7 @@ from genusmass.verify import (
     verify_genus_mass,
     verify_twisted_eisenstein,
 )
-from oracles import dirichlet_l1_oracle, fundamental_deltas, kronecker_table
+from oracles import classify_prime, dirichlet_l1_oracle, fundamental_deltas, kronecker_table
 
 SAMPLED_DELTAS = random.Random(20000).sample(fundamental_deltas(-20000), 12)
 
@@ -242,7 +244,7 @@ class TestRunSuite:
         # 11 is inert for -20: the genus permutation is listed with a skip reason
         assert "genus_permutation[p=11]" in names
         skipped = [c for c in report.checks if c.name == "genus_permutation[p=11]"][0]
-        assert skipped.passed and "skipped" in skipped.detail
+        assert skipped.status == "skip" and skipped.passed and "skipped" in skipped.detail
         for p in (2, 3, 5, 7, 11):
             assert f"eigenform[p={p}]" in names
 
@@ -257,7 +259,8 @@ class TestRunSuite:
         assert data["h"] == 2
         assert data["t"] == 2
         assert data["genus_count"] == 2
-        assert all(set(c) == {"name", "pass", "detail"} for c in data["checks"])
+        assert all(list(c) == ["name", "pass", "status", "detail"] for c in data["checks"])
+        assert all(c["status"] == "pass" for c in data["checks"])
         timed = json.loads(report_json_line(first[0]))
         assert "elapsed_ms" in timed and all("elapsed_ms" in c for c in timed["checks"])
 
@@ -266,7 +269,7 @@ class TestRunSuite:
         deltas = delta_range(-3, -200)
         serial = run_suite(deltas, n_max=20, primes_bound=5)
         parallel = list(run_suite(deltas, n_max=20, primes_bound=5, workers=2))
-        assert [r.delta for r in parallel] == deltas
+        assert [r.delta for r in parallel] == list(deltas)
         assert [untimed_line(r) for r in serial] == [untimed_line(r) for r in parallel]
 
 
@@ -292,7 +295,7 @@ class TestPool:
         reports = run_suite(delta_range(-3, -200), n_max=20, primes_bound=5, workers=2)
         first = next(reports)
         marker.touch()
-        assert [first.delta] + [r.delta for r in reports] == delta_range(-3, -200)
+        assert [first.delta] + [r.delta for r in reports] == list(delta_range(-3, -200))
         assert first.passed
 
     def test_raising_job_propagates_and_leaves_no_process(self, monkeypatch):
@@ -303,7 +306,7 @@ class TestPool:
             for report in reports:
                 seen.append(report.delta)
         # the reports come in input order up to the chunk that holds -100
-        assert seen == delta_range(-3, -2 - len(seen)) and -100 not in seen
+        assert seen == list(delta_range(-3, -2 - len(seen))) and -100 not in seen
         assert multiprocessing.active_children() == []
 
     def test_serial_call_runs_every_job_inside_it(self, monkeypatch):
@@ -380,8 +383,33 @@ class TestCacheScope:
 
 
 def test_delta_range_is_descending_inclusive():
-    assert delta_range(-3, -6) == [-3, -4, -5, -6]
-    assert delta_range(-6, -3) == [-3, -4, -5, -6]
+    assert list(delta_range(-3, -6)) == [-3, -4, -5, -6]
+    assert list(delta_range(-6, -3)) == [-3, -4, -5, -6]
+
+
+def test_first_serial_report_of_a_long_range_needs_no_job_list():
+    """The serial path builds each job when its report is asked for: a job list
+    for this range would hold two million ints and tuples before the first
+    report."""
+    tracemalloc.start()
+    try:
+        report = next(iter_suite(delta_range(-3, -2 * 10**6), 20, 5, workers=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.delta == -3 and report.passed
+    assert peak < 20 * 2**20
+
+
+def test_inert_prime_genus_permutations_are_the_skips():
+    """On [-500, -3] with p <= 50 every inert (delta, p) pair gives one skip
+    record and nothing else is skipped."""
+    inert = [(d, p) for d in fundamental_deltas(-500) for p in primes_up_to(50)
+             if classify_prime(d, p) == "inert"]
+    skips = [(r.delta, c.name) for r in run_suite(delta_range(-3, -500), n_max=60, primes_bound=50)
+             for c in r.checks if c.status == "skip"]
+    assert len(inert) == len(skips) == 1024
+    assert skips == [(d, f"genus_permutation[p={p}]") for d, p in inert]
 
 
 def test_worker_count_env(monkeypatch):
