@@ -7,6 +7,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -226,7 +227,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         require_fundamental(disc)
     elif bounds is not None:
         deltas = delta_range(*bounds)
-        if not any(d < 0 and is_fundamental(d) for d in deltas):
+        # only the negative part can hold one; scanning the rest could take hours
+        if not any(is_fundamental(d) for d in range(min(deltas.start, -1), deltas.stop, -1)):
             lo, hi = bounds
             raise UsageError(f"range {lo}:{hi} holds no negative fundamental discriminant")
     else:
@@ -258,7 +260,12 @@ def _report_text(r: VerificationReport) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later call
+    in the process, so that repeated main calls do not build it again.
+    parse_args leaves a parser unchanged and returns a new Namespace, so one
+    call leaves nothing behind for the next; callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="genusmass",
         description="Class groups, genus characters, theta and Eisenstein series for "
@@ -306,6 +313,8 @@ def _merge_range_flag(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command; argv defaults to sys.argv[1:].  It can be called any
+    number of times in one process: the parser is built once (build_parser)."""
     parser = build_parser()
     args = parser.parse_args(_merge_range_flag(sys.argv[1:] if argv is None else argv))
     try:

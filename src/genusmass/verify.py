@@ -7,7 +7,9 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -238,21 +240,39 @@ def _pool_size(workers: Optional[int], n_jobs: int) -> int:
 # at 35.2 and 30.5 MB, in the same wall time (9.0 and 8.9 s).  With 2 workers
 # the cap acts only on ranges of more than 16 * 128 jobs.
 CHUNK_JOBS = 128
+# A job takes milliseconds, so the pool gets them in chunks, about this many per
+# worker, and at most this many chunks per worker are submitted ahead of the
+# reports being handed out.
+CHUNKS_PER_WORKER = 8
 
 
-def _pool_reports(jobs: list[tuple[int, int, int]], workers: int) -> Iterator[VerificationReport]:
-    """The reports of jobs from a pool of processes, in input order, each as soon
-    as it and every earlier one are done.  The pool starts when the first report
-    is asked for.  It is shut down, its queued jobs cancelled and its processes
-    joined, when the iterator is exhausted, closed or garbage-collected, or
-    passes on a job's exception."""
+def _suite_chunk(jobs: list[tuple[int, int, int]]) -> list[VerificationReport]:
+    # _suite_job is looked up here, in the worker, because a tracer rebinds it
+    return [_suite_job(job) for job in jobs]
+
+
+def _pool_reports(
+    jobs: Iterator[tuple[int, int, int]], n_jobs: int, workers: int
+) -> Iterator[VerificationReport]:
+    """The reports of the n_jobs jobs from a pool of processes, in input order,
+    each as soon as it and every earlier one are done.  The pool starts when the
+    first report is asked for.  jobs are taken from the iterator a chunk at a
+    time: when a chunk's reports are taken, the next chunk is submitted, so at
+    most CHUNKS_PER_WORKER chunks per worker are in flight.  The pool is shut
+    down, its queued jobs cancelled and its processes joined, when the iterator
+    is exhausted, closed or garbage-collected, or passes on a job's exception."""
     from concurrent.futures import ProcessPoolExecutor
 
-    # a job takes milliseconds: hand them out in chunks, about 8 per worker
-    chunksize = max(1, min(len(jobs) // (8 * workers), CHUNK_JOBS))
+    chunksize = max(1, min(n_jobs // (CHUNKS_PER_WORKER * workers), CHUNK_JOBS))
+    chunks = iter(lambda: list(islice(jobs, chunksize)), [])
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        yield from pool.map(_suite_job, jobs, chunksize=chunksize)
+        ahead = islice(chunks, CHUNKS_PER_WORKER * workers)
+        pending = deque(pool.submit(_suite_chunk, chunk) for chunk in ahead)
+        while pending:
+            reports = pending.popleft().result()
+            pending.extend(pool.submit(_suite_chunk, chunk) for chunk in islice(chunks, 1))
+            yield from reports
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -269,7 +289,8 @@ def iter_suite(
     once it is handed out."""
     workers = _pool_size(workers, len(deltas))
     if workers > 1:
-        return _pool_reports([(delta, n_max, primes_bound) for delta in deltas], workers)
+        jobs = ((delta, n_max, primes_bound) for delta in deltas)
+        return _pool_reports(jobs, len(deltas), workers)
     return (_suite_job((delta, n_max, primes_bound)) for delta in deltas)
 
 

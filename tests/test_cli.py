@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -179,9 +180,10 @@ class TestVerify:
         assert out == ""
         assert err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("bounds", ["3:100", "-1:-2"])
+    @pytest.mark.parametrize("bounds", ["3:100", "-1:-2", "1000000000000:1"])
     def test_range_without_fundamental_is_usage_error(self, capsys, bounds):
-        # such a range used to print only skip lines and exit 0
+        # such a range used to print only skip lines and exit 0; only its negative
+        # part is searched, so a long positive one is refused at once
         code, out, err = run_cli(capsys, "verify", "--range", bounds)
         assert code == 2
         assert out == ""
@@ -315,6 +317,67 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == "error: verify supports text or json output, not csv\n"
+
+
+@pytest.fixture
+def parsers_used(monkeypatch):
+    """The parser that each main call parses its argv with, in call order."""
+    used = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        used.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    return used
+
+
+class TestSharedParser:
+    """main builds its parser once per process, and one call leaves nothing in
+    it for the next."""
+
+    def test_three_calls_build_one_parser_tree(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        per_call = []
+        for _ in range(3):
+            before = len(built)
+            code, _, _ = run_cli(capsys, "classgroup", "--disc", "-20")
+            assert code == 0
+            per_call.append(len(built) - before)
+        assert per_call[0] > 0 and per_call[1:] == [0, 0]
+
+    def test_request_after_an_argparse_error_matches_a_fresh_process(self, capsys, parsers_used):
+        argv = ["series", "--disc", "-84", "--which", "genus:0", "--prec", "20"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:-1] + ["abc"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "genusmass.cli", *argv], capture_output=True, text=True
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert len(parsers_used) == 2 and parsers_used[0] is parsers_used[1]
+
+    def test_out_does_not_carry_over_to_the_next_call(self, capsys, tmp_path, parsers_used):
+        target = tmp_path / "series.csv"
+        argv = ["series", "--disc", "-20", "--which", "theta:1", "--prec", "3", "--format", "csv"]
+        code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 0 and out == ""
+        written = target.read_text()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out == written
+        assert target.read_text() == written
+        assert len(parsers_used) == 2 and parsers_used[0] is parsers_used[1]
 
 
 def test_series_requests_reuse_the_class_group(capsys):

@@ -401,6 +401,23 @@ def test_first_serial_report_of_a_long_range_needs_no_job_list():
     assert peak < 20 * 2**20
 
 
+def test_first_pool_report_of_a_long_range_needs_no_job_list():
+    """The pool path takes jobs a chunk at a time, at most CHUNKS_PER_WORKER
+    chunks per worker ahead of the reader: a job list and a future per chunk for
+    this range held about 35 MB in this process before the first report."""
+    tracemalloc.start()
+    try:
+        reports = iter_suite(delta_range(-3, -2 * 10**5), 20, 5, workers=2)
+        report = next(reports)
+        _, peak = tracemalloc.get_traced_memory()
+        reports.close()
+    finally:
+        tracemalloc.stop()
+    assert report.delta == -3 and report.passed
+    assert multiprocessing.active_children() == []
+    assert peak < 5 * 2**20
+
+
 def test_inert_prime_genus_permutations_are_the_skips():
     """On [-500, -3] with p <= 50 every inert (delta, p) pair gives one skip
     record and nothing else is skipped."""
