@@ -313,10 +313,15 @@ def _merge_range_flag(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one command; argv defaults to sys.argv[1:].  It can be called any
-    number of times in one process: the parser is built once (build_parser)."""
+    """Run one command and return its exit status; argv defaults to sys.argv[1:].
+    It can be called any number of times in one process: the parser is built
+    once (build_parser).  An argument argparse rejects returns its status, 2,
+    and --help returns 0, as from the shell."""
     parser = build_parser()
-    args = parser.parse_args(_merge_range_flag(sys.argv[1:] if argv is None else argv))
+    try:
+        args = parser.parse_args(_merge_range_flag(sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:
+        return exc.code
     try:
         if args.command == "classgroup":
             return cmd_classgroup(args)

@@ -5,7 +5,11 @@ Each identity is one comparison of integer arrays over all classes (rows of the
 theta matrix) or all genera (rows of the genus sums), with T_p applied to every row
 at once by slicing.  The prime's character value and class permutation come from
 one prime layer per discriminant, which composes every class with every
-non-inert prime class in one compose_rows call."""
+non-inert prime class in one compose_rows call.
+
+prime_sweep gives the records of every identity at every prime up to a bound
+from a few stacked comparisons per discriminant, and calls a check_* function
+only for an identity that fails, for its first mismatch."""
 
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ __all__ = [
     "check_ramified_theta",
     "check_inert_theta",
     "check_genus_permutation",
-    "prime_checks",
+    "prime_sweep",
 ]
 
 
@@ -173,20 +177,141 @@ def check_genus_permutation(group: ClassGroup, p: int, n_max: int, bound=None) -
     return _compare_rows(p, chi, "genus_permutation", lhs, rhs, unit)
 
 
-def prime_checks(group: ClassGroup, p: int, n_max: int, bound=None) -> Iterator[CheckRecord]:
-    """All identities at p, each computed when it is reached: eigenform, the
-    per-class theta identity for the prime's type, and the genus permutation,
-    which is a skip record at an inert p.  They read one prime layer for the
-    primes up to bound (default p): a caller that checks every prime up to a
-    bound passes it, so that the layer is built once for all of them."""
-    yield check_eigenform(group, p, n_max, bound)
-    chi = _layer(group, p, bound).chi[p]
-    if chi == 1:
-        yield check_split_theta(group, p, n_max, bound)
-    elif chi == 0:
-        yield check_ramified_theta(group, p, n_max, bound)
-    else:
-        yield check_inert_theta(group, p, n_max, bound)
-        yield CheckRecord(f"genus_permutation[p={p}]", "skip", "skipped: p inert, no genus translate")
-        return
-    yield check_genus_permutation(group, p, n_max, bound)
+# The prime sweep compares blocks of whole primes, and each array of a block has
+# at most max(SWEEP_BLOCK, h (floor(N/2) + 1)) entries: no more than the check
+# at p = 2 alone holds, so that a large class group needs no more working memory
+# than one prime at a time did.
+SWEEP_BLOCK = 1 << 16
+
+
+class _ColumnPlan(NamedTuple):
+    """The columns n = 1..floor(N/p) of every prime p <= B, one segment per prime
+    in increasing order: each segment's width floor(N/p) and start; at every
+    column n and p n; and the columns where p divides n, with n/p there and where
+    each prime's run of them starts (one more entry, their count, at the end)."""
+
+    primes: tuple[int, ...]
+    widths: tuple[int, ...]
+    starts: tuple[int, ...]
+    n: np.ndarray
+    pn: np.ndarray
+    divisible: np.ndarray
+    quotient: np.ndarray
+    divisible_starts: tuple[int, ...]
+
+
+@lru_cache(maxsize=1)
+def _column_plan(n_max: int, bound: int) -> _ColumnPlan:
+    """The column plan of (n_max, bound), read-only and kept for the last one only:
+    it depends on no discriminant, so a range run builds it once."""
+    primes = tuple(primes_up_to(bound))
+    widths = [n_max // p for p in primes]
+    starts = np.cumsum([0] + widths)
+    p = np.repeat(np.array(primes, dtype=np.int64), widths)
+    n = np.arange(starts[-1], dtype=np.int64) - np.repeat(starts[:-1], widths) + 1
+    pn = p * n
+    divisible = np.flatnonzero(n % p == 0)
+    quotient = n[divisible] // p[divisible]
+    for array in (n, pn, divisible, quotient):
+        array.setflags(write=False)
+    divisible_starts = np.cumsum([0] + [w // p for w, p in zip(widths, primes)])
+    return _ColumnPlan(primes, tuple(widths), tuple(starts[:-1].tolist()), n, pn, divisible, quotient,
+                       tuple(divisible_starts.tolist()))
+
+
+def _sweep_blocks(widths: tuple[int, ...], rows: int, n_max: int) -> Iterator[tuple[int, int]]:
+    """The primes i0 <= i < i1 of each block, in order, over the primes of nonzero
+    width (a prefix, since the widths do not increase).  rows times a block's
+    width stays within max(SWEEP_BLOCK, rows (floor(n_max/2) + 1)), which every
+    single prime meets."""
+    limit = max(SWEEP_BLOCK, rows * (n_max // 2 + 1))
+    compared = sum(1 for w in widths if w)
+    i0 = width = 0
+    for i, w in enumerate(widths[:compared]):
+        if rows * (width + w) > limit:
+            yield i0, i
+            i0, width = i, 0
+        width += w
+    if compared > i0:
+        yield i0, compared
+
+
+def _t_columns(x: np.ndarray, pn: np.ndarray, divisible: np.ndarray, quotient: np.ndarray,
+               twist: np.ndarray) -> np.ndarray:
+    """T_p of every row of x at the columns of a block: x[p n], plus chi(p) x[n/p]
+    (n/p = quotient, chi(p) = twist) at the columns divisible, where p | n."""
+    out = x[..., pn]
+    out[..., divisible] += twist * x[..., quotient]
+    return out
+
+
+def prime_sweep(group: ClassGroup, n_max: int, bound: int) -> list[CheckRecord]:
+    """The records of every identity at every prime p <= bound, p increasing:
+    eigenform[p], the theta identity of the prime's type, and genus_permutation[p],
+    a skip at an inert p.  They are the records the check_* functions return.
+
+    Each identity is compared at all primes at once on the column plan of
+    (n_max, bound), with the primes in blocks (see SWEEP_BLOCK).  The left sides
+    are T_p at every column of the theta matrix, of its column sum and of the
+    genus sums S; the right sides, row gathers per non-inert prime and 0 at an
+    inert prime, are subtracted from them.  One np.logical_or.reduceat per block
+    over the columns left nonzero gives each identity's status at each prime.
+    Only an identity that fails at p calls its check_* function, for the record
+    with its first mismatch; a check_* that then passes is a RuntimeError."""
+    plan = _column_plan(n_max, bound)
+    if not plan.primes:
+        return []
+    layer = _prime_layer(group.delta, bound)
+    theta = theta_matrix(group.delta, n_max)
+    sums, _ = genus_eisenstein(group, n_max)
+    total = theta.sum(axis=0)
+    chi = [layer.chi[p] for p in plan.primes]
+    eigenvalues = 1 + np.repeat(np.array(chi, dtype=np.int64), plan.widths)
+    twists = np.repeat(np.array(chi, dtype=np.int64), np.diff(plan.divisible_starts))
+    genus_ids = list(group.genus_ids)
+    failed = np.zeros((3, len(chi)), dtype=bool)
+    for i0, i1 in _sweep_blocks(plan.widths, group.h, n_max):
+        c0, c1 = plan.starts[i0], plan.starts[i1 - 1] + plan.widths[i1 - 1]
+        d = slice(plan.divisible_starts[i0], plan.divisible_starts[i1])
+        divisible, quotient, twist = plan.divisible[d] - c0, plan.quotient[d], twists[d]
+        # left minus right side of each identity, 0 where it holds
+        total_diff, theta_diff, sums_diff = (
+            _t_columns(x, plan.pn[c0:c1], divisible, quotient, twist) for x in (total, theta, sums)
+        )
+        total_diff -= eigenvalues[c0:c1] * total[plan.n[c0:c1]]
+        for i in range(i0, i1):
+            if chi[i] == -1:
+                continue
+            p, k, start = plan.primes[i], plan.widths[i], plan.starts[i] - c0
+            theta_diff[:, start : start + k] -= theta[layer.perms[p], 1 : k + 1]
+            if chi[i] == 1:
+                theta_diff[:, start : start + k] -= theta[layer.conjugates[p], 1 : k + 1]
+            targets = layer.genus_row[layer.perms[p][genus_ids]]
+            sums_diff[:, start : start + k] -= (2 if chi[i] == 1 else 1) * sums[targets, 1 : k + 1]
+        unequal = np.empty((3, c1 - c0), dtype=bool)
+        unequal[0] = total_diff != 0
+        unequal[1] = (theta_diff != 0).any(axis=0)
+        unequal[2] = (sums_diff != 0).any(axis=0)
+        segments = [start - c0 for start in plan.starts[i0:i1]]
+        failed[:, i0:i1] = np.logical_or.reduceat(unequal, segments, axis=1)
+    theta_checks = {1: check_split_theta, 0: check_ramified_theta, -1: check_inert_theta}
+    records = []
+    for i, p in enumerate(plan.primes):
+        kind = PRIME_TYPES[chi[i]]
+        identities = [("eigenform", check_eigenform), (f"theta_{kind}", theta_checks[chi[i]])]
+        if chi[i] != -1:
+            identities.append(("genus_permutation", check_genus_permutation))
+        for row, (identity, check) in enumerate(identities):
+            if not failed[row, i]:
+                detail = f"{kind}; n=1..{plan.widths[i]} exact"
+                records.append(CheckRecord(f"{identity}[p={p}]", "pass", detail))
+                continue
+            record = check(group, p, n_max, bound)
+            if record.passed:
+                raise RuntimeError(f"the prime sweep fails {identity}[p={p}] at {group.delta}, "
+                                   f"{check.__name__} passes it")
+            records.append(record)
+        if chi[i] == -1:
+            skipped = "skipped: p inert, no genus translate"
+            records.append(CheckRecord(f"genus_permutation[p={p}]", "skip", skipped))
+    return records

@@ -19,12 +19,11 @@ from .arith import (
     factorize,
     is_fundamental,
     prime_discriminant_factorization,
-    primes_up_to,
 )
 from .class_group import build_class_group
 from .forms import automorph_count, reduced_forms
 from .genus import build_genus_characters, character_pairs
-from .hecke import CheckRecord, prime_checks
+from .hecke import CheckRecord, prime_sweep
 from .qseries import dirichlet_convolution, first_mismatch
 from .series import (
     eisenstein_for_genus,
@@ -173,15 +172,16 @@ _PER_DELTA_CACHES = (build_class_group, reduced_forms, l_zero, factorize, prime_
 
 def _report_checks(group, n_max: int, primes_bound: int) -> Iterator[CheckRecord]:
     """The checks of one report, each run when it is reached, through the module
-    names that a tracer can rebind."""
+    names that a tracer can rebind.  The records at the primes come from one
+    prime sweep, run when the first of them is reached, so that its time is
+    eigenform[p=2]'s and the later ones read about 0."""
     delta = group.delta
     yield verify_gauss(delta, n_max)
     yield verify_character_counts(delta)
     yield verify_twisted_eisenstein(delta, n_max)
     yield verify_genus_mass(delta, n_max)
     yield verify_dirichlet(delta)
-    for p in primes_up_to(primes_bound):
-        yield from prime_checks(group, p, n_max, primes_bound)
+    yield from prime_sweep(group, n_max, primes_bound)
 
 
 def _suite_job(args: tuple[int, int, int]) -> VerificationReport:

@@ -14,8 +14,9 @@ divisor-sum sieve that preceded the convolution kernel, all kept separate from
 the library's code paths.  Helpers only the tests need live here too: the
 divisor list of n, one period of the Kronecker character of delta, the type
 of a prime, the product, inverse, genus product and principal genus of
-classes one at a time, and the QuadForm type with its reduction, which the
-library replaced by rows of an integer array.
+classes one at a time, the QuadForm type with its reduction, which the
+library replaced by rows of an integer array, and the per-prime loop of
+check_* calls that the prime sweep replaced.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -31,6 +33,15 @@ from genusmass.arith import ext_gcd, factorize, is_fundamental, is_prime, kronec
 from genusmass.class_group import ClassGroup, compose_rows, prime_form
 from genusmass.forms import reduce_triple, reduced_forms, represented_coprime_value
 from genusmass.genus import build_genus_characters, character_pairs
+from genusmass.hecke import (
+    CheckRecord,
+    _layer,
+    check_eigenform,
+    check_genus_permutation,
+    check_inert_theta,
+    check_ramified_theta,
+    check_split_theta,
+)
 from genusmass.qseries import QSeries
 from genusmass.series import eisenstein_series, kronecker_values, theta_matrix, theta_total
 
@@ -715,3 +726,21 @@ def genus_mass_detail_oracle(group: ClassGroup, n_max: int, table: np.ndarray) -
             n, left, right = found
             return f"genus {g} mismatch at n={n}: {left} != {right}"
     return f"{len(group.genus_ids)} genera, n=0..{n_max} exact"
+
+
+def prime_checks(group: ClassGroup, p: int, n_max: int, bound=None) -> Iterator[CheckRecord]:
+    """All identities at p one check_* call at a time, the loop that
+    hecke.prime_sweep replaced: eigenform, the per-class theta identity for the
+    prime's type, and the genus permutation, which is a skip record at an inert
+    p.  They read one prime layer for the primes up to bound (default p)."""
+    yield check_eigenform(group, p, n_max, bound)
+    chi = _layer(group, p, bound).chi[p]
+    if chi == 1:
+        yield check_split_theta(group, p, n_max, bound)
+    elif chi == 0:
+        yield check_ramified_theta(group, p, n_max, bound)
+    else:
+        yield check_inert_theta(group, p, n_max, bound)
+        yield CheckRecord(f"genus_permutation[p={p}]", "skip", "skipped: p inert, no genus translate")
+        return
+    yield check_genus_permutation(group, p, n_max, bound)

@@ -357,9 +357,7 @@ class TestSharedParser:
 
     def test_request_after_an_argparse_error_matches_a_fresh_process(self, capsys, parsers_used):
         argv = ["series", "--disc", "-84", "--which", "genus:0", "--prec", "20"]
-        with pytest.raises(SystemExit) as exc:
-            main(argv[:-1] + ["abc"])
-        assert exc.value.code == 2
+        assert main(argv[:-1] + ["abc"]) == 2
         assert "invalid int value: 'abc'" in capsys.readouterr().err
         code, out, err = run_cli(capsys, *argv)
         fresh = subprocess.run(
@@ -367,6 +365,22 @@ class TestSharedParser:
         )
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
         assert len(parsers_used) == 2 and parsers_used[0] is parsers_used[1]
+
+    def test_help_returns_0_with_the_usage_on_stdout(self, capsys):
+        code, out, err = run_cli(capsys, "--help")
+        assert code == 0 and err == ""
+        assert out.startswith("usage: ") and "classgroup" in out
+
+    def test_argparse_error_returns_2_in_process_and_exits_2_from_the_shell(self, capsys):
+        argv = ["series", "--disc", "-84", "--which", "genus:0", "--prec", "abc"]
+        code, out, err = run_cli(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "genusmass.cli", *argv], capture_output=True, text=True
+        )
+        assert code == fresh.returncode == 2
+        assert out == fresh.stdout == ""
+        assert "invalid int value: 'abc'" in err
+        assert err == fresh.stderr
 
     def test_out_does_not_carry_over_to_the_next_call(self, capsys, tmp_path, parsers_used):
         target = tmp_path / "series.csv"

@@ -14,7 +14,6 @@ from genusmass.hecke import (
     check_inert_theta,
     check_ramified_theta,
     check_split_theta,
-    prime_checks,
 )
 from genusmass.qseries import QSeries, apply_T, apply_U
 from genusmass.series import genus_eisenstein, theta_series
@@ -33,6 +32,7 @@ from oracles import (
     ideal_scale,
     inverse,
     prime_ideal,
+    prime_checks,
     principal_genus,
 )
 
