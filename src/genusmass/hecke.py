@@ -188,7 +188,9 @@ class _ColumnPlan(NamedTuple):
     """The columns n = 1..floor(N/p) of every prime p <= B, one segment per prime
     in increasing order: each segment's width floor(N/p) and start; at every
     column n and p n; and the columns where p divides n, with n/p there and where
-    each prime's run of them starts (one more entry, their count, at the end)."""
+    each prime's run of them starts (one more entry, their count, at the end);
+    and for each prime and each value of chi(p), the three records of the
+    identities at p when none fails."""
 
     primes: tuple[int, ...]
     widths: tuple[int, ...]
@@ -198,6 +200,23 @@ class _ColumnPlan(NamedTuple):
     divisible: np.ndarray
     quotient: np.ndarray
     divisible_starts: tuple[int, ...]
+    passing: tuple[dict[int, tuple[CheckRecord, CheckRecord, CheckRecord]], ...]
+
+
+def _passing_records(p: int, width: int) -> dict[int, tuple[CheckRecord, CheckRecord, CheckRecord]]:
+    """The records of eigenform[p], the theta identity and genus_permutation[p]
+    when each holds on n = 1..width, for each value of chi(p): the genus
+    permutation is a skip at an inert p."""
+    records = {}
+    for chi, kind in PRIME_TYPES.items():
+        detail = f"{kind}; n=1..{width} exact"
+        if chi == -1:
+            genus = CheckRecord(f"genus_permutation[p={p}]", "skip", "skipped: p inert, no genus translate")
+        else:
+            genus = CheckRecord(f"genus_permutation[p={p}]", "pass", detail)
+        records[chi] = (CheckRecord(f"eigenform[p={p}]", "pass", detail),
+                        CheckRecord(f"theta_{kind}[p={p}]", "pass", detail), genus)
+    return records
 
 
 @lru_cache(maxsize=1)
@@ -215,8 +234,9 @@ def _column_plan(n_max: int, bound: int) -> _ColumnPlan:
     for array in (n, pn, divisible, quotient):
         array.setflags(write=False)
     divisible_starts = np.cumsum([0] + [w // p for w, p in zip(widths, primes)])
+    passing = tuple(_passing_records(p, w) for p, w in zip(primes, widths))
     return _ColumnPlan(primes, tuple(widths), tuple(starts[:-1].tolist()), n, pn, divisible, quotient,
-                       tuple(divisible_starts.tolist()))
+                       tuple(divisible_starts.tolist()), passing)
 
 
 def _sweep_blocks(widths: tuple[int, ...], rows: int, n_max: int) -> Iterator[tuple[int, int]]:
@@ -294,24 +314,15 @@ def prime_sweep(group: ClassGroup, n_max: int, bound: int) -> list[CheckRecord]:
         unequal[2] = (sums_diff != 0).any(axis=0)
         segments = [start - c0 for start in plan.starts[i0:i1]]
         failed[:, i0:i1] = np.logical_or.reduceat(unequal, segments, axis=1)
+    # no genus translate at an inert p: its genus_permutation record is the skip
+    failed[2] &= np.array(chi) != -1
+    records = [record for i, value in enumerate(chi) for record in plan.passing[i][value]]
     theta_checks = {1: check_split_theta, 0: check_ramified_theta, -1: check_inert_theta}
-    records = []
-    for i, p in enumerate(plan.primes):
-        kind = PRIME_TYPES[chi[i]]
-        identities = [("eigenform", check_eigenform), (f"theta_{kind}", theta_checks[chi[i]])]
-        if chi[i] != -1:
-            identities.append(("genus_permutation", check_genus_permutation))
-        for row, (identity, check) in enumerate(identities):
-            if not failed[row, i]:
-                detail = f"{kind}; n=1..{plan.widths[i]} exact"
-                records.append(CheckRecord(f"{identity}[p={p}]", "pass", detail))
-                continue
-            record = check(group, p, n_max, bound)
-            if record.passed:
-                raise RuntimeError(f"the prime sweep fails {identity}[p={p}] at {group.delta}, "
-                                   f"{check.__name__} passes it")
-            records.append(record)
-        if chi[i] == -1:
-            skipped = "skipped: p inert, no genus translate"
-            records.append(CheckRecord(f"genus_permutation[p={p}]", "skip", skipped))
+    for i, row in zip(*np.nonzero(failed.T)):
+        check = (check_eigenform, theta_checks[chi[i]], check_genus_permutation)[row]
+        record = check(group, plan.primes[i], n_max, bound)
+        if record.passed:
+            raise RuntimeError(f"the prime sweep fails {records[3 * i + row].name} at {group.delta}, "
+                               f"{check.__name__} passes it")
+        records[3 * i + row] = record
     return records
