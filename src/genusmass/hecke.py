@@ -226,11 +226,11 @@ def _column_plan(n_max: int, bound: int) -> _ColumnPlan:
     primes = tuple(primes_up_to(bound))
     widths = [n_max // p for p in primes]
     starts = np.cumsum([0] + widths)
-    p = np.repeat(np.array(primes, dtype=np.int64), widths)
+    prime = np.repeat(np.array(primes, dtype=np.int64), widths)
     n = np.arange(starts[-1], dtype=np.int64) - np.repeat(starts[:-1], widths) + 1
-    pn = p * n
-    divisible = np.flatnonzero(n % p == 0)
-    quotient = n[divisible] // p[divisible]
+    pn = prime * n
+    divisible = np.flatnonzero(n % prime == 0)
+    quotient = n[divisible] // prime[divisible]
     for array in (n, pn, divisible, quotient):
         array.setflags(write=False)
     divisible_starts = np.cumsum([0] + [w // p for w, p in zip(widths, primes)])
