@@ -193,7 +193,9 @@ def prime_discriminant_tables(delta: int) -> tuple[tuple[int, np.ndarray], ...]:
             half = (m + 1) // 2
             for start in range(1, half, SQUARES_BLOCK):
                 x = np.arange(start, min(start + SQUARES_BLOCK, half), dtype=np.int64)
-                table[x * x % m] = 1
+                np.multiply(x, x, out=x)
+                np.remainder(x, m, out=x)
+                table[x] = 1
         else:
             table = np.array([kronecker(factor, r) for r in range(m)], dtype=np.int8)
         table.setflags(write=False)

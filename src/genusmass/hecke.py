@@ -47,24 +47,26 @@ def _mismatch_dict(n: int, lhs: Fraction, rhs: Fraction) -> dict:
 @dataclass(frozen=True)
 class CheckRecord:
     """One check of a report: its status ("pass", "fail" or "skip"), a detail
-    line, the first mismatch (n, lhs, rhs) where the check has one, and its time.
-    Every check returns one; it lives here because verify imports this module."""
+    line and the first mismatch (n, lhs, rhs) where the check has one.  Every
+    check returns one; it lives here because verify imports this module.  Its
+    time is the report's (VerificationReport.check_ms), so that a record that
+    holds can be shared by every report it belongs to."""
 
     name: str
     status: str
     detail: str
     first_mismatch: Optional[tuple[int, Fraction, Fraction]] = None
-    elapsed_ms: float = 0.0
 
     @property
     def passed(self) -> bool:
         return self.status != "fail"
 
-    def to_dict(self) -> dict:
+    def to_dict(self, elapsed_ms: float = 0.0) -> dict:
+        """The record's JSON object, with elapsed_ms, the check's time, last."""
         out = {"name": self.name, "pass": self.passed, "status": self.status, "detail": self.detail}
         if self.status == "fail" and self.first_mismatch is not None:
             out["first_mismatch"] = _mismatch_dict(*self.first_mismatch)
-        out["elapsed_ms"] = self.elapsed_ms
+        out["elapsed_ms"] = elapsed_ms
         return out
 
 

@@ -118,8 +118,8 @@ def twisted_sum(group: ClassGroup, n_max: int, d=None) -> tuple[np.ndarray, Frac
     return table @ _genus_sums(group.delta, n_max), Fraction(1, group.w)
 
 
-# L(0) sums its character over blocks of this many residues, so that it needs
-# no int64 working memory that grows with |delta|.
+# L(0) sums its character over blocks of this many residues, so that its
+# working memory does not grow with |delta|.
 L_ZERO_BLOCK = 1 << 16
 
 
@@ -152,27 +152,29 @@ def kronecker_values(delta: int, a: int, start: int, stop: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def l_zero(delta: int) -> Fraction:
-    """L(0) for the Kronecker character chi of delta, from the character alone:
-    L(0, chi) = -B_{1,chi} = -(1/|delta|) * sum over 0 <= a < |delta| of chi(a) * a
-    (Washington, Introduction to Cyclotomic Fields, Thm 4.2).
+    """L(0) for the Kronecker character chi of delta, from the character alone,
+    by Dirichlet's class number sum over half the period: chi is odd and
+    primitive modulo |delta|, so
+    L(0, chi) = (1 / (2 - chi(2))) * sum over 0 < a < |delta|/2 of chi(a)
+    (Davenport, Multiplicative Number Theory, ch. 6; Cohen, A Course in
+    Computational Algebraic Number Theory, 5.3).  It is the same rational as
+    -B_{1,chi} = -(1/|delta|) * sum over 0 <= a < |delta| of chi(a) * a.
 
-    The sum runs over blocks s <= a < s + B, B = L_ZERO_BLOCK, as
-    s * sum chi(a) + sum chi(a) * (a - s).  It is exact: each block's int64 sums
-    are below B^2, and the blocks add up as Python ints.  |delta| >= 4 * 10^9
-    is refused: the table of a prime discriminant p, which can be delta itself,
-    is built from int64 squares x^2 < p^2 / 4, which stay below 2^63 only for
-    |p| up to about 6 * 10^9.
+    The sum runs over blocks of B = L_ZERO_BLOCK residues.  It is exact: a
+    block's int64 sum is at most B in absolute value, and the blocks add up as
+    Python ints.  |delta| >= 4 * 10^9 is refused: the table of a prime
+    discriminant p, which can be delta itself, is built from int64 squares
+    x^2 < p^2 / 4, which stay below 2^63 only for |p| up to about 6 * 10^9.
     """
     q = -delta
     if q >= 4 * 10**9:
         raise ValueError(f"|delta| = {q} is too large for the int64 character tables of L(0)")
-    offsets = np.arange(min(q, L_ZERO_BLOCK), dtype=np.int64)
+    half = (q + 1) // 2
     total = 0
-    for start in range(0, q, L_ZERO_BLOCK):
-        stop = min(start + L_ZERO_BLOCK, q)
-        chi = kronecker_values(delta, delta, start, stop).astype(np.int64)
-        total += start * int(chi.sum()) + int(np.dot(chi, offsets[: stop - start]))
-    return Fraction(-total, q)
+    for start in range(1, half, L_ZERO_BLOCK):
+        chi = kronecker_values(delta, delta, start, min(start + L_ZERO_BLOCK, half))
+        total += int(chi.sum(dtype=np.int64))
+    return Fraction(total, 2 - int(kronecker_values(delta, delta, 2, 3)[0]))
 
 
 @lru_cache(maxsize=1)

@@ -58,19 +58,23 @@ class VerificationReport:
     checks: tuple[CheckRecord, ...]
     elapsed_ms: float = 0.0
     skip_reason: Optional[str] = None
+    # the time of each check in milliseconds, in the order of checks; empty for
+    # a report built without times, whose checks then read 0
+    check_ms: tuple[float, ...] = ()
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
+        times = self.check_ms or (0.0,) * len(self.checks)
         out = {
             "delta": self.delta,
             "precision": self.precision,
             "h": self.class_number,
             "t": self.t,
             "genus_count": self.genus_count,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [c.to_dict(ms) for c, ms in zip(self.checks, times, strict=True)],
         }
         if self.skip_reason is not None:
             out["skipped"] = self.skip_reason
@@ -201,11 +205,11 @@ def _suite_job(args: tuple[int, int, int]) -> VerificationReport:
             skip_reason="non-fundamental",
         )
     group = build_class_group(delta)
-    checks = []
+    checks, check_ms = [], []
     t0 = time.perf_counter()
     for record in _report_checks(group, n_max, primes_bound):
-        checks.append(CheckRecord(record.name, record.status, record.detail, record.first_mismatch,
-                                  _ms_since(t0)))
+        check_ms.append(_ms_since(t0))
+        checks.append(record)
         t0 = time.perf_counter()
     return VerificationReport(
         delta=delta,
@@ -215,6 +219,7 @@ def _suite_job(args: tuple[int, int, int]) -> VerificationReport:
         genus_count=len(group.genus_ids),
         checks=tuple(checks),
         elapsed_ms=_ms_since(start),
+        check_ms=tuple(check_ms),
     )
 
 

@@ -8,7 +8,8 @@ twisted sums, genus averages and mass-formula series one character or one
 genus at a time (the loops the genus character table replaced), with the
 details the two genus checks report when found that way, the ideal lattices
 of the maximal order with the full h x h composition table built from them,
-the scalar L(1) partial sums, the q-series operators on
+the scalar L(1) partial sums, L(0) as the weighted sum over the whole period
+that preceded Dirichlet's half-range sum, the q-series operators on
 tuples of Fraction that preceded the integer-vector series, and the per-t
 divisor-sum sieve that preceded the convolution kernel, all kept separate from
 the library's code paths.  Helpers only the tests need live here too: the
@@ -286,6 +287,21 @@ def dirichlet_l1_oracle(delta: int, terms: int) -> float:
     s1 = s0 - float(terms_arr[-1])
     s2 = s1 - float(terms_arr[-2])
     return (s0 + 2 * s1 + s2) / 4
+
+
+def l_zero_oracle(delta: int) -> Fraction:
+    """L(0, chi) = -B_{1,chi} = -(1/|delta|) * sum over 0 <= a < |delta| of chi(a) * a
+    (Washington, Introduction to Cyclotomic Fields, Thm 4.2), summed in blocks
+    s <= a < s + B as s * sum chi(a) + sum chi(a) * (a - s), each block's int64
+    sums below B^2."""
+    q, block = -delta, 1 << 16
+    offsets = np.arange(min(q, block), dtype=np.int64)
+    total = 0
+    for start in range(0, q, block):
+        stop = min(start + block, q)
+        chi = kronecker_values(delta, delta, start, stop).astype(np.int64)
+        total += start * int(chi.sum()) + int(np.dot(chi, offsets[: stop - start]))
+    return Fraction(-total, q)
 
 
 def character_value(group: ClassGroup, d: int, genus_id: int) -> int:

@@ -32,6 +32,7 @@ from oracles import (
     form_to_ideal,
     fundamental_deltas,
     ideal_points_up_to_norm,
+    l_zero_oracle,
     principal_genus,
 )
 
@@ -232,12 +233,27 @@ class TestLZero:
         with pytest.raises(ValueError):
             l_zero(-4 * 10**9 - 3)
 
+    def test_matches_weighted_full_period_sum(self):
+        """The half-range sum equals -B_{1,chi}, the weighted sum over the whole
+        period, at every fundamental delta in [-3000, -3] and at two large ones."""
+        for delta in fundamental_deltas(-3000) + [-400391, -10000003]:
+            assert l_zero(delta) == l_zero_oracle(delta), delta
+
     @pytest.mark.parametrize("delta", [-84, -420, -455])
-    @pytest.mark.parametrize("block_offset", [-1, 0, 1, None])
+    @pytest.mark.parametrize(
+        "block_offset",
+        [-1, 0, 1, None] + [pytest.param(("half", k), id=f"half{k:+d}") for k in (-1, 0, 1)],
+    )
     def test_blocks_match_scalar_sum(self, monkeypatch, delta, block_offset):
-        """Block sizes just below, at and just above |delta|, and a block of 7
-        that cuts the sum into many blocks and a short last one."""
-        block = 7 if block_offset is None else -delta + block_offset
+        """Block sizes just below, at and just above |delta| and (|delta| - 1)/2,
+        the length of the half range where the last block now ends, and a block
+        of 7 that cuts the sum into many blocks and a short last one."""
+        if block_offset is None:
+            block = 7
+        elif isinstance(block_offset, tuple):
+            block = (-delta - 1) // 2 + block_offset[1]
+        else:
+            block = -delta + block_offset
         l_zero.cache_clear()
         monkeypatch.setattr(series, "L_ZERO_BLOCK", block)
         try:

@@ -145,10 +145,11 @@ def test_checks_fail_on_wrong_l_zero(wrong_l_zero, delta):
 
 @pytest.fixture
 def flipped_table(monkeypatch):
-    """(p|1) negated in the table of the largest prime discriminant p of
-    target["delta"], read where the series read the tables (the class group
-    reads them on its own: target["flipped"] is the flipped reader); the caches
-    that hold character values are cleared on the way in and out."""
+    """(p|1) negated in the table of the prime discriminant p = target["prime"]
+    of target["delta"] (by default the largest), read where the series read the
+    tables (the class group reads them on its own: target["flipped"] is the
+    flipped reader); the caches that hold character values are cleared on the
+    way in and out."""
     original = series.prime_discriminant_tables
     target = {}
 
@@ -156,10 +157,14 @@ def flipped_table(monkeypatch):
         tables = original(delta)
         if delta != target.get("delta"):
             return tables
-        p, table = tables[-1]
-        table = table.copy()
-        table[1] = -table[1]
-        return tables[:-1] + ((p, table),)
+        prime = target.get("prime", tables[-1][0])
+        out = []
+        for p, table in tables:
+            if p == prime:
+                table = table.copy()
+                table[1] = -table[1]
+            out.append((p, table))
+        return tuple(out)
 
     def clear_caches():
         original.cache_clear()
@@ -178,13 +183,27 @@ def flipped_table(monkeypatch):
 def test_checks_fail_on_flipped_character_table(flipped_table, delta):
     """The checks whose right side is a divisor sum of the character fail, and
     the operator identities at the primes, which read only the theta matrix,
-    still pass.  (The L(0) sum need not notice: at -84 the terms a = 1 mod 7
-    that the flip negates add up to 0.)"""
+    still pass.  (The L(0) sum need not notice: at -84 the flip of (-7|1)
+    negates the half-range terms at a = 1 and a = 29, where the character is
+    1 and -1, so the sum is unchanged; see the test below.)"""
     flipped_table["delta"] = delta
     report = run_suite([delta], n_max=200, primes_bound=50, workers=1)[0]
     failed = [c.name for c in report.checks if not c.passed]
     assert failed[:3] == ["gauss_average", "twisted_eisenstein", "genus_mass"]
     assert set(failed[3:]) <= {"dirichlet_class_number"}
+
+
+@pytest.mark.parametrize("delta,prime,cancels", [(-23, -23, False), (-84, -3, False), (-455, 13, False),
+                                                 (-84, -7, True)])
+def test_dirichlet_fails_on_a_flip_that_moves_the_half_range_sum(flipped_table, delta, prime, cancels):
+    """(p|1) negated negates the terms a = 1 mod |p| of the half-range L(0) sum,
+    0 < a < |delta|/2, and keeps chi(2).  The sum changes by -2 times their sum,
+    so the Dirichlet check fails exactly when that sum is not 0.  At -84 the
+    flip of (-7|1) reads a = 1 and a = 29, with chi 1 and -1, and cancels."""
+    moved = sum(kronecker(delta, a) for a in range(1, (1 - delta) // 2, abs(prime)))
+    assert (moved == 0) == cancels
+    flipped_table.update(delta=delta, prime=prime)
+    assert verify_dirichlet(delta).passed == cancels
 
 
 @pytest.mark.parametrize("delta", [-84, -455])
@@ -226,9 +245,13 @@ class TestRunSuite:
 
     def test_check_times_fit_in_report_time(self):
         # every identity at a prime is timed on its own, so the checks' times
-        # cannot add up to more than the report's own
+        # cannot add up to more than the report's own; the report holds them, one
+        # per check, and its JSON gives each to its check
         report = run_suite([-84], n_max=200, primes_bound=50)[0]
-        assert sum(c.elapsed_ms for c in report.checks) <= report.elapsed_ms
+        data = report.to_dict()
+        assert len(report.check_ms) == len(report.checks)
+        assert [c["elapsed_ms"] for c in data["checks"]] == list(report.check_ms)
+        assert sum(c["elapsed_ms"] for c in data["checks"]) <= data["elapsed_ms"]
 
     def test_empty_range(self):
         assert run_suite([]) == []
