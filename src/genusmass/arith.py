@@ -10,7 +10,6 @@ import numpy as np
 __all__ = [
     "kronecker",
     "is_fundamental",
-    "is_fundamental_discriminant",
     "factorize",
     "is_squarefree",
     "prime_discriminant_factorization",
@@ -125,28 +124,17 @@ def primes_up_to(n: int) -> list[int]:
 
 
 def is_fundamental(delta: int) -> bool:
-    """True iff delta < 0 is the discriminant of the maximal order of Q(sqrt(delta)).
+    """True iff delta < 0 is the discriminant of the maximal order of Q(sqrt(delta)):
+    a squarefree delta = 1 (mod 4), or delta = 4m with m = 2 or 3 (mod 4) squarefree.
 
-    Raises for delta >= 0; positive discriminants are out of scope here
-    (see is_fundamental_discriminant for the two-sided predicate).
+    Raises for delta >= 0; positive discriminants are out of scope here.
     """
     if delta >= 0:
         raise ValueError(f"expected a negative discriminant, got {delta}")
-    return is_fundamental_discriminant(delta)
-
-
-def is_fundamental_discriminant(d: int) -> bool:
-    """Two-sided fundamental-discriminant predicate; 1 counts as the trivial one."""
-    if d == 1:
-        return True
-    if d == 0:
-        return False
-    if d % 4 == 1:
-        return is_squarefree(d)
-    if d % 4 == 0:
-        m = d // 4
-        return m % 4 in (2, 3) and is_squarefree(m)
-    return False
+    if delta % 4 == 1:
+        return is_squarefree(delta)
+    m, rem = divmod(delta, 4)
+    return rem == 0 and m % 4 in (2, 3) and is_squarefree(m)
 
 
 @lru_cache(maxsize=None)

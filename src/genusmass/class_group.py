@@ -4,9 +4,9 @@ Classes are the reduced forms.  A product of classes is Dirichlet composition
 followed by Gauss reduction; compose_rows computes a whole array of products
 at once, by a scalar loop for a few rows and by one int64 array kernel for
 many, and no composition table is stored.  The genus of a class is read off
-the assigned characters (one per prime discriminant of delta, from the tables
-of arith.prime_discriminant_tables) at a value the class represents coprime to
-delta, and the build checks the group laws and the principal genus theorem
+the assigned characters: one per prime discriminant p of delta, read from the
+table of p (arith.prime_discriminant_tables) at a value of the class that p does
+not divide.  The build checks the group laws and the principal genus theorem
 (the squares are exactly the principal genus) with one compose_rows call.
 """
 
@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import ext_gcd, is_prime, kronecker, prime_discriminant_tables
-from .forms import INT64_BOUND, automorph_count, reduce_triple, reduced_forms, represented_coprime_value
+from .forms import INT64_BOUND, automorph_count, reduce_triple, reduced_forms
 
 __all__ = [
     "ClassGroup",
@@ -117,9 +117,9 @@ class ClassGroup:
     position; genus ids are the smallest class index in each genus.
     genus_signs[k] holds the assigned characters of the genus genus_ids[k]:
     (p|r) for each prime discriminant p of delta, in
-    prime_discriminant_factorization order, at a value r coprime to delta
-    that the genus represents.  squares is the principal genus, which the
-    build checks is exactly the set of squares.
+    prime_discriminant_factorization order, at a value r of the genus that p
+    does not divide.  squares is the principal genus, which the build checks
+    is exactly the set of squares.
     """
 
     delta: int
@@ -162,7 +162,8 @@ def compose_rows(group: ClassGroup, left, right) -> np.ndarray:
 
     Below ARRAY_MIN_ROWS rows this is the scalar _compose_triples loop; from it on,
     _compose_arrays on int64 arrays, then np.searchsorted of each result's (a, b)
-    among the sorted classes; a result that is not a class raises RuntimeError.
+    among the sorted classes.  On either path a result that is not a class raises
+    RuntimeError.
     The crossover was measured with both paths on the same random rows (2 vCPU,
     Python 3.11, numpy 2.4, best of 15): the array kernel costs about 0.18 ms
     for any small number of rows, and a scalar product 1.5-2.5 us.  At -420
@@ -184,9 +185,13 @@ def compose_rows(group: ClassGroup, left, right) -> np.ndarray:
     right = np.asarray(right, dtype=np.int64)
     classes = group.classes
     if len(left) < ARRAY_MIN_ROWS:
-        index_of = group.index_of
         pairs = zip(map(tuple, classes[left].tolist()), map(tuple, classes[right].tolist()))
-        return np.array([index_of[_compose_triples(f1, f2)] for f1, f2 in pairs], dtype=np.int64)
+        products = [_compose_triples(f1, f2) for f1, f2 in pairs]
+        try:
+            return np.array([group.index_of[f] for f in products], dtype=np.int64)
+        except KeyError as exc:
+            k = products.index(exc.args[0])
+            raise _not_a_class(group, left[k], right[k], exc.args[0]) from None
     q = -group.delta
     if (2 * q) ** 2 // 9 + q >= INT64_BOUND:
         raise ValueError(f"|delta| = {q} is too large for int64 composition")
@@ -196,9 +201,12 @@ def compose_rows(group: ClassGroup, left, right) -> np.ndarray:
     bad = (classes.take(index, axis=0) != products.T).any(axis=1)
     if bad.any():
         k = int(bad.argmax())
-        raise RuntimeError(f"delta={group.delta}: the product of classes {left[k]} and {right[k]} "
-                           f"is {tuple(products[:, k].tolist())}, not a class")
+        raise _not_a_class(group, left[k], right[k], tuple(products[:, k].tolist()))
     return index
+
+
+def _not_a_class(group: ClassGroup, i, j, product: Triple) -> RuntimeError:
+    return RuntimeError(f"delta={group.delta}: the product of classes {i} and {j} is {product}, not a class")
 
 
 def _check_group(group: ClassGroup) -> None:
@@ -226,28 +234,24 @@ def _check_group(group: ClassGroup) -> None:
         raise RuntimeError(f"delta={group.delta}: genera of unequal sizes {sorted(sizes)}")
 
 
-def _coprime_values(classes: np.ndarray, delta: int) -> list[int]:
-    """represented_coprime_value(q, -delta) for every class q, by one np.gcd.
-
-    Its shell |x|, |y| <= 1 gives a reduced form the values a <= c <= a - |b| + c
-    <= a + |b| + c, so the search stops there at the smallest of them coprime to
-    delta; only the classes where none is coprime, such as (3, 0, 7) at -84, run
-    the scalar search."""
-    a, b, c = classes.T
-    shell = np.stack((a, c, a - np.abs(b) + c, a + np.abs(b) + c), axis=1)
-    coprime = np.gcd(shell, -delta) == 1
-    first = shell[np.arange(len(classes)), coprime.argmax(axis=1)].tolist()
-    return [r if found else represented_coprime_value(q, -delta)
-            for q, r, found in zip(classes.tolist(), first, coprime.any(axis=1).tolist())]
-
-
 def _genera(classes: np.ndarray, delta: int) -> tuple[list[int], dict[tuple[int, ...], int]]:
-    """genus_of, and the first class of each genus by its assigned characters:
-    the characters (p|r) of every class, each read from the table of p at r mod
-    |p|, where r is the class's value coprime to delta.  The first class with a
-    row of characters names its genus."""
-    r = np.array(_coprime_values(classes, delta), dtype=np.int64)
-    signs = np.stack([table[r % abs(p)] for p, table in prime_discriminant_tables(delta)], axis=1)
+    """genus_of, and the first class of each genus by its assigned characters.
+
+    The character (p|r) of a prime discriminant p of delta takes one value on
+    every r the class represents that p does not divide (Cox, Primes of the Form
+    x^2 + ny^2, Thm 3.15; Buell, Binary Quadratic Forms, ch. 4).  So it is read
+    from the table of p at the first of a, c and a + b + c not divisible by q,
+    where q is |p|, or 2 for p = -4, 8 or -8.  A primitive form has one: if q
+    divides a and c, it does not divide b, nor then a + b + c.  The first class
+    with a row of characters names its genus."""
+    values = np.stack((classes[:, 0], classes[:, 2], classes.sum(axis=1)))
+    columns = np.arange(len(classes))
+    tables = prime_discriminant_tables(delta)
+    signs = np.empty((len(classes), len(tables)), dtype=np.int8)
+    for k, (p, table) in enumerate(tables):
+        q = abs(p) if p % 2 else 2
+        r = values[(values % q != 0).argmax(axis=0), columns]
+        signs[:, k] = table[r % abs(p)]
     first_of: dict[tuple[int, ...], int] = {}
     genus_of = [first_of.setdefault(tuple(row), i) for i, row in enumerate(signs.tolist())]
     return genus_of, first_of
@@ -258,7 +262,10 @@ def build_class_group(delta: int) -> ClassGroup:
     """Class group of a fundamental discriminant: classes, inverses, squares, genera."""
     classes = reduced_forms(delta)
     index_of = {tuple(q): i for i, q in enumerate(classes.tolist())}
-    identity = index_of[reduce_triple(1, delta % 2, (delta % 2 - delta) // 4)]
+    principal = reduce_triple(1, delta % 2, (delta % 2 - delta) // 4)
+    if principal not in index_of:
+        raise RuntimeError(f"delta={delta}: the principal form {principal} is not a class")
+    identity = index_of[principal]
     # the inverse of (a, b, c) is (a, -b, c): a class of its own, or, when b = a
     # or a = c, not reduced and the class itself
     keys, opposite = _class_keys(classes, classes[:, 0], -classes[:, 1])
@@ -297,4 +304,8 @@ def prime_form(delta: int, p: int) -> Triple:
 
 def prime_ideal_class(group: ClassGroup, p: int) -> int:
     """Class index of the prime ideal above a split or ramified p."""
-    return group.index_of[reduce_triple(*prime_form(group.delta, p))]
+    form = reduce_triple(*prime_form(group.delta, p))
+    try:
+        return group.index_of[form]
+    except KeyError:
+        raise RuntimeError(f"delta={group.delta}: the prime ideal above {p} is {form}, not a class") from None

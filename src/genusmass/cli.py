@@ -23,7 +23,7 @@ from .series import (
     theta_series,
     twisted_sum,
 )
-from .verify import VerificationReport, delta_range, iter_suite, report_json_line
+from .verify import VerificationReport, _worker_count, delta_range, iter_suite, report_json_line
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -235,9 +235,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("verify needs --disc or --range")
     if args.fmt not in ("json", "text"):
         raise UsageError(f"verify supports text or json output, not {args.fmt}")
+    try:
+        workers = _worker_count()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     with _output(args.out) as write:
         all_passed = True
-        for report in iter_suite(deltas, n_max=args.prec, primes_bound=args.primes):
+        for report in iter_suite(deltas, n_max=args.prec, primes_bound=args.primes, workers=workers):
             all_passed = all_passed and report.passed
             write(report_json_line(report) + "\n" if args.fmt == "json" else _report_text(report))
     return 0 if all_passed else CHECK_FAILURE

@@ -14,7 +14,6 @@ __all__ = [
     "reduced_forms",
     "representation_counts",
     "automorph_count",
-    "represented_coprime_value",
 ]
 
 
@@ -146,26 +145,3 @@ def automorph_count(delta: int) -> int:
     if delta == -4:
         return 4
     return 2
-
-
-def represented_coprime_value(q: tuple[int, int, int], d: int) -> int:
-    """Smallest positive value of the primitive form q = (a, b, c) coprime to d,
-    by expanding square shells.
-
-    Primitive forms represent values coprime to any fixed modulus, so the
-    search never legitimately exhausts its |x|,|y| <= 4d region.
-    """
-    if d < 1:
-        raise ValueError(f"expected d >= 1, got {d}")
-    a, b, c = q
-    for k in range(1, 4 * d + 1):
-        best = None
-        for x in range(-k, k + 1):
-            ys = (-k, k) if abs(x) < k else range(-k, k + 1)
-            for y in ys:
-                value = a * x * x + b * x * y + c * y * y
-                if value > 0 and math.gcd(value, d) == 1 and (best is None or value < best):
-                    best = value
-        if best is not None:
-            return best
-    raise RuntimeError(f"no value of {q} coprime to {d} in |x|,|y| <= {4 * d}")

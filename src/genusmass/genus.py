@@ -39,9 +39,10 @@ def build_genus_characters(group: ClassGroup) -> np.ndarray:
     """The character table X of the genus group, as a read-only int64 matrix:
     X[i, k] = chi_{d_i}(genus_ids[k]), with rows in character_pairs order.
 
-    chi_{d,D}(g) = (d|r) for a value r of the genus coprime to delta, so it is the
-    product of the genus's assigned characters (p|r) over the prime
-    discriminants p that divide d: -1 to the number of those that are -1.
+    chi_{d,D}(g) = (d|r) for a value r of the genus coprime to d, so it is the
+    product of the genus's assigned characters over the prime discriminants p
+    that divide d, each (p|r) at a value r of the genus that p does not divide:
+    -1 to the number of those that are -1.
     Built once per discriminant: only the last table is kept, keyed on delta
     and on the genera's ids and assigned characters.
     """

@@ -128,7 +128,7 @@ def _layer(group: ClassGroup, p: int, bound) -> _PrimeLayer:
 
 def check_eigenform(group: ClassGroup, p: int, n_max: int, bound=None) -> CheckRecord:
     """a(pn) + (delta|p) a(n/p) = (1 + (delta|p)) a(n) for the class-group total a."""
-    total = theta_total(group, n_max).coeffs
+    total = theta_total(group, n_max)
     chi = _layer(group, p, bound).chi[p]
     lhs = t_rows(total, p, chi)
     return _compare_rows(p, chi, "eigenform", lhs, (1 + chi) * total[: len(lhs)])
@@ -286,7 +286,7 @@ def prime_sweep(group: ClassGroup, n_max: int, bound: int) -> list[CheckRecord]:
     layer = _prime_layer(group.delta, bound)
     theta = theta_matrix(group.delta, n_max)
     sums, _ = genus_eisenstein(group, n_max)
-    total = theta.sum(axis=0)
+    total = theta_total(group, n_max)
     chi = [layer.chi[p] for p in plan.primes]
     eigenvalues = 1 + np.repeat(np.array(chi, dtype=np.int64), plan.widths)
     twists = np.repeat(np.array(chi, dtype=np.int64), np.diff(plan.divisible_starts))

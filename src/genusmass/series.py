@@ -78,9 +78,10 @@ def theta_series(group: ClassGroup, h: int, n_max: int) -> QSeries:
     return QSeries(group.delta, counts.astype(_coeff_dtype(group, n_max), copy=False))
 
 
-def theta_total(group: ClassGroup, n_max: int) -> QSeries:
-    """Sum of the theta series of all classes; constant term h."""
-    return QSeries(group.delta, theta_matrix(group.delta, n_max).sum(axis=0))
+def theta_total(group: ClassGroup, n_max: int) -> np.ndarray:
+    """The coefficients of the sum of the theta series of all classes, as an
+    integer array; constant term h."""
+    return theta_matrix(group.delta, n_max).sum(axis=0)
 
 
 @lru_cache(maxsize=1)

@@ -93,7 +93,7 @@ def _ms_since(start: float) -> float:
 
 def verify_gauss(delta: int, n_max: int) -> CheckRecord:
     """sum over classes of r(Q_h, n) = w * sum over t | n of (delta|t), n = 1..n_max."""
-    total = theta_total(build_class_group(delta), n_max).coeffs
+    total = theta_total(build_class_group(delta), n_max)
     chi = kronecker_values(delta, delta, 0, n_max + 1).astype(total.dtype)
     rhs = automorph_count(delta) * dirichlet_convolution(chi, np.ones_like(chi))
     found = first_mismatch(total, 1, rhs, 1, lo=1)
@@ -224,11 +224,15 @@ def _suite_job(args: tuple[int, int, int]) -> VerificationReport:
 
 
 def _worker_count() -> int:
+    """GENUSMASS_THREADS, 1 when it is unset; ValueError unless it is a positive integer."""
     raw = os.environ.get("GENUSMASS_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ValueError(f"GENUSMASS_THREADS must be a positive integer, got {raw!r}")
+    return count
 
 
 def _pool_size(workers: Optional[int], n_jobs: int) -> int:

@@ -16,8 +16,11 @@ the library's code paths.  Helpers only the tests need live here too: the
 divisor list of n, one period of the Kronecker character of delta, the type
 of a prime, the product, inverse, genus product and principal genus of
 classes one at a time, the QuadForm type with its reduction, which the
-library replaced by rows of an integer array, and the per-prime loop of
-check_* calls that the prime sweep replaced.
+library replaced by rows of an integer array, the per-prime loop of
+check_* calls that the prime sweep replaced, the scalar search for the
+smallest value of a form coprime to a modulus, which the per-prime reading of
+the assigned characters replaced, and the two-sided fundamental discriminant
+predicate.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from typing import Iterator
 
 import numpy as np
 
-from genusmass.arith import ext_gcd, factorize, is_fundamental, is_prime, kronecker
+from genusmass.arith import ext_gcd, factorize, is_fundamental, is_prime, is_squarefree, kronecker
 from genusmass.class_group import ClassGroup, compose_rows, prime_form
-from genusmass.forms import reduce_triple, reduced_forms, represented_coprime_value
+from genusmass.forms import reduce_triple, reduced_forms
 from genusmass.genus import build_genus_characters, character_pairs
 from genusmass.hecke import (
     CheckRecord,
@@ -101,6 +104,43 @@ def fundamental_deltas(lo: int, hi: int = -3) -> list[int]:
         if delta % 4 in (0, 1) and is_fundamental(delta):
             out.append(delta)
     return out
+
+
+def is_fundamental_discriminant(d: int) -> bool:
+    """Two-sided fundamental-discriminant predicate; 1 counts as the trivial one."""
+    if d == 1:
+        return True
+    if d == 0:
+        return False
+    if d % 4 == 1:
+        return is_squarefree(d)
+    if d % 4 == 0:
+        m = d // 4
+        return m % 4 in (2, 3) and is_squarefree(m)
+    return False
+
+
+def represented_coprime_value(q: tuple[int, int, int], d: int) -> int:
+    """Smallest positive value of the primitive form q = (a, b, c) coprime to d,
+    by expanding square shells.
+
+    Primitive forms represent values coprime to any fixed modulus, so the
+    search never legitimately exhausts its |x|,|y| <= 4d region.
+    """
+    if d < 1:
+        raise ValueError(f"expected d >= 1, got {d}")
+    a, b, c = q
+    for k in range(1, 4 * d + 1):
+        best = None
+        for x in range(-k, k + 1):
+            ys = (-k, k) if abs(x) < k else range(-k, k + 1)
+            for y in ys:
+                value = a * x * x + b * x * y + c * y * y
+                if value > 0 and math.gcd(value, d) == 1 and (best is None or value < best):
+                    best = value
+        if best is not None:
+            return best
+    raise RuntimeError(f"no value of {q} coprime to {d} in |x|,|y| <= {4 * d}")
 
 
 def is_fundamental_oracle(delta: int) -> bool:
@@ -632,7 +672,7 @@ def series_from_json(text: str) -> QSeries:
 
 def class_average(group: ClassGroup, n_max: int) -> QSeries:
     """(1/w) * sum of all theta series; constant term h/w."""
-    return theta_total(group, n_max).scale(Fraction(1, group.w))
+    return QSeries(group.delta, theta_total(group, n_max)).scale(Fraction(1, group.w))
 
 
 def _check_prime_index(p: int) -> None:

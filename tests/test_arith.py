@@ -7,7 +7,6 @@ from genusmass.arith import (
     ext_gcd,
     factorize,
     is_fundamental,
-    is_fundamental_discriminant,
     is_prime,
     is_squarefree,
     kronecker,
@@ -15,7 +14,13 @@ from genusmass.arith import (
     primes_up_to,
     distinct_prime_count,
 )
-from oracles import divisors, fundamental_deltas, is_fundamental_oracle, sqrt_mod_exists
+from oracles import (
+    divisors,
+    fundamental_deltas,
+    is_fundamental_discriminant,
+    is_fundamental_oracle,
+    sqrt_mod_exists,
+)
 
 
 class TestKronecker:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -12,7 +13,7 @@ import genusmass
 from genusmass import class_group
 from genusmass.arith import distinct_prime_count, kronecker, prime_discriminant_factorization, primes_up_to
 from genusmass.class_group import build_class_group, compose_rows, prime_form, prime_ideal_class
-from genusmass.forms import reduced_forms, represented_coprime_value
+from genusmass.forms import reduced_forms
 from oracles import (
     IdealBasis,
     QuadForm,
@@ -31,6 +32,7 @@ from oracles import (
     opposite,
     prime_ideal,
     reduce_form,
+    represented_coprime_value,
 )
 
 deltas_strategy = st.sampled_from(fundamental_deltas(-250))
@@ -453,23 +455,60 @@ class TestBuildClassGroup:
         for g in cg84.genus_ids:
             assert g == min(cg84.genus_members(g))
 
-    def test_coprime_values_match_the_scalar_search(self):
-        for delta in fundamental_deltas(-3000) + [-400391]:
-            classes = reduced_forms(delta)
-            expected = [represented_coprime_value(q, -delta) for q in classes.tolist()]
-            assert class_group._coprime_values(classes, delta) == expected, delta
+    def test_assigned_characters_take_one_value_on_shell_one(self):
+        """For each prime discriminant p of delta, every value among a, c,
+        a + b + c and a - b + c of a class that is prime to p gives the same
+        (p|r): the rule the genera are read by, checked without the library's
+        genus code."""
+        for delta in fundamental_deltas(-3000):
+            factors = prime_discriminant_factorization(delta)
+            for q in class_forms(delta):
+                shell = (q.a, q.c, q.a + q.b + q.c, q.a - q.b + q.c)
+                for p in factors:
+                    values = {kronecker(p, r) for r in shell if math.gcd(r, p) == 1}
+                    assert len(values) == 1, (delta, q, p)
 
-    def test_coprime_values_fall_back_past_shell_one(self, monkeypatch):
-        """(3, 0, 7) at -84 has shell values 3, 7, 10, 10, none coprime to 84."""
-        searched = []
+    def test_signs_where_no_shell_value_is_prime_to_delta(self):
+        """(3, 0, 7) at -84 has shell values 3, 7, 10, 10, none prime to 84."""
+        group = build_class_group(-84)
+        k = group.genus_ids.index(group.genus_of[group.index_of[(3, 0, 7)]])
+        r = represented_coprime_value((3, 0, 7), 84)
+        assert group.genus_signs[k] == tuple(kronecker(p, r) for p in prime_discriminant_factorization(-84))
 
-        def scalar_search(q, d):
-            searched.append(tuple(q))
-            return represented_coprime_value(q, d)
 
-        monkeypatch.setattr(class_group, "represented_coprime_value", scalar_search)
-        assert class_group._coprime_values(reduced_forms(-84), -84) == [1, 11, 19, 5]
-        assert searched == [(3, 0, 7)]
+def _drop_class(monkeypatch, delta, row):
+    """Build the class group of delta from its reduced forms without the given row."""
+    forms = np.delete(reduced_forms(delta), row, axis=0)
+    monkeypatch.setattr(class_group, "reduced_forms", lambda d: forms)
+    return build_class_group.__wrapped__(delta)
+
+
+class TestMissingClass:
+    """A product or a prime ideal that is not a class raises one RuntimeError,
+    naming delta, on the scalar and the array path alike."""
+
+    def test_missing_product_on_the_scalar_path(self, monkeypatch):
+        assert 3 * len(reduced_forms(-4423)) < class_group.ARRAY_MIN_ROWS
+        with pytest.raises(RuntimeError, match=r"delta=-4423: the product of classes 28 and 28 is "
+                                               r"\(7, -1, 158\), not a class"):
+            _drop_class(monkeypatch, -4423, 5)
+
+    def test_missing_product_on_the_array_path(self, monkeypatch):
+        assert 3 * len(reduced_forms(-4151)) >= class_group.ARRAY_MIN_ROWS
+        with pytest.raises(RuntimeError, match="delta=-4151: the product of classes .* not a class"):
+            _drop_class(monkeypatch, -4151, 5)
+
+    def test_missing_prime_ideal_class(self, monkeypatch):
+        """Without (2, 2, 11) the rest of -84 is a group of 3 classes, so the
+        build passes, and the prime ideal above 2 is the missing class."""
+        group = _drop_class(monkeypatch, -84, 1)
+        assert group.h == 3
+        with pytest.raises(RuntimeError, match=r"delta=-84: the prime ideal above 2 is \(2, 2, 11\), not a class"):
+            prime_ideal_class(group, 2)
+
+    def test_missing_principal_class(self, monkeypatch):
+        with pytest.raises(RuntimeError, match=r"delta=-84: the principal form \(1, 0, 21\) is not a class"):
+            _drop_class(monkeypatch, -84, 0)
 
 
 class TestPrimeIdealClass:

@@ -203,6 +203,17 @@ class TestVerify:
         assert lines[:2] == ["delta=-1 skipped: non-fundamental", "delta=-2 skipped: non-fundamental"]
         assert lines[2].startswith("delta=-3 h=1") and lines[3].startswith("delta=-4 h=1")
 
+    @pytest.mark.parametrize("threads", ["junk", "0", "-3"])
+    def test_bad_thread_count_is_usage_error(self, capsys, monkeypatch, tmp_path, threads):
+        # such a value used to run serially without a word; the --out file is not opened
+        monkeypatch.setenv("GENUSMASS_THREADS", threads)
+        target = tmp_path / "report.jsonl"
+        code, out, err = run_cli(capsys, "verify", "--disc", "-84", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: GENUSMASS_THREADS must be a positive integer, got {threads!r}\n"
+        assert not target.exists()
+
     def test_needs_disc_or_range(self, capsys):
         code, _, err = run_cli(capsys, "verify")
         assert code == 2

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genusmass.class_group import build_class_group, prime_ideal_class
-from genusmass.forms import represented_coprime_value
 from genusmass.genus import build_genus_characters, character_pairs
 from genusmass.arith import kronecker, primes_up_to
 from genusmass.verify import verify_character_counts
@@ -21,6 +20,7 @@ from oracles import (
     genus_product,
     orthogonality_sum,
     principal_genus,
+    represented_coprime_value,
 )
 
 deltas_strategy = st.sampled_from(fundamental_deltas(-250))

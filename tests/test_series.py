@@ -22,6 +22,7 @@ from genusmass.series import (
     l_zero,
     series_csv,
     theta_series,
+    theta_total,
     twisted_sum,
 )
 from oracles import (
@@ -68,6 +69,14 @@ class TestTheta:
         # divisor-sum identity since r([1,0,5],3) = 0 and w(1 + (-20|3)) = 4
         h = cg20.index_of[(2, 2, 3)]
         assert theta_series(cg20, h, 3)[3] == 4
+
+    def test_total_is_the_integer_sum_of_the_class_series(self):
+        for delta in (-4, -47, -84, -420):
+            group = build_class_group(delta)
+            total = theta_total(group, 30)
+            assert isinstance(total, np.ndarray) and total.dtype == np.int64
+            assert total[0] == group.h
+            assert total.tolist() == sum(theta_series(group, h, 30).coeffs for h in range(group.h)).tolist()
 
     @given(deltas_strategy, st.data())
     @settings(max_examples=60)

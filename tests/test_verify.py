@@ -457,7 +457,9 @@ def test_worker_count_env(monkeypatch):
 
     monkeypatch.setenv("GENUSMASS_THREADS", "4")
     assert _worker_count() == 4
-    monkeypatch.setenv("GENUSMASS_THREADS", "junk")
-    assert _worker_count() == 1
     monkeypatch.delenv("GENUSMASS_THREADS")
     assert _worker_count() == 1
+    for raw in ("junk", "0", "-3", ""):
+        monkeypatch.setenv("GENUSMASS_THREADS", raw)
+        with pytest.raises(ValueError, match="GENUSMASS_THREADS"):
+            _worker_count()
