@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from functools import lru_cache
 
 import numpy as np
@@ -12,6 +13,7 @@ from .arith import is_fundamental
 __all__ = [
     "reduce_triple",
     "reduced_forms",
+    "stacked_reduced_forms",
     "representation_counts",
     "automorph_count",
 ]
@@ -42,44 +44,64 @@ INT64_BOUND = 2**62
 @lru_cache(maxsize=None)
 def reduced_forms(delta: int) -> np.ndarray:
     """One reduced representative (a, b, c) per form class of fundamental
-    discriminant delta, as the rows of a read-only h x 3 int64 array.
+    discriminant delta, as the rows of a read-only h x 3 int64 array,
+    lexicographically sorted: stacked_reduced_forms of delta alone."""
+    forms, _ = stacked_reduced_forms([delta])
+    forms.setflags(write=False)
+    return forms
+
+
+def stacked_reduced_forms(deltas) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced forms of each fundamental discriminant in deltas, stacked in
+    the order of deltas, each discriminant's sorted lexicographically, as an
+    int64 array with one row (a, b, c) per form; and the number of forms of each
+    discriminant, its class number h.
 
     The reduced forms are the (a, b, c) with 0 < a <= sqrt(|delta|/3), -a < b <= a,
     b = delta (mod 2) and integral c = (b^2 - delta)/(4a) >= a, where b >= 0 when
     a = c (Cohen, A Course in Computational Algebraic Number Theory, 5.3).  As
     (a, -b, c) is reduced with (a, b, c) when 0 < b < a < c, only 0 <= b <= a is
-    tested, as int64 arrays of REDUCED_FORMS_BLOCK candidates.  Lexicographically
-    sorted.  Every row is a positive definite primitive form: a >= 1, c is
-    integral by the divisibility test, and a common factor g > 1 of a, b, c
+    tested, as int64 arrays of REDUCED_FORMS_BLOCK candidates that run across
+    the discriminants.  Every row is a positive definite primitive form: a >= 1,
+    c is integral by the divisibility test, and a common factor g > 1 of a, b, c
     would make delta/g^2 a discriminant, which a fundamental delta excludes.
     """
-    if not is_fundamental(delta):
-        raise ValueError(f"{delta} is not a negative fundamental discriminant")
-    a_row = np.arange(1, math.isqrt(-delta // 3) + 1, dtype=np.int64)
-    # row a holds b = delta % 2, delta % 2 + 2, ..., a; candidate k of the whole
-    # enumeration, in row a, is b = b_base[a] + 2k
-    widths = (a_row - delta % 2) // 2 + 1
-    row_ends = np.cumsum(widths)
-    row_starts = row_ends - widths
-    b_base = delta % 2 - 2 * row_starts
+    deltas = [int(delta) for delta in deltas]
+    for delta in deltas:
+        if not is_fundamental(delta):
+            raise ValueError(f"{delta} is not a negative fundamental discriminant")
+    # one row per (discriminant, a), holding b = delta % 2, delta % 2 + 2, ..., a;
+    # candidate k of the whole enumeration, in row i, is b = b_base[i] + 2k
+    tops = [math.isqrt(-delta // 3) for delta in deltas]
+    owner = np.arange(len(deltas)).repeat(tops)
+    a_row = np.arange(1, sum(tops) + 1) - np.array(list(accumulate(tops[:-1], initial=0))).repeat(tops)
+    q_row = np.array([-delta for delta in deltas]).repeat(tops)
+    parity = q_row % 2
+    widths = (a_row - parity) // 2 + 1
+    row_ends = widths.cumsum()
+    b_base = parity - 2 * (row_ends - widths)
     total = int(row_ends[-1])
     found = []
     for start in range(0, total, REDUCED_FORMS_BLOCK):
         stop = min(start + REDUCED_FORMS_BLOCK, total)
-        lengths = np.minimum(row_ends, stop) - np.maximum(row_starts, start)
-        row = np.repeat(np.arange(len(a_row)), np.maximum(lengths, 0))
-        a = a_row[row]
-        b = b_base[row] + np.arange(2 * start, 2 * stop, 2)
-        c, rem = np.divmod(b * b - delta, 4 * a)
-        keep = (rem == 0) & (c >= a)
-        a, b, c = a[keep], b[keep], c[keep]
-        mirror = (0 < b) & (b < a) & (a < c)
-        found += ((a, b, c), (a[mirror], -b[mirror], c[mirror]))
-    a, b, c = (np.concatenate(parts) for parts in zip(*found))
-    order = np.lexsort((b, a))  # by a, then b
-    forms = np.stack((a[order], b[order], c[order]), axis=1)
-    forms.setflags(write=False)
-    return forms
+        first, last = row_ends.searchsorted([start, stop - 1], side="right").tolist()
+        rows = slice(first, last + 1)
+        lengths = np.minimum(row_ends[rows], stop) - np.maximum(row_ends[rows] - widths[rows], start)
+        a = a_row[rows].repeat(lengths)
+        b = b_base[rows].repeat(lengths) + np.arange(2 * start, 2 * stop, 2)
+        c, rem = np.divmod(b * b + q_row[rows].repeat(lengths), 4 * a)
+        keep = np.flatnonzero((rem == 0) & (c >= a))
+        kept = np.array((row_ends.searchsorted(keep + start, side="right"), a[keep], b[keep], c[keep]))
+        _, a, b, c = kept
+        found += (kept, kept[:, (0 < b) & (b < a) & (a < c)] * _MIRROR)
+    row, a, b, c = np.concatenate(found, axis=1)
+    position = owner[row]
+    order = np.lexsort((b, a, position))  # by discriminant, then a, then b
+    return np.array((a[order], b[order], c[order])).T, np.bincount(position, minlength=len(deltas))
+
+
+# (row, a, b, c) -> (row, a, -b, c)
+_MIRROR = np.array([[1], [1], [-1], [1]], dtype=np.int64)
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -94,9 +116,9 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
 def _ragged(first: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of consecutive integers first[i], first[i] + 1, ... of lengths[i]
     entries, as two flat arrays: each entry's row i, and its value."""
-    ends = np.cumsum(lengths)
-    values = np.arange(ends[-1]) + np.repeat(first + lengths - ends, lengths)
-    return np.repeat(np.arange(len(lengths)), lengths), values
+    ends = lengths.cumsum()
+    values = np.arange(ends[-1]) + (first + lengths - ends).repeat(lengths)
+    return np.arange(len(lengths)).repeat(lengths), values
 
 
 def representation_counts(forms: np.ndarray, n_max: int) -> np.ndarray:

@@ -4,12 +4,14 @@ sum, the split/ramified/inert per-class identities, and the genus permutation.
 Each identity is one comparison of integer arrays over all classes (rows of the
 theta matrix) or all genera (rows of the genus sums), with T_p applied to every row
 at once by slicing.  The prime's character value and class permutation come from
-one prime layer per discriminant, which composes every class with every
-non-inert prime class in one compose_rows call.
+one prime layer per discriminant; prime_layers builds those of a stack of
+groups from one composition call, each distinct prime class composed once.
 
-prime_sweep gives the records of every identity at every prime up to a bound
-from a few stacked comparisons per discriminant, and calls a check_* function
-only for an identity that fails, for its first mismatch."""
+sweep_failures compares every identity at every prime up to a bound for a whole
+batch of discriminants at once, on their stacked rows; sweep_records gives a
+discriminant's records from its failures, and calls a check_* function only for
+an identity that fails, for its first mismatch.  prime_sweep is both for one
+discriminant."""
 
 from __future__ import annotations
 
@@ -17,12 +19,23 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .arith import kronecker, primes_up_to
-from .class_group import ClassGroup, build_class_group, compose_rows, prime_ideal_class
+from .cache import memo
+from .forms import _ragged
+from .class_group import (
+    ClassGroup,
+    Stack,
+    build_class_group,
+    compose_stacked,
+    genus_rows,
+    prime_ideal_class,
+    stack_of,
+)
 from .qseries import first_mismatch, t_rows, u_rows
 from .series import genus_eisenstein, theta_matrix, theta_total
 
@@ -88,33 +101,114 @@ class _PrimeLayer(NamedTuple):
     genus_row: np.ndarray
 
 
+class PrimeClasses(NamedTuple):
+    """The prime classes of a stack of groups at the primes up to a bound: chi[k, i]
+    = (delta_k|p_i); classes[k, i], the class of the prime ideal above p_i, or -1
+    at an inert p_i; and the stack rows left, right of the products h P, for every
+    class h of group k and each distinct non-principal P of group k up to
+    inversion, in runs of h rows, where composed[k] maps each such P to the
+    start of its run."""
+
+    primes: tuple[int, ...]
+    chi: np.ndarray
+    classes: np.ndarray
+    composed: list[dict[int, int]]
+    left: np.ndarray
+    right: np.ndarray
+
+
 @lru_cache(maxsize=1)
+def primes_to(bound: int) -> tuple[int, ...]:
+    """The primes up to bound, kept for the last bound."""
+    return tuple(primes_up_to(bound))
+
+
+def prime_classes(stack: Stack, bound: int) -> PrimeClasses:
+    """(delta|p) for every group and prime p <= bound, one scalar kronecker each;
+    the prime class of each non-inert p; and the products to compose for the
+    prime layers: h P for each distinct non-principal prime class P, where P^-1
+    is composed only when P is not.  A principal P permutes nothing, and
+    h P^-1 = (h^-1 P)^-1 is read from the run of P (prime_layers)."""
+    primes = primes_to(bound)
+    chi = [[kronecker(group.delta, p) for p in primes] for group in stack.groups]
+    classes, composed, run_starts, run_rows, run_classes = [], [], [], [], []
+    rows = 0
+    for group, start, values in zip(stack.groups, stack.starts.tolist(), chi):
+        runs: dict[int, int] = {}
+        classes.append([])
+        for p, value in zip(primes, values):
+            cls = -1 if value == -1 else prime_ideal_class(group, p)
+            classes[-1].append(cls)
+            if cls not in (-1, group.identity) and cls not in runs and group.inverses[cls] not in runs:
+                runs[cls] = rows
+                rows += group.h
+                run_starts.append(start)
+                run_rows.append(group.h)
+                run_classes.append(start + cls)
+        composed.append(runs)
+    shape = (len(stack.groups), len(primes))
+    run_rows = np.array(run_rows, dtype=np.int64)
+    left = _ragged(np.array(run_starts, dtype=np.int64), run_rows)[1] if rows else np.zeros(0, dtype=np.int64)
+    return PrimeClasses(primes, np.array(chi, dtype=np.int64).reshape(shape),
+                        np.array(classes, dtype=np.int64).reshape(shape), composed, left,
+                        np.array(run_classes, dtype=np.int64).repeat(run_rows))
+
+
+def prime_layers(stack: Stack, prime: PrimeClasses, products: np.ndarray) -> list[_PrimeLayer]:
+    """The prime layer of each group of the stack (see _prime_layer), from the
+    stack rows products of prime.left * prime.right."""
+    local = products - stack.starts[stack.owner[prime.left]]
+    local.setflags(write=False)
+    # the genus of each class as its row in genus_ids order, for every group at once
+    stacked = genus_rows(stack)
+    local_rows = stacked - stacked[stack.starts][stack.owner]
+    local_rows.setflags(write=False)
+    layers, classes, chis = [], prime.classes.tolist(), prime.chi.tolist()
+    for k, group in enumerate(stack.groups):
+        start, h, runs = int(stack.starts[k]), group.h, prime.composed[k]
+        inv = np.array(group.inverses)
+        perms, conjugates = {}, {}
+        for i, p in enumerate(prime.primes):
+            cls = classes[k][i]
+            if cls == -1:
+                continue
+            if cls in runs:
+                perm = local[runs[cls] : runs[cls] + h]
+            else:
+                if cls == group.identity:
+                    perm = np.arange(h)
+                else:
+                    run = runs[group.inverses[cls]]
+                    perm = inv[local[run : run + h][inv]]
+                perm.setflags(write=False)
+            perms[p] = perm
+            if chis[k][i] == 1:
+                conjugates[p] = inv[perm[inv]]
+                conjugates[p].setflags(write=False)
+        chi = dict(zip(prime.primes, chis[k]))
+        layers.append(_PrimeLayer(chi, perms, conjugates, local_rows[start : start + h]))
+    return layers
+
+
+@memo(maxsize=1)
 def _prime_layer(delta: int, bound: int) -> _PrimeLayer:
     """What every identity at a prime p <= bound reads, read-only and kept for the
     last (delta, bound) only:
     - chi[p] = (delta|p), one scalar kronecker per prime;
     - perms[p], the class permutation h -> h P of each non-inert p, where P is
-      the class of the prime ideal above p: every class times every such P in
-      one compose_rows call;
+      the class of the prime ideal above p: every class times each distinct
+      non-principal P, up to inversion, in one compose_stacked call, and the
+      identity at a principal P;
     - conjugates[p], the permutation h -> h P' of each split p, P' the inverse
       of P.  The class group is abelian, so the inverse map is an automorphism
       and h P' = (h' P)': this is perms[p] read at the inverses and mapped
-      through them;
-    - genus_row[h], the row of the genus of the class h in genus_ids order."""
-    group = build_class_group(delta)
-    chi = {p: kronecker(delta, p) for p in primes_up_to(bound)}
-    primes = [p for p, value in chi.items() if value != -1]
-    every = np.arange(group.h)
-    hp = np.repeat([prime_ideal_class(group, p) for p in primes], group.h)
-    rows = compose_rows(group, np.tile(every, len(primes)), hp).reshape(len(primes), group.h)
-    inv = np.array(group.inverses)
-    conjugates = {p: inv[perm[inv]] for p, perm in zip(primes, rows) if chi[p] == 1}
-    genus_row = np.zeros(group.h, dtype=np.int64)
-    genus_row[list(group.genus_ids)] = np.arange(len(group.genus_ids))
-    genus_row = genus_row[list(group.genus_of)]
-    for array in (rows, genus_row, *conjugates.values()):
-        array.setflags(write=False)
-    return _PrimeLayer(chi, dict(zip(primes, rows)), conjugates, genus_row)
+      through them, and so is perms[p] when P' was composed and P was not;
+    - genus_row[h], the row of the genus of the class h in genus_ids order.
+    prime_layers builds the layers of a whole stack of groups at once; this is
+    the layer of one."""
+    stack = stack_of(build_class_group(delta))
+    prime = prime_classes(stack, bound)
+    return prime_layers(stack, prime, compose_stacked(stack, prime.left, prime.right))[0]
 
 
 def _layer(group: ClassGroup, p: int, bound) -> _PrimeLayer:
@@ -189,8 +283,9 @@ SWEEP_BLOCK = 1 << 16
 class _ColumnPlan(NamedTuple):
     """The columns n = 1..floor(N/p) of every prime p <= B, one segment per prime
     in increasing order: each segment's width floor(N/p) and start; at every
-    column n and p n; and the columns where p divides n, with n/p there and where
-    each prime's run of them starts (one more entry, their count, at the end);
+    column n, p n and the index of p; and the columns where p divides n, with
+    n/p and the index of p there and where each prime's run of them starts (one
+    more entry, their count, at the end);
     and for each prime and each value of chi(p), the three records of the
     identities at p when none fails."""
 
@@ -199,8 +294,10 @@ class _ColumnPlan(NamedTuple):
     starts: tuple[int, ...]
     n: np.ndarray
     pn: np.ndarray
+    column_prime: np.ndarray
     divisible: np.ndarray
     quotient: np.ndarray
+    divisible_prime: np.ndarray
     divisible_starts: tuple[int, ...]
     passing: tuple[dict[int, tuple[CheckRecord, CheckRecord, CheckRecord]], ...]
 
@@ -225,20 +322,22 @@ def _passing_records(p: int, width: int) -> dict[int, tuple[CheckRecord, CheckRe
 def _column_plan(n_max: int, bound: int) -> _ColumnPlan:
     """The column plan of (n_max, bound), read-only and kept for the last one only:
     it depends on no discriminant, so a range run builds it once."""
-    primes = tuple(primes_up_to(bound))
+    primes = primes_to(bound)
     widths = [n_max // p for p in primes]
     starts = np.cumsum([0] + widths)
-    prime = np.repeat(np.array(primes, dtype=np.int64), widths)
+    column_prime = np.repeat(np.arange(len(primes)), widths)
+    prime = np.array(primes, dtype=np.int64)[column_prime]
     n = np.arange(starts[-1], dtype=np.int64) - np.repeat(starts[:-1], widths) + 1
     pn = prime * n
     divisible = np.flatnonzero(n % prime == 0)
     quotient = n[divisible] // prime[divisible]
-    for array in (n, pn, divisible, quotient):
+    divisible_prime = column_prime[divisible]
+    for array in (n, pn, column_prime, divisible, quotient, divisible_prime):
         array.setflags(write=False)
     divisible_starts = np.cumsum([0] + [w // p for w, p in zip(widths, primes)])
     passing = tuple(_passing_records(p, w) for p, w in zip(primes, widths))
-    return _ColumnPlan(primes, tuple(widths), tuple(starts[:-1].tolist()), n, pn, divisible, quotient,
-                       tuple(divisible_starts.tolist()), passing)
+    return _ColumnPlan(primes, tuple(widths), tuple(starts[:-1].tolist()), n, pn, column_prime, divisible,
+                       quotient, divisible_prime, tuple(divisible_starts.tolist()), passing)
 
 
 def _sweep_blocks(widths: tuple[int, ...], rows: int, n_max: int) -> Iterator[tuple[int, int]]:
@@ -267,64 +366,115 @@ def _t_columns(x: np.ndarray, pn: np.ndarray, divisible: np.ndarray, quotient: n
     return out
 
 
-def prime_sweep(group: ClassGroup, n_max: int, bound: int) -> list[CheckRecord]:
-    """The records of every identity at every prime p <= bound, p increasing:
-    eigenform[p], the theta identity of the prime's type, and genus_permutation[p],
-    a skip at an inert p.  They are the records the check_* functions return.
+def sweep_failures(groups: list[ClassGroup], layers: list[_PrimeLayer], theta: np.ndarray,
+                   totals: np.ndarray, sums: np.ndarray, n_max: int, bound: int) -> np.ndarray:
+    """Which identity fails at which prime p <= bound, for every group at once, as
+    a 3 x len(groups) x (number of primes) bool array: eigenform, the theta
+    identity and the genus permutation (never at an inert p).
 
-    Each identity is compared at all primes at once on the column plan of
-    (n_max, bound), with the primes in blocks (see SWEEP_BLOCK).  The left sides
-    are T_p at every column of the theta matrix, of its column sum and of the
-    genus sums S; the right sides, row gathers per non-inert prime and 0 at an
-    inert prime, are subtracted from them.  One np.logical_or.reduceat per block
-    over the columns left nonzero gives each identity's status at each prime.
-    Only an identity that fails at p calls its check_* function, for the record
-    with its first mismatch; a check_* that then passes is a RuntimeError."""
+    theta stacks the theta matrices of the groups (h rows each, in order), totals
+    their column sums (one row each) and sums their genus sums S (one row per
+    genus); layers are their prime layers.  Each identity is compared at all
+    primes at once on the column plan of (n_max, bound), with the primes in
+    blocks (see SWEEP_BLOCK; the rows of a block are all the stacked classes).
+    The left sides are T_p at every column, with chi(p) taken per row; the right
+    sides, row gathers per prime that a row's mask or factor zeroes where its
+    delta is inert at p, are subtracted from them.  np.logical_or.reduceat over
+    each delta's rows and over each prime's columns gives the statuses."""
     plan = _column_plan(n_max, bound)
-    if not plan.primes:
-        return []
-    layer = _prime_layer(group.delta, bound)
-    theta = theta_matrix(group.delta, n_max)
-    sums, _ = genus_eisenstein(group, n_max)
-    total = theta_total(group, n_max)
-    chi = [layer.chi[p] for p in plan.primes]
-    eigenvalues = 1 + np.repeat(np.array(chi, dtype=np.int64), plan.widths)
-    twists = np.repeat(np.array(chi, dtype=np.int64), np.diff(plan.divisible_starts))
-    genus_ids = list(group.genus_ids)
-    failed = np.zeros((3, len(chi)), dtype=bool)
-    for i0, i1 in _sweep_blocks(plan.widths, group.h, n_max):
+    chi = np.array([[layer.chi[p] for p in plan.primes] for layer in layers], dtype=np.int64)
+    chi = chi.reshape(len(groups), len(plan.primes))
+    h = [group.h for group in groups]
+    class_starts = list(accumulate(h, initial=0))
+    genus_starts = list(accumulate((len(group.genus_ids) for group in groups), initial=0))
+    leaders = np.array([start + g for start, group in zip(class_starts, groups) for g in group.genus_ids])
+    # the stack rows of h p (images[0]) and h p' (images[1]) of every class h at
+    # every prime p, and the group's first class where p is inert or not split
+    none = np.zeros(max(h), dtype=np.int32)
+    images = [[np.array([getattr(layer, maps).get(p, none[:rows]) for p in plan.primes], dtype=np.int32)
+               .reshape(len(plan.primes), rows) for layer, rows in zip(layers, h)]
+              for maps in ("perms", "conjugates")]
+    genus_rows = [layer.genus_row for layer in layers]
+    if len(groups) > 1:
+        # chi(p) per row, and each group's offsets among the stacked rows
+        row_owner = np.repeat(np.arange(len(groups)), h)
+        genus_owner = np.repeat(np.arange(len(groups)), np.diff(genus_starts))
+        class_chi, genus_chi = chi[row_owner], chi[genus_owner]
+        offsets = np.repeat(class_starts[:-1], h)
+        images = [np.concatenate(image, axis=1) + offsets for image in images]
+        class_genus = np.concatenate(genus_rows) + np.repeat(genus_starts[:-1], h)
+    else:
+        class_chi = genus_chi = chi
+        images, class_genus = [image[0] for image in images], genus_rows[0]
+    # the rows of the genera of g p; which rows count, where some group's p is
+    # inert or not split; and the factor of the genus sums, 2 at a split p,
+    # 1 at a ramified one, 0 at an inert one
+    targets = class_genus[images[0][:, leaders]]
+    kinds = [None if (chi != -1).all() else class_chi != -1, None if (chi == 1).all() else class_chi == 1]
+    genus_factor = 1 + genus_chi
+    failed = np.zeros((3, len(groups), len(plan.primes)), dtype=bool)
+    for i0, i1 in _sweep_blocks(plan.widths, len(theta), n_max):
         c0, c1 = plan.starts[i0], plan.starts[i1 - 1] + plan.widths[i1 - 1]
         d = slice(plan.divisible_starts[i0], plan.divisible_starts[i1])
-        divisible, quotient, twist = plan.divisible[d] - c0, plan.quotient[d], twists[d]
+        divisible, quotient, twist = plan.divisible[d] - c0, plan.quotient[d], plan.divisible_prime[d]
+        column, n = plan.column_prime[c0:c1], plan.n[c0:c1]
         # left minus right side of each identity, 0 where it holds
         total_diff, theta_diff, sums_diff = (
-            _t_columns(x, plan.pn[c0:c1], divisible, quotient, twist) for x in (total, theta, sums)
+            _t_columns(x, plan.pn[c0:c1], divisible, quotient, rows[:, twist])
+            for x, rows in ((totals, chi), (theta, class_chi), (sums, genus_chi))
         )
-        total_diff -= eigenvalues[c0:c1] * total[plan.n[c0:c1]]
-        for i in range(i0, i1):
-            if chi[i] == -1:
-                continue
-            p, k, start = plan.primes[i], plan.widths[i], plan.starts[i] - c0
-            theta_diff[:, start : start + k] -= theta[layer.perms[p], 1 : k + 1]
-            if chi[i] == 1:
-                theta_diff[:, start : start + k] -= theta[layer.conjugates[p], 1 : k + 1]
-            targets = layer.genus_row[layer.perms[p][genus_ids]]
-            sums_diff[:, start : start + k] -= (2 if chi[i] == 1 else 1) * sums[targets, 1 : k + 1]
-        unequal = np.empty((3, c1 - c0), dtype=bool)
-        unequal[0] = total_diff != 0
-        unequal[1] = (theta_diff != 0).any(axis=0)
-        unequal[2] = (sums_diff != 0).any(axis=0)
+        total_diff -= (1 + chi[:, column]) * totals[:, n]
+        # h p at a non-inert p, and h p' at a split one, at every column n of p
+        # at once, each zeroed where a group's p is not of that kind
+        for image, kind in zip(images, kinds):
+            rhs = theta[image[column].T, n]
+            if kind is not None:
+                rhs *= kind[:, column]
+            theta_diff -= rhs
+            del rhs  # not held into the next block
+        # the genus of g p, times its factor
+        sums_diff -= genus_factor[:, column] * sums[targets[column].T, n]
         segments = [start - c0 for start in plan.starts[i0:i1]]
-        failed[:, i0:i1] = np.logical_or.reduceat(unequal, segments, axis=1)
+        for row, unequal in enumerate((total_diff != 0,
+                                       np.logical_or.reduceat(theta_diff != 0, class_starts[:-1], axis=0),
+                                       np.logical_or.reduceat(sums_diff != 0, genus_starts[:-1], axis=0))):
+            failed[row, :, i0:i1] = np.logical_or.reduceat(unequal, segments, axis=1)
     # no genus translate at an inert p: its genus_permutation record is the skip
-    failed[2] &= np.array(chi) != -1
-    records = [record for i, value in enumerate(chi) for record in plan.passing[i][value]]
+    failed[2] &= chi != -1
+    return failed
+
+
+def sweep_records(group: ClassGroup, n_max: int, bound: int, chi: dict[int, int],
+                  failed: np.ndarray) -> list[CheckRecord]:
+    """The records of every identity at every prime p <= bound, p increasing, from
+    the group's 3 x (number of primes) slice of sweep_failures: the passing
+    records of the column plan, and for each identity that fails at p the record
+    of its check_* function, with the first mismatch; a check_* that then passes
+    is a RuntimeError."""
+    plan = _column_plan(n_max, bound)
+    values = [chi[p] for p in plan.primes]
+    records = [record for i, value in enumerate(values) for record in plan.passing[i][value]]
     theta_checks = {1: check_split_theta, 0: check_ramified_theta, -1: check_inert_theta}
     for i, row in zip(*np.nonzero(failed.T)):
-        check = (check_eigenform, theta_checks[chi[i]], check_genus_permutation)[row]
+        check = (check_eigenform, theta_checks[values[i]], check_genus_permutation)[row]
         record = check(group, plan.primes[i], n_max, bound)
         if record.passed:
             raise RuntimeError(f"the prime sweep fails {records[3 * i + row].name} at {group.delta}, "
                                f"{check.__name__} passes it")
         records[3 * i + row] = record
     return records
+
+
+def prime_sweep(group: ClassGroup, n_max: int, bound: int) -> list[CheckRecord]:
+    """The records of every identity at every prime p <= bound, p increasing:
+    eigenform[p], the theta identity of the prime's type, and genus_permutation[p],
+    a skip at an inert p.  They are the records the check_* functions return:
+    sweep_failures on this one group, then sweep_records."""
+    if bound < 2:
+        return []
+    layer = _prime_layer(group.delta, bound)
+    theta = theta_matrix(group.delta, n_max)
+    sums, _ = genus_eisenstein(group, n_max)
+    total = theta_total(group, n_max)
+    failed = sweep_failures([group], [layer], theta, total[None, :], sums, n_max, bound)
+    return sweep_records(group, n_max, bound, layer.chi, failed[:, 0])

@@ -12,18 +12,20 @@ from __future__ import annotations
 import io
 import math
 from fractions import Fraction
-from functools import lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .arith import prime_discriminant_tables
-from .class_group import ClassGroup, build_class_group
+from .cache import memo
+from .class_group import ClassGroup, Stack, build_class_group, genus_rows, stack_of
 from .forms import INT64_BOUND, representation_counts
 from .genus import build_genus_characters, character_pairs
 from .qseries import QSeries, dirichlet_convolution
 
 __all__ = [
     "theta_matrix",
+    "character_row",
     "theta_series",
     "theta_total",
     "genus_eisenstein",
@@ -58,17 +60,65 @@ def _coeff_dtype(group: ClassGroup, n_max: int):
     return np.int64 if bound < INT64_BOUND else object
 
 
-@lru_cache(maxsize=1)
+class SeriesStack(NamedTuple):
+    """The series layers of a stack of groups at precision n_max, as int64 arrays:
+    theta, the theta matrices stacked (one row per class); totals, their column
+    sums (one row per group); and sums, the genus sums S stacked (one row per
+    genus, each group's in genus_ids order), with where each group's genera
+    start."""
+
+    theta: np.ndarray
+    totals: np.ndarray
+    sums: np.ndarray
+    genus_starts: np.ndarray
+
+
+def series_stack(stack: Stack, n_max: int) -> SeriesStack:
+    """The theta matrices of every group of the stack from one representation_counts
+    call over all of their classes, and their column sums and genus sums."""
+    theta = representation_counts(stack.classes, n_max)
+    sums, genus_starts = _stacked_genus_sums(stack, theta)
+    return SeriesStack(theta, np.add.reduceat(theta, stack.starts, axis=0), sums, genus_starts)
+
+
+def _stacked_genus_sums(stack: Stack, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The genus sums S of every group of the stack from its stacked theta rows, by
+    one np.add.reduceat over the classes ordered by genus, and where each group's
+    genera start among them."""
+    genus = genus_rows(stack)
+    order = np.argsort(genus, kind="stable")
+    starts = np.searchsorted(genus[order], np.arange(genus.max() + 1))
+    return np.add.reduceat(theta[order], starts, axis=0), genus[stack.starts]
+
+
+def _read_only(array: np.ndarray, group: ClassGroup, n_max: int, copy: bool = False) -> np.ndarray:
+    """array in the coefficient dtype of the group, read-only; a copy when copy is
+    set or the dtype changes."""
+    array = array.astype(_coeff_dtype(group, n_max), copy=copy)
+    array.setflags(write=False)
+    return array
+
+
+def theta_slices(stack: Stack, layers: SeriesStack, n_max: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(theta_matrix, _genus_sums) of each group of the stack, copied out of layers."""
+    ends = np.append(layers.genus_starts[1:], len(layers.sums))
+    return [(_read_only(layers.theta[start : start + group.h], group, n_max, copy=True),
+             _read_only(layers.sums[g0:g1], group, n_max, copy=True))
+            for group, start, g0, g1 in zip(stack.groups, stack.starts.tolist(), layers.genus_starts.tolist(),
+                                            ends.tolist())]
+
+
+@memo(maxsize=1)
 def theta_matrix(delta: int, n_max: int) -> np.ndarray:
     """The h x (n_max + 1) integer matrix whose row h is the theta series of the
     class h: [r(Q_h, 0), ..., r(Q_h, n_max)].  Read-only.
 
     Built once per (delta, n_max), and only the last one is kept: every check of
-    a discriminant reads the same matrix, and a run then moves on to the next."""
+    a discriminant reads the same matrix, and a run then moves on to the next.
+    series_stack builds the matrices of a stack of groups from the same
+    representation_counts call on all of their classes."""
     group = build_class_group(delta)
-    theta = representation_counts(group.classes, n_max).astype(_coeff_dtype(group, n_max), copy=False)
-    theta.setflags(write=False)
-    return theta
+    return _read_only(representation_counts(group.classes, n_max), group, n_max)
 
 
 def theta_series(group: ClassGroup, h: int, n_max: int) -> QSeries:
@@ -84,16 +134,12 @@ def theta_total(group: ClassGroup, n_max: int) -> np.ndarray:
     return theta_matrix(group.delta, n_max).sum(axis=0)
 
 
-@lru_cache(maxsize=1)
+@memo(maxsize=1)
 def _genus_sums(delta: int, n_max: int) -> np.ndarray:
     """S: the matrix whose row k is the sum of the theta rows of the classes in the
-    genus genus_ids[k], from one np.add.reduceat over the classes ordered by
-    genus.  Read-only; kept for the last (delta, n_max) only."""
-    group = build_class_group(delta)
-    genus_of = np.array(group.genus_of)
-    order = np.argsort(genus_of, kind="stable")
-    starts = np.searchsorted(genus_of[order], group.genus_ids)
-    sums = np.add.reduceat(theta_matrix(delta, n_max)[order], starts, axis=0)
+    genus genus_ids[k] (see _stacked_genus_sums).  Read-only; kept for the last
+    (delta, n_max) only."""
+    sums, _ = _stacked_genus_sums(stack_of(build_class_group(delta)), theta_matrix(delta, n_max))
     sums.setflags(write=False)
     return sums
 
@@ -151,7 +197,7 @@ def kronecker_values(delta: int, a: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+@memo(maxsize=None)
 def l_zero(delta: int) -> Fraction:
     """L(0) for the Kronecker character chi of delta, from the character alone,
     by Dirichlet's class number sum over half the period: chi is odd and
@@ -161,40 +207,112 @@ def l_zero(delta: int) -> Fraction:
     Computational Algebraic Number Theory, 5.3).  It is the same rational as
     -B_{1,chi} = -(1/|delta|) * sum over 0 <= a < |delta| of chi(a) * a.
 
-    The sum runs over blocks of B = L_ZERO_BLOCK residues.  It is exact: a
-    block's int64 sum is at most B in absolute value, and the blocks add up as
-    Python ints.  |delta| >= 4 * 10^9 is refused: the table of a prime
-    discriminant p, which can be delta itself, is built from int64 squares
-    x^2 < p^2 / 4, which stay below 2^63 only for |p| up to about 6 * 10^9.
+    The sum runs over blocks of B = L_ZERO_BLOCK residues, chi on each the
+    product of windows of the tables of the prime discriminants of delta.  A
+    table shorter than the half period is repeated once, to at most B + |p|
+    entries, and every window is a slice of that.  It is exact: a block's int64 sum is
+    at most B in absolute value, and the blocks add up as Python ints.
+    |delta| >= 4 * 10^9 is refused: the table of a prime discriminant p, which
+    can be delta itself, is built from int64 squares x^2 < p^2 / 4, which stay
+    below 2^63 only for |p| up to about 6 * 10^9.
     """
     q = -delta
     if q >= 4 * 10**9:
         raise ValueError(f"|delta| = {q} is too large for the int64 character tables of L(0)")
     half = (q + 1) // 2
+    tables = [table for _, table in prime_discriminant_tables(delta)]
+    width = min(L_ZERO_BLOCK, half)
+    extended = [table if len(table) >= half else _periodic(table, 0, width + len(table)) for table in tables]
     total = 0
     for start in range(1, half, L_ZERO_BLOCK):
-        chi = kronecker_values(delta, delta, start, min(start + L_ZERO_BLOCK, half))
+        chi = np.ones(min(L_ZERO_BLOCK, half - start), dtype=np.int8)
+        for table, values in zip(tables, extended):
+            first = start % len(table)
+            chi *= values[first : first + len(chi)]
         total += int(chi.sum(dtype=np.int64))
-    return Fraction(total, 2 - int(kronecker_values(delta, delta, 2, 3)[0]))
+    chi_2 = math.prod(int(table[2 % len(table)]) for table in tables)
+    return Fraction(total, 2 - chi_2)
 
 
-@lru_cache(maxsize=1)
+class EisensteinRows(NamedTuple):
+    """The Eisenstein matrix of a group and its unit (see eisenstein_matrix), the
+    character row of its delta (see character_row; None for rows of given
+    pairs) and L(0)."""
+
+    rows: np.ndarray
+    unit: Fraction
+    character: Optional[np.ndarray]
+    l_zero: Fraction
+
+
+def eisenstein_stack(groups: list[ClassGroup], n_max: int, pairs=None) -> list[EisensteinRows]:
+    """The Eisenstein rows of each group, for its character pairs (or pairs[k]):
+    each prime discriminant's window (p|m), m = 0..n_max, is read once from the
+    tables of the first delta that has it; each row of (D|.) and (d|.) is the
+    product of its windows, from one gather and one product; and all rows come
+    from one Dirichlet convolution.  L(0) is computed per delta, from
+    the same tables."""
+    windows: dict[int, int] = {}
+    stacked = [np.ones(n_max + 1, dtype=np.int8)]
+    factors, characters, own_pairs, constants = [], [], [], []
+    for k, group in enumerate(groups):
+        constants.append(l_zero(group.delta))
+        own = []
+        for p, table in prime_discriminant_tables(group.delta):
+            if p not in windows:
+                windows[p] = len(stacked)
+                stacked.append(_periodic(table, 0, n_max + 1))
+            own.append((p, windows[p]))
+        pairs_k = pairs[k] if pairs is not None else character_pairs(group.delta)
+        own_pairs.append(pairs_k)
+        factors += [[i for p, i in own if a % p == 0] for d, big_d in pairs_k for a in (big_d, d)]
+        if pairs is None:
+            characters.append([i for _, i in own])
+    # the row of (a|.) is the product of the windows of the prime discriminants of
+    # a, padded with the all-ones row 0: first the rows of (D|.) and (d|.) of
+    # every pair, then the character of each delta
+    rows_of = factors + characters
+    width = max(map(len, rows_of))
+    index = np.array([row + [0] * (width - len(row)) for row in rows_of])
+    values = np.array(stacked)[index].prod(axis=1, dtype=np.int64)
+    divisor_sums = dirichlet_convolution(values[0 : len(factors) : 2], values[1 : len(factors) : 2])
+    out, row = [], 0
+    for k, (group, pairs_k, constant) in enumerate(zip(groups, own_pairs, constants)):
+        half, count = constant / 2, len(pairs_k)
+        rows = divisor_sums[row : row + count].astype(_coeff_dtype(group, n_max)) * half.denominator
+        for j, (d, _) in enumerate(pairs_k):
+            if d == 1:
+                rows[j, 0] = half.numerator
+        rows.setflags(write=False)
+        character = None
+        if pairs is None:
+            character = values[len(factors) + k].astype(np.int8)
+            character.setflags(write=False)
+        out.append(EisensteinRows(rows, Fraction(1, half.denominator), character, constant))
+        row += count
+    return out
+
+
+@memo(maxsize=1)
 def eisenstein_matrix(delta: int, n_max: int, pairs=None) -> tuple[np.ndarray, Fraction]:
     """E: the divisor sums sum over t | n of (d | n/t)(D | t) of the pairs (d, D) of
     delta (all character pairs by default, in character_pairs order), one row
     each, from one Dirichlet convolution of the stacked rows of (D|.) and (d|.).
     All rows share the unit 1/k, k the denominator of L(0)/2, so that the
     constant term L(0)/2 of the row d = 1 is an integer too; the other rows
-    have constant term 0.  Read-only; kept for the last request only."""
-    pairs = character_pairs(delta) if pairs is None else pairs
-    dtype = _coeff_dtype(build_class_group(delta), n_max)
-    big = np.array([kronecker_values(delta, big_d, 0, n_max + 1) for _, big_d in pairs]).astype(dtype)
-    small = np.array([kronecker_values(delta, d, 0, n_max + 1) for d, _ in pairs]).astype(dtype)
-    constant = l_zero(delta) / 2
-    rows = dirichlet_convolution(big, small) * constant.denominator
-    rows[[d == 1 for d, _ in pairs], 0] = constant.numerator
-    rows.setflags(write=False)
-    return rows, Fraction(1, constant.denominator)
+    have constant term 0.  Read-only; kept for the last request only.
+    eisenstein_stack builds the rows of many groups at once; this is one."""
+    found = eisenstein_stack([build_class_group(delta)], n_max, None if pairs is None else [pairs])[0]
+    return found.rows, found.unit
+
+
+@memo(maxsize=1)
+def character_row(delta: int, n_max: int) -> np.ndarray:
+    """[(delta|m) for 0 <= m <= n_max] as read-only int8, the Kronecker character
+    of delta at the columns of a series; kept for the last request only."""
+    row = kronecker_values(delta, delta, 0, n_max + 1)
+    row.setflags(write=False)
+    return row
 
 
 def eisenstein_series(d: int, big_d: int, n_max: int) -> QSeries:

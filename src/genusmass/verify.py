@@ -9,8 +9,8 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, Optional, Sequence
+from itertools import accumulate, islice
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -20,17 +20,32 @@ from .arith import (
     is_fundamental,
     prime_discriminant_factorization,
 )
-from .class_group import build_class_group
-from .forms import automorph_count, reduced_forms
+from .class_group import ClassGroup, build_class_group, check_laws, class_group_stack, compose_stacked, law_rows
+from .forms import automorph_count, reduced_forms, stacked_reduced_forms
 from .genus import build_genus_characters, character_pairs
-from .hecke import CheckRecord, prime_sweep
+from .hecke import (
+    CheckRecord,
+    _prime_layer,
+    _PrimeLayer,
+    prime_classes,
+    prime_layers,
+    primes_to,
+    sweep_failures,
+    sweep_records,
+)
 from .qseries import dirichlet_convolution, first_mismatch
 from .series import (
+    EisensteinRows,
+    _genus_sums,
+    character_row,
     eisenstein_for_genus,
     eisenstein_matrix,
+    eisenstein_stack,
     genus_eisenstein,
-    kronecker_values,
     l_zero,
+    series_stack,
+    theta_matrix,
+    theta_slices,
     theta_total,
     twisted_sum,
 )
@@ -94,7 +109,7 @@ def _ms_since(start: float) -> float:
 def verify_gauss(delta: int, n_max: int) -> CheckRecord:
     """sum over classes of r(Q_h, n) = w * sum over t | n of (delta|t), n = 1..n_max."""
     total = theta_total(build_class_group(delta), n_max)
-    chi = kronecker_values(delta, delta, 0, n_max + 1).astype(total.dtype)
+    chi = character_row(delta, n_max).astype(total.dtype)
     rhs = automorph_count(delta) * dirichlet_convolution(chi, np.ones_like(chi))
     found = first_mismatch(total, 1, rhs, 1, lo=1)
     if found is not None:
@@ -172,27 +187,122 @@ def verify_character_counts(delta: int) -> CheckRecord:
 # They are held here, not looked up by module name, since a wrapper bound over
 # a module's name (a tracer's, say) has no cache_clear.
 _PER_DELTA_CACHES = (build_class_group, reduced_forms, l_zero, factorize, prime_discriminant_factorization)
+# The memos that a delta's slices of its batch are put into before its checks
+# run, held here for the same reason.
+_MEMOS = {
+    "group": build_class_group,
+    "theta": theta_matrix,
+    "sums": _genus_sums,
+    "eisenstein": eisenstein_matrix,
+    "character": character_row,
+    "l_zero": l_zero,
+    "primes": _prime_layer,
+}
 
 
-def _report_checks(group, n_max: int, primes_bound: int) -> Iterator[CheckRecord]:
+class _Layers(NamedTuple):
+    """One delta's slices of the layers its batch built, and its share of the
+    batch's build time in seconds, per check that first reads a layer (the class
+    group build, read before any check, under "")."""
+
+    group: ClassGroup
+    theta: np.ndarray
+    sums: np.ndarray
+    eisenstein: EisensteinRows
+    primes: _PrimeLayer
+    failed: np.ndarray
+    shares: dict[str, float]
+
+
+def _batch_layers(deltas: list[int], classes: np.ndarray, counts: np.ndarray, n_max: int,
+                  primes_bound: int, build_s: float = 0.0) -> list[_Layers]:
+    """The layers of the fundamental discriminants deltas, from their stacked
+    reduced forms, each built for all of them at once: the class groups, with
+    their genus characters; the compositions of the group laws and of the prime
+    layers, in one compose_stacked call; the theta matrices, their totals and
+    genus sums; the Eisenstein rows; the prime layers; and one prime sweep.
+
+    The time of each layer is divided among the deltas by their share of its
+    rows: classes, or character pairs for the Eisenstein rows; the composition
+    call is first divided between the group laws and the prime layers by
+    theirs.  build_s, time spent on these deltas before, joins the class group
+    build."""
+    clock = time.perf_counter
+    begin = start = clock()
+    stack = class_group_stack(deltas, classes, counts)
+    law = law_rows(stack)
+    primes = prime_classes(stack, primes_bound)
+    groups_s, start = clock() - start, clock()
+    products = compose_stacked(stack, np.concatenate((law[0], primes.left)), np.concatenate((law[1], primes.right)))
+    compose_s, start = clock() - start, clock()
+    check_laws(stack, products[: len(law[0])])
+    groups_s, start = groups_s + clock() - start, clock()
+    layers = prime_layers(stack, primes, products[len(law[0]) :])
+    primes_s, start = clock() - start, clock()
+    series = series_stack(stack, n_max)
+    slices = theta_slices(stack, series, n_max)
+    theta_s, start = clock() - start, clock()
+    eisenstein = eisenstein_stack(stack.groups, n_max)
+    eisenstein_s, start = clock() - start, clock()
+    failed = sweep_failures(stack.groups, layers, series.theta, series.totals, series.sums, n_max, primes_bound)
+    primes_s += clock() - start
+    law_share = len(law[0]) / max(1, len(products))
+    primes_s += (1 - law_share) * compose_s
+    first_prime = f"eigenform[p={primes.primes[0]}]" if primes.primes else None
+    # the class group build takes the rest, up to here
+    build_s += clock() - begin - theta_s - eisenstein_s - primes_s
+    # each delta's share: by its classes, or its character pairs for the Eisenstein rows
+    h = counts.tolist()
+    per_class = [seconds / sum(h) for seconds in (build_s, primes_s, theta_s)]
+    per_pair = eisenstein_s / sum(len(rows.rows) for rows in eisenstein)
+    return [_Layers(group, theta, sums, rows, layer, failed[:, k],
+                    {"": per_class[0] * h[k], first_prime: per_class[1] * h[k], "gauss_average": per_class[2] * h[k],
+                     "twisted_eisenstein": per_pair * len(rows.rows)})
+            for k, (group, (theta, sums), rows, layer) in enumerate(zip(stack.groups, slices, eisenstein, layers))]
+
+
+def _put(layers: _Layers, n_max: int, primes_bound: int) -> None:
+    """Put a delta's layers into the memos its checks read them through."""
+    delta = layers.group.delta
+    for name, args, value in (
+        ("group", (delta,), layers.group),
+        ("theta", (delta, n_max), layers.theta),
+        ("sums", (delta, n_max), layers.sums),
+        ("eisenstein", (delta, n_max), (layers.eisenstein.rows, layers.eisenstein.unit)),
+        ("character", (delta, n_max), layers.eisenstein.character),
+        ("l_zero", (delta,), layers.eisenstein.l_zero),
+        ("primes", (delta, primes_bound), layers.primes),
+    ):
+        _MEMOS[name].put(args, value)
+
+
+def _report_checks(layers: _Layers, n_max: int, primes_bound: int) -> Iterator[CheckRecord]:
     """The checks of one report, each run when it is reached, through the module
-    names that a tracer can rebind.  The records at the primes come from one
-    prime sweep, run when the first of them is reached, so that its time is
-    eigenform[p=2]'s and the later ones read about 0."""
-    delta = group.delta
+    names that a tracer can rebind; the records at the primes come from the
+    batch's prime sweep."""
+    delta = layers.group.delta
     yield verify_gauss(delta, n_max)
     yield verify_character_counts(delta)
     yield verify_twisted_eisenstein(delta, n_max)
     yield verify_genus_mass(delta, n_max)
     yield verify_dirichlet(delta)
-    yield from prime_sweep(group, n_max, primes_bound)
+    yield from sweep_records(build_class_group(delta), n_max, primes_bound, layers.primes.chi, layers.failed)
+
+
+# The layers of the discriminants of the batch being checked, by job, each taken
+# out by its job (see _chunk_reports).
+_LAYERS: dict[tuple[int, int, int], _Layers] = {}
 
 
 def _suite_job(args: tuple[int, int, int]) -> VerificationReport:
+    """The report of one job: its delta's layers, taken from the batch being
+    checked (or built as a batch of one), put into the memos, then its checks.
+    Each check's time, and the report's, carry the delta's shares of the
+    batch's build time (see _batch_layers)."""
     delta, n_max, primes_bound = args
+    start = time.perf_counter()
     for cache in _PER_DELTA_CACHES:
         cache.cache_clear()
-    start = time.perf_counter()
     if not (delta < 0 and is_fundamental(delta)):
         return VerificationReport(
             delta=delta,
@@ -204,22 +314,27 @@ def _suite_job(args: tuple[int, int, int]) -> VerificationReport:
             elapsed_ms=_ms_since(start),
             skip_reason="non-fundamental",
         )
-    group = build_class_group(delta)
-    checks, check_ms = [], []
+    layers = _LAYERS.pop(args, None)
+    if layers is None:
+        layers = _batch_layers([delta], *stacked_reduced_forms([delta]), n_max, primes_bound)[0]
+        start = time.perf_counter()
+    _put(layers, n_max, primes_bound)
+    checks, check_ms, shares = [], [], layers.shares
     t0 = time.perf_counter()
-    for record in _report_checks(group, n_max, primes_bound):
-        check_ms.append(_ms_since(t0))
+    for record in _report_checks(layers, n_max, primes_bound):
+        t1 = time.perf_counter()
+        check_ms.append(round((t1 - t0 + shares.get(record.name, 0.0)) * 1000, 3))
         checks.append(record)
-        t0 = time.perf_counter()
+        t0 = t1
     return VerificationReport(
         delta=delta,
         precision=n_max,
-        class_number=group.h,
+        class_number=layers.group.h,
         t=distinct_prime_count(delta),
-        genus_count=len(group.genus_ids),
+        genus_count=len(layers.group.genus_ids),
         checks=tuple(checks),
-        elapsed_ms=_ms_since(start),
         check_ms=tuple(check_ms),
+        elapsed_ms=round((time.perf_counter() - start + sum(layers.shares.values())) * 1000, 3),
     )
 
 
@@ -237,8 +352,11 @@ def _worker_count() -> int:
 
 def _pool_size(workers: Optional[int], n_jobs: int) -> int:
     """Processes to run n_jobs jobs on: workers, or GENUSMASS_THREADS when it is
-    None; 1 means in-process."""
-    workers = _worker_count() if workers is None else max(1, workers)
+    None; 1 means in-process.  ValueError unless workers is None or positive."""
+    if workers is None:
+        workers = _worker_count()
+    elif workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     return workers if n_jobs > 1 else 1
 
 
@@ -255,9 +373,73 @@ CHUNK_JOBS = 128
 CHUNKS_PER_WORKER = 8
 
 
+# A batch of a chunk builds the layers of its discriminants together, and each
+# holds at most this many entries, h (N + 1) summed over them: their theta rows,
+# or, where the primes outnumber the columns, their rows of compositions, one
+# per class and prime plus three for the group laws.  One discriminant beyond it
+# is a batch of its own.  Every array of a batch then grows with the batch's
+# entries, not with the chunk.
+BATCH_ENTRIES = 1 << 16
+
+
+def _chunk_reports(jobs: list[tuple[int, int, int]]) -> Iterator[VerificationReport]:
+    """The reports of the jobs, in order, each made when it is asked for.  The
+    reduced forms of the chunk's fundamental discriminants come from one
+    enumeration; the discriminants then go in batches of consecutive jobs of one
+    (n_max, primes_bound) and at most BATCH_ENTRIES entries, and each batch's
+    layers are built before its first job runs.  The layers wait in _LAYERS for
+    their jobs, and none is left there once the iterator is exhausted, closed
+    or garbage-collected, or passes on an exception."""
+    start = time.perf_counter()
+    fundamental = [job for job in jobs if job[0] < 0 and is_fundamental(job[0])]
+    forms, counts = stacked_reduced_forms([job[0] for job in fundamental]) if fundamental else (None, [])
+    counts = list(counts)
+    starts = list(accumulate(counts, initial=0))
+    batches = list(_batches(jobs, fundamental, counts))
+    # the chunk's share of each batch, by its classes
+    chunk_s = (time.perf_counter() - start) / max(1, starts[-1])
+    try:
+        for i, j, first, k in batches:
+            if k > first:
+                _, n_max, primes_bound = jobs[i]
+                lo, hi = starts[first], starts[k]
+                layers = _batch_layers([job[0] for job in fundamental[first:k]], forms[lo:hi],
+                                       np.array(counts[first:k]), n_max, primes_bound, chunk_s * (hi - lo))
+                _LAYERS.update(zip(fundamental[first:k], layers))
+                del layers
+            # _suite_job is looked up here, in the worker, because a tracer rebinds it
+            for job in jobs[i:j]:
+                yield _suite_job(job)
+    finally:
+        _LAYERS.clear()
+
+
+def _batches(jobs: list[tuple[int, int, int]], fundamental: list[tuple[int, int, int]],
+             counts) -> Iterator[tuple[int, int, int, int]]:
+    """The batches of the jobs as (i, j, first, k): the jobs i..j-1, whose
+    fundamental ones are fundamental[first:k], with class numbers counts.  A
+    batch is a run of jobs of one (n_max, primes_bound) whose fundamental
+    discriminants hold at most BATCH_ENTRIES entries, or one that holds more."""
+    i = k = 0
+    while i < len(jobs):
+        _, n_max, primes_bound = jobs[i]
+        width = max(n_max + 1, len(primes_to(primes_bound)) + 3)
+        first, entries, j = k, 0, i
+        while j < len(jobs) and jobs[j][1:] == (n_max, primes_bound):
+            # fundamental holds the very job tuples of jobs, in order
+            if k < len(fundamental) and jobs[j] is fundamental[k]:
+                if k > first and entries + counts[k] * width > BATCH_ENTRIES:
+                    break
+                entries += counts[k] * width
+                k += 1
+            j += 1
+        yield i, j, first, k
+        i = j
+
+
 def _suite_chunk(jobs: list[tuple[int, int, int]]) -> list[VerificationReport]:
-    # _suite_job is looked up here, in the worker, because a tracer rebinds it
-    return [_suite_job(job) for job in jobs]
+    """The reports of a pool chunk's jobs (see _chunk_reports)."""
+    return list(_chunk_reports(jobs))
 
 
 def _pool_reports(
@@ -293,14 +475,20 @@ def iter_suite(
     workers: Optional[int] = None,
 ) -> Iterator[VerificationReport]:
     """The reports of run_suite one at a time, in the order of the input deltas.
-    In-process each job runs when its report is asked for; with workers > 1
-    they come from a pool (see _pool_reports).  Nothing here keeps a report
-    once it is handed out."""
+    Jobs are taken a chunk at a time, in-process CHUNK_JOBS of them; each chunk
+    builds its layers in batches (see _chunk_reports), and each job's checks
+    run when its report is asked for.  With workers > 1 the chunks go to a pool
+    (see _pool_reports).  Nothing here keeps a report once it is handed out."""
     workers = _pool_size(workers, len(deltas))
+    jobs = ((delta, n_max, primes_bound) for delta in deltas)
     if workers > 1:
-        jobs = ((delta, n_max, primes_bound) for delta in deltas)
         return _pool_reports(jobs, len(deltas), workers)
-    return (_suite_job((delta, n_max, primes_bound)) for delta in deltas)
+    return _serial_reports(jobs)
+
+
+def _serial_reports(jobs: Iterator[tuple[int, int, int]]) -> Iterator[VerificationReport]:
+    for chunk in iter(lambda: list(islice(jobs, CHUNK_JOBS)), []):
+        yield from _chunk_reports(chunk)
 
 
 def run_suite(

@@ -479,7 +479,7 @@ class TestBuildClassGroup:
 def _drop_class(monkeypatch, delta, row):
     """Build the class group of delta from its reduced forms without the given row."""
     forms = np.delete(reduced_forms(delta), row, axis=0)
-    monkeypatch.setattr(class_group, "reduced_forms", lambda d: forms)
+    monkeypatch.setattr(class_group, "stacked_reduced_forms", lambda deltas: (forms, np.array([len(forms)])))
     return build_class_group.__wrapped__(delta)
 
 

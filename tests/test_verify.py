@@ -17,7 +17,7 @@ import genusmass.series as series
 import genusmass.verify as verify
 from genusmass.arith import kronecker, primes_up_to
 from genusmass.class_group import build_class_group
-from genusmass.forms import automorph_count
+from genusmass.forms import automorph_count, reduced_forms
 from genusmass.series import l_zero
 from genusmass.verify import (
     delta_range,
@@ -371,8 +371,9 @@ class TestCacheScope:
     def test_range_run_keeps_at_most_one_delta(self):
         run_suite(delta_range(-3, -300), n_max=20, primes_bound=5, workers=1)
         assert build_class_group.cache_info().currsize <= 1
-        assert class_group.reduced_forms.cache_info().currsize <= 1
+        assert reduced_forms.cache_info().currsize <= 1
         assert l_zero.cache_info().currsize <= 1
+        assert verify._LAYERS == {}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_suite_runs_under_plain_wrappers(self, monkeypatch, workers):
