@@ -7,8 +7,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cache import memo
-
 __all__ = [
     "kronecker",
     "is_fundamental",
@@ -125,13 +123,11 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, v in enumerate(sieve) if v]
 
 
-@lru_cache(maxsize=1)
 def is_fundamental(delta: int) -> bool:
     """True iff delta < 0 is the discriminant of the maximal order of Q(sqrt(delta)):
     a squarefree delta = 1 (mod 4), or delta = 4m with m = 2 or 3 (mod 4) squarefree.
 
-    Raises for delta >= 0; positive discriminants are out of scope here.  Kept
-    for the last delta, which the checks of a report ask about many times.
+    Raises for delta >= 0; positive discriminants are out of scope here.
     """
     if delta >= 0:
         raise ValueError(f"expected a negative discriminant, got {delta}")
@@ -168,20 +164,14 @@ def prime_discriminant_factorization(delta: int) -> tuple[int, ...]:
 # An odd prime discriminant's table is filled from blocks of this many squares,
 # so that its int64 working memory does not grow with |delta|.
 SQUARES_BLOCK = 1 << 16
-# The tables of the last deltas are kept while they hold at most this many
-# bytes (those of the last delta always): a batch of a range run reads each
-# delta's tables twice, for the genus characters of its classes and for L(0),
-# and the tables of a batch of small deltas fit.
-TABLES_BUDGET = 1 << 20
 
 
-@memo(maxsize=None, budget=TABLES_BUDGET, weigh=lambda tables: sum(table.nbytes for _, table in tables))
+@lru_cache(maxsize=1)
 def prime_discriminant_tables(delta: int) -> tuple[tuple[int, np.ndarray], ...]:
     """(p, [(p|r) for r in range(|p|)] as int8) for each prime discriminant p of
-    delta; read-only, and kept for the last deltas within TABLES_BUDGET bytes.
-    An odd prime discriminant's character at r >= 0 is the Legendre symbol
-    (r|p); the -4, 8 or -8 factor has period at most 8 and is read from
-    kronecker itself."""
+    delta; read-only, and kept for the last delta only.  An odd prime
+    discriminant's character at r >= 0 is the Legendre symbol (r|p); the -4, 8
+    or -8 factor has period at most 8 and is read from kronecker itself."""
     tables = []
     for factor in prime_discriminant_factorization(delta):
         m = abs(factor)

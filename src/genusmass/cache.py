@@ -26,16 +26,12 @@ class CacheInfo(NamedTuple):
 class Memo:
     """fn with its results kept by positional arguments: the last maxsize of them,
     or all of them when maxsize is None, as functools.lru_cache keeps them, plus
-    put for a result computed elsewhere.  With a budget, the oldest results are
-    also dropped while the weights (weigh(result)) of those kept add up to more
-    than it; the newest result is always kept."""
+    put for a result computed elsewhere."""
 
-    def __init__(self, fn: Callable, maxsize: Optional[int], budget: Optional[int] = None,
-                 weigh: Optional[Callable] = None) -> None:
+    def __init__(self, fn: Callable, maxsize: Optional[int]) -> None:
         functools.update_wrapper(self, fn)
-        self.maxsize, self._budget, self._weigh = maxsize, budget, weigh
+        self.maxsize = maxsize
         self._results: dict = {}
-        self._weight = 0
         self._hits = self._misses = 0
 
     def __call__(self, *args):
@@ -50,34 +46,21 @@ class Memo:
         return value
 
     def put(self, args: tuple, value) -> None:
-        """Keep value as the result at args, dropping the oldest results beyond
-        maxsize or the budget."""
-        self._drop(args)
+        """Keep value as the result at args, dropping the oldest results beyond maxsize."""
         results = self._results
+        results.pop(args, None)
         results[args] = value
-        if self._budget is not None:
-            self._weight += self._weigh(value)
-        while len(results) > 1 and ((self.maxsize is not None and len(results) > self.maxsize)
-                                    or (self._budget is not None and self._weight > self._budget)):
-            self._drop(next(iter(results)))
-
-    def _drop(self, args: tuple) -> None:
-        if args in self._results:
-            value = self._results.pop(args)
-            if self._budget is not None:
-                self._weight -= self._weigh(value)
+        if self.maxsize is not None and len(results) > self.maxsize:
+            del results[next(iter(results))]
 
     def cache_clear(self) -> None:
         self._results.clear()
-        self._weight = 0
         self._hits = self._misses = 0
 
     def cache_info(self) -> CacheInfo:
         return CacheInfo(self._hits, self._misses, self.maxsize, len(self._results))
 
 
-def memo(maxsize: Optional[int], budget: Optional[int] = None,
-         weigh: Optional[Callable] = None) -> Callable[[Callable], Memo]:
-    """Decorator: fn as a Memo keeping maxsize results (None: all), within budget
-    by weigh when one is given."""
-    return lambda fn: Memo(fn, maxsize, budget, weigh)
+def memo(maxsize: Optional[int]) -> Callable[[Callable], Memo]:
+    """Decorator: fn as a Memo keeping maxsize results (None: all)."""
+    return lambda fn: Memo(fn, maxsize)

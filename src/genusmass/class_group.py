@@ -8,8 +8,8 @@ The genus of a class is read off the assigned characters: one per prime
 discriminant p of delta, read from the table of p (arith.prime_discriminant_tables)
 at a value of the class that p does not divide.  The build checks the group laws and the
 principal genus theorem (the squares are exactly the principal genus) with one
-composition call.  build_class_groups builds the groups of many discriminants
-as stacked arrays; build_class_group is the group of one.
+composition call.  class_group_stack builds the groups of many discriminants as
+stacked arrays; build_class_group is the group of one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .forms import INT64_BOUND, automorph_count, reduce_triple, stacked_reduced_
 __all__ = [
     "ClassGroup",
     "build_class_group",
-    "build_class_groups",
     "compose_rows",
     "compose_stacked",
     "prime_form",
@@ -299,7 +298,7 @@ def _check_group(group: ClassGroup, unit_law: np.ndarray, inverse_law: np.ndarra
 _VALUES = np.array([[1, 0, 1], [0, 0, 1], [0, 1, 1]], dtype=np.int64)
 
 
-def _genera(stack: Stack, deltas: list[int]) -> tuple[list[int], list[list[int]]]:
+def _genera(stack: Stack, deltas: list[int], read_tables=None) -> tuple[list[int], np.ndarray]:
     """The genus of every stacked class, as the stack row of the first class of
     its genus; and the assigned characters of every class, one row per class:
     (p|r) for the prime discriminants p of its delta in order, padded with 1s to
@@ -312,36 +311,44 @@ def _genera(stack: Stack, deltas: list[int]) -> tuple[list[int], list[list[int]]
     and a + b + c not divisible by q, where q is |p|, or 2 for p = -4, 8 or -8.
     A primitive form has one: if q divides a and c, it does not divide b, nor
     then a + b + c.  Where to read is worked out for all classes at once, with
-    the padding read as p = 1, whose table is [1]; a delta's tables are read
-    together, laid end to end, in one gather.  The first class of a group with
-    a row of characters names its genus."""
+    the padding read as p = 1; then each table is read in place, one gather per
+    prime discriminant of each delta, then read_tables(delta) when it is given.
+    The first class of a group with a row of characters names its genus, found
+    by one integer key per class: its group, then its characters as base-3
+    digits."""
     factors = [prime_discriminant_factorization(delta) for delta in deltas]
     width = max(map(len, factors))
-    # per group and prime discriminant: q, |p| and where its table starts
-    reads = []
-    for f in factors:
-        sizes = [abs(p) for p in f] + [1] * (width - len(f))
-        reads.append(([2 if p % 2 == 0 else abs(p) for p in f] + [1] * (width - len(f)), sizes,
-                      [sum(sizes[:j]) for j in range(width)]))
-    q, size, offset = np.array(reads, dtype=np.int64)[stack.owner].transpose(1, 0, 2)
+    # per group and prime discriminant: q and |p|
+    pad = [[1] * (width - len(f)) for f in factors]
+    reads = [([2 if p % 2 == 0 else abs(p) for p in f] + ones, [abs(p) for p in f] + ones)
+             for f, ones in zip(factors, pad)]
+    q, size = np.array(reads, dtype=np.int64)[stack.owner].transpose(1, 0, 2)
     values = stack.classes @ _VALUES
     first = (values[:, :, None] % q[:, None, :] != 0).argmax(axis=1)
-    at = offset + values[np.arange(len(values))[:, None], first] % size
-    signs = np.empty(at.shape, dtype=np.int64)
+    at = values[np.arange(len(values))[:, None], first] % size
+    signs = np.ones(at.shape, dtype=np.int64)
     bounds = stack.starts.tolist() + [len(stack.classes)]
     for k, delta in enumerate(deltas):
-        tables = [table for _, table in prime_discriminant_tables(delta)]
-        tables.append(np.ones(width - len(tables), dtype=np.int8))
-        signs[bounds[k] : bounds[k + 1]] = np.concatenate(tables)[at[bounds[k] : bounds[k + 1]]]
-    rows, leaders = signs.tolist(), {}
-    return [leaders.setdefault((k, tuple(row)), i) for i, (k, row) in enumerate(zip(stack.owner.tolist(), rows))], rows
+        lo, hi = bounds[k], bounds[k + 1]
+        tables = prime_discriminant_tables(delta)
+        for j, (_, table) in enumerate(tables):
+            signs[lo:hi, j] = table[at[lo:hi, j]]
+        if read_tables is not None:
+            read_tables(delta)
+    keys = (stack.owner * 3**width + (signs + 1) @ 3 ** np.arange(width)).tolist()
+    leaders: dict[int, int] = {}
+    return [leaders.setdefault(key, i) for i, key in enumerate(keys)], signs
 
 
-def class_group_stack(deltas: list[int], classes: np.ndarray, counts: np.ndarray) -> Stack:
+def class_group_stack(deltas: list[int], classes: np.ndarray, counts: np.ndarray, read_tables=None) -> Stack:
     """The stack of the class groups of the fundamental discriminants deltas, in
     order, from their stacked reduced forms (forms.stacked_reduced_forms), with
     their inverses and genera as arrays over all of them at once; the group laws
-    are not yet checked (check_laws)."""
+    are not yet checked (check_laws).  read_tables(delta), when given, is
+    called on each delta right after its genus characters are read from its
+    prime-discriminant tables, while they are still the ones
+    arith.prime_discriminant_tables keeps (the last delta's), so that a caller
+    can read them too without building them again."""
     classes = classes.copy()
     classes.setflags(write=False)
     starts = counts.cumsum() - counts
@@ -352,7 +359,7 @@ def class_group_stack(deltas: list[int], classes: np.ndarray, counts: np.ndarray
     keys, opposite = _class_keys(stack, owner, classes[:, 0], -classes[:, 1])
     index = np.minimum(keys.searchsorted(opposite), len(classes) - 1)
     inverses = np.where(keys[index] == opposite, index, np.arange(len(classes))) - starts[owner]
-    genus_first, signs = _genera(stack, deltas)
+    genus_first, signs = _genera(stack, deltas, read_tables)
     forms, inverses = classes.tolist(), inverses.tolist()
     for k, (delta, lo, h) in enumerate(zip(deltas, starts.tolist(), counts.tolist())):
         hi, t = lo + h, len(prime_discriminant_factorization(delta))
@@ -372,7 +379,7 @@ def class_group_stack(deltas: list[int], classes: np.ndarray, counts: np.ndarray
             squares=tuple(i for i, g in enumerate(group_of) if g == group_of[identity]),
             genus_of=tuple(group_of),
             genus_ids=tuple(ids),
-            genus_signs=tuple(tuple(signs[lo + i][:t]) for i in ids),
+            genus_signs=tuple(map(tuple, signs[[lo + i for i in ids], :t].tolist())),
         ))
     return stack
 
@@ -385,19 +392,14 @@ def genus_rows(stack: Stack) -> np.ndarray:
     return np.flatnonzero(first == np.arange(len(first))).searchsorted(first)
 
 
-def build_class_groups(deltas) -> list[ClassGroup]:
-    """The class groups of the fundamental discriminants deltas, in order, with
-    their group laws checked by one compose_stacked call."""
-    deltas = [int(delta) for delta in deltas]
-    stack = class_group_stack(deltas, *stacked_reduced_forms(deltas))
-    check_laws(stack, compose_stacked(stack, *law_rows(stack)))
-    return stack.groups
-
-
 @memo(maxsize=None)
 def build_class_group(delta: int) -> ClassGroup:
-    """Class group of a fundamental discriminant: classes, inverses, squares, genera."""
-    return build_class_groups([delta])[0]
+    """Class group of a fundamental discriminant: classes, inverses, squares, genera;
+    a stack of one group, with its group laws checked by one compose_stacked call."""
+    delta = int(delta)
+    stack = class_group_stack([delta], *stacked_reduced_forms([delta]))
+    check_laws(stack, compose_stacked(stack, *law_rows(stack)))
+    return stack.groups[0]
 
 
 def prime_form(delta: int, p: int) -> Triple:

@@ -17,13 +17,11 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=1)
 def character_pairs(delta: int) -> list[tuple[int, int]]:
     """The 2^(t-1) factorizations delta = d * D with d > 0, sorted by d.
 
     d runs over the positive products of subsets of the prime discriminants
-    of delta; (1, delta) is always first.  Kept for the last delta, which the
-    checks of a report ask for several times; not to be changed.
+    of delta; (1, delta) is always first.
     """
     if not is_fundamental(delta):
         raise ValueError(f"{delta} is not a negative fundamental discriminant")

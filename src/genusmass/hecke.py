@@ -10,8 +10,7 @@ groups from one composition call, each distinct prime class composed once.
 sweep_failures compares every identity at every prime up to a bound for a whole
 batch of discriminants at once, on their stacked rows; sweep_records gives a
 discriminant's records from its failures, and calls a check_* function only for
-an identity that fails, for its first mismatch.  prime_sweep is both for one
-discriminant."""
+an identity that fails, for its first mismatch."""
 
 from __future__ import annotations
 
@@ -46,7 +45,6 @@ __all__ = [
     "check_ramified_theta",
     "check_inert_theta",
     "check_genus_permutation",
-    "prime_sweep",
 ]
 
 
@@ -117,9 +115,8 @@ class PrimeClasses(NamedTuple):
     right: np.ndarray
 
 
-@lru_cache(maxsize=1)
 def primes_to(bound: int) -> tuple[int, ...]:
-    """The primes up to bound, kept for the last bound."""
+    """The primes up to bound."""
     return tuple(primes_up_to(bound))
 
 
@@ -463,18 +460,3 @@ def sweep_records(group: ClassGroup, n_max: int, bound: int, chi: dict[int, int]
                                f"{check.__name__} passes it")
         records[3 * i + row] = record
     return records
-
-
-def prime_sweep(group: ClassGroup, n_max: int, bound: int) -> list[CheckRecord]:
-    """The records of every identity at every prime p <= bound, p increasing:
-    eigenform[p], the theta identity of the prime's type, and genus_permutation[p],
-    a skip at an inert p.  They are the records the check_* functions return:
-    sweep_failures on this one group, then sweep_records."""
-    if bound < 2:
-        return []
-    layer = _prime_layer(group.delta, bound)
-    theta = theta_matrix(group.delta, n_max)
-    sums, _ = genus_eisenstein(group, n_max)
-    total = theta_total(group, n_max)
-    failed = sweep_failures([group], [layer], theta, total[None, :], sums, n_max, bound)
-    return sweep_records(group, n_max, bound, layer.chi, failed[:, 0])

@@ -171,13 +171,17 @@ L_ZERO_BLOCK = 1 << 16
 
 
 def _periodic(table: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """table repeated without end, read at start, ..., stop - 1."""
+    """table repeated without end, read at start, ..., stop - 1: a slice of table
+    when the window lies in one period, else a copy of the window alone."""
     m = len(table)
     first = start % m
-    last = first + stop - start
-    if last <= m:
-        return table[first:last]
-    return np.tile(table, -(-last // m))[first:last]
+    n = stop - start
+    if first + n <= m:
+        return table[first : first + n]
+    head = table[first:]
+    if n <= m:
+        return np.concatenate((head, table[: n - len(head)]))
+    return np.tile(np.concatenate((head, table[:first])), -(-n // m))[:n]
 
 
 def kronecker_values(delta: int, a: int, start: int, stop: int) -> np.ndarray:
@@ -209,12 +213,13 @@ def l_zero(delta: int) -> Fraction:
 
     The sum runs over blocks of B = L_ZERO_BLOCK residues, chi on each the
     product of windows of the tables of the prime discriminants of delta.  A
-    table shorter than the half period is repeated once, to at most B + |p|
-    entries, and every window is a slice of that.  It is exact: a block's int64 sum is
-    at most B in absolute value, and the blocks add up as Python ints.
-    |delta| >= 4 * 10^9 is refused: the table of a prime discriminant p, which
-    can be delta itself, is built from int64 squares x^2 < p^2 / 4, which stay
-    below 2^63 only for |p| up to about 6 * 10^9.
+    table shorter than B is repeated once, to at most B + |p| entries, and its
+    windows are slices of that; a longer one's windows are slices of the table,
+    or a copy of the window alone where it wraps around.  It is exact: a block's
+    int64 sum is at most B in absolute value, and the blocks add up as Python
+    ints.  |delta| >= 4 * 10^9 is refused: the table of a prime discriminant p,
+    which can be delta itself, is built from int64 squares x^2 < p^2 / 4, which
+    stay below 2^63 only for |p| up to about 6 * 10^9.
     """
     q = -delta
     if q >= 4 * 10**9:
@@ -222,13 +227,13 @@ def l_zero(delta: int) -> Fraction:
     half = (q + 1) // 2
     tables = [table for _, table in prime_discriminant_tables(delta)]
     width = min(L_ZERO_BLOCK, half)
-    extended = [table if len(table) >= half else _periodic(table, 0, width + len(table)) for table in tables]
+    extended = [_periodic(table, 0, width + len(table)) if len(table) < width else table for table in tables]
     total = 0
     for start in range(1, half, L_ZERO_BLOCK):
         chi = np.ones(min(L_ZERO_BLOCK, half - start), dtype=np.int8)
         for table, values in zip(tables, extended):
             first = start % len(table)
-            chi *= values[first : first + len(chi)]
+            chi *= _periodic(values, first, first + len(chi))
         total += int(chi.sum(dtype=np.int64))
     chi_2 = math.prod(int(table[2 % len(table)]) for table in tables)
     return Fraction(total, 2 - chi_2)
@@ -245,24 +250,45 @@ class EisensteinRows(NamedTuple):
     l_zero: Fraction
 
 
-def eisenstein_stack(groups: list[ClassGroup], n_max: int, pairs=None) -> list[EisensteinRows]:
+class CharacterReads:
+    """What the Eisenstein rows of a run of deltas read from the tables of their
+    prime discriminants, add(delta) on each delta in order: its L(0), and the
+    window (p|m), m = 0..n_max, of each prime discriminant p, from the tables of
+    the first delta that has it (row 0 is all ones).  A batch adds each delta
+    while its tables are still the ones arith.prime_discriminant_tables keeps."""
+
+    def __init__(self, n_max: int) -> None:
+        self.n_max = n_max
+        self.windows = [np.ones(n_max + 1, dtype=np.int8)]
+        self._row_of: dict[int, int] = {}
+        self.own: list[list[tuple[int, int]]] = []
+        self.l_zero: list[Fraction] = []
+
+    def add(self, delta: int) -> None:
+        """L(0) of delta and the window rows of its prime discriminants, own[-1]
+        as (p, row) pairs."""
+        tables = prime_discriminant_tables(delta)
+        self.l_zero.append(l_zero(delta))
+        for p, table in tables:
+            if p not in self._row_of:
+                self._row_of[p] = len(self.windows)
+                self.windows.append(_periodic(table, 0, self.n_max + 1))
+        self.own.append([(p, self._row_of[p]) for p, _ in tables])
+
+
+def eisenstein_stack(groups: list[ClassGroup], n_max: int, pairs=None,
+                     reads: Optional[CharacterReads] = None) -> list[EisensteinRows]:
     """The Eisenstein rows of each group, for its character pairs (or pairs[k]):
-    each prime discriminant's window (p|m), m = 0..n_max, is read once from the
-    tables of the first delta that has it; each row of (D|.) and (d|.) is the
-    product of its windows, from one gather and one product; and all rows come
-    from one Dirichlet convolution.  L(0) is computed per delta, from
-    the same tables."""
-    windows: dict[int, int] = {}
-    stacked = [np.ones(n_max + 1, dtype=np.int8)]
-    factors, characters, own_pairs, constants = [], [], [], []
-    for k, group in enumerate(groups):
-        constants.append(l_zero(group.delta))
-        own = []
-        for p, table in prime_discriminant_tables(group.delta):
-            if p not in windows:
-                windows[p] = len(stacked)
-                stacked.append(_periodic(table, 0, n_max + 1))
-            own.append((p, windows[p]))
+    each row of (D|.) and (d|.) is the product of the windows of its prime
+    discriminants, from one gather and one product, and all rows come from one
+    Dirichlet convolution.  The windows and L(0) are those of reads, read from
+    the tables of the groups' deltas here when it is not given."""
+    if reads is None:
+        reads = CharacterReads(n_max)
+        for group in groups:
+            reads.add(group.delta)
+    factors, characters, own_pairs = [], [], []
+    for k, (group, own) in enumerate(zip(groups, reads.own)):
         pairs_k = pairs[k] if pairs is not None else character_pairs(group.delta)
         own_pairs.append(pairs_k)
         factors += [[i for p, i in own if a % p == 0] for d, big_d in pairs_k for a in (big_d, d)]
@@ -274,10 +300,10 @@ def eisenstein_stack(groups: list[ClassGroup], n_max: int, pairs=None) -> list[E
     rows_of = factors + characters
     width = max(map(len, rows_of))
     index = np.array([row + [0] * (width - len(row)) for row in rows_of])
-    values = np.array(stacked)[index].prod(axis=1, dtype=np.int64)
+    values = np.array(reads.windows)[index].prod(axis=1, dtype=np.int64)
     divisor_sums = dirichlet_convolution(values[0 : len(factors) : 2], values[1 : len(factors) : 2])
     out, row = [], 0
-    for k, (group, pairs_k, constant) in enumerate(zip(groups, own_pairs, constants)):
+    for k, (group, pairs_k, constant) in enumerate(zip(groups, own_pairs, reads.l_zero)):
         half, count = constant / 2, len(pairs_k)
         rows = divisor_sums[row : row + count].astype(_coeff_dtype(group, n_max)) * half.denominator
         for j, (d, _) in enumerate(pairs_k):

@@ -35,6 +35,7 @@ from .hecke import (
 )
 from .qseries import dirichlet_convolution, first_mismatch
 from .series import (
+    CharacterReads,
     EisensteinRows,
     _genus_sums,
     character_row,
@@ -221,6 +222,9 @@ def _batch_layers(deltas: list[int], classes: np.ndarray, counts: np.ndarray, n_
     their genus characters; the compositions of the group laws and of the prime
     layers, in one compose_stacked call; the theta matrices, their totals and
     genus sums; the Eisenstein rows; the prime layers; and one prime sweep.
+    Each delta's prime-discriminant tables are read once, for the genus
+    characters of its classes and, right after, for its L(0) and its windows
+    of the Eisenstein rows (series.CharacterReads).
 
     The time of each layer is divided among the deltas by their share of its
     rows: classes, or character pairs for the Eisenstein rows; the composition
@@ -228,22 +232,30 @@ def _batch_layers(deltas: list[int], classes: np.ndarray, counts: np.ndarray, n_
     theirs.  build_s, time spent on these deltas before, joins the class group
     build."""
     clock = time.perf_counter
-    begin = start = clock()
-    stack = class_group_stack(deltas, classes, counts)
+    begin = clock()
+    reads, reads_s = CharacterReads(n_max), 0.0
+
+    def read_tables(delta: int) -> None:
+        nonlocal reads_s
+        t = clock()
+        reads.add(delta)
+        reads_s += clock() - t
+
+    stack = class_group_stack(deltas, classes, counts, read_tables)
     law = law_rows(stack)
     primes = prime_classes(stack, primes_bound)
-    groups_s, start = clock() - start, clock()
+    start = clock()
     products = compose_stacked(stack, np.concatenate((law[0], primes.left)), np.concatenate((law[1], primes.right)))
-    compose_s, start = clock() - start, clock()
+    compose_s = clock() - start
     check_laws(stack, products[: len(law[0])])
-    groups_s, start = groups_s + clock() - start, clock()
+    start = clock()
     layers = prime_layers(stack, primes, products[len(law[0]) :])
     primes_s, start = clock() - start, clock()
     series = series_stack(stack, n_max)
     slices = theta_slices(stack, series, n_max)
     theta_s, start = clock() - start, clock()
-    eisenstein = eisenstein_stack(stack.groups, n_max)
-    eisenstein_s, start = clock() - start, clock()
+    eisenstein = eisenstein_stack(stack.groups, n_max, reads=reads)
+    eisenstein_s, start = reads_s + clock() - start, clock()
     failed = sweep_failures(stack.groups, layers, series.theta, series.totals, series.sums, n_max, primes_bound)
     primes_s += clock() - start
     law_share = len(law[0]) / max(1, len(products))

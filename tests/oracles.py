@@ -785,10 +785,11 @@ def genus_mass_detail_oracle(group: ClassGroup, n_max: int, table: np.ndarray) -
 
 
 def prime_checks(group: ClassGroup, p: int, n_max: int, bound=None) -> Iterator[CheckRecord]:
-    """All identities at p one check_* call at a time, the loop that
-    hecke.prime_sweep replaced: eigenform, the per-class theta identity for the
-    prime's type, and the genus permutation, which is a skip record at an inert
-    p.  They read one prime layer for the primes up to bound (default p)."""
+    """All identities at p one check_* call at a time, the loop that the prime
+    sweep (hecke.sweep_failures) replaced: eigenform, the per-class theta
+    identity for the prime's type, and the genus permutation, which is a skip
+    record at an inert p.  They read one prime layer for the primes up to bound
+    (default p)."""
     yield check_eigenform(group, p, n_max, bound)
     chi = _layer(group, p, bound).chi[p]
     if chi == 1:

@@ -9,10 +9,12 @@ import json
 import numpy as np
 import pytest
 
+import genusmass.arith as arith
 import genusmass.series as series
 import genusmass.verify as verify
 from genusmass.class_group import build_class_group, compose_rows
 from genusmass.cli import main
+from genusmass.forms import stacked_reduced_forms
 from genusmass.hecke import _prime_layer
 from genusmass.verify import delta_range, report_json_line, run_suite
 from oracles import fundamental_deltas
@@ -121,6 +123,17 @@ def test_each_report_time_holds_its_checks_and_its_share_of_the_chunk():
             names = [c.name for c in report.checks]
             times = dict(zip(names, report.check_ms))
             assert times["gauss_average"] > 0 and times["eigenform[p=2]"] > 0, report.delta
+
+
+def test_a_batch_reads_each_delta_s_tables_once():
+    """The prime-discriminant tables, kept for the last delta only, are built once
+    per delta of a batch: for its genus characters, then its L(0) and windows."""
+    deltas = fundamental_deltas(-300)
+    arith.prime_discriminant_tables.cache_clear()
+    series.l_zero.cache_clear()
+    layers = verify._batch_layers(deltas, *stacked_reduced_forms(deltas), 30, 10)
+    assert [found.eisenstein.l_zero for found in layers] == [series.l_zero(delta) for delta in deltas]
+    assert arith.prime_discriminant_tables.cache_info().misses == len(deltas)
 
 
 def test_no_layers_are_held_once_a_run_is_closed():

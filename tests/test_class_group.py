@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -411,6 +412,21 @@ class TestBuildClassGroup:
         monkeypatch.setattr(class_group, "prime_discriminant_tables", zeroed)
         with pytest.raises(RuntimeError, match="principal genus"):
             build_class_group.__wrapped__(-455)
+
+    def test_genus_characters_read_the_tables_in_place(self):
+        """At -2000003, a prime discriminant whose table holds 2 * 10^6 entries,
+        the genus step allocates far less than that table."""
+        delta = -2000003
+        tables = class_group.prime_discriminant_tables(delta)
+        forms, counts = class_group.stacked_reduced_forms([delta])
+        tracemalloc.start()
+        try:
+            stack = class_group.class_group_stack([delta], forms, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stack.groups[0].genus_ids) == 1 and tables[0][1].nbytes == -delta
+        assert peak < -delta // 8, peak
 
     def test_inverses_are_the_opposite_forms(self):
         for delta in fundamental_deltas(-1000) + [-400391]:

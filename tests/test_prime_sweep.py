@@ -1,7 +1,8 @@
 """The prime sweep against the per-prime loop of check_* calls it replaced
 (oracles.prime_checks): the same records, in order, with the same statuses,
 details and first mismatches, on both coefficient paths and in several blocks;
-and the same failures when the theta matrix or the prime layer is corrupted."""
+the same failures when the theta matrix or the prime layer is corrupted; and
+the same records from the sweep of a batch of many discriminants."""
 
 import tracemalloc
 
@@ -11,14 +12,30 @@ import genusmass.hecke as hecke
 import genusmass.series as series
 from genusmass.arith import kronecker, primes_up_to
 from genusmass.class_group import build_class_group
-from genusmass.hecke import CheckRecord, _prime_layer, prime_sweep
-from genusmass.verify import run_suite
+from genusmass.forms import stacked_reduced_forms
+from genusmass.hecke import CheckRecord, _prime_layer, sweep_failures, sweep_records
+from genusmass.verify import _batch_layers, run_suite
 from oracles import fundamental_deltas, prime_checks
 
 SWEEP_DELTAS = fundamental_deltas(-300)
 
 # (n_max, bound): the acceptance scale, the range runs' scale, and primes past n_max
 SCALES = [(200, 50), (30, 10), (10, 50)]
+
+
+def prime_sweep(group, n_max, bound) -> list[CheckRecord]:
+    """The sweep of one discriminant on the arrays its check_* functions read
+    (hecke._prime_layer, series.theta_matrix and the genus sums, in the
+    coefficient dtype of the group), so that a corrupted layer or theta matrix
+    reaches the sweep and the checks alike."""
+    if bound < 2:
+        return []
+    layer = hecke._prime_layer(group.delta, bound)
+    sums, _ = series.genus_eisenstein(group, n_max)
+    total = series.theta_total(group, n_max)
+    failed = sweep_failures([group], [layer], series.theta_matrix(group.delta, n_max), total[None, :], sums,
+                            n_max, bound)
+    return sweep_records(group, n_max, bound, layer.chi, failed[:, 0])
 
 
 def loop_records(group, n_max, bound) -> list[CheckRecord]:
@@ -51,6 +68,17 @@ def test_records_match_the_loop(coeff_path, n_max, bound):
         assert_same_records(delta, n_max, bound)
     expected = object if coeff_path == "object" else "int64"
     assert series.theta_matrix(SWEEP_DELTAS[-1], n_max).dtype == expected
+
+
+@pytest.mark.parametrize("n_max,bound", SCALES)
+def test_a_batch_sweep_matches_the_loop(n_max, bound):
+    """The sweep of a range run: every discriminant of SWEEP_DELTAS in one batch,
+    on the stacked int64 rows."""
+    layers = _batch_layers(SWEEP_DELTAS, *stacked_reduced_forms(SWEEP_DELTAS), n_max, bound)
+    for delta, found in zip(SWEEP_DELTAS, layers):
+        group = build_class_group(delta)
+        records = sweep_records(group, n_max, bound, found.primes.chi, found.failed)
+        assert records == loop_records(group, n_max, bound), (delta, n_max, bound)
 
 
 def test_records_match_the_loop_in_several_blocks(monkeypatch):

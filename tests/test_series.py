@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,22 @@ class TestLZero:
         period, at every fundamental delta in [-3000, -3] and at two large ones."""
         for delta in fundamental_deltas(-3000) + [-400391, -10000003]:
             assert l_zero(delta) == l_zero_oracle(delta), delta
+
+    def test_a_long_table_of_a_composite_delta_is_not_copied(self):
+        """At -4 * 2000029 the table of 2000029 is shorter than the half period
+        but longer than a block: every block reads a slice of it, or a copy of
+        the block alone where it wraps, so L(0) allocates a few blocks (and the
+        int64 sum of one), not the 2 * 10^6 entries of a copy of the table."""
+        delta = -4 * 2000029
+        arith.prime_discriminant_tables(delta)
+        tracemalloc.start()
+        try:
+            found = l_zero.__wrapped__(delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == l_zero_oracle(delta)
+        assert peak < 16 * series.L_ZERO_BLOCK, peak
 
     @pytest.mark.parametrize("delta", [-84, -420, -455])
     @pytest.mark.parametrize(
