@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .arith import ext_gcd, is_prime, kronecker, prime_discriminant_factorization, prime_discriminant_tables
-from .cache import memo
 from .forms import INT64_BOUND, automorph_count, reduce_triple, stacked_reduced_forms
 
 __all__ = [
@@ -392,7 +392,7 @@ def genus_rows(stack: Stack) -> np.ndarray:
     return np.flatnonzero(first == np.arange(len(first))).searchsorted(first)
 
 
-@memo(maxsize=None)
+@lru_cache(maxsize=None)
 def build_class_group(delta: int) -> ClassGroup:
     """Class group of a fundamental discriminant: classes, inverses, squares, genera;
     a stack of one group, with its group laws checked by one compose_stacked call."""

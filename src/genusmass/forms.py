@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,7 +40,6 @@ REDUCED_FORMS_BLOCK = 1 << 14
 INT64_BOUND = 2**62
 
 
-@lru_cache(maxsize=None)
 def reduced_forms(delta: int) -> np.ndarray:
     """One reduced representative (a, b, c) per form class of fundamental
     discriminant delta, as the rows of a read-only h x 3 int64 array,

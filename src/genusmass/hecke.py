@@ -10,7 +10,8 @@ groups from one composition call, each distinct prime class composed once.
 sweep_failures compares every identity at every prime up to a bound for a whole
 batch of discriminants at once, on their stacked rows; sweep_records gives a
 discriminant's records from its failures, and calls a check_* function only for
-an identity that fails, for its first mismatch."""
+an identity that fails, for its first mismatch, on the discriminant's own
+arrays (Layers, the record of them that its batch builds)."""
 
 from __future__ import annotations
 
@@ -24,19 +25,10 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from .arith import kronecker, primes_up_to
-from .cache import memo
 from .forms import _ragged
-from .class_group import (
-    ClassGroup,
-    Stack,
-    build_class_group,
-    compose_stacked,
-    genus_rows,
-    prime_ideal_class,
-    stack_of,
-)
+from .class_group import ClassGroup, Stack, genus_rows, prime_ideal_class
 from .qseries import first_mismatch, t_rows, u_rows
-from .series import genus_eisenstein, theta_matrix, theta_total
+from .series import EisensteinRows
 
 __all__ = [
     "CheckRecord",
@@ -93,10 +85,36 @@ def _compare_rows(p, chi, identity, lhs, rhs, unit=Fraction(1)) -> CheckRecord:
 
 
 class _PrimeLayer(NamedTuple):
+    """What every identity at a prime p <= bound reads, read-only:
+    - chi[p] = (delta|p), one scalar kronecker per prime;
+    - perms[p], the class permutation h -> h P of each non-inert p, where P is
+      the class of the prime ideal above p, and the identity at a principal P;
+    - conjugates[p], the permutation h -> h P' of each split p, P' the inverse
+      of P;
+    - genus_row[h], the row of the genus of the class h in genus_ids order."""
+
     chi: dict[int, int]
     perms: dict[int, np.ndarray]
     conjugates: dict[int, np.ndarray]
     genus_row: np.ndarray
+
+
+class Layers(NamedTuple):
+    """One discriminant's layers, as its batch built them (verify._batch_layers),
+    and what its checks read: the class group; the theta matrix and the genus
+    sums S, in the group's coefficient dtype; the Eisenstein rows, with the
+    character row and L(0); the prime layer; its 3 x (number of primes) slice
+    of sweep_failures; and its share of the batch's build time in seconds, per
+    check that first reads a layer (the class group build, read before any
+    check, under "")."""
+
+    group: ClassGroup
+    theta: np.ndarray
+    sums: np.ndarray
+    eisenstein: EisensteinRows
+    primes: _PrimeLayer
+    failed: np.ndarray
+    shares: dict[str, float]
 
 
 class PrimeClasses(NamedTuple):
@@ -152,8 +170,13 @@ def prime_classes(stack: Stack, bound: int) -> PrimeClasses:
 
 
 def prime_layers(stack: Stack, prime: PrimeClasses, products: np.ndarray) -> list[_PrimeLayer]:
-    """The prime layer of each group of the stack (see _prime_layer), from the
-    stack rows products of prime.left * prime.right."""
+    """The prime layer of each group of the stack, from the stack rows products
+    of prime.left * prime.right: every class times each distinct non-principal
+    prime class P, up to inversion, from one compose_stacked call.  The class
+    group is abelian, so the inverse map is an automorphism and h P' = (h' P)':
+    the permutation of P' is that of P read at the inverses and mapped through
+    them, which gives conjugates[p], and perms[p] when P' was composed and P
+    was not."""
     local = products - stack.starts[stack.owner[prime.left]]
     local.setflags(write=False)
     # the genus of each class as its row in genus_ids order, for every group at once
@@ -187,87 +210,59 @@ def prime_layers(stack: Stack, prime: PrimeClasses, products: np.ndarray) -> lis
     return layers
 
 
-@memo(maxsize=1)
-def _prime_layer(delta: int, bound: int) -> _PrimeLayer:
-    """What every identity at a prime p <= bound reads, read-only and kept for the
-    last (delta, bound) only:
-    - chi[p] = (delta|p), one scalar kronecker per prime;
-    - perms[p], the class permutation h -> h P of each non-inert p, where P is
-      the class of the prime ideal above p: every class times each distinct
-      non-principal P, up to inversion, in one compose_stacked call, and the
-      identity at a principal P;
-    - conjugates[p], the permutation h -> h P' of each split p, P' the inverse
-      of P.  The class group is abelian, so the inverse map is an automorphism
-      and h P' = (h' P)': this is perms[p] read at the inverses and mapped
-      through them, and so is perms[p] when P' was composed and P was not;
-    - genus_row[h], the row of the genus of the class h in genus_ids order.
-    prime_layers builds the layers of a whole stack of groups at once; this is
-    the layer of one."""
-    stack = stack_of(build_class_group(delta))
-    prime = prime_classes(stack, bound)
-    return prime_layers(stack, prime, compose_stacked(stack, prime.left, prime.right))[0]
-
-
-def _layer(group: ClassGroup, p: int, bound) -> _PrimeLayer:
-    """The prime layer of the primes up to bound (default p; at least p), which
-    must include p."""
-    layer = _prime_layer(group.delta, max(p, bound or p))
+def _chi(group: ClassGroup, p: int, layer: _PrimeLayer, kind: Optional[int] = None) -> int:
+    """(delta|p) from the prime layer, which must hold p; ValueError when it is
+    not kind, where kind is given."""
     if p not in layer.chi:
-        raise ValueError(f"{p} is not prime")
-    return layer
+        raise ValueError(f"{p} is not prime, or not in the prime layer")
+    chi = layer.chi[p]
+    if kind is not None and chi != kind:
+        raise ValueError(f"{p} is not {PRIME_TYPES[kind]} for discriminant {group.delta}")
+    return chi
 
 
-def check_eigenform(group: ClassGroup, p: int, n_max: int, bound=None) -> CheckRecord:
+def check_eigenform(group: ClassGroup, p: int, total: np.ndarray, layer: _PrimeLayer) -> CheckRecord:
     """a(pn) + (delta|p) a(n/p) = (1 + (delta|p)) a(n) for the class-group total a."""
-    total = theta_total(group, n_max)
-    chi = _layer(group, p, bound).chi[p]
+    chi = _chi(group, p, layer)
     lhs = t_rows(total, p, chi)
     return _compare_rows(p, chi, "eigenform", lhs, (1 + chi) * total[: len(lhs)])
 
 
-def check_split_theta(group: ClassGroup, p: int, n_max: int, bound=None) -> CheckRecord:
+def check_split_theta(group: ClassGroup, p: int, theta: np.ndarray, layer: _PrimeLayer) -> CheckRecord:
     """theta_h | T_p = theta_{h p} + theta_{h p'} for every class h, split p."""
-    layer = _layer(group, p, bound)
-    if layer.chi[p] != 1:
-        raise ValueError(f"{p} is not split for discriminant {group.delta}")
-    theta = theta_matrix(group.delta, n_max)
+    _chi(group, p, layer, 1)
     lhs = t_rows(theta, p, 1)
     cols = lhs.shape[-1]
     rhs = theta[layer.perms[p], :cols] + theta[layer.conjugates[p], :cols]
     return _compare_rows(p, 1, "theta_split", lhs, rhs)
 
 
-def check_ramified_theta(group: ClassGroup, p: int, n_max: int, bound=None) -> CheckRecord:
+def check_ramified_theta(group: ClassGroup, p: int, theta: np.ndarray, layer: _PrimeLayer) -> CheckRecord:
     """theta_h | U_p = theta_{h p} for every class h, ramified p."""
-    layer = _layer(group, p, bound)
-    if layer.chi[p] != 0:
-        raise ValueError(f"{p} is not ramified for discriminant {group.delta}")
-    theta = theta_matrix(group.delta, n_max)
+    _chi(group, p, layer, 0)
     lhs = u_rows(theta, p)
     rhs = theta[layer.perms[p], : lhs.shape[-1]]
     return _compare_rows(p, 0, "theta_ramified", lhs, rhs)
 
 
-def check_inert_theta(group: ClassGroup, p: int, n_max: int, bound=None) -> CheckRecord:
+def check_inert_theta(group: ClassGroup, p: int, theta: np.ndarray, layer: _PrimeLayer) -> CheckRecord:
     """theta_h | T_p = 0 for every class h, inert p."""
-    if _layer(group, p, bound).chi[p] != -1:
-        raise ValueError(f"{p} is not inert for discriminant {group.delta}")
-    lhs = t_rows(theta_matrix(group.delta, n_max), p, -1)
+    _chi(group, p, layer, -1)
+    lhs = t_rows(theta, p, -1)
     return _compare_rows(p, -1, "theta_inert", lhs, np.zeros_like(lhs))
 
 
-def check_genus_permutation(group: ClassGroup, p: int, n_max: int, bound=None) -> CheckRecord:
-    """E_g | T_p = 2 E_{g p} (split) or E_{g p} (ramified) for every genus g: the
-    target of the genus g is the genus of the class g p."""
-    layer = _layer(group, p, bound)
-    chi = layer.chi[p]
+def check_genus_permutation(group: ClassGroup, p: int, sums: np.ndarray, layer: _PrimeLayer) -> CheckRecord:
+    """E_g | T_p = 2 E_{g p} (split) or E_{g p} (ramified) for every genus g, on
+    the genus sums S, with unit 1/|H^2|: the target of the genus g is the genus
+    of the class g p."""
+    chi = _chi(group, p, layer)
     if chi == -1:
         raise ValueError(f"{p} is inert for discriminant {group.delta}: no genus translate")
-    sums, unit = genus_eisenstein(group, n_max)
     lhs = t_rows(sums, p, chi)
     targets = layer.genus_row[layer.perms[p][list(group.genus_ids)]]
     rhs = (2 if chi == 1 else 1) * sums[targets, : lhs.shape[-1]]
-    return _compare_rows(p, chi, "genus_permutation", lhs, rhs, unit)
+    return _compare_rows(p, chi, "genus_permutation", lhs, rhs, Fraction(1, len(group.squares)))
 
 
 # The prime sweep compares blocks of whole primes, and each array of a block has
@@ -441,20 +436,25 @@ def sweep_failures(groups: list[ClassGroup], layers: list[_PrimeLayer], theta: n
     return failed
 
 
-def sweep_records(group: ClassGroup, n_max: int, bound: int, chi: dict[int, int],
-                  failed: np.ndarray) -> list[CheckRecord]:
+def sweep_records(layers: Layers, bound: int) -> list[CheckRecord]:
     """The records of every identity at every prime p <= bound, p increasing, from
-    the group's 3 x (number of primes) slice of sweep_failures: the passing
+    the discriminant's slice of sweep_failures (layers.failed): the passing
     records of the column plan, and for each identity that fails at p the record
-    of its check_* function, with the first mismatch; a check_* that then passes
-    is a RuntimeError."""
-    plan = _column_plan(n_max, bound)
-    values = [chi[p] for p in plan.primes]
+    of its check_* function on the layers' own arrays, with the first mismatch;
+    a check_* that then passes is a RuntimeError."""
+    group, theta, layer = layers.group, layers.theta, layers.primes
+    plan = _column_plan(theta.shape[1] - 1, bound)
+    values = [layer.chi[p] for p in plan.primes]
     records = [record for i, value in enumerate(values) for record in plan.passing[i][value]]
     theta_checks = {1: check_split_theta, 0: check_ramified_theta, -1: check_inert_theta}
-    for i, row in zip(*np.nonzero(failed.T)):
-        check = (check_eigenform, theta_checks[values[i]], check_genus_permutation)[row]
-        record = check(group, plan.primes[i], n_max, bound)
+    for i, row in zip(*np.nonzero(layers.failed.T)):
+        if row == 0:
+            check, compared = check_eigenform, theta.sum(axis=0)
+        elif row == 1:
+            check, compared = theta_checks[values[i]], theta
+        else:
+            check, compared = check_genus_permutation, layers.sums
+        record = check(group, plan.primes[i], compared, layer)
         if record.passed:
             raise RuntimeError(f"the prime sweep fails {records[3 * i + row].name} at {group.delta}, "
                                f"{check.__name__} passes it")

@@ -17,7 +17,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .arith import prime_discriminant_tables
-from .cache import memo
 from .class_group import ClassGroup, Stack, build_class_group, genus_rows, stack_of
 from .forms import INT64_BOUND, representation_counts
 from .genus import build_genus_characters, character_pairs
@@ -25,7 +24,6 @@ from .qseries import QSeries, dirichlet_convolution
 
 __all__ = [
     "theta_matrix",
-    "character_row",
     "theta_series",
     "theta_total",
     "genus_eisenstein",
@@ -108,15 +106,11 @@ def theta_slices(stack: Stack, layers: SeriesStack, n_max: int) -> list[tuple[np
                                             ends.tolist())]
 
 
-@memo(maxsize=1)
 def theta_matrix(delta: int, n_max: int) -> np.ndarray:
     """The h x (n_max + 1) integer matrix whose row h is the theta series of the
-    class h: [r(Q_h, 0), ..., r(Q_h, n_max)].  Read-only.
-
-    Built once per (delta, n_max), and only the last one is kept: every check of
-    a discriminant reads the same matrix, and a run then moves on to the next.
-    series_stack builds the matrices of a stack of groups from the same
-    representation_counts call on all of their classes."""
+    class h: [r(Q_h, 0), ..., r(Q_h, n_max)].  Read-only.  series_stack builds
+    the matrices of a stack of groups from one representation_counts call on all
+    of their classes; this is the matrix of one."""
     group = build_class_group(delta)
     return _read_only(representation_counts(group.classes, n_max), group, n_max)
 
@@ -134,14 +128,10 @@ def theta_total(group: ClassGroup, n_max: int) -> np.ndarray:
     return theta_matrix(group.delta, n_max).sum(axis=0)
 
 
-@memo(maxsize=1)
-def _genus_sums(delta: int, n_max: int) -> np.ndarray:
+def _genus_sums(group: ClassGroup, n_max: int) -> np.ndarray:
     """S: the matrix whose row k is the sum of the theta rows of the classes in the
-    genus genus_ids[k] (see _stacked_genus_sums).  Read-only; kept for the last
-    (delta, n_max) only."""
-    sums, _ = _stacked_genus_sums(stack_of(build_class_group(delta)), theta_matrix(delta, n_max))
-    sums.setflags(write=False)
-    return sums
+    genus genus_ids[k] (see _stacked_genus_sums)."""
+    return _stacked_genus_sums(stack_of(group), theta_matrix(group.delta, n_max))[0]
 
 
 def genus_eisenstein(group: ClassGroup, n_max: int, genus_id=None) -> tuple[np.ndarray, Fraction]:
@@ -150,7 +140,7 @@ def genus_eisenstein(group: ClassGroup, n_max: int, genus_id=None) -> tuple[np.n
     summed from its own classes."""
     unit = Fraction(1, len(group.squares))
     if genus_id is None:
-        return _genus_sums(group.delta, n_max), unit
+        return _genus_sums(group, n_max), unit
     members = list(group.genus_members(genus_id))
     return theta_matrix(group.delta, n_max)[members].sum(axis=0), unit
 
@@ -162,7 +152,7 @@ def twisted_sum(group: ClassGroup, n_max: int, d=None) -> tuple[np.ndarray, Frac
     table = build_genus_characters(group)
     if d is not None:
         table = table[[pair[0] for pair in character_pairs(group.delta)].index(d)]
-    return table @ _genus_sums(group.delta, n_max), Fraction(1, group.w)
+    return table @ _genus_sums(group, n_max), Fraction(1, group.w)
 
 
 # L(0) sums its character over blocks of this many residues, so that its
@@ -201,7 +191,6 @@ def kronecker_values(delta: int, a: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
-@memo(maxsize=None)
 def l_zero(delta: int) -> Fraction:
     """L(0) for the Kronecker character chi of delta, from the character alone,
     by Dirichlet's class number sum over half the period: chi is odd and
@@ -241,8 +230,8 @@ def l_zero(delta: int) -> Fraction:
 
 class EisensteinRows(NamedTuple):
     """The Eisenstein matrix of a group and its unit (see eisenstein_matrix), the
-    character row of its delta (see character_row; None for rows of given
-    pairs) and L(0)."""
+    character row [(delta|m) for 0 <= m <= n_max] of its delta as read-only int8
+    (None for rows of given pairs) and L(0)."""
 
     rows: np.ndarray
     unit: Fraction
@@ -319,26 +308,16 @@ def eisenstein_stack(groups: list[ClassGroup], n_max: int, pairs=None,
     return out
 
 
-@memo(maxsize=1)
 def eisenstein_matrix(delta: int, n_max: int, pairs=None) -> tuple[np.ndarray, Fraction]:
     """E: the divisor sums sum over t | n of (d | n/t)(D | t) of the pairs (d, D) of
     delta (all character pairs by default, in character_pairs order), one row
     each, from one Dirichlet convolution of the stacked rows of (D|.) and (d|.).
     All rows share the unit 1/k, k the denominator of L(0)/2, so that the
     constant term L(0)/2 of the row d = 1 is an integer too; the other rows
-    have constant term 0.  Read-only; kept for the last request only.
-    eisenstein_stack builds the rows of many groups at once; this is one."""
+    have constant term 0.  Read-only.  eisenstein_stack builds the rows of many
+    groups at once; this is one."""
     found = eisenstein_stack([build_class_group(delta)], n_max, None if pairs is None else [pairs])[0]
     return found.rows, found.unit
-
-
-@memo(maxsize=1)
-def character_row(delta: int, n_max: int) -> np.ndarray:
-    """[(delta|m) for 0 <= m <= n_max] as read-only int8, the Kronecker character
-    of delta at the columns of a series; kept for the last request only."""
-    row = kronecker_values(delta, delta, 0, n_max + 1)
-    row.setflags(write=False)
-    return row
 
 
 def eisenstein_series(d: int, big_d: int, n_max: int) -> QSeries:

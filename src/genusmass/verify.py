@@ -9,8 +9,9 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate, islice
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -19,37 +20,14 @@ from .arith import (
     factorize,
     is_fundamental,
     prime_discriminant_factorization,
+    prime_discriminant_tables,
 )
-from .class_group import ClassGroup, build_class_group, check_laws, class_group_stack, compose_stacked, law_rows
-from .forms import automorph_count, reduced_forms, stacked_reduced_forms
-from .genus import build_genus_characters, character_pairs
-from .hecke import (
-    CheckRecord,
-    _prime_layer,
-    _PrimeLayer,
-    prime_classes,
-    prime_layers,
-    primes_to,
-    sweep_failures,
-    sweep_records,
-)
+from .class_group import build_class_group, check_laws, class_group_stack, compose_stacked, law_rows
+from .forms import stacked_reduced_forms
+from .genus import _character_table, build_genus_characters, character_pairs
+from .hecke import CheckRecord, Layers, prime_classes, prime_layers, primes_to, sweep_failures, sweep_records
 from .qseries import dirichlet_convolution, first_mismatch
-from .series import (
-    CharacterReads,
-    EisensteinRows,
-    _genus_sums,
-    character_row,
-    eisenstein_for_genus,
-    eisenstein_matrix,
-    eisenstein_stack,
-    genus_eisenstein,
-    l_zero,
-    series_stack,
-    theta_matrix,
-    theta_slices,
-    theta_total,
-    twisted_sum,
-)
+from .series import CharacterReads, eisenstein_stack, series_stack, theta_slices
 
 __all__ = [
     "VerificationReport",
@@ -107,49 +85,49 @@ def _ms_since(start: float) -> float:
     return round((time.perf_counter() - start) * 1000, 3)
 
 
-def verify_gauss(delta: int, n_max: int) -> CheckRecord:
-    """sum over classes of r(Q_h, n) = w * sum over t | n of (delta|t), n = 1..n_max."""
-    total = theta_total(build_class_group(delta), n_max)
-    chi = character_row(delta, n_max).astype(total.dtype)
-    rhs = automorph_count(delta) * dirichlet_convolution(chi, np.ones_like(chi))
+def verify_gauss(layers: Layers) -> CheckRecord:
+    """sum over classes of r(Q_h, n) = w * sum over t | n of (delta|t), n = 1..N."""
+    total = layers.theta.sum(axis=0)
+    chi = layers.eisenstein.character.astype(total.dtype)
+    rhs = layers.group.w * dirichlet_convolution(chi, np.ones_like(chi))
     found = first_mismatch(total, 1, rhs, 1, lo=1)
     if found is not None:
         _, n, left, right = found
         return CheckRecord("gauss_average", "fail", f"mismatch at n={n}: {left} != {right}", found[1:])
-    return CheckRecord("gauss_average", "pass", f"n=1..{n_max} exact")
+    return CheckRecord("gauss_average", "pass", f"n=1..{len(total) - 1} exact")
 
 
-def verify_dirichlet(delta: int) -> CheckRecord:
+def verify_dirichlet(layers: Layers) -> CheckRecord:
     """h = (w/2) L(0, (delta|.)) exactly: Dirichlet's class number formula at s = 0,
     with h from the class group and L(0) from the character alone."""
-    h = build_class_group(delta).h
-    computed = automorph_count(delta) * l_zero(delta) / 2
-    status = "pass" if computed == h else "fail"
-    return CheckRecord("dirichlet_class_number", status, f"(w/2)L(0)={computed} h={h} exact")
+    group = layers.group
+    computed = group.w * layers.eisenstein.l_zero / 2
+    status = "pass" if computed == group.h else "fail"
+    return CheckRecord("dirichlet_class_number", status, f"(w/2)L(0)={computed} h={group.h} exact")
 
 
-def verify_twisted_eisenstein(delta: int, n_max: int) -> CheckRecord:
+def verify_twisted_eisenstein(layers: Layers) -> CheckRecord:
     """Twisted theta sums equal the divisor-sum Eisenstein series, X S = w E, every
     character pair at once; the first mismatch is reported in character order."""
-    pairs = character_pairs(delta)
-    lhs, lhs_unit = twisted_sum(build_class_group(delta), n_max)
-    rhs, rhs_unit = eisenstein_matrix(delta, n_max)
-    found = first_mismatch(lhs, lhs_unit, rhs, rhs_unit)
+    group, eisenstein = layers.group, layers.eisenstein
+    pairs = character_pairs(group.delta)
+    lhs = build_genus_characters(group) @ layers.sums
+    found = first_mismatch(lhs, Fraction(1, group.w), eisenstein.rows, eisenstein.unit)
     if found is not None:
         row, n, left, right = found
         d, big_d = pairs[row]
         detail = f"(d,D)=({d},{big_d}) mismatch at n={n}: {left} != {right}"
         return CheckRecord("twisted_eisenstein", "fail", detail, found[1:])
-    return CheckRecord("twisted_eisenstein", "pass", f"{len(pairs)} pairs, n=0..{n_max} exact")
+    return CheckRecord("twisted_eisenstein", "pass", f"{len(pairs)} pairs, n=0..{lhs.shape[1] - 1} exact")
 
 
-def verify_genus_mass(delta: int, n_max: int) -> CheckRecord:
+def verify_genus_mass(layers: Layers) -> CheckRecord:
     """Genus theta averages equal the character-weighted Eisenstein combinations,
     S / |H^2| = (w/h) X^T E, every genus at once.  A genus whose two constant
     terms are not both 1 is reported ahead of any mismatch in it or after it."""
-    group = build_class_group(delta)
-    lhs, lhs_unit = genus_eisenstein(group, n_max)
-    rhs, rhs_unit = eisenstein_for_genus(group, n_max)
+    group, eisenstein = layers.group, layers.eisenstein
+    lhs, lhs_unit = layers.sums, Fraction(1, len(group.squares))
+    rhs, rhs_unit = build_genus_characters(group).T @ eisenstein.rows, eisenstein.unit * Fraction(group.w, group.h)
     found = first_mismatch(lhs, lhs_unit, rhs, rhs_unit)
     lhs0, rhs0 = lhs[:, 0] * lhs_unit, rhs[:, 0] * rhs_unit
     bad = (lhs0 != 1) | (rhs0 != 1)
@@ -161,14 +139,14 @@ def verify_genus_mass(delta: int, n_max: int) -> CheckRecord:
         row, n, left, right = found
         detail = f"genus {group.genus_ids[row]} mismatch at n={n}: {left} != {right}"
         return CheckRecord("genus_mass", "fail", detail, found[1:])
-    return CheckRecord("genus_mass", "pass", f"{len(group.genus_ids)} genera, n=0..{n_max} exact")
+    return CheckRecord("genus_mass", "pass", f"{len(group.genus_ids)} genera, n=0..{lhs.shape[1] - 1} exact")
 
 
-def verify_character_counts(delta: int) -> CheckRecord:
+def verify_character_counts(layers: Layers) -> CheckRecord:
     """|G*| = |G| = 2^(t-1), and the character table X is orthogonal: X X^T = |G| I."""
-    group = build_class_group(delta)
-    pairs = character_pairs(delta)
-    expected = 2 ** (distinct_prime_count(delta) - 1)
+    group = layers.group
+    pairs = character_pairs(group.delta)
+    expected = 2 ** (distinct_prime_count(group.delta) - 1)
     if len(pairs) != expected:
         return CheckRecord("character_counts", "fail", f"{len(pairs)} pairs != 2^(t-1) = {expected}")
     if len(group.genus_ids) != expected:
@@ -182,41 +160,17 @@ def verify_character_counts(delta: int) -> CheckRecord:
     return CheckRecord("character_counts", "pass", detail)
 
 
-# The caches without a size bound.  _suite_job empties them before each delta,
-# so that a range run holds one delta's entries at a time; CLI series and
-# classgroup requests, which do not run the suite, still reuse a class group.
-# They are held here, not looked up by module name, since a wrapper bound over
-# a module's name (a tracer's, say) has no cache_clear.
-_PER_DELTA_CACHES = (build_class_group, reduced_forms, l_zero, factorize, prime_discriminant_factorization)
-# The memos that a delta's slices of its batch are put into before its checks
-# run, held here for the same reason.
-_MEMOS = {
-    "group": build_class_group,
-    "theta": theta_matrix,
-    "sums": _genus_sums,
-    "eisenstein": eisenstein_matrix,
-    "character": character_row,
-    "l_zero": l_zero,
-    "primes": _prime_layer,
-}
-
-
-class _Layers(NamedTuple):
-    """One delta's slices of the layers its batch built, and its share of the
-    batch's build time in seconds, per check that first reads a layer (the class
-    group build, read before any check, under "")."""
-
-    group: ClassGroup
-    theta: np.ndarray
-    sums: np.ndarray
-    eisenstein: EisensteinRows
-    primes: _PrimeLayer
-    failed: np.ndarray
-    shares: dict[str, float]
+# The caches keyed by delta.  _chunk_reports empties them when its run ends, so
+# that a range run holds at most one chunk's entries and none once it is over;
+# CLI series and classgroup requests, which do not run the suite, still reuse a
+# class group.  They are held here, not looked up by module name, since a
+# wrapper bound over a module's name (a tracer's, say) has no cache_clear.
+_PER_DELTA_CACHES = (build_class_group, factorize, prime_discriminant_factorization, prime_discriminant_tables,
+                     _character_table)
 
 
 def _batch_layers(deltas: list[int], classes: np.ndarray, counts: np.ndarray, n_max: int,
-                  primes_bound: int, build_s: float = 0.0) -> list[_Layers]:
+                  primes_bound: int, build_s: float = 0.0) -> list[Layers]:
     """The layers of the fundamental discriminants deltas, from their stacked
     reduced forms, each built for all of them at once: the class groups, with
     their genus characters; the compositions of the group laws and of the prime
@@ -267,54 +221,41 @@ def _batch_layers(deltas: list[int], classes: np.ndarray, counts: np.ndarray, n_
     h = counts.tolist()
     per_class = [seconds / sum(h) for seconds in (build_s, primes_s, theta_s)]
     per_pair = eisenstein_s / sum(len(rows.rows) for rows in eisenstein)
-    return [_Layers(group, theta, sums, rows, layer, failed[:, k],
-                    {"": per_class[0] * h[k], first_prime: per_class[1] * h[k], "gauss_average": per_class[2] * h[k],
-                     "twisted_eisenstein": per_pair * len(rows.rows)})
+    return [Layers(group, theta, sums, rows, layer, failed[:, k],
+                   {"": per_class[0] * h[k], first_prime: per_class[1] * h[k], "gauss_average": per_class[2] * h[k],
+                    "twisted_eisenstein": per_pair * len(rows.rows)})
             for k, (group, (theta, sums), rows, layer) in enumerate(zip(stack.groups, slices, eisenstein, layers))]
 
 
-def _put(layers: _Layers, n_max: int, primes_bound: int) -> None:
-    """Put a delta's layers into the memos its checks read them through."""
-    delta = layers.group.delta
-    for name, args, value in (
-        ("group", (delta,), layers.group),
-        ("theta", (delta, n_max), layers.theta),
-        ("sums", (delta, n_max), layers.sums),
-        ("eisenstein", (delta, n_max), (layers.eisenstein.rows, layers.eisenstein.unit)),
-        ("character", (delta, n_max), layers.eisenstein.character),
-        ("l_zero", (delta,), layers.eisenstein.l_zero),
-        ("primes", (delta, primes_bound), layers.primes),
-    ):
-        _MEMOS[name].put(args, value)
+def build_layers(delta: int, n_max: int, primes_bound: int) -> Layers:
+    """The layers of one fundamental discriminant, built as a batch of one."""
+    return _batch_layers([delta], *stacked_reduced_forms([delta]), n_max, primes_bound)[0]
 
 
-def _report_checks(layers: _Layers, n_max: int, primes_bound: int) -> Iterator[CheckRecord]:
-    """The checks of one report, each run when it is reached, through the module
-    names that a tracer can rebind; the records at the primes come from the
-    batch's prime sweep."""
-    delta = layers.group.delta
-    yield verify_gauss(delta, n_max)
-    yield verify_character_counts(delta)
-    yield verify_twisted_eisenstein(delta, n_max)
-    yield verify_genus_mass(delta, n_max)
-    yield verify_dirichlet(delta)
-    yield from sweep_records(build_class_group(delta), n_max, primes_bound, layers.primes.chi, layers.failed)
+def _report_checks(layers: Layers, primes_bound: int) -> Iterator[CheckRecord]:
+    """The checks of one report on its delta's layers, each run when it is
+    reached, through the module names that a tracer can rebind; the records at
+    the primes come from the batch's prime sweep."""
+    yield verify_gauss(layers)
+    yield verify_character_counts(layers)
+    yield verify_twisted_eisenstein(layers)
+    yield verify_genus_mass(layers)
+    yield verify_dirichlet(layers)
+    yield from sweep_records(layers, primes_bound)
 
 
 # The layers of the discriminants of the batch being checked, by job, each taken
 # out by its job (see _chunk_reports).
-_LAYERS: dict[tuple[int, int, int], _Layers] = {}
+_LAYERS: dict[tuple[int, int, int], Layers] = {}
 
 
 def _suite_job(args: tuple[int, int, int]) -> VerificationReport:
-    """The report of one job: its delta's layers, taken from the batch being
-    checked (or built as a batch of one), put into the memos, then its checks.
-    Each check's time, and the report's, carry the delta's shares of the
-    batch's build time (see _batch_layers)."""
+    """The report of one job: its delta's checks on its layers, taken from the
+    batch being checked (or built as a batch of one).  Each check's time, and
+    the report's, carry the delta's shares of the batch's build time (see
+    _batch_layers)."""
     delta, n_max, primes_bound = args
     start = time.perf_counter()
-    for cache in _PER_DELTA_CACHES:
-        cache.cache_clear()
     if not (delta < 0 and is_fundamental(delta)):
         return VerificationReport(
             delta=delta,
@@ -328,12 +269,11 @@ def _suite_job(args: tuple[int, int, int]) -> VerificationReport:
         )
     layers = _LAYERS.pop(args, None)
     if layers is None:
-        layers = _batch_layers([delta], *stacked_reduced_forms([delta]), n_max, primes_bound)[0]
+        layers = build_layers(delta, n_max, primes_bound)
         start = time.perf_counter()
-    _put(layers, n_max, primes_bound)
     checks, check_ms, shares = [], [], layers.shares
     t0 = time.perf_counter()
-    for record in _report_checks(layers, n_max, primes_bound):
+    for record in _report_checks(layers, primes_bound):
         t1 = time.perf_counter()
         check_ms.append(round((t1 - t0 + shares.get(record.name, 0.0)) * 1000, 3))
         checks.append(record)
@@ -424,6 +364,8 @@ def _chunk_reports(jobs: list[tuple[int, int, int]]) -> Iterator[VerificationRep
                 yield _suite_job(job)
     finally:
         _LAYERS.clear()
+        for cache in _PER_DELTA_CACHES:
+            cache.cache_clear()
 
 
 def _batches(jobs: list[tuple[int, int, int]], fundamental: list[tuple[int, int, int]],

@@ -39,7 +39,7 @@ from genusmass.forms import reduce_triple, reduced_forms
 from genusmass.genus import build_genus_characters, character_pairs
 from genusmass.hecke import (
     CheckRecord,
-    _layer,
+    Layers,
     check_eigenform,
     check_genus_permutation,
     check_inert_theta,
@@ -784,20 +784,21 @@ def genus_mass_detail_oracle(group: ClassGroup, n_max: int, table: np.ndarray) -
     return f"{len(group.genus_ids)} genera, n=0..{n_max} exact"
 
 
-def prime_checks(group: ClassGroup, p: int, n_max: int, bound=None) -> Iterator[CheckRecord]:
+def prime_checks(layers: Layers, p: int) -> Iterator[CheckRecord]:
     """All identities at p one check_* call at a time, the loop that the prime
     sweep (hecke.sweep_failures) replaced: eigenform, the per-class theta
     identity for the prime's type, and the genus permutation, which is a skip
-    record at an inert p.  They read one prime layer for the primes up to bound
-    (default p)."""
-    yield check_eigenform(group, p, n_max, bound)
-    chi = _layer(group, p, bound).chi[p]
+    record at an inert p.  They read the arrays of one discriminant's layers,
+    whose prime layer must hold p."""
+    group, theta, layer = layers.group, layers.theta, layers.primes
+    yield check_eigenform(group, p, theta.sum(axis=0), layer)
+    chi = layer.chi[p]
     if chi == 1:
-        yield check_split_theta(group, p, n_max, bound)
+        yield check_split_theta(group, p, theta, layer)
     elif chi == 0:
-        yield check_ramified_theta(group, p, n_max, bound)
+        yield check_ramified_theta(group, p, theta, layer)
     else:
-        yield check_inert_theta(group, p, n_max, bound)
+        yield check_inert_theta(group, p, theta, layer)
         yield CheckRecord(f"genus_permutation[p={p}]", "skip", "skipped: p inert, no genus translate")
         return
-    yield check_genus_permutation(group, p, n_max, bound)
+    yield check_genus_permutation(group, p, layers.sums, layer)

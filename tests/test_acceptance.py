@@ -24,7 +24,7 @@ from genusmass.hecke import (
 )
 from genusmass.qseries import QSeries
 from genusmass.series import eisenstein_for_genus, eisenstein_series, genus_eisenstein, theta_series, twisted_sum
-from genusmass.verify import verify_dirichlet
+from genusmass.verify import build_layers, verify_dirichlet
 from oracles import (
     class_forms,
     classify_prime,
@@ -130,9 +130,10 @@ def test_hecke_eigenvalue_full_range():
     for delta in FULL_RANGE:
         group = build_class_group(delta)
         total = class_sum(group, PRECISION)
+        layers = build_layers(delta, PRECISION, 50)
         for p in primes_up_to(50):
             checked += 1
-            result = check_eigenform(group, p, PRECISION)
+            result = check_eigenform(group, p, layers.theta.sum(axis=0), layers.primes)
             if not result.passed:
                 failures.append((delta, p, result.first_mismatch))
                 continue
@@ -157,6 +158,7 @@ def test_per_class_hecke_identities():
     checked = 0
     for delta in HECKE_DELTAS:
         group = build_class_group(delta)
+        layers = build_layers(delta, PRECISION, 30)
         for p in primes_up_to(30):
             kind = classify_prime(delta, p)
             check = {
@@ -164,13 +166,13 @@ def test_per_class_hecke_identities():
                 "ramified": check_ramified_theta,
                 "inert": check_inert_theta,
             }[kind]
-            result = check(group, p, PRECISION)
+            result = check(group, p, layers.theta, layers.primes)
             checked += 1
             if not result.passed:
                 failures.append((delta, p, kind, result.first_mismatch))
             if kind != "inert":
                 checked += 1
-                perm = check_genus_permutation(group, p, PRECISION)
+                perm = check_genus_permutation(group, p, layers.sums, layers.primes)
                 if not perm.passed:
                     failures.append((delta, p, "genus_permutation", perm.first_mismatch))
     announce(
@@ -206,7 +208,7 @@ def test_dirichlet_class_number():
     start = time.perf_counter()
     failures = []
     for delta in FULL_RANGE:
-        record = verify_dirichlet(delta)
+        record = verify_dirichlet(build_layers(delta, 0, 1))
         if not record.passed:
             failures.append((delta, record.detail))
     elapsed = time.perf_counter() - start

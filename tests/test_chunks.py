@@ -5,18 +5,20 @@ worker count, and a fault in one discriminant of a chunk fails that
 discriminant alone, with the first mismatch it has when it runs alone."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import genusmass.arith as arith
+import genusmass.genus as genus
 import genusmass.series as series
 import genusmass.verify as verify
 from genusmass.class_group import build_class_group, compose_rows
 from genusmass.cli import main
 from genusmass.forms import stacked_reduced_forms
-from genusmass.hecke import _prime_layer
-from genusmass.verify import delta_range, report_json_line, run_suite
+from genusmass.hecke import sweep_failures
+from genusmass.verify import build_layers, delta_range, report_json_line, run_suite
 from oracles import fundamental_deltas
 
 
@@ -82,12 +84,7 @@ def perturbed_455(monkeypatch):
         counts[(np.asarray(forms) == target).all(axis=1), 35] += 1
         return counts
 
-    for memo in (series.theta_matrix, series._genus_sums):
-        memo.cache_clear()
     monkeypatch.setattr(series, "representation_counts", perturbed)
-    yield
-    for memo in (series.theta_matrix, series._genus_sums):
-        memo.cache_clear()
 
 
 def test_a_fault_in_one_delta_of_a_chunk_fails_that_delta_alone(perturbed_455):
@@ -130,18 +127,31 @@ def test_a_batch_reads_each_delta_s_tables_once():
     per delta of a batch: for its genus characters, then its L(0) and windows."""
     deltas = fundamental_deltas(-300)
     arith.prime_discriminant_tables.cache_clear()
-    series.l_zero.cache_clear()
     layers = verify._batch_layers(deltas, *stacked_reduced_forms(deltas), 30, 10)
-    assert [found.eisenstein.l_zero for found in layers] == [series.l_zero(delta) for delta in deltas]
     assert arith.prime_discriminant_tables.cache_info().misses == len(deltas)
+    assert [found.eisenstein.l_zero for found in layers] == [series.l_zero(delta) for delta in deltas]
+
+
+# the caches keyed by delta, held here by their own objects, as verify holds them
+PER_DELTA_CACHES = (build_class_group, arith.factorize, arith.prime_discriminant_factorization,
+                    arith.prime_discriminant_tables, genus._character_table)
 
 
 def test_no_layers_are_held_once_a_run_is_closed():
+    """Neither the layers of a batch nor any cache keyed by delta outlives a run,
+    whether it is closed part way or read to the end."""
     reports = verify.iter_suite(delta_range(-3, -300), 20, 5, workers=1)
     assert next(reports).delta == -3
     assert verify._LAYERS
+    assert any(cache.cache_info().currsize for cache in PER_DELTA_CACHES)
     reports.close()
     assert verify._LAYERS == {}
+    assert [cache.cache_info().currsize for cache in PER_DELTA_CACHES] == [0] * len(PER_DELTA_CACHES)
+    # the probe of the large_h workload: each of these held an entry after it
+    build_class_group(-400391)
+    assert run_suite([-400391], 20, 5, workers=1)[0].passed
+    assert verify._LAYERS == {}
+    assert [cache.cache_info().currsize for cache in PER_DELTA_CACHES] == [0] * len(PER_DELTA_CACHES)
 
 
 @pytest.mark.parametrize("workers", [0, -2])
@@ -158,7 +168,7 @@ def test_each_prime_class_composed_once_gives_the_same_layers():
     bound = 50
     for delta in fundamental_deltas(-3000):
         group = build_class_group(delta)
-        layer = _prime_layer(delta, bound)
+        layer = build_layers(delta, 0, bound).primes
         every = np.arange(group.h)
         for p, perm in layer.perms.items():
             cls = int(layer.perms[p][group.identity])
@@ -166,3 +176,64 @@ def test_each_prime_class_composed_once_gives_the_same_layers():
             if p in layer.conjugates:
                 inverse = np.full(group.h, group.inverses[cls])
                 assert layer.conjugates[p].tolist() == compose_rows(group, every, inverse).tolist(), (delta, p)
+
+
+BATCH = [-84, -455, -5460]
+
+
+def batch_reports(layers, n_max, bound) -> list[str]:
+    """The report lines of each delta's checks on its layers, through _suite_job."""
+    lines = []
+    for found in layers:
+        job = (found.group.delta, n_max, bound)
+        verify._LAYERS[job] = found
+        lines.append(untimed(report_json_line(verify._suite_job(job))))
+    return lines
+
+
+def test_a_delta_s_checks_build_nothing(monkeypatch):
+    """Once a batch is built, each delta's checks read its layers alone: with
+    every builder of a layer raising, the reports are those of a plain run."""
+    n_max, bound = 60, 20
+    expected = [untimed(report_json_line(r)) for r in run_suite(BATCH, n_max, bound, workers=1)]
+    layers = verify._batch_layers(BATCH, *stacked_reduced_forms(BATCH), n_max, bound)
+    builders = (series.representation_counts, verify.compose_stacked, verify.class_group_stack,
+                verify.eisenstein_stack, series.l_zero, arith.prime_discriminant_tables)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a check built a layer")
+
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("genusmass."):
+            for attr, value in list(vars(module).items()):
+                if any(value is builder for builder in builders):
+                    monkeypatch.setattr(module, attr, refused)
+    with pytest.raises(AssertionError, match="built a layer"):
+        build_layers(-84, n_max, bound)
+    assert batch_reports(layers, n_max, bound) == expected
+
+
+def test_a_fault_in_one_delta_s_layers_fails_that_delta_alone():
+    """r(Q, 17) + 1 for one class of -455, in a copy of its layers, swept again
+    with the rest of the batch: its gauss_average and the identities at the
+    primes that read n = 17 (2 and 3, both split; 17 is prime to every p <= 13
+    and above 60/4, so no identity at an inert p reads it) fail with their first
+    mismatch at 17, and the other deltas' reports do not change."""
+    n_max, bound, n = 60, 13, 17
+    clean = verify._batch_layers(BATCH, *stacked_reduced_forms(BATCH), n_max, bound)
+    expected = batch_reports(clean, n_max, bound)
+    theta = clean[1].theta.copy()
+    theta[-1, n] += 1
+    layers = [found._replace(theta=theta) if k == 1 else found for k, found in enumerate(clean)]
+    failed = sweep_failures([found.group for found in layers], [found.primes for found in layers],
+                            np.concatenate([found.theta for found in layers]),
+                            np.stack([found.theta.sum(axis=0) for found in layers]),
+                            np.concatenate([found.sums for found in layers]), n_max, bound)
+    layers = [found._replace(failed=failed[:, k]) for k, found in enumerate(layers)]
+    lines = batch_reports(layers, n_max, bound)
+    assert lines[0] == expected[0] and lines[2] == expected[2]
+    checks = json.loads(lines[1])["checks"]
+    failing = {c["name"]: c["first_mismatch"]["n"] for c in checks if c["status"] == "fail"}
+    assert failing == {name: n for name in ("gauss_average", "eigenform[p=2]", "theta_split[p=2]",
+                                            "eigenform[p=3]", "theta_split[p=3]")}
+    assert clean[1].theta[-1, n] == theta[-1, n] - 1

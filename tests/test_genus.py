@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from genusmass.class_group import build_class_group, prime_ideal_class
 from genusmass.genus import build_genus_characters, character_pairs
 from genusmass.arith import kronecker, primes_up_to
-from genusmass.verify import verify_character_counts
-import genusmass.verify as verify
+from genusmass.verify import build_layers, verify_character_counts
 from oracles import (
     character_table_oracle,
     class_forms,
@@ -109,12 +108,12 @@ class TestCharacterValue:
         with pytest.raises(RuntimeError, match="assigned characters"):
             build_genus_characters(replace(cg84, genus_signs=signs))
 
-    def test_broken_product_relation_fails_character_counts(self, cg84, monkeypatch):
+    def test_broken_product_relation_fails_character_counts(self, cg84):
         # a genus whose assigned characters multiply to -1 repeats another
         # genus's column of the table, so X X^T != |G| I
         signs = cg84.genus_signs[:-1] + ((-cg84.genus_signs[-1][0],) + cg84.genus_signs[-1][1:],)
-        monkeypatch.setattr(verify, "build_class_group", lambda delta: replace(cg84, genus_signs=signs))
-        record = verify_character_counts(-84)
+        layers = build_layers(-84, 0, 1)._replace(group=replace(cg84, genus_signs=signs))
+        record = verify_character_counts(layers)
         assert not record.passed
         assert record.detail == "the character table is not orthogonal: X X^T != 4 I"
 

@@ -12,7 +12,7 @@ from genusmass.class_group import build_class_group
 from genusmass.genus import build_genus_characters, character_pairs
 from genusmass.qseries import QSeries
 from genusmass.series import eisenstein_for_genus, eisenstein_matrix, genus_eisenstein, twisted_sum
-from genusmass.verify import verify_genus_mass, verify_twisted_eisenstein
+from genusmass.verify import build_layers, verify_genus_mass, verify_twisted_eisenstein
 from oracles import (
     character_table_oracle,
     eisenstein_for_genus_oracle,
@@ -26,20 +26,12 @@ from oracles import (
 LAYER_DELTAS = fundamental_deltas(-1000) + [-120120]
 
 
-def clear_caches():
-    series.theta_matrix.cache_clear()
-    series._genus_sums.cache_clear()
-    series.eisenstein_matrix.cache_clear()
-
-
 @pytest.fixture(params=["int64", "object"])
 def coeff_path(request, monkeypatch):
     """Both coefficient paths: int64, and Python ints with the int64 bound at 0."""
-    clear_caches()
     if request.param == "object":
         monkeypatch.setattr(series, "INT64_BOUND", 0)
-    yield object if request.param == "object" else np.int64
-    clear_caches()
+    return object if request.param == "object" else np.int64
 
 
 def rows(group, layer) -> list[QSeries]:
@@ -78,7 +70,6 @@ def test_one_row_requests_match_the_matrices():
 def perturbed_case(delta, n_max, monkeypatch, kind, column):
     """Perturb one entry of the theta matrix, of E or of X for delta, where the
     library reads it; returns the character table the oracle should use."""
-    clear_caches()
     group = build_class_group(delta)
     table = build_genus_characters(group)
     if kind == "theta":
@@ -92,21 +83,26 @@ def perturbed_case(delta, n_max, monkeypatch, kind, column):
 
         monkeypatch.setattr(series, "representation_counts", perturbed)
     elif kind == "eisenstein":
-        original = series.eisenstein_matrix
+        original = series.eisenstein_stack
         target = character_pairs(delta)[-1]
 
-        def perturbed(delta_, n, pairs=None):
-            out, unit = original(delta_, n, pairs)
-            out = out.copy()
-            out[[pair == target for pair in pairs or character_pairs(delta_)], column] += 1
-            return out, unit
+        def perturbed(groups, n, pairs=None, reads=None):
+            out = original(groups, n, pairs, reads)
+            for k, group_ in enumerate(groups):
+                if group_.delta == delta:
+                    rows = out[k].rows.copy()
+                    own = pairs[k] if pairs is not None else character_pairs(delta)
+                    rows[[pair == target for pair in own], column] += 1
+                    out[k] = out[k]._replace(rows=rows)
+            return out
 
-        monkeypatch.setattr(series, "eisenstein_matrix", perturbed)
-        monkeypatch.setattr(verify, "eisenstein_matrix", perturbed)
+        monkeypatch.setattr(series, "eisenstein_stack", perturbed)
+        monkeypatch.setattr(verify, "eisenstein_stack", perturbed)
     else:
         table = table.copy()
         table[-1, -1] *= -1
         monkeypatch.setattr(series, "build_genus_characters", lambda group_: table)
+        monkeypatch.setattr(verify, "build_genus_characters", lambda group_: table)
     return group, table
 
 
@@ -114,23 +110,17 @@ def perturbed_case(delta, n_max, monkeypatch, kind, column):
 @pytest.mark.parametrize("kind,column", [("theta", 0), ("theta", 35), ("eisenstein", 7), ("x", None)])
 def test_perturbed_entry_fails_with_the_oracle_detail(monkeypatch, delta, kind, column):
     n_max = 60
-    try:
-        group, table = perturbed_case(delta, n_max, monkeypatch, kind, column)
-        twisted = verify_twisted_eisenstein(delta, n_max)
-        mass = verify_genus_mass(delta, n_max)
-        assert not twisted.passed and not mass.passed
-        assert twisted.detail == twisted_eisenstein_detail_oracle(group, n_max, table)
-        assert mass.detail == genus_mass_detail_oracle(group, n_max, table)
-        if kind == "theta" and column == 0:
-            assert "constant terms" in mass.detail
-    finally:
-        monkeypatch.undo()
-        clear_caches()
+    group, table = perturbed_case(delta, n_max, monkeypatch, kind, column)
+    layers = build_layers(delta, n_max, 1)
+    twisted = verify_twisted_eisenstein(layers)
+    mass = verify_genus_mass(layers)
+    assert not twisted.passed and not mass.passed
+    assert twisted.detail == twisted_eisenstein_detail_oracle(group, n_max, table)
+    assert mass.detail == genus_mass_detail_oracle(group, n_max, table)
+    if kind == "theta" and column == 0:
+        assert "constant terms" in mass.detail
 
 
-def test_eisenstein_matrix_is_cached_for_the_last_request_only():
-    first = eisenstein_matrix(-84, 30)
-    assert eisenstein_matrix(-84, 30) is first
-    eisenstein_matrix(-455, 30)
-    assert eisenstein_matrix.cache_info().currsize == 1
-    assert not first[0].flags.writeable
+def test_eisenstein_matrix_is_read_only():
+    rows, _ = eisenstein_matrix(-84, 30)
+    assert not rows.flags.writeable

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-import genusmass.genus as genus
 import genusmass.series as series
 from genusmass.cli import main
 from genusmass.verify import run_suite
@@ -48,13 +47,6 @@ def verify_lines(capsys) -> list[str]:
     return lines
 
 
-def clear_caches():
-    series.theta_matrix.cache_clear()
-    series._genus_sums.cache_clear()
-    series.eisenstein_matrix.cache_clear()
-    genus._character_table.cache_clear()
-
-
 def test_verify_json_matches_golden(capsys):
     expected = (DATA / "verify.jsonl").read_text().splitlines()
     assert verify_lines(capsys) == expected
@@ -72,7 +64,7 @@ def test_series_outputs_match_golden(capsys):
 @pytest.fixture
 def perturbed_theta(monkeypatch):
     """r(Q, 35) + 1 for the class PERTURBED_FORM[delta], read where the library
-    reads representation_counts; theta caches cleared on the way in and out."""
+    reads representation_counts."""
     original = series.representation_counts
     target = {}
 
@@ -83,10 +75,8 @@ def perturbed_theta(monkeypatch):
                 counts[row, 35] += 1
         return counts
 
-    clear_caches()
     monkeypatch.setattr(series, "representation_counts", perturbed)
-    yield target
-    clear_caches()
+    return target
 
 
 @pytest.mark.parametrize("delta", [-84, -455])
@@ -125,11 +115,7 @@ def test_object_dtype_gives_the_same_report(capsys, monkeypatch):
     """With the int64 bound forced below every real value, all arrays hold Python
     ints; the reports are the same as with int64."""
     int64_lines = verify_lines(capsys)
-    clear_caches()
     monkeypatch.setattr(series, "INT64_BOUND", 0)
-    try:
-        assert series.theta_matrix(-84, 10).dtype == object
-        assert series.eisenstein_series(1, -84, 10).coeffs.dtype == object
-        assert verify_lines(capsys) == int64_lines
-    finally:
-        clear_caches()
+    assert series.theta_matrix(-84, 10).dtype == object
+    assert series.eisenstein_series(1, -84, 10).coeffs.dtype == object
+    assert verify_lines(capsys) == int64_lines

@@ -8,7 +8,6 @@ import genusmass.hecke as hecke
 from genusmass.arith import kronecker, primes_up_to
 from genusmass.class_group import build_class_group, prime_ideal_class
 from genusmass.hecke import (
-    _prime_layer,
     check_eigenform,
     check_genus_permutation,
     check_inert_theta,
@@ -17,7 +16,7 @@ from genusmass.hecke import (
 )
 from genusmass.qseries import QSeries, apply_T, apply_U
 from genusmass.series import genus_eisenstein, theta_series
-from genusmass.verify import run_suite
+from genusmass.verify import build_layers, run_suite
 from oracles import (
     agrees_with,
     class_forms,
@@ -39,14 +38,31 @@ from oracles import (
 HECKE_DELTAS = (-20, -23, -47, -84, -120)
 
 
+def eigenform(delta, p, n_max):
+    """check_eigenform at p on the class-group total of delta's layers."""
+    layers = build_layers(delta, n_max, p)
+    return check_eigenform(layers.group, p, layers.theta.sum(axis=0), layers.primes)
+
+
+def per_class(check, delta, p, n_max):
+    """A per-class check_* function at p on the theta matrix of delta's layers."""
+    layers = build_layers(delta, n_max, p)
+    return check(layers.group, p, layers.theta, layers.primes)
+
+
+def genus_permutation(delta, p, n_max):
+    """check_genus_permutation at p on the genus sums of delta's layers."""
+    layers = build_layers(delta, n_max, p)
+    return check_genus_permutation(layers.group, p, layers.sums, layers.primes)
+
+
 class TestEigenform:
     @pytest.mark.parametrize(
         "delta,p,kind",
         [(-4, 5, "split"), (-4, 3, "inert"), (-20, 5, "ramified"), (-23, 2, "split")],
     )
     def test_examples(self, delta, p, kind):
-        group = build_class_group(delta)
-        result = check_eigenform(group, p, 60)
+        result = eigenform(delta, p, 60)
         assert result.name == f"eigenform[p={p}]"
         assert result.detail.startswith(f"{kind}; ")
         assert result.status == "pass" and result.passed
@@ -62,7 +78,7 @@ class TestEigenform:
     @given(st.sampled_from(fundamental_deltas(-200)), st.sampled_from(primes_up_to(30)))
     @settings(max_examples=150, deadline=None)
     def test_holds_everywhere(self, delta, p):
-        result = check_eigenform(build_class_group(delta), p, 80)
+        result = eigenform(delta, p, 80)
         assert result.passed, result.to_dict()
 
 
@@ -76,14 +92,14 @@ class TestPerClassIdentities:
         lhs = apply_T(theta_series(group, group.identity, 60), 3)
         rhs = theta_series(group, hp, 60).scale(2)
         assert agrees_with(lhs, rhs, lo=1)
-        assert check_split_theta(group, 3, 60).passed
+        assert per_class(check_split_theta, -20, 3, 60).passed
 
     def test_split_example_minus23(self):
         group = build_class_group(-23)
         lhs = apply_T(theta_series(group, group.identity, 60), 2)
         rhs = theta_series(group, 1, 60) + theta_series(group, 2, 60)
         assert agrees_with(lhs, rhs, lo=1)
-        assert check_split_theta(group, 2, 60).passed
+        assert per_class(check_split_theta, -23, 2, 60).passed
 
     def test_ramified_examples(self):
         group = build_class_group(-20)
@@ -91,14 +107,14 @@ class TestPerClassIdentities:
         hp = prime_ideal_class(group, 2)
         lhs = apply_U(theta_series(group, group.identity, 60), 2)
         assert agrees_with(lhs, theta_series(group, hp, 60), lo=1)
-        assert check_ramified_theta(group, 2, 60).passed
+        assert per_class(check_ramified_theta, -20, 2, 60).passed
         # p=5: prime class is principal, U_5 fixes every theta
         hp5 = prime_ideal_class(group, 5)
         assert hp5 == group.identity
         for h in range(group.h):
             lhs = apply_U(theta_series(group, h, 60), 5)
             assert agrees_with(lhs, theta_series(group, h, 60), lo=1)
-        assert check_ramified_theta(group, 5, 60).passed
+        assert per_class(check_ramified_theta, -20, 5, 60).passed
 
     def test_ramified_twice_returns(self):
         group = build_class_group(-20)
@@ -109,25 +125,23 @@ class TestPerClassIdentities:
 
     @pytest.mark.parametrize("delta,p", [(-4, 3), (-20, 11), (-3, 2)])
     def test_inert_examples(self, delta, p):
-        group = build_class_group(delta)
         assert classify_prime(delta, p) == "inert"
-        result = check_inert_theta(group, p, 60)
+        result = per_class(check_inert_theta, delta, p, 60)
         assert result.passed
 
     def test_type_validation(self):
-        group = build_class_group(-20)
         with pytest.raises(ValueError):
-            check_split_theta(group, 2, 30)
+            per_class(check_split_theta, -20, 2, 30)
         with pytest.raises(ValueError):
-            check_ramified_theta(group, 3, 30)
+            per_class(check_ramified_theta, -20, 3, 30)
         with pytest.raises(ValueError):
-            check_inert_theta(group, 5, 30)
+            per_class(check_inert_theta, -20, 5, 30)
         with pytest.raises(ValueError):
-            check_genus_permutation(group, 11, 30)
+            genus_permutation(-20, 11, 30)
 
     def test_exactly_one_applies(self):
         for delta in HECKE_DELTAS:
-            group = build_class_group(delta)
+            layers = build_layers(delta, 60, 30)
             for p in primes_up_to(30):
                 kind = classify_prime(delta, p)
                 checks = {
@@ -135,12 +149,12 @@ class TestPerClassIdentities:
                     "ramified": check_ramified_theta,
                     "inert": check_inert_theta,
                 }
-                result = checks[kind](group, p, 60)
+                result = checks[kind](layers.group, p, layers.theta, layers.primes)
                 assert result.passed, result.to_dict()
                 for other_kind, check in checks.items():
                     if other_kind != kind:
                         with pytest.raises(ValueError):
-                            check(group, p, 60)
+                            check(layers.group, p, layers.theta, layers.primes)
 
     def test_split_translates_share_genus(self):
         for delta in HECKE_DELTAS:
@@ -158,7 +172,7 @@ class TestPerClassIdentities:
     def test_conjugate_translate_from_the_inverse_map(self):
         for delta in fundamental_deltas(-1000) + [-400391]:
             group = build_class_group(delta)
-            layer = _prime_layer(delta, 50)
+            layer = build_layers(delta, 0, 50).primes
             for p in primes_up_to(50):
                 if kronecker(delta, p) != 1:
                     continue
@@ -183,7 +197,6 @@ class TestPrimeLayer:
 
         monkeypatch.setattr(hecke, "kronecker", counted("kronecker", hecke.kronecker))
         monkeypatch.setattr(hecke, "prime_ideal_class", counted("prime_class", hecke.prime_ideal_class))
-        _prime_layer.cache_clear()
         report = run_suite([delta], n_max=30, primes_bound=50, workers=1)[0]
         assert report.passed
         primes = primes_up_to(50)
@@ -193,7 +206,7 @@ class TestPrimeLayer:
     def test_genus_targets_are_the_genera_of_the_translates(self):
         for delta in (-84, -420, -5460, -120120):
             group = build_class_group(delta)
-            layer = _prime_layer(delta, 30)
+            layer = build_layers(delta, 0, 30).primes
             for p, perm in layer.perms.items():
                 assert layer.genus_row.tolist() == [group.genus_ids.index(g) for g in group.genus_of]
                 gp = group.genus_of[prime_ideal_class(group, p)]
@@ -202,7 +215,7 @@ class TestPrimeLayer:
 
     def test_composite_p_is_refused(self):
         with pytest.raises(ValueError, match="not prime"):
-            check_eigenform(build_class_group(-84), 9, 20)
+            eigenform(-84, 9, 20)
 
 
 def genus_series(group, genus_id, n_max) -> QSeries:
@@ -220,13 +233,13 @@ class TestGenusPermutation:
         # ramified p=2 permutes without doubling
         lhs = apply_T(genus_series(group, principal, 60), 2)
         assert agrees_with(lhs, genus_series(group, other, 60), lo=1)
-        assert check_genus_permutation(group, 3, 60).passed
-        assert check_genus_permutation(group, 2, 60).passed
+        assert genus_permutation(-20, 3, 60).passed
+        assert genus_permutation(-20, 2, 60).passed
 
     def test_full_table_minus84(self):
         group = build_class_group(-84)
         assert classify_prime(-84, 5) == "split"
-        result = check_genus_permutation(group, 5, 80)
+        result = genus_permutation(-84, 5, 80)
         assert result.passed
         # the permutation is consistent with translation by the prime's genus
         hp = prime_ideal_class(group, 5)
@@ -238,11 +251,12 @@ class TestGenusPermutation:
 
     def test_all_hecke_deltas(self):
         for delta in HECKE_DELTAS:
-            group = build_class_group(delta)
+            layers = build_layers(delta, 60, 30)
             for p in primes_up_to(30):
                 if kronecker(delta, p) == -1:
                     continue
-                assert check_genus_permutation(group, p, 60).passed, (delta, p)
+                record = check_genus_permutation(layers.group, p, layers.sums, layers.primes)
+                assert record.passed, (delta, p)
 
 
 class TestLatticeInclusionExclusion:
@@ -269,8 +283,7 @@ class TestLatticeInclusionExclusion:
 
 class TestResultRecords:
     def test_json_line(self):
-        group = build_class_group(-20)
-        result = check_eigenform(group, 3, 40)
+        result = eigenform(-20, 3, 40)
         data = json.loads(json.dumps(result.to_dict()))
         assert data == {
             "name": "eigenform[p=3]",
@@ -281,11 +294,11 @@ class TestResultRecords:
         }
 
     def test_prime_checks_bundle(self):
-        group = build_class_group(-20)
-        records = [(r.name, r.status) for r in prime_checks(group, 3, 40)]
+        layers = build_layers(-20, 40, 11)
+        records = [(r.name, r.status) for r in prime_checks(layers, 3)]
         assert records == [("eigenform[p=3]", "pass"), ("theta_split[p=3]", "pass"),
                            ("genus_permutation[p=3]", "pass")]
-        records = list(prime_checks(group, 11, 40))
+        records = list(prime_checks(layers, 11))
         assert [(r.name, r.status) for r in records] == [
             ("eigenform[p=11]", "pass"), ("theta_inert[p=11]", "pass"), ("genus_permutation[p=11]", "skip"),
         ]

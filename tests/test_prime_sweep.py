@@ -2,7 +2,8 @@
 (oracles.prime_checks): the same records, in order, with the same statuses,
 details and first mismatches, on both coefficient paths and in several blocks;
 the same failures when the theta matrix or the prime layer is corrupted; and
-the same records from the sweep of a batch of many discriminants."""
+the same records from the sweep of a batch of many discriminants as from the
+layers of each one built alone."""
 
 import tracemalloc
 
@@ -13,8 +14,8 @@ import genusmass.series as series
 from genusmass.arith import kronecker, primes_up_to
 from genusmass.class_group import build_class_group
 from genusmass.forms import stacked_reduced_forms
-from genusmass.hecke import CheckRecord, _prime_layer, sweep_failures, sweep_records
-from genusmass.verify import _batch_layers, run_suite
+from genusmass.hecke import CheckRecord, sweep_failures, sweep_records
+from genusmass.verify import _batch_layers, build_layers, run_suite
 from oracles import fundamental_deltas, prime_checks
 
 SWEEP_DELTAS = fundamental_deltas(-300)
@@ -23,43 +24,32 @@ SWEEP_DELTAS = fundamental_deltas(-300)
 SCALES = [(200, 50), (30, 10), (10, 50)]
 
 
-def prime_sweep(group, n_max, bound) -> list[CheckRecord]:
-    """The sweep of one discriminant on the arrays its check_* functions read
-    (hecke._prime_layer, series.theta_matrix and the genus sums, in the
-    coefficient dtype of the group), so that a corrupted layer or theta matrix
-    reaches the sweep and the checks alike."""
-    if bound < 2:
-        return []
-    layer = hecke._prime_layer(group.delta, bound)
-    sums, _ = series.genus_eisenstein(group, n_max)
-    total = series.theta_total(group, n_max)
-    failed = sweep_failures([group], [layer], series.theta_matrix(group.delta, n_max), total[None, :], sums,
-                            n_max, bound)
-    return sweep_records(group, n_max, bound, layer.chi, failed[:, 0])
+def prime_sweep(layers, bound) -> list[CheckRecord]:
+    """The records of one discriminant from a sweep of its layers' own arrays (in
+    the coefficient dtype of its group, not the batch's int64 rows), so that a
+    corrupted prime layer or theta matrix reaches the sweep and the check_*
+    functions alike."""
+    n_max = layers.theta.shape[1] - 1
+    failed = sweep_failures([layers.group], [layers.primes], layers.theta, layers.theta.sum(axis=0)[None, :],
+                            layers.sums, n_max, bound)
+    return sweep_records(layers._replace(failed=failed[:, 0]), bound)
 
 
-def loop_records(group, n_max, bound) -> list[CheckRecord]:
-    return [r for p in primes_up_to(bound) for r in prime_checks(group, p, n_max, bound)]
+def loop_records(layers, bound) -> list[CheckRecord]:
+    return [r for p in primes_up_to(bound) for r in prime_checks(layers, p)]
 
 
 def assert_same_records(delta, n_max, bound):
-    group = build_class_group(delta)
-    assert prime_sweep(group, n_max, bound) == loop_records(group, n_max, bound), (delta, n_max, bound)
-
-
-def clear_caches():
-    series.theta_matrix.cache_clear()
-    series._genus_sums.cache_clear()
+    layers = build_layers(delta, n_max, bound)
+    assert prime_sweep(layers, bound) == loop_records(layers, bound), (delta, n_max, bound)
 
 
 @pytest.fixture(params=["int64", "object"])
 def coeff_path(request, monkeypatch):
     """Both coefficient paths: int64, and Python ints with the int64 bound at 0."""
-    clear_caches()
     if request.param == "object":
         monkeypatch.setattr(series, "INT64_BOUND", 0)
-    yield request.param
-    clear_caches()
+    return request.param
 
 
 @pytest.mark.parametrize("n_max,bound", SCALES)
@@ -73,12 +63,11 @@ def test_records_match_the_loop(coeff_path, n_max, bound):
 @pytest.mark.parametrize("n_max,bound", SCALES)
 def test_a_batch_sweep_matches_the_loop(n_max, bound):
     """The sweep of a range run: every discriminant of SWEEP_DELTAS in one batch,
-    on the stacked int64 rows."""
+    on the stacked int64 rows, against the loop on each one's layers alone."""
     layers = _batch_layers(SWEEP_DELTAS, *stacked_reduced_forms(SWEEP_DELTAS), n_max, bound)
     for delta, found in zip(SWEEP_DELTAS, layers):
-        group = build_class_group(delta)
-        records = sweep_records(group, n_max, bound, found.primes.chi, found.failed)
-        assert records == loop_records(group, n_max, bound), (delta, n_max, bound)
+        records = sweep_records(found, bound)
+        assert records == loop_records(build_layers(delta, n_max, bound), bound), (delta, n_max, bound)
 
 
 def test_records_match_the_loop_in_several_blocks(monkeypatch):
@@ -128,8 +117,7 @@ def test_a_prime_bound_below_2_leaves_the_other_records():
 @pytest.fixture
 def perturbed_theta(monkeypatch):
     """r(Q, n) + 1 for the class in row target["row"] at n = target["n"], read
-    where the library reads representation_counts; theta caches cleared on the
-    way in and out."""
+    where the library reads representation_counts."""
     original = series.representation_counts
     target = {}
 
@@ -138,10 +126,8 @@ def perturbed_theta(monkeypatch):
         counts[target["row"], target["n"]] += 1
         return counts
 
-    clear_caches()
     monkeypatch.setattr(series, "representation_counts", perturbed)
-    yield target
-    clear_caches()
+    return target
 
 
 @pytest.mark.parametrize("block", [hecke.SWEEP_BLOCK, 1])
@@ -149,91 +135,82 @@ def perturbed_theta(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 4, 35, 199, 200])
 def test_a_perturbed_theta_fails_the_same_records(perturbed_theta, monkeypatch, block, delta, n):
     monkeypatch.setattr(hecke, "SWEEP_BLOCK", block)
-    group = build_class_group(delta)
-    perturbed_theta.update(row=group.h - 1, n=n)
-    records = prime_sweep(group, 200, 50)
-    assert records == loop_records(group, 200, 50)
+    perturbed_theta.update(row=build_class_group(delta).h - 1, n=n)
+    layers = build_layers(delta, 200, 50)
+    records = sweep_records(layers, 50)
+    assert records == prime_sweep(layers, 50) == loop_records(layers, 50)
     # 199, a prime above the bound and above 200 / 2, is read by no identity
     assert any(r.status == "fail" for r in records) == (n != 199)
 
 
-def corrupt_layer(monkeypatch, delta, bound, **fields):
-    """hecke._prime_layer(delta, bound), for the sweep and the check_* functions
-    alike, with the given fields replaced."""
-    layer = _prime_layer(delta, bound)._replace(**fields)
-    original = hecke._prime_layer
-
-    def corrupted(d, b):
-        return layer if (d, b) == (delta, bound) else original(d, b)
-
-    monkeypatch.setattr(hecke, "_prime_layer", corrupted)
-    return layer
+def corrupt_layer(delta, bound, **fields):
+    """The layers of delta at precision 200, with the given fields of the prime
+    layer replaced."""
+    layers = build_layers(delta, 200, bound)
+    return layers._replace(primes=layers.primes._replace(**fields))
 
 
-def test_swapped_classes_of_a_permutation_fail_its_theta_identity(monkeypatch):
+def test_swapped_classes_of_a_permutation_fail_its_theta_identity():
     """Two classes of perms[2] swapped at -47 (h = 5, 2 split): theta_split[p=2]
     fails with check_split_theta's first mismatch, and every other identity
     passes (one genus, so the genus permutation cannot tell)."""
     delta, bound = -47, 50
-    group = build_class_group(delta)
-    assert group.h == 5 and kronecker(delta, 2) == 1 and len(group.genus_ids) == 1
-    expected = prime_sweep(group, 200, bound)
+    layers = build_layers(delta, 200, bound)
+    assert layers.group.h == 5 and kronecker(delta, 2) == 1 and len(layers.group.genus_ids) == 1
+    expected = prime_sweep(layers, bound)
     assert all(r.status != "fail" for r in expected)
-    perms = dict(_prime_layer(delta, bound).perms)
-    theta = series.theta_matrix(delta, 200)
+    perms = dict(layers.primes.perms)
+    theta = layers.theta
     perm = perms[2].copy()
     a, b = next((a, b) for a in range(5) for b in range(a) if (theta[perm[a]] != theta[perm[b]]).any())
     perm[[a, b]] = perm[[b, a]]
     perms[2] = perm
-    corrupt_layer(monkeypatch, delta, bound, perms=perms)
-    records = prime_sweep(group, 200, bound)
-    assert records == loop_records(group, 200, bound)
+    corrupted = corrupt_layer(delta, bound, perms=perms)
+    records = prime_sweep(corrupted, bound)
+    assert records == loop_records(corrupted, bound)
     failed = [r for r in records if r.status == "fail"]
     assert [r.name for r in failed] == ["theta_split[p=2]"]
-    assert failed[0] == hecke.check_split_theta(group, 2, 200, bound)
+    assert failed[0] == hecke.check_split_theta(corrupted.group, 2, corrupted.theta, corrupted.primes)
     assert failed[0].first_mismatch is not None
     assert [r for r in records if r.status != "fail"] == [r for r in expected if r.name != "theta_split[p=2]"]
 
 
-def test_a_corrupted_genus_row_fails_the_genus_permutations(monkeypatch):
+def test_a_corrupted_genus_row_fails_the_genus_permutations():
     """Two genera swapped in the genus row at -84 (four genera of one class):
     genus_permutation fails at non-inert primes, with check_genus_permutation's
     records, and nothing else fails."""
     delta, bound = -84, 50
-    group = build_class_group(delta)
-    genus_row = _prime_layer(delta, bound).genus_row.copy()
+    genus_row = build_layers(delta, 0, bound).primes.genus_row.copy()
     genus_row[[0, 1]] = genus_row[[1, 0]]
-    corrupt_layer(monkeypatch, delta, bound, genus_row=genus_row)
-    records = prime_sweep(group, 200, bound)
-    assert records == loop_records(group, 200, bound)
+    corrupted = corrupt_layer(delta, bound, genus_row=genus_row)
+    records = prime_sweep(corrupted, bound)
+    assert records == loop_records(corrupted, bound)
     failed = [r for r in records if r.status == "fail"]
     assert failed and all(r.name.startswith("genus_permutation[") for r in failed)
     for record in failed:
         p = int(record.name[len("genus_permutation[p="):-1])
-        assert record == hecke.check_genus_permutation(group, p, 200, bound)
+        assert record == hecke.check_genus_permutation(corrupted.group, p, corrupted.sums, corrupted.primes)
 
 
 def test_a_failure_its_check_does_not_confirm_is_an_error(monkeypatch):
     delta, bound = -47, 50
-    group = build_class_group(delta)
-    perms = dict(_prime_layer(delta, bound).perms)
+    perms = dict(build_layers(delta, 0, bound).primes.perms)
     perms[2] = perms[2][::-1].copy()
-    corrupt_layer(monkeypatch, delta, bound, perms=perms)
+    corrupted = corrupt_layer(delta, bound, perms=perms)
     monkeypatch.setattr(hecke, "check_split_theta",
-                        lambda group, p, n_max, bound: CheckRecord(f"theta_split[p={p}]", "pass", "forged"))
+                        lambda group, p, theta, layer: CheckRecord(f"theta_split[p={p}]", "pass", "forged"))
     with pytest.raises(RuntimeError, match=r"theta_split\[p=2\]"):
-        prime_sweep(group, 200, bound)
+        prime_sweep(corrupted, bound)
 
 
 def test_peak_memory_is_the_loop_s_at_class_number_999():
     """-400391 (h = 999) at 200/50 sweeps in several blocks, whose arrays stay
     within those of the check at p = 2 alone."""
     delta, n_max, bound = -400391, 200, 50
-    run_suite([delta], n_max, bound, workers=1)
-    group = build_class_group(delta)
-    assert len(list(hecke._sweep_blocks(hecke._column_plan(n_max, bound).widths, group.h, n_max))) > 1
+    layers = build_layers(delta, n_max, bound)
+    assert len(list(hecke._sweep_blocks(hecke._column_plan(n_max, bound).widths, layers.group.h, n_max))) > 1
     peaks = []
-    for run in (lambda: prime_sweep(group, n_max, bound), lambda: loop_records(group, n_max, bound)):
+    for run in (lambda: prime_sweep(layers, bound), lambda: loop_records(layers, bound)):
         tracemalloc.start()
         try:
             run()

@@ -258,7 +258,7 @@ class TestLZero:
         arith.prime_discriminant_tables(delta)
         tracemalloc.start()
         try:
-            found = l_zero.__wrapped__(delta)
+            found = l_zero(delta)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -280,13 +280,9 @@ class TestLZero:
             block = (-delta - 1) // 2 + block_offset[1]
         else:
             block = -delta + block_offset
-        l_zero.cache_clear()
         monkeypatch.setattr(series, "L_ZERO_BLOCK", block)
-        try:
-            q = -delta
-            assert l_zero(delta) == Fraction(-sum(kronecker(delta, a) * a for a in range(q)), q)
-        finally:
-            l_zero.cache_clear()
+        q = -delta
+        assert l_zero(delta) == Fraction(-sum(kronecker(delta, a) * a for a in range(q)), q)
 
 
 class TestMassFormulaSeries:

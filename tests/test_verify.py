@@ -17,9 +17,10 @@ import genusmass.series as series
 import genusmass.verify as verify
 from genusmass.arith import kronecker, primes_up_to
 from genusmass.class_group import build_class_group
-from genusmass.forms import automorph_count, reduced_forms
+from genusmass.forms import automorph_count
 from genusmass.series import l_zero
 from genusmass.verify import (
+    build_layers,
     delta_range,
     iter_suite,
     report_json_line,
@@ -47,25 +48,25 @@ def untimed_line(report) -> str:
 class TestExactChecks:
     @pytest.mark.parametrize("delta", [-3, -4, -7, -20, -23, -47, -84, -120])
     def test_gauss(self, delta):
-        record = verify_gauss(delta, 120)
+        record = verify_gauss(build_layers(delta, 120, 1))
         assert record.passed, record.detail
         assert record.name == "gauss_average"
 
     @pytest.mark.parametrize("delta", [-4, -20, -23, -84, -120])
     def test_twisted_eisenstein(self, delta):
-        record = verify_twisted_eisenstein(delta, 120)
+        record = verify_twisted_eisenstein(build_layers(delta, 120, 1))
         assert record.passed, record.detail
 
     @pytest.mark.parametrize("delta", [-4, -20, -47, -84, -120])
     def test_genus_mass(self, delta):
-        record = verify_genus_mass(delta, 120)
+        record = verify_genus_mass(build_layers(delta, 120, 1))
         assert record.passed, record.detail
 
     @pytest.mark.parametrize(
         "delta,count", [(-20, 2), (-84, 4), (-7, 1), (-120, 4), (-420, 8)]
     )
     def test_character_counts(self, delta, count):
-        record = verify_character_counts(delta)
+        record = verify_character_counts(build_layers(delta, 0, 1))
         assert record.passed, record.detail
         assert f"|G*| = |G| = {count}" in record.detail
 
@@ -93,7 +94,7 @@ class TestDirichlet:
 
     @pytest.mark.parametrize("delta,tol", [(-4, 1e-3), (-3, 1e-3), (-20, 1e-2)])
     def test_recovers_class_number(self, delta, tol):
-        record = verify_dirichlet(delta)
+        record = verify_dirichlet(build_layers(delta, 0, 1))
         assert record.passed, record.detail
         l1 = dirichlet_l1_oracle(delta, 10**6)
         assert abs(class_number_from_l1(delta, l1) - build_class_group(delta).h) < tol
@@ -112,34 +113,30 @@ class TestDirichlet:
         assert l_zero(delta) == Fraction(-sum(kronecker(delta, a) * a for a in range(q)), q)
 
     def test_large_class_number(self):
-        record = verify_dirichlet(-400391)
+        record = verify_dirichlet(build_layers(-400391, 0, 1))
         assert record.passed, record.detail
         assert "h=999" in record.detail
 
 
 @pytest.fixture
 def wrong_l_zero(monkeypatch):
-    """l_zero off by 2/w, so (w/2) L(0) is h + 1; the caches that hold L(0) are
-    cleared on the way in and out."""
+    """l_zero off by 2/w, so (w/2) L(0) is h + 1."""
 
     def wrong(delta):
         return l_zero(delta) + Fraction(2, automorph_count(delta))
 
-    series.eisenstein_matrix.cache_clear()
     monkeypatch.setattr(series, "l_zero", wrong)
-    monkeypatch.setattr(verify, "l_zero", wrong)
-    yield
-    series.eisenstein_matrix.cache_clear()
 
 
 @pytest.mark.parametrize("delta", [-3, -20, -84])
 def test_checks_fail_on_wrong_l_zero(wrong_l_zero, delta):
     """The n = 0 comparisons read L(0) from the character, not from the class
     group, so a wrong L(0) fails all three checks that use it."""
-    assert not verify_dirichlet(delta).passed
-    twisted = verify_twisted_eisenstein(delta, 10)
+    layers = build_layers(delta, 10, 1)
+    assert not verify_dirichlet(layers).passed
+    twisted = verify_twisted_eisenstein(layers)
     assert not twisted.passed and "mismatch at n=0" in twisted.detail
-    mass = verify_genus_mass(delta, 10)
+    mass = verify_genus_mass(layers)
     assert not mass.passed and "constant terms" in mass.detail
 
 
@@ -168,8 +165,6 @@ def flipped_table(monkeypatch):
 
     def clear_caches():
         original.cache_clear()
-        series.eisenstein_matrix.cache_clear()
-        series.l_zero.cache_clear()
         genus._character_table.cache_clear()
 
     clear_caches()
@@ -203,7 +198,7 @@ def test_dirichlet_fails_on_a_flip_that_moves_the_half_range_sum(flipped_table, 
     moved = sum(kronecker(delta, a) for a in range(1, (1 - delta) // 2, abs(prime)))
     assert (moved == 0) == cancels
     flipped_table.update(delta=delta, prime=prime)
-    assert verify_dirichlet(delta).passed == cancels
+    assert verify_dirichlet(build_layers(delta, 0, 1)).passed == cancels
 
 
 @pytest.mark.parametrize("delta", [-84, -455])
@@ -220,8 +215,7 @@ def test_flipped_table_in_the_genera_is_caught(flipped_table, monkeypatch, delta
             build_class_group.__wrapped__(delta)
         return
     group = build_class_group.__wrapped__(delta)
-    monkeypatch.setattr(verify, "build_class_group", lambda d: group)
-    record = verify_character_counts(delta)
+    record = verify_character_counts(build_layers(delta, 0, 1)._replace(group=group))
     assert not record.passed
     assert record.detail == "the character table is not orthogonal: X X^T != 4 I"
 
@@ -371,15 +365,14 @@ class TestCacheScope:
     def test_range_run_keeps_at_most_one_delta(self):
         run_suite(delta_range(-3, -300), n_max=20, primes_bound=5, workers=1)
         assert build_class_group.cache_info().currsize <= 1
-        assert reduced_forms.cache_info().currsize <= 1
-        assert l_zero.cache_info().currsize <= 1
         assert verify._LAYERS == {}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_suite_runs_under_plain_wrappers(self, monkeypatch, workers):
         """A tracer rebinds build_class_group and verify._suite_job in every module
         to wrappers without cache_clear; the suite still runs, in-process and on
-        a pool, and still empties the class group cache."""
+        a pool, and still empties the class group cache.  Its checks read each
+        delta's layers, so no check calls build_class_group."""
         deltas = delta_range(-3, -60)
         expected = [untimed_line(r) for r in run_suite(deltas, n_max=20, primes_bound=5, workers=1)]
         originals = {"build_class_group": build_class_group, "_suite_job": verify._suite_job}
@@ -402,7 +395,7 @@ class TestCacheScope:
         assert [untimed_line(r) for r in reports] == expected
         if workers == 1:
             assert calls.count("_suite_job") == len(deltas)
-            assert "build_class_group" in calls
+            assert "build_class_group" not in calls
             assert build_class_group.cache_info().currsize <= 1
 
 
