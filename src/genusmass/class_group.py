@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import ext_gcd, is_prime, kronecker, prime_discriminant_factorization, prime_discriminant_tables
-from .forms import INT64_BOUND, automorph_count, reduce_triple, stacked_reduced_forms
+from .forms import INT64_BOUND, UNIT_COUNTS, reduce_triple, stacked_reduced_forms
 
 __all__ = [
     "ClassGroup",
@@ -142,7 +142,9 @@ class ClassGroup:
 
     @property
     def w(self) -> int:
-        return automorph_count(self.delta)
+        """The unit count of the order, 6, 4 or 2: forms.automorph_count without
+        its check that delta is fundamental, which a group's delta always is."""
+        return UNIT_COUNTS.get(self.delta, 2)
 
     def genus_members(self, genus_id: int) -> tuple[int, ...]:
         return tuple(i for i in range(self.h) if self.genus_of[i] == genus_id)

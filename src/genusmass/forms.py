@@ -156,12 +156,12 @@ def representation_counts(forms: np.ndarray, n_max: int) -> np.ndarray:
     return counts.astype(np.int64, copy=False).reshape(len(a), n_max + 1)
 
 
+# the unit counts w other than 2, by discriminant
+UNIT_COUNTS = {-3: 6, -4: 4}
+
+
 def automorph_count(delta: int) -> int:
     """Unit count w of the order of discriminant delta: 6, 4, or 2."""
     if not is_fundamental(delta):
         raise ValueError(f"{delta} is not a negative fundamental discriminant")
-    if delta == -3:
-        return 6
-    if delta == -4:
-        return 4
-    return 2
+    return UNIT_COUNTS.get(delta, 2)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from math import prod
 
@@ -43,15 +42,8 @@ def build_genus_characters(group: ClassGroup) -> np.ndarray:
     product of the genus's assigned characters over the prime discriminants p
     that divide d, each (p|r) at a value r of the genus that p does not divide:
     -1 to the number of those that are -1.
-    Built once per discriminant: only the last table is kept, keyed on delta
-    and on the genera's ids and assigned characters.
     """
-    return _character_table(group.delta, group.genus_ids, group.genus_signs)
-
-
-@lru_cache(maxsize=1)
-def _character_table(delta: int, genus_ids: tuple[int, ...],
-                     genus_signs: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    delta, genus_ids, genus_signs = group.delta, group.genus_ids, group.genus_signs
     factors = prime_discriminant_factorization(delta)
     signs = np.array(genus_signs, dtype=np.int64).reshape(len(genus_ids), len(factors))
     bad = (np.abs(signs) != 1).any(axis=1)

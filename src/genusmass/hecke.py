@@ -101,14 +101,16 @@ class _PrimeLayer(NamedTuple):
 
 class Layers(NamedTuple):
     """One discriminant's layers, as its batch built them (verify._batch_layers),
-    and what its checks read: the class group; the theta matrix and the genus
-    sums S, in the group's coefficient dtype; the Eisenstein rows, with the
-    character row and L(0); the prime layer; its 3 x (number of primes) slice
-    of sweep_failures; and its share of the batch's build time in seconds, per
-    check that first reads a layer (the class group build, read before any
-    check, under "")."""
+    and all that its checks read: the class group; its genus character table X
+    (genus.build_genus_characters); the theta matrix and the genus sums S, in
+    the group's coefficient dtype; the Eisenstein rows, with their character
+    pairs, the character row and L(0); the prime layer; its 3 x (number of
+    primes) slice of sweep_failures; and its share of the batch's build time in
+    seconds, per check that first reads a layer (the class group build, read
+    before any check, under "")."""
 
     group: ClassGroup
+    characters: np.ndarray
     theta: np.ndarray
     sums: np.ndarray
     eisenstein: EisensteinRows

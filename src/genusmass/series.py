@@ -25,12 +25,10 @@ from .qseries import QSeries, dirichlet_convolution
 __all__ = [
     "theta_matrix",
     "theta_series",
-    "theta_total",
     "genus_eisenstein",
     "twisted_sum",
     "eisenstein_matrix",
     "eisenstein_series",
-    "kronecker_values",
     "l_zero",
     "eisenstein_for_genus",
     "series_csv",
@@ -122,12 +120,6 @@ def theta_series(group: ClassGroup, h: int, n_max: int) -> QSeries:
     return QSeries(group.delta, counts.astype(_coeff_dtype(group, n_max), copy=False))
 
 
-def theta_total(group: ClassGroup, n_max: int) -> np.ndarray:
-    """The coefficients of the sum of the theta series of all classes, as an
-    integer array; constant term h."""
-    return theta_matrix(group.delta, n_max).sum(axis=0)
-
-
 def _genus_sums(group: ClassGroup, n_max: int) -> np.ndarray:
     """S: the matrix whose row k is the sum of the theta rows of the classes in the
     genus genus_ids[k] (see _stacked_genus_sums)."""
@@ -174,23 +166,6 @@ def _periodic(table: np.ndarray, start: int, stop: int) -> np.ndarray:
     return np.tile(np.concatenate((head, table[:first])), -(-n // m))[:n]
 
 
-def kronecker_values(delta: int, a: int, start: int, stop: int) -> np.ndarray:
-    """[(a|m) for start <= m < stop] as int8, where a is delta or a product of
-    some of its prime discriminants (the d or D of a character pair).
-
-    (a|m) is the product of (p|m) over the prime discriminants p of a, and each
-    (p|m) is the table of p read at m mod |p|."""
-    out = np.ones(stop - start, dtype=np.int8)
-    product = 1
-    for p, table in prime_discriminant_tables(delta):
-        if a % p == 0:
-            out *= _periodic(table, start, stop)
-            product *= p
-    if product != a:
-        raise ValueError(f"{a} is not a product of prime discriminants of {delta}")
-    return out
-
-
 def l_zero(delta: int) -> Fraction:
     """L(0) for the Kronecker character chi of delta, from the character alone,
     by Dirichlet's class number sum over half the period: chi is odd and
@@ -229,11 +204,13 @@ def l_zero(delta: int) -> Fraction:
 
 
 class EisensteinRows(NamedTuple):
-    """The Eisenstein matrix of a group and its unit (see eisenstein_matrix), the
-    character row [(delta|m) for 0 <= m <= n_max] of its delta as read-only int8
-    (None for rows of given pairs) and L(0)."""
+    """The Eisenstein matrix of a group and the character pairs (d, D) of its rows,
+    its unit (see eisenstein_matrix), the character row [(delta|m) for
+    0 <= m <= n_max] of its delta as read-only int8 (None for rows of given
+    pairs) and L(0)."""
 
     rows: np.ndarray
+    pairs: list[tuple[int, int]]
     unit: Fraction
     character: Optional[np.ndarray]
     l_zero: Fraction
@@ -303,7 +280,7 @@ def eisenstein_stack(groups: list[ClassGroup], n_max: int, pairs=None,
         if pairs is None:
             character = values[len(factors) + k].astype(np.int8)
             character.setflags(write=False)
-        out.append(EisensteinRows(rows, Fraction(1, half.denominator), character, constant))
+        out.append(EisensteinRows(rows, pairs_k, Fraction(1, half.denominator), character, constant))
         row += count
     return out
 

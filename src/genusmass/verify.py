@@ -10,7 +10,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from .arith import (
 )
 from .class_group import build_class_group, check_laws, class_group_stack, compose_stacked, law_rows
 from .forms import stacked_reduced_forms
-from .genus import _character_table, build_genus_characters, character_pairs
+from .genus import build_genus_characters
 from .hecke import CheckRecord, Layers, prime_classes, prime_layers, primes_to, sweep_failures, sweep_records
 from .qseries import dirichlet_convolution, first_mismatch
 from .series import CharacterReads, eisenstein_stack, series_stack, theta_slices
@@ -110,8 +110,8 @@ def verify_twisted_eisenstein(layers: Layers) -> CheckRecord:
     """Twisted theta sums equal the divisor-sum Eisenstein series, X S = w E, every
     character pair at once; the first mismatch is reported in character order."""
     group, eisenstein = layers.group, layers.eisenstein
-    pairs = character_pairs(group.delta)
-    lhs = build_genus_characters(group) @ layers.sums
+    pairs = eisenstein.pairs
+    lhs = layers.characters @ layers.sums
     found = first_mismatch(lhs, Fraction(1, group.w), eisenstein.rows, eisenstein.unit)
     if found is not None:
         row, n, left, right = found
@@ -127,7 +127,7 @@ def verify_genus_mass(layers: Layers) -> CheckRecord:
     terms are not both 1 is reported ahead of any mismatch in it or after it."""
     group, eisenstein = layers.group, layers.eisenstein
     lhs, lhs_unit = layers.sums, Fraction(1, len(group.squares))
-    rhs, rhs_unit = build_genus_characters(group).T @ eisenstein.rows, eisenstein.unit * Fraction(group.w, group.h)
+    rhs, rhs_unit = layers.characters.T @ eisenstein.rows, eisenstein.unit * Fraction(group.w, group.h)
     found = first_mismatch(lhs, lhs_unit, rhs, rhs_unit)
     lhs0, rhs0 = lhs[:, 0] * lhs_unit, rhs[:, 0] * rhs_unit
     bad = (lhs0 != 1) | (rhs0 != 1)
@@ -144,15 +144,14 @@ def verify_genus_mass(layers: Layers) -> CheckRecord:
 
 def verify_character_counts(layers: Layers) -> CheckRecord:
     """|G*| = |G| = 2^(t-1), and the character table X is orthogonal: X X^T = |G| I."""
-    group = layers.group
-    pairs = character_pairs(group.delta)
+    group, pairs = layers.group, layers.eisenstein.pairs
     expected = 2 ** (distinct_prime_count(group.delta) - 1)
     if len(pairs) != expected:
         return CheckRecord("character_counts", "fail", f"{len(pairs)} pairs != 2^(t-1) = {expected}")
     if len(group.genus_ids) != expected:
         detail = f"{len(group.genus_ids)} genera != 2^(t-1) = {expected}"
         return CheckRecord("character_counts", "fail", detail)
-    table = build_genus_characters(group)
+    table = layers.characters
     if not np.array_equal(table @ table.T, expected * np.eye(expected, dtype=np.int64)):
         detail = f"the character table is not orthogonal: X X^T != {expected} I"
         return CheckRecord("character_counts", "fail", detail)
@@ -165,17 +164,17 @@ def verify_character_counts(layers: Layers) -> CheckRecord:
 # CLI series and classgroup requests, which do not run the suite, still reuse a
 # class group.  They are held here, not looked up by module name, since a
 # wrapper bound over a module's name (a tracer's, say) has no cache_clear.
-_PER_DELTA_CACHES = (build_class_group, factorize, prime_discriminant_factorization, prime_discriminant_tables,
-                     _character_table)
+_PER_DELTA_CACHES = (build_class_group, factorize, prime_discriminant_factorization, prime_discriminant_tables)
 
 
 def _batch_layers(deltas: list[int], classes: np.ndarray, counts: np.ndarray, n_max: int,
                   primes_bound: int, build_s: float = 0.0) -> list[Layers]:
     """The layers of the fundamental discriminants deltas, from their stacked
     reduced forms, each built for all of them at once: the class groups, with
-    their genus characters; the compositions of the group laws and of the prime
-    layers, in one compose_stacked call; the theta matrices, their totals and
-    genus sums; the Eisenstein rows; the prime layers; and one prime sweep.
+    their genus characters, and each one's character table X; the compositions
+    of the group laws and of the prime layers, in one compose_stacked call; the
+    theta matrices, their totals and genus sums; the Eisenstein rows, with
+    their character pairs; the prime layers; and one prime sweep.
     Each delta's prime-discriminant tables are read once, for the genus
     characters of its classes and, right after, for its L(0) and its windows
     of the Eisenstein rows (series.CharacterReads).
@@ -196,6 +195,7 @@ def _batch_layers(deltas: list[int], classes: np.ndarray, counts: np.ndarray, n_
         reads_s += clock() - t
 
     stack = class_group_stack(deltas, classes, counts, read_tables)
+    characters = [build_genus_characters(group) for group in stack.groups]
     law = law_rows(stack)
     primes = prime_classes(stack, primes_bound)
     start = clock()
@@ -221,15 +221,11 @@ def _batch_layers(deltas: list[int], classes: np.ndarray, counts: np.ndarray, n_
     h = counts.tolist()
     per_class = [seconds / sum(h) for seconds in (build_s, primes_s, theta_s)]
     per_pair = eisenstein_s / sum(len(rows.rows) for rows in eisenstein)
-    return [Layers(group, theta, sums, rows, layer, failed[:, k],
+    return [Layers(group, table, theta, sums, rows, layer, failed[:, k],
                    {"": per_class[0] * h[k], first_prime: per_class[1] * h[k], "gauss_average": per_class[2] * h[k],
                     "twisted_eisenstein": per_pair * len(rows.rows)})
-            for k, (group, (theta, sums), rows, layer) in enumerate(zip(stack.groups, slices, eisenstein, layers))]
-
-
-def build_layers(delta: int, n_max: int, primes_bound: int) -> Layers:
-    """The layers of one fundamental discriminant, built as a batch of one."""
-    return _batch_layers([delta], *stacked_reduced_forms([delta]), n_max, primes_bound)[0]
+            for k, (group, table, (theta, sums), rows, layer)
+            in enumerate(zip(stack.groups, characters, slices, eisenstein, layers))]
 
 
 def _report_checks(layers: Layers, primes_bound: int) -> Iterator[CheckRecord]:
@@ -244,19 +240,15 @@ def _report_checks(layers: Layers, primes_bound: int) -> Iterator[CheckRecord]:
     yield from sweep_records(layers, primes_bound)
 
 
-# The layers of the discriminants of the batch being checked, by job, each taken
-# out by its job (see _chunk_reports).
-_LAYERS: dict[tuple[int, int, int], Layers] = {}
-
-
-def _suite_job(args: tuple[int, int, int]) -> VerificationReport:
-    """The report of one job: its delta's checks on its layers, taken from the
-    batch being checked (or built as a batch of one).  Each check's time, and
-    the report's, carry the delta's shares of the batch's build time (see
+def _suite_job(job: tuple[int, int, int, Optional[Layers]]) -> VerificationReport:
+    """The report of one job (delta, n_max, primes_bound, layers): its delta's
+    checks on layers, the record its batch built, which is None when delta is
+    not a negative fundamental discriminant.  Each check's time, and the
+    report's, carry the delta's shares of the batch's build time (see
     _batch_layers)."""
-    delta, n_max, primes_bound = args
+    delta, n_max, primes_bound, layers = job
     start = time.perf_counter()
-    if not (delta < 0 and is_fundamental(delta)):
+    if layers is None:
         return VerificationReport(
             delta=delta,
             precision=n_max,
@@ -267,10 +259,6 @@ def _suite_job(args: tuple[int, int, int]) -> VerificationReport:
             elapsed_ms=_ms_since(start),
             skip_reason="non-fundamental",
         )
-    layers = _LAYERS.pop(args, None)
-    if layers is None:
-        layers = build_layers(delta, n_max, primes_bound)
-        start = time.perf_counter()
     checks, check_ms, shares = [], [], layers.shares
     t0 = time.perf_counter()
     for record in _report_checks(layers, primes_bound):
@@ -335,60 +323,43 @@ BATCH_ENTRIES = 1 << 16
 
 
 def _chunk_reports(jobs: list[tuple[int, int, int]]) -> Iterator[VerificationReport]:
-    """The reports of the jobs, in order, each made when it is asked for.  The
-    reduced forms of the chunk's fundamental discriminants come from one
-    enumeration; the discriminants then go in batches of consecutive jobs of one
-    (n_max, primes_bound) and at most BATCH_ENTRIES entries, and each batch's
-    layers are built before its first job runs.  The layers wait in _LAYERS for
-    their jobs, and none is left there once the iterator is exhausted, closed
-    or garbage-collected, or passes on an exception."""
+    """The reports of the jobs, all of one (n_max, primes_bound), in order, each
+    made when it is asked for.  The reduced forms of the chunk's fundamental
+    discriminants come from one enumeration; the discriminants then go in
+    batches of consecutive ones of at most BATCH_ENTRIES entries (one beyond it
+    alone), and each batch's records are built when its first one is asked for.
+    Each job takes the next record, in input order, so that a repeated delta
+    has its own, and a job whose delta is not fundamental takes None.  The
+    caches keyed by delta are emptied once the iterator is exhausted, closed or
+    garbage-collected, or passes on an exception."""
     start = time.perf_counter()
-    fundamental = [job for job in jobs if job[0] < 0 and is_fundamental(job[0])]
-    forms, counts = stacked_reduced_forms([job[0] for job in fundamental]) if fundamental else (None, [])
+    _, n_max, primes_bound = jobs[0]
+    fundamental = [delta < 0 and is_fundamental(delta) for delta, _, _ in jobs]
+    deltas = [job[0] for job, flag in zip(jobs, fundamental) if flag]
+    forms, counts = stacked_reduced_forms(deltas) if deltas else (None, [])
     counts = list(counts)
     starts = list(accumulate(counts, initial=0))
-    batches = list(_batches(jobs, fundamental, counts))
     # the chunk's share of each batch, by its classes
     chunk_s = (time.perf_counter() - start) / max(1, starts[-1])
+    width = max(n_max + 1, len(primes_to(primes_bound)) + 3)
+    cuts, entries = [], 0
+    for k, count in enumerate(counts):
+        if not cuts or entries + count * width > BATCH_ENTRIES:
+            cuts.append(k)
+            entries = 0
+        entries += count * width
+    cuts.append(len(counts))
+    layers = chain.from_iterable(
+        _batch_layers(deltas[a:b], forms[starts[a] : starts[b]], np.array(counts[a:b]), n_max, primes_bound,
+                      chunk_s * (starts[b] - starts[a]))
+        for a, b in zip(cuts, cuts[1:]))
     try:
-        for i, j, first, k in batches:
-            if k > first:
-                _, n_max, primes_bound = jobs[i]
-                lo, hi = starts[first], starts[k]
-                layers = _batch_layers([job[0] for job in fundamental[first:k]], forms[lo:hi],
-                                       np.array(counts[first:k]), n_max, primes_bound, chunk_s * (hi - lo))
-                _LAYERS.update(zip(fundamental[first:k], layers))
-                del layers
+        for job, flag in zip(jobs, fundamental):
             # _suite_job is looked up here, in the worker, because a tracer rebinds it
-            for job in jobs[i:j]:
-                yield _suite_job(job)
+            yield _suite_job((*job, next(layers) if flag else None))
     finally:
-        _LAYERS.clear()
         for cache in _PER_DELTA_CACHES:
             cache.cache_clear()
-
-
-def _batches(jobs: list[tuple[int, int, int]], fundamental: list[tuple[int, int, int]],
-             counts) -> Iterator[tuple[int, int, int, int]]:
-    """The batches of the jobs as (i, j, first, k): the jobs i..j-1, whose
-    fundamental ones are fundamental[first:k], with class numbers counts.  A
-    batch is a run of jobs of one (n_max, primes_bound) whose fundamental
-    discriminants hold at most BATCH_ENTRIES entries, or one that holds more."""
-    i = k = 0
-    while i < len(jobs):
-        _, n_max, primes_bound = jobs[i]
-        width = max(n_max + 1, len(primes_to(primes_bound)) + 3)
-        first, entries, j = k, 0, i
-        while j < len(jobs) and jobs[j][1:] == (n_max, primes_bound):
-            # fundamental holds the very job tuples of jobs, in order
-            if k < len(fundamental) and jobs[j] is fundamental[k]:
-                if k > first and entries + counts[k] * width > BATCH_ENTRIES:
-                    break
-                entries += counts[k] * width
-                k += 1
-            j += 1
-        yield i, j, first, k
-        i = j
 
 
 def _suite_chunk(jobs: list[tuple[int, int, int]]) -> list[VerificationReport]:

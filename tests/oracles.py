@@ -19,8 +19,10 @@ classes one at a time, the QuadForm type with its reduction, which the
 library replaced by rows of an integer array, the per-prime loop of
 check_* calls that the prime sweep replaced, the scalar search for the
 smallest value of a form coprime to a modulus, which the per-prime reading of
-the assigned characters replaced, and the two-sided fundamental discriminant
-predicate.
+the assigned characters replaced, the two-sided fundamental discriminant
+predicate, the Kronecker values (a|m) of a window read from the
+prime-discriminant tables, the column sums of a theta matrix, and the layers
+of one discriminant built as a batch of one.
 """
 
 from __future__ import annotations
@@ -33,9 +35,17 @@ from typing import Iterator
 
 import numpy as np
 
-from genusmass.arith import ext_gcd, factorize, is_fundamental, is_prime, is_squarefree, kronecker
+from genusmass.arith import (
+    ext_gcd,
+    factorize,
+    is_fundamental,
+    is_prime,
+    is_squarefree,
+    kronecker,
+    prime_discriminant_tables,
+)
 from genusmass.class_group import ClassGroup, compose_rows, prime_form
-from genusmass.forms import reduce_triple, reduced_forms
+from genusmass.forms import reduce_triple, reduced_forms, stacked_reduced_forms
 from genusmass.genus import build_genus_characters, character_pairs
 from genusmass.hecke import (
     CheckRecord,
@@ -47,7 +57,8 @@ from genusmass.hecke import (
     check_split_theta,
 )
 from genusmass.qseries import QSeries
-from genusmass.series import eisenstein_series, kronecker_values, theta_matrix, theta_total
+from genusmass.series import _periodic, eisenstein_series, theta_matrix
+from genusmass.verify import _batch_layers
 
 
 @dataclass(frozen=True, order=True)
@@ -159,6 +170,23 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
+
+
+def kronecker_values(delta: int, a: int, start: int, stop: int) -> np.ndarray:
+    """[(a|m) for start <= m < stop] as int8, where a is delta or a product of
+    some of its prime discriminants (the d or D of a character pair).
+
+    (a|m) is the product of (p|m) over the prime discriminants p of a, and each
+    (p|m) is the table of p read at m mod |p|."""
+    out = np.ones(stop - start, dtype=np.int8)
+    product = 1
+    for p, table in prime_discriminant_tables(delta):
+        if a % p == 0:
+            out *= _periodic(table, start, stop)
+            product *= p
+    if product != a:
+        raise ValueError(f"{a} is not a product of prime discriminants of {delta}")
+    return out
 
 
 def kronecker_table(delta: int) -> np.ndarray:
@@ -670,6 +698,12 @@ def series_from_json(text: str) -> QSeries:
     return series
 
 
+def theta_total(group: ClassGroup, n_max: int) -> np.ndarray:
+    """The coefficients of the sum of the theta series of all classes, as an
+    integer array; constant term h."""
+    return theta_matrix(group.delta, n_max).sum(axis=0)
+
+
 def class_average(group: ClassGroup, n_max: int) -> QSeries:
     """(1/w) * sum of all theta series; constant term h/w."""
     return QSeries(group.delta, theta_total(group, n_max)).scale(Fraction(1, group.w))
@@ -782,6 +816,11 @@ def genus_mass_detail_oracle(group: ClassGroup, n_max: int, table: np.ndarray) -
             n, left, right = found
             return f"genus {g} mismatch at n={n}: {left} != {right}"
     return f"{len(group.genus_ids)} genera, n=0..{n_max} exact"
+
+
+def build_layers(delta: int, n_max: int, primes_bound: int) -> Layers:
+    """The layers of one fundamental discriminant, built as a batch of one."""
+    return _batch_layers([delta], *stacked_reduced_forms([delta]), n_max, primes_bound)[0]
 
 
 def prime_checks(layers: Layers, p: int) -> Iterator[CheckRecord]:

@@ -24,8 +24,9 @@ from genusmass.hecke import (
 )
 from genusmass.qseries import QSeries
 from genusmass.series import eisenstein_for_genus, eisenstein_series, genus_eisenstein, theta_series, twisted_sum
-from genusmass.verify import build_layers, verify_dirichlet
+from genusmass.verify import verify_dirichlet
 from oracles import (
+    build_layers,
     class_forms,
     classify_prime,
     compose,

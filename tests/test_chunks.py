@@ -4,8 +4,10 @@ slices: the report lines do not depend on the chunk size, the batch cap or the
 worker count, and a fault in one discriminant of a chunk fails that
 discriminant alone, with the first mismatch it has when it runs alone."""
 
+import gc
 import json
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -18,8 +20,8 @@ from genusmass.class_group import build_class_group, compose_rows
 from genusmass.cli import main
 from genusmass.forms import stacked_reduced_forms
 from genusmass.hecke import sweep_failures
-from genusmass.verify import build_layers, delta_range, report_json_line, run_suite
-from oracles import fundamental_deltas
+from genusmass.verify import delta_range, report_json_line, run_suite
+from oracles import build_layers, fundamental_deltas
 
 
 def untimed(line: str) -> str:
@@ -70,6 +72,34 @@ def test_a_small_entry_cap_splits_a_chunk_into_batches(capsys, monkeypatch, expe
     assert len(batches) > 2 * -(-698 // verify.CHUNK_JOBS)
     assert [d for batch in batches for d in batch] == fundamental_deltas(-700)
     assert all(sum(build_class_group(d).h for d in batch) * 61 <= 2000 for batch in batches if len(batch) > 1)
+
+
+REPEATS = [-84, -4, -84, 5, -455, -84]
+
+
+@pytest.mark.parametrize("workers,entries", [(1, verify.BATCH_ENTRIES), (2, verify.BATCH_ENTRIES), (1, 160)])
+def test_a_repeated_delta_gets_its_own_record(monkeypatch, workers, entries):
+    """Each job takes its own record, in input order: every repeat of a delta
+    reports as that delta does alone, within one batch, on a pool, and with a
+    cap of 160 entries (31 per class at 30/10), which cuts the batches after
+    -84, -4 and the second -84, and leaves -455 (h = 20) alone."""
+    batches = []
+    batch_layers = verify._batch_layers
+
+    def recording(deltas, *args):
+        batches.append(list(deltas))
+        return batch_layers(deltas, *args)
+
+    monkeypatch.setattr(verify, "BATCH_ENTRIES", entries)
+    monkeypatch.setattr(verify, "_batch_layers", recording)
+    reports = list(run_suite(REPEATS, 30, 10, workers=workers))
+    alone = {delta: untimed(report_json_line(run_suite([delta], 30, 10, workers=1)[0])) for delta in set(REPEATS)}
+    assert [r.delta for r in reports] == REPEATS
+    assert [untimed(report_json_line(r)) for r in reports] == [alone[delta] for delta in REPEATS]
+    assert [r.skip_reason for r in reports] == [None, None, None, "non-fundamental", None, None]
+    if workers == 1:
+        expected = [[-84, -4], [-84], [-455], [-84]] if entries == 160 else [[-84, -4, -84, -455, -84]]
+        assert batches[: len(expected)] == expected
 
 
 @pytest.fixture
@@ -134,23 +164,30 @@ def test_a_batch_reads_each_delta_s_tables_once():
 
 # the caches keyed by delta, held here by their own objects, as verify holds them
 PER_DELTA_CACHES = (build_class_group, arith.factorize, arith.prime_discriminant_factorization,
-                    arith.prime_discriminant_tables, genus._character_table)
+                    arith.prime_discriminant_tables)
 
 
-def test_no_layers_are_held_once_a_run_is_closed():
+def test_no_layers_are_held_once_a_run_is_closed(monkeypatch):
     """Neither the layers of a batch nor any cache keyed by delta outlives a run,
     whether it is closed part way or read to the end."""
+    held, job = [], verify._suite_job
+
+    def keeping(args):
+        held.append(weakref.ref(args[3].theta))
+        return job(args)
+
+    monkeypatch.setattr(verify, "_suite_job", keeping)
     reports = verify.iter_suite(delta_range(-3, -300), 20, 5, workers=1)
     assert next(reports).delta == -3
-    assert verify._LAYERS
+    assert held[0]() is not None
     assert any(cache.cache_info().currsize for cache in PER_DELTA_CACHES)
     reports.close()
-    assert verify._LAYERS == {}
+    gc.collect()
+    assert held[0]() is None
     assert [cache.cache_info().currsize for cache in PER_DELTA_CACHES] == [0] * len(PER_DELTA_CACHES)
     # the probe of the large_h workload: each of these held an entry after it
     build_class_group(-400391)
     assert run_suite([-400391], 20, 5, workers=1)[0].passed
-    assert verify._LAYERS == {}
     assert [cache.cache_info().currsize for cache in PER_DELTA_CACHES] == [0] * len(PER_DELTA_CACHES)
 
 
@@ -183,22 +220,20 @@ BATCH = [-84, -455, -5460]
 
 def batch_reports(layers, n_max, bound) -> list[str]:
     """The report lines of each delta's checks on its layers, through _suite_job."""
-    lines = []
-    for found in layers:
-        job = (found.group.delta, n_max, bound)
-        verify._LAYERS[job] = found
-        lines.append(untimed(report_json_line(verify._suite_job(job))))
-    return lines
+    return [untimed(report_json_line(verify._suite_job((found.group.delta, n_max, bound, found))))
+            for found in layers]
 
 
 def test_a_delta_s_checks_build_nothing(monkeypatch):
     """Once a batch is built, each delta's checks read its layers alone: with
-    every builder of a layer raising, the reports are those of a plain run."""
+    every builder of a layer raising, the character table X and the character
+    pairs among them, the reports are those of a plain run."""
     n_max, bound = 60, 20
     expected = [untimed(report_json_line(r)) for r in run_suite(BATCH, n_max, bound, workers=1)]
     layers = verify._batch_layers(BATCH, *stacked_reduced_forms(BATCH), n_max, bound)
     builders = (series.representation_counts, verify.compose_stacked, verify.class_group_stack,
-                verify.eisenstein_stack, series.l_zero, arith.prime_discriminant_tables)
+                verify.eisenstein_stack, series.l_zero, arith.prime_discriminant_tables,
+                genus.build_genus_characters, genus.character_pairs)
 
     def refused(*args, **kwargs):
         raise AssertionError("a check built a layer")

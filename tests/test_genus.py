@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from genusmass.class_group import build_class_group, prime_ideal_class
 from genusmass.genus import build_genus_characters, character_pairs
 from genusmass.arith import kronecker, primes_up_to
-from genusmass.verify import build_layers, verify_character_counts
+from genusmass.verify import verify_character_counts
 from oracles import (
+    build_layers,
     character_table_oracle,
     class_forms,
     character_value,
@@ -112,7 +113,8 @@ class TestCharacterValue:
         # a genus whose assigned characters multiply to -1 repeats another
         # genus's column of the table, so X X^T != |G| I
         signs = cg84.genus_signs[:-1] + ((-cg84.genus_signs[-1][0],) + cg84.genus_signs[-1][1:],)
-        layers = build_layers(-84, 0, 1)._replace(group=replace(cg84, genus_signs=signs))
+        group = replace(cg84, genus_signs=signs)
+        layers = build_layers(-84, 0, 1)._replace(group=group, characters=build_genus_characters(group))
         record = verify_character_counts(layers)
         assert not record.passed
         assert record.detail == "the character table is not orthogonal: X X^T != 4 I"

@@ -12,8 +12,9 @@ from genusmass.class_group import build_class_group
 from genusmass.genus import build_genus_characters, character_pairs
 from genusmass.qseries import QSeries
 from genusmass.series import eisenstein_for_genus, eisenstein_matrix, genus_eisenstein, twisted_sum
-from genusmass.verify import build_layers, verify_genus_mass, verify_twisted_eisenstein
+from genusmass.verify import verify_genus_mass, verify_twisted_eisenstein
 from oracles import (
+    build_layers,
     character_table_oracle,
     eisenstein_for_genus_oracle,
     fundamental_deltas,

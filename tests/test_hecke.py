@@ -16,9 +16,10 @@ from genusmass.hecke import (
 )
 from genusmass.qseries import QSeries, apply_T, apply_U
 from genusmass.series import genus_eisenstein, theta_series
-from genusmass.verify import build_layers, run_suite
+from genusmass.verify import run_suite
 from oracles import (
     agrees_with,
+    build_layers,
     class_forms,
     classify_prime,
     compose,

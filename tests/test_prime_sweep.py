@@ -15,8 +15,8 @@ from genusmass.arith import kronecker, primes_up_to
 from genusmass.class_group import build_class_group
 from genusmass.forms import stacked_reduced_forms
 from genusmass.hecke import CheckRecord, sweep_failures, sweep_records
-from genusmass.verify import _batch_layers, build_layers, run_suite
-from oracles import fundamental_deltas, prime_checks
+from genusmass.verify import _batch_layers, run_suite
+from oracles import build_layers, fundamental_deltas, prime_checks
 
 SWEEP_DELTAS = fundamental_deltas(-300)
 

@@ -19,11 +19,9 @@ from genusmass.series import (
     eisenstein_matrix,
     eisenstein_series,
     genus_eisenstein,
-    kronecker_values,
     l_zero,
     series_csv,
     theta_series,
-    theta_total,
     twisted_sum,
 )
 from oracles import (
@@ -34,8 +32,10 @@ from oracles import (
     form_to_ideal,
     fundamental_deltas,
     ideal_points_up_to_norm,
+    kronecker_values,
     l_zero_oracle,
     principal_genus,
+    theta_total,
 )
 
 deltas_strategy = st.sampled_from(fundamental_deltas(-250))

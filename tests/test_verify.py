@@ -12,15 +12,14 @@ from fractions import Fraction
 import pytest
 
 import genusmass.class_group as class_group
-import genusmass.genus as genus
 import genusmass.series as series
 import genusmass.verify as verify
 from genusmass.arith import kronecker, primes_up_to
 from genusmass.class_group import build_class_group
 from genusmass.forms import automorph_count
+from genusmass.genus import build_genus_characters
 from genusmass.series import l_zero
 from genusmass.verify import (
-    build_layers,
     delta_range,
     iter_suite,
     report_json_line,
@@ -31,7 +30,7 @@ from genusmass.verify import (
     verify_genus_mass,
     verify_twisted_eisenstein,
 )
-from oracles import classify_prime, dirichlet_l1_oracle, fundamental_deltas, kronecker_table
+from oracles import build_layers, classify_prime, dirichlet_l1_oracle, fundamental_deltas, kronecker_table
 
 SAMPLED_DELTAS = random.Random(20000).sample(fundamental_deltas(-20000), 12)
 
@@ -145,8 +144,7 @@ def flipped_table(monkeypatch):
     """(p|1) negated in the table of the prime discriminant p = target["prime"]
     of target["delta"] (by default the largest), read where the series read the
     tables (the class group reads them on its own: target["flipped"] is the
-    flipped reader); the caches that hold character values are cleared on the
-    way in and out."""
+    flipped reader); the cache of the tables is cleared on the way in and out."""
     original = series.prime_discriminant_tables
     target = {}
 
@@ -163,15 +161,11 @@ def flipped_table(monkeypatch):
             out.append((p, table))
         return tuple(out)
 
-    def clear_caches():
-        original.cache_clear()
-        genus._character_table.cache_clear()
-
-    clear_caches()
+    original.cache_clear()
     monkeypatch.setattr(series, "prime_discriminant_tables", flipped)
     target["flipped"] = flipped
     yield target
-    clear_caches()
+    original.cache_clear()
 
 
 @pytest.mark.parametrize("delta", [-84, -455])
@@ -215,7 +209,8 @@ def test_flipped_table_in_the_genera_is_caught(flipped_table, monkeypatch, delta
             build_class_group.__wrapped__(delta)
         return
     group = build_class_group.__wrapped__(delta)
-    record = verify_character_counts(build_layers(delta, 0, 1)._replace(group=group))
+    layers = build_layers(delta, 0, 1)._replace(group=group, characters=build_genus_characters(group))
+    record = verify_character_counts(layers)
     assert not record.passed
     assert record.detail == "the character table is not orthogonal: X X^T != 4 I"
 
@@ -365,7 +360,6 @@ class TestCacheScope:
     def test_range_run_keeps_at_most_one_delta(self):
         run_suite(delta_range(-3, -300), n_max=20, primes_bound=5, workers=1)
         assert build_class_group.cache_info().currsize <= 1
-        assert verify._LAYERS == {}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_suite_runs_under_plain_wrappers(self, monkeypatch, workers):
