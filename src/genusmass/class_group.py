@@ -152,17 +152,22 @@ class ClassGroup:
 
 class Stack(NamedTuple):
     """Class groups stacked: the classes of groups[i] are the rows
-    starts[i] <= row < starts[i] + groups[i].h of classes, and owner[row] is i."""
+    starts[i] <= row < starts[i] + groups[i].h of classes, and owner[row] is i;
+    genus_signs holds the assigned characters of every genus, one row per genus
+    (the groups in order, each one's genera in genus_ids order), each row its
+    group's genus_signs padded on the right with 1s."""
 
     groups: list[ClassGroup]
     classes: np.ndarray
     starts: np.ndarray
     owner: np.ndarray
+    genus_signs: np.ndarray
 
 
 def stack_of(group: ClassGroup) -> Stack:
     """The stack of one group."""
-    return Stack([group], group.classes, np.zeros(1, dtype=np.int64), np.zeros(group.h, dtype=np.int64))
+    signs = np.array(group.genus_signs, dtype=np.int64).reshape(len(group.genus_ids), -1)
+    return Stack([group], group.classes, np.zeros(1, dtype=np.int64), np.zeros(group.h, dtype=np.int64), signs)
 
 
 # compose_stacked runs the scalar _compose_triples loop below this many rows, and
@@ -300,11 +305,13 @@ def _check_group(group: ClassGroup, unit_law: np.ndarray, inverse_law: np.ndarra
 _VALUES = np.array([[1, 0, 1], [0, 0, 1], [0, 1, 1]], dtype=np.int64)
 
 
-def _genera(stack: Stack, deltas: list[int], read_tables=None) -> tuple[list[int], np.ndarray]:
-    """The genus of every stacked class, as the stack row of the first class of
-    its genus; and the assigned characters of every class, one row per class:
-    (p|r) for the prime discriminants p of its delta in order, padded with 1s to
-    the most any delta has.
+def _genera(classes: np.ndarray, starts: np.ndarray, owner: np.ndarray, deltas: list[int],
+            read_tables=None) -> tuple[list[int], np.ndarray]:
+    """The genus of every stacked class (classes, the groups' rows from starts,
+    owner[row] the group of each), as the stack row of the first class of its
+    genus; and the assigned characters of every genus, one row per genus in the
+    order of those first classes: (p|r) for the prime discriminants p of its
+    delta in order, padded with 1s to the most any delta has.
 
     The character (p|r) of a prime discriminant p of delta takes one value on
     every r the class represents that p does not divide (Cox, Primes of the Form
@@ -324,12 +331,12 @@ def _genera(stack: Stack, deltas: list[int], read_tables=None) -> tuple[list[int
     pad = [[1] * (width - len(f)) for f in factors]
     reads = [([2 if p % 2 == 0 else abs(p) for p in f] + ones, [abs(p) for p in f] + ones)
              for f, ones in zip(factors, pad)]
-    q, size = np.array(reads, dtype=np.int64)[stack.owner].transpose(1, 0, 2)
-    values = stack.classes @ _VALUES
+    q, size = np.array(reads, dtype=np.int64)[owner].transpose(1, 0, 2)
+    values = classes @ _VALUES
     first = (values[:, :, None] % q[:, None, :] != 0).argmax(axis=1)
     at = values[np.arange(len(values))[:, None], first] % size
     signs = np.ones(at.shape, dtype=np.int64)
-    bounds = stack.starts.tolist() + [len(stack.classes)]
+    bounds = starts.tolist() + [len(classes)]
     for k, delta in enumerate(deltas):
         lo, hi = bounds[k], bounds[k + 1]
         tables = prime_discriminant_tables(delta)
@@ -337,9 +344,10 @@ def _genera(stack: Stack, deltas: list[int], read_tables=None) -> tuple[list[int
             signs[lo:hi, j] = table[at[lo:hi, j]]
         if read_tables is not None:
             read_tables(delta)
-    keys = (stack.owner * 3**width + (signs + 1) @ 3 ** np.arange(width)).tolist()
+    keys = (owner * 3**width + (signs + 1) @ 3 ** np.arange(width)).tolist()
     leaders: dict[int, int] = {}
-    return [leaders.setdefault(key, i) for i, key in enumerate(keys)], signs
+    first = [leaders.setdefault(key, i) for i, key in enumerate(keys)]
+    return first, signs[np.fromiter(leaders.values(), dtype=np.int64, count=len(leaders))]
 
 
 def class_group_stack(deltas: list[int], classes: np.ndarray, counts: np.ndarray, read_tables=None) -> Stack:
@@ -355,14 +363,15 @@ def class_group_stack(deltas: list[int], classes: np.ndarray, counts: np.ndarray
     classes.setflags(write=False)
     starts = counts.cumsum() - counts
     owner = np.arange(len(deltas)).repeat(counts)
-    stack = Stack([], classes, starts, owner)
+    genus_first, genus_signs = _genera(classes, starts, owner, deltas, read_tables)
+    genus_signs.setflags(write=False)
+    stack = Stack([], classes, starts, owner, genus_signs)
     # the inverse of (a, b, c) is (a, -b, c): a class of its own, or, when b = a
     # or a = c, not reduced and the class itself
     keys, opposite = _class_keys(stack, owner, classes[:, 0], -classes[:, 1])
     index = np.minimum(keys.searchsorted(opposite), len(classes) - 1)
     inverses = np.where(keys[index] == opposite, index, np.arange(len(classes))) - starts[owner]
-    genus_first, signs = _genera(stack, deltas, read_tables)
-    forms, inverses = classes.tolist(), inverses.tolist()
+    forms, inverses, g0 = classes.tolist(), inverses.tolist(), 0
     for k, (delta, lo, h) in enumerate(zip(deltas, starts.tolist(), counts.tolist())):
         hi, t = lo + h, len(prime_discriminant_factorization(delta))
         index_of = {tuple(q): i for i, q in enumerate(forms[lo:hi])}
@@ -381,8 +390,9 @@ def class_group_stack(deltas: list[int], classes: np.ndarray, counts: np.ndarray
             squares=tuple(i for i, g in enumerate(group_of) if g == group_of[identity]),
             genus_of=tuple(group_of),
             genus_ids=tuple(ids),
-            genus_signs=tuple(map(tuple, signs[[lo + i for i in ids], :t].tolist())),
+            genus_signs=tuple(map(tuple, genus_signs[g0 : g0 + len(ids), :t].tolist())),
         ))
+        g0 += len(ids)
     return stack
 
 

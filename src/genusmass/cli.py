@@ -166,7 +166,8 @@ def cmd_classgroup(args: argparse.Namespace) -> int:
 
 
 def _build_series(delta: int, which: str, n_max: int) -> QSeries:
-    group = build_class_group(delta)
+    """The series of the label which; an Eisenstein series reads the character
+    alone, and the others the class group."""
     kind, _, arg = which.partition(":")
     if not arg:
         raise UsageError(f"unknown series label {which!r}; use kind:index")
@@ -174,6 +175,7 @@ def _build_series(delta: int, which: str, n_max: int) -> QSeries:
         value = int(arg)
     except ValueError:
         raise UsageError(f"series label index must be an integer: {which!r}") from None
+    group = None if kind == "eisenstein" else build_class_group(delta)
     if kind == "theta":
         if not 0 <= value < group.h:
             raise UsageError(f"class index {value} out of range 0..{group.h - 1}")

@@ -102,12 +102,16 @@ class _PrimeLayer(NamedTuple):
 class Layers(NamedTuple):
     """One discriminant's layers, as its batch built them (verify._batch_layers),
     and all that its checks read: the class group; its genus character table X
-    (genus.build_genus_characters); the theta matrix and the genus sums S, in
-    the group's coefficient dtype; the Eisenstein rows, with their character
-    pairs, the character row and L(0); the prime layer; its 3 x (number of
-    primes) slice of sweep_failures; and its share of the batch's build time in
-    seconds, per check that first reads a layer (the class group build, read
-    before any check, under "")."""
+    (genus.character_tables); the theta matrix and the genus sums S, in the
+    group's coefficient dtype; the Eisenstein rows, with their character pairs,
+    the character row and L(0); the prime layer; its 3 x (number of primes)
+    slice of sweep_failures; its row of verify.identity_failures, whether each
+    of the five per-delta identities fails, in verify.IDENTITIES order; and its
+    shares of the batch's build and comparison time in seconds: one for each
+    of the five identities, then one for the prime layer and sweep, which the
+    first record at a prime carries, each holding the layers that its check
+    reads first; then the report's, which holds these and the class group
+    build, which no check reads."""
 
     group: ClassGroup
     characters: np.ndarray
@@ -116,7 +120,8 @@ class Layers(NamedTuple):
     eisenstein: EisensteinRows
     primes: _PrimeLayer
     failed: np.ndarray
-    shares: dict[str, float]
+    identities_failed: list[bool]
+    shares: list[float]
 
 
 class PrimeClasses(NamedTuple):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .arith import prime_discriminant_tables
 from .class_group import ClassGroup, Stack, build_class_group, genus_rows, stack_of
-from .forms import INT64_BOUND, representation_counts
+from .forms import INT64_BOUND, UNIT_COUNTS, representation_counts
 from .genus import build_genus_characters, character_pairs
 from .qseries import QSeries, dirichlet_convolution
 
@@ -34,9 +34,10 @@ __all__ = [
     "series_csv",
 ]
 
-def _coeff_dtype(group: ClassGroup, n_max: int):
-    """int64 for the coefficient arrays of this group's discriminant up to n_max, or
-    object (Python ints) when int64 could overflow; the same code runs on either.
+def _coeff_dtype(delta: int, h: int, n_max: int):
+    """int64 for the coefficient arrays of the discriminant delta, of class number
+    h, up to n_max, or object (Python ints) when int64 could overflow; the same
+    code runs on either.
 
     Every integer the series and the checks form from these arrays is below
     h^2 w^2 d_max 2|delta|, where d_max = 2 isqrt(n_max) bounds the divisor
@@ -52,7 +53,7 @@ def _coeff_dtype(group: ClassGroup, n_max: int):
       multiplies by at most w h 2|delta|.
     """
     d_max = max(1, 2 * math.isqrt(n_max))
-    bound = group.h**2 * group.w**2 * d_max * 2 * -group.delta
+    bound = h**2 * UNIT_COUNTS.get(delta, 2) ** 2 * d_max * 2 * -delta
     return np.int64 if bound < INT64_BOUND else object
 
 
@@ -90,7 +91,7 @@ def _stacked_genus_sums(stack: Stack, theta: np.ndarray) -> tuple[np.ndarray, np
 def _read_only(array: np.ndarray, group: ClassGroup, n_max: int, copy: bool = False) -> np.ndarray:
     """array in the coefficient dtype of the group, read-only; a copy when copy is
     set or the dtype changes."""
-    array = array.astype(_coeff_dtype(group, n_max), copy=copy)
+    array = array.astype(_coeff_dtype(group.delta, group.h, n_max), copy=copy)
     array.setflags(write=False)
     return array
 
@@ -117,7 +118,7 @@ def theta_series(group: ClassGroup, h: int, n_max: int) -> QSeries:
     """Theta series of the class h: coefficient n is r(Q_h, n); constant term 1.
     Builds this one row, not the whole theta matrix."""
     counts = representation_counts(group.classes[[h]], n_max)[0]
-    return QSeries(group.delta, counts.astype(_coeff_dtype(group, n_max), copy=False))
+    return QSeries(group.delta, counts.astype(_coeff_dtype(group.delta, group.h, n_max), copy=False))
 
 
 def _genus_sums(group: ClassGroup, n_max: int) -> np.ndarray:
@@ -242,20 +243,21 @@ class CharacterReads:
         self.own.append([(p, self._row_of[p]) for p, _ in tables])
 
 
-def eisenstein_stack(groups: list[ClassGroup], n_max: int, pairs=None,
+def eisenstein_stack(deltas: list[int], class_numbers: list[int], n_max: int, pairs=None,
                      reads: Optional[CharacterReads] = None) -> list[EisensteinRows]:
-    """The Eisenstein rows of each group, for its character pairs (or pairs[k]):
-    each row of (D|.) and (d|.) is the product of the windows of its prime
-    discriminants, from one gather and one product, and all rows come from one
-    Dirichlet convolution.  The windows and L(0) are those of reads, read from
-    the tables of the groups' deltas here when it is not given."""
+    """The Eisenstein rows of each delta, of class number class_numbers[k], for
+    its character pairs (or pairs[k]), in its coefficient dtype: each row of
+    (D|.) and (d|.) is the product of the windows of its prime discriminants,
+    from one gather and one product, and all rows come from one Dirichlet
+    convolution.  The windows and L(0) are those of reads, read from the tables
+    of the deltas here when it is not given."""
     if reads is None:
         reads = CharacterReads(n_max)
-        for group in groups:
-            reads.add(group.delta)
+        for delta in deltas:
+            reads.add(delta)
     factors, characters, own_pairs = [], [], []
-    for k, (group, own) in enumerate(zip(groups, reads.own)):
-        pairs_k = pairs[k] if pairs is not None else character_pairs(group.delta)
+    for k, (delta, own) in enumerate(zip(deltas, reads.own)):
+        pairs_k = pairs[k] if pairs is not None else character_pairs(delta)
         own_pairs.append(pairs_k)
         factors += [[i for p, i in own if a % p == 0] for d, big_d in pairs_k for a in (big_d, d)]
         if pairs is None:
@@ -269,9 +271,9 @@ def eisenstein_stack(groups: list[ClassGroup], n_max: int, pairs=None,
     values = np.array(reads.windows)[index].prod(axis=1, dtype=np.int64)
     divisor_sums = dirichlet_convolution(values[0 : len(factors) : 2], values[1 : len(factors) : 2])
     out, row = [], 0
-    for k, (group, pairs_k, constant) in enumerate(zip(groups, own_pairs, reads.l_zero)):
+    for k, (delta, h, pairs_k, constant) in enumerate(zip(deltas, class_numbers, own_pairs, reads.l_zero)):
         half, count = constant / 2, len(pairs_k)
-        rows = divisor_sums[row : row + count].astype(_coeff_dtype(group, n_max)) * half.denominator
+        rows = divisor_sums[row : row + count].astype(_coeff_dtype(delta, h, n_max)) * half.denominator
         for j, (d, _) in enumerate(pairs_k):
             if d == 1:
                 rows[j, 0] = half.numerator
@@ -292,8 +294,13 @@ def eisenstein_matrix(delta: int, n_max: int, pairs=None) -> tuple[np.ndarray, F
     All rows share the unit 1/k, k the denominator of L(0)/2, so that the
     constant term L(0)/2 of the row d = 1 is an integer too; the other rows
     have constant term 0.  Read-only.  eisenstein_stack builds the rows of many
-    groups at once; this is one."""
-    found = eisenstein_stack([build_class_group(delta)], n_max, None if pairs is None else [pairs])[0]
+    deltas at once; this is one.  It builds no class group: the coefficient
+    dtype reads h as (w/2) L(0), Dirichlet's class number formula at s = 0,
+    exact for a fundamental delta, from the L(0) that the rows read anyway."""
+    reads = CharacterReads(n_max)
+    reads.add(delta)
+    h = math.ceil(UNIT_COUNTS.get(delta, 2) * reads.l_zero[0] / 2)
+    found = eisenstein_stack([delta], [h], n_max, None if pairs is None else [pairs], reads)[0]
     return found.rows, found.unit
 
 

@@ -1,6 +1,8 @@
 """Top-level identity suite: the class-group average, the class number formula at
 s = 0, the twisted and per-genus Eisenstein identities, and character counts,
-aggregated into per-discriminant reports."""
+aggregated into per-discriminant reports.  A run compares these five for a
+whole batch of discriminants at once (identity_failures) and calls a verify_*
+function only on an identity that fails there, for its first mismatch."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, groupby, islice
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -22,12 +24,12 @@ from .arith import (
     prime_discriminant_factorization,
     prime_discriminant_tables,
 )
-from .class_group import build_class_group, check_laws, class_group_stack, compose_stacked, law_rows
-from .forms import stacked_reduced_forms
-from .genus import build_genus_characters
+from .class_group import ClassGroup, build_class_group, check_laws, class_group_stack, compose_stacked, law_rows
+from .forms import _ragged, stacked_reduced_forms
+from .genus import character_tables
 from .hecke import CheckRecord, Layers, prime_classes, prime_layers, primes_to, sweep_failures, sweep_records
 from .qseries import dirichlet_convolution, first_mismatch
-from .series import CharacterReads, eisenstein_stack, series_stack, theta_slices
+from .series import CharacterReads, EisensteinRows, eisenstein_stack, series_stack, theta_slices
 
 __all__ = [
     "VerificationReport",
@@ -159,6 +161,101 @@ def verify_character_counts(layers: Layers) -> CheckRecord:
     return CheckRecord("character_counts", "pass", detail)
 
 
+# The identities of a delta that its batch compares for all of its deltas at once
+# (identity_failures), in report order, each checked alone by a verify_* above.
+IDENTITIES = ("gauss_average", "character_counts", "twisted_eisenstein", "genus_mass", "dirichlet_class_number")
+
+
+def identity_failures(groups: list[ClassGroup], tables: list[np.ndarray], totals: np.ndarray, sums: np.ndarray,
+                      eisenstein: list[EisensteinRows]) -> tuple[np.ndarray, np.ndarray]:
+    """Which of the five per-delta identities (IDENTITIES) fails for each of the
+    groups of a batch, as a len(groups) x 5 bool array, all groups at once, and
+    the seconds that each identity's comparison took.
+
+    tables are the groups' character tables X, totals their theta column sums
+    (one row each), sums their genus sums S stacked (one row per genus, each
+    group's in genus_ids order) and eisenstein their Eisenstein rows E, of unit
+    1/k.  Each comparison is that of its verify_* function, on integers: the
+    two sides are cross-multiplied by their units' denominators, where
+    first_mismatch multiplies by their quotients by a common unit.
+    - gauss_average: totals against w (chi * 1) at n >= 1, one Dirichlet
+      convolution over the stacked character rows;
+    - character_counts: the numbers of pairs and of genera against 2^(t-1), and
+      X X^T against (number of pairs) I;
+    - twisted_eisenstein: X (k S) against w E;
+    - genus_mass: h k S against X^T (w |H^2| E), and the constant terms of S
+      against |H^2|, so that both sides' are 1;
+    - dirichlet_class_number: w L(0) against 2 h.
+    X S, X^T E and X X^T are one batched matmul per block of groups whose X has
+    one shape, so that no block is padded.  Everything is compared in the
+    widest coefficient dtype of the groups, which the concatenated Eisenstein
+    rows have: object when one group needs it (series._coeff_dtype, whose
+    bound covers each product here)."""
+    clock = time.perf_counter
+    seconds = np.zeros(len(IDENTITIES))
+    last = clock()
+
+    def lap(i: int) -> None:
+        nonlocal last
+        now = clock()
+        seconds[i] += now - last
+        last = now
+
+    rows = np.concatenate([found.rows for found in eisenstein])
+    dtype = rows.dtype
+    w, h, k, squares, pairs, genera, t, l_num, l_den = np.array(
+        [(group.w, group.h, found.unit.denominator, len(group.squares), len(found.pairs), len(group.genus_ids),
+          len(factorize(-group.delta)), found.l_zero.numerator, found.l_zero.denominator)
+         for group, found in zip(groups, eisenstein)], dtype=np.int64).T
+    failed = np.zeros((len(groups), len(IDENTITIES)), dtype=bool)
+    chi = np.array([found.character for found in eisenstein], dtype=dtype)
+    failed[:, 0] = (totals[:, 1:] != w[:, None] * dirichlet_convolution(chi, np.ones_like(chi))[:, 1:]).any(axis=1)
+    lap(0)
+    failed[:, 4] = w * l_num != 2 * h * l_den
+    lap(4)
+    expected = 1 << (t - 1)
+    failed[:, 1] = (pairs != expected) | (genera != expected)
+    lap(1)
+    # each side of twisted_eisenstein and genus_mass times its factor, per row:
+    # X (k S) against w E, and h k S against X^T (w |H^2| E)
+    sums = sums.astype(dtype, copy=False)
+    scaled_sums = sums * np.array((k, h * k))[:, np.arange(len(groups)).repeat(genera), None]
+    scaled_rows = rows * np.array((w, w * squares))[:, np.arange(len(groups)).repeat(pairs), None]
+    lap(2)
+    # the groups in runs of one shape of X, with their rows of E and S in that
+    # order; their failures of character_counts, twisted_eisenstein and
+    # genus_mass in that order too
+    shapes = [table.shape for table in tables]
+    order = sorted(range(len(tables)), key=shapes.__getitem__)
+    at = slice(None)
+    if order != list(range(len(order))):
+        at = order
+        sums = sums[_ragged((np.cumsum(genera) - genera)[at], genera[at])[1]]
+        scaled_sums = scaled_sums[:, _ragged((np.cumsum(genera) - genera)[at], genera[at])[1]]
+        scaled_rows = scaled_rows[:, _ragged((np.cumsum(pairs) - pairs)[at], pairs[at])[1]]
+    squares = squares[at, None]
+    blocks = np.empty((len(order), 3), dtype=bool)
+    a = e0 = s0 = 0
+    for (count, size), run in groupby(order, key=shapes.__getitem__):
+        x = np.array([tables[j] for j in run])
+        b, e1, s1 = a + len(x), e0 + count * len(x), s0 + size * len(x)
+        xt = x.transpose(0, 2, 1)
+        blocks[a:b, 0] = (x @ xt != count * np.eye(count, dtype=np.int64)).any(axis=(1, 2))
+        lap(1)
+        s = scaled_sums[:, s0:s1].reshape(2, len(x), size, -1)
+        e = scaled_rows[:, e0:e1].reshape(2, len(x), count, -1)
+        blocks[a:b, 1] = (x @ s[0] != e[0]).any(axis=(1, 2))
+        lap(2)
+        # a constant term of S that is not |H^2| fails genus_mass; where the two
+        # sides then agree, so does the constant term of the right side
+        blocks[a:b, 2] = ((s[1] != xt @ e[1]).any(axis=(1, 2))
+                          | (sums[s0:s1, 0].reshape(len(x), size) != squares[a:b]).any(axis=1))
+        lap(3)
+        a, e0, s0 = b, e1, s1
+    failed[at, 1:4] |= blocks
+    return failed, seconds
+
+
 # The caches keyed by delta.  _chunk_reports empties them when its run ends, so
 # that a range run holds at most one chunk's entries and none once it is over;
 # CLI series and classgroup requests, which do not run the suite, still reuse a
@@ -171,19 +268,22 @@ def _batch_layers(deltas: list[int], classes: np.ndarray, counts: np.ndarray, n_
                   primes_bound: int, build_s: float = 0.0) -> list[Layers]:
     """The layers of the fundamental discriminants deltas, from their stacked
     reduced forms, each built for all of them at once: the class groups, with
-    their genus characters, and each one's character table X; the compositions
-    of the group laws and of the prime layers, in one compose_stacked call; the
-    theta matrices, their totals and genus sums; the Eisenstein rows, with
-    their character pairs; the prime layers; and one prime sweep.
+    their genus characters; the compositions of the group laws and of the prime
+    layers, in one compose_stacked call; the theta matrices, their totals and
+    genus sums; the Eisenstein rows, with their character pairs; the character
+    tables X; the prime layers; one prime sweep; and the comparison of the five
+    per-delta identities (identity_failures).
     Each delta's prime-discriminant tables are read once, for the genus
     characters of its classes and, right after, for its L(0) and its windows
     of the Eisenstein rows (series.CharacterReads).
 
-    The time of each layer is divided among the deltas by their share of its
-    rows: classes, or character pairs for the Eisenstein rows; the composition
-    call is first divided between the group laws and the prime layers by
-    theirs.  build_s, time spent on these deltas before, joins the class group
-    build."""
+    The time of each layer and of each comparison is divided among the deltas
+    by their share of its rows: classes; character pairs for the Eisenstein
+    rows, the tables X and the twisted and counting comparisons; genera for the
+    genus-mass one; one per delta for the Gauss and Dirichlet ones.  The
+    composition call is first divided between the group laws and the prime
+    layers by theirs.  build_s, time spent on these deltas before, joins the
+    class group build."""
     clock = time.perf_counter
     begin = clock()
     reads, reads_s = CharacterReads(n_max), 0.0
@@ -195,7 +295,6 @@ def _batch_layers(deltas: list[int], classes: np.ndarray, counts: np.ndarray, n_
         reads_s += clock() - t
 
     stack = class_group_stack(deltas, classes, counts, read_tables)
-    characters = [build_genus_characters(group) for group in stack.groups]
     law = law_rows(stack)
     primes = prime_classes(stack, primes_bound)
     start = clock()
@@ -208,44 +307,74 @@ def _batch_layers(deltas: list[int], classes: np.ndarray, counts: np.ndarray, n_
     series = series_stack(stack, n_max)
     slices = theta_slices(stack, series, n_max)
     theta_s, start = clock() - start, clock()
-    eisenstein = eisenstein_stack(stack.groups, n_max, reads=reads)
+    eisenstein = eisenstein_stack(deltas, counts.tolist(), n_max, reads=reads)
     eisenstein_s, start = reads_s + clock() - start, clock()
+    tables = character_tables(stack, [rows.pairs for rows in eisenstein])
+    tables_s, start = clock() - start, clock()
     failed = sweep_failures(stack.groups, layers, series.theta, series.totals, series.sums, n_max, primes_bound)
-    primes_s += clock() - start
+    built = clock()
+    primes_s += built - start
+    identities, compare_s = identity_failures(stack.groups, tables, series.totals, series.sums, eisenstein)
     law_share = len(law[0]) / max(1, len(products))
     primes_s += (1 - law_share) * compose_s
-    first_prime = f"eigenform[p={primes.primes[0]}]" if primes.primes else None
-    # the class group build takes the rest, up to here
-    build_s += clock() - begin - theta_s - eisenstein_s - primes_s
-    # each delta's share: by its classes, or its character pairs for the Eisenstein rows
-    h = counts.tolist()
-    per_class = [seconds / sum(h) for seconds in (build_s, primes_s, theta_s)]
-    per_pair = eisenstein_s / sum(len(rows.rows) for rows in eisenstein)
-    return [Layers(group, table, theta, sums, rows, layer, failed[:, k],
-                   {"": per_class[0] * h[k], first_prime: per_class[1] * h[k], "gauss_average": per_class[2] * h[k],
-                    "twisted_eisenstein": per_pair * len(rows.rows)})
+    # the class group build takes the rest, up to the comparisons
+    build_s += built - begin - theta_s - eisenstein_s - tables_s - primes_s
+    # each delta's shares (Layers.shares), by its share of the rows of each layer
+    # and comparison: its classes, its character pairs, its genera, or itself
+    seconds = np.array([[theta_s, 0, 0, compare_s[0]], [0, tables_s + compare_s[1], 0, 0],
+                        [0, eisenstein_s + compare_s[2], 0, 0], [0, 0, compare_s[3], 0], [0, 0, 0, compare_s[4]],
+                        [primes_s, 0, 0, 0], [build_s, 0, 0, 0]])
+    seconds[-1] += seconds[:-1].sum(axis=0)
+    weights = np.array([counts.tolist(), [len(rows.pairs) for rows in eisenstein],
+                        [len(group.genus_ids) for group in stack.groups], [1] * len(deltas)], dtype=float)
+    shares = (seconds @ (weights / weights.sum(axis=1, keepdims=True))).T.tolist()
+    identities = identities.tolist()
+    return [Layers(group, table, theta, sums, rows, layer, failed[:, k], identities[k], shares[k])
             for k, (group, table, (theta, sums), rows, layer)
-            in enumerate(zip(stack.groups, characters, slices, eisenstein, layers))]
+            in enumerate(zip(stack.groups, tables, slices, eisenstein, layers))]
 
 
-def _report_checks(layers: Layers, primes_bound: int) -> Iterator[CheckRecord]:
-    """The checks of one report on its delta's layers, each run when it is
-    reached, through the module names that a tracer can rebind; the records at
-    the primes come from the batch's prime sweep."""
-    yield verify_gauss(layers)
-    yield verify_character_counts(layers)
-    yield verify_twisted_eisenstein(layers)
-    yield verify_genus_mass(layers)
-    yield verify_dirichlet(layers)
-    yield from sweep_records(layers, primes_bound)
+def _report_checks(layers: Layers, primes_bound: int) -> tuple[list[CheckRecord], list[float]]:
+    """The records of one report on its delta's layers, and the seconds that the
+    first six took: the five identities (IDENTITIES), then the records at the
+    primes from the batch's prime sweep (sweep_records), whose time the first
+    of them carries.  The batch compared the identities (identity_failures), so
+    a passing record is made from numbers the record holds; a failing one comes
+    from its verify_* function, for its detail and first mismatch, looked up
+    through the module names that a tracer can rebind.  A verify_* that then
+    passes is a RuntimeError."""
+    clock = time.perf_counter
+    group, n = layers.group, layers.theta.shape[1] - 1
+    pairs = len(layers.eisenstein.pairs)
+    records = [
+        CheckRecord("gauss_average", "pass", f"n=1..{n} exact"),
+        CheckRecord("character_counts", "pass", f"|G*| = |G| = {pairs}, genera of size {len(group.squares)}"),
+        CheckRecord("twisted_eisenstein", "pass", f"{pairs} pairs, n=0..{n} exact"),
+        CheckRecord("genus_mass", "pass", f"{len(group.genus_ids)} genera, n=0..{n} exact"),
+        CheckRecord("dirichlet_class_number", "pass", f"(w/2)L(0)={group.h} h={group.h} exact"),
+    ]
+    seconds = [0.0] * (len(records) + 1)
+    for i in (i for i, failed in enumerate(layers.identities_failed) if failed):
+        check = (verify_gauss, verify_character_counts, verify_twisted_eisenstein, verify_genus_mass,
+                 verify_dirichlet)[i]
+        start = clock()
+        record = check(layers)
+        seconds[i] = clock() - start
+        if record.passed:
+            raise RuntimeError(f"the batch fails {IDENTITIES[i]} at {group.delta}, {check.__name__} passes it")
+        records[i] = record
+    start = clock()
+    records += sweep_records(layers, primes_bound)
+    seconds[-1] = clock() - start
+    return records, seconds
 
 
 def _suite_job(job: tuple[int, int, int, Optional[Layers]]) -> VerificationReport:
     """The report of one job (delta, n_max, primes_bound, layers): its delta's
     checks on layers, the record its batch built, which is None when delta is
     not a negative fundamental discriminant.  Each check's time, and the
-    report's, carry the delta's shares of the batch's build time (see
-    _batch_layers)."""
+    report's, carry the delta's shares of the batch's time (see _batch_layers
+    and Layers.shares), all stamped as one array with one rounding pass."""
     delta, n_max, primes_bound, layers = job
     start = time.perf_counter()
     if layers is None:
@@ -259,13 +388,12 @@ def _suite_job(job: tuple[int, int, int, Optional[Layers]]) -> VerificationRepor
             elapsed_ms=_ms_since(start),
             skip_reason="non-fundamental",
         )
-    checks, check_ms, shares = [], [], layers.shares
-    t0 = time.perf_counter()
-    for record in _report_checks(layers, primes_bound):
-        t1 = time.perf_counter()
-        check_ms.append(round((t1 - t0 + shares.get(record.name, 0.0)) * 1000, 3))
-        checks.append(record)
-        t0 = t1
+    checks, seconds = _report_checks(layers, primes_bound)
+    seconds.append(time.perf_counter() - start)
+    *check_ms, elapsed_ms = ((np.add(seconds, layers.shares)) * 1000).round(3).tolist()
+    # the records past the first six took no time of their own; with no primes
+    # there are five, and the sweep's time and share stay in the report's alone
+    check_ms = check_ms[: len(checks)] + [0.0] * (len(checks) - len(check_ms))
     return VerificationReport(
         delta=delta,
         precision=n_max,
@@ -274,7 +402,7 @@ def _suite_job(job: tuple[int, int, int, Optional[Layers]]) -> VerificationRepor
         genus_count=len(layers.group.genus_ids),
         checks=tuple(checks),
         check_ms=tuple(check_ms),
-        elapsed_ms=round((time.perf_counter() - start + sum(layers.shares.values())) * 1000, 3),
+        elapsed_ms=elapsed_ms,
     )
 
 

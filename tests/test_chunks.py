@@ -6,12 +6,17 @@ discriminant alone, with the first mismatch it has when it runs alone."""
 
 import gc
 import json
+import os
+import subprocess
 import sys
 import weakref
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import genusmass
 import genusmass.arith as arith
 import genusmass.genus as genus
 import genusmass.series as series
@@ -224,32 +229,63 @@ def batch_reports(layers, n_max, bound) -> list[str]:
             for found in layers]
 
 
-def test_a_delta_s_checks_build_nothing(monkeypatch):
-    """Once a batch is built, each delta's checks read its layers alone: with
-    every builder of a layer raising, the character table X and the character
-    pairs among them, the reports are those of a plain run."""
-    n_max, bound = 60, 20
-    expected = [untimed(report_json_line(r)) for r in run_suite(BATCH, n_max, bound, workers=1)]
-    layers = verify._batch_layers(BATCH, *stacked_reduced_forms(BATCH), n_max, bound)
-    builders = (series.representation_counts, verify.compose_stacked, verify.class_group_stack,
-                verify.eisenstein_stack, series.l_zero, arith.prime_discriminant_tables,
-                genus.build_genus_characters, genus.character_pairs)
+def refuse(monkeypatch, functions, message):
+    """Bind every genusmass module's name for each of functions to one that
+    raises AssertionError(message)."""
 
     def refused(*args, **kwargs):
-        raise AssertionError("a check built a layer")
+        raise AssertionError(message)
 
     for modname, module in list(sys.modules.items()):
         if modname.startswith("genusmass."):
             for attr, value in list(vars(module).items()):
-                if any(value is builder for builder in builders):
+                if any(value is function for function in functions):
                     monkeypatch.setattr(module, attr, refused)
+
+
+CHECKS = (verify.verify_gauss, verify.verify_character_counts, verify.verify_twisted_eisenstein,
+          verify.verify_genus_mass, verify.verify_dirichlet)
+
+
+def test_a_delta_s_checks_build_nothing(monkeypatch):
+    """A passing run calls no verify_* and builds no character table per delta:
+    with those raising, the reports of a run are those of a plain run.  Once a
+    batch is built, each delta's checks read its layers alone: with every
+    builder of a layer raising too, the character table X and the character
+    pairs among them, the reports are still the same."""
+    n_max, bound = 60, 20
+    deltas = BATCH + fundamental_deltas(-1000, -900)
+    expected = [untimed(report_json_line(r)) for r in run_suite(deltas, n_max, bound, workers=1)]
+    layers = verify._batch_layers(BATCH, *stacked_reduced_forms(BATCH), n_max, bound)
+    with monkeypatch.context() as patched:
+        refuse(patched, CHECKS + (genus.build_genus_characters,), "a passing run called a check")
+        assert [untimed(report_json_line(r)) for r in run_suite(deltas, n_max, bound, workers=1)] == expected
+    builders = (series.representation_counts, verify.compose_stacked, verify.class_group_stack,
+                verify.eisenstein_stack, series.l_zero, arith.prime_discriminant_tables,
+                genus.build_genus_characters, genus.character_tables, genus.character_pairs)
+    refuse(monkeypatch, CHECKS + builders, "a check built a layer")
     with pytest.raises(AssertionError, match="built a layer"):
         build_layers(-84, n_max, bound)
-    assert batch_reports(layers, n_max, bound) == expected
+    assert batch_reports(layers, n_max, bound) == expected[: len(BATCH)]
+
+
+def compared_again(layers, n_max, bound) -> list:
+    """The records with their batch's comparisons made again on their own arrays,
+    as _batch_layers makes them: the prime sweep and the five per-delta
+    identities."""
+    groups = [found.group for found in layers]
+    totals = np.stack([found.theta.sum(axis=0) for found in layers])
+    sums = np.concatenate([found.sums for found in layers])
+    theta = np.concatenate([found.theta for found in layers])
+    failed = sweep_failures(groups, [found.primes for found in layers], theta, totals, sums, n_max, bound)
+    identities, _ = verify.identity_failures(groups, [found.characters for found in layers], totals, sums,
+                                             [found.eisenstein for found in layers])
+    return [found._replace(failed=failed[:, k], identities_failed=identities[k].tolist())
+            for k, found in enumerate(layers)]
 
 
 def test_a_fault_in_one_delta_s_layers_fails_that_delta_alone():
-    """r(Q, 17) + 1 for one class of -455, in a copy of its layers, swept again
+    """r(Q, 17) + 1 for one class of -455, in a copy of its layers, compared again
     with the rest of the batch: its gauss_average and the identities at the
     primes that read n = 17 (2 and 3, both split; 17 is prime to every p <= 13
     and above 60/4, so no identity at an inert p reads it) fail with their first
@@ -259,12 +295,8 @@ def test_a_fault_in_one_delta_s_layers_fails_that_delta_alone():
     expected = batch_reports(clean, n_max, bound)
     theta = clean[1].theta.copy()
     theta[-1, n] += 1
-    layers = [found._replace(theta=theta) if k == 1 else found for k, found in enumerate(clean)]
-    failed = sweep_failures([found.group for found in layers], [found.primes for found in layers],
-                            np.concatenate([found.theta for found in layers]),
-                            np.stack([found.theta.sum(axis=0) for found in layers]),
-                            np.concatenate([found.sums for found in layers]), n_max, bound)
-    layers = [found._replace(failed=failed[:, k]) for k, found in enumerate(layers)]
+    layers = compared_again([found._replace(theta=theta) if k == 1 else found for k, found in enumerate(clean)],
+                            n_max, bound)
     lines = batch_reports(layers, n_max, bound)
     assert lines[0] == expected[0] and lines[2] == expected[2]
     checks = json.loads(lines[1])["checks"]
@@ -272,3 +304,86 @@ def test_a_fault_in_one_delta_s_layers_fails_that_delta_alone():
     assert failing == {name: n for name in ("gauss_average", "eigenform[p=2]", "theta_split[p=2]",
                                             "eigenform[p=3]", "theta_split[p=3]")}
     assert clean[1].theta[-1, n] == theta[-1, n] - 1
+
+
+def bumped(array, row, column, by=1):
+    """A copy of array with one entry plus by."""
+    array = array.copy()
+    array[row, column] += by
+    return array
+
+
+# one corrupted entry of a delta's layers for each per-delta identity, which
+# fails it: a theta count at n = 17; an entry of X negated; an Eisenstein
+# coefficient at n = 7; the constant term of E_{1, delta}; and L(0) off by 2/w,
+# so that (w/2) L(0) is h + 1, in the record alone
+FAULTS = {
+    "gauss_average": lambda found: found._replace(theta=bumped(found.theta, -1, 17)),
+    "character_counts": lambda found: found._replace(
+        characters=bumped(found.characters, -1, -1, -2 * found.characters[-1, -1])),
+    "twisted_eisenstein": lambda found: found._replace(
+        eisenstein=found.eisenstein._replace(rows=bumped(found.eisenstein.rows, -1, 7))),
+    "genus_mass": lambda found: found._replace(
+        eisenstein=found.eisenstein._replace(rows=bumped(found.eisenstein.rows, 0, 0))),
+    "dirichlet_class_number": lambda found: found._replace(
+        eisenstein=found.eisenstein._replace(l_zero=found.eisenstein.l_zero + Fraction(2, found.group.w))),
+}
+WIDE = fundamental_deltas(-2000, -1800)
+
+
+@pytest.mark.parametrize("identity", verify.IDENTITIES)
+@pytest.mark.parametrize("deltas,n_max,bound,target,int64_bound", [
+    (BATCH, 60, 13, 1, None),
+    (WIDE, 30, 10, len(WIDE) // 2, None),
+    # -84 on int64, -455 and -5460 on Python ints
+    (BATCH, 60, 13, 0, 10**6),
+    (BATCH, 60, 13, 2, 10**6),
+], ids=["batch", "wide", "mixed-int64", "mixed-object"])
+def test_a_fault_in_one_identity_fails_that_delta_alone(monkeypatch, identity, deltas, n_max, bound, target,
+                                                        int64_bound):
+    """One corrupted entry of one delta's layers, compared again with the rest of
+    its batch: every delta's flags are the failures of the verify_* functions on
+    its own layers, the corrupted delta fails the identity and its failing
+    records are verify_*'s, and the other deltas' reports do not change."""
+    if int64_bound is not None:
+        monkeypatch.setattr(series, "INT64_BOUND", int64_bound)
+    clean = verify._batch_layers(deltas, *stacked_reduced_forms(deltas), n_max, bound)
+    if int64_bound is not None:
+        assert [found.theta.dtype for found in clean] == [np.int64, object, object]
+    expected = batch_reports(clean, n_max, bound)
+    layers = compared_again([FAULTS[identity](found) if k == target else found for k, found in enumerate(clean)],
+                            n_max, bound)
+    for k, found in enumerate(layers):
+        assert found.identities_failed == [not check(found).passed for check in CHECKS], found.group.delta
+        assert any(found.identities_failed) == (k == target), found.group.delta
+    assert layers[target].identities_failed[verify.IDENTITIES.index(identity)]
+    lines = batch_reports(layers, n_max, bound)
+    assert [line for k, line in enumerate(lines) if k != target] == [
+        line for k, line in enumerate(expected) if k != target]
+    records = json.loads(lines[target])["checks"][: len(CHECKS)]
+    for record, check in zip(records, CHECKS):
+        expected_record = check(layers[target]).to_dict()
+        expected_record.pop("elapsed_ms")
+        assert record == expected_record
+
+
+def test_a_flag_that_its_check_does_not_confirm_is_an_error():
+    """With asserts stripped, a flag of the batch's comparison whose verify_*
+    passes raises RuntimeError, for each of the five identities."""
+    code = "\n".join([
+        "from genusmass import verify",
+        "from genusmass.forms import stacked_reduced_forms",
+        "found = verify._batch_layers([-84], *stacked_reduced_forms([-84]), 30, 10)[0]",
+        "for i in range(5):",
+        "    try:",
+        "        verify._suite_job((-84, 30, 10, found._replace(identities_failed=[j == i for j in range(5)])))",
+        "    except RuntimeError as error:",
+        "        print(error)",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(genusmass.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [f"the batch fails {name} at -84, {check.__name__} passes it"
+                                          for name, check in zip(verify.IDENTITIES, CHECKS)]

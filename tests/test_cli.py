@@ -1,5 +1,6 @@
 import argparse
 import json
+from fractions import Fraction
 import os
 import subprocess
 import sys
@@ -8,9 +9,18 @@ import pytest
 
 import genusmass.class_group as class_group
 import genusmass.cli as cli
+import genusmass.series as series
 from genusmass.class_group import build_class_group
 from genusmass.cli import main, parse_disc
-from oracles import compose, series_from_json
+from genusmass.genus import character_pairs
+from oracles import (
+    compose,
+    dirichlet_convolution_sieve,
+    fraction_coeffs,
+    kronecker_values,
+    l_zero_oracle,
+    series_from_json,
+)
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +111,31 @@ class TestSeries:
         )
         assert code == 0
         assert out.splitlines() == ["n,numerator,denominator", "0,1,4", "1,1,1", "2,1,1"]
+
+    @pytest.mark.parametrize("delta", [-84, -455, -400391])
+    def test_eisenstein_request_builds_no_class_group(self, capsys, monkeypatch, delta):
+        """An Eisenstein series request reads the character alone: with the class
+        group build refusing, its output in every format is the one with the
+        group available, and its coefficients are the sieve's divisor sums with
+        the constant term L(0)/2 of the whole-period sum."""
+        labels = [f"eisenstein:{d}" for d, _ in character_pairs(delta)[:: 3]]
+        requests = [("series", "--disc", str(delta), "--which", label, "--prec", "200", "--format", fmt)
+                    for label in labels for fmt in ("json", "csv", "text")]
+        expected = [run_cli(capsys, *argv) for argv in requests]
+
+        def refused(*args):
+            raise AssertionError("an Eisenstein request built a class group")
+
+        for module in (class_group, cli, series):
+            monkeypatch.setattr(module, "build_class_group", refused)
+        assert [run_cli(capsys, *argv) for argv in requests] == expected
+        for argv, (code, out, _) in zip(requests, expected):
+            if argv[-1] == "json":
+                d = int(argv[4].partition(":")[2])
+                row = dirichlet_convolution_sieve(kronecker_values(delta, d, 0, 201).astype(object),
+                                                  kronecker_values(delta, delta // d, 0, 201).astype(object))
+                row[0] = l_zero_oracle(delta) / 2 if d == 1 else 0
+                assert code == 0 and fraction_coeffs(series_from_json(out)) == tuple(map(Fraction, row)), argv
 
     @pytest.mark.parametrize(
         "label", ["nope:1", "theta:9", "genus:7", "eisenstein:3", "twisted:2", "theta", "theta:x"]

@@ -87,10 +87,10 @@ def perturbed_case(delta, n_max, monkeypatch, kind, column):
         original = series.eisenstein_stack
         target = character_pairs(delta)[-1]
 
-        def perturbed(groups, n, pairs=None, reads=None):
-            out = original(groups, n, pairs, reads)
-            for k, group_ in enumerate(groups):
-                if group_.delta == delta:
+        def perturbed(deltas, class_numbers, n, pairs=None, reads=None):
+            out = original(deltas, class_numbers, n, pairs, reads)
+            for k, delta_ in enumerate(deltas):
+                if delta_ == delta:
                     rows = out[k].rows.copy()
                     own = pairs[k] if pairs is not None else character_pairs(delta)
                     rows[[pair == target for pair in own], column] += 1
@@ -102,8 +102,14 @@ def perturbed_case(delta, n_max, monkeypatch, kind, column):
     else:
         table = table.copy()
         table[-1, -1] *= -1
+        original = verify.character_tables
+
+        def perturbed(stack, pairs):
+            return [table if group_.delta == delta else found
+                    for group_, found in zip(stack.groups, original(stack, pairs))]
+
         monkeypatch.setattr(series, "build_genus_characters", lambda group_: table)
-        monkeypatch.setattr(verify, "build_genus_characters", lambda group_: table)
+        monkeypatch.setattr(verify, "character_tables", perturbed)
     return group, table
 
 
@@ -116,6 +122,7 @@ def test_perturbed_entry_fails_with_the_oracle_detail(monkeypatch, delta, kind, 
     twisted = verify_twisted_eisenstein(layers)
     mass = verify_genus_mass(layers)
     assert not twisted.passed and not mass.passed
+    assert layers.identities_failed[2:4] == [True, True]
     assert twisted.detail == twisted_eisenstein_detail_oracle(group, n_max, table)
     assert mass.detail == genus_mass_detail_oracle(group, n_max, table)
     if kind == "theta" and column == 0:
