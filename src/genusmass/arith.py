@@ -10,6 +10,7 @@ import numpy as np
 __all__ = [
     "kronecker",
     "is_fundamental",
+    "fundamental_flags",
     "factorize",
     "is_squarefree",
     "prime_discriminant_factorization",
@@ -137,6 +138,46 @@ def is_fundamental(delta: int) -> bool:
     return rem == 0 and m % 4 in (2, 3) and is_squarefree(m)
 
 
+# delta mod 16 of a fundamental delta: 1 mod 4, or 8 or 12, that is 4 m with
+# m = 2 or 3 (mod 4)
+_FUNDAMENTAL_MOD_16 = np.array([r % 4 == 1 or r in (8, 12) for r in range(16)])
+_FUNDAMENTAL_MOD_16.setflags(write=False)
+
+
+@lru_cache(maxsize=None)
+def _prime_squares(bits: int) -> np.ndarray:
+    """The squares of the primes below 2^bits, as a read-only int64 array."""
+    squares = np.array(primes_up_to((1 << bits) - 1), dtype=np.int64) ** 2
+    squares.setflags(write=False)
+    return squares
+
+
+# fundamental_flags compares at most this many (delta, p^2) pairs at once
+SQUAREFREE_BLOCK = 1 << 16
+
+
+def fundamental_flags(deltas) -> np.ndarray:
+    """is_fundamental of every delta < 0, and False for every delta >= 0, as one
+    bool array from one exact pass over all of them: the mod-4 rules of
+    is_fundamental, read from a table of delta mod 16, then m % p^2 for the
+    part m = delta or delta/4 that must be squarefree and every prime p below
+    the power of 2 above isqrt(max |m|), in blocks of SQUAREFREE_BLOCK pairs.
+    A prime beyond isqrt(|m|) never divides m twice, and a range run reads
+    the squares of one bound.  Each delta must fit in int64."""
+    delta = np.asarray(deltas, dtype=np.int64).ravel()
+    flags = _FUNDAMENTAL_MOD_16[delta % 16] & (delta < 0)
+    m = delta[flags]
+    if len(m):
+        m = np.where(m % 2 == 1, m, m // 4)
+        squares = _prime_squares(math.isqrt(-int(m.min())).bit_length())
+        step = max(1, SQUAREFREE_BLOCK // len(m))
+        squarefree = np.ones(len(m), dtype=bool)
+        for lo in range(0, len(squares), step):
+            squarefree &= (m[:, None] % squares[lo : lo + step]).all(axis=1)
+        flags[flags] = squarefree
+    return flags
+
+
 @lru_cache(maxsize=None)
 def prime_discriminant_factorization(delta: int) -> tuple[int, ...]:
     """Split a fundamental delta < 0 into prime discriminants whose product is delta.
@@ -171,7 +212,8 @@ def prime_discriminant_tables(delta: int) -> tuple[tuple[int, np.ndarray], ...]:
     """(p, [(p|r) for r in range(|p|)] as int8) for each prime discriminant p of
     delta; read-only, and kept for the last delta only.  An odd prime
     discriminant's character at r >= 0 is the Legendre symbol (r|p); the -4, 8
-    or -8 factor has period at most 8 and is read from kronecker itself."""
+    or -8 factor has period at most 8 and is read from kronecker once
+    (_even_table)."""
     tables = []
     for factor in prime_discriminant_factorization(delta):
         m = abs(factor)
@@ -184,11 +226,20 @@ def prime_discriminant_tables(delta: int) -> tuple[tuple[int, np.ndarray], ...]:
                 np.multiply(x, x, out=x)
                 np.remainder(x, m, out=x)
                 table[x] = 1
+            table.setflags(write=False)
         else:
-            table = np.array([kronecker(factor, r) for r in range(m)], dtype=np.int8)
-        table.setflags(write=False)
+            table = _even_table(factor)
         tables.append((factor, table))
     return tuple(tables)
+
+
+@lru_cache(maxsize=None)
+def _even_table(factor: int) -> np.ndarray:
+    """[(factor|r) for r in range(|factor|)] of the prime discriminant -4, 8 or
+    -8, read-only, from kronecker itself."""
+    table = np.array([kronecker(factor, r) for r in range(abs(factor))], dtype=np.int8)
+    table.setflags(write=False)
+    return table
 
 
 def distinct_prime_count(delta: int) -> int:

@@ -6,7 +6,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
@@ -241,9 +241,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         workers = _worker_count()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    with _output(args.out) as write:
+    # the reports are closed when writing one raises, which shuts a pool down
+    reports = iter_suite(deltas, n_max=args.prec, primes_bound=args.primes, workers=workers)
+    with _output(args.out) as write, closing(reports):
         all_passed = True
-        for report in iter_suite(deltas, n_max=args.prec, primes_bound=args.primes, workers=workers):
+        for report in reports:
             all_passed = all_passed and report.passed
             write(report_json_line(report) + "\n" if args.fmt == "json" else _report_text(report))
     return 0 if all_passed else CHECK_FAILURE

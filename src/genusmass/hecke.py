@@ -4,14 +4,16 @@ sum, the split/ramified/inert per-class identities, and the genus permutation.
 Each identity is one comparison of integer arrays over all classes (rows of the
 theta matrix) or all genera (rows of the genus sums), with T_p applied to every row
 at once by slicing.  The prime's character value and class permutation come from
-one prime layer per discriminant; prime_layers builds those of a stack of
-groups from one composition call, each distinct prime class composed once.
+the prime layers of a stack of groups (prime_layers: one stacked array of the
+images of every class under every prime class, from one composition call, each
+distinct prime class composed once).
 
 sweep_failures compares every identity at every prime up to a bound for a whole
-batch of discriminants at once, on their stacked rows; sweep_records gives a
-discriminant's records from its failures, and calls a check_* function only for
-an identity that fails, for its first mismatch, on the discriminant's own
-arrays (Layers, the record of them that its batch builds)."""
+batch of discriminants at once, on their stacked rows and prime layers;
+sweep_passing gives a discriminant's records when none fails, and sweep_records
+its records from its failures, calling a check_* function only for an
+identity that fails, for its first mismatch, on the discriminant's own arrays
+(Layers, the record of them that is sliced out of its batch for a failure)."""
 
 from __future__ import annotations
 
@@ -19,14 +21,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .arith import kronecker, primes_up_to
+from .arith import primes_up_to
 from .forms import _ragged
-from .class_group import ClassGroup, Stack, genus_rows, prime_ideal_class
+from .class_group import ClassGroup, Stack, prime_ideal_rows
 from .qseries import first_mismatch, t_rows, u_rows
 from .series import EisensteinRows
 
@@ -85,8 +86,9 @@ def _compare_rows(p, chi, identity, lhs, rhs, unit=Fraction(1)) -> CheckRecord:
 
 
 class _PrimeLayer(NamedTuple):
-    """What every identity at a prime p <= bound reads, read-only:
-    - chi[p] = (delta|p), one scalar kronecker per prime;
+    """What every identity at a prime p <= bound reads, read-only, for one
+    group (prime_layer slices it out of its stack's PrimeStack):
+    - chi[p] = (delta|p);
     - perms[p], the class permutation h -> h P of each non-inert p, where P is
       the class of the prime ideal above p, and the identity at a principal P;
     - conjugates[p], the permutation h -> h P' of each split p, P' the inverse
@@ -100,18 +102,15 @@ class _PrimeLayer(NamedTuple):
 
 
 class Layers(NamedTuple):
-    """One discriminant's layers, as its batch built them (verify._batch_layers),
-    and all that its checks read: the class group; its genus character table X
-    (genus.character_tables); the theta matrix and the genus sums S, in the
-    group's coefficient dtype; the Eisenstein rows, with their character pairs,
-    the character row and L(0); the prime layer; its 3 x (number of primes)
-    slice of sweep_failures; its row of verify.identity_failures, whether each
-    of the five per-delta identities fails, in verify.IDENTITIES order; and its
-    shares of the batch's build and comparison time in seconds: one for each
-    of the five identities, then one for the prime layer and sweep, which the
-    first record at a prime carries, each holding the layers that its check
-    reads first; then the report's, which holds these and the class group
-    build, which no check reads."""
+    """One discriminant's layers, sliced out of its batch (verify.batch_record)
+    for a check that its batch flags, and all that the check reads: the class
+    group; its genus character table X (genus.character_tables); the theta
+    matrix and the genus sums S, in the group's coefficient dtype; the
+    Eisenstein rows, with their character pairs, the character row and L(0);
+    the prime layer; its 3 x (number of primes) slice of sweep_failures; its
+    row of verify.identity_failures, whether each of the five per-delta
+    identities fails, in verify.IDENTITIES order; and its shares of the
+    batch's build and comparison time in seconds (see verify.Batch)."""
 
     group: ClassGroup
     characters: np.ndarray
@@ -125,96 +124,111 @@ class Layers(NamedTuple):
 
 
 class PrimeClasses(NamedTuple):
-    """The prime classes of a stack of groups at the primes up to a bound: chi[k, i]
-    = (delta_k|p_i); classes[k, i], the class of the prime ideal above p_i, or -1
-    at an inert p_i; and the stack rows left, right of the products h P, for every
-    class h of group k and each distinct non-principal P of group k up to
-    inversion, in runs of h rows, where composed[k] maps each such P to the
-    start of its run."""
+    """The prime classes of a stack of groups at the primes p_i up to a bound:
+    chi[k, i] = (delta_k|p_i), and the products that give the prime layers.
+    Each distinct non-principal prime class P of a group, up to inversion, is
+    composed with every class of its group once: left, right are the stack
+    rows of those products h P, in runs of h rows, the run r starting at
+    run_starts[r].  entries are the (k, i) where the class of the prime ideal
+    above p_i is not principal, each with the run of its class P or of P^-1,
+    and flip, which is set where the run's class is P^-1."""
 
     primes: tuple[int, ...]
     chi: np.ndarray
-    classes: np.ndarray
-    composed: list[dict[int, int]]
+    entries: tuple[np.ndarray, np.ndarray]
+    run: np.ndarray
+    flip: np.ndarray
+    run_starts: np.ndarray
     left: np.ndarray
     right: np.ndarray
 
 
+@lru_cache(maxsize=1)
 def primes_to(bound: int) -> tuple[int, ...]:
-    """The primes up to bound."""
+    """The primes up to bound, kept for the last bound only."""
     return tuple(primes_up_to(bound))
 
 
 def prime_classes(stack: Stack, bound: int) -> PrimeClasses:
-    """(delta|p) for every group and prime p <= bound, one scalar kronecker each;
-    the prime class of each non-inert p; and the products to compose for the
-    prime layers: h P for each distinct non-principal prime class P, where P^-1
-    is composed only when P is not.  A principal P permutes nothing, and
+    """(delta|p) for every group and prime p <= bound and the prime class of each
+    non-inert p, for all groups at once (class_group.prime_ideal_rows); and the
+    products to compose for the prime layers: h P for each distinct
+    non-principal prime class P, the first of P and P^-1 in the order of the
+    groups and then of the primes.  A principal P permutes nothing, and
     h P^-1 = (h^-1 P)^-1 is read from the run of P (prime_layers)."""
     primes = primes_to(bound)
-    chi = [[kronecker(group.delta, p) for p in primes] for group in stack.groups]
-    classes, composed, run_starts, run_rows, run_classes = [], [], [], [], []
-    rows = 0
-    for group, start, values in zip(stack.groups, stack.starts.tolist(), chi):
-        runs: dict[int, int] = {}
-        classes.append([])
-        for p, value in zip(primes, values):
-            cls = -1 if value == -1 else prime_ideal_class(group, p)
-            classes[-1].append(cls)
-            if cls not in (-1, group.identity) and cls not in runs and group.inverses[cls] not in runs:
-                runs[cls] = rows
-                rows += group.h
-                run_starts.append(start)
-                run_rows.append(group.h)
-                run_classes.append(start + cls)
-        composed.append(runs)
-    shape = (len(stack.groups), len(primes))
-    run_rows = np.array(run_rows, dtype=np.int64)
-    left = _ragged(np.array(run_starts, dtype=np.int64), run_rows)[1] if rows else np.zeros(0, dtype=np.int64)
-    return PrimeClasses(primes, np.array(chi, dtype=np.int64).reshape(shape),
-                        np.array(classes, dtype=np.int64).reshape(shape), composed, left,
-                        np.array(run_classes, dtype=np.int64).repeat(run_rows))
+    chi, classes = prime_ideal_rows(stack, primes)
+    k, i = np.nonzero((classes != -1) & (classes != stack.identity[:, None]))
+    cls = classes[k, i]
+    # P and P^-1 share the smaller of their two stack rows; the first entry of
+    # each opens its run
+    pair, entries = np.minimum(cls, stack.inverses[cls]), np.arange(len(cls))
+    first = np.full(len(stack.classes), len(cls))
+    np.minimum.at(first, pair, entries)
+    first = first[pair]
+    opens = first == entries
+    run = (np.cumsum(opens) - 1)[first]
+    run_classes = cls[opens]
+    flip = cls != run_classes[run]
+    rows = stack.h[stack.owner[run_classes]]
+    if len(rows):
+        left = _ragged(stack.starts[stack.owner[run_classes]], rows)[1]
+    else:
+        left = np.zeros(0, dtype=np.int64)
+    return PrimeClasses(primes, chi, (k, i), run, flip, rows.cumsum() - rows, left, run_classes.repeat(rows))
 
 
-def prime_layers(stack: Stack, prime: PrimeClasses, products: np.ndarray) -> list[_PrimeLayer]:
-    """The prime layer of each group of the stack, from the stack rows products
+class PrimeStack(NamedTuple):
+    """The prime layers of a stack of groups at the primes p_i up to a bound,
+    read-only: chi[k, i] = (delta_k|p_i); images[0, i, row] and images[1, i, row],
+    the stack rows of row P and row P^-1, P the class of the prime ideal above
+    p_i in the group of row.  Where p_i is inert for that group, both are row
+    itself, and so is images[1] where it is ramified."""
+
+    primes: tuple[int, ...]
+    chi: np.ndarray
+    images: np.ndarray
+
+
+def prime_layers(stack: Stack, prime: PrimeClasses, products: np.ndarray) -> PrimeStack:
+    """The prime layers of every group of the stack, from the stack rows products
     of prime.left * prime.right: every class times each distinct non-principal
     prime class P, up to inversion, from one compose_stacked call.  The class
-    group is abelian, so the inverse map is an automorphism and h P' = (h' P)':
-    the permutation of P' is that of P read at the inverses and mapped through
-    them, which gives conjugates[p], and perms[p] when P' was composed and P
-    was not."""
-    local = products - stack.starts[stack.owner[prime.left]]
-    local.setflags(write=False)
-    # the genus of each class as its row in genus_ids order, for every group at once
-    stacked = genus_rows(stack)
-    local_rows = stacked - stacked[stack.starts][stack.owner]
-    local_rows.setflags(write=False)
-    layers, classes, chis = [], prime.classes.tolist(), prime.chi.tolist()
-    for k, group in enumerate(stack.groups):
-        start, h, runs = int(stack.starts[k]), group.h, prime.composed[k]
-        inv = np.array(group.inverses)
-        perms, conjugates = {}, {}
-        for i, p in enumerate(prime.primes):
-            cls = classes[k][i]
-            if cls == -1:
-                continue
-            if cls in runs:
-                perm = local[runs[cls] : runs[cls] + h]
-            else:
-                if cls == group.identity:
-                    perm = np.arange(h)
-                else:
-                    run = runs[group.inverses[cls]]
-                    perm = inv[local[run : run + h][inv]]
-                perm.setflags(write=False)
-            perms[p] = perm
-            if chis[k][i] == 1:
-                conjugates[p] = inv[perm[inv]]
-                conjugates[p].setflags(write=False)
-        chi = dict(zip(prime.primes, chis[k]))
-        layers.append(_PrimeLayer(chi, perms, conjugates, local_rows[start : start + h]))
-    return layers
+    group is abelian, so the inverse map v is an automorphism and
+    h P^-1 = v(v(h) P): the images of P^-1 are those of P read at the inverses
+    and mapped through them, which gives images[1], and images[0] where P^-1
+    was composed and P was not.  All primes and classes at once."""
+    n, inverses = len(stack.classes), stack.inverses
+    images = np.tile(np.arange(n), (2, len(prime.primes), 1))
+    (k, i), run, flip = prime.entries, prime.run, prime.flip
+    if len(k):
+        # one entry per class of each non-principal prime class's group
+        entry, row = _ragged(stack.starts[k], stack.h[k])
+        flipped = flip[entry]
+        source = np.where(flipped, inverses[row], row) - stack.starts[k[entry]]
+        found = products[prime.run_starts[run[entry]] + source]
+        images[0, i[entry], row] = np.where(flipped, inverses[found], found)
+    split = (prime.chi == 1)[stack.owner].T
+    images[1] = np.where(split, inverses[images[0][:, inverses]], images[1])
+    images.setflags(write=False)
+    return PrimeStack(prime.primes, prime.chi, images)
+
+
+def prime_layer(stack: Stack, primes: PrimeStack, k: int) -> _PrimeLayer:
+    """The prime layer of group k, sliced out of the stacked ones."""
+    lo, hi = int(stack.starts[k]), int(stack.starts[k] + stack.h[k])
+    chi = dict(zip(primes.primes, primes.chi[k].tolist()))
+    perms, conjugates = {}, {}
+    for i, p in enumerate(primes.primes):
+        if chi[p] != -1:
+            perms[p] = primes.images[0, i, lo:hi] - lo
+            perms[p].setflags(write=False)
+        if chi[p] == 1:
+            conjugates[p] = primes.images[1, i, lo:hi] - lo
+            conjugates[p].setflags(write=False)
+    genus_row = stack.genus[lo:hi] - stack.genus_starts[k]
+    genus_row.setflags(write=False)
+    return _PrimeLayer(chi, perms, conjugates, genus_row)
 
 
 def _chi(group: ClassGroup, p: int, layer: _PrimeLayer, kind: Optional[int] = None) -> int:
@@ -365,53 +379,34 @@ def _t_columns(x: np.ndarray, pn: np.ndarray, divisible: np.ndarray, quotient: n
     return out
 
 
-def sweep_failures(groups: list[ClassGroup], layers: list[_PrimeLayer], theta: np.ndarray,
-                   totals: np.ndarray, sums: np.ndarray, n_max: int, bound: int) -> np.ndarray:
-    """Which identity fails at which prime p <= bound, for every group at once, as
-    a 3 x len(groups) x (number of primes) bool array: eigenform, the theta
-    identity and the genus permutation (never at an inert p).
+def sweep_failures(stack: Stack, primes: PrimeStack, theta: np.ndarray, totals: np.ndarray, sums: np.ndarray,
+                   n_max: int, bound: int) -> np.ndarray:
+    """Which identity fails at which prime p <= bound, for every group of the
+    stack at once, as a 3 x (number of groups) x (number of primes) bool array:
+    eigenform, the theta identity and the genus permutation (never at an inert
+    p).
 
-    theta stacks the theta matrices of the groups (h rows each, in order), totals
-    their column sums (one row each) and sums their genus sums S (one row per
-    genus); layers are their prime layers.  Each identity is compared at all
-    primes at once on the column plan of (n_max, bound), with the primes in
-    blocks (see SWEEP_BLOCK; the rows of a block are all the stacked classes).
-    The left sides are T_p at every column, with chi(p) taken per row; the right
-    sides, row gathers per prime that a row's mask or factor zeroes where its
-    delta is inert at p, are subtracted from them.  np.logical_or.reduceat over
-    each delta's rows and over each prime's columns gives the statuses."""
+    theta stacks the theta matrices of the groups (one row per stacked class),
+    totals their column sums (one row per group) and sums their genus sums S
+    (one row per stacked genus); primes are their stacked prime layers, read
+    as they are.  Each identity is compared at all primes at once on the column
+    plan of (n_max, bound), with the primes in blocks (see SWEEP_BLOCK; the rows
+    of a block are all the stacked classes).  The left sides are T_p at every
+    column, with chi(p) taken per row; the right sides, row gathers per prime
+    that a row's mask or factor zeroes where its delta is inert at p, are
+    subtracted from them.  np.logical_or.reduceat over each delta's rows and
+    over each prime's columns gives the statuses."""
     plan = _column_plan(n_max, bound)
-    chi = np.array([[layer.chi[p] for p in plan.primes] for layer in layers], dtype=np.int64)
-    chi = chi.reshape(len(groups), len(plan.primes))
-    h = [group.h for group in groups]
-    class_starts = list(accumulate(h, initial=0))
-    genus_starts = list(accumulate((len(group.genus_ids) for group in groups), initial=0))
-    leaders = np.array([start + g for start, group in zip(class_starts, groups) for g in group.genus_ids])
-    # the stack rows of h p (images[0]) and h p' (images[1]) of every class h at
-    # every prime p, and the group's first class where p is inert or not split
-    none = np.zeros(max(h), dtype=np.int32)
-    images = [[np.array([getattr(layer, maps).get(p, none[:rows]) for p in plan.primes], dtype=np.int32)
-               .reshape(len(plan.primes), rows) for layer, rows in zip(layers, h)]
-              for maps in ("perms", "conjugates")]
-    genus_rows = [layer.genus_row for layer in layers]
-    if len(groups) > 1:
-        # chi(p) per row, and each group's offsets among the stacked rows
-        row_owner = np.repeat(np.arange(len(groups)), h)
-        genus_owner = np.repeat(np.arange(len(groups)), np.diff(genus_starts))
-        class_chi, genus_chi = chi[row_owner], chi[genus_owner]
-        offsets = np.repeat(class_starts[:-1], h)
-        images = [np.concatenate(image, axis=1) + offsets for image in images]
-        class_genus = np.concatenate(genus_rows) + np.repeat(genus_starts[:-1], h)
-    else:
-        class_chi = genus_chi = chi
-        images, class_genus = [image[0] for image in images], genus_rows[0]
+    chi, images = primes.chi, primes.images
+    genus_owner = stack.owner[stack.leaders]
+    class_chi, genus_chi = chi[stack.owner], chi[genus_owner]
     # the rows of the genera of g p; which rows count, where some group's p is
     # inert or not split; and the factor of the genus sums, 2 at a split p,
     # 1 at a ramified one, 0 at an inert one
-    targets = class_genus[images[0][:, leaders]]
+    targets = stack.genus[images[0][:, stack.leaders]]
     kinds = [None if (chi != -1).all() else class_chi != -1, None if (chi == 1).all() else class_chi == 1]
     genus_factor = 1 + genus_chi
-    failed = np.zeros((3, len(groups), len(plan.primes)), dtype=bool)
+    failed = np.zeros((3, len(stack.deltas), len(plan.primes)), dtype=bool)
     for i0, i1 in _sweep_blocks(plan.widths, len(theta), n_max):
         c0, c1 = plan.starts[i0], plan.starts[i1 - 1] + plan.widths[i1 - 1]
         d = slice(plan.divisible_starts[i0], plan.divisible_starts[i1])
@@ -435,12 +430,19 @@ def sweep_failures(groups: list[ClassGroup], layers: list[_PrimeLayer], theta: n
         sums_diff -= genus_factor[:, column] * sums[targets[column].T, n]
         segments = [start - c0 for start in plan.starts[i0:i1]]
         for row, unequal in enumerate((total_diff != 0,
-                                       np.logical_or.reduceat(theta_diff != 0, class_starts[:-1], axis=0),
-                                       np.logical_or.reduceat(sums_diff != 0, genus_starts[:-1], axis=0))):
+                                       np.logical_or.reduceat(theta_diff != 0, stack.starts, axis=0),
+                                       np.logical_or.reduceat(sums_diff != 0, stack.genus_starts, axis=0))):
             failed[row, :, i0:i1] = np.logical_or.reduceat(unequal, segments, axis=1)
     # no genus translate at an inert p: its genus_permutation record is the skip
     failed[2] &= chi != -1
     return failed
+
+
+def sweep_passing(chi: list[int], n_max: int, bound: int) -> list[CheckRecord]:
+    """The records of every identity at every prime p <= bound, p increasing, when
+    none fails, for chi(p) = chi[i] at the i-th prime: the column plan's."""
+    plan = _column_plan(n_max, bound)
+    return [record for i, value in enumerate(chi) for record in plan.passing[i][value]]
 
 
 def sweep_records(layers: Layers, bound: int) -> list[CheckRecord]:
@@ -452,7 +454,7 @@ def sweep_records(layers: Layers, bound: int) -> list[CheckRecord]:
     group, theta, layer = layers.group, layers.theta, layers.primes
     plan = _column_plan(theta.shape[1] - 1, bound)
     values = [layer.chi[p] for p in plan.primes]
-    records = [record for i, value in enumerate(values) for record in plan.passing[i][value]]
+    records = sweep_passing(values, theta.shape[1] - 1, bound)
     theta_checks = {1: check_split_theta, 0: check_ramified_theta, -1: check_inert_theta}
     for i, row in zip(*np.nonzero(layers.failed.T)):
         if row == 0:

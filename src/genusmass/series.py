@@ -17,9 +17,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .arith import prime_discriminant_tables
-from .class_group import ClassGroup, Stack, build_class_group, genus_rows, stack_of
+from .class_group import ClassGroup, Stack, build_class_group, stack_of
 from .forms import INT64_BOUND, UNIT_COUNTS, representation_counts
-from .genus import build_genus_characters, character_pairs
+from .genus import build_genus_characters, character_pairs, stacked_pairs
 from .qseries import QSeries, dirichlet_convolution
 
 __all__ = [
@@ -61,48 +61,34 @@ class SeriesStack(NamedTuple):
     """The series layers of a stack of groups at precision n_max, as int64 arrays:
     theta, the theta matrices stacked (one row per class); totals, their column
     sums (one row per group); and sums, the genus sums S stacked (one row per
-    genus, each group's in genus_ids order), with where each group's genera
-    start."""
+    genus, in the order of the stack's genera)."""
 
     theta: np.ndarray
     totals: np.ndarray
     sums: np.ndarray
-    genus_starts: np.ndarray
 
 
 def series_stack(stack: Stack, n_max: int) -> SeriesStack:
     """The theta matrices of every group of the stack from one representation_counts
     call over all of their classes, and their column sums and genus sums."""
     theta = representation_counts(stack.classes, n_max)
-    sums, genus_starts = _stacked_genus_sums(stack, theta)
-    return SeriesStack(theta, np.add.reduceat(theta, stack.starts, axis=0), sums, genus_starts)
+    return SeriesStack(theta, np.add.reduceat(theta, stack.starts, axis=0), _stacked_genus_sums(stack, theta))
 
 
-def _stacked_genus_sums(stack: Stack, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _stacked_genus_sums(stack: Stack, theta: np.ndarray) -> np.ndarray:
     """The genus sums S of every group of the stack from its stacked theta rows, by
-    one np.add.reduceat over the classes ordered by genus, and where each group's
-    genera start among them."""
-    genus = genus_rows(stack)
-    order = np.argsort(genus, kind="stable")
-    starts = np.searchsorted(genus[order], np.arange(genus.max() + 1))
-    return np.add.reduceat(theta[order], starts, axis=0), genus[stack.starts]
+    one np.add.reduceat over the classes ordered by genus."""
+    order = np.argsort(stack.genus, kind="stable")
+    sizes = np.bincount(stack.genus, minlength=len(stack.leaders))
+    return np.add.reduceat(theta[order], sizes.cumsum() - sizes, axis=0)
 
 
-def _read_only(array: np.ndarray, group: ClassGroup, n_max: int, copy: bool = False) -> np.ndarray:
-    """array in the coefficient dtype of the group, read-only; a copy when copy is
-    set or the dtype changes."""
-    array = array.astype(_coeff_dtype(group.delta, group.h, n_max), copy=copy)
+def own_rows(array: np.ndarray, delta: int, h: int, n_max: int) -> np.ndarray:
+    """A read-only copy of array in the coefficient dtype of delta, of class
+    number h, up to n_max."""
+    array = array.astype(_coeff_dtype(delta, h, n_max), copy=True)
     array.setflags(write=False)
     return array
-
-
-def theta_slices(stack: Stack, layers: SeriesStack, n_max: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(theta_matrix, _genus_sums) of each group of the stack, copied out of layers."""
-    ends = np.append(layers.genus_starts[1:], len(layers.sums))
-    return [(_read_only(layers.theta[start : start + group.h], group, n_max, copy=True),
-             _read_only(layers.sums[g0:g1], group, n_max, copy=True))
-            for group, start, g0, g1 in zip(stack.groups, stack.starts.tolist(), layers.genus_starts.tolist(),
-                                            ends.tolist())]
 
 
 def theta_matrix(delta: int, n_max: int) -> np.ndarray:
@@ -111,7 +97,9 @@ def theta_matrix(delta: int, n_max: int) -> np.ndarray:
     the matrices of a stack of groups from one representation_counts call on all
     of their classes; this is the matrix of one."""
     group = build_class_group(delta)
-    return _read_only(representation_counts(group.classes, n_max), group, n_max)
+    theta = representation_counts(group.classes, n_max).astype(_coeff_dtype(delta, group.h, n_max), copy=False)
+    theta.setflags(write=False)
+    return theta
 
 
 def theta_series(group: ClassGroup, h: int, n_max: int) -> QSeries:
@@ -124,7 +112,7 @@ def theta_series(group: ClassGroup, h: int, n_max: int) -> QSeries:
 def _genus_sums(group: ClassGroup, n_max: int) -> np.ndarray:
     """S: the matrix whose row k is the sum of the theta rows of the classes in the
     genus genus_ids[k] (see _stacked_genus_sums)."""
-    return _stacked_genus_sums(stack_of(group), theta_matrix(group.delta, n_max))[0]
+    return _stacked_genus_sums(stack_of(group), theta_matrix(group.delta, n_max))
 
 
 def genus_eisenstein(group: ClassGroup, n_max: int, genus_id=None) -> tuple[np.ndarray, Fraction]:
@@ -208,7 +196,7 @@ class EisensteinRows(NamedTuple):
     """The Eisenstein matrix of a group and the character pairs (d, D) of its rows,
     its unit (see eisenstein_matrix), the character row [(delta|m) for
     0 <= m <= n_max] of its delta as read-only int8 (None for rows of given
-    pairs) and L(0)."""
+    pairs) and L(0): one delta's rows, sliced out of an EisensteinStack."""
 
     rows: np.ndarray
     pairs: list[tuple[int, int]]
@@ -243,47 +231,85 @@ class CharacterReads:
         self.own.append([(p, self._row_of[p]) for p, _ in tables])
 
 
-def eisenstein_stack(deltas: list[int], class_numbers: list[int], n_max: int, pairs=None,
-                     reads: Optional[CharacterReads] = None) -> list[EisensteinRows]:
+class EisensteinStack(NamedTuple):
+    """The Eisenstein rows of a run of deltas, read-only and stacked in the widest
+    coefficient dtype of the deltas: rows, one per character pair, each delta's
+    pairs in order, where pairs[r] is the (d, D) of row r and pair_owner[r] its
+    delta; counts[k], the number of pairs of delta k, whose rows have the unit
+    1/units[k]; characters[k], the row [(delta_k|m) for 0 <= m <= n_max] as int8
+    (None for rows of given pairs); and l_zero[k], the numerator and
+    denominator of L(0) of delta k.  rows_of(k) slices out the rows of one."""
+
+    rows: np.ndarray
+    pairs: np.ndarray
+    pair_owner: np.ndarray
+    counts: np.ndarray
+    units: np.ndarray
+    characters: Optional[np.ndarray]
+    l_zero: np.ndarray
+
+    def rows_of(self, k: int, dtype) -> EisensteinRows:
+        """The EisensteinRows of delta k, its rows a copy in dtype."""
+        start = int(self.counts[:k].sum())
+        rows = self.rows[start : start + int(self.counts[k])].astype(dtype, copy=True)
+        rows.setflags(write=False)
+        pairs = list(map(tuple, self.pairs[start : start + len(rows)].tolist()))
+        character = None if self.characters is None else self.characters[k]
+        return EisensteinRows(rows, pairs, Fraction(1, int(self.units[k])), character,
+                              Fraction(*self.l_zero[k].tolist()))
+
+
+def eisenstein_stack(deltas: list[int], class_numbers, n_max: int, pairs=None,
+                     reads: Optional[CharacterReads] = None) -> EisensteinStack:
     """The Eisenstein rows of each delta, of class number class_numbers[k], for
-    its character pairs (or pairs[k]), in its coefficient dtype: each row of
-    (D|.) and (d|.) is the product of the windows of its prime discriminants,
-    from one gather and one product, and all rows come from one Dirichlet
-    convolution.  The windows and L(0) are those of reads, read from the tables
+    its character pairs (genus.stacked_pairs, or pairs[k]), all at once: each
+    row of (D|.) and (d|.) is the product of the windows of the prime
+    discriminants that divide D or d, all of them from one gather and one
+    product, and all rows come from one Dirichlet convolution.  Which prime
+    discriminants divide d is one comparison of the stacked pairs against the
+    stacked prime discriminants, or the subsets that stacked_pairs makes the
+    pairs from.  The windows and L(0) are those of reads, read from the tables
     of the deltas here when it is not given."""
     if reads is None:
         reads = CharacterReads(n_max)
         for delta in deltas:
             reads.add(delta)
-    factors, characters, own_pairs = [], [], []
-    for k, (delta, own) in enumerate(zip(deltas, reads.own)):
-        pairs_k = pairs[k] if pairs is not None else character_pairs(delta)
-        own_pairs.append(pairs_k)
-        factors += [[i for p, i in own if a % p == 0] for d, big_d in pairs_k for a in (big_d, d)]
-        if pairs is None:
-            characters.append([i for _, i in own])
-    # the row of (a|.) is the product of the windows of the prime discriminants of
-    # a, padded with the all-ones row 0: first the rows of (D|.) and (d|.) of
-    # every pair, then the character of each delta
-    rows_of = factors + characters
-    width = max(map(len, rows_of))
-    index = np.array([row + [0] * (width - len(row)) for row in rows_of])
-    values = np.array(reads.windows)[index].prod(axis=1, dtype=np.int64)
-    divisor_sums = dirichlet_convolution(values[0 : len(factors) : 2], values[1 : len(factors) : 2])
-    out, row = [], 0
-    for k, (delta, h, pairs_k, constant) in enumerate(zip(deltas, class_numbers, own_pairs, reads.l_zero)):
-        half, count = constant / 2, len(pairs_k)
-        rows = divisor_sums[row : row + count].astype(_coeff_dtype(delta, h, n_max)) * half.denominator
-        for j, (d, _) in enumerate(pairs_k):
-            if d == 1:
-                rows[j, 0] = half.numerator
-        rows.setflags(write=False)
-        character = None
-        if pairs is None:
-            character = values[len(factors) + k].astype(np.int8)
-            character.setflags(write=False)
-        out.append(EisensteinRows(rows, pairs_k, Fraction(1, half.denominator), character, constant))
-        row += count
+    # the prime discriminants of each delta and the rows of their windows, padded
+    # with 1 and with the all-ones row 0
+    width = max(map(len, reads.own))
+    padded = np.array([found + [(1, 0)] * (width - len(found)) for found in reads.own],
+                      dtype=np.int64).reshape(len(deltas), width, 2)
+    factors, windows = padded[:, :, 0], padded[:, :, 1]
+    if pairs is None:
+        owner, d, chosen = stacked_pairs(factors)
+    else:
+        owner = np.arange(len(deltas)).repeat([len(found) for found in pairs])
+        d = np.array([pair[0] for found in pairs for pair in found], dtype=np.int64)
+        chosen = d[:, None] % factors[owner] == 0
+    # the row of (a|.) is the product of the windows of the prime discriminants
+    # of a: those of D are the ones that do not divide d; then the character
+    # of each delta, the product of all of its windows
+    own = windows[owner]
+    index = [np.where(chosen, 0, own), np.where(chosen, own, 0)] + ([windows] if pairs is None else [])
+    values = np.array(reads.windows)[np.concatenate(index)].prod(axis=1, dtype=np.int64)
+    divisor_sums = dirichlet_convolution(values[: len(d)], values[len(d) : 2 * len(d)])
+    l_zero = np.array([(f.numerator, f.denominator) for f in reads.l_zero], dtype=np.int64).reshape(-1, 2)
+    # L(0)/2 in lowest terms: its denominator is the unit's
+    common = np.gcd(l_zero[:, 0], 2 * l_zero[:, 1])
+    units, halves = 2 * l_zero[:, 1] // common, l_zero[:, 0] // common
+    wide = {_coeff_dtype(delta, h, n_max) for delta, h in zip(deltas, class_numbers)}
+    rows = divisor_sums.astype(object if object in wide else np.int64) * units[owner, None]
+    # the constant term of every row is 0, but L(0)/2 in the row of d = 1
+    rows[:, 0] = np.where(d == 1, halves[owner], 0)
+    characters = values[2 * len(d) :].astype(np.int8) if pairs is None else None
+    pair_of = np.empty((len(d), 2), dtype=np.int64)
+    pair_of[:, 0] = d
+    pair_of[:, 1] = np.array(deltas, dtype=np.int64)[owner] // d
+    out = EisensteinStack(rows, pair_of, owner, np.bincount(owner, minlength=len(deltas)), units, characters,
+                          l_zero)
+    for array in out:
+        if array is not None:
+            array.setflags(write=False)
     return out
 
 
@@ -300,8 +326,8 @@ def eisenstein_matrix(delta: int, n_max: int, pairs=None) -> tuple[np.ndarray, F
     reads = CharacterReads(n_max)
     reads.add(delta)
     h = math.ceil(UNIT_COUNTS.get(delta, 2) * reads.l_zero[0] / 2)
-    found = eisenstein_stack([delta], [h], n_max, None if pairs is None else [pairs], reads)[0]
-    return found.rows, found.unit
+    found = eisenstein_stack([delta], [h], n_max, None if pairs is None else [pairs], reads)
+    return found.rows, Fraction(1, int(found.units[0]))
 
 
 def eisenstein_series(d: int, big_d: int, n_max: int) -> QSeries:

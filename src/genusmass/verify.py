@@ -1,8 +1,11 @@
 """Top-level identity suite: the class-group average, the class number formula at
 s = 0, the twisted and per-genus Eisenstein identities, and character counts,
-aggregated into per-discriminant reports.  A run compares these five for a
-whole batch of discriminants at once (identity_failures) and calls a verify_*
-function only on an identity that fails there, for its first mismatch."""
+aggregated into per-discriminant reports.  A run builds the layers of a batch
+of discriminants as stacked arrays (Batch), compares these five and the
+identities at the primes for the whole batch at once (identity_failures,
+hecke.sweep_failures), and makes a passing report from the batch's numbers; a
+discriminant's record is sliced out of its batch only when one of its checks
+fails there, and a verify_* function called on it for the first mismatch."""
 
 from __future__ import annotations
 
@@ -11,25 +14,37 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
-from itertools import accumulate, chain, groupby, islice
-from typing import Iterator, Optional, Sequence
+from itertools import accumulate, islice
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .arith import (
     distinct_prime_count,
     factorize,
-    is_fundamental,
+    fundamental_flags,
     prime_discriminant_factorization,
     prime_discriminant_tables,
 )
-from .class_group import ClassGroup, build_class_group, check_laws, class_group_stack, compose_stacked, law_rows
-from .forms import _ragged, stacked_reduced_forms
-from .genus import character_tables
-from .hecke import CheckRecord, Layers, prime_classes, prime_layers, primes_to, sweep_failures, sweep_records
+from .class_group import Stack, build_class_group, check_laws, class_group_stack, compose_stacked, law_rows
+from .forms import stacked_reduced_forms
+from .genus import CharacterTables, character_tables
+from .hecke import (
+    CheckRecord,
+    Layers,
+    PrimeStack,
+    prime_classes,
+    prime_layer,
+    prime_layers,
+    primes_to,
+    sweep_failures,
+    sweep_passing,
+    sweep_records,
+)
 from .qseries import dirichlet_convolution, first_mismatch
-from .series import CharacterReads, EisensteinRows, eisenstein_stack, series_stack, theta_slices
+from .series import CharacterReads, EisensteinStack, eisenstein_stack, own_rows, series_stack
 
 __all__ = [
     "VerificationReport",
@@ -166,18 +181,18 @@ def verify_character_counts(layers: Layers) -> CheckRecord:
 IDENTITIES = ("gauss_average", "character_counts", "twisted_eisenstein", "genus_mass", "dirichlet_class_number")
 
 
-def identity_failures(groups: list[ClassGroup], tables: list[np.ndarray], totals: np.ndarray, sums: np.ndarray,
-                      eisenstein: list[EisensteinRows]) -> tuple[np.ndarray, np.ndarray]:
+def identity_failures(stack: Stack, tables: CharacterTables, totals: np.ndarray, sums: np.ndarray,
+                      eisenstein: EisensteinStack) -> tuple[np.ndarray, np.ndarray]:
     """Which of the five per-delta identities (IDENTITIES) fails for each of the
-    groups of a batch, as a len(groups) x 5 bool array, all groups at once, and
-    the seconds that each identity's comparison took.
+    groups of a stack, as a (number of groups) x 5 bool array, all groups at
+    once, and the seconds that each identity's comparison took.
 
     tables are the groups' character tables X, totals their theta column sums
-    (one row each), sums their genus sums S stacked (one row per genus, each
-    group's in genus_ids order) and eisenstein their Eisenstein rows E, of unit
-    1/k.  Each comparison is that of its verify_* function, on integers: the
-    two sides are cross-multiplied by their units' denominators, where
-    first_mismatch multiplies by their quotients by a common unit.
+    (one row each), sums their genus sums S stacked (one row per genus) and
+    eisenstein their Eisenstein rows E, of unit 1/k.  Each comparison is that
+    of its verify_* function, on integers: the two sides are cross-multiplied
+    by their units' denominators, where first_mismatch multiplies by their
+    quotients by a common unit.
     - gauss_average: totals against w (chi * 1) at n >= 1, one Dirichlet
       convolution over the stacked character rows;
     - character_counts: the numbers of pairs and of genera against 2^(t-1), and
@@ -187,10 +202,10 @@ def identity_failures(groups: list[ClassGroup], tables: list[np.ndarray], totals
       against |H^2|, so that both sides' are 1;
     - dirichlet_class_number: w L(0) against 2 h.
     X S, X^T E and X X^T are one batched matmul per block of groups whose X has
-    one shape, so that no block is padded.  Everything is compared in the
-    widest coefficient dtype of the groups, which the concatenated Eisenstein
-    rows have: object when one group needs it (series._coeff_dtype, whose
-    bound covers each product here)."""
+    one shape, on the rows of S and E of its groups, so that no block is
+    padded.  Everything is compared in the dtype of the stacked Eisenstein
+    rows, the widest coefficient dtype of the groups: object when one group
+    needs it (series._coeff_dtype, whose bound covers each product here)."""
     clock = time.perf_counter
     seconds = np.zeros(len(IDENTITIES))
     last = clock()
@@ -201,78 +216,118 @@ def identity_failures(groups: list[ClassGroup], tables: list[np.ndarray], totals
         seconds[i] += now - last
         last = now
 
-    rows = np.concatenate([found.rows for found in eisenstein])
+    rows = eisenstein.rows
     dtype = rows.dtype
-    w, h, k, squares, pairs, genera, t, l_num, l_den = np.array(
-        [(group.w, group.h, found.unit.denominator, len(group.squares), len(found.pairs), len(group.genus_ids),
-          len(factorize(-group.delta)), found.l_zero.numerator, found.l_zero.denominator)
-         for group, found in zip(groups, eisenstein)], dtype=np.int64).T
-    failed = np.zeros((len(groups), len(IDENTITIES)), dtype=bool)
-    chi = np.array([found.character for found in eisenstein], dtype=dtype)
+    w, h, k, squares, pairs, genera = stack.w, stack.h, eisenstein.units, stack.squares, eisenstein.counts, \
+        stack.genus_counts
+    failed = np.zeros((len(stack.deltas), len(IDENTITIES)), dtype=bool)
+    chi = eisenstein.characters.astype(dtype)
     failed[:, 0] = (totals[:, 1:] != w[:, None] * dirichlet_convolution(chi, np.ones_like(chi))[:, 1:]).any(axis=1)
     lap(0)
-    failed[:, 4] = w * l_num != 2 * h * l_den
+    failed[:, 4] = w * eisenstein.l_zero[:, 0] != 2 * h * eisenstein.l_zero[:, 1]
     lap(4)
-    expected = 1 << (t - 1)
+    expected = 1 << (stack.t - 1)
     failed[:, 1] = (pairs != expected) | (genera != expected)
     lap(1)
     # each side of twisted_eisenstein and genus_mass times its factor, per row:
     # X (k S) against w E, and h k S against X^T (w |H^2| E)
     sums = sums.astype(dtype, copy=False)
-    scaled_sums = sums * np.array((k, h * k))[:, np.arange(len(groups)).repeat(genera), None]
-    scaled_rows = rows * np.array((w, w * squares))[:, np.arange(len(groups)).repeat(pairs), None]
+    scaled_sums = sums * np.array((k, h * k))[:, stack.owner[stack.leaders], None]
+    scaled_rows = rows * np.array((w, w * squares))[:, eisenstein.pair_owner, None]
+    pair_starts = pairs.cumsum() - pairs
     lap(2)
-    # the groups in runs of one shape of X, with their rows of E and S in that
-    # order; their failures of character_counts, twisted_eisenstein and
-    # genus_mass in that order too
-    shapes = [table.shape for table in tables]
-    order = sorted(range(len(tables)), key=shapes.__getitem__)
-    at = slice(None)
-    if order != list(range(len(order))):
-        at = order
-        sums = sums[_ragged((np.cumsum(genera) - genera)[at], genera[at])[1]]
-        scaled_sums = scaled_sums[:, _ragged((np.cumsum(genera) - genera)[at], genera[at])[1]]
-        scaled_rows = scaled_rows[:, _ragged((np.cumsum(pairs) - pairs)[at], pairs[at])[1]]
-    squares = squares[at, None]
-    blocks = np.empty((len(order), 3), dtype=bool)
-    a = e0 = s0 = 0
-    for (count, size), run in groupby(order, key=shapes.__getitem__):
-        x = np.array([tables[j] for j in run])
-        b, e1, s1 = a + len(x), e0 + count * len(x), s0 + size * len(x)
+    for members, x in tables.blocks:
+        count, size = x.shape[1:]
         xt = x.transpose(0, 2, 1)
-        blocks[a:b, 0] = (x @ xt != count * np.eye(count, dtype=np.int64)).any(axis=(1, 2))
+        failed[members, 1] |= (x @ xt != count * np.eye(count, dtype=np.int64)).any(axis=(1, 2))
         lap(1)
-        s = scaled_sums[:, s0:s1].reshape(2, len(x), size, -1)
-        e = scaled_rows[:, e0:e1].reshape(2, len(x), count, -1)
-        blocks[a:b, 1] = (x @ s[0] != e[0]).any(axis=(1, 2))
+        # the rows of S and E of the block's groups: all of them, in order, when
+        # the block holds every group
+        genus_rows = stack.genus_starts[members][:, None] + np.arange(size)
+        if len(members) == len(stack.deltas):
+            s = scaled_sums.reshape(2, len(members), size, -1)
+            e = scaled_rows.reshape(2, len(members), count, -1)
+        else:
+            s = scaled_sums[:, genus_rows]
+            e = scaled_rows[:, pair_starts[members][:, None] + np.arange(count)]
+        failed[members, 2] |= (x @ s[0] != e[0]).any(axis=(1, 2))
         lap(2)
         # a constant term of S that is not |H^2| fails genus_mass; where the two
         # sides then agree, so does the constant term of the right side
-        blocks[a:b, 2] = ((s[1] != xt @ e[1]).any(axis=(1, 2))
-                          | (sums[s0:s1, 0].reshape(len(x), size) != squares[a:b]).any(axis=1))
+        failed[members, 3] |= ((s[1] != xt @ e[1]).any(axis=(1, 2))
+                               | (sums[genus_rows, 0] != squares[members, None]).any(axis=1))
         lap(3)
-        a, e0, s0 = b, e1, s1
-    failed[at, 1:4] |= blocks
     return failed, seconds
 
 
-# The caches keyed by delta.  _chunk_reports empties them when its run ends, so
-# that a range run holds at most one chunk's entries and none once it is over;
-# CLI series and classgroup requests, which do not run the suite, still reuse a
-# class group.  They are held here, not looked up by module name, since a
-# wrapper bound over a module's name (a tracer's, say) has no cache_clear.
-_PER_DELTA_CACHES = (build_class_group, factorize, prime_discriminant_factorization, prime_discriminant_tables)
+@lru_cache(maxsize=None)
+def _passing_identities(n: int, h: int, genera: int, squares: int, pairs: int) -> tuple[CheckRecord, ...]:
+    """The records of the five identities (IDENTITIES) of a delta where none
+    fails, at precision n, from its h, genus count, |H^2| and pair count: one
+    set of records for every delta that has these numbers."""
+    return (
+        CheckRecord("gauss_average", "pass", f"n=1..{n} exact"),
+        CheckRecord("character_counts", "pass", f"|G*| = |G| = {pairs}, genera of size {squares}"),
+        CheckRecord("twisted_eisenstein", "pass", f"{pairs} pairs, n=0..{n} exact"),
+        CheckRecord("genus_mass", "pass", f"{genera} genera, n=0..{n} exact"),
+        CheckRecord("dirichlet_class_number", "pass", f"(w/2)L(0)={h} h={h} exact"),
+    )
+
+
+# The caches keyed by delta, and the passing records.  _chunk_reports empties
+# them when its run ends, so that a range run holds at most one chunk's entries
+# and none once it is over; CLI series and classgroup requests, which do not
+# run the suite, still reuse a class group.  They are held here, not looked up
+# by module name, since a wrapper bound over a module's name (a tracer's, say)
+# has no cache_clear.
+_RUN_CACHES = (build_class_group, factorize, prime_discriminant_factorization, prime_discriminant_tables,
+               _passing_identities)
+
+
+class Batch(NamedTuple):
+    """The layers of a batch of discriminants, all stacked, as _batch_layers builds
+    them, and all that their reports read:
+    - stack, the class groups (class_group.Stack);
+    - theta, totals and sums, the theta row of every class, their sums per
+      group and the genus sums S, as int64 (series.series_stack);
+    - eisenstein, the Eisenstein rows, with their character pairs, character
+      rows and L(0) (series.EisensteinStack);
+    - characters, the character tables X (genus.CharacterTables);
+    - primes, the prime layers (hecke.PrimeStack);
+    - failed, the prime sweep's failures (hecke.sweep_failures);
+    - identities_failed, a row of five flags per delta (identity_failures);
+    - shares, each delta's shares of the batch's build and comparison time in
+      seconds, a list per delta: one for each of the five identities, then one for the prime
+      layer and sweep, which the first record at a prime carries, each holding
+      the layers that its check reads first; then the report's, which holds
+      these and the class group build, which no check reads;
+    - summary, per delta, what its report reads when none of its checks fails:
+      h, t, the genus count, |H^2|, the pair count, chi(p) at each prime, and
+      whether any of its checks fails.
+    batch_record slices one delta's record (hecke.Layers) out of it."""
+
+    stack: Stack
+    theta: np.ndarray
+    totals: np.ndarray
+    sums: np.ndarray
+    eisenstein: EisensteinStack
+    characters: CharacterTables
+    primes: PrimeStack
+    failed: np.ndarray
+    identities_failed: np.ndarray
+    shares: list[list[float]]
+    summary: list[tuple]
 
 
 def _batch_layers(deltas: list[int], classes: np.ndarray, counts: np.ndarray, n_max: int,
-                  primes_bound: int, build_s: float = 0.0) -> list[Layers]:
+                  primes_bound: int, build_s: float = 0.0) -> Batch:
     """The layers of the fundamental discriminants deltas, from their stacked
-    reduced forms, each built for all of them at once: the class groups, with
-    their genus characters; the compositions of the group laws and of the prime
-    layers, in one compose_stacked call; the theta matrices, their totals and
-    genus sums; the Eisenstein rows, with their character pairs; the character
-    tables X; the prime layers; one prime sweep; and the comparison of the five
-    per-delta identities (identity_failures).
+    reduced forms, each built for all of them at once and kept stacked: the
+    class groups, with their genus characters; the compositions of the group
+    laws and of the prime layers, in one compose_stacked call; the theta
+    matrices, their totals and genus sums; the Eisenstein rows, with their
+    character pairs; the character tables X; the prime layers; one prime sweep;
+    and the comparison of the five per-delta identities (identity_failures).
     Each delta's prime-discriminant tables are read once, for the genus
     characters of its classes and, right after, for its L(0) and its windows
     of the Eisenstein rows (series.CharacterReads).
@@ -296,64 +351,86 @@ def _batch_layers(deltas: list[int], classes: np.ndarray, counts: np.ndarray, n_
 
     stack = class_group_stack(deltas, classes, counts, read_tables)
     law = law_rows(stack)
-    primes = prime_classes(stack, primes_bound)
+    found = prime_classes(stack, primes_bound)
     start = clock()
-    products = compose_stacked(stack, np.concatenate((law[0], primes.left)), np.concatenate((law[1], primes.right)))
+    products = compose_stacked(stack, np.concatenate((law[0], found.left)), np.concatenate((law[1], found.right)))
     compose_s = clock() - start
     check_laws(stack, products[: len(law[0])])
     start = clock()
-    layers = prime_layers(stack, primes, products[len(law[0]) :])
+    primes = prime_layers(stack, found, products[len(law[0]) :])
     primes_s, start = clock() - start, clock()
     series = series_stack(stack, n_max)
-    slices = theta_slices(stack, series, n_max)
     theta_s, start = clock() - start, clock()
-    eisenstein = eisenstein_stack(deltas, counts.tolist(), n_max, reads=reads)
+    eisenstein = eisenstein_stack(deltas, stack.h.tolist(), n_max, reads=reads)
     eisenstein_s, start = reads_s + clock() - start, clock()
-    tables = character_tables(stack, [rows.pairs for rows in eisenstein])
+    tables = character_tables(stack, eisenstein.pairs[:, 0], eisenstein.counts)
     tables_s, start = clock() - start, clock()
-    failed = sweep_failures(stack.groups, layers, series.theta, series.totals, series.sums, n_max, primes_bound)
+    failed = sweep_failures(stack, primes, series.theta, series.totals, series.sums, n_max, primes_bound)
     built = clock()
     primes_s += built - start
-    identities, compare_s = identity_failures(stack.groups, tables, series.totals, series.sums, eisenstein)
+    identities, compare_s = identity_failures(stack, tables, series.totals, series.sums, eisenstein)
     law_share = len(law[0]) / max(1, len(products))
     primes_s += (1 - law_share) * compose_s
     # the class group build takes the rest, up to the comparisons
     build_s += built - begin - theta_s - eisenstein_s - tables_s - primes_s
-    # each delta's shares (Layers.shares), by its share of the rows of each layer
-    # and comparison: its classes, its character pairs, its genera, or itself
+    # each delta's shares, by its share of the rows of each layer and
+    # comparison: its classes, its character pairs, its genera, or itself
     seconds = np.array([[theta_s, 0, 0, compare_s[0]], [0, tables_s + compare_s[1], 0, 0],
                         [0, eisenstein_s + compare_s[2], 0, 0], [0, 0, compare_s[3], 0], [0, 0, 0, compare_s[4]],
                         [primes_s, 0, 0, 0], [build_s, 0, 0, 0]])
     seconds[-1] += seconds[:-1].sum(axis=0)
-    weights = np.array([counts.tolist(), [len(rows.pairs) for rows in eisenstein],
-                        [len(group.genus_ids) for group in stack.groups], [1] * len(deltas)], dtype=float)
+    weights = np.array([stack.h, eisenstein.counts, stack.genus_counts, np.ones(len(deltas))], dtype=float)
     shares = (seconds @ (weights / weights.sum(axis=1, keepdims=True))).T.tolist()
-    identities = identities.tolist()
-    return [Layers(group, table, theta, sums, rows, layer, failed[:, k], identities[k], shares[k])
-            for k, (group, table, (theta, sums), rows, layer)
-            in enumerate(zip(stack.groups, tables, slices, eisenstein, layers))]
+    return summarized(Batch(stack, series.theta, series.totals, series.sums, eisenstein, tables, primes, failed,
+                            identities, shares, []))
 
 
-def _report_checks(layers: Layers, primes_bound: int) -> tuple[list[CheckRecord], list[float]]:
-    """The records of one report on its delta's layers, and the seconds that the
-    first six took: the five identities (IDENTITIES), then the records at the
-    primes from the batch's prime sweep (sweep_records), whose time the first
-    of them carries.  The batch compared the identities (identity_failures), so
-    a passing record is made from numbers the record holds; a failing one comes
-    from its verify_* function, for its detail and first mismatch, looked up
-    through the module names that a tracer can rebind.  A verify_* that then
-    passes is a RuntimeError."""
+def summarized(batch: Batch) -> Batch:
+    """The batch with its summary made from its arrays (see Batch)."""
+    stack = batch.stack
+    flagged = batch.identities_failed.any(axis=1) | batch.failed.any(axis=(0, 2))
+    columns = (stack.h, stack.t, stack.genus_counts, stack.squares, batch.eisenstein.counts, batch.primes.chi,
+               flagged)
+    return batch._replace(summary=list(zip(*(column.tolist() for column in columns))))
+
+
+def batch_record(batch: Batch, k: int) -> Layers:
+    """The record of the k-th delta of the batch, sliced out of its stacked
+    layers, its theta rows, genus sums and Eisenstein rows copied in the
+    group's coefficient dtype."""
+    stack = batch.stack
+    group = stack.group(k)
+    n_max = batch.theta.shape[1] - 1
+    start, g0 = int(stack.starts[k]), int(stack.genus_starts[k])
+    theta = own_rows(batch.theta[start : start + group.h], group.delta, group.h, n_max)
+    sums = own_rows(batch.sums[g0 : g0 + len(group.genus_ids)], group.delta, group.h, n_max)
+    return Layers(group, batch.characters.table(k), theta, sums, batch.eisenstein.rows_of(k, theta.dtype),
+                  prime_layer(stack, batch.primes, k), batch.failed[:, k], batch.identities_failed[k].tolist(),
+                  batch.shares[k])
+
+
+def _report_checks(batch: Batch, k: int, primes_bound: int) -> tuple[list[CheckRecord], list[float]]:
+    """The records of the report of the k-th delta of the batch, and the seconds
+    that the first six took: the five identities (IDENTITIES), then the records
+    at the primes from the batch's prime sweep, whose time the first of them
+    carries.  The batch compared them all (identity_failures, sweep_failures),
+    so where none fails the records are made from the numbers of the batch's
+    summary.  Where one fails, the delta's record is sliced out of the batch
+    (batch_record), and a failing identity's record comes from its verify_*
+    function, for its detail and first mismatch, looked up through the module
+    names that a tracer can rebind, the records at the primes from
+    hecke.sweep_records.  A verify_* that then passes is a RuntimeError."""
     clock = time.perf_counter
-    group, n = layers.group, layers.theta.shape[1] - 1
-    pairs = len(layers.eisenstein.pairs)
-    records = [
-        CheckRecord("gauss_average", "pass", f"n=1..{n} exact"),
-        CheckRecord("character_counts", "pass", f"|G*| = |G| = {pairs}, genera of size {len(group.squares)}"),
-        CheckRecord("twisted_eisenstein", "pass", f"{pairs} pairs, n=0..{n} exact"),
-        CheckRecord("genus_mass", "pass", f"{len(group.genus_ids)} genera, n=0..{n} exact"),
-        CheckRecord("dirichlet_class_number", "pass", f"(w/2)L(0)={group.h} h={group.h} exact"),
-    ]
+    h, _, genera, squares, pairs, chi, flagged = batch.summary[k]
+    n = batch.theta.shape[1] - 1
+    records = list(_passing_identities(n, h, genera, squares, pairs))
     seconds = [0.0] * (len(records) + 1)
+    if not flagged:
+        start = clock()
+        records += sweep_passing(chi, n, primes_bound)
+        seconds[-1] = clock() - start
+        return records, seconds
+    layers = batch_record(batch, k)
     for i in (i for i, failed in enumerate(layers.identities_failed) if failed):
         check = (verify_gauss, verify_character_counts, verify_twisted_eisenstein, verify_genus_mass,
                  verify_dirichlet)[i]
@@ -361,7 +438,8 @@ def _report_checks(layers: Layers, primes_bound: int) -> tuple[list[CheckRecord]
         record = check(layers)
         seconds[i] = clock() - start
         if record.passed:
-            raise RuntimeError(f"the batch fails {IDENTITIES[i]} at {group.delta}, {check.__name__} passes it")
+            raise RuntimeError(f"the batch fails {IDENTITIES[i]} at {layers.group.delta}, "
+                               f"{check.__name__} passes it")
         records[i] = record
     start = clock()
     records += sweep_records(layers, primes_bound)
@@ -369,15 +447,15 @@ def _report_checks(layers: Layers, primes_bound: int) -> tuple[list[CheckRecord]
     return records, seconds
 
 
-def _suite_job(job: tuple[int, int, int, Optional[Layers]]) -> VerificationReport:
-    """The report of one job (delta, n_max, primes_bound, layers): its delta's
-    checks on layers, the record its batch built, which is None when delta is
-    not a negative fundamental discriminant.  Each check's time, and the
-    report's, carry the delta's shares of the batch's time (see _batch_layers
-    and Layers.shares), all stamped as one array with one rounding pass."""
-    delta, n_max, primes_bound, layers = job
+def _suite_job(job: tuple[int, int, int, Optional[Batch], int]) -> VerificationReport:
+    """The report of one job (delta, n_max, primes_bound, batch, k): its delta's
+    checks on the k-th delta of batch, the layers its chunk built, which is
+    None when delta is not a negative fundamental discriminant.  Each check's
+    time, and the report's, carry the delta's shares of the batch's time (see
+    _batch_layers and Batch.shares), each rounded to 0.001 ms."""
+    delta, n_max, primes_bound, batch, k = job
     start = time.perf_counter()
-    if layers is None:
+    if batch is None:
         return VerificationReport(
             delta=delta,
             precision=n_max,
@@ -388,18 +466,19 @@ def _suite_job(job: tuple[int, int, int, Optional[Layers]]) -> VerificationRepor
             elapsed_ms=_ms_since(start),
             skip_reason="non-fundamental",
         )
-    checks, seconds = _report_checks(layers, primes_bound)
+    checks, seconds = _report_checks(batch, k, primes_bound)
     seconds.append(time.perf_counter() - start)
-    *check_ms, elapsed_ms = ((np.add(seconds, layers.shares)) * 1000).round(3).tolist()
+    *check_ms, elapsed_ms = (round((s + share) * 1000, 3) for s, share in zip(seconds, batch.shares[k]))
     # the records past the first six took no time of their own; with no primes
     # there are five, and the sweep's time and share stay in the report's alone
     check_ms = check_ms[: len(checks)] + [0.0] * (len(checks) - len(check_ms))
+    h, t, genera = batch.summary[k][:3]
     return VerificationReport(
         delta=delta,
         precision=n_max,
-        class_number=layers.group.h,
-        t=distinct_prime_count(delta),
-        genus_count=len(layers.group.genus_ids),
+        class_number=h,
+        t=t,
+        genus_count=genera,
         checks=tuple(checks),
         check_ms=tuple(check_ms),
         elapsed_ms=elapsed_ms,
@@ -455,14 +534,15 @@ def _chunk_reports(jobs: list[tuple[int, int, int]]) -> Iterator[VerificationRep
     made when it is asked for.  The reduced forms of the chunk's fundamental
     discriminants come from one enumeration; the discriminants then go in
     batches of consecutive ones of at most BATCH_ENTRIES entries (one beyond it
-    alone), and each batch's records are built when its first one is asked for.
-    Each job takes the next record, in input order, so that a repeated delta
-    has its own, and a job whose delta is not fundamental takes None.  The
+    alone), and each batch's layers are built when its first report is asked
+    for.  Each job takes the next delta of a batch, in input order, so that a
+    repeated delta has its own, and a job whose delta is not fundamental takes
+    no batch.  The
     caches keyed by delta are emptied once the iterator is exhausted, closed or
     garbage-collected, or passes on an exception."""
     start = time.perf_counter()
     _, n_max, primes_bound = jobs[0]
-    fundamental = [delta < 0 and is_fundamental(delta) for delta, _, _ in jobs]
+    fundamental = fundamental_flags([delta for delta, _, _ in jobs]).tolist()
     deltas = [job[0] for job, flag in zip(jobs, fundamental) if flag]
     forms, counts = stacked_reduced_forms(deltas) if deltas else (None, [])
     counts = list(counts)
@@ -477,16 +557,16 @@ def _chunk_reports(jobs: list[tuple[int, int, int]]) -> Iterator[VerificationRep
             entries = 0
         entries += count * width
     cuts.append(len(counts))
-    layers = chain.from_iterable(
-        _batch_layers(deltas[a:b], forms[starts[a] : starts[b]], np.array(counts[a:b]), n_max, primes_bound,
-                      chunk_s * (starts[b] - starts[a]))
-        for a, b in zip(cuts, cuts[1:]))
+    batches = (_batch_layers(deltas[a:b], forms[starts[a] : starts[b]], np.array(counts[a:b]), n_max,
+                             primes_bound, chunk_s * (starts[b] - starts[a]))
+               for a, b in zip(cuts, cuts[1:]))
+    entries = ((batch, k) for batch in batches for k in range(len(batch.stack.deltas)))
     try:
         for job, flag in zip(jobs, fundamental):
             # _suite_job is looked up here, in the worker, because a tracer rebinds it
-            yield _suite_job((*job, next(layers) if flag else None))
+            yield _suite_job((*job, *(next(entries) if flag else (None, 0))))
     finally:
-        for cache in _PER_DELTA_CACHES:
+        for cache in _RUN_CACHES:
             cache.cache_clear()
 
 

@@ -58,7 +58,7 @@ from genusmass.hecke import (
 )
 from genusmass.qseries import QSeries
 from genusmass.series import _periodic, eisenstein_series, theta_matrix
-from genusmass.verify import _batch_layers
+from genusmass.verify import _batch_layers, batch_record
 
 
 @dataclass(frozen=True, order=True)
@@ -819,8 +819,8 @@ def genus_mass_detail_oracle(group: ClassGroup, n_max: int, table: np.ndarray) -
 
 
 def build_layers(delta: int, n_max: int, primes_bound: int) -> Layers:
-    """The layers of one fundamental discriminant, built as a batch of one."""
-    return _batch_layers([delta], *stacked_reduced_forms([delta]), n_max, primes_bound)[0]
+    """The record of one fundamental discriminant, sliced out of a batch of one."""
+    return batch_record(_batch_layers([delta], *stacked_reduced_forms([delta]), n_max, primes_bound), 0)
 
 
 def prime_checks(layers: Layers, p: int) -> Iterator[CheckRecord]:

@@ -18,10 +18,12 @@ import pytest
 
 import genusmass
 import genusmass.arith as arith
+import genusmass.class_group as class_group
 import genusmass.genus as genus
+import genusmass.hecke as hecke
 import genusmass.series as series
 import genusmass.verify as verify
-from genusmass.class_group import build_class_group, compose_rows
+from genusmass.class_group import ClassGroup, build_class_group, compose_rows
 from genusmass.cli import main
 from genusmass.forms import stacked_reduced_forms
 from genusmass.hecke import sweep_failures
@@ -162,9 +164,10 @@ def test_a_batch_reads_each_delta_s_tables_once():
     per delta of a batch: for its genus characters, then its L(0) and windows."""
     deltas = fundamental_deltas(-300)
     arith.prime_discriminant_tables.cache_clear()
-    layers = verify._batch_layers(deltas, *stacked_reduced_forms(deltas), 30, 10)
+    batch = verify._batch_layers(deltas, *stacked_reduced_forms(deltas), 30, 10)
     assert arith.prime_discriminant_tables.cache_info().misses == len(deltas)
-    assert [found.eisenstein.l_zero for found in layers] == [series.l_zero(delta) for delta in deltas]
+    assert ([verify.batch_record(batch, k).eisenstein.l_zero for k in range(len(deltas))]
+            == [series.l_zero(delta) for delta in deltas])
 
 
 # the caches keyed by delta, held here by their own objects, as verify holds them
@@ -223,24 +226,38 @@ def test_each_prime_class_composed_once_gives_the_same_layers():
 BATCH = [-84, -455, -5460]
 
 
-def batch_reports(layers, n_max, bound) -> list[str]:
-    """The report lines of each delta's checks on its layers, through _suite_job."""
-    return [untimed(report_json_line(verify._suite_job((found.group.delta, n_max, bound, found))))
-            for found in layers]
+def batch_of(deltas, n_max, bound):
+    return verify._batch_layers(deltas, *stacked_reduced_forms(deltas), n_max, bound)
+
+
+def batch_reports(batch, n_max, bound) -> list[str]:
+    """The report lines of each delta of the batch, through _suite_job."""
+    return [untimed(report_json_line(verify._suite_job((delta, n_max, bound, batch, k))))
+            for k, delta in enumerate(batch.stack.deltas)]
+
+
+def records(batch) -> list:
+    """The record of each delta of the batch, sliced out of it."""
+    return [verify.batch_record(batch, k) for k in range(len(batch.stack.deltas))]
+
+
+def raising(message):
+    """A function that raises AssertionError(message)."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError(message)
+
+    return refused
 
 
 def refuse(monkeypatch, functions, message):
     """Bind every genusmass module's name for each of functions to one that
     raises AssertionError(message)."""
-
-    def refused(*args, **kwargs):
-        raise AssertionError(message)
-
     for modname, module in list(sys.modules.items()):
         if modname.startswith("genusmass."):
             for attr, value in list(vars(module).items()):
                 if any(value is function for function in functions):
-                    monkeypatch.setattr(module, attr, refused)
+                    monkeypatch.setattr(module, attr, raising(message))
 
 
 CHECKS = (verify.verify_gauss, verify.verify_character_counts, verify.verify_twisted_eisenstein,
@@ -248,62 +265,65 @@ CHECKS = (verify.verify_gauss, verify.verify_character_counts, verify.verify_twi
 
 
 def test_a_delta_s_checks_build_nothing(monkeypatch):
-    """A passing run calls no verify_* and builds no character table per delta:
-    with those raising, the reports of a run are those of a plain run.  Once a
-    batch is built, each delta's checks read its layers alone: with every
-    builder of a layer raising too, the character table X and the character
-    pairs among them, the reports are still the same."""
+    """A passing run calls no verify_* and builds no record per delta: with
+    those raising, and the record slicer, every slicer of a layer and the
+    construction of a ClassGroup, a prime layer or Eisenstein rows raising too,
+    the reports of a run are those of a plain run.  Once a batch is built, each
+    delta's report reads the batch alone: with every builder of a layer
+    raising too, the character table X and the character pairs among them, the
+    reports are still the same."""
     n_max, bound = 60, 20
     deltas = BATCH + fundamental_deltas(-1000, -900)
     expected = [untimed(report_json_line(r)) for r in run_suite(deltas, n_max, bound, workers=1)]
-    layers = verify._batch_layers(BATCH, *stacked_reduced_forms(BATCH), n_max, bound)
+    batch = batch_of(BATCH, n_max, bound)
     with monkeypatch.context() as patched:
-        refuse(patched, CHECKS + (genus.build_genus_characters,), "a passing run called a check")
+        refuse(patched, CHECKS + (genus.build_genus_characters, verify.batch_record, hecke.prime_layer,
+                                  series.own_rows), "a passing run built a record")
+        for kind, method in ((ClassGroup, "__init__"), (hecke._PrimeLayer, "__new__"),
+                             (series.EisensteinRows, "__new__"), (hecke.Layers, "__new__"),
+                             (class_group.Stack, "group"), (series.EisensteinStack, "rows_of")):
+            patched.setattr(kind, method, raising("a passing run built a record"))
+        with pytest.raises(AssertionError, match="built a record"):
+            build_layers(-84, n_max, bound)
         assert [untimed(report_json_line(r)) for r in run_suite(deltas, n_max, bound, workers=1)] == expected
     builders = (series.representation_counts, verify.compose_stacked, verify.class_group_stack,
                 verify.eisenstein_stack, series.l_zero, arith.prime_discriminant_tables,
-                genus.build_genus_characters, genus.character_tables, genus.character_pairs)
+                genus.build_genus_characters, genus.character_tables, genus.character_pairs, genus.stacked_pairs,
+                class_group.prime_ideal_rows)
     refuse(monkeypatch, CHECKS + builders, "a check built a layer")
     with pytest.raises(AssertionError, match="built a layer"):
         build_layers(-84, n_max, bound)
-    assert batch_reports(layers, n_max, bound) == expected[: len(BATCH)]
+    assert batch_reports(batch, n_max, bound) == expected[: len(BATCH)]
 
 
-def compared_again(layers, n_max, bound) -> list:
-    """The records with their batch's comparisons made again on their own arrays,
-    as _batch_layers makes them: the prime sweep and the five per-delta
-    identities."""
-    groups = [found.group for found in layers]
-    totals = np.stack([found.theta.sum(axis=0) for found in layers])
-    sums = np.concatenate([found.sums for found in layers])
-    theta = np.concatenate([found.theta for found in layers])
-    failed = sweep_failures(groups, [found.primes for found in layers], theta, totals, sums, n_max, bound)
-    identities, _ = verify.identity_failures(groups, [found.characters for found in layers], totals, sums,
-                                             [found.eisenstein for found in layers])
-    return [found._replace(failed=failed[:, k], identities_failed=identities[k].tolist())
-            for k, found in enumerate(layers)]
+def compared_again(batch, n_max, bound):
+    """The batch with its comparisons made again on its own arrays, as
+    _batch_layers makes them: the theta totals from its theta rows, the prime
+    sweep and the five per-delta identities."""
+    totals = np.add.reduceat(batch.theta, batch.stack.starts, axis=0)
+    failed = sweep_failures(batch.stack, batch.primes, batch.theta, totals, batch.sums, n_max, bound)
+    identities, _ = verify.identity_failures(batch.stack, batch.characters, totals, batch.sums, batch.eisenstein)
+    return verify.summarized(batch._replace(totals=totals, failed=failed, identities_failed=identities))
 
 
 def test_a_fault_in_one_delta_s_layers_fails_that_delta_alone():
-    """r(Q, 17) + 1 for one class of -455, in a copy of its layers, compared again
-    with the rest of the batch: its gauss_average and the identities at the
-    primes that read n = 17 (2 and 3, both split; 17 is prime to every p <= 13
-    and above 60/4, so no identity at an inert p reads it) fail with their first
+    """r(Q, 17) + 1 for one class of -455, in a copy of its batch's theta rows,
+    compared again: its gauss_average and the identities at the primes that
+    read n = 17 (2 and 3, both split; 17 is prime to every p <= 13 and above
+    60/4, so no identity at an inert p reads it) fail with their first
     mismatch at 17, and the other deltas' reports do not change."""
     n_max, bound, n = 60, 13, 17
-    clean = verify._batch_layers(BATCH, *stacked_reduced_forms(BATCH), n_max, bound)
+    clean = batch_of(BATCH, n_max, bound)
     expected = batch_reports(clean, n_max, bound)
-    theta = clean[1].theta.copy()
-    theta[-1, n] += 1
-    layers = compared_again([found._replace(theta=theta) if k == 1 else found for k, found in enumerate(clean)],
-                            n_max, bound)
-    lines = batch_reports(layers, n_max, bound)
+    row = int(clean.stack.starts[1] + clean.stack.h[1]) - 1
+    batch = compared_again(clean._replace(theta=bumped(clean.theta, row, n)), n_max, bound)
+    lines = batch_reports(batch, n_max, bound)
     assert lines[0] == expected[0] and lines[2] == expected[2]
     checks = json.loads(lines[1])["checks"]
     failing = {c["name"]: c["first_mismatch"]["n"] for c in checks if c["status"] == "fail"}
     assert failing == {name: n for name in ("gauss_average", "eigenform[p=2]", "theta_split[p=2]",
                                             "eigenform[p=3]", "theta_split[p=3]")}
-    assert clean[1].theta[-1, n] == theta[-1, n] - 1
+    assert clean.theta[row, n] == batch.theta[row, n] - 1
 
 
 def bumped(array, row, column, by=1):
@@ -313,20 +333,50 @@ def bumped(array, row, column, by=1):
     return array
 
 
-# one corrupted entry of a delta's layers for each per-delta identity, which
-# fails it: a theta count at n = 17; an entry of X negated; an Eisenstein
-# coefficient at n = 7; the constant term of E_{1, delta}; and L(0) off by 2/w,
-# so that (w/2) L(0) is h + 1, in the record alone
+def with_table(batch, k, change):
+    """The batch with the character table of its k-th delta replaced by
+    change(table), in a copy of its block."""
+    tables = batch.characters
+    j, position = int(tables.block[k]), int(tables.position[k])
+    members, block = tables.blocks[j]
+    block = block.copy()
+    block[position] = change(block[position].copy())
+    blocks = tables.blocks[:j] + [(members, block)] + tables.blocks[j + 1 :]
+    return batch._replace(characters=tables._replace(blocks=blocks))
+
+
+def with_rows(batch, k, row, column):
+    """The batch with one Eisenstein coefficient of its k-th delta plus 1: its
+    pair row (row -1 the last) at column."""
+    eisenstein = batch.eisenstein
+    start = int(eisenstein.counts[:k].sum())
+    row = start + (row % int(eisenstein.counts[k]))
+    return batch._replace(eisenstein=eisenstein._replace(rows=bumped(eisenstein.rows, row, column)))
+
+
+def with_l_zero(batch, k):
+    """The batch with L(0) of its k-th delta off by 2/w, so that (w/2) L(0) is
+    h + 1."""
+    l_zero = batch.eisenstein.l_zero.copy()
+    moved = Fraction(*l_zero[k].tolist()) + Fraction(2, int(batch.stack.w[k]))
+    l_zero[k] = moved.numerator, moved.denominator
+    return batch._replace(eisenstein=batch.eisenstein._replace(l_zero=l_zero))
+
+
+def last_class(batch, k) -> int:
+    return int(batch.stack.starts[k] + batch.stack.h[k]) - 1
+
+
+# one corrupted entry of the batch's arrays at its k-th delta for each per-delta
+# identity, which fails it: a theta count at n = 17; an entry of X negated; an
+# Eisenstein coefficient at n = 7; the constant term of E_{1, delta}; and L(0)
+# off by 2/w, so that (w/2) L(0) is h + 1
 FAULTS = {
-    "gauss_average": lambda found: found._replace(theta=bumped(found.theta, -1, 17)),
-    "character_counts": lambda found: found._replace(
-        characters=bumped(found.characters, -1, -1, -2 * found.characters[-1, -1])),
-    "twisted_eisenstein": lambda found: found._replace(
-        eisenstein=found.eisenstein._replace(rows=bumped(found.eisenstein.rows, -1, 7))),
-    "genus_mass": lambda found: found._replace(
-        eisenstein=found.eisenstein._replace(rows=bumped(found.eisenstein.rows, 0, 0))),
-    "dirichlet_class_number": lambda found: found._replace(
-        eisenstein=found.eisenstein._replace(l_zero=found.eisenstein.l_zero + Fraction(2, found.group.w))),
+    "gauss_average": lambda batch, k: batch._replace(theta=bumped(batch.theta, last_class(batch, k), 17)),
+    "character_counts": lambda batch, k: with_table(batch, k, lambda x: bumped(x, -1, -1, -2 * x[-1, -1])),
+    "twisted_eisenstein": lambda batch, k: with_rows(batch, k, -1, 7),
+    "genus_mass": lambda batch, k: with_rows(batch, k, 0, 0),
+    "dirichlet_class_number": with_l_zero,
 }
 WIDE = fundamental_deltas(-2000, -1800)
 
@@ -341,42 +391,47 @@ WIDE = fundamental_deltas(-2000, -1800)
 ], ids=["batch", "wide", "mixed-int64", "mixed-object"])
 def test_a_fault_in_one_identity_fails_that_delta_alone(monkeypatch, identity, deltas, n_max, bound, target,
                                                         int64_bound):
-    """One corrupted entry of one delta's layers, compared again with the rest of
-    its batch: every delta's flags are the failures of the verify_* functions on
-    its own layers, the corrupted delta fails the identity and its failing
-    records are verify_*'s, and the other deltas' reports do not change."""
+    """One corrupted entry of one delta's layers in its batch's arrays, compared
+    again: every delta's flags are the failures of the verify_* functions on
+    the record sliced out of the batch, the corrupted delta fails the identity
+    and its failing records are verify_*'s on its record, and the other
+    deltas' reports do not change."""
     if int64_bound is not None:
         monkeypatch.setattr(series, "INT64_BOUND", int64_bound)
-    clean = verify._batch_layers(deltas, *stacked_reduced_forms(deltas), n_max, bound)
+    clean = batch_of(deltas, n_max, bound)
     if int64_bound is not None:
-        assert [found.theta.dtype for found in clean] == [np.int64, object, object]
+        assert [found.theta.dtype for found in records(clean)] == [np.int64, object, object]
+        assert clean.eisenstein.rows.dtype == object
     expected = batch_reports(clean, n_max, bound)
-    layers = compared_again([FAULTS[identity](found) if k == target else found for k, found in enumerate(clean)],
-                            n_max, bound)
-    for k, found in enumerate(layers):
+    batch = compared_again(FAULTS[identity](clean, target), n_max, bound)
+    for k, found in enumerate(records(batch)):
         assert found.identities_failed == [not check(found).passed for check in CHECKS], found.group.delta
         assert any(found.identities_failed) == (k == target), found.group.delta
-    assert layers[target].identities_failed[verify.IDENTITIES.index(identity)]
-    lines = batch_reports(layers, n_max, bound)
+        assert batch.summary[k][-1] == (k == target), found.group.delta
+    assert batch.identities_failed[target, verify.IDENTITIES.index(identity)]
+    lines = batch_reports(batch, n_max, bound)
     assert [line for k, line in enumerate(lines) if k != target] == [
         line for k, line in enumerate(expected) if k != target]
-    records = json.loads(lines[target])["checks"][: len(CHECKS)]
-    for record, check in zip(records, CHECKS):
-        expected_record = check(layers[target]).to_dict()
+    target_record = verify.batch_record(batch, target)
+    for record, check in zip(json.loads(lines[target])["checks"][: len(CHECKS)], CHECKS):
+        expected_record = check(target_record).to_dict()
         expected_record.pop("elapsed_ms")
         assert record == expected_record
 
 
 def test_a_flag_that_its_check_does_not_confirm_is_an_error():
-    """With asserts stripped, a flag of the batch's comparison whose verify_*
-    passes raises RuntimeError, for each of the five identities."""
+    """With asserts stripped, a flag in the batch's arrays whose verify_* passes
+    on the record sliced out of the batch raises RuntimeError, for each of the
+    five identities."""
     code = "\n".join([
         "from genusmass import verify",
         "from genusmass.forms import stacked_reduced_forms",
-        "found = verify._batch_layers([-84], *stacked_reduced_forms([-84]), 30, 10)[0]",
+        "batch = verify._batch_layers([-84], *stacked_reduced_forms([-84]), 30, 10)",
         "for i in range(5):",
+        "    flags = batch.identities_failed.copy()",
+        "    flags[0, i] = True",
         "    try:",
-        "        verify._suite_job((-84, 30, 10, found._replace(identities_failed=[j == i for j in range(5)])))",
+        "        verify._suite_job((-84, 30, 10, verify.summarized(batch._replace(identities_failed=flags)), 0))",
         "    except RuntimeError as error:",
         "        print(error)",
     ])

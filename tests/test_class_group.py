@@ -14,7 +14,7 @@ import genusmass
 from genusmass import class_group
 from genusmass.arith import distinct_prime_count, kronecker, prime_discriminant_factorization, primes_up_to
 from genusmass.class_group import build_class_group, compose_rows, prime_form, prime_ideal_class
-from genusmass.forms import reduced_forms
+from genusmass.forms import reduced_forms, stacked_reduced_forms
 from oracles import (
     IdealBasis,
     QuadForm,
@@ -425,7 +425,7 @@ class TestBuildClassGroup:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(stack.groups[0].genus_ids) == 1 and tables[0][1].nbytes == -delta
+        assert stack.genus_counts.tolist() == [1] and tables[0][1].nbytes == -delta
         assert peak < -delta // 8, peak
 
     def test_inverses_are_the_opposite_forms(self):
@@ -525,6 +525,120 @@ class TestMissingClass:
     def test_missing_principal_class(self, monkeypatch):
         with pytest.raises(RuntimeError, match=r"delta=-84: the principal form \(1, 0, 21\) is not a class"):
             _drop_class(monkeypatch, -84, 0)
+
+
+PRIME_BOUND_PRIMES = tuple(primes_up_to(50))
+
+
+def _scalar_prime_classes(delta):
+    """(delta|p) and the scalar prime_ideal_class, -1 at an inert p, at every p <= 50."""
+    group = build_class_group(delta)
+    chi = [kronecker(delta, p) for p in PRIME_BOUND_PRIMES]
+    return chi, [-1 if value == -1 else prime_ideal_class(group, p) for value, p in zip(chi, PRIME_BOUND_PRIMES)]
+
+
+class TestPrimeIdealRows:
+    """prime_ideal_rows, the prime classes of a whole stack at once, against the
+    scalar kronecker and prime_ideal_class of each group alone, the prime forms
+    reduced on the array path (crossover at 0) and on the scalar one."""
+
+    @pytest.mark.parametrize("crossover", [0, float("inf")], ids=["array", "scalar"])
+    def test_rows_are_the_scalar_prime_classes(self, monkeypatch, crossover):
+        monkeypatch.setattr(class_group, "ARRAY_MIN_ROWS", crossover)
+        deltas = fundamental_deltas(-3000) + [-400391, -10000003]
+        stack = class_group.class_group_stack(deltas, *stacked_reduced_forms(deltas))
+        chi, rows = class_group.prime_ideal_rows(stack, PRIME_BOUND_PRIMES)
+        local = np.where(rows == -1, -1, rows - stack.starts[:, None])
+        for k, delta in enumerate(deltas):
+            assert (chi[k].tolist(), local[k].tolist()) == _scalar_prime_classes(delta), delta
+
+    @pytest.mark.parametrize("crossover", [0, float("inf")], ids=["array", "scalar"])
+    def test_a_prime_form_that_is_not_a_class_raises(self, monkeypatch, crossover):
+        """Without (2, 2, 11), as in test_missing_prime_ideal_class, in a stack
+        after -23 and before -455."""
+        monkeypatch.setattr(class_group, "ARRAY_MIN_ROWS", crossover)
+        deltas = [-23, -84, -455]
+        forms, counts = stacked_reduced_forms(deltas)
+        forms = np.delete(forms, 3 + 1, axis=0)
+        stack = class_group.class_group_stack(deltas, forms, counts - [0, 1, 0])
+        with pytest.raises(RuntimeError, match=r"delta=-84: the prime ideal above 2 is \(2, 2, 11\), not a class"):
+            class_group.prime_ideal_rows(stack, PRIME_BOUND_PRIMES)
+
+
+LAW_DELTAS = [-23, -47, -84, -455]
+
+
+def _law_stack():
+    """The stack of LAW_DELTAS, its law products (a copy), and each group's rows
+    in the block of law (0 identity, 1 inverse, 2 squares)."""
+    stack = class_group.class_group_stack(LAW_DELTAS, *stacked_reduced_forms(LAW_DELTAS))
+    products = class_group.compose_stacked(stack, *class_group.law_rows(stack)).copy()
+
+    def rows(law, delta):
+        k = LAW_DELTAS.index(delta)
+        return law * len(stack.classes) + int(stack.starts[k]), int(stack.starts[k])
+
+    return stack, products, rows
+
+
+class TestStackedLaws:
+    """check_laws compares every group's laws at once, and names the first group
+    where one fails and the first law that fails there."""
+
+    def test_the_laws_of_a_stack_hold(self):
+        stack, products, _ = _law_stack()
+        class_group.check_laws(stack, products)
+
+    def test_a_corrupted_identity_product_raises_for_its_group(self):
+        stack, products, rows = _law_stack()
+        at, start = rows(0, -84)
+        products[at + 2] = start + 3
+        with pytest.raises(RuntimeError, match=r"delta=-84: the principal class is not the identity at 2$"):
+            class_group.check_laws(stack, products)
+
+    def test_a_corrupted_inverse_product_raises_for_its_group(self):
+        stack, products, rows = _law_stack()
+        at, start = rows(1, -455)
+        products[at + 5] = start + 1
+        with pytest.raises(RuntimeError, match=r"delta=-455: the inverse law fails at 5$"):
+            class_group.check_laws(stack, products)
+
+    def test_a_square_outside_the_principal_genus_raises_for_its_group(self):
+        stack, products, rows = _law_stack()
+        at, start = rows(2, -455)
+        group = build_class_group(-455)
+        outside = next(i for i in range(group.h) if i not in group.squares)
+        products[at + 7] = start + outside
+        found = sorted({compose(group, i, i) for i in range(group.h) if i != 7} | {outside})
+        message = f"delta=-455: squares {tuple(found)} are not the principal genus {group.squares}"
+        with pytest.raises(RuntimeError) as error:
+            class_group.check_laws(stack, products)
+        assert str(error.value) == message
+
+    def test_a_square_in_another_group_fails_its_own_group(self):
+        """A square of -84 that lands on a class of -455 fails -84, the first
+        group that holds a failure, even though -455 holds an earlier law's."""
+        stack, products, rows = _law_stack()
+        at, _ = rows(2, -84)
+        _, start = rows(2, -455)
+        products[at] = start
+        unit, _ = rows(0, -455)
+        products[unit + 1] = start
+        with pytest.raises(RuntimeError, match=r"delta=-84: squares \(0, 4\) are not the principal genus \(0,\)$"):
+            class_group.check_laws(stack, products)
+
+    def test_genera_of_unequal_sizes_raise_for_their_group(self):
+        """One class of -455 moved from a genus that is not the principal one to
+        another such genus: the squares are still the principal genus."""
+        stack, products, _ = _law_stack()
+        k = LAW_DELTAS.index(-455)
+        start, g0 = int(stack.starts[k]), int(stack.genus_starts[k])
+        genus = stack.genus.copy()
+        principal = genus[start]
+        row = start + int(np.flatnonzero(genus[start : start + 20] != principal)[0])
+        genus[row] = next(g for g in range(g0, g0 + 4) if g not in (principal, genus[row]))
+        with pytest.raises(RuntimeError, match=r"delta=-455: genera of unequal sizes \[4, 5, 6\]$"):
+            class_group.check_laws(stack._replace(genus=genus), products)
 
 
 class TestPrimeIdealClass:

@@ -264,7 +264,7 @@ class TestVerify:
             delta=-20, precision=10, class_number=2, t=2, genus_count=2,
             checks=(CheckRecord(name="gauss_average", status="fail", detail="forced"),),
         )
-        monkeypatch.setattr(cli, "iter_suite", lambda *a, **k: iter([bad]))
+        monkeypatch.setattr(cli, "iter_suite", lambda *a, **k: (r for r in [bad]))
         code, out, _ = run_cli(capsys, "verify", "--disc", "-20")
         assert code == 1
         assert "FAIL gauss_average" in out
@@ -336,7 +336,7 @@ class TestVerify:
                 checks=(CheckRecord(name="gauss_average", status="pass" if passed else "fail", detail="forced"),),
             )
 
-        monkeypatch.setattr(cli, "iter_suite", lambda *a, **k: iter([report(-3, False), report(-4, True)]))
+        monkeypatch.setattr(cli, "iter_suite", lambda *a, **k: (r for r in [report(-3, False), report(-4, True)]))
         code, out, _ = run_cli(capsys, "verify", "--range", "-3:-4")
         assert code == 1
         assert out.splitlines() == [

@@ -89,13 +89,10 @@ def perturbed_case(delta, n_max, monkeypatch, kind, column):
 
         def perturbed(deltas, class_numbers, n, pairs=None, reads=None):
             out = original(deltas, class_numbers, n, pairs, reads)
-            for k, delta_ in enumerate(deltas):
-                if delta_ == delta:
-                    rows = out[k].rows.copy()
-                    own = pairs[k] if pairs is not None else character_pairs(delta)
-                    rows[[pair == target for pair in own], column] += 1
-                    out[k] = out[k]._replace(rows=rows)
-            return out
+            rows = out.rows.copy()
+            ours = np.array(deltas)[out.pair_owner] == delta
+            rows[ours & (out.pairs == target).all(axis=1), column] += 1
+            return out._replace(rows=rows)
 
         monkeypatch.setattr(series, "eisenstein_stack", perturbed)
         monkeypatch.setattr(verify, "eisenstein_stack", perturbed)
@@ -104,9 +101,14 @@ def perturbed_case(delta, n_max, monkeypatch, kind, column):
         table[-1, -1] *= -1
         original = verify.character_tables
 
-        def perturbed(stack, pairs):
-            return [table if group_.delta == delta else found
-                    for group_, found in zip(stack.groups, original(stack, pairs))]
+        def perturbed(stack, pair_d, pair_counts):
+            out = original(stack, pair_d, pair_counts)
+            blocks = []
+            for members, block in out.blocks:
+                block = block.copy()
+                block[np.array(stack.deltas)[members] == delta] = table
+                blocks.append((members, block))
+            return out._replace(blocks=blocks)
 
         monkeypatch.setattr(series, "build_genus_characters", lambda group_: table)
         monkeypatch.setattr(verify, "character_tables", perturbed)

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import genusmass.class_group as class_group
 import genusmass.hecke as hecke
 
 from genusmass.arith import kronecker, primes_up_to
@@ -186,23 +187,35 @@ class TestPerClassIdentities:
 class TestPrimeLayer:
     @pytest.mark.parametrize("delta", [-84, -455, -400391])
     def test_one_character_value_and_prime_class_per_prime(self, monkeypatch, delta):
-        """A suite run reads (delta|p) and the prime class of each p once, from one
-        layer, for all the identities at all the primes."""
-        counts = {"kronecker": [], "prime_class": []}
+        """A suite run reads (delta|p) and the prime class of each p for all
+        primes at once, from one prime_ideal_rows call on its batch, for all the
+        identities at all the primes, and no scalar kronecker or
+        prime_ideal_class; what it reads is theirs."""
+        calls = []
+        rows = hecke.prime_ideal_rows
 
-        def counted(name, fn):
-            def wrapper(*args):
-                counts[name].append(args[1])
-                return fn(*args)
-            return wrapper
+        def counted(stack, primes):
+            calls.append((list(stack.deltas), primes))
+            found = rows(stack, primes)
+            calls.append(found)
+            return found
 
-        monkeypatch.setattr(hecke, "kronecker", counted("kronecker", hecke.kronecker))
-        monkeypatch.setattr(hecke, "prime_ideal_class", counted("prime_class", hecke.prime_ideal_class))
+        def refused(*args):
+            raise AssertionError("a scalar prime class")
+
+        monkeypatch.setattr(hecke, "prime_ideal_rows", counted)
+        for name in ("kronecker", "prime_form", "prime_ideal_class"):
+            monkeypatch.setattr(class_group, name, refused)
         report = run_suite([delta], n_max=30, primes_bound=50, workers=1)[0]
         assert report.passed
-        primes = primes_up_to(50)
-        assert counts["kronecker"] == primes
-        assert counts["prime_class"] == [p for p in primes if kronecker(delta, p) != -1]
+        primes = tuple(primes_up_to(50))
+        (called, (chi, classes)) = calls[0], calls[1]
+        assert len(calls) == 2 and called == ([delta], primes)
+        monkeypatch.undo()
+        group = build_class_group(delta)
+        assert chi[0].tolist() == [kronecker(delta, p) for p in primes]
+        assert classes[0].tolist() == [-1 if kronecker(delta, p) == -1 else prime_ideal_class(group, p)
+                                       for p in primes]
 
     def test_genus_targets_are_the_genera_of_the_translates(self):
         for delta in (-84, -420, -5460, -120120):

@@ -1,9 +1,10 @@
 """The prime sweep against the per-prime loop of check_* calls it replaced
 (oracles.prime_checks): the same records, in order, with the same statuses,
 details and first mismatches, on both coefficient paths and in several blocks;
-the same failures when the theta matrix or the prime layer is corrupted; and
-the same records from the sweep of a batch of many discriminants as from the
-layers of each one built alone."""
+the same failures when the theta rows or the prime layers of a batch are
+corrupted, for the corrupted discriminant alone; and the same records from the
+sweep of a batch of many discriminants as from the layers of each one built
+alone."""
 
 import tracemalloc
 
@@ -15,7 +16,7 @@ from genusmass.arith import kronecker, primes_up_to
 from genusmass.class_group import build_class_group
 from genusmass.forms import stacked_reduced_forms
 from genusmass.hecke import CheckRecord, sweep_failures, sweep_records
-from genusmass.verify import _batch_layers, run_suite
+from genusmass.verify import _batch_layers, batch_record, run_suite
 from oracles import build_layers, fundamental_deltas, prime_checks
 
 SWEEP_DELTAS = fundamental_deltas(-300)
@@ -24,15 +25,23 @@ SWEEP_DELTAS = fundamental_deltas(-300)
 SCALES = [(200, 50), (30, 10), (10, 50)]
 
 
-def prime_sweep(layers, bound) -> list[CheckRecord]:
-    """The records of one discriminant from a sweep of its layers' own arrays (in
-    the coefficient dtype of its group, not the batch's int64 rows), so that a
-    corrupted prime layer or theta matrix reaches the sweep and the check_*
-    functions alike."""
-    n_max = layers.theta.shape[1] - 1
-    failed = sweep_failures([layers.group], [layers.primes], layers.theta, layers.theta.sum(axis=0)[None, :],
-                            layers.sums, n_max, bound)
-    return sweep_records(layers._replace(failed=failed[:, 0]), bound)
+def batch_of(deltas, n_max, bound):
+    return _batch_layers(deltas, *stacked_reduced_forms(deltas), n_max, bound)
+
+
+def swept(batch, bound):
+    """The batch with its prime sweep made again on its own stacked arrays, so
+    that a fault injected into them reaches the sweep."""
+    n_max = batch.theta.shape[1] - 1
+    return batch._replace(failed=sweep_failures(batch.stack, batch.primes, batch.theta, batch.totals, batch.sums,
+                                                n_max, bound))
+
+
+def prime_sweep(batch, bound, k=0) -> list[CheckRecord]:
+    """The records of the k-th discriminant of the batch from a sweep of the
+    batch's arrays (its int64 rows), on the record sliced out of it, whose rows
+    are in the coefficient dtype of its group."""
+    return sweep_records(batch_record(swept(batch, bound), k), bound)
 
 
 def loop_records(layers, bound) -> list[CheckRecord]:
@@ -40,8 +49,8 @@ def loop_records(layers, bound) -> list[CheckRecord]:
 
 
 def assert_same_records(delta, n_max, bound):
-    layers = build_layers(delta, n_max, bound)
-    assert prime_sweep(layers, bound) == loop_records(layers, bound), (delta, n_max, bound)
+    batch = batch_of([delta], n_max, bound)
+    assert prime_sweep(batch, bound) == loop_records(batch_record(batch, 0), bound), (delta, n_max, bound)
 
 
 @pytest.fixture(params=["int64", "object"])
@@ -64,9 +73,9 @@ def test_records_match_the_loop(coeff_path, n_max, bound):
 def test_a_batch_sweep_matches_the_loop(n_max, bound):
     """The sweep of a range run: every discriminant of SWEEP_DELTAS in one batch,
     on the stacked int64 rows, against the loop on each one's layers alone."""
-    layers = _batch_layers(SWEEP_DELTAS, *stacked_reduced_forms(SWEEP_DELTAS), n_max, bound)
-    for delta, found in zip(SWEEP_DELTAS, layers):
-        records = sweep_records(found, bound)
+    batch = batch_of(SWEEP_DELTAS, n_max, bound)
+    for k, delta in enumerate(SWEEP_DELTAS):
+        records = sweep_records(batch_record(batch, k), bound)
         assert records == loop_records(build_layers(delta, n_max, bound), bound), (delta, n_max, bound)
 
 
@@ -136,81 +145,114 @@ def perturbed_theta(monkeypatch):
 def test_a_perturbed_theta_fails_the_same_records(perturbed_theta, monkeypatch, block, delta, n):
     monkeypatch.setattr(hecke, "SWEEP_BLOCK", block)
     perturbed_theta.update(row=build_class_group(delta).h - 1, n=n)
-    layers = build_layers(delta, 200, 50)
+    batch = batch_of([delta], 200, 50)
+    layers = batch_record(batch, 0)
     records = sweep_records(layers, 50)
-    assert records == prime_sweep(layers, 50) == loop_records(layers, 50)
+    assert records == prime_sweep(batch, 50) == loop_records(layers, 50)
     # 199, a prime above the bound and above 200 / 2, is read by no identity
     assert any(r.status == "fail" for r in records) == (n != 199)
 
 
-def corrupt_layer(delta, bound, **fields):
-    """The layers of delta at precision 200, with the given fields of the prime
-    layer replaced."""
-    layers = build_layers(delta, 200, bound)
-    return layers._replace(primes=layers.primes._replace(**fields))
+# the sweep's fault tests corrupt the prime layers of one discriminant of this
+# batch, TARGET, in the batch's own arrays
+FAULT_BATCH = [-23, -47, -84, -455]
+
+
+def corrupt_images(bound, target, p, change):
+    """The batch FAULT_BATCH at precision 200, with the images of target's
+    classes under the class of the prime ideal above p (a run of the stacked
+    images[0]) replaced by change(run); and the stack rows of target."""
+    batch = batch_of(FAULT_BATCH, 200, bound)
+    k = FAULT_BATCH.index(target)
+    start, h = int(batch.stack.starts[k]), int(batch.stack.h[k])
+    images = batch.primes.images.copy()
+    i = batch.primes.primes.index(p)
+    images[0, i, start : start + h] = change(images[0, i, start : start + h].copy())
+    return batch._replace(primes=batch.primes._replace(images=images)), k
+
+
+def assert_others_pass(batch, bound, target):
+    for k, delta in enumerate(FAULT_BATCH):
+        if delta != target:
+            assert all(r.status != "fail" for r in prime_sweep(batch, bound, k)), delta
 
 
 def test_swapped_classes_of_a_permutation_fail_its_theta_identity():
-    """Two classes of perms[2] swapped at -47 (h = 5, 2 split): theta_split[p=2]
-    fails with check_split_theta's first mismatch, and every other identity
-    passes (one genus, so the genus permutation cannot tell)."""
+    """Two images of classes under the class above 2 swapped at -47 (h = 5, 2
+    split), in the batch's stacked images: theta_split[p=2] fails there with
+    check_split_theta's first mismatch on the record sliced out of the batch,
+    every other identity passes (one genus, so the genus permutation cannot
+    tell), and so does every identity of the other discriminants."""
     delta, bound = -47, 50
-    layers = build_layers(delta, 200, bound)
+    clean = batch_of(FAULT_BATCH, 200, bound)
+    layers = batch_record(clean, FAULT_BATCH.index(delta))
     assert layers.group.h == 5 and kronecker(delta, 2) == 1 and len(layers.group.genus_ids) == 1
-    expected = prime_sweep(layers, bound)
+    expected = prime_sweep(clean, bound, FAULT_BATCH.index(delta))
     assert all(r.status != "fail" for r in expected)
-    perms = dict(layers.primes.perms)
-    theta = layers.theta
-    perm = perms[2].copy()
-    a, b = next((a, b) for a in range(5) for b in range(a) if (theta[perm[a]] != theta[perm[b]]).any())
-    perm[[a, b]] = perm[[b, a]]
-    perms[2] = perm
-    corrupted = corrupt_layer(delta, bound, perms=perms)
-    records = prime_sweep(corrupted, bound)
+    theta, start = layers.theta, int(clean.stack.starts[FAULT_BATCH.index(delta)])
+    local = layers.primes.perms[2]
+    a, b = next((a, b) for a in range(5) for b in range(a) if (theta[local[a]] != theta[local[b]]).any())
+
+    def swap(run):
+        run[[a, b]] = run[[b, a]]
+        return run
+
+    batch, k = corrupt_images(bound, delta, 2, swap)
+    corrupted = batch_record(swept(batch, bound), k)
+    assert corrupted.primes.perms[2].tolist() == swap(local.copy()).tolist()
+    assert (batch.primes.images[0, 0, start : start + 5] - start).tolist() == corrupted.primes.perms[2].tolist()
+    records = prime_sweep(batch, bound, k)
     assert records == loop_records(corrupted, bound)
     failed = [r for r in records if r.status == "fail"]
     assert [r.name for r in failed] == ["theta_split[p=2]"]
     assert failed[0] == hecke.check_split_theta(corrupted.group, 2, corrupted.theta, corrupted.primes)
     assert failed[0].first_mismatch is not None
     assert [r for r in records if r.status != "fail"] == [r for r in expected if r.name != "theta_split[p=2]"]
+    assert_others_pass(batch, bound, delta)
 
 
 def test_a_corrupted_genus_row_fails_the_genus_permutations():
-    """Two genera swapped in the genus row at -84 (four genera of one class):
-    genus_permutation fails at non-inert primes, with check_genus_permutation's
-    records, and nothing else fails."""
+    """The genera of the first two classes swapped at -84 (four genera of one
+    class), in the batch's stacked genus rows: genus_permutation fails there
+    at non-inert primes, with check_genus_permutation's records on the record
+    sliced out of the batch, and nothing else fails, at -84 or elsewhere."""
     delta, bound = -84, 50
-    genus_row = build_layers(delta, 0, bound).primes.genus_row.copy()
-    genus_row[[0, 1]] = genus_row[[1, 0]]
-    corrupted = corrupt_layer(delta, bound, genus_row=genus_row)
-    records = prime_sweep(corrupted, bound)
+    batch = batch_of(FAULT_BATCH, 200, bound)
+    k = FAULT_BATCH.index(delta)
+    start = int(batch.stack.starts[k])
+    genus = batch.stack.genus.copy()
+    genus[[start, start + 1]] = genus[[start + 1, start]]
+    batch = batch._replace(stack=batch.stack._replace(genus=genus))
+    corrupted = batch_record(swept(batch, bound), k)
+    assert corrupted.primes.genus_row.tolist() == [1, 0, 2, 3]
+    records = prime_sweep(batch, bound, k)
     assert records == loop_records(corrupted, bound)
     failed = [r for r in records if r.status == "fail"]
     assert failed and all(r.name.startswith("genus_permutation[") for r in failed)
     for record in failed:
         p = int(record.name[len("genus_permutation[p="):-1])
         assert record == hecke.check_genus_permutation(corrupted.group, p, corrupted.sums, corrupted.primes)
+    assert_others_pass(batch, bound, delta)
 
 
 def test_a_failure_its_check_does_not_confirm_is_an_error(monkeypatch):
     delta, bound = -47, 50
-    perms = dict(build_layers(delta, 0, bound).primes.perms)
-    perms[2] = perms[2][::-1].copy()
-    corrupted = corrupt_layer(delta, bound, perms=perms)
+    batch, k = corrupt_images(bound, delta, 2, lambda run: run[::-1].copy())
     monkeypatch.setattr(hecke, "check_split_theta",
                         lambda group, p, theta, layer: CheckRecord(f"theta_split[p={p}]", "pass", "forged"))
     with pytest.raises(RuntimeError, match=r"theta_split\[p=2\]"):
-        prime_sweep(corrupted, bound)
+        prime_sweep(batch, bound, k)
 
 
 def test_peak_memory_is_the_loop_s_at_class_number_999():
     """-400391 (h = 999) at 200/50 sweeps in several blocks, whose arrays stay
     within those of the check at p = 2 alone."""
     delta, n_max, bound = -400391, 200, 50
-    layers = build_layers(delta, n_max, bound)
+    batch = batch_of([delta], n_max, bound)
+    layers = batch_record(batch, 0)
     assert len(list(hecke._sweep_blocks(hecke._column_plan(n_max, bound).widths, layers.group.h, n_max))) > 1
     peaks = []
-    for run in (lambda: prime_sweep(layers, bound), lambda: loop_records(layers, bound)):
+    for run in (lambda: prime_sweep(batch, bound), lambda: loop_records(layers, bound)):
         tracemalloc.start()
         try:
             run()

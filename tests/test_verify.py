@@ -321,6 +321,28 @@ class TestPool:
         assert seen == list(delta_range(-3, -2 - len(seen))) and -100 not in seen
         assert multiprocessing.active_children() == []
 
+    def test_a_consumer_that_raises_leaves_no_process(self, monkeypatch, capsys):
+        """The CLI closes its reports when writing one raises: the pool has shut
+        down, its processes joined, once the call returns, while the exception
+        and its traceback, which hold the CLI's frame, are still alive."""
+        import genusmass.cli as cli
+
+        written = []
+
+        def failing(report):
+            if written:
+                raise RuntimeError("the consumer failed")
+            written.append(report.delta)
+            return verify.report_json_line(report)
+
+        monkeypatch.setenv("GENUSMASS_THREADS", "2")
+        monkeypatch.setattr(cli, "report_json_line", failing)
+        with pytest.raises(RuntimeError, match="the consumer failed") as error:
+            cli.main(["verify", "--range", "-3:-200", "--prec", "20", "--primes", "5", "--format", "json"])
+        assert multiprocessing.active_children() == []
+        assert written == [-3] and error.value.__traceback__ is not None
+        assert capsys.readouterr().out.startswith('{"delta": -3,')
+
     def test_serial_call_runs_every_job_inside_it(self, monkeypatch):
         monkeypatch.setattr(verify, "_suite_job", _raising_at_minus_100(verify._suite_job))
         with pytest.raises(ValueError, match="job for -100 failed"):
