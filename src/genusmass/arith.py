@@ -154,16 +154,23 @@ def _prime_squares(bits: int) -> np.ndarray:
 
 # fundamental_flags compares at most this many (delta, p^2) pairs at once
 SQUAREFREE_BLOCK = 1 << 16
+# fundamental_flags sieves the primes below 2^20 at most: a run with a delta at
+# or beyond -2^40 is tested delta by delta by is_fundamental, whose trial
+# division needs no table
+FLAGS_SIEVE_BOUND = 1 << 40
 
 
 def fundamental_flags(deltas) -> np.ndarray:
-    """is_fundamental of every delta < 0, and False for every delta >= 0, as one
-    bool array from one exact pass over all of them: the mod-4 rules of
-    is_fundamental, read from a table of delta mod 16, then m % p^2 for the
-    part m = delta or delta/4 that must be squarefree and every prime p below
-    the power of 2 above isqrt(max |m|), in blocks of SQUAREFREE_BLOCK pairs.
-    A prime beyond isqrt(|m|) never divides m twice, and a range run reads
-    the squares of one bound.  Each delta must fit in int64."""
+    """is_fundamental of every delta < 0 of the sequence deltas, and False for
+    every delta >= 0, as one bool array from one exact pass over all of them:
+    the mod-4 rules of is_fundamental, read from a table of delta mod 16, then
+    m % p^2 for the part m = delta or delta/4 that must be squarefree and every
+    prime p below the power of 2 above isqrt(max |m|), in blocks of
+    SQUAREFREE_BLOCK pairs.  A prime beyond isqrt(|m|) never divides m twice,
+    and a range run reads the squares of one bound.  With a delta at or below
+    -FLAGS_SIEVE_BOUND, each delta is tested by is_fundamental."""
+    if min(deltas, default=0) <= -FLAGS_SIEVE_BOUND:
+        return np.array([delta < 0 and is_fundamental(delta) for delta in deltas], dtype=bool)
     delta = np.asarray(deltas, dtype=np.int64).ravel()
     flags = _FUNDAMENTAL_MOD_16[delta % 16] & (delta < 0)
     m = delta[flags]

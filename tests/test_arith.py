@@ -105,6 +105,12 @@ class TestFundamental:
         monkeypatch.setattr(arith, "SQUAREFREE_BLOCK", 50)
         assert fundamental_flags(deltas).tolist() == expected
         assert fundamental_flags([0, 1, 5, 8, 12, -3, 4]).tolist() == [False] * 5 + [True, False]
+        # a delta beyond -2^40 (a fundamental 4 m and delta = 1 (mod 4), and a
+        # delta = 1 (mod 4) with the square factor 9) sends each delta to
+        # is_fundamental, with no sieve
+        large = [-4 * 274877906945, -2199023255555, -9 * 244301361599]
+        monkeypatch.setattr(arith, "_prime_squares", lambda bits: pytest.fail(f"a sieve below 2^{bits}"))
+        assert fundamental_flags(deltas[-100:] + large).tolist() == expected[-100:] + [True, True, False]
 
     def test_flags_are_the_scalar_test_up_to_4e9(self):
         """Scattered delta down to -4 * 10^9 in one pass, with p^2 factors near
