@@ -3,7 +3,9 @@ perturbed theta count fails, against files written by the Fraction-tuple
 implementation that preceded the integer-vector series (tests/data/).  Each
 check line of verify.jsonl has since gained its "status" key, inserted after
 "pass" in the file as written: "skip" for the inert-prime genus permutation
-records, "pass" for the rest."""
+records, "pass" for the rest.  classgroup.json pins the classgroup output in
+json and text, as written while a class group was still a tuple-based record
+beside the stacked arrays."""
 
 import json
 from pathlib import Path
@@ -57,6 +59,16 @@ def test_series_outputs_match_golden(capsys):
     for key, expected in golden.items():
         delta, which, fmt = key.split()
         code, out = run_cli(capsys, "series", "--disc", delta, "--which", which, "--prec", 100, "--format", fmt)
+        assert code == 0
+        assert out == expected, key
+
+
+def test_classgroup_outputs_match_golden(capsys):
+    golden = json.loads((DATA / "classgroup.json").read_text())
+    assert len(golden) == 12
+    for key, expected in golden.items():
+        delta, fmt = key.split()
+        code, out = run_cli(capsys, "classgroup", "--disc", delta, "--format", fmt)
         assert code == 0
         assert out == expected, key
 
