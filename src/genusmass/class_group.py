@@ -11,29 +11,26 @@ class that p does not divide.  class_group_stack builds the groups of many
 discriminants as one Stack of arrays (inverses, genera, principal classes,
 |H^2|), check_laws checks the group laws and the principal genus theorem (the
 squares are exactly the principal genus) for all of them from one composition
-call, and prime_ideal_rows finds the prime ideal classes of all of them;
-build_class_group is the group of one, and Stack.group slices a ClassGroup out
-of a stack.
+call, and prime_ideal_rows finds the prime ideal classes of all of them.  One
+group is a stack of one, in which stack rows are class indices:
+build_class_group builds one, and Stack.group slices one out of a stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .arith import ext_gcd, is_prime, kronecker, prime_discriminant_factorization, prime_discriminant_tables
+from .arith import ext_gcd, is_prime, prime_discriminant_factorization, prime_discriminant_tables
 from .forms import INT64_BOUND, UNIT_COUNTS, reduce_triple, stacked_reduced_forms
 
 __all__ = [
-    "ClassGroup",
+    "Stack",
     "build_class_group",
-    "compose_rows",
     "compose_stacked",
-    "prime_form",
     "prime_ideal_class",
 ]
 
@@ -116,44 +113,6 @@ def _compose_arrays(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     return _reduce_rows(v1 * v2, b2 + 2 * v2 * r, (c2 * d1 + r * (b2 + v2 * r)) // v1)
 
 
-@dataclass(frozen=True)
-class ClassGroup:
-    """The form class group of a fundamental discriminant, with its genus partition.
-
-    classes holds the lexicographically sorted reduced forms (a, b, c) as the rows
-    of a read-only h x 3 int64 array, and index_of maps each (a, b, c) to its
-    position; genus ids are the smallest class index in each genus.
-    genus_signs[k] holds the assigned characters of the genus genus_ids[k]:
-    (p|r) for each prime discriminant p of delta, in
-    prime_discriminant_factorization order, at a value r of the genus that p
-    does not divide.  squares is the principal genus, which the build checks
-    is exactly the set of squares.
-    """
-
-    delta: int
-    classes: np.ndarray = field(compare=False)
-    index_of: dict[Triple, int] = field(repr=False, compare=False)
-    identity: int
-    inverses: tuple[int, ...]
-    squares: tuple[int, ...]
-    genus_of: tuple[int, ...]
-    genus_ids: tuple[int, ...]
-    genus_signs: tuple[tuple[int, ...], ...]
-
-    @property
-    def h(self) -> int:
-        return len(self.classes)
-
-    @property
-    def w(self) -> int:
-        """The unit count of the order, 6, 4 or 2: forms.automorph_count without
-        its check that delta is fundamental, which a group's delta always is."""
-        return UNIT_COUNTS.get(self.delta, 2)
-
-    def genus_members(self, genus_id: int) -> tuple[int, ...]:
-        return tuple(i for i in range(self.h) if self.genus_of[i] == genus_id)
-
-
 class Stack(NamedTuple):
     """Class groups stacked as arrays.  The classes of group k are the rows
     starts[k] <= row < starts[k] + h[k] of classes, lexicographically sorted
@@ -170,9 +129,11 @@ class Stack(NamedTuple):
     - Per genus: leaders[g], the stack row of its first class, whose index in
       its group is the genus id; genus_signs[g], its assigned characters, (p|r)
       for each prime discriminant p of its delta, padded on the right with 1s.
-    group(k) slices ClassGroup k out of it."""
+    Every array is read-only.  In a stack of one group, stack rows are class
+    indices and leaders are the genus ids; group(k) slices group k out of a
+    stack as a stack of one."""
 
-    deltas: list[int]
+    deltas: tuple[int, ...]
     classes: np.ndarray
     starts: np.ndarray
     h: np.ndarray
@@ -189,43 +150,42 @@ class Stack(NamedTuple):
     leaders: np.ndarray
     genus_signs: np.ndarray
 
-    def group(self, k: int) -> ClassGroup:
-        """The ClassGroup of group k, sliced out of the stack."""
-        lo, h, g0, size = (int(x[k]) for x in (self.starts, self.h, self.genus_starts, self.genus_counts))
-        classes = self.classes[lo : lo + h]
-        genus = self.genus[lo : lo + h]
-        identity = int(self.identity[k])
-        return ClassGroup(
-            delta=self.deltas[k],
-            classes=classes,
-            index_of={tuple(q): i for i, q in enumerate(classes.tolist())},
-            identity=identity - lo,
-            inverses=tuple((self.inverses[lo : lo + h] - lo).tolist()),
-            squares=tuple(np.flatnonzero(genus == self.genus[identity]).tolist()),
-            genus_of=tuple((self.leaders[genus] - lo).tolist()),
-            genus_ids=tuple((self.leaders[g0 : g0 + size] - lo).tolist()),
-            genus_signs=tuple(map(tuple, self.genus_signs[g0 : g0 + size, : int(self.t[k])].tolist())),
-        )
+    @property
+    def delta(self) -> int:
+        """The discriminant of a stack of one group."""
+        if len(self.deltas) != 1:
+            raise ValueError(f"a stack of {len(self.deltas)} groups has no one delta")
+        return self.deltas[0]
+
+    def group(self, k: int) -> Stack:
+        """Group k as a stack of one, its class and genus rows rebased to start
+        at 0."""
+        lo, h, g0 = int(self.starts[k]), int(self.h[k]), int(self.genus_starts[k])
+        rows, genera, t, one = slice(lo, lo + h), slice(g0, g0 + int(self.genus_counts[k])), int(self.t[k]), [k]
+        zero = np.zeros(1, dtype=np.int64)
+        return _read_only(Stack(
+            deltas=(self.deltas[k],), classes=self.classes[rows], starts=zero, h=self.h[one],
+            owner=np.zeros(h, dtype=np.int64), inverses=self.inverses[rows] - lo, genus=self.genus[rows] - g0,
+            w=self.w[one], identity=self.identity[one] - lo, squares=self.squares[one],
+            factors=self.factors[one, :t], t=self.t[one], genus_starts=zero, genus_counts=self.genus_counts[one],
+            leaders=self.leaders[genera] - lo, genus_signs=self.genus_signs[genera, :t]))
 
 
-def _one(value) -> np.ndarray:
-    return np.array([value], dtype=np.int64)
-
-
-def stack_of(group: ClassGroup) -> Stack:
-    """The stack of one group."""
-    h, ids = group.h, np.array(group.genus_ids, dtype=np.int64)
-    factors = np.array(prime_discriminant_factorization(group.delta), dtype=np.int64)
-    signs = np.array(group.genus_signs, dtype=np.int64).reshape(len(ids), len(factors))
-    zero = np.zeros(1, dtype=np.int64)
-    return Stack([group.delta], group.classes, zero, _one(h), np.zeros(h, dtype=np.int64),
-                 np.array(group.inverses, dtype=np.int64), ids.searchsorted(group.genus_of), _one(group.w),
-                 _one(group.identity), _one(len(group.squares)), factors[None, :], _one(len(factors)), zero,
-                 _one(len(ids)), ids, signs)
+def _read_only(stack: Stack) -> Stack:
+    for array in stack[1:]:
+        array.setflags(write=False)
+    return stack
 
 
 # compose_stacked runs the scalar _compose_triples loop below this many rows, and
-# the int64 array kernel from it on: the measured crossover (see compose_rows).
+# the int64 array kernel from it on: the measured crossover.  It was measured with
+# both paths on the same random rows of one group (2 vCPU, Python 3.11, numpy 2.4,
+# best of 15): the array kernel costs about 0.18 ms for any small number of rows,
+# and a scalar product 1.5-2.5 us.  At -420 (h = 8) 32 rows take 0.05 ms scalar
+# and 0.18 ms as arrays, and the two tie at 160 rows (0.26 ms); at 192 rows the
+# arrays win at every h measured (8, 88, 124, 706, 999: 0.30-0.52 ms scalar,
+# 0.22-0.30 ms arrays); at -400391 (h = 999) 3000 rows take 8.7 ms scalar and
+# 2.0 ms as arrays.
 ARRAY_MIN_ROWS = 192
 
 
@@ -261,10 +221,21 @@ def compose_stacked(stack: Stack, left, right) -> np.ndarray:
     right[k] are stack rows of one group, as an int64 array.
 
     The products come from the scalar _compose_triples loop below
-    ARRAY_MIN_ROWS rows, and from _compose_arrays on int64 arrays from it on;
-    on either path each one is then found among the stacked classes by
-    _find_classes, and one that is not a class raises RuntimeError.  See
-    compose_rows for the crossover and the int64 bound."""
+    ARRAY_MIN_ROWS rows (the measured crossover), and from _compose_arrays on
+    int64 arrays from it on; on either path each one is then found among the
+    stacked classes by _find_classes, and one that is not a class raises
+    RuntimeError.  In a stack of one group, rows are class indices.
+
+    int64 bound: Algorithm 5.4.7's product before reduction has a3 = v1 v2 <= a1 a2
+    <= |delta|/3 and |b3| <= 2 a1 a2 <= 2|delta|/3, as reduced inputs have
+    a <= sqrt(|delta|/3); its other intermediates (y1 y2 n, x2 c2, r (b2 + v2 r))
+    are at most a1 a2^2 or a1 (|delta| + 1)/4.  The reduction squares b: its first
+    shift forms (a r + b) r + c, at most b3^2 + |delta| in absolute value, and every
+    later round works on a smaller form.  So every int64 intermediate is at most
+    (2|delta|/3)^2 + |delta|, and the array path raises ValueError when that could
+    reach INT64_BOUND (|delta| above about 3.2 * 10^9), for the largest |delta|
+    of a stack.  The sort keys of a stack of at most n groups are below
+    2 n |delta|."""
     left = np.asarray(left, dtype=np.int64)
     right = np.asarray(right, dtype=np.int64)
     classes = stack.classes
@@ -282,32 +253,6 @@ def compose_stacked(stack: Stack, left, right) -> np.ndarray:
         k = int(bad.argmax())
         raise _not_a_class(stack, left[k], right[k], tuple(products[:, k].tolist()))
     return index
-
-
-def compose_rows(group: ClassGroup, left, right) -> np.ndarray:
-    """The class indices of the products left[k] * right[k], as an int64 array:
-    compose_stacked on the stack of this one group.
-
-    The crossover was measured with both paths on the same random rows (2 vCPU,
-    Python 3.11, numpy 2.4, best of 15): the array kernel costs about 0.18 ms
-    for any small number of rows, and a scalar product 1.5-2.5 us.  At -420
-    (h = 8) 32 rows take 0.05 ms scalar and 0.18 ms as arrays, and the two tie
-    at 160 rows (0.26 ms); at 192 rows the arrays win at every h measured (8, 88,
-    124, 706, 999: 0.30-0.52 ms scalar, 0.22-0.30 ms arrays); at -400391 (h = 999)
-    3000 rows take 8.7 ms scalar and 2.0 ms as arrays.
-
-    int64 bound: Algorithm 5.4.7's product before reduction has a3 = v1 v2 <= a1 a2
-    <= |delta|/3 and |b3| <= 2 a1 a2 <= 2|delta|/3, as reduced inputs have
-    a <= sqrt(|delta|/3); its other intermediates (y1 y2 n, x2 c2, r (b2 + v2 r))
-    are at most a1 a2^2 or a1 (|delta| + 1)/4.  The reduction squares b: its first
-    shift forms (a r + b) r + c, at most b3^2 + |delta| in absolute value, and every
-    later round works on a smaller form.  So every int64 intermediate is at most
-    (2|delta|/3)^2 + |delta|, and the array path raises ValueError when that could
-    reach INT64_BOUND (|delta| above about 3.2 * 10^9), for the largest |delta|
-    of a stack.  The sort keys of a stack of at most n groups are below
-    2 n |delta|.
-    """
-    return compose_stacked(stack_of(group), left, right)
 
 
 def _not_a_class(stack: Stack, i, j, product: Triple) -> RuntimeError:
@@ -417,23 +362,21 @@ def _genera(classes: np.ndarray, starts: np.ndarray, owner: np.ndarray, factors:
 def class_group_stack(deltas: list[int], classes: np.ndarray, counts, read_tables=None) -> Stack:
     """The stack of the class groups of the fundamental discriminants deltas, in
     order, from their stacked reduced forms (forms.stacked_reduced_forms), with
-    their inverses, principal classes and genera as arrays over all of them at
-    once; the group laws are not yet checked (check_laws).  read_tables(delta),
-    when given, is called on each delta right after its genus characters are
-    read from its prime-discriminant tables, while they are still the ones
-    arith.prime_discriminant_tables keeps (the last delta's), so that a caller
-    can read them too without building them again."""
-    deltas = [int(delta) for delta in deltas]
+    their inverses, principal classes and genera as read-only arrays over all of
+    them at once; the group laws are not yet checked (check_laws).
+    read_tables(delta), when given, is called on each delta right after its
+    genus characters are read from its prime-discriminant tables, while they are
+    still the ones arith.prime_discriminant_tables keeps (the last delta's), so
+    that a caller can read them too without building them again."""
+    deltas = tuple(int(delta) for delta in deltas)
     classes = classes.copy()
-    classes.setflags(write=False)
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = np.array(counts, dtype=np.int64)
     starts = counts.cumsum() - counts
     owner = np.arange(len(deltas)).repeat(counts)
     found = [prime_discriminant_factorization(delta) for delta in deltas]
     width = max(map(len, found))
     factors = np.array([f + (1,) * (width - len(f)) for f in found], dtype=np.int64)
     genus, leaders, signs = _genera(classes, starts, owner, factors, deltas, read_tables)
-    signs.setflags(write=False)
     genus_counts = np.bincount(owner[leaders], minlength=len(deltas))
     # the inverse of (a, b, c) is (a, -b, c): a class of its own, or, when b = a
     # or a = c, not reduced and the class itself
@@ -448,53 +391,43 @@ def class_group_stack(deltas: list[int], classes: np.ndarray, counts, read_table
         delta = deltas[int(bad.argmax())]
         raise RuntimeError(f"delta={delta}: the principal form {(1, delta % 2, (delta % 2 - delta) // 4)} "
                            f"is not a class")
-    return Stack(deltas=deltas, classes=classes, starts=starts, h=counts, owner=owner, inverses=inverses,
-                 genus=genus, w=np.array([UNIT_COUNTS.get(delta, 2) for delta in deltas]), identity=starts,
-                 squares=np.bincount(genus, minlength=len(leaders))[genus[starts]], factors=factors,
-                 t=np.array(list(map(len, found))), genus_starts=genus_counts.cumsum() - genus_counts,
-                 genus_counts=genus_counts, leaders=leaders, genus_signs=signs)
+    return _read_only(Stack(
+        deltas=deltas, classes=classes, starts=starts, h=counts, owner=owner, inverses=inverses, genus=genus,
+        w=np.array([UNIT_COUNTS.get(delta, 2) for delta in deltas]), identity=starts,
+        squares=np.bincount(genus, minlength=len(leaders))[genus[starts]], factors=factors,
+        t=np.array(list(map(len, found))), genus_starts=genus_counts.cumsum() - genus_counts,
+        genus_counts=genus_counts, leaders=leaders, genus_signs=signs))
 
 
 @lru_cache(maxsize=None)
-def build_class_group(delta: int) -> ClassGroup:
-    """Class group of a fundamental discriminant: classes, inverses, squares, genera;
-    a stack of one group, with its group laws checked by one compose_stacked call."""
+def build_class_group(delta: int) -> Stack:
+    """The class group of a fundamental discriminant, as the read-only stack of
+    this one group, with its group laws checked by one compose_stacked call."""
     delta = int(delta)
     stack = class_group_stack([delta], *stacked_reduced_forms([delta]))
     check_laws(stack, compose_stacked(stack, *law_rows(stack)))
-    return stack.group(0)
+    return stack
 
 
-def prime_form(delta: int, p: int) -> Triple:
-    """The form (p, b, (b^2 - delta)/(4p)) for the smallest valid b in [0, 2p).
-
-    Exists exactly when p is not inert, i.e. (delta|p) != -1.
-    """
+def prime_ideal_class(group: Stack, p: int) -> int:
+    """The class index of the prime ideal above a split or ramified p in a stack
+    of one group: prime_ideal_rows at p alone."""
+    delta = group.delta
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if kronecker(delta, p) == -1:
+    chi, rows = prime_ideal_rows(group, (p,))
+    if chi[0, 0] == -1:
         raise ValueError(f"{p} is inert for discriminant {delta}: no ideal of norm {p}")
-    for b in range(0, 2 * p):
-        if (b - delta) % 2 == 0 and (b * b - delta) % (4 * p) == 0:
-            return p, b, (b * b - delta) // (4 * p)
-    raise AssertionError(f"no square root of {delta} mod {4 * p} found for non-inert {p}")
-
-
-def prime_ideal_class(group: ClassGroup, p: int) -> int:
-    """Class index of the prime ideal above a split or ramified p."""
-    form = reduce_triple(*prime_form(group.delta, p))
-    try:
-        return group.index_of[form]
-    except KeyError:
-        raise RuntimeError(f"delta={group.delta}: the prime ideal above {p} is {form}, not a class") from None
+    return int(rows[0, 0])
 
 
 class _PrimeTables(NamedTuple):
     """Residue tables of the primes p_i, concatenated: (delta|p_i) is
     chi[chi_at[i] + delta mod chi_mod[i]], where chi_mod[i] is p_i, or 8 at
-    p_i = 2; and the smallest b in [0, 2 p_i) with b^2 = delta (mod 4 p_i),
-    prime_form's b, is roots[roots_at[i] + delta mod 4 p_i], or -1 where there
-    is none."""
+    p_i = 2; and the smallest b in [0, 2 p_i) with b^2 = delta (mod 4 p_i) is
+    roots[roots_at[i] + delta mod 4 p_i], or -1 where there is none: the prime
+    form (p_i, b, (b^2 - delta)/(4 p_i)) exists exactly where p_i is not
+    inert."""
 
     primes: np.ndarray
     chi: np.ndarray
@@ -539,15 +472,14 @@ def _prime_tables(primes: tuple[int, ...]) -> _PrimeTables:
 def prime_ideal_rows(stack: Stack, primes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(delta_k|p_i) for every group k of the stack and every prime p_i, as a
     len(stack.deltas) x len(primes) int64 array; and the stack row of the class
-    of the prime ideal above p_i in group k, or -1 where p_i is inert.
-    prime_ideal_class for all of them at once: chi and b from the residue
-    tables of the primes (_prime_tables), the prime forms (p, b, c) reduced
-    by reduce_triple one at a time below ARRAY_MIN_ROWS forms and by
-    _reduce_rows from it on, and found by _find_classes.  A prime form that is
-    not a class raises RuntimeError.  The crossover is compose_stacked's: on
-    the prime forms of [-3, -2000] (2 vCPU, numpy 2.4, best of 7), 34 forms
-    took 15 us scalar and 36 us as arrays, 148 forms 46 and 38 us, and 500
-    forms 190 and 53 us."""
+    of the prime ideal above p_i in group k, or -1 where p_i is inert, all at
+    once: chi and b from the residue tables of the primes (_prime_tables), the
+    prime forms (p, b, c) reduced by reduce_triple one at a time below
+    ARRAY_MIN_ROWS forms and by _reduce_rows from it on, and found by
+    _find_classes.  A prime form that is not a class raises RuntimeError.  The
+    crossover is compose_stacked's: on the prime forms of [-3, -2000] (2 vCPU,
+    numpy 2.4, best of 7), 34 forms took 15 us scalar and 36 us as arrays, 148
+    forms 46 and 38 us, and 500 forms 190 and 53 us."""
     shape = (len(stack.deltas), len(primes))
     if not primes:
         return np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)

@@ -13,7 +13,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .arith import is_fundamental, is_squarefree
-from .class_group import ClassGroup, build_class_group, compose_rows
+from .class_group import Stack, build_class_group, compose_stacked
 from .genus import build_genus_characters, character_pairs
 from .qseries import QSeries
 from .series import (
@@ -105,10 +105,10 @@ def _emit(text: str, out: Optional[str]) -> None:
 TABLE_BLOCK = 1 << 14
 
 
-def _composition_table(group: ClassGroup) -> list[list[int]]:
-    """Every product i*j, composed once per unordered pair i <= j, one compose_rows
-    call per block of rows."""
-    h = group.h
+def _composition_table(group: Stack) -> list[list[int]]:
+    """Every product i*j in a stack of one group, composed once per unordered pair
+    i <= j, one compose_stacked call per block of rows."""
+    h = int(group.h[0])
     table = np.empty((h, h), dtype=np.int64)
     step = max(1, TABLE_BLOCK // h)
     for start in range(0, h, step):
@@ -116,7 +116,7 @@ def _composition_table(group: ClassGroup) -> list[list[int]]:
         j = np.tile(np.arange(h), len(i) // h)
         upper = np.flatnonzero(j >= i)
         i, j = i[upper], j[upper]
-        table[i, j] = table[j, i] = compose_rows(group, i, j)
+        table[i, j] = table[j, i] = compose_stacked(group, i, j)
     return table.tolist()
 
 
@@ -126,27 +126,31 @@ def cmd_classgroup(args: argparse.Namespace) -> int:
     if args.fmt not in ("json", "text"):
         raise UsageError(f"classgroup supports text or json output, not {args.fmt}")
     group = build_class_group(delta)
+    h, w, identity = int(group.h[0]), int(group.w[0]), int(group.identity[0])
+    ids, genus_of = group.leaders.tolist(), group.leaders[group.genus]
+    genera = {g: np.flatnonzero(genus_of == g).tolist() for g in ids}
+    squares = genera[int(genus_of[identity])]
     chars = list(zip(character_pairs(delta), build_genus_characters(group).tolist()))
     table = _composition_table(group)
     if args.fmt == "json":
         payload = {
-            "delta": group.delta,
-            "h": group.h,
-            "w": group.w,
+            "delta": delta,
+            "h": h,
+            "w": w,
             "classes": group.classes.tolist(),
             "composition_table": table,
-            "identity": group.identity,
-            "squares": list(group.squares),
-            "genera": {str(g): list(group.genus_members(g)) for g in group.genus_ids},
+            "identity": identity,
+            "squares": squares,
+            "genera": {str(g): members for g, members in genera.items()},
             "characters": [
-                {"d": d, "D": big_d, "values": {str(g): v for g, v in zip(group.genus_ids, values)}}
+                {"d": d, "D": big_d, "values": {str(g): v for g, v in zip(ids, values)}}
                 for (d, big_d), values in chars
             ],
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
     lines = [
-        f"discriminant {group.delta}: h = {group.h}, w = {group.w}",
+        f"discriminant {delta}: h = {h}, w = {w}",
         "classes:",
     ]
     for i, (a, b, c) in enumerate(group.classes.tolist()):
@@ -154,10 +158,10 @@ def cmd_classgroup(args: argparse.Namespace) -> int:
     lines.append("composition table:")
     for i, row in enumerate(table):
         lines.append(f"  {i}: " + " ".join(str(k) for k in row))
-    lines.append(f"squares H^2: {list(group.squares)}")
+    lines.append(f"squares H^2: {squares}")
     lines.append("genera (id: classes):")
-    for g in group.genus_ids:
-        lines.append(f"  {g}: {list(group.genus_members(g))}")
+    for g, members in genera.items():
+        lines.append(f"  {g}: {members}")
     lines.append("genus characters (d, D | value per genus):")
     for (d, big_d), values in chars:
         lines.append(f"  ({d},{big_d}): " + " ".join(f"{v:+d}" for v in values))
@@ -177,12 +181,14 @@ def _build_series(delta: int, which: str, n_max: int) -> QSeries:
         raise UsageError(f"series label index must be an integer: {which!r}") from None
     group = None if kind == "eisenstein" else build_class_group(delta)
     if kind == "theta":
-        if not 0 <= value < group.h:
-            raise UsageError(f"class index {value} out of range 0..{group.h - 1}")
+        h = int(group.h[0])
+        if not 0 <= value < h:
+            raise UsageError(f"class index {value} out of range 0..{h - 1}")
         return theta_series(group, value, n_max)
     if kind == "genus":
-        if value not in group.genus_ids:
-            raise UsageError(f"genus id {value} not in {list(group.genus_ids)}")
+        ids = group.leaders.tolist()
+        if value not in ids:
+            raise UsageError(f"genus id {value} not in {ids}")
         return QSeries(delta, *genus_eisenstein(group, n_max, value))
     if kind in ("eisenstein", "twisted"):
         pairs = dict(character_pairs(delta))

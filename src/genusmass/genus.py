@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import is_fundamental, prime_discriminant_factorization
-from .class_group import ClassGroup, Stack, stack_of
+from .class_group import Stack
 
 __all__ = [
     "character_pairs",
@@ -79,8 +79,8 @@ class CharacterTables(NamedTuple):
 
 def character_tables(stack: Stack, pair_d: np.ndarray, pair_counts: np.ndarray) -> CharacterTables:
     """The character table X of every group of the stack: X[i, k] =
-    chi_{d_i}(genus_ids[k]), with a row for each character pair (d_i, D_i) of
-    the group, where pair_d holds the d of every group's pairs in order and
+    chi_{d_i}(g_k), g_k the group's k-th genus, with a row for each character
+    pair (d_i, D_i) of the group, where pair_d holds the d of every group's pairs in order and
     pair_counts how many each group has.
 
     chi_{d,D}(g) = (d|r) for a value r of the genus coprime to d, so it is the
@@ -101,9 +101,10 @@ def character_tables(stack: Stack, pair_d: np.ndarray, pair_counts: np.ndarray) 
         signs = stack.genus_signs[stack.genus_starts[members][:, None] + np.arange(size), :t]
         if (signs * signs != 1).any():
             m, g = np.argwhere((signs * signs != 1).any(axis=2))[0].tolist()
-            group = stack.group(int(members[m]))
-            raise RuntimeError(f"genus {group.genus_ids[g]} of {group.delta}: "
-                               f"assigned characters {group.genus_signs[g]}")
+            k = int(members[m])
+            row = int(stack.genus_starts[k]) + g
+            raise RuntimeError(f"genus {int(stack.leaders[row] - stack.starts[k])} of {stack.deltas[k]}: "
+                               f"assigned characters {tuple(stack.genus_signs[row, :t].tolist())}")
         ds = pair_d[pair_starts[members][:, None] + np.arange(count)]
         divides = ds[:, :, None] % stack.factors[members, :t][:, None, :] == 0
         odd = divides.astype(np.int64) @ (signs < 0).transpose(0, 2, 1).astype(np.int64)
@@ -113,9 +114,9 @@ def character_tables(stack: Stack, pair_d: np.ndarray, pair_counts: np.ndarray) 
     return CharacterTables(blocks, block, position)
 
 
-def build_genus_characters(group: ClassGroup) -> np.ndarray:
-    """The character table X of the genus group, as a read-only int64 matrix, with
-    rows in character_pairs order: character_tables on the stack of this one
-    group."""
+def build_genus_characters(group: Stack) -> np.ndarray:
+    """The character table X of the genus group of a stack of one group, as a
+    read-only int64 matrix, with rows in character_pairs order: character_tables
+    on that stack."""
     ds = np.array([d for d, _ in character_pairs(group.delta)], dtype=np.int64)
-    return character_tables(stack_of(group), ds, np.array([len(ds)])).table(0)
+    return character_tables(group, ds, np.array([len(ds)])).table(0)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .arith import primes_up_to
 from .forms import _ragged
-from .class_group import ClassGroup, Stack, prime_ideal_rows
+from .class_group import Stack, prime_ideal_rows
 from .qseries import first_mismatch, t_rows, u_rows
 from .series import EisensteinRows
 
@@ -93,7 +93,8 @@ class _PrimeLayer(NamedTuple):
       the class of the prime ideal above p, and the identity at a principal P;
     - conjugates[p], the permutation h -> h P' of each split p, P' the inverse
       of P;
-    - genus_row[h], the row of the genus of the class h in genus_ids order."""
+    - genus_row[h], the row of the genus of the class h among the group's
+      genera."""
 
     chi: dict[int, int]
     perms: dict[int, np.ndarray]
@@ -104,7 +105,7 @@ class _PrimeLayer(NamedTuple):
 class Layers(NamedTuple):
     """One discriminant's layers, sliced out of its batch (verify.batch_record)
     for a check that its batch flags, and all that the check reads: the class
-    group; its genus character table X (genus.character_tables); the theta
+    group, as a stack of one (Stack.group); its genus character table X (genus.character_tables); the theta
     matrix and the genus sums S, in the group's coefficient dtype; the
     Eisenstein rows, with their character pairs, the character row and L(0);
     the prime layer; its 3 x (number of primes) slice of sweep_failures; its
@@ -112,7 +113,7 @@ class Layers(NamedTuple):
     identities fails, in verify.IDENTITIES order; and its shares of the
     batch's build and comparison time in seconds (see verify.Batch)."""
 
-    group: ClassGroup
+    group: Stack
     characters: np.ndarray
     theta: np.ndarray
     sums: np.ndarray
@@ -231,7 +232,7 @@ def prime_layer(stack: Stack, primes: PrimeStack, k: int) -> _PrimeLayer:
     return _PrimeLayer(chi, perms, conjugates, genus_row)
 
 
-def _chi(group: ClassGroup, p: int, layer: _PrimeLayer, kind: Optional[int] = None) -> int:
+def _chi(group: Stack, p: int, layer: _PrimeLayer, kind: Optional[int] = None) -> int:
     """(delta|p) from the prime layer, which must hold p; ValueError when it is
     not kind, where kind is given."""
     if p not in layer.chi:
@@ -242,14 +243,14 @@ def _chi(group: ClassGroup, p: int, layer: _PrimeLayer, kind: Optional[int] = No
     return chi
 
 
-def check_eigenform(group: ClassGroup, p: int, total: np.ndarray, layer: _PrimeLayer) -> CheckRecord:
+def check_eigenform(group: Stack, p: int, total: np.ndarray, layer: _PrimeLayer) -> CheckRecord:
     """a(pn) + (delta|p) a(n/p) = (1 + (delta|p)) a(n) for the class-group total a."""
     chi = _chi(group, p, layer)
     lhs = t_rows(total, p, chi)
     return _compare_rows(p, chi, "eigenform", lhs, (1 + chi) * total[: len(lhs)])
 
 
-def check_split_theta(group: ClassGroup, p: int, theta: np.ndarray, layer: _PrimeLayer) -> CheckRecord:
+def check_split_theta(group: Stack, p: int, theta: np.ndarray, layer: _PrimeLayer) -> CheckRecord:
     """theta_h | T_p = theta_{h p} + theta_{h p'} for every class h, split p."""
     _chi(group, p, layer, 1)
     lhs = t_rows(theta, p, 1)
@@ -258,7 +259,7 @@ def check_split_theta(group: ClassGroup, p: int, theta: np.ndarray, layer: _Prim
     return _compare_rows(p, 1, "theta_split", lhs, rhs)
 
 
-def check_ramified_theta(group: ClassGroup, p: int, theta: np.ndarray, layer: _PrimeLayer) -> CheckRecord:
+def check_ramified_theta(group: Stack, p: int, theta: np.ndarray, layer: _PrimeLayer) -> CheckRecord:
     """theta_h | U_p = theta_{h p} for every class h, ramified p."""
     _chi(group, p, layer, 0)
     lhs = u_rows(theta, p)
@@ -266,14 +267,14 @@ def check_ramified_theta(group: ClassGroup, p: int, theta: np.ndarray, layer: _P
     return _compare_rows(p, 0, "theta_ramified", lhs, rhs)
 
 
-def check_inert_theta(group: ClassGroup, p: int, theta: np.ndarray, layer: _PrimeLayer) -> CheckRecord:
+def check_inert_theta(group: Stack, p: int, theta: np.ndarray, layer: _PrimeLayer) -> CheckRecord:
     """theta_h | T_p = 0 for every class h, inert p."""
     _chi(group, p, layer, -1)
     lhs = t_rows(theta, p, -1)
     return _compare_rows(p, -1, "theta_inert", lhs, np.zeros_like(lhs))
 
 
-def check_genus_permutation(group: ClassGroup, p: int, sums: np.ndarray, layer: _PrimeLayer) -> CheckRecord:
+def check_genus_permutation(group: Stack, p: int, sums: np.ndarray, layer: _PrimeLayer) -> CheckRecord:
     """E_g | T_p = 2 E_{g p} (split) or E_{g p} (ramified) for every genus g, on
     the genus sums S, with unit 1/|H^2|: the target of the genus g is the genus
     of the class g p."""
@@ -281,9 +282,9 @@ def check_genus_permutation(group: ClassGroup, p: int, sums: np.ndarray, layer: 
     if chi == -1:
         raise ValueError(f"{p} is inert for discriminant {group.delta}: no genus translate")
     lhs = t_rows(sums, p, chi)
-    targets = layer.genus_row[layer.perms[p][list(group.genus_ids)]]
+    targets = layer.genus_row[layer.perms[p][group.leaders]]
     rhs = (2 if chi == 1 else 1) * sums[targets, : lhs.shape[-1]]
-    return _compare_rows(p, chi, "genus_permutation", lhs, rhs, Fraction(1, len(group.squares)))
+    return _compare_rows(p, chi, "genus_permutation", lhs, rhs, Fraction(1, int(group.squares[0])))
 
 
 # The prime sweep compares blocks of whole primes, and each array of a block has

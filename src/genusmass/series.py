@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .arith import prime_discriminant_tables
-from .class_group import ClassGroup, Stack, build_class_group, stack_of
+from .class_group import Stack, build_class_group
 from .forms import INT64_BOUND, UNIT_COUNTS, representation_counts
 from .genus import build_genus_characters, character_pairs, stacked_pairs
 from .qseries import QSeries, dirichlet_convolution
@@ -97,43 +97,45 @@ def theta_matrix(delta: int, n_max: int) -> np.ndarray:
     the matrices of a stack of groups from one representation_counts call on all
     of their classes; this is the matrix of one."""
     group = build_class_group(delta)
-    theta = representation_counts(group.classes, n_max).astype(_coeff_dtype(delta, group.h, n_max), copy=False)
+    theta = representation_counts(group.classes, n_max).astype(_coeff_dtype(delta, int(group.h[0]), n_max),
+                                                               copy=False)
     theta.setflags(write=False)
     return theta
 
 
-def theta_series(group: ClassGroup, h: int, n_max: int) -> QSeries:
-    """Theta series of the class h: coefficient n is r(Q_h, n); constant term 1.
-    Builds this one row, not the whole theta matrix."""
+def theta_series(group: Stack, h: int, n_max: int) -> QSeries:
+    """Theta series of the class h of a stack of one group: coefficient n is
+    r(Q_h, n); constant term 1.  Builds this one row, not the whole theta
+    matrix."""
     counts = representation_counts(group.classes[[h]], n_max)[0]
-    return QSeries(group.delta, counts.astype(_coeff_dtype(group.delta, group.h, n_max), copy=False))
+    return QSeries(group.delta, counts.astype(_coeff_dtype(group.delta, int(group.h[0]), n_max), copy=False))
 
 
-def _genus_sums(group: ClassGroup, n_max: int) -> np.ndarray:
+def _genus_sums(group: Stack, n_max: int) -> np.ndarray:
     """S: the matrix whose row k is the sum of the theta rows of the classes in the
-    genus genus_ids[k] (see _stacked_genus_sums)."""
-    return _stacked_genus_sums(stack_of(group), theta_matrix(group.delta, n_max))
+    group's k-th genus (see _stacked_genus_sums)."""
+    return _stacked_genus_sums(group, theta_matrix(group.delta, n_max))
 
 
-def genus_eisenstein(group: ClassGroup, n_max: int, genus_id=None) -> tuple[np.ndarray, Fraction]:
-    """The average of the theta series over each genus, as (S, 1/|H^2|), one row
-    per genus in genus_ids order.  With genus_id, only the row of that genus,
-    summed from its own classes."""
-    unit = Fraction(1, len(group.squares))
+def genus_eisenstein(group: Stack, n_max: int, genus_id=None) -> tuple[np.ndarray, Fraction]:
+    """The average of the theta series over each genus of a stack of one group,
+    as (S, 1/|H^2|), one row per genus in order.  With genus_id, only the row of
+    that genus, summed from its own classes."""
+    unit = Fraction(1, int(group.squares[0]))
     if genus_id is None:
         return _genus_sums(group, n_max), unit
-    members = list(group.genus_members(genus_id))
+    members = np.flatnonzero(group.leaders[group.genus] == genus_id)
     return theta_matrix(group.delta, n_max)[members].sum(axis=0), unit
 
 
-def twisted_sum(group: ClassGroup, n_max: int, d=None) -> tuple[np.ndarray, Fraction]:
+def twisted_sum(group: Stack, n_max: int, d=None) -> tuple[np.ndarray, Fraction]:
     """(1/w) * sum over classes of chi_{d,D}(h) * theta_h, one row per character
     pair in character_pairs order, as (X S, 1/w).  With d, only the row of the
     pair (d, D)."""
     table = build_genus_characters(group)
     if d is not None:
         table = table[[pair[0] for pair in character_pairs(group.delta)].index(d)]
-    return table @ _genus_sums(group, n_max), Fraction(1, group.w)
+    return table @ _genus_sums(group, n_max), Fraction(1, int(group.w[0]))
 
 
 # L(0) sums its character over blocks of this many residues, so that its
@@ -340,11 +342,11 @@ def eisenstein_series(d: int, big_d: int, n_max: int) -> QSeries:
     return QSeries(d * big_d, rows[0], unit)
 
 
-def eisenstein_for_genus(group: ClassGroup, n_max: int) -> tuple[np.ndarray, Fraction]:
+def eisenstein_for_genus(group: Stack, n_max: int) -> tuple[np.ndarray, Fraction]:
     """The mass-formula series (w/h) * sum over characters of chi(g) * E_{d,D}, one
-    row per genus g in genus_ids order, as (X^T E, (w/h)/k)."""
+    row per genus g of a stack of one group, in order, as (X^T E, (w/h)/k)."""
     rows, unit = eisenstein_matrix(group.delta, n_max)
-    return build_genus_characters(group).T @ rows, unit * Fraction(group.w, group.h)
+    return build_genus_characters(group).T @ rows, unit * Fraction(int(group.w[0]), int(group.h[0]))
 
 
 def series_csv(series: QSeries) -> str:

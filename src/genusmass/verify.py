@@ -106,7 +106,7 @@ def verify_gauss(layers: Layers) -> CheckRecord:
     """sum over classes of r(Q_h, n) = w * sum over t | n of (delta|t), n = 1..N."""
     total = layers.theta.sum(axis=0)
     chi = layers.eisenstein.character.astype(total.dtype)
-    rhs = layers.group.w * dirichlet_convolution(chi, np.ones_like(chi))
+    rhs = int(layers.group.w[0]) * dirichlet_convolution(chi, np.ones_like(chi))
     found = first_mismatch(total, 1, rhs, 1, lo=1)
     if found is not None:
         _, n, left, right = found
@@ -118,9 +118,10 @@ def verify_dirichlet(layers: Layers) -> CheckRecord:
     """h = (w/2) L(0, (delta|.)) exactly: Dirichlet's class number formula at s = 0,
     with h from the class group and L(0) from the character alone."""
     group = layers.group
-    computed = group.w * layers.eisenstein.l_zero / 2
-    status = "pass" if computed == group.h else "fail"
-    return CheckRecord("dirichlet_class_number", status, f"(w/2)L(0)={computed} h={group.h} exact")
+    h = int(group.h[0])
+    computed = int(group.w[0]) * layers.eisenstein.l_zero / 2
+    status = "pass" if computed == h else "fail"
+    return CheckRecord("dirichlet_class_number", status, f"(w/2)L(0)={computed} h={h} exact")
 
 
 def verify_twisted_eisenstein(layers: Layers) -> CheckRecord:
@@ -129,7 +130,7 @@ def verify_twisted_eisenstein(layers: Layers) -> CheckRecord:
     group, eisenstein = layers.group, layers.eisenstein
     pairs = eisenstein.pairs
     lhs = layers.characters @ layers.sums
-    found = first_mismatch(lhs, Fraction(1, group.w), eisenstein.rows, eisenstein.unit)
+    found = first_mismatch(lhs, Fraction(1, int(group.w[0])), eisenstein.rows, eisenstein.unit)
     if found is not None:
         row, n, left, right = found
         d, big_d = pairs[row]
@@ -143,20 +144,21 @@ def verify_genus_mass(layers: Layers) -> CheckRecord:
     S / |H^2| = (w/h) X^T E, every genus at once.  A genus whose two constant
     terms are not both 1 is reported ahead of any mismatch in it or after it."""
     group, eisenstein = layers.group, layers.eisenstein
-    lhs, lhs_unit = layers.sums, Fraction(1, len(group.squares))
-    rhs, rhs_unit = layers.characters.T @ eisenstein.rows, eisenstein.unit * Fraction(group.w, group.h)
+    lhs, lhs_unit = layers.sums, Fraction(1, int(group.squares[0]))
+    rhs = layers.characters.T @ eisenstein.rows
+    rhs_unit = eisenstein.unit * Fraction(int(group.w[0]), int(group.h[0]))
     found = first_mismatch(lhs, lhs_unit, rhs, rhs_unit)
     lhs0, rhs0 = lhs[:, 0] * lhs_unit, rhs[:, 0] * rhs_unit
     bad = (lhs0 != 1) | (rhs0 != 1)
     if bad.any() and (found is None or bad.argmax() <= found[0]):
         k = int(bad.argmax())
-        detail = f"genus {group.genus_ids[k]}: constant terms {lhs0[k]}, {rhs0[k]} != 1"
+        detail = f"genus {int(group.leaders[k])}: constant terms {lhs0[k]}, {rhs0[k]} != 1"
         return CheckRecord("genus_mass", "fail", detail)
     if found is not None:
         row, n, left, right = found
-        detail = f"genus {group.genus_ids[row]} mismatch at n={n}: {left} != {right}"
+        detail = f"genus {int(group.leaders[row])} mismatch at n={n}: {left} != {right}"
         return CheckRecord("genus_mass", "fail", detail, found[1:])
-    return CheckRecord("genus_mass", "pass", f"{len(group.genus_ids)} genera, n=0..{lhs.shape[1] - 1} exact")
+    return CheckRecord("genus_mass", "pass", f"{len(group.leaders)} genera, n=0..{lhs.shape[1] - 1} exact")
 
 
 def verify_character_counts(layers: Layers) -> CheckRecord:
@@ -165,14 +167,14 @@ def verify_character_counts(layers: Layers) -> CheckRecord:
     expected = 2 ** (distinct_prime_count(group.delta) - 1)
     if len(pairs) != expected:
         return CheckRecord("character_counts", "fail", f"{len(pairs)} pairs != 2^(t-1) = {expected}")
-    if len(group.genus_ids) != expected:
-        detail = f"{len(group.genus_ids)} genera != 2^(t-1) = {expected}"
+    if len(group.leaders) != expected:
+        detail = f"{len(group.leaders)} genera != 2^(t-1) = {expected}"
         return CheckRecord("character_counts", "fail", detail)
     table = layers.characters
     if not np.array_equal(table @ table.T, expected * np.eye(expected, dtype=np.int64)):
         detail = f"the character table is not orthogonal: X X^T != {expected} I"
         return CheckRecord("character_counts", "fail", detail)
-    detail = f"|G*| = |G| = {expected}, genera of size {len(group.squares)}"
+    detail = f"|G*| = |G| = {expected}, genera of size {int(group.squares[0])}"
     return CheckRecord("character_counts", "pass", detail)
 
 
@@ -401,9 +403,9 @@ def batch_record(batch: Batch, k: int) -> Layers:
     stack = batch.stack
     group = stack.group(k)
     n_max = batch.theta.shape[1] - 1
-    start, g0 = int(stack.starts[k]), int(stack.genus_starts[k])
-    theta = own_rows(batch.theta[start : start + group.h], group.delta, group.h, n_max)
-    sums = own_rows(batch.sums[g0 : g0 + len(group.genus_ids)], group.delta, group.h, n_max)
+    start, g0, h = int(stack.starts[k]), int(stack.genus_starts[k]), int(stack.h[k])
+    theta = own_rows(batch.theta[start : start + h], group.delta, h, n_max)
+    sums = own_rows(batch.sums[g0 : g0 + len(group.leaders)], group.delta, h, n_max)
     return Layers(group, batch.characters.table(k), theta, sums, batch.eisenstein.rows_of(k, theta.dtype),
                   prime_layer(stack, batch.primes, k), batch.failed[:, k], batch.identities_failed[k].tolist(),
                   batch.shares[k])

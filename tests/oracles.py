@@ -14,8 +14,10 @@ tuples of Fraction that preceded the integer-vector series, and the per-t
 divisor-sum sieve that preceded the convolution kernel, all kept separate from
 the library's code paths.  Helpers only the tests need live here too: the
 divisor list of n, one period of the Kronecker character of delta, the type
-of a prime, the product, inverse, genus product and principal genus of
-classes one at a time, the QuadForm type with its reduction, which the
+of a prime, the prime form of a non-inert prime, the h, w, principal class,
+inverses, classes, genera and squares of a class group read off its stack of
+one as Python ints and tuples, the product, inverse, genus product and
+principal genus of classes one at a time, the QuadForm type with its reduction, which the
 library replaced by rows of an integer array, the per-prime loop of
 check_* calls that the prime sweep replaced, the scalar search for the
 smallest value of a form coprime to a modulus, which the per-prime reading of
@@ -44,7 +46,7 @@ from genusmass.arith import (
     kronecker,
     prime_discriminant_tables,
 )
-from genusmass.class_group import ClassGroup, compose_rows, prime_form
+from genusmass.class_group import Stack, compose_stacked
 from genusmass.forms import reduce_triple, reduced_forms, stacked_reduced_forms
 from genusmass.genus import build_genus_characters, character_pairs
 from genusmass.hecke import (
@@ -326,22 +328,80 @@ def compose_forms_oracle(f1: QuadForm, f2: QuadForm) -> QuadForm:
     return reduce_form(QuadForm(out_a, out_b, out_c))
 
 
-def compose(group: ClassGroup, h1: int, h2: int) -> int:
-    """The class index of the product h1 * h2, one row of the library's compose_rows."""
-    return int(compose_rows(group, [h1], [h2])[0])
+def prime_form(delta: int, p: int) -> tuple[int, int, int]:
+    """The form (p, b, (b^2 - delta)/(4p)) for the smallest valid b in [0, 2p).
+
+    Exists exactly when p is not inert, i.e. (delta|p) != -1.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if kronecker(delta, p) == -1:
+        raise ValueError(f"{p} is inert for discriminant {delta}: no ideal of norm {p}")
+    for b in range(0, 2 * p):
+        if (b - delta) % 2 == 0 and (b * b - delta) % (4 * p) == 0:
+            return p, b, (b * b - delta) // (4 * p)
+    raise AssertionError(f"no square root of {delta} mod {4 * p} found for non-inert {p}")
 
 
-def inverse(group: ClassGroup, h: int) -> int:
-    return group.inverses[h]
+# --- a class group, read off its stack of one (class_group.build_class_group) ---
 
 
-def genus_product(group: ClassGroup, g1: int, g2: int) -> int:
+def class_number(group: Stack) -> int:
+    return int(group.h[0])
+
+
+def unit_count(group: Stack) -> int:
+    return int(group.w[0])
+
+
+def principal_class(group: Stack) -> int:
+    return int(group.identity[0])
+
+
+def class_index(group: Stack, form) -> int:
+    """The class index of the reduced form (a, b, c), by a scan of the classes."""
+    return group.classes.tolist().index(list(form))
+
+
+def inverses(group: Stack) -> tuple[int, ...]:
+    return tuple(group.inverses.tolist())
+
+
+def genus_ids(group: Stack) -> tuple[int, ...]:
+    """The smallest class index of each genus, in order."""
+    return tuple(group.leaders.tolist())
+
+
+def genus_of(group: Stack) -> tuple[int, ...]:
+    """The genus id of every class."""
+    return tuple(group.leaders[group.genus].tolist())
+
+
+def genus_members(group: Stack, genus_id: int) -> tuple[int, ...]:
+    return tuple(i for i, g in enumerate(genus_of(group)) if g == genus_id)
+
+
+def square_classes(group: Stack) -> tuple[int, ...]:
+    """The classes of the principal genus, which the build checks are the squares."""
+    return genus_members(group, principal_genus(group))
+
+
+def compose(group: Stack, h1: int, h2: int) -> int:
+    """The class index of the product h1 * h2, one row of the library's compose_stacked."""
+    return int(compose_stacked(group, [h1], [h2])[0])
+
+
+def inverse(group: Stack, h: int) -> int:
+    return int(group.inverses[h])
+
+
+def genus_product(group: Stack, g1: int, g2: int) -> int:
     """Product in the genus group G = H/H^2, via coset representatives."""
-    return group.genus_of[compose(group, g1, g2)]
+    return genus_of(group)[compose(group, g1, g2)]
 
 
-def principal_genus(group: ClassGroup) -> int:
-    return group.genus_of[group.identity]
+def principal_genus(group: Stack) -> int:
+    return genus_of(group)[principal_class(group)]
 
 
 def dirichlet_l1_oracle(delta: int, terms: int) -> float:
@@ -372,7 +432,7 @@ def l_zero_oracle(delta: int) -> Fraction:
     return Fraction(-total, q)
 
 
-def character_value(group: ClassGroup, d: int, genus_id: int) -> int:
+def character_value(group: Stack, d: int, genus_id: int) -> int:
     """chi_{d,D}(g) = (d | r) for any r > 0 represented by the genus with gcd(r, d) = 1."""
     r = represented_coprime_value(tuple(group.classes[genus_id].tolist()), d)
     value = kronecker(d, r)
@@ -381,16 +441,16 @@ def character_value(group: ClassGroup, d: int, genus_id: int) -> int:
     return value
 
 
-def character_table_oracle(group: ClassGroup) -> np.ndarray:
+def character_table_oracle(group: Stack) -> np.ndarray:
     """The genus character table from character_value: entry (i, k) is
     chi_{d_i}(genus_ids[k]), rows in character_pairs order."""
-    return np.array([[character_value(group, d, g) for g in group.genus_ids]
+    return np.array([[character_value(group, d, g) for g in genus_ids(group)]
                      for d, _ in character_pairs(group.delta)])
 
 
-def orthogonality_sum(group: ClassGroup, genus_id: int) -> Fraction:
+def orthogonality_sum(group: Stack, genus_id: int) -> Fraction:
     """(1/|G|) * sum over all characters of chi(g): 1 on the principal genus, else 0."""
-    column = build_genus_characters(group)[:, group.genus_ids.index(genus_id)]
+    column = build_genus_characters(group)[:, genus_ids(group).index(genus_id)]
     return Fraction(int(column.sum()), len(column))
 
 
@@ -698,15 +758,15 @@ def series_from_json(text: str) -> QSeries:
     return series
 
 
-def theta_total(group: ClassGroup, n_max: int) -> np.ndarray:
+def theta_total(group: Stack, n_max: int) -> np.ndarray:
     """The coefficients of the sum of the theta series of all classes, as an
     integer array; constant term h."""
     return theta_matrix(group.delta, n_max).sum(axis=0)
 
 
-def class_average(group: ClassGroup, n_max: int) -> QSeries:
+def class_average(group: Stack, n_max: int) -> QSeries:
     """(1/w) * sum of all theta series; constant term h/w."""
-    return QSeries(group.delta, theta_total(group, n_max)).scale(Fraction(1, group.w))
+    return QSeries(group.delta, theta_total(group, n_max)).scale(Fraction(1, unit_count(group)))
 
 
 def _check_prime_index(p: int) -> None:
@@ -753,45 +813,45 @@ def dirichlet_convolution_sieve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 # --- the genus layer, one genus or one character at a time ---
 
 
-def _theta_rows(group: ClassGroup, n_max: int) -> list[QSeries]:
+def _theta_rows(group: Stack, n_max: int) -> list[QSeries]:
     return [QSeries(group.delta, row) for row in theta_matrix(group.delta, n_max)]
 
 
-def genus_average_oracle(group: ClassGroup, genus_id: int, n_max: int) -> QSeries:
+def genus_average_oracle(group: Stack, genus_id: int, n_max: int) -> QSeries:
     """(1/|g|) * sum of the theta series of the classes in the genus g, one class
     at a time."""
     theta = _theta_rows(group, n_max)
-    members = group.genus_members(genus_id)
+    members = genus_members(group, genus_id)
     total = theta[members[0]]
     for h in members[1:]:
         total = total + theta[h]
     return total.scale(Fraction(1, len(members)))
 
 
-def twisted_sum_oracle(group: ClassGroup, row: int, n_max: int, table: np.ndarray) -> QSeries:
+def twisted_sum_oracle(group: Stack, row: int, n_max: int, table: np.ndarray) -> QSeries:
     """(1/w) * sum over classes of chi(h) * theta_h, one class at a time, for the
     character whose value on the genus genus_ids[k] is table[row, k]."""
-    value = dict(zip(group.genus_ids, table[row].tolist()))
-    theta = _theta_rows(group, n_max)
-    total = theta[0].scale(value[group.genus_of[0]])
-    for h in range(1, group.h):
-        total = total + theta[h].scale(value[group.genus_of[h]])
-    return total.scale(Fraction(1, group.w))
+    value = dict(zip(genus_ids(group), table[row].tolist()))
+    theta, of = _theta_rows(group, n_max), genus_of(group)
+    total = theta[0].scale(value[of[0]])
+    for h in range(1, class_number(group)):
+        total = total + theta[h].scale(value[of[h]])
+    return total.scale(Fraction(1, unit_count(group)))
 
 
-def eisenstein_for_genus_oracle(group: ClassGroup, genus_id: int, n_max: int,
+def eisenstein_for_genus_oracle(group: Stack, genus_id: int, n_max: int,
                                 table: np.ndarray) -> QSeries:
     """(w/h) * sum over characters of chi(g) * E_{d,D}, one character at a time,
     with chi(g) read from the column of g in table."""
-    column = table[:, group.genus_ids.index(genus_id)].tolist()
+    column = table[:, genus_ids(group).index(genus_id)].tolist()
     total = None
     for (d, big_d), value in zip(character_pairs(group.delta), column):
         term = eisenstein_series(d, big_d, n_max).scale(value)
         total = term if total is None else total + term
-    return total.scale(Fraction(group.w, group.h))
+    return total.scale(Fraction(unit_count(group), class_number(group)))
 
 
-def twisted_eisenstein_detail_oracle(group: ClassGroup, n_max: int, table: np.ndarray) -> str:
+def twisted_eisenstein_detail_oracle(group: Stack, n_max: int, table: np.ndarray) -> str:
     """The detail of the twisted_eisenstein check, found one character at a time."""
     pairs = character_pairs(group.delta)
     for row, (d, big_d) in enumerate(pairs):
@@ -803,10 +863,10 @@ def twisted_eisenstein_detail_oracle(group: ClassGroup, n_max: int, table: np.nd
     return f"{len(pairs)} pairs, n=0..{n_max} exact"
 
 
-def genus_mass_detail_oracle(group: ClassGroup, n_max: int, table: np.ndarray) -> str:
+def genus_mass_detail_oracle(group: Stack, n_max: int, table: np.ndarray) -> str:
     """The detail of the genus_mass check, found one genus at a time: a genus
     whose constant terms are not both 1 is reported before its mismatches."""
-    for g in group.genus_ids:
+    for g in genus_ids(group):
         lhs = genus_average_oracle(group, g, n_max)
         rhs = eisenstein_for_genus_oracle(group, g, n_max, table)
         if lhs[0] != 1 or rhs[0] != 1:
@@ -815,7 +875,7 @@ def genus_mass_detail_oracle(group: ClassGroup, n_max: int, table: np.ndarray) -
         if found is not None:
             n, left, right = found
             return f"genus {g} mismatch at n={n}: {left} != {right}"
-    return f"{len(group.genus_ids)} genera, n=0..{n_max} exact"
+    return f"{len(genus_ids(group))} genera, n=0..{n_max} exact"
 
 
 def build_layers(delta: int, n_max: int, primes_bound: int) -> Layers:

@@ -28,6 +28,7 @@ from genusmass.verify import verify_dirichlet
 from oracles import (
     build_layers,
     class_forms,
+    class_number,
     classify_prime,
     compose,
     compose_forms_oracle,
@@ -35,7 +36,10 @@ from oracles import (
     elem_norm,
     form_to_ideal,
     fundamental_deltas,
+    genus_ids,
+    genus_members,
     ideal_points_up_to_norm,
+    square_classes,
 )
 
 PRECISION = 200
@@ -50,7 +54,7 @@ def announce(name: str, passed: bool, detail: str) -> None:
 
 def class_sum(group, n_max):
     total = theta_series(group, 0, n_max)
-    for h in range(1, group.h):
+    for h in range(1, class_number(group)):
         total = total + theta_series(group, h, n_max)
     return total
 
@@ -104,7 +108,7 @@ def test_genus_mass_full_range():
     for delta in FULL_RANGE:
         group = build_class_group(delta)
         mass, mass_unit = eisenstein_for_genus(group, PRECISION)
-        for g, mass_row in zip(group.genus_ids, mass):
+        for g, mass_row in zip(genus_ids(group), mass):
             genus_count += 1
             lhs = QSeries(delta, *genus_eisenstein(group, PRECISION, g))
             rhs = QSeries(delta, mass_row, mass_unit)
@@ -191,10 +195,10 @@ def test_structure_counts_full_range():
         group = build_class_group(delta)
         expected = 2 ** (distinct_prime_count(delta) - 1)
         pairs = character_pairs(delta)
-        sizes = {len(group.genus_members(g)) for g in group.genus_ids}
-        if len(pairs) != expected or len(group.genus_ids) != expected:
+        sizes = {len(genus_members(group, g)) for g in genus_ids(group)}
+        if len(pairs) != expected or len(genus_ids(group)) != expected:
             failures.append((delta, "count"))
-        if sizes != {len(group.squares)}:
+        if sizes != {len(square_classes(group))}:
             failures.append((delta, "sizes"))
     announce(
         "structure_counts",
@@ -230,12 +234,12 @@ def test_oracle_cross_checks():
     for delta in (-20, -23, -47, -84):
         group = build_class_group(delta)
         forms = class_forms(delta)
-        for i in range(group.h):
-            for j in range(group.h):
+        for i in range(class_number(group)):
+            for j in range(class_number(group)):
                 pair_count += 1
                 if forms[compose(group, i, j)] != compose_forms_oracle(forms[i], forms[j]):
                     composition_failures.append((delta, i, j))
-        for h in range(group.h):
+        for h in range(class_number(group)):
             ideal = form_to_ideal(forms[h])
             norms = Counter(
                 elem_norm(delta, point) // ideal.norm

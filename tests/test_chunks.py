@@ -23,12 +23,12 @@ import genusmass.genus as genus
 import genusmass.hecke as hecke
 import genusmass.series as series
 import genusmass.verify as verify
-from genusmass.class_group import ClassGroup, build_class_group, compose_rows
+from genusmass.class_group import build_class_group, compose_stacked
 from genusmass.cli import main
 from genusmass.forms import stacked_reduced_forms
 from genusmass.hecke import sweep_failures
 from genusmass.verify import delta_range, report_json_line, run_suite
-from oracles import build_layers, fundamental_deltas
+from oracles import build_layers, class_number, fundamental_deltas, inverse, principal_class
 
 
 def untimed(line: str) -> str:
@@ -125,7 +125,7 @@ def perturbed_455(monkeypatch):
 
 
 def test_a_fault_in_one_delta_of_a_chunk_fails_that_delta_alone(perturbed_455):
-    assert (2, 1, 57) in build_class_group(-455).index_of
+    assert [2, 1, 57] in build_class_group(-455).classes.tolist()
     deltas = delta_range(-400, -500)
     reports = run_suite(deltas, 60, 20, workers=1)
     alone = run_suite([-455], 60, 20, workers=1)[0]
@@ -214,13 +214,14 @@ def test_each_prime_class_composed_once_gives_the_same_layers():
     for delta in fundamental_deltas(-3000):
         group = build_class_group(delta)
         layer = build_layers(delta, 0, bound).primes
-        every = np.arange(group.h)
+        h = class_number(group)
+        every = np.arange(h)
         for p, perm in layer.perms.items():
-            cls = int(layer.perms[p][group.identity])
-            assert perm.tolist() == compose_rows(group, every, np.full(group.h, cls)).tolist(), (delta, p)
+            cls = int(layer.perms[p][principal_class(group)])
+            assert perm.tolist() == compose_stacked(group, every, np.full(h, cls)).tolist(), (delta, p)
             if p in layer.conjugates:
-                inverse = np.full(group.h, group.inverses[cls])
-                assert layer.conjugates[p].tolist() == compose_rows(group, every, inverse).tolist(), (delta, p)
+                conjugate = np.full(h, inverse(group, cls))
+                assert layer.conjugates[p].tolist() == compose_stacked(group, every, conjugate).tolist(), (delta, p)
 
 
 BATCH = [-84, -455, -5460]
@@ -267,7 +268,8 @@ CHECKS = (verify.verify_gauss, verify.verify_character_counts, verify.verify_twi
 def test_a_delta_s_checks_build_nothing(monkeypatch):
     """A passing run calls no verify_* and builds no record per delta: with
     those raising, and the record slicer, every slicer of a layer and the
-    construction of a ClassGroup, a prime layer or Eisenstein rows raising too,
+    slicing of a group out of its stack (Stack.group), the construction of a
+    prime layer or Eisenstein rows raising too,
     the reports of a run are those of a plain run.  Once a batch is built, each
     delta's report reads the batch alone: with every builder of a layer
     raising too, the character table X and the character pairs among them, the
@@ -279,9 +281,9 @@ def test_a_delta_s_checks_build_nothing(monkeypatch):
     with monkeypatch.context() as patched:
         refuse(patched, CHECKS + (genus.build_genus_characters, verify.batch_record, hecke.prime_layer,
                                   series.own_rows), "a passing run built a record")
-        for kind, method in ((ClassGroup, "__init__"), (hecke._PrimeLayer, "__new__"),
-                             (series.EisensteinRows, "__new__"), (hecke.Layers, "__new__"),
-                             (class_group.Stack, "group"), (series.EisensteinStack, "rows_of")):
+        for kind, method in ((hecke._PrimeLayer, "__new__"), (series.EisensteinRows, "__new__"),
+                             (hecke.Layers, "__new__"), (class_group.Stack, "group"),
+                             (series.EisensteinStack, "rows_of")):
             patched.setattr(kind, method, raising("a passing run built a record"))
         with pytest.raises(AssertionError, match="built a record"):
             build_layers(-84, n_max, bound)

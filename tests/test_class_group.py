@@ -13,27 +13,36 @@ from hypothesis import given, settings, strategies as st
 import genusmass
 from genusmass import class_group
 from genusmass.arith import distinct_prime_count, kronecker, prime_discriminant_factorization, primes_up_to
-from genusmass.class_group import build_class_group, compose_rows, prime_form, prime_ideal_class
+from genusmass.class_group import build_class_group, compose_stacked, prime_ideal_class
 from genusmass.forms import reduced_forms, stacked_reduced_forms
 from oracles import (
     IdealBasis,
     QuadForm,
     class_forms,
     class_group_table_oracle,
+    class_index,
+    class_number,
     compose,
     compose_forms_oracle,
     elem_mul,
     form_to_ideal,
     fundamental_deltas,
+    genus_ids,
+    genus_members,
+    genus_of,
     ideal_conj,
     ideal_mul,
     ideal_scale,
     ideal_to_form,
     inverse,
+    inverses,
     opposite,
+    prime_form,
     prime_ideal,
+    principal_class,
     reduce_form,
     represented_coprime_value,
+    square_classes,
 )
 
 deltas_strategy = st.sampled_from(fundamental_deltas(-250))
@@ -104,29 +113,29 @@ class TestIdealBasics:
 
 class TestCompose:
     def test_identity_law(self, cg23):
-        for h in range(cg23.h):
-            assert compose(cg23, cg23.identity, h) == h
+        for h in range(class_number(cg23)):
+            assert compose(cg23, principal_class(cg23), h) == h
 
     def test_order_two_example(self, cg20):
-        nonprincipal = cg20.index_of[(2, 2, 3)]
-        principal = cg20.index_of[(1, 0, 5)]
+        nonprincipal = class_index(cg20, (2, 2, 3))
+        principal = class_index(cg20, (1, 0, 5))
         assert compose(cg20, nonprincipal, nonprincipal) == principal
 
     def test_order_three_example(self, cg23):
-        a = cg23.index_of[(2, 1, 3)]
-        b = cg23.index_of[(2, -1, 3)]
+        a = class_index(cg23, (2, 1, 3))
+        b = class_index(cg23, (2, -1, 3))
         assert compose(cg23, a, a) == b
-        assert compose(cg23, compose(cg23, a, a), a) == cg23.identity
+        assert compose(cg23, compose(cg23, a, a), a) == principal_class(cg23)
 
     @given(deltas_strategy)
     @settings(max_examples=60, deadline=None)
     def test_group_axioms(self, delta):
         group = build_class_group(delta)
         forms = class_forms(delta)
-        h = group.h
+        h, identity = class_number(group), principal_class(group)
         for i in range(h):
-            assert compose(group, group.identity, i) == i
-            assert compose(group, i, inverse(group, i)) == group.identity
+            assert compose(group, identity, i) == i
+            assert compose(group, i, inverse(group, i)) == identity
             # inverse realized by the opposite form
             assert forms[inverse(group, i)] == reduce_form(opposite(forms[i]))
             for j in range(h):
@@ -143,8 +152,8 @@ class TestCompose:
     @settings(max_examples=100, deadline=None)
     def test_matches_coefficient_level_composition(self, delta, data):
         group = build_class_group(delta)
-        i = data.draw(st.integers(min_value=0, max_value=group.h - 1))
-        j = data.draw(st.integers(min_value=0, max_value=group.h - 1))
+        i = data.draw(st.integers(min_value=0, max_value=class_number(group) - 1))
+        j = data.draw(st.integers(min_value=0, max_value=class_number(group) - 1))
         forms = class_forms(delta)
         assert forms[compose(group, i, j)] == compose_forms_oracle(forms[i], forms[j])
 
@@ -155,15 +164,15 @@ class TestAgainstTableOracle:
             group = build_class_group(delta)
             oracle = class_group_table_oracle(delta)
             assert class_forms(delta) == oracle.classes
-            for i in range(group.h):
-                for j in range(group.h):
+            for i in range(class_number(group)):
+                for j in range(class_number(group)):
                     assert compose(group, i, j) == oracle.table[i][j], (delta, i, j)
             # genera by assigned characters are the cosets of the squares
-            assert group.identity == oracle.identity, delta
-            assert group.inverses == oracle.inverses, delta
-            assert group.squares == oracle.squares, delta
-            assert group.genus_of == oracle.genus_of, delta
-            assert group.genus_ids == oracle.genus_ids, delta
+            assert principal_class(group) == oracle.identity, delta
+            assert inverses(group) == oracle.inverses, delta
+            assert square_classes(group) == oracle.squares, delta
+            assert genus_of(group) == oracle.genus_of, delta
+            assert genus_ids(group) == oracle.genus_ids, delta
 
     def test_no_table_is_kept(self, cg84):
         assert getattr(cg84, "table", None) is None
@@ -180,7 +189,7 @@ class TestLargeClassGroup:
         forms = class_forms(self.DELTA)
         rng = random.Random(400391)
         for _ in range(2000):
-            i, j = rng.randrange(group.h), rng.randrange(group.h)
+            i, j = rng.randrange(class_number(group)), rng.randrange(class_number(group))
             assert forms[compose(group, i, j)] == compose_forms_oracle(forms[i], forms[j]), (i, j)
 
     def test_prime_classes_match_coefficient_composition(self):
@@ -190,7 +199,7 @@ class TestLargeClassGroup:
             if kronecker(self.DELTA, p) == -1:
                 continue
             hp = prime_ideal_class(group, p)
-            for h in range(group.h):
+            for h in range(class_number(group)):
                 assert forms[compose(group, h, hp)] == compose_forms_oracle(forms[h], forms[hp]), (p, h)
 
 
@@ -306,7 +315,7 @@ def _pairs(h, rng=None, count=None):
 
 @pytest.fixture(params=["scalar", "array"])
 def compose_path(request, monkeypatch):
-    """compose_rows on its scalar loop (crossover at infinity) or on the array
+    """compose_stacked on its scalar loop (crossover at infinity) or on the array
     kernel (crossover at 0)."""
     monkeypatch.setattr(class_group, "ARRAY_MIN_ROWS", 0 if request.param == "array" else float("inf"))
     return request.param
@@ -318,26 +327,28 @@ def _expected_products(group, i, j):
     expected, forms = [], class_forms(group.delta)
     for a, b in zip(i.tolist(), j.tolist()):
         f1, f2 = forms[a], forms[b]
-        product = group.index_of[compose_forms_oracle(f1, f2).triple()]
-        assert product == group.index_of[class_group._compose_triples(f1.triple(), f2.triple())]
+        product = class_index(group, compose_forms_oracle(f1, f2).triple())
+        assert product == class_index(group, class_group._compose_triples(f1.triple(), f2.triple()))
         expected.append(product)
     return expected
 
 
 class TestComposeRows:
+    """compose_stacked on the stack of one group, where rows are class indices."""
+
     def test_every_pair_matches_oracle_and_scalar(self, compose_path):
         for delta in fundamental_deltas(-1000):
             group = build_class_group(delta)
-            i, j = _pairs(group.h)
-            products = compose_rows(group, i, j)
+            i, j = _pairs(class_number(group))
+            products = compose_stacked(group, i, j)
             assert products.dtype == np.int64
             assert products.tolist() == _expected_products(group, i, j), delta
 
     @pytest.mark.parametrize("delta", [-400391, -10000003])
     def test_seeded_pairs_of_large_groups(self, compose_path, delta):
         group = build_class_group(delta)
-        i, j = _pairs(group.h, random.Random(delta), 2000)
-        assert compose_rows(group, i, j).tolist() == _expected_products(group, i, j)
+        i, j = _pairs(class_number(group), random.Random(delta), 2000)
+        assert compose_stacked(group, i, j).tolist() == _expected_products(group, i, j)
 
     def test_crossover_is_a_row_count(self, monkeypatch):
         """Below ARRAY_MIN_ROWS rows the scalar law runs, from it on the array kernel."""
@@ -345,37 +356,37 @@ class TestComposeRows:
         calls = []
         monkeypatch.setattr(class_group, "_compose_triples",
                             lambda f1, f2: calls.append(1) or _true_compose(f1, f2))
-        i, j = _pairs(group.h)
+        i, j = _pairs(class_number(group))
         monkeypatch.setattr(class_group, "ARRAY_MIN_ROWS", len(i) + 1)
-        compose_rows(group, i, j)
+        compose_stacked(group, i, j)
         assert len(calls) == len(i)
         monkeypatch.setattr(class_group, "ARRAY_MIN_ROWS", len(i))
-        compose_rows(group, i, j)
+        compose_stacked(group, i, j)
         assert len(calls) == len(i)
 
     def test_empty_rows(self, compose_path):
-        products = compose_rows(build_class_group(-84), [], [])
+        products = compose_stacked(build_class_group(-84), [], [])
         assert products.dtype == np.int64 and products.shape == (0,)
 
     def test_result_that_is_no_class_raises(self, monkeypatch):
         monkeypatch.setattr(class_group, "ARRAY_MIN_ROWS", 0)
         monkeypatch.setattr(class_group, "_compose_arrays", lambda f1, f2: (f1 + [1, 0, 0]).T)
         with pytest.raises(RuntimeError, match="not a class"):
-            compose_rows(build_class_group(-84), [0, 1], [1, 2])
+            compose_stacked(build_class_group(-84), [0, 1], [1, 2])
 
     def test_int64_bound(self, monkeypatch):
         """The array path refuses |delta| whose (2|delta|/3)^2 + |delta| reaches
         INT64_BOUND: 3220 at -84.  The scalar path has Python ints and no bound."""
         group = build_class_group(-84)
-        i, j = _pairs(group.h)
+        i, j = _pairs(class_number(group))
         monkeypatch.setattr(class_group, "INT64_BOUND", 3221)
         monkeypatch.setattr(class_group, "ARRAY_MIN_ROWS", 0)
-        assert compose_rows(group, i, j).tolist() == [compose(group, a, b) for a, b in zip(i, j)]
+        assert compose_stacked(group, i, j).tolist() == [compose(group, a, b) for a, b in zip(i, j)]
         monkeypatch.setattr(class_group, "INT64_BOUND", 3220)
         with pytest.raises(ValueError, match="too large"):
-            compose_rows(group, i, j)
+            compose_stacked(group, i, j)
         monkeypatch.setattr(class_group, "ARRAY_MIN_ROWS", float("inf"))
-        assert compose_rows(group, i, j).tolist() == [compose(group, a, b) for a, b in zip(i, j)]
+        assert compose_stacked(group, i, j).tolist() == [compose(group, a, b) for a, b in zip(i, j)]
 
 
 def _scalar_genera(delta):
@@ -393,7 +404,8 @@ class TestBuildClassGroup:
     def test_genus_signs_match_scalar_kronecker(self):
         for delta in fundamental_deltas(-3000) + [-120120, -400391]:
             group = build_class_group(delta)
-            assert (group.genus_of, group.genus_ids, group.genus_signs) == _scalar_genera(delta), delta
+            signs = tuple(map(tuple, group.genus_signs.tolist()))
+            assert (genus_of(group), genus_ids(group), signs) == _scalar_genera(delta), delta
 
     def test_zero_assigned_character_is_a_genus_of_its_own(self, monkeypatch):
         """A 0 read from a table (here (p|1) for the largest p of -455, read for
@@ -431,29 +443,29 @@ class TestBuildClassGroup:
     def test_inverses_are_the_opposite_forms(self):
         for delta in fundamental_deltas(-1000) + [-400391]:
             forms = class_forms(delta)
-            for q, inverse in zip(forms, build_class_group(delta).inverses):
+            for q, inverse in zip(forms, inverses(build_class_group(delta))):
                 assert forms[inverse] == reduce_form(opposite(q)), (delta, q)
 
     def test_structures(self):
         g4 = build_class_group(-4)
-        assert g4.h == 1 and g4.genus_ids == (0,)
+        assert class_number(g4) == 1 and genus_ids(g4) == (0,)
 
         g20 = build_class_group(-20)
-        assert g20.h == 2
-        assert g20.squares == (0,)
-        assert g20.genus_ids == (0, 1)
-        assert all(len(g20.genus_members(g)) == 1 for g in g20.genus_ids)
+        assert class_number(g20) == 2
+        assert square_classes(g20) == (0,)
+        assert genus_ids(g20) == (0, 1)
+        assert all(len(genus_members(g20, g)) == 1 for g in genus_ids(g20))
 
         g84 = build_class_group(-84)
-        assert g84.h == 4
-        assert all(compose(g84, i, i) == g84.identity for i in range(4))  # Klein four-group
-        assert g84.squares == (0,)
-        assert len(g84.genus_ids) == 4
+        assert class_number(g84) == 4
+        assert all(compose(g84, i, i) == principal_class(g84) for i in range(4))  # Klein four-group
+        assert square_classes(g84) == (0,)
+        assert len(genus_ids(g84)) == 4
 
         g47 = build_class_group(-47)
-        assert g47.h == 5
-        assert g47.squares == tuple(range(5))  # odd order: squaring is onto
-        assert g47.genus_ids == (0,)
+        assert class_number(g47) == 5
+        assert square_classes(g47) == tuple(range(5))  # odd order: squaring is onto
+        assert genus_ids(g47) == (0,)
 
     def test_rejects_non_fundamental(self):
         with pytest.raises(ValueError):
@@ -462,14 +474,14 @@ class TestBuildClassGroup:
     def test_genus_count_and_sizes(self):
         for delta in fundamental_deltas(-300):
             group = build_class_group(delta)
-            assert len(group.genus_ids) == 2 ** (distinct_prime_count(delta) - 1)
-            sizes = {len(group.genus_members(g)) for g in group.genus_ids}
-            assert sizes == {len(group.squares)}
-            assert len(group.genus_ids) * len(group.squares) == group.h
+            assert len(genus_ids(group)) == 2 ** (distinct_prime_count(delta) - 1)
+            sizes = {len(genus_members(group, g)) for g in genus_ids(group)}
+            assert sizes == {len(square_classes(group))} == {int(group.squares[0])}
+            assert len(genus_ids(group)) * len(square_classes(group)) == class_number(group)
 
     def test_genus_ids_are_coset_minima(self, cg84):
-        for g in cg84.genus_ids:
-            assert g == min(cg84.genus_members(g))
+        for g in genus_ids(cg84):
+            assert g == min(genus_members(cg84, g))
 
     def test_assigned_characters_take_one_value_on_shell_one(self):
         """For each prime discriminant p of delta, every value among a, c,
@@ -487,9 +499,9 @@ class TestBuildClassGroup:
     def test_signs_where_no_shell_value_is_prime_to_delta(self):
         """(3, 0, 7) at -84 has shell values 3, 7, 10, 10, none prime to 84."""
         group = build_class_group(-84)
-        k = group.genus_ids.index(group.genus_of[group.index_of[(3, 0, 7)]])
+        k = genus_ids(group).index(genus_of(group)[class_index(group, (3, 0, 7))])
         r = represented_coprime_value((3, 0, 7), 84)
-        assert group.genus_signs[k] == tuple(kronecker(p, r) for p in prime_discriminant_factorization(-84))
+        assert group.genus_signs[k].tolist() == [kronecker(p, r) for p in prime_discriminant_factorization(-84)]
 
 
 def _drop_class(monkeypatch, delta, row):
@@ -518,7 +530,7 @@ class TestMissingClass:
         """Without (2, 2, 11) the rest of -84 is a group of 3 classes, so the
         build passes, and the prime ideal above 2 is the missing class."""
         group = _drop_class(monkeypatch, -84, 1)
-        assert group.h == 3
+        assert class_number(group) == 3
         with pytest.raises(RuntimeError, match=r"delta=-84: the prime ideal above 2 is \(2, 2, 11\), not a class"):
             prime_ideal_class(group, 2)
 
@@ -607,10 +619,11 @@ class TestStackedLaws:
         stack, products, rows = _law_stack()
         at, start = rows(2, -455)
         group = build_class_group(-455)
-        outside = next(i for i in range(group.h) if i not in group.squares)
+        h, squares = class_number(group), square_classes(group)
+        outside = next(i for i in range(h) if i not in squares)
         products[at + 7] = start + outside
-        found = sorted({compose(group, i, i) for i in range(group.h) if i != 7} | {outside})
-        message = f"delta=-455: squares {tuple(found)} are not the principal genus {group.squares}"
+        found = sorted({compose(group, i, i) for i in range(h) if i != 7} | {outside})
+        message = f"delta=-455: squares {tuple(found)} are not the principal genus {squares}"
         with pytest.raises(RuntimeError) as error:
             class_group.check_laws(stack, products)
         assert str(error.value) == message
@@ -656,6 +669,30 @@ class TestPrimeIdealClass:
         with pytest.raises(ValueError):
             prime_form(-20, 11)
 
+    def test_error_texts(self, cg20):
+        with pytest.raises(ValueError, match=r"^4 is not prime$"):
+            prime_ideal_class(cg20, 4)
+        with pytest.raises(ValueError, match=r"^11 is inert for discriminant -20: no ideal of norm 11$"):
+            prime_ideal_class(cg20, 11)
+
+    def test_class_is_the_reduced_prime_form(self):
+        """The class read from the residue tables is the oracle's prime form,
+        reduced and found among the classes, at every non-inert p <= 50."""
+        for delta in fundamental_deltas(-3000) + [-400391]:
+            group = build_class_group(delta)
+            forms = class_forms(delta)
+            for p in PRIME_BOUND_PRIMES:
+                if kronecker(delta, p) == -1:
+                    continue
+                expected = forms.index(reduce_form(QuadForm(*prime_form(delta, p))))
+                assert prime_ideal_class(group, p) == expected, (delta, p)
+
+    def test_a_larger_stack_is_refused(self):
+        deltas = [-20, -23]
+        stack = class_group.class_group_stack(deltas, *stacked_reduced_forms(deltas))
+        with pytest.raises(ValueError, match="a stack of 2 groups has no one delta"):
+            prime_ideal_class(stack, 3)
+
     def test_prime_form_shape(self):
         for delta in (-20, -23, -84):
             for p in primes_up_to(30):
@@ -679,10 +716,45 @@ class TestPrimeIdealClass:
                     # p * conj(p) = (p) is principal
                     ideal = prime_ideal(delta, p)
                     product = ideal_mul(ideal, ideal_conj(ideal))
-                    assert ideal_to_form(product) == class_forms(delta)[group.identity]
-                    assert compose(group, hp, inverse(group, hp)) == group.identity
+                    assert ideal_to_form(product) == class_forms(delta)[principal_class(group)]
+                    assert compose(group, hp, inverse(group, hp)) == principal_class(group)
                 else:
-                    assert compose(group, hp, hp) == group.identity
+                    assert compose(group, hp, hp) == principal_class(group)
+
+
+class TestStackOfOne:
+    """One class group is a stack of one: build_class_group's is shared through
+    its cache by every later request for its delta, so neither it nor a group
+    sliced out of a larger stack may take a write."""
+
+    DELTAS = [-3, -84, -455, -120120]
+
+    def test_every_array_refuses_a_write(self):
+        stack = class_group.class_group_stack(self.DELTAS, *stacked_reduced_forms(self.DELTAS))
+        groups = [build_class_group(-84), stack] + [stack.group(k) for k in range(len(self.DELTAS))]
+        for group in groups:
+            assert isinstance(group.deltas, tuple)
+            for name, array in group._asdict().items():
+                if name != "deltas":
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[...] = 0
+        assert build_class_group(-84).classes.tolist() == reduced_forms(-84).tolist()
+
+    def test_a_sliced_group_is_the_group_built_alone(self):
+        """Stack.group(k) rebases its rows: every array equals that of the group
+        of delta_k built alone."""
+        stack = class_group.class_group_stack(self.DELTAS, *stacked_reduced_forms(self.DELTAS))
+        for k, delta in enumerate(self.DELTAS):
+            group, alone = stack.group(k), build_class_group(delta)
+            assert group.delta == alone.delta == delta
+            for name, array in alone._asdict().items():
+                if name != "deltas":
+                    assert np.array_equal(getattr(group, name), array), (delta, name)
+
+    def test_delta_needs_a_stack_of_one(self):
+        stack = class_group.class_group_stack(self.DELTAS, *stacked_reduced_forms(self.DELTAS))
+        with pytest.raises(ValueError, match="a stack of 4 groups has no one delta"):
+            stack.delta
 
 
 class TestIdealProducts:

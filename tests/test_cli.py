@@ -14,6 +14,7 @@ from genusmass.class_group import build_class_group
 from genusmass.cli import main, parse_disc
 from genusmass.genus import character_pairs
 from oracles import (
+    class_number,
     compose,
     dirichlet_convolution_sieve,
     fraction_coeffs,
@@ -66,12 +67,12 @@ class TestClassgroup:
     @pytest.mark.parametrize("crossover", [0, float("inf")])
     def test_composition_table_in_blocks(self, monkeypatch, block, crossover):
         """The table from blocks of one row (block 1 < h), of a few rows, and of
-        all rows, on both paths of compose_rows, is the table of the pairwise products."""
+        all rows, on both paths of compose_stacked, is the table of the pairwise products."""
         monkeypatch.setattr(cli, "TABLE_BLOCK", block)
         monkeypatch.setattr(class_group, "ARRAY_MIN_ROWS", crossover)
         for delta in (-3, -84, -455, -5460):
             group = build_class_group(delta)
-            expected = [[compose(group, i, j) for j in range(group.h)] for i in range(group.h)]
+            expected = [[compose(group, i, j) for j in range(class_number(group))] for i in range(class_number(group))]
             assert cli._composition_table(group) == expected, delta
 
     def test_csv_not_supported(self, capsys):

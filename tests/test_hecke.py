@@ -22,18 +22,22 @@ from oracles import (
     agrees_with,
     build_layers,
     class_forms,
+    class_number,
     classify_prime,
     compose,
     form_to_ideal,
     fundamental_deltas,
+    genus_ids,
+    genus_of,
     genus_product,
     ideal_conj,
     ideal_mul,
     ideal_points_up_to_norm,
     ideal_scale,
     inverse,
-    prime_ideal,
     prime_checks,
+    prime_ideal,
+    principal_class,
     principal_genus,
 )
 
@@ -91,14 +95,14 @@ class TestPerClassIdentities:
         hp = prime_ideal_class(group, 3)
         assert group.classes[hp].tolist() == [2, 2, 3]
         assert inverse(group, hp) == hp
-        lhs = apply_T(theta_series(group, group.identity, 60), 3)
+        lhs = apply_T(theta_series(group, principal_class(group), 60), 3)
         rhs = theta_series(group, hp, 60).scale(2)
         assert agrees_with(lhs, rhs, lo=1)
         assert per_class(check_split_theta, -20, 3, 60).passed
 
     def test_split_example_minus23(self):
         group = build_class_group(-23)
-        lhs = apply_T(theta_series(group, group.identity, 60), 2)
+        lhs = apply_T(theta_series(group, principal_class(group), 60), 2)
         rhs = theta_series(group, 1, 60) + theta_series(group, 2, 60)
         assert agrees_with(lhs, rhs, lo=1)
         assert per_class(check_split_theta, -23, 2, 60).passed
@@ -107,13 +111,13 @@ class TestPerClassIdentities:
         group = build_class_group(-20)
         # p=2: prime class is [2,2,3]
         hp = prime_ideal_class(group, 2)
-        lhs = apply_U(theta_series(group, group.identity, 60), 2)
+        lhs = apply_U(theta_series(group, principal_class(group), 60), 2)
         assert agrees_with(lhs, theta_series(group, hp, 60), lo=1)
         assert per_class(check_ramified_theta, -20, 2, 60).passed
         # p=5: prime class is principal, U_5 fixes every theta
         hp5 = prime_ideal_class(group, 5)
-        assert hp5 == group.identity
-        for h in range(group.h):
+        assert hp5 == principal_class(group)
+        for h in range(class_number(group)):
             lhs = apply_U(theta_series(group, h, 60), 5)
             assert agrees_with(lhs, theta_series(group, h, 60), lo=1)
         assert per_class(check_ramified_theta, -20, 5, 60).passed
@@ -121,7 +125,7 @@ class TestPerClassIdentities:
     def test_ramified_twice_returns(self):
         group = build_class_group(-20)
         for p in (2, 5):
-            for h in range(group.h):
+            for h in range(class_number(group)):
                 twice = apply_U(apply_U(theta_series(group, h, 100), p), p)
                 assert agrees_with(twice, theta_series(group, h, 100), lo=1)
 
@@ -166,9 +170,9 @@ class TestPerClassIdentities:
                     continue
                 hp = prime_ideal_class(group, p)
                 hp_conj = inverse(group, hp)
-                for h in range(group.h):
-                    g1 = group.genus_of[compose(group, h, hp)]
-                    g2 = group.genus_of[compose(group, h, hp_conj)]
+                for h in range(class_number(group)):
+                    g1 = genus_of(group)[compose(group, h, hp)]
+                    g2 = genus_of(group)[compose(group, h, hp_conj)]
                     assert g1 == g2
 
     def test_conjugate_translate_from_the_inverse_map(self):
@@ -179,8 +183,8 @@ class TestPerClassIdentities:
                 if kronecker(delta, p) != 1:
                     continue
                 hp = prime_ideal_class(group, p)
-                assert layer.perms[p].tolist() == [compose(group, h, hp) for h in range(group.h)]
-                expected = [compose(group, h, inverse(group, hp)) for h in range(group.h)]
+                assert layer.perms[p].tolist() == [compose(group, h, hp) for h in range(class_number(group))]
+                expected = [compose(group, h, inverse(group, hp)) for h in range(class_number(group))]
                 assert layer.conjugates[p].tolist() == expected, (delta, p)
 
 
@@ -204,7 +208,7 @@ class TestPrimeLayer:
             raise AssertionError("a scalar prime class")
 
         monkeypatch.setattr(hecke, "prime_ideal_rows", counted)
-        for name in ("kronecker", "prime_form", "prime_ideal_class"):
+        for name in ("is_prime", "prime_ideal_class"):
             monkeypatch.setattr(class_group, name, refused)
         report = run_suite([delta], n_max=30, primes_bound=50, workers=1)[0]
         assert report.passed
@@ -222,10 +226,10 @@ class TestPrimeLayer:
             group = build_class_group(delta)
             layer = build_layers(delta, 0, 30).primes
             for p, perm in layer.perms.items():
-                assert layer.genus_row.tolist() == [group.genus_ids.index(g) for g in group.genus_of]
-                gp = group.genus_of[prime_ideal_class(group, p)]
-                expected = [group.genus_ids.index(genus_product(group, g, gp)) for g in group.genus_ids]
-                assert layer.genus_row[perm[list(group.genus_ids)]].tolist() == expected, (delta, p)
+                assert layer.genus_row.tolist() == [genus_ids(group).index(g) for g in genus_of(group)]
+                gp = genus_of(group)[prime_ideal_class(group, p)]
+                expected = [genus_ids(group).index(genus_product(group, g, gp)) for g in genus_ids(group)]
+                assert layer.genus_row[perm[list(genus_ids(group))]].tolist() == expected, (delta, p)
 
     def test_composite_p_is_refused(self):
         with pytest.raises(ValueError, match="not prime"):
@@ -240,7 +244,7 @@ class TestGenusPermutation:
     def test_examples_minus20(self):
         group = build_class_group(-20)
         principal = principal_genus(group)
-        other = [g for g in group.genus_ids if g != principal][0]
+        other = [g for g in genus_ids(group) if g != principal][0]
         # split p=3 doubles and moves to the nonprincipal genus
         lhs = apply_T(genus_series(group, principal, 60), 3)
         assert agrees_with(lhs, genus_series(group, other, 60).scale(2), lo=1)
@@ -257,8 +261,8 @@ class TestGenusPermutation:
         assert result.passed
         # the permutation is consistent with translation by the prime's genus
         hp = prime_ideal_class(group, 5)
-        gp = group.genus_of[hp]
-        for g in group.genus_ids:
+        gp = genus_of(group)[hp]
+        for g in genus_ids(group):
             lhs = apply_T(genus_series(group, g, 80), 5)
             rhs = genus_series(group, genus_product(group, g, gp), 80).scale(2)
             assert agrees_with(lhs, rhs, lo=1)
@@ -283,7 +287,7 @@ class TestLatticeInclusionExclusion:
                     continue
                 frakp = prime_ideal(delta, p)
                 frakp_conj = ideal_conj(frakp)
-                for h in range(group.h):
+                for h in range(class_number(group)):
                     ideal = form_to_ideal(class_forms(delta)[h])
                     bound = 30 * p * ideal.norm
                     left = ideal_mul(ideal, frakp)

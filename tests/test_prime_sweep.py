@@ -17,7 +17,7 @@ from genusmass.class_group import build_class_group
 from genusmass.forms import stacked_reduced_forms
 from genusmass.hecke import CheckRecord, sweep_failures, sweep_records
 from genusmass.verify import _batch_layers, batch_record, run_suite
-from oracles import build_layers, fundamental_deltas, prime_checks
+from oracles import build_layers, class_number, fundamental_deltas, genus_ids, prime_checks
 
 SWEEP_DELTAS = fundamental_deltas(-300)
 
@@ -186,7 +186,7 @@ def test_swapped_classes_of_a_permutation_fail_its_theta_identity():
     delta, bound = -47, 50
     clean = batch_of(FAULT_BATCH, 200, bound)
     layers = batch_record(clean, FAULT_BATCH.index(delta))
-    assert layers.group.h == 5 and kronecker(delta, 2) == 1 and len(layers.group.genus_ids) == 1
+    assert class_number(layers.group) == 5 and kronecker(delta, 2) == 1 and len(genus_ids(layers.group)) == 1
     expected = prime_sweep(clean, bound, FAULT_BATCH.index(delta))
     assert all(r.status != "fail" for r in expected)
     theta, start = layers.theta, int(clean.stack.starts[FAULT_BATCH.index(delta)])
@@ -250,7 +250,7 @@ def test_peak_memory_is_the_loop_s_at_class_number_999():
     delta, n_max, bound = -400391, 200, 50
     batch = batch_of([delta], n_max, bound)
     layers = batch_record(batch, 0)
-    assert len(list(hecke._sweep_blocks(hecke._column_plan(n_max, bound).widths, layers.group.h, n_max))) > 1
+    assert len(list(hecke._sweep_blocks(hecke._column_plan(n_max, bound).widths, class_number(layers.group), n_max))) > 1
     peaks = []
     for run in (lambda: prime_sweep(batch, bound), lambda: loop_records(layers, bound)):
         tracemalloc.start()

@@ -27,15 +27,19 @@ from genusmass.series import (
 from oracles import (
     class_average,
     class_forms,
+    class_index,
+    class_number,
     divisors,
     elem_norm,
     form_to_ideal,
     fundamental_deltas,
+    genus_ids,
     ideal_points_up_to_norm,
     kronecker_values,
     l_zero_oracle,
     principal_genus,
     theta_total,
+    unit_count,
 )
 
 deltas_strategy = st.sampled_from(fundamental_deltas(-250))
@@ -56,7 +60,7 @@ def twisted_series(group, d, n_max) -> QSeries:
 
 
 def mass_series(group, genus_id, n_max) -> QSeries:
-    return rows_as_series(group, eisenstein_for_genus(group, n_max))[group.genus_ids.index(genus_id)]
+    return rows_as_series(group, eisenstein_for_genus(group, n_max))[genus_ids(group).index(genus_id)]
 
 
 class TestTheta:
@@ -68,7 +72,7 @@ class TestTheta:
     def test_single_coefficient(self, cg20):
         # (0,+-1) and (+-1,-+1) all hit 3: four representations, matching the
         # divisor-sum identity since r([1,0,5],3) = 0 and w(1 + (-20|3)) = 4
-        h = cg20.index_of[(2, 2, 3)]
+        h = class_index(cg20, (2, 2, 3))
         assert theta_series(cg20, h, 3)[3] == 4
 
     def test_total_is_the_integer_sum_of_the_class_series(self):
@@ -76,21 +80,21 @@ class TestTheta:
             group = build_class_group(delta)
             total = theta_total(group, 30)
             assert isinstance(total, np.ndarray) and total.dtype == np.int64
-            assert total[0] == group.h
-            assert total.tolist() == sum(theta_series(group, h, 30).coeffs for h in range(group.h)).tolist()
+            assert total[0] == class_number(group)
+            assert total.tolist() == sum(theta_series(group, h, 30).coeffs for h in range(class_number(group))).tolist()
 
     @given(deltas_strategy, st.data())
     @settings(max_examples=60)
     def test_constant_term_one(self, delta, data):
         group = build_class_group(delta)
-        h = data.draw(st.integers(min_value=0, max_value=group.h - 1))
+        h = data.draw(st.integers(min_value=0, max_value=class_number(group) - 1))
         assert theta_series(group, h, 10)[0] == 1
 
     def test_matches_ideal_norm_counts(self):
         # form representation numbers equal ideal lattice norm counts
         for delta in (-20, -23, -47, -84):
             group = build_class_group(delta)
-            for h in range(group.h):
+            for h in range(class_number(group)):
                 ideal = form_to_ideal(class_forms(delta)[h])
                 norms = Counter(
                     n // ideal.norm
@@ -111,7 +115,7 @@ class TestGenusAverages:
     def test_constant_term_one(self):
         for delta in (-20, -47, -84, -120):
             group = build_class_group(delta)
-            for g in group.genus_ids:
+            for g in genus_ids(group):
                 assert genus_series(group, g, 8)[0] == 1
 
     def test_single_genus_average(self):
@@ -127,7 +131,7 @@ class TestGenusAverages:
 class TestTwistedSum:
     def test_trivial_character_constant(self, cg20):
         e = twisted_series(cg20, 1, 10)
-        assert e[0] == Fraction(cg20.h, cg20.w) == 1
+        assert e[0] == Fraction(class_number(cg20), unit_count(cg20)) == 1
         assert e == class_average(cg20, 10)
 
     def test_first_coefficient(self, cg20):
@@ -140,7 +144,7 @@ class TestTwistedSum:
     def test_nontrivial_characters_kill_constant(self, delta):
         group = build_class_group(delta)
         for (d, _), twisted in zip(character_pairs(delta), rows_as_series(group, twisted_sum(group, 4))):
-            assert twisted[0] == (Fraction(group.h, group.w) if d == 1 else 0)
+            assert twisted[0] == (Fraction(class_number(group), unit_count(group)) if d == 1 else 0)
 
 
 class TestEisenstein:
@@ -237,7 +241,7 @@ class TestLZero:
     @given(deltas_strategy)
     def test_matches_class_data(self, delta):
         group = build_class_group(delta)
-        assert l_zero(delta) == Fraction(2 * group.h, automorph_count(delta))
+        assert l_zero(delta) == Fraction(2 * class_number(group), automorph_count(delta))
 
     def test_refuses_discriminants_beyond_the_int64_tables(self):
         with pytest.raises(ValueError):
@@ -295,11 +299,11 @@ class TestMassFormulaSeries:
     def test_constant_term_one(self):
         for delta in (-4, -20, -84, -47):
             group = build_class_group(delta)
-            for g in group.genus_ids:
+            for g in genus_ids(group):
                 assert mass_series(group, g, 4)[0] == 1
 
     def test_nonprincipal_first_coefficient(self, cg20):
-        other = [g for g in cg20.genus_ids if g != principal_genus(cg20)][0]
+        other = [g for g in genus_ids(cg20) if g != principal_genus(cg20)][0]
         assert mass_series(cg20, other, 3)[1] == 0  # r([2,2,3], 1) = 0
 
 
@@ -310,7 +314,7 @@ class TestIdentities:
         group = build_class_group(delta)
         n_max = 60
         total = theta_series(group, 0, n_max)
-        for h in range(1, group.h):
+        for h in range(1, class_number(group)):
             total = total + theta_series(group, h, n_max)
         w = automorph_count(delta)
         for n in range(1, n_max + 1):
@@ -336,7 +340,7 @@ class TestIdentities:
         for delta in (-3, -4, -20, -47, -84):
             group = build_class_group(delta)
             avg = class_average(group, 2)
-            assert avg[0] == Fraction(group.h, group.w)
+            assert avg[0] == Fraction(class_number(group), unit_count(group))
             assert avg[0] == l_zero(delta) / 2
             assert eisenstein_series(1, delta, 2)[0] == avg[0]
 
