@@ -80,8 +80,8 @@ class CharacterTables(NamedTuple):
 def character_tables(stack: Stack, pair_d: np.ndarray, pair_counts: np.ndarray) -> CharacterTables:
     """The character table X of every group of the stack: X[i, k] =
     chi_{d_i}(g_k), g_k the group's k-th genus, with a row for each character
-    pair (d_i, D_i) of the group, where pair_d holds the d of every group's pairs in order and
-    pair_counts how many each group has.
+    pair (d_i, D_i) of the group, where pair_d holds the d of every group's
+    pairs in order and pair_counts how many each group has.
 
     chi_{d,D}(g) = (d|r) for a value r of the genus coprime to d, so it is the
     product of the genus's assigned characters (stack.genus_signs) over the

@@ -105,8 +105,9 @@ class _PrimeLayer(NamedTuple):
 class Layers(NamedTuple):
     """One discriminant's layers, sliced out of its batch (verify.batch_record)
     for a check that its batch flags, and all that the check reads: the class
-    group, as a stack of one (Stack.group); its genus character table X (genus.character_tables); the theta
-    matrix and the genus sums S, in the group's coefficient dtype; the
+    group, as a stack of one (Stack.group); its genus character table X
+    (genus.character_tables); the theta matrix and the genus sums S, in the
+    group's coefficient dtype; the
     Eisenstein rows, with their character pairs, the character row and L(0);
     the prime layer; its 3 x (number of primes) slice of sweep_failures; its
     row of verify.identity_failures, whether each of the five per-delta

@@ -17,8 +17,9 @@ divisor list of n, one period of the Kronecker character of delta, the type
 of a prime, the prime form of a non-inert prime, the h, w, principal class,
 inverses, classes, genera and squares of a class group read off its stack of
 one as Python ints and tuples, the product, inverse, genus product and
-principal genus of classes one at a time, the QuadForm type with its reduction, which the
-library replaced by rows of an integer array, the per-prime loop of
+principal genus of classes one at a time, the QuadForm type with its
+reduction, which the library replaced by rows of an integer array, the
+per-prime loop of
 check_* calls that the prime sweep replaced, the scalar search for the
 smallest value of a form coprime to a modulus, which the per-prime reading of
 the assigned characters replaced, the two-sided fundamental discriminant

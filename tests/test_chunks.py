@@ -220,8 +220,8 @@ def test_each_prime_class_composed_once_gives_the_same_layers():
             cls = int(layer.perms[p][principal_class(group)])
             assert perm.tolist() == compose_stacked(group, every, np.full(h, cls)).tolist(), (delta, p)
             if p in layer.conjugates:
-                conjugate = np.full(h, inverse(group, cls))
-                assert layer.conjugates[p].tolist() == compose_stacked(group, every, conjugate).tolist(), (delta, p)
+                conjugate = compose_stacked(group, every, np.full(h, inverse(group, cls)))
+                assert layer.conjugates[p].tolist() == conjugate.tolist(), (delta, p)
 
 
 BATCH = [-84, -455, -5460]

@@ -67,12 +67,14 @@ class TestClassgroup:
     @pytest.mark.parametrize("crossover", [0, float("inf")])
     def test_composition_table_in_blocks(self, monkeypatch, block, crossover):
         """The table from blocks of one row (block 1 < h), of a few rows, and of
-        all rows, on both paths of compose_stacked, is the table of the pairwise products."""
+        all rows, on both paths of compose_stacked, is the table of the pairwise
+        products."""
         monkeypatch.setattr(cli, "TABLE_BLOCK", block)
         monkeypatch.setattr(class_group, "ARRAY_MIN_ROWS", crossover)
         for delta in (-3, -84, -455, -5460):
             group = build_class_group(delta)
-            expected = [[compose(group, i, j) for j in range(class_number(group))] for i in range(class_number(group))]
+            h = class_number(group)
+            expected = [[compose(group, i, j) for j in range(h)] for i in range(h)]
             assert cli._composition_table(group) == expected, delta
 
     def test_csv_not_supported(self, capsys):

@@ -250,7 +250,8 @@ def test_peak_memory_is_the_loop_s_at_class_number_999():
     delta, n_max, bound = -400391, 200, 50
     batch = batch_of([delta], n_max, bound)
     layers = batch_record(batch, 0)
-    assert len(list(hecke._sweep_blocks(hecke._column_plan(n_max, bound).widths, class_number(layers.group), n_max))) > 1
+    widths = hecke._column_plan(n_max, bound).widths
+    assert len(list(hecke._sweep_blocks(widths, class_number(layers.group), n_max))) > 1
     peaks = []
     for run in (lambda: prime_sweep(batch, bound), lambda: loop_records(layers, bound)):
         tracemalloc.start()

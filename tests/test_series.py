@@ -81,7 +81,8 @@ class TestTheta:
             total = theta_total(group, 30)
             assert isinstance(total, np.ndarray) and total.dtype == np.int64
             assert total[0] == class_number(group)
-            assert total.tolist() == sum(theta_series(group, h, 30).coeffs for h in range(class_number(group))).tolist()
+            classes = range(class_number(group))
+            assert total.tolist() == sum(theta_series(group, h, 30).coeffs for h in classes).tolist()
 
     @given(deltas_strategy, st.data())
     @settings(max_examples=60)
