@@ -10,7 +10,6 @@ import os
 import subprocess
 import sys
 import weakref
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,18 +25,9 @@ import genusmass.verify as verify
 from genusmass.class_group import build_class_group, compose_stacked
 from genusmass.cli import main
 from genusmass.forms import stacked_reduced_forms
-from genusmass.hecke import sweep_failures
 from genusmass.verify import delta_range, report_json_line, run_suite
+from faults import BATCH, BATCHES, FAULTS, batch_of, batch_reports, bumped_455, compared_again, untimed
 from oracles import build_layers, class_number, fundamental_deltas, inverse, principal_class
-
-
-def untimed(line: str) -> str:
-    """A report line without its elapsed_ms fields."""
-    data = json.loads(line)
-    data.pop("elapsed_ms")
-    for check in data["checks"]:
-        check.pop("elapsed_ms")
-    return json.dumps(data)
 
 
 def verify_lines(capsys, *argv) -> list[str]:
@@ -224,19 +214,6 @@ def test_each_prime_class_composed_once_gives_the_same_layers():
                 assert layer.conjugates[p].tolist() == conjugate.tolist(), (delta, p)
 
 
-BATCH = [-84, -455, -5460]
-
-
-def batch_of(deltas, n_max, bound):
-    return verify._batch_layers(deltas, *stacked_reduced_forms(deltas), n_max, bound)
-
-
-def batch_reports(batch, n_max, bound) -> list[str]:
-    """The report lines of each delta of the batch, through _suite_job."""
-    return [untimed(report_json_line(verify._suite_job((delta, n_max, bound, batch, k))))
-            for k, delta in enumerate(batch.stack.deltas)]
-
-
 def records(batch) -> list:
     """The record of each delta of the batch, sliced out of it."""
     return [verify.batch_record(batch, k) for k in range(len(batch.stack.deltas))]
@@ -298,16 +275,6 @@ def test_a_delta_s_checks_build_nothing(monkeypatch):
     assert batch_reports(batch, n_max, bound) == expected[: len(BATCH)]
 
 
-def compared_again(batch, n_max, bound):
-    """The batch with its comparisons made again on its own arrays, as
-    _batch_layers makes them: the theta totals from its theta rows, the prime
-    sweep and the five per-delta identities."""
-    totals = np.add.reduceat(batch.theta, batch.stack.starts, axis=0)
-    failed = sweep_failures(batch.stack, batch.primes, batch.theta, totals, batch.sums, n_max, bound)
-    identities, _ = verify.identity_failures(batch.stack, batch.characters, totals, batch.sums, batch.eisenstein)
-    return verify.summarized(batch._replace(totals=totals, failed=failed, identities_failed=identities))
-
-
 def test_a_fault_in_one_delta_s_layers_fails_that_delta_alone():
     """r(Q, 17) + 1 for one class of -455, in a copy of its batch's theta rows,
     compared again: its gauss_average and the identities at the primes that
@@ -317,8 +284,7 @@ def test_a_fault_in_one_delta_s_layers_fails_that_delta_alone():
     n_max, bound, n = 60, 13, 17
     clean = batch_of(BATCH, n_max, bound)
     expected = batch_reports(clean, n_max, bound)
-    row = int(clean.stack.starts[1] + clean.stack.h[1]) - 1
-    batch = compared_again(clean._replace(theta=bumped(clean.theta, row, n)), n_max, bound)
+    batch, row = bumped_455(n_max, bound, n)
     lines = batch_reports(batch, n_max, bound)
     assert lines[0] == expected[0] and lines[2] == expected[2]
     checks = json.loads(lines[1])["checks"]
@@ -328,76 +294,15 @@ def test_a_fault_in_one_delta_s_layers_fails_that_delta_alone():
     assert clean.theta[row, n] == batch.theta[row, n] - 1
 
 
-def bumped(array, row, column, by=1):
-    """A copy of array with one entry plus by."""
-    array = array.copy()
-    array[row, column] += by
-    return array
-
-
-def with_table(batch, k, change):
-    """The batch with the character table of its k-th delta replaced by
-    change(table), in a copy of its block."""
-    tables = batch.characters
-    j, position = int(tables.block[k]), int(tables.position[k])
-    members, block = tables.blocks[j]
-    block = block.copy()
-    block[position] = change(block[position].copy())
-    blocks = tables.blocks[:j] + [(members, block)] + tables.blocks[j + 1 :]
-    return batch._replace(characters=tables._replace(blocks=blocks))
-
-
-def with_rows(batch, k, row, column):
-    """The batch with one Eisenstein coefficient of its k-th delta plus 1: its
-    pair row (row -1 the last) at column."""
-    eisenstein = batch.eisenstein
-    start = int(eisenstein.counts[:k].sum())
-    row = start + (row % int(eisenstein.counts[k]))
-    return batch._replace(eisenstein=eisenstein._replace(rows=bumped(eisenstein.rows, row, column)))
-
-
-def with_l_zero(batch, k):
-    """The batch with L(0) of its k-th delta off by 2/w, so that (w/2) L(0) is
-    h + 1."""
-    l_zero = batch.eisenstein.l_zero.copy()
-    moved = Fraction(*l_zero[k].tolist()) + Fraction(2, int(batch.stack.w[k]))
-    l_zero[k] = moved.numerator, moved.denominator
-    return batch._replace(eisenstein=batch.eisenstein._replace(l_zero=l_zero))
-
-
-def last_class(batch, k) -> int:
-    return int(batch.stack.starts[k] + batch.stack.h[k]) - 1
-
-
-# one corrupted entry of the batch's arrays at its k-th delta for each per-delta
-# identity, which fails it: a theta count at n = 17; an entry of X negated; an
-# Eisenstein coefficient at n = 7; the constant term of E_{1, delta}; and L(0)
-# off by 2/w, so that (w/2) L(0) is h + 1
-FAULTS = {
-    "gauss_average": lambda batch, k: batch._replace(theta=bumped(batch.theta, last_class(batch, k), 17)),
-    "character_counts": lambda batch, k: with_table(batch, k, lambda x: bumped(x, -1, -1, -2 * x[-1, -1])),
-    "twisted_eisenstein": lambda batch, k: with_rows(batch, k, -1, 7),
-    "genus_mass": lambda batch, k: with_rows(batch, k, 0, 0),
-    "dirichlet_class_number": with_l_zero,
-}
-WIDE = fundamental_deltas(-2000, -1800)
-
-
 @pytest.mark.parametrize("identity", verify.IDENTITIES)
-@pytest.mark.parametrize("deltas,n_max,bound,target,int64_bound", [
-    (BATCH, 60, 13, 1, None),
-    (WIDE, 30, 10, len(WIDE) // 2, None),
-    # -84 on int64, -455 and -5460 on Python ints
-    (BATCH, 60, 13, 0, 10**6),
-    (BATCH, 60, 13, 2, 10**6),
-], ids=["batch", "wide", "mixed-int64", "mixed-object"])
-def test_a_fault_in_one_identity_fails_that_delta_alone(monkeypatch, identity, deltas, n_max, bound, target,
-                                                        int64_bound):
+@pytest.mark.parametrize("name", BATCHES)
+def test_a_fault_in_one_identity_fails_that_delta_alone(monkeypatch, identity, name):
     """One corrupted entry of one delta's layers in its batch's arrays, compared
     again: every delta's flags are the failures of the verify_* functions on
     the record sliced out of the batch, the corrupted delta fails the identity
     and its failing records are verify_*'s on its record, and the other
     deltas' reports do not change."""
+    deltas, n_max, bound, target, int64_bound = BATCHES[name]
     if int64_bound is not None:
         monkeypatch.setattr(series, "INT64_BOUND", int64_bound)
     clean = batch_of(deltas, n_max, bound)

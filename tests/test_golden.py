@@ -5,7 +5,10 @@ check line of verify.jsonl has since gained its "status" key, inserted after
 "pass" in the file as written: "skip" for the inert-prime genus permutation
 records, "pass" for the rest.  classgroup.json pins the classgroup output in
 json and text, as written while a class group was still a tuple-based record
-beside the stacked arrays."""
+beside the stacked arrays.  failing.json pins the report of the corrupted
+discriminant of each fault of tests/faults.py, without its times, as written
+while a failing record still came from a per-discriminant check on a record
+sliced out of its batch."""
 
 import json
 from pathlib import Path
@@ -15,6 +18,7 @@ import pytest
 import genusmass.series as series
 from genusmass.cli import main
 from genusmass.verify import run_suite
+from faults import failing_json
 
 DATA = Path(__file__).parent / "data"
 
@@ -131,3 +135,9 @@ def test_object_dtype_gives_the_same_report(capsys, monkeypatch):
     assert series.theta_matrix(-84, 10).dtype == object
     assert series.eisenstein_series(1, -84, 10).coeffs.dtype == object
     assert verify_lines(capsys) == int64_lines
+
+
+def test_failing_records_match_golden():
+    """Every fault of tests/faults.py, on each of its batches, fails the same
+    records with the same details and first mismatches, byte for byte."""
+    assert failing_json() == (DATA / "failing.json").read_text()

@@ -14,27 +14,15 @@ import genusmass.hecke as hecke
 import genusmass.series as series
 from genusmass.arith import kronecker, primes_up_to
 from genusmass.class_group import build_class_group
-from genusmass.forms import stacked_reduced_forms
-from genusmass.hecke import CheckRecord, sweep_failures, sweep_records
-from genusmass.verify import _batch_layers, batch_record, run_suite
+from genusmass.hecke import CheckRecord, sweep_records
+from genusmass.verify import batch_record, run_suite
+from faults import FAULT_BATCH, batch_of, corrupt_images, swept
 from oracles import build_layers, class_number, fundamental_deltas, genus_ids, prime_checks
 
 SWEEP_DELTAS = fundamental_deltas(-300)
 
 # (n_max, bound): the acceptance scale, the range runs' scale, and primes past n_max
 SCALES = [(200, 50), (30, 10), (10, 50)]
-
-
-def batch_of(deltas, n_max, bound):
-    return _batch_layers(deltas, *stacked_reduced_forms(deltas), n_max, bound)
-
-
-def swept(batch, bound):
-    """The batch with its prime sweep made again on its own stacked arrays, so
-    that a fault injected into them reaches the sweep."""
-    n_max = batch.theta.shape[1] - 1
-    return batch._replace(failed=sweep_failures(batch.stack, batch.primes, batch.theta, batch.totals, batch.sums,
-                                                n_max, bound))
 
 
 def prime_sweep(batch, bound, k=0) -> list[CheckRecord]:
@@ -151,24 +139,6 @@ def test_a_perturbed_theta_fails_the_same_records(perturbed_theta, monkeypatch, 
     assert records == prime_sweep(batch, 50) == loop_records(layers, 50)
     # 199, a prime above the bound and above 200 / 2, is read by no identity
     assert any(r.status == "fail" for r in records) == (n != 199)
-
-
-# the sweep's fault tests corrupt the prime layers of one discriminant of this
-# batch, TARGET, in the batch's own arrays
-FAULT_BATCH = [-23, -47, -84, -455]
-
-
-def corrupt_images(bound, target, p, change):
-    """The batch FAULT_BATCH at precision 200, with the images of target's
-    classes under the class of the prime ideal above p (a run of the stacked
-    images[0]) replaced by change(run); and the stack rows of target."""
-    batch = batch_of(FAULT_BATCH, 200, bound)
-    k = FAULT_BATCH.index(target)
-    start, h = int(batch.stack.starts[k]), int(batch.stack.h[k])
-    images = batch.primes.images.copy()
-    i = batch.primes.primes.index(p)
-    images[0, i, start : start + h] = change(images[0, i, start : start + h].copy())
-    return batch._replace(primes=batch.primes._replace(images=images)), k
 
 
 def assert_others_pass(batch, bound, target):
