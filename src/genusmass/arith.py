@@ -15,7 +15,6 @@ __all__ = [
     "is_squarefree",
     "prime_discriminant_factorization",
     "prime_discriminant_tables",
-    "distinct_prime_count",
     "is_prime",
     "primes_up_to",
     "ext_gcd",
@@ -248,9 +247,3 @@ def _even_table(factor: int) -> np.ndarray:
     table.setflags(write=False)
     return table
 
-
-def distinct_prime_count(delta: int) -> int:
-    """Number t of distinct primes dividing a fundamental discriminant."""
-    if not is_fundamental(delta):
-        raise ValueError(f"{delta} is not a negative fundamental discriminant")
-    return len(factorize(-delta))

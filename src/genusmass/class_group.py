@@ -12,8 +12,8 @@ discriminants as one Stack of arrays (inverses, genera, principal classes,
 |H^2|), check_laws checks the group laws and the principal genus theorem (the
 squares are exactly the principal genus) for all of them from one composition
 call, and prime_ideal_rows finds the prime ideal classes of all of them.  One
-group is a stack of one, in which stack rows are class indices:
-build_class_group builds one, and Stack.group slices one out of a stack.
+group is a stack of one, in which stack rows are class indices, and
+build_class_group builds one.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "Stack",
     "build_class_group",
     "compose_stacked",
+    "composes_in_int64",
     "prime_ideal_class",
 ]
 
@@ -130,8 +131,7 @@ class Stack(NamedTuple):
       its group is the genus id; genus_signs[g], its assigned characters, (p|r)
       for each prime discriminant p of its delta, padded on the right with 1s.
     Every array is read-only.  In a stack of one group, stack rows are class
-    indices and leaders are the genus ids; group(k) slices group k out of a
-    stack as a stack of one."""
+    indices and leaders are the genus ids."""
 
     deltas: tuple[int, ...]
     classes: np.ndarray
@@ -156,19 +156,6 @@ class Stack(NamedTuple):
         if len(self.deltas) != 1:
             raise ValueError(f"a stack of {len(self.deltas)} groups has no one delta")
         return self.deltas[0]
-
-    def group(self, k: int) -> Stack:
-        """Group k as a stack of one, its class and genus rows rebased to start
-        at 0."""
-        lo, h, g0 = int(self.starts[k]), int(self.h[k]), int(self.genus_starts[k])
-        rows, genera, t, one = slice(lo, lo + h), slice(g0, g0 + int(self.genus_counts[k])), int(self.t[k]), [k]
-        zero = np.zeros(1, dtype=np.int64)
-        return _read_only(Stack(
-            deltas=(self.deltas[k],), classes=self.classes[rows], starts=zero, h=self.h[one],
-            owner=np.zeros(h, dtype=np.int64), inverses=self.inverses[rows] - lo, genus=self.genus[rows] - g0,
-            w=self.w[one], identity=self.identity[one] - lo, squares=self.squares[one],
-            factors=self.factors[one, :t], t=self.t[one], genus_starts=zero, genus_counts=self.genus_counts[one],
-            leaders=self.leaders[genera] - lo, genus_signs=self.genus_signs[genera, :t]))
 
 
 def _read_only(stack: Stack) -> Stack:
@@ -233,8 +220,7 @@ def compose_stacked(stack: Stack, left, right) -> np.ndarray:
     shift forms (a r + b) r + c, at most b3^2 + |delta| in absolute value, and every
     later round works on a smaller form.  So every int64 intermediate is at most
     (2|delta|/3)^2 + |delta|, and the array path raises ValueError when that could
-    reach INT64_BOUND (|delta| above about 3.2 * 10^9), for the largest |delta|
-    of a stack.  The sort keys of a stack of at most n groups are below
+    reach INT64_BOUND (composes_in_int64), for the largest |delta| of a stack.  The sort keys of a stack of at most n groups are below
     2 n |delta|."""
     left = np.asarray(left, dtype=np.int64)
     right = np.asarray(right, dtype=np.int64)
@@ -244,15 +230,23 @@ def compose_stacked(stack: Stack, left, right) -> np.ndarray:
         products = np.fromiter(chain.from_iterable(_compose_triples(f1, f2) for f1, f2 in pairs), dtype=np.int64,
                                count=3 * len(left)).reshape(-1, 3).T
     else:
-        q = -min(stack.deltas)
-        if (2 * q) ** 2 // 9 + q >= INT64_BOUND:
-            raise ValueError(f"|delta| = {q} is too large for int64 composition")
+        if not composes_in_int64(min(stack.deltas)):
+            raise ValueError(f"|delta| = {-min(stack.deltas)} is too large for int64 composition")
         products = _compose_arrays(classes.take(left, axis=0), classes.take(right, axis=0))
     index, bad = _find_classes(classes, stack.owner, stack.owner[left], products)
     if bad.any():
         k = int(bad.argmax())
         raise _not_a_class(stack, left[k], right[k], tuple(products[:, k].tolist()))
     return index
+
+
+def composes_in_int64(delta: int) -> bool:
+    """Whether every int64 intermediate of the array path of compose_stacked
+    stays below INT64_BOUND for the discriminant delta: (2|delta|/3)^2 + |delta|
+    does, that is |delta| <= 3,221,225,470.  It is the tightest int64 bound of
+    the library, so a delta within it passes series.l_zero's too."""
+    q = abs(delta)
+    return (2 * q) ** 2 // 9 + q < INT64_BOUND
 
 
 def _not_a_class(stack: Stack, i, j, product: Triple) -> RuntimeError:

@@ -13,7 +13,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .arith import is_fundamental, is_squarefree
-from .class_group import Stack, build_class_group, compose_stacked
+from .class_group import Stack, build_class_group, compose_stacked, composes_in_int64
 from .genus import build_genus_characters, character_pairs
 from .qseries import QSeries
 from .series import (
@@ -58,7 +58,17 @@ def explain_not_fundamental(delta: int) -> str:
     return f"not fundamental: {delta}"
 
 
+def require_in_bounds(delta: int) -> None:
+    """A usage error for a negative delta beyond the library's int64 bounds, the
+    tightest of which is composition's (class_group.composes_in_int64): the
+    library would refuse it only after building its forms, or its character
+    tables.  A range is searched only where it is negative."""
+    if delta < 0 and not composes_in_int64(delta):
+        raise UsageError(f"|delta| = {abs(delta)} is too large for the library's int64 arithmetic")
+
+
 def require_fundamental(delta: int) -> None:
+    require_in_bounds(delta)
     if not (delta < 0 and is_fundamental(delta)):
         raise UsageError(explain_not_fundamental(delta))
 
@@ -224,6 +234,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if len(parts) != 2:
             raise UsageError(f"range must look like A:B, got {args.range_!r}")
         bounds = (parse_disc(parts[0]), parse_disc(parts[1]))
+        for end in bounds:
+            require_in_bounds(end)
     if args.prec < 1:
         raise UsageError(f"precision must be >= 1, got {args.prec}")
     if args.primes < 2:

@@ -1,19 +1,18 @@
-"""Per-prime operator identities on theta series: eigenvalue check for the class-group
-sum, the split/ramified/inert per-class identities, and the genus permutation.
-
-Each identity is one comparison of integer arrays over all classes (rows of the
-theta matrix) or all genera (rows of the genus sums), with T_p applied to every row
-at once by slicing.  The prime's character value and class permutation come from
-the prime layers of a stack of groups (prime_layers: one stacked array of the
-images of every class under every prime class, from one composition call, each
-distinct prime class composed once).
+"""Per-prime operator identities on theta series: the eigenvalue identity of the
+class-group sum, the split/ramified/inert per-class identities, and the genus
+permutation.
 
 sweep_failures compares every identity at every prime up to a bound for a whole
-batch of discriminants at once, on their stacked rows and prime layers;
-sweep_passing gives a discriminant's records when none fails, and sweep_records
-its records from its failures, calling a check_* function only for an
-identity that fails, for its first mismatch, on the discriminant's own arrays
-(Layers, the record of them that is sliced out of its batch for a failure)."""
+batch of discriminants at once, each one comparison of integer arrays over all
+classes (rows of the theta matrix), all genera (rows of the genus sums) or the
+class-group sum, with T_p applied to every row at once by slicing.  The prime's
+character value and class permutation come from the prime layers of the stack
+of groups (prime_layers: one stacked array of the images of every class under
+every prime class, from one composition call, each distinct prime class
+composed once).  Where an identity fails, the sweep keeps its first mismatch,
+read off the arrays it compared.  sweep_passing gives a discriminant's records
+when none fails, and sweep_records its records from its failures: a failing
+identity's record is made by its check_* function from the kept mismatch."""
 
 from __future__ import annotations
 
@@ -28,20 +27,15 @@ import numpy as np
 from .arith import primes_up_to
 from .forms import _ragged
 from .class_group import Stack, prime_ideal_rows
-from .qseries import first_mismatch, t_rows, u_rows
-from .series import EisensteinRows
+from .qseries import first_true
 
-__all__ = [
-    "CheckRecord",
-    "check_eigenform",
-    "check_split_theta",
-    "check_ramified_theta",
-    "check_inert_theta",
-    "check_genus_permutation",
-]
+__all__ = ["CheckRecord"]
 
 
 PRIME_TYPES = {1: "split", 0: "ramified", -1: "inert"}
+
+# The first mismatch of a failing identity: (n, lhs[n], rhs[n]).
+Mismatch = tuple[int, Fraction, Fraction]
 
 
 def _mismatch_dict(n: int, lhs: Fraction, rhs: Fraction) -> dict:
@@ -59,7 +53,7 @@ class CheckRecord:
     name: str
     status: str
     detail: str
-    first_mismatch: Optional[tuple[int, Fraction, Fraction]] = None
+    first_mismatch: Optional[Mismatch] = None
 
     @property
     def passed(self) -> bool:
@@ -72,57 +66,6 @@ class CheckRecord:
             out["first_mismatch"] = _mismatch_dict(*self.first_mismatch)
         out["elapsed_ms"] = elapsed_ms
         return out
-
-
-def _compare_rows(p, chi, identity, lhs, rhs, unit=Fraction(1)) -> CheckRecord:
-    """Compare two integer arrays with one unit (one row per class or genus, or one
-    vector) on n >= 1; chi = (delta|p) names the prime's type."""
-    name, checked = f"{identity}[p={p}]", f"{PRIME_TYPES[chi]}; n=1..{lhs.shape[-1] - 1}"
-    found = first_mismatch(lhs, unit, rhs, unit, lo=1)
-    if found is None:
-        return CheckRecord(name, "pass", f"{checked} exact")
-    mismatch = found[1:]
-    return CheckRecord(name, "fail", f"{checked} {json.dumps(_mismatch_dict(*mismatch))}", mismatch)
-
-
-class _PrimeLayer(NamedTuple):
-    """What every identity at a prime p <= bound reads, read-only, for one
-    group (prime_layer slices it out of its stack's PrimeStack):
-    - chi[p] = (delta|p);
-    - perms[p], the class permutation h -> h P of each non-inert p, where P is
-      the class of the prime ideal above p, and the identity at a principal P;
-    - conjugates[p], the permutation h -> h P' of each split p, P' the inverse
-      of P;
-    - genus_row[h], the row of the genus of the class h among the group's
-      genera."""
-
-    chi: dict[int, int]
-    perms: dict[int, np.ndarray]
-    conjugates: dict[int, np.ndarray]
-    genus_row: np.ndarray
-
-
-class Layers(NamedTuple):
-    """One discriminant's layers, sliced out of its batch (verify.batch_record)
-    for a check that its batch flags, and all that the check reads: the class
-    group, as a stack of one (Stack.group); its genus character table X
-    (genus.character_tables); the theta matrix and the genus sums S, in the
-    group's coefficient dtype; the
-    Eisenstein rows, with their character pairs, the character row and L(0);
-    the prime layer; its 3 x (number of primes) slice of sweep_failures; its
-    row of verify.identity_failures, whether each of the five per-delta
-    identities fails, in verify.IDENTITIES order; and its shares of the
-    batch's build and comparison time in seconds (see verify.Batch)."""
-
-    group: Stack
-    characters: np.ndarray
-    theta: np.ndarray
-    sums: np.ndarray
-    eisenstein: EisensteinRows
-    primes: _PrimeLayer
-    failed: np.ndarray
-    identities_failed: list[bool]
-    shares: list[float]
 
 
 class PrimeClasses(NamedTuple):
@@ -216,76 +159,43 @@ def prime_layers(stack: Stack, prime: PrimeClasses, products: np.ndarray) -> Pri
     return PrimeStack(prime.primes, prime.chi, images)
 
 
-def prime_layer(stack: Stack, primes: PrimeStack, k: int) -> _PrimeLayer:
-    """The prime layer of group k, sliced out of the stacked ones."""
-    lo, hi = int(stack.starts[k]), int(stack.starts[k] + stack.h[k])
-    chi = dict(zip(primes.primes, primes.chi[k].tolist()))
-    perms, conjugates = {}, {}
-    for i, p in enumerate(primes.primes):
-        if chi[p] != -1:
-            perms[p] = primes.images[0, i, lo:hi] - lo
-            perms[p].setflags(write=False)
-        if chi[p] == 1:
-            conjugates[p] = primes.images[1, i, lo:hi] - lo
-            conjugates[p].setflags(write=False)
-    genus_row = stack.genus[lo:hi] - stack.genus_starts[k]
-    genus_row.setflags(write=False)
-    return _PrimeLayer(chi, perms, conjugates, genus_row)
+def _failing(identity: str, p: int, chi: int, width: int, mismatch: Mismatch) -> CheckRecord:
+    """The failing record of an identity at p, compared on n = 1..width, from its
+    first mismatch (n, lhs, rhs); chi = (delta|p) names the prime's type."""
+    detail = f"{PRIME_TYPES[chi]}; n=1..{width} {json.dumps(_mismatch_dict(*mismatch))}"
+    return CheckRecord(f"{identity}[p={p}]", "fail", detail, mismatch)
 
 
-def _chi(group: Stack, p: int, layer: _PrimeLayer, kind: Optional[int] = None) -> int:
-    """(delta|p) from the prime layer, which must hold p; ValueError when it is
-    not kind, where kind is given."""
-    if p not in layer.chi:
-        raise ValueError(f"{p} is not prime, or not in the prime layer")
-    chi = layer.chi[p]
-    if kind is not None and chi != kind:
-        raise ValueError(f"{p} is not {PRIME_TYPES[kind]} for discriminant {group.delta}")
-    return chi
+# The record of each identity at a prime that fails, made from the first mismatch
+# that sweep_failures kept (see there for the two sides).  The three theta
+# identities differ only in the prime's type.
 
 
-def check_eigenform(group: Stack, p: int, total: np.ndarray, layer: _PrimeLayer) -> CheckRecord:
+def check_eigenform(p: int, chi: int, width: int, mismatch: Mismatch) -> CheckRecord:
     """a(pn) + (delta|p) a(n/p) = (1 + (delta|p)) a(n) for the class-group total a."""
-    chi = _chi(group, p, layer)
-    lhs = t_rows(total, p, chi)
-    return _compare_rows(p, chi, "eigenform", lhs, (1 + chi) * total[: len(lhs)])
+    return _failing("eigenform", p, chi, width, mismatch)
 
 
-def check_split_theta(group: Stack, p: int, theta: np.ndarray, layer: _PrimeLayer) -> CheckRecord:
+def check_split_theta(p: int, width: int, mismatch: Mismatch) -> CheckRecord:
     """theta_h | T_p = theta_{h p} + theta_{h p'} for every class h, split p."""
-    _chi(group, p, layer, 1)
-    lhs = t_rows(theta, p, 1)
-    cols = lhs.shape[-1]
-    rhs = theta[layer.perms[p], :cols] + theta[layer.conjugates[p], :cols]
-    return _compare_rows(p, 1, "theta_split", lhs, rhs)
+    return _failing("theta_split", p, 1, width, mismatch)
 
 
-def check_ramified_theta(group: Stack, p: int, theta: np.ndarray, layer: _PrimeLayer) -> CheckRecord:
+def check_ramified_theta(p: int, width: int, mismatch: Mismatch) -> CheckRecord:
     """theta_h | U_p = theta_{h p} for every class h, ramified p."""
-    _chi(group, p, layer, 0)
-    lhs = u_rows(theta, p)
-    rhs = theta[layer.perms[p], : lhs.shape[-1]]
-    return _compare_rows(p, 0, "theta_ramified", lhs, rhs)
+    return _failing("theta_ramified", p, 0, width, mismatch)
 
 
-def check_inert_theta(group: Stack, p: int, theta: np.ndarray, layer: _PrimeLayer) -> CheckRecord:
+def check_inert_theta(p: int, width: int, mismatch: Mismatch) -> CheckRecord:
     """theta_h | T_p = 0 for every class h, inert p."""
-    _chi(group, p, layer, -1)
-    lhs = t_rows(theta, p, -1)
-    return _compare_rows(p, -1, "theta_inert", lhs, np.zeros_like(lhs))
+    return _failing("theta_inert", p, -1, width, mismatch)
 
 
-def check_genus_permutation(group: Stack, p: int, sums: np.ndarray, layer: _PrimeLayer) -> CheckRecord:
+def check_genus_permutation(p: int, chi: int, width: int, mismatch: Mismatch) -> CheckRecord:
     """E_g | T_p = 2 E_{g p} (split) or E_{g p} (ramified) for every genus g, on
-    the genus sums S, with unit 1/|H^2|: the target of the genus g is the genus
+    the genus sums S with unit 1/|H^2|: the target of the genus g is the genus
     of the class g p."""
-    chi = _chi(group, p, layer)
-    if chi == -1:
-        raise ValueError(f"{p} is inert for discriminant {group.delta}: no genus translate")
-    lhs = t_rows(sums, p, chi)
-    targets = layer.genus_row[layer.perms[p][group.leaders]]
-    rhs = (2 if chi == 1 else 1) * sums[targets, : lhs.shape[-1]]
-    return _compare_rows(p, chi, "genus_permutation", lhs, rhs, Fraction(1, int(group.squares[0])))
+    return _failing("genus_permutation", p, chi, width, mismatch)
 
 
 # The prime sweep compares blocks of whole primes, and each array of a block has
@@ -382,11 +292,12 @@ def _t_columns(x: np.ndarray, pn: np.ndarray, divisible: np.ndarray, quotient: n
 
 
 def sweep_failures(stack: Stack, primes: PrimeStack, theta: np.ndarray, totals: np.ndarray, sums: np.ndarray,
-                   n_max: int, bound: int) -> np.ndarray:
+                   n_max: int, bound: int) -> tuple[np.ndarray, dict[int, dict[tuple[int, int], Mismatch]]]:
     """Which identity fails at which prime p <= bound, for every group of the
     stack at once, as a 3 x (number of groups) x (number of primes) bool array:
     eigenform, the theta identity and the genus permutation (never at an inert
-    p).
+    p); and the first mismatch of each failure, by group k and (identity, i),
+    i the index of the prime.
 
     theta stacks the theta matrices of the groups (one row per stacked class),
     totals their column sums (one row per group) and sums their genus sums S
@@ -397,7 +308,11 @@ def sweep_failures(stack: Stack, primes: PrimeStack, theta: np.ndarray, totals: 
     column, with chi(p) taken per row; the right sides, row gathers per prime
     that a row's mask or factor zeroes where its delta is inert at p, are
     subtracted from them.  np.logical_or.reduceat over each delta's rows and
-    over each prime's columns gives the statuses."""
+    over each prime's columns gives the statuses.  For a failure, the first
+    nonzero difference of its group's rows at its prime's columns, row-major
+    (first_true), is its first mismatch (n, lhs, rhs), found while its block
+    is held: lhs is T_p there, x[p n] + chi(p) x[n/p], rhs is lhs minus the
+    difference, both over |H^2| for the genus permutation."""
     plan = _column_plan(n_max, bound)
     chi, images = primes.chi, primes.images
     genus_owner = stack.owner[stack.leaders]
@@ -408,17 +323,20 @@ def sweep_failures(stack: Stack, primes: PrimeStack, theta: np.ndarray, totals: 
     targets = stack.genus[images[0][:, stack.leaders]]
     kinds = [None if (chi != -1).all() else class_chi != -1, None if (chi == 1).all() else class_chi == 1]
     genus_factor = 1 + genus_chi
+    compared = (totals, theta, sums)
     failed = np.zeros((3, len(stack.deltas), len(plan.primes)), dtype=bool)
+    found = {}
     for i0, i1 in _sweep_blocks(plan.widths, len(theta), n_max):
         c0, c1 = plan.starts[i0], plan.starts[i1 - 1] + plan.widths[i1 - 1]
         d = slice(plan.divisible_starts[i0], plan.divisible_starts[i1])
         divisible, quotient, twist = plan.divisible[d] - c0, plan.quotient[d], plan.divisible_prime[d]
         column, n = plan.column_prime[c0:c1], plan.n[c0:c1]
         # left minus right side of each identity, 0 where it holds
-        total_diff, theta_diff, sums_diff = (
+        diffs = tuple(
             _t_columns(x, plan.pn[c0:c1], divisible, quotient, rows[:, twist])
-            for x, rows in ((totals, chi), (theta, class_chi), (sums, genus_chi))
+            for x, rows in zip(compared, (chi, class_chi, genus_chi))
         )
+        total_diff, theta_diff, sums_diff = diffs
         total_diff -= (1 + chi[:, column]) * totals[:, n]
         # h p at a non-inert p, and h p' at a split one, at every column n of p
         # at once, each zeroed where a group's p is not of that kind
@@ -435,9 +353,20 @@ def sweep_failures(stack: Stack, primes: PrimeStack, theta: np.ndarray, totals: 
                                        np.logical_or.reduceat(theta_diff != 0, stack.starts, axis=0),
                                        np.logical_or.reduceat(sums_diff != 0, stack.genus_starts, axis=0))):
             failed[row, :, i0:i1] = np.logical_or.reduceat(unequal, segments, axis=1)
-    # no genus translate at an inert p: its genus_permutation record is the skip
-    failed[2] &= chi != -1
-    return failed
+        # no genus translate at an inert p: its genus_permutation record is the skip
+        failed[2, :, i0:i1] &= chi[:, i0:i1] != -1
+        for row, k, i in zip(*np.nonzero(failed[:, :, i0:i1])):
+            i, p, width = i0 + i, plan.primes[i0 + i], plan.widths[i0 + i]
+            # the group's rows of the identity's array, and the prime's columns
+            lo, count = ((k, 1), (stack.starts[k], stack.h[k]), (stack.genus_starts[k], stack.genus_counts[k]))[row]
+            start = plan.starts[i] - c0
+            r, col = first_true(diffs[row][lo : lo + count, start : start + width] != 0)
+            x, value, m = compared[row][lo + r], int(chi[k, i]), col + 1
+            lhs = int(x[p * m]) + (value * int(x[m // p]) if m % p == 0 else 0)
+            unit = int(stack.squares[k]) if row == 2 else 1
+            mismatch = (m, Fraction(lhs, unit), Fraction(lhs - int(diffs[row][lo + r, start + col]), unit))
+            found.setdefault(int(k), {})[int(row), i] = mismatch
+    return failed, found
 
 
 def sweep_passing(chi: list[int], n_max: int, bound: int) -> list[CheckRecord]:
@@ -447,27 +376,22 @@ def sweep_passing(chi: list[int], n_max: int, bound: int) -> list[CheckRecord]:
     return [record for i, value in enumerate(chi) for record in plan.passing[i][value]]
 
 
-def sweep_records(layers: Layers, bound: int) -> list[CheckRecord]:
-    """The records of every identity at every prime p <= bound, p increasing, from
-    the discriminant's slice of sweep_failures (layers.failed): the passing
-    records of the column plan, and for each identity that fails at p the record
-    of its check_* function on the layers' own arrays, with the first mismatch;
-    a check_* that then passes is a RuntimeError."""
-    group, theta, layer = layers.group, layers.theta, layers.primes
-    plan = _column_plan(theta.shape[1] - 1, bound)
-    values = [layer.chi[p] for p in plan.primes]
-    records = sweep_passing(values, theta.shape[1] - 1, bound)
+def sweep_records(chi: list[int], n_max: int, bound: int, found: dict[tuple[int, int], Mismatch]) -> list[CheckRecord]:
+    """The records of every identity at every prime p <= bound, p increasing, of
+    a discriminant with chi(p) = chi[i] at the i-th prime, whose failures are
+    found, its first mismatches by (identity, i) from sweep_failures: the
+    passing records of the column plan, and for each failure the record that
+    its check_* function makes from its first mismatch."""
+    plan = _column_plan(n_max, bound)
+    records = sweep_passing(chi, n_max, bound)
     theta_checks = {1: check_split_theta, 0: check_ramified_theta, -1: check_inert_theta}
-    for i, row in zip(*np.nonzero(layers.failed.T)):
+    for (row, i), mismatch in found.items():
+        p, width, value = plan.primes[i], plan.widths[i], chi[i]
         if row == 0:
-            check, compared = check_eigenform, theta.sum(axis=0)
+            record = check_eigenform(p, value, width, mismatch)
         elif row == 1:
-            check, compared = theta_checks[values[i]], theta
+            record = theta_checks[value](p, width, mismatch)
         else:
-            check, compared = check_genus_permutation, layers.sums
-        record = check(group, plan.primes[i], compared, layer)
-        if record.passed:
-            raise RuntimeError(f"the prime sweep fails {records[3 * i + row].name} at {group.delta}, "
-                               f"{check.__name__} passes it")
+            record = check_genus_permutation(p, value, width, mismatch)
         records[3 * i + row] = record
     return records

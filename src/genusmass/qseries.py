@@ -17,6 +17,7 @@ from .arith import is_prime, kronecker
 __all__ = [
     "QSeries",
     "first_mismatch",
+    "first_true",
     "u_rows",
     "t_rows",
     "dirichlet_convolution",
@@ -129,8 +130,14 @@ def first_mismatch(lhs: np.ndarray, lhs_unit, rhs: np.ndarray, rhs_unit, lo: int
         unequal = a * fl != b * fr
     if not unequal.any():
         return None
-    row, col = divmod(int(unequal.argmax()), unequal.shape[1])
+    row, col = first_true(unequal)
     return row, lo + col, int(a[row, col]) * Fraction(lhs_unit), int(b[row, col]) * Fraction(rhs_unit)
+
+
+def first_true(unequal: np.ndarray) -> tuple[int, int]:
+    """The (row, column) of the first True of a 2-d bool array in row-major
+    order, the order of first_mismatch; (0, 0) when it has none."""
+    return divmod(int(unequal.argmax()), unequal.shape[1])
 
 
 def u_rows(a: np.ndarray, p: int) -> np.ndarray:

@@ -83,14 +83,6 @@ def _stacked_genus_sums(stack: Stack, theta: np.ndarray) -> np.ndarray:
     return np.add.reduceat(theta[order], sizes.cumsum() - sizes, axis=0)
 
 
-def own_rows(array: np.ndarray, delta: int, h: int, n_max: int) -> np.ndarray:
-    """A read-only copy of array in the coefficient dtype of delta, of class
-    number h, up to n_max."""
-    array = array.astype(_coeff_dtype(delta, h, n_max), copy=True)
-    array.setflags(write=False)
-    return array
-
-
 def theta_matrix(delta: int, n_max: int) -> np.ndarray:
     """The h x (n_max + 1) integer matrix whose row h is the theta series of the
     class h: [r(Q_h, 0), ..., r(Q_h, n_max)].  Read-only.  series_stack builds
@@ -194,19 +186,6 @@ def l_zero(delta: int) -> Fraction:
     return Fraction(total, 2 - chi_2)
 
 
-class EisensteinRows(NamedTuple):
-    """The Eisenstein matrix of a group and the character pairs (d, D) of its rows,
-    its unit (see eisenstein_matrix), the character row [(delta|m) for
-    0 <= m <= n_max] of its delta as read-only int8 (None for rows of given
-    pairs) and L(0): one delta's rows, sliced out of an EisensteinStack."""
-
-    rows: np.ndarray
-    pairs: list[tuple[int, int]]
-    unit: Fraction
-    character: Optional[np.ndarray]
-    l_zero: Fraction
-
-
 class CharacterReads:
     """What the Eisenstein rows of a run of deltas read from the tables of their
     prime discriminants, add(delta) on each delta in order: its L(0), and the
@@ -240,7 +219,7 @@ class EisensteinStack(NamedTuple):
     delta; counts[k], the number of pairs of delta k, whose rows have the unit
     1/units[k]; characters[k], the row [(delta_k|m) for 0 <= m <= n_max] as int8
     (None for rows of given pairs); and l_zero[k], the numerator and
-    denominator of L(0) of delta k.  rows_of(k) slices out the rows of one."""
+    denominator of L(0) of delta k."""
 
     rows: np.ndarray
     pairs: np.ndarray
@@ -249,16 +228,6 @@ class EisensteinStack(NamedTuple):
     units: np.ndarray
     characters: Optional[np.ndarray]
     l_zero: np.ndarray
-
-    def rows_of(self, k: int, dtype) -> EisensteinRows:
-        """The EisensteinRows of delta k, its rows a copy in dtype."""
-        start = int(self.counts[:k].sum())
-        rows = self.rows[start : start + int(self.counts[k])].astype(dtype, copy=True)
-        rows.setflags(write=False)
-        pairs = list(map(tuple, self.pairs[start : start + len(rows)].tolist()))
-        character = None if self.characters is None else self.characters[k]
-        return EisensteinRows(rows, pairs, Fraction(1, int(self.units[k])), character,
-                              Fraction(*self.l_zero[k].tolist()))
 
 
 def eisenstein_stack(deltas: list[int], class_numbers, n_max: int, pairs=None,

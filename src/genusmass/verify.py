@@ -1,11 +1,12 @@
 """Top-level identity suite: the class-group average, the class number formula at
 s = 0, the twisted and per-genus Eisenstein identities, and character counts,
 aggregated into per-discriminant reports.  A run builds the layers of a batch
-of discriminants as stacked arrays (Batch), compares these five and the
+of discriminants as stacked arrays (Batch) and compares these five and the
 identities at the primes for the whole batch at once (identity_failures,
-hecke.sweep_failures), and makes a passing report from the batch's numbers; a
-discriminant's record is sliced out of its batch only when one of its checks
-fails there, and a verify_* function called on it for the first mismatch."""
+hecke.sweep_failures): each identity is coded once, as that comparison.  A
+passing report is made from the batch's numbers.  For each identity that fails,
+the comparison keeps its first mismatch, read off the two sides it compared,
+and a verify_* function makes the failing record from that."""
 
 from __future__ import annotations
 
@@ -21,38 +22,26 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .arith import (
-    distinct_prime_count,
-    factorize,
-    fundamental_flags,
-    prime_discriminant_factorization,
-    prime_discriminant_tables,
-)
+from .arith import factorize, fundamental_flags, prime_discriminant_factorization, prime_discriminant_tables
 from .class_group import Stack, build_class_group, check_laws, class_group_stack, compose_stacked, law_rows
 from .forms import stacked_reduced_forms
 from .genus import CharacterTables, character_tables
 from .hecke import (
     CheckRecord,
-    Layers,
+    Mismatch,
     PrimeStack,
     prime_classes,
-    prime_layer,
     prime_layers,
     primes_to,
     sweep_failures,
     sweep_passing,
     sweep_records,
 )
-from .qseries import dirichlet_convolution, first_mismatch
-from .series import CharacterReads, EisensteinStack, eisenstein_stack, own_rows, series_stack
+from .qseries import dirichlet_convolution, first_true
+from .series import CharacterReads, EisensteinStack, eisenstein_stack, series_stack
 
 __all__ = [
     "VerificationReport",
-    "verify_gauss",
-    "verify_dirichlet",
-    "verify_twisted_eisenstein",
-    "verify_genus_mass",
-    "verify_character_counts",
     "run_suite",
     "iter_suite",
     "report_json_line",
@@ -102,99 +91,71 @@ def _ms_since(start: float) -> float:
     return round((time.perf_counter() - start) * 1000, 3)
 
 
-def verify_gauss(layers: Layers) -> CheckRecord:
+# The failing record of each of the five per-delta identities, made from what
+# identity_failures kept of the comparison that failed it (see there).
+
+
+def verify_gauss(mismatch: Mismatch) -> CheckRecord:
     """sum over classes of r(Q_h, n) = w * sum over t | n of (delta|t), n = 1..N."""
-    total = layers.theta.sum(axis=0)
-    chi = layers.eisenstein.character.astype(total.dtype)
-    rhs = int(layers.group.w[0]) * dirichlet_convolution(chi, np.ones_like(chi))
-    found = first_mismatch(total, 1, rhs, 1, lo=1)
-    if found is not None:
-        _, n, left, right = found
-        return CheckRecord("gauss_average", "fail", f"mismatch at n={n}: {left} != {right}", found[1:])
-    return CheckRecord("gauss_average", "pass", f"n=1..{len(total) - 1} exact")
+    n, left, right = mismatch
+    return CheckRecord("gauss_average", "fail", f"mismatch at n={n}: {left} != {right}", mismatch)
 
 
-def verify_dirichlet(layers: Layers) -> CheckRecord:
+def verify_dirichlet(w: int, h: int, l_zero: Fraction) -> CheckRecord:
     """h = (w/2) L(0, (delta|.)) exactly: Dirichlet's class number formula at s = 0,
     with h from the class group and L(0) from the character alone."""
-    group = layers.group
-    h = int(group.h[0])
-    computed = int(group.w[0]) * layers.eisenstein.l_zero / 2
-    status = "pass" if computed == h else "fail"
-    return CheckRecord("dirichlet_class_number", status, f"(w/2)L(0)={computed} h={h} exact")
+    return CheckRecord("dirichlet_class_number", "fail", f"(w/2)L(0)={w * l_zero / 2} h={h} exact")
 
 
-def verify_twisted_eisenstein(layers: Layers) -> CheckRecord:
+def verify_twisted_eisenstein(d: int, big_d: int, mismatch: Mismatch) -> CheckRecord:
     """Twisted theta sums equal the divisor-sum Eisenstein series, X S = w E, every
-    character pair at once; the first mismatch is reported in character order."""
-    group, eisenstein = layers.group, layers.eisenstein
-    pairs = eisenstein.pairs
-    lhs = layers.characters @ layers.sums
-    found = first_mismatch(lhs, Fraction(1, int(group.w[0])), eisenstein.rows, eisenstein.unit)
-    if found is not None:
-        row, n, left, right = found
-        d, big_d = pairs[row]
-        detail = f"(d,D)=({d},{big_d}) mismatch at n={n}: {left} != {right}"
-        return CheckRecord("twisted_eisenstein", "fail", detail, found[1:])
-    return CheckRecord("twisted_eisenstein", "pass", f"{len(pairs)} pairs, n=0..{lhs.shape[1] - 1} exact")
+    character pair at once; the first mismatch is reported in character order,
+    at the pair (d, D)."""
+    n, left, right = mismatch
+    return CheckRecord("twisted_eisenstein", "fail", f"(d,D)=({d},{big_d}) mismatch at n={n}: {left} != {right}",
+                       mismatch)
 
 
-def verify_genus_mass(layers: Layers) -> CheckRecord:
+def verify_genus_mass(genus: int, n: Optional[int], left: Fraction, right: Fraction) -> CheckRecord:
     """Genus theta averages equal the character-weighted Eisenstein combinations,
-    S / |H^2| = (w/h) X^T E, every genus at once.  A genus whose two constant
-    terms are not both 1 is reported ahead of any mismatch in it or after it."""
-    group, eisenstein = layers.group, layers.eisenstein
-    lhs, lhs_unit = layers.sums, Fraction(1, int(group.squares[0]))
-    rhs = layers.characters.T @ eisenstein.rows
-    rhs_unit = eisenstein.unit * Fraction(int(group.w[0]), int(group.h[0]))
-    found = first_mismatch(lhs, lhs_unit, rhs, rhs_unit)
-    lhs0, rhs0 = lhs[:, 0] * lhs_unit, rhs[:, 0] * rhs_unit
-    bad = (lhs0 != 1) | (rhs0 != 1)
-    if bad.any() and (found is None or bad.argmax() <= found[0]):
-        k = int(bad.argmax())
-        detail = f"genus {int(group.leaders[k])}: constant terms {lhs0[k]}, {rhs0[k]} != 1"
-        return CheckRecord("genus_mass", "fail", detail)
-    if found is not None:
-        row, n, left, right = found
-        detail = f"genus {int(group.leaders[row])} mismatch at n={n}: {left} != {right}"
-        return CheckRecord("genus_mass", "fail", detail, found[1:])
-    return CheckRecord("genus_mass", "pass", f"{len(group.leaders)} genera, n=0..{lhs.shape[1] - 1} exact")
+    S / |H^2| = (w/h) X^T E, every genus at once: the first mismatch, at n, or
+    with n None the constant terms of the genus, which are not both 1 and are
+    reported ahead of any mismatch in it or after it."""
+    if n is None:
+        return CheckRecord("genus_mass", "fail", f"genus {genus}: constant terms {left}, {right} != 1")
+    return CheckRecord("genus_mass", "fail", f"genus {genus} mismatch at n={n}: {left} != {right}",
+                       (n, left, right))
 
 
-def verify_character_counts(layers: Layers) -> CheckRecord:
-    """|G*| = |G| = 2^(t-1), and the character table X is orthogonal: X X^T = |G| I."""
-    group, pairs = layers.group, layers.eisenstein.pairs
-    expected = 2 ** (distinct_prime_count(group.delta) - 1)
-    if len(pairs) != expected:
-        return CheckRecord("character_counts", "fail", f"{len(pairs)} pairs != 2^(t-1) = {expected}")
-    if len(group.leaders) != expected:
-        detail = f"{len(group.leaders)} genera != 2^(t-1) = {expected}"
-        return CheckRecord("character_counts", "fail", detail)
-    table = layers.characters
-    if not np.array_equal(table @ table.T, expected * np.eye(expected, dtype=np.int64)):
-        detail = f"the character table is not orthogonal: X X^T != {expected} I"
-        return CheckRecord("character_counts", "fail", detail)
-    detail = f"|G*| = |G| = {expected}, genera of size {int(group.squares[0])}"
-    return CheckRecord("character_counts", "pass", detail)
+def verify_character_counts(pairs: int, genera: int, expected: int) -> CheckRecord:
+    """|G*| = |G| = 2^(t-1) = expected, and the character table X is orthogonal:
+    X X^T = |G| I.  With both counts right, it is X that fails."""
+    if pairs != expected:
+        return CheckRecord("character_counts", "fail", f"{pairs} pairs != 2^(t-1) = {expected}")
+    if genera != expected:
+        return CheckRecord("character_counts", "fail", f"{genera} genera != 2^(t-1) = {expected}")
+    detail = f"the character table is not orthogonal: X X^T != {expected} I"
+    return CheckRecord("character_counts", "fail", detail)
 
 
 # The identities of a delta that its batch compares for all of its deltas at once
-# (identity_failures), in report order, each checked alone by a verify_* above.
+# (identity_failures), in report order.
 IDENTITIES = ("gauss_average", "character_counts", "twisted_eisenstein", "genus_mass", "dirichlet_class_number")
 
 
 def identity_failures(stack: Stack, tables: CharacterTables, totals: np.ndarray, sums: np.ndarray,
-                      eisenstein: EisensteinStack) -> tuple[np.ndarray, np.ndarray]:
+                      eisenstein: EisensteinStack) -> tuple[np.ndarray, np.ndarray, dict[int, dict[int, tuple]]]:
     """Which of the five per-delta identities (IDENTITIES) fails for each of the
     groups of a stack, as a (number of groups) x 5 bool array, all groups at
-    once, and the seconds that each identity's comparison took.
+    once; the seconds that each identity's comparison took; and, by group k and
+    identity i, the arguments from which the identity's verify_* makes the
+    failing record.
 
     tables are the groups' character tables X, totals their theta column sums
     (one row each), sums their genus sums S stacked (one row per genus) and
-    eisenstein their Eisenstein rows E, of unit 1/k.  Each comparison is that
-    of its verify_* function, on integers: the two sides are cross-multiplied
-    by their units' denominators, where first_mismatch multiplies by their
-    quotients by a common unit.
+    eisenstein their Eisenstein rows E, of unit 1/k.  Each comparison is on
+    integers, with the two sides cross-multiplied by their units'
+    denominators:
     - gauss_average: totals against w (chi * 1) at n >= 1, one Dirichlet
       convolution over the stacked character rows;
     - character_counts: the numbers of pairs and of genera against 2^(t-1), and
@@ -207,7 +168,17 @@ def identity_failures(stack: Stack, tables: CharacterTables, totals: np.ndarray,
     one shape, on the rows of S and E of its groups, so that no block is
     padded.  Everything is compared in the dtype of the stacked Eisenstein
     rows, the widest coefficient dtype of the groups: object when one group
-    needs it (series._coeff_dtype, whose bound covers each product here)."""
+    needs it (series._coeff_dtype, whose bound covers each product here).
+
+    A failing comparison's first mismatch is the first unequal (row, n) of the
+    group's rows of its two sides, row-major over n (first_true, the order of
+    qseries.first_mismatch), found while they are held; its two values are the
+    sides divided back by their factors, as Fractions: (X k S)/(k w) = X S / w
+    against (w E)/(k w) = E/k, and h k S / (h k |H^2|) = S / |H^2| against
+    X^T (w |H^2| E) / (h k |H^2|) = (w/(h k)) X^T E.  A genus whose constant
+    terms are not both 1 is reported instead when it comes no later than the
+    first mismatch.  character_counts and dirichlet_class_number keep their
+    counts, and w, h and L(0)."""
     clock = time.perf_counter
     seconds = np.zeros(len(IDENTITIES))
     last = clock()
@@ -223,10 +194,23 @@ def identity_failures(stack: Stack, tables: CharacterTables, totals: np.ndarray,
     w, h, k, squares, pairs, genera = stack.w, stack.h, eisenstein.units, stack.squares, eisenstein.counts, \
         stack.genus_counts
     failed = np.zeros((len(stack.deltas), len(IDENTITIES)), dtype=bool)
+    found: dict[int, dict[int, tuple]] = {}
+
+    def keep(group: int, i: int, *args) -> None:
+        found.setdefault(int(group), {})[i] = args
+
     chi = eisenstein.characters.astype(dtype)
-    failed[:, 0] = (totals[:, 1:] != w[:, None] * dirichlet_convolution(chi, np.ones_like(chi))[:, 1:]).any(axis=1)
+    divisor_sums = w[:, None] * dirichlet_convolution(chi, np.ones_like(chi))
+    unequal = totals[:, 1:] != divisor_sums[:, 1:]
+    failed[:, 0] = unequal.any(axis=1)
+    for g in np.flatnonzero(failed[:, 0]):
+        n = int(unequal[g].argmax()) + 1
+        keep(g, 0, (n, Fraction(int(totals[g, n])), Fraction(int(divisor_sums[g, n]))))
+    del unequal, divisor_sums
     lap(0)
     failed[:, 4] = w * eisenstein.l_zero[:, 0] != 2 * h * eisenstein.l_zero[:, 1]
+    for g in np.flatnonzero(failed[:, 4]):
+        keep(g, 4, int(w[g]), int(h[g]), Fraction(*eisenstein.l_zero[g].tolist()))
     lap(4)
     expected = 1 << (stack.t - 1)
     failed[:, 1] = (pairs != expected) | (genera != expected)
@@ -252,14 +236,40 @@ def identity_failures(stack: Stack, tables: CharacterTables, totals: np.ndarray,
         else:
             s = scaled_sums[:, genus_rows]
             e = scaled_rows[:, pair_starts[members][:, None] + np.arange(count)]
-        failed[members, 2] |= (x @ s[0] != e[0]).any(axis=(1, 2))
+        lhs = x @ s[0]
+        unequal = lhs != e[0]
+        fails = unequal.any(axis=(1, 2))
+        failed[members, 2] |= fails
+        for j in np.flatnonzero(fails):
+            g = members[j]
+            row, n = first_true(unequal[j])
+            unit = int(k[g] * w[g])
+            d, big_d = eisenstein.pairs[pair_starts[g] + row].tolist()
+            keep(g, 2, d, big_d, (n, Fraction(int(lhs[j, row, n]), unit), Fraction(int(e[0, j, row, n]), unit)))
+        del lhs, unequal
         lap(2)
         # a constant term of S that is not |H^2| fails genus_mass; where the two
         # sides then agree, so does the constant term of the right side
-        failed[members, 3] |= ((s[1] != xt @ e[1]).any(axis=(1, 2))
-                               | (sums[genus_rows, 0] != squares[members, None]).any(axis=1))
+        rhs = xt @ e[1]
+        unequal = s[1] != rhs
+        fails = unequal.any(axis=(1, 2)) | (sums[genus_rows, 0] != squares[members, None]).any(axis=1)
+        failed[members, 3] |= fails
+        for j in np.flatnonzero(fails):
+            g, ids = members[j], stack.leaders[genus_rows[j]] - stack.starts[members[j]]
+            unit = int(h[g] * k[g] * squares[g])
+            # a genus whose constant terms are not both 1, up to the first
+            # mismatch's, comes first: n None, and its constant terms
+            row, n = first_true(unequal[j]) if unequal[j].any() else (size, 0)
+            constant = (s[1, j, : row + 1, 0] != unit) | (rhs[j, : row + 1, 0] != unit)
+            if constant.any():
+                row, n = int(constant.argmax()), None
+            col = 0 if n is None else n
+            keep(g, 3, int(ids[row]), n, Fraction(int(s[1, j, row, col]), unit), Fraction(int(rhs[j, row, col]), unit))
+        del rhs, unequal
         lap(3)
-    return failed, seconds
+    for g in np.flatnonzero(failed[:, 1]):
+        keep(g, 1, int(pairs[g]), int(genera[g]), int(expected[g]))
+    return failed, seconds, found
 
 
 @lru_cache(maxsize=None)
@@ -296,8 +306,11 @@ class Batch(NamedTuple):
       rows and L(0) (series.EisensteinStack);
     - characters, the character tables X (genus.CharacterTables);
     - primes, the prime layers (hecke.PrimeStack);
-    - failed, the prime sweep's failures (hecke.sweep_failures);
-    - identities_failed, a row of five flags per delta (identity_failures);
+    - failed, the prime sweep's failures, and sweep_mismatches, the first
+      mismatch of each (hecke.sweep_failures);
+    - identities_failed, a row of five flags per delta, and
+      identity_mismatches, what the record of each failure reads
+      (identity_failures);
     - shares, each delta's shares of the batch's build and comparison time in
       seconds, a list per delta: one for each of the five identities, then one for the prime
       layer and sweep, which the first record at a prime carries, each holding
@@ -305,8 +318,7 @@ class Batch(NamedTuple):
       these and the class group build, which no check reads;
     - summary, per delta, what its report reads when none of its checks fails:
       h, t, the genus count, |H^2|, the pair count, chi(p) at each prime, and
-      whether any of its checks fails.
-    batch_record slices one delta's record (hecke.Layers) out of it."""
+      whether any of its checks fails."""
 
     stack: Stack
     theta: np.ndarray
@@ -316,7 +328,9 @@ class Batch(NamedTuple):
     characters: CharacterTables
     primes: PrimeStack
     failed: np.ndarray
+    sweep_mismatches: dict[int, dict[tuple[int, int], Mismatch]]
     identities_failed: np.ndarray
+    identity_mismatches: dict[int, dict[int, tuple]]
     shares: list[list[float]]
     summary: list[tuple]
 
@@ -367,10 +381,12 @@ def _batch_layers(deltas: list[int], classes: np.ndarray, counts: np.ndarray, n_
     eisenstein_s, start = reads_s + clock() - start, clock()
     tables = character_tables(stack, eisenstein.pairs[:, 0], eisenstein.counts)
     tables_s, start = clock() - start, clock()
-    failed = sweep_failures(stack, primes, series.theta, series.totals, series.sums, n_max, primes_bound)
+    failed, sweep_mismatches = sweep_failures(stack, primes, series.theta, series.totals, series.sums, n_max,
+                                              primes_bound)
     built = clock()
     primes_s += built - start
-    identities, compare_s = identity_failures(stack, tables, series.totals, series.sums, eisenstein)
+    identities, compare_s, identity_mismatches = identity_failures(stack, tables, series.totals, series.sums,
+                                                                   eisenstein)
     law_share = len(law[0]) / max(1, len(products))
     primes_s += (1 - law_share) * compose_s
     # the class group build takes the rest, up to the comparisons
@@ -384,7 +400,7 @@ def _batch_layers(deltas: list[int], classes: np.ndarray, counts: np.ndarray, n_
     weights = np.array([stack.h, eisenstein.counts, stack.genus_counts, np.ones(len(deltas))], dtype=float)
     shares = (seconds @ (weights / weights.sum(axis=1, keepdims=True))).T.tolist()
     return summarized(Batch(stack, series.theta, series.totals, series.sums, eisenstein, tables, primes, failed,
-                            identities, shares, []))
+                            sweep_mismatches, identities, identity_mismatches, shares, []))
 
 
 def summarized(batch: Batch) -> Batch:
@@ -396,32 +412,16 @@ def summarized(batch: Batch) -> Batch:
     return batch._replace(summary=list(zip(*(column.tolist() for column in columns))))
 
 
-def batch_record(batch: Batch, k: int) -> Layers:
-    """The record of the k-th delta of the batch, sliced out of its stacked
-    layers, its theta rows, genus sums and Eisenstein rows copied in the
-    group's coefficient dtype."""
-    stack = batch.stack
-    group = stack.group(k)
-    n_max = batch.theta.shape[1] - 1
-    start, g0, h = int(stack.starts[k]), int(stack.genus_starts[k]), int(stack.h[k])
-    theta = own_rows(batch.theta[start : start + h], group.delta, h, n_max)
-    sums = own_rows(batch.sums[g0 : g0 + len(group.leaders)], group.delta, h, n_max)
-    return Layers(group, batch.characters.table(k), theta, sums, batch.eisenstein.rows_of(k, theta.dtype),
-                  prime_layer(stack, batch.primes, k), batch.failed[:, k], batch.identities_failed[k].tolist(),
-                  batch.shares[k])
-
-
 def _report_checks(batch: Batch, k: int, primes_bound: int) -> tuple[list[CheckRecord], list[float]]:
     """The records of the report of the k-th delta of the batch, and the seconds
     that the first six took: the five identities (IDENTITIES), then the records
     at the primes from the batch's prime sweep, whose time the first of them
     carries.  The batch compared them all (identity_failures, sweep_failures),
     so where none fails the records are made from the numbers of the batch's
-    summary.  Where one fails, the delta's record is sliced out of the batch
-    (batch_record), and a failing identity's record comes from its verify_*
-    function, for its detail and first mismatch, looked up through the module
-    names that a tracer can rebind, the records at the primes from
-    hecke.sweep_records.  A verify_* that then passes is a RuntimeError."""
+    summary.  Where one fails, its record is made by its verify_* function
+    (or, at a prime, hecke's check_*, through sweep_records) from what the
+    comparison kept of the failure; each is looked up through the module
+    names that a tracer can rebind."""
     clock = time.perf_counter
     h, _, genera, squares, pairs, chi, flagged = batch.summary[k]
     n = batch.theta.shape[1] - 1
@@ -432,19 +432,13 @@ def _report_checks(batch: Batch, k: int, primes_bound: int) -> tuple[list[CheckR
         records += sweep_passing(chi, n, primes_bound)
         seconds[-1] = clock() - start
         return records, seconds
-    layers = batch_record(batch, k)
-    for i in (i for i, failed in enumerate(layers.identities_failed) if failed):
-        check = (verify_gauss, verify_character_counts, verify_twisted_eisenstein, verify_genus_mass,
-                 verify_dirichlet)[i]
+    checks = (verify_gauss, verify_character_counts, verify_twisted_eisenstein, verify_genus_mass, verify_dirichlet)
+    for i, found in batch.identity_mismatches.get(k, {}).items():
         start = clock()
-        record = check(layers)
+        records[i] = checks[i](*found)
         seconds[i] = clock() - start
-        if record.passed:
-            raise RuntimeError(f"the batch fails {IDENTITIES[i]} at {layers.group.delta}, "
-                               f"{check.__name__} passes it")
-        records[i] = record
     start = clock()
-    records += sweep_records(layers, primes_bound)
+    records += sweep_records(chi, n, primes_bound, batch.sweep_mismatches.get(k, {}))
     seconds[-1] = clock() - start
     return records, seconds
 

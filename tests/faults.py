@@ -46,9 +46,12 @@ def compared_again(batch, n_max, bound):
     _batch_layers makes them: the theta totals from its theta rows, the prime
     sweep and the five per-delta identities."""
     totals = np.add.reduceat(batch.theta, batch.stack.starts, axis=0)
-    failed = sweep_failures(batch.stack, batch.primes, batch.theta, totals, batch.sums, n_max, bound)
-    identities, _ = verify.identity_failures(batch.stack, batch.characters, totals, batch.sums, batch.eisenstein)
-    return verify.summarized(batch._replace(totals=totals, failed=failed, identities_failed=identities))
+    failed, sweep_mismatches = sweep_failures(batch.stack, batch.primes, batch.theta, totals, batch.sums, n_max,
+                                              bound)
+    identities, _, identity_mismatches = verify.identity_failures(batch.stack, batch.characters, totals,
+                                                                  batch.sums, batch.eisenstein)
+    return verify.summarized(batch._replace(totals=totals, failed=failed, sweep_mismatches=sweep_mismatches,
+                                            identities_failed=identities, identity_mismatches=identity_mismatches))
 
 
 def bumped(array, row, column, by=1):
@@ -119,9 +122,9 @@ BATCHES = {
 def swept(batch, bound):
     """The batch with its prime sweep made again on its own stacked arrays, so
     that a fault injected into them reaches the sweep."""
-    n_max = batch.theta.shape[1] - 1
-    return verify.summarized(batch._replace(failed=sweep_failures(batch.stack, batch.primes, batch.theta,
-                                                                  batch.totals, batch.sums, n_max, bound)))
+    failed, mismatches = sweep_failures(batch.stack, batch.primes, batch.theta, batch.totals, batch.sums,
+                                        batch.theta.shape[1] - 1, bound)
+    return verify.summarized(batch._replace(failed=failed, sweep_mismatches=mismatches))
 
 
 # the sweep's faults corrupt the prime layers of one discriminant of this batch,

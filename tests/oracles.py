@@ -34,7 +34,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,22 +46,15 @@ from genusmass.arith import (
     is_squarefree,
     kronecker,
     prime_discriminant_tables,
+    primes_up_to,
 )
 from genusmass.class_group import Stack, compose_stacked
 from genusmass.forms import reduce_triple, reduced_forms, stacked_reduced_forms
 from genusmass.genus import build_genus_characters, character_pairs
-from genusmass.hecke import (
-    CheckRecord,
-    Layers,
-    check_eigenform,
-    check_genus_permutation,
-    check_inert_theta,
-    check_ramified_theta,
-    check_split_theta,
-)
-from genusmass.qseries import QSeries
-from genusmass.series import _periodic, eisenstein_series, theta_matrix
-from genusmass.verify import _batch_layers, batch_record
+from genusmass.hecke import CheckRecord, PrimeStack
+from genusmass.qseries import QSeries, dirichlet_convolution, first_mismatch, t_rows, u_rows
+from genusmass.series import EisensteinStack, _coeff_dtype, _periodic, eisenstein_series, theta_matrix
+from genusmass.verify import Batch, _batch_layers
 
 
 @dataclass(frozen=True, order=True)
@@ -155,6 +148,13 @@ def represented_coprime_value(q: tuple[int, int, int], d: int) -> int:
         if best is not None:
             return best
     raise RuntimeError(f"no value of {q} coprime to {d} in |x|,|y| <= {4 * d}")
+
+
+def distinct_prime_count(delta: int) -> int:
+    """Number t of distinct primes dividing a fundamental discriminant."""
+    if not is_fundamental(delta):
+        raise ValueError(f"{delta} is not a negative fundamental discriminant")
+    return len(factorize(-delta))
 
 
 def is_fundamental_oracle(delta: int) -> bool:
@@ -879,9 +879,279 @@ def genus_mass_detail_oracle(group: Stack, n_max: int, table: np.ndarray) -> str
     return f"{len(genus_ids(group))} genera, n=0..{n_max} exact"
 
 
+# --- the per-discriminant checks that the batch comparisons replaced ---
+#
+# Each identity was checked on one discriminant's own arrays, sliced out of its
+# batch in its group's coefficient dtype (batch_record): the reference that the
+# batch's own failing records (verify.identity_failures, hecke.sweep_failures)
+# are compared against, in both directions.
+
+
+def group_of(stack: Stack, k: int) -> Stack:
+    """Group k of a stack as a read-only stack of one, its class and genus rows
+    rebased to start at 0."""
+    lo, h, g0 = int(stack.starts[k]), int(stack.h[k]), int(stack.genus_starts[k])
+    rows, genera, t, one = slice(lo, lo + h), slice(g0, g0 + int(stack.genus_counts[k])), int(stack.t[k]), [k]
+    zero = np.zeros(1, dtype=np.int64)
+    group = Stack(
+        deltas=(stack.deltas[k],), classes=stack.classes[rows], starts=zero, h=stack.h[one],
+        owner=np.zeros(h, dtype=np.int64), inverses=stack.inverses[rows] - lo, genus=stack.genus[rows] - g0,
+        w=stack.w[one], identity=stack.identity[one] - lo, squares=stack.squares[one],
+        factors=stack.factors[one, :t], t=stack.t[one], genus_starts=zero, genus_counts=stack.genus_counts[one],
+        leaders=stack.leaders[genera] - lo, genus_signs=stack.genus_signs[genera, :t])
+    for array in group[1:]:
+        array.setflags(write=False)
+    return group
+
+
+def own_rows(array: np.ndarray, delta: int, h: int, n_max: int) -> np.ndarray:
+    """A read-only copy of array in the coefficient dtype of delta, of class
+    number h, up to n_max."""
+    array = array.astype(_coeff_dtype(delta, h, n_max), copy=True)
+    array.setflags(write=False)
+    return array
+
+
+class EisensteinRows(NamedTuple):
+    """One delta's Eisenstein rows, sliced out of an EisensteinStack (rows_of), and
+    the character pairs (d, D) of its rows, its unit, its character row
+    [(delta|m) for 0 <= m <= n_max] as int8 (None for rows of given pairs) and
+    L(0)."""
+
+    rows: np.ndarray
+    pairs: list[tuple[int, int]]
+    unit: Fraction
+    character: Optional[np.ndarray]
+    l_zero: Fraction
+
+
+def rows_of(eisenstein: EisensteinStack, k: int, dtype) -> EisensteinRows:
+    """The EisensteinRows of delta k of the stack, its rows a read-only copy in
+    dtype."""
+    start = int(eisenstein.counts[:k].sum())
+    rows = eisenstein.rows[start : start + int(eisenstein.counts[k])].astype(dtype, copy=True)
+    rows.setflags(write=False)
+    pairs = list(map(tuple, eisenstein.pairs[start : start + len(rows)].tolist()))
+    character = None if eisenstein.characters is None else eisenstein.characters[k]
+    return EisensteinRows(rows, pairs, Fraction(1, int(eisenstein.units[k])), character,
+                          Fraction(*eisenstein.l_zero[k].tolist()))
+
+
+class PrimeLayer(NamedTuple):
+    """What every identity at a prime p <= bound reads, read-only, for one group
+    (prime_layer slices it out of its stack's PrimeStack):
+    - chi[p] = (delta|p);
+    - perms[p], the class permutation h -> h P of each non-inert p, where P is
+      the class of the prime ideal above p, and the identity at a principal P;
+    - conjugates[p], the permutation h -> h P' of each split p, P' the inverse
+      of P;
+    - genus_row[h], the row of the genus of the class h among the group's
+      genera."""
+
+    chi: dict[int, int]
+    perms: dict[int, np.ndarray]
+    conjugates: dict[int, np.ndarray]
+    genus_row: np.ndarray
+
+
+def prime_layer(stack: Stack, primes: PrimeStack, k: int) -> PrimeLayer:
+    """The prime layer of group k, sliced out of the stacked ones."""
+    lo, hi = int(stack.starts[k]), int(stack.starts[k] + stack.h[k])
+    chi = dict(zip(primes.primes, primes.chi[k].tolist()))
+    perms, conjugates = {}, {}
+    for i, p in enumerate(primes.primes):
+        if chi[p] != -1:
+            perms[p] = primes.images[0, i, lo:hi] - lo
+            perms[p].setflags(write=False)
+        if chi[p] == 1:
+            conjugates[p] = primes.images[1, i, lo:hi] - lo
+            conjugates[p].setflags(write=False)
+    genus_row = stack.genus[lo:hi] - stack.genus_starts[k]
+    genus_row.setflags(write=False)
+    return PrimeLayer(chi, perms, conjugates, genus_row)
+
+
+class Layers(NamedTuple):
+    """One discriminant's layers, sliced out of its batch (batch_record), and all
+    that a per-discriminant check reads: the class group, as a stack of one; its
+    genus character table X; the theta matrix and the genus sums S, in the
+    group's coefficient dtype; the Eisenstein rows, with their character
+    pairs, the character row and L(0); and the prime layer."""
+
+    group: Stack
+    characters: np.ndarray
+    theta: np.ndarray
+    sums: np.ndarray
+    eisenstein: EisensteinRows
+    primes: PrimeLayer
+
+
+def batch_record(batch: Batch, k: int) -> Layers:
+    """The record of the k-th delta of the batch, sliced out of its stacked
+    layers, its theta rows, genus sums and Eisenstein rows copied in the
+    group's coefficient dtype."""
+    stack = batch.stack
+    group = group_of(stack, k)
+    n_max = batch.theta.shape[1] - 1
+    start, g0, h = int(stack.starts[k]), int(stack.genus_starts[k]), int(stack.h[k])
+    theta = own_rows(batch.theta[start : start + h], group.delta, h, n_max)
+    sums = own_rows(batch.sums[g0 : g0 + len(group.leaders)], group.delta, h, n_max)
+    return Layers(group, batch.characters.table(k), theta, sums, rows_of(batch.eisenstein, k, theta.dtype),
+                  prime_layer(stack, batch.primes, k))
+
+
 def build_layers(delta: int, n_max: int, primes_bound: int) -> Layers:
     """The record of one fundamental discriminant, sliced out of a batch of one."""
     return batch_record(_batch_layers([delta], *stacked_reduced_forms([delta]), n_max, primes_bound), 0)
+
+
+def verify_gauss(layers: Layers) -> CheckRecord:
+    """sum over classes of r(Q_h, n) = w * sum over t | n of (delta|t), n = 1..N."""
+    total = layers.theta.sum(axis=0)
+    chi = layers.eisenstein.character.astype(total.dtype)
+    rhs = int(layers.group.w[0]) * dirichlet_convolution(chi, np.ones_like(chi))
+    found = first_mismatch(total, 1, rhs, 1, lo=1)
+    if found is not None:
+        _, n, left, right = found
+        return CheckRecord("gauss_average", "fail", f"mismatch at n={n}: {left} != {right}", found[1:])
+    return CheckRecord("gauss_average", "pass", f"n=1..{len(total) - 1} exact")
+
+
+def verify_dirichlet(layers: Layers) -> CheckRecord:
+    """h = (w/2) L(0, (delta|.)) exactly: Dirichlet's class number formula at s = 0,
+    with h from the class group and L(0) from the character alone."""
+    group = layers.group
+    h = int(group.h[0])
+    computed = int(group.w[0]) * layers.eisenstein.l_zero / 2
+    status = "pass" if computed == h else "fail"
+    return CheckRecord("dirichlet_class_number", status, f"(w/2)L(0)={computed} h={h} exact")
+
+
+def verify_twisted_eisenstein(layers: Layers) -> CheckRecord:
+    """Twisted theta sums equal the divisor-sum Eisenstein series, X S = w E, every
+    character pair at once; the first mismatch is reported in character order."""
+    group, eisenstein = layers.group, layers.eisenstein
+    pairs = eisenstein.pairs
+    lhs = layers.characters @ layers.sums
+    found = first_mismatch(lhs, Fraction(1, int(group.w[0])), eisenstein.rows, eisenstein.unit)
+    if found is not None:
+        row, n, left, right = found
+        d, big_d = pairs[row]
+        detail = f"(d,D)=({d},{big_d}) mismatch at n={n}: {left} != {right}"
+        return CheckRecord("twisted_eisenstein", "fail", detail, found[1:])
+    return CheckRecord("twisted_eisenstein", "pass", f"{len(pairs)} pairs, n=0..{lhs.shape[1] - 1} exact")
+
+
+def verify_genus_mass(layers: Layers) -> CheckRecord:
+    """Genus theta averages equal the character-weighted Eisenstein combinations,
+    S / |H^2| = (w/h) X^T E, every genus at once.  A genus whose two constant
+    terms are not both 1 is reported ahead of any mismatch in it or after it."""
+    group, eisenstein = layers.group, layers.eisenstein
+    lhs, lhs_unit = layers.sums, Fraction(1, int(group.squares[0]))
+    rhs = layers.characters.T @ eisenstein.rows
+    rhs_unit = eisenstein.unit * Fraction(int(group.w[0]), int(group.h[0]))
+    found = first_mismatch(lhs, lhs_unit, rhs, rhs_unit)
+    lhs0, rhs0 = lhs[:, 0] * lhs_unit, rhs[:, 0] * rhs_unit
+    bad = (lhs0 != 1) | (rhs0 != 1)
+    if bad.any() and (found is None or bad.argmax() <= found[0]):
+        k = int(bad.argmax())
+        detail = f"genus {int(group.leaders[k])}: constant terms {lhs0[k]}, {rhs0[k]} != 1"
+        return CheckRecord("genus_mass", "fail", detail)
+    if found is not None:
+        row, n, left, right = found
+        detail = f"genus {int(group.leaders[row])} mismatch at n={n}: {left} != {right}"
+        return CheckRecord("genus_mass", "fail", detail, found[1:])
+    return CheckRecord("genus_mass", "pass", f"{len(group.leaders)} genera, n=0..{lhs.shape[1] - 1} exact")
+
+
+def verify_character_counts(layers: Layers) -> CheckRecord:
+    """|G*| = |G| = 2^(t-1), and the character table X is orthogonal: X X^T = |G| I."""
+    group, pairs = layers.group, layers.eisenstein.pairs
+    expected = 2 ** (distinct_prime_count(group.delta) - 1)
+    if len(pairs) != expected:
+        return CheckRecord("character_counts", "fail", f"{len(pairs)} pairs != 2^(t-1) = {expected}")
+    if len(group.leaders) != expected:
+        detail = f"{len(group.leaders)} genera != 2^(t-1) = {expected}"
+        return CheckRecord("character_counts", "fail", detail)
+    table = layers.characters
+    if not np.array_equal(table @ table.T, expected * np.eye(expected, dtype=np.int64)):
+        detail = f"the character table is not orthogonal: X X^T != {expected} I"
+        return CheckRecord("character_counts", "fail", detail)
+    detail = f"|G*| = |G| = {expected}, genera of size {int(group.squares[0])}"
+    return CheckRecord("character_counts", "pass", detail)
+
+
+IDENTITY_CHECKS = (verify_gauss, verify_character_counts, verify_twisted_eisenstein, verify_genus_mass,
+                   verify_dirichlet)
+
+PRIME_TYPES = {1: "split", 0: "ramified", -1: "inert"}
+
+
+def _compare_rows(p, chi, identity, lhs, rhs, unit=Fraction(1)) -> CheckRecord:
+    """Compare two integer arrays with one unit (one row per class or genus, or one
+    vector) on n >= 1; chi = (delta|p) names the prime's type."""
+    name, checked = f"{identity}[p={p}]", f"{PRIME_TYPES[chi]}; n=1..{lhs.shape[-1] - 1}"
+    found = first_mismatch(lhs, unit, rhs, unit, lo=1)
+    if found is None:
+        return CheckRecord(name, "pass", f"{checked} exact")
+    mismatch = found[1:]
+    detail = json.dumps({"n": mismatch[0], "lhs": str(mismatch[1]), "rhs": str(mismatch[2])})
+    return CheckRecord(name, "fail", f"{checked} {detail}", mismatch)
+
+
+def _chi(group: Stack, p: int, layer: PrimeLayer, kind=None) -> int:
+    """(delta|p) from the prime layer, which must hold p; ValueError when it is
+    not kind, where kind is given."""
+    if p not in layer.chi:
+        raise ValueError(f"{p} is not prime, or not in the prime layer")
+    chi = layer.chi[p]
+    if kind is not None and chi != kind:
+        raise ValueError(f"{p} is not {PRIME_TYPES[kind]} for discriminant {group.delta}")
+    return chi
+
+
+def check_eigenform(group: Stack, p: int, total: np.ndarray, layer: PrimeLayer) -> CheckRecord:
+    """a(pn) + (delta|p) a(n/p) = (1 + (delta|p)) a(n) for the class-group total a."""
+    chi = _chi(group, p, layer)
+    lhs = t_rows(total, p, chi)
+    return _compare_rows(p, chi, "eigenform", lhs, (1 + chi) * total[: len(lhs)])
+
+
+def check_split_theta(group: Stack, p: int, theta: np.ndarray, layer: PrimeLayer) -> CheckRecord:
+    """theta_h | T_p = theta_{h p} + theta_{h p'} for every class h, split p."""
+    _chi(group, p, layer, 1)
+    lhs = t_rows(theta, p, 1)
+    cols = lhs.shape[-1]
+    rhs = theta[layer.perms[p], :cols] + theta[layer.conjugates[p], :cols]
+    return _compare_rows(p, 1, "theta_split", lhs, rhs)
+
+
+def check_ramified_theta(group: Stack, p: int, theta: np.ndarray, layer: PrimeLayer) -> CheckRecord:
+    """theta_h | U_p = theta_{h p} for every class h, ramified p."""
+    _chi(group, p, layer, 0)
+    lhs = u_rows(theta, p)
+    rhs = theta[layer.perms[p], : lhs.shape[-1]]
+    return _compare_rows(p, 0, "theta_ramified", lhs, rhs)
+
+
+def check_inert_theta(group: Stack, p: int, theta: np.ndarray, layer: PrimeLayer) -> CheckRecord:
+    """theta_h | T_p = 0 for every class h, inert p."""
+    _chi(group, p, layer, -1)
+    lhs = t_rows(theta, p, -1)
+    return _compare_rows(p, -1, "theta_inert", lhs, np.zeros_like(lhs))
+
+
+def check_genus_permutation(group: Stack, p: int, sums: np.ndarray, layer: PrimeLayer) -> CheckRecord:
+    """E_g | T_p = 2 E_{g p} (split) or E_{g p} (ramified) for every genus g, on
+    the genus sums S, with unit 1/|H^2|: the target of the genus g is the genus
+    of the class g p."""
+    chi = _chi(group, p, layer)
+    if chi == -1:
+        raise ValueError(f"{p} is inert for discriminant {group.delta}: no genus translate")
+    lhs = t_rows(sums, p, chi)
+    targets = layer.genus_row[layer.perms[p][group.leaders]]
+    rhs = (2 if chi == 1 else 1) * sums[targets, : lhs.shape[-1]]
+    return _compare_rows(p, chi, "genus_permutation", lhs, rhs, Fraction(1, int(group.squares[0])))
 
 
 def prime_checks(layers: Layers, p: int) -> Iterator[CheckRecord]:
@@ -902,3 +1172,11 @@ def prime_checks(layers: Layers, p: int) -> Iterator[CheckRecord]:
         yield CheckRecord(f"genus_permutation[p={p}]", "skip", "skipped: p inert, no genus translate")
         return
     yield check_genus_permutation(group, p, layers.sums, layer)
+
+
+def oracle_records(layers: Layers, bound: int) -> list[CheckRecord]:
+    """The records of a report on one discriminant's layers, one check at a time:
+    the five per-discriminant identities, then every identity at every prime
+    p <= bound, p increasing."""
+    return ([check(layers) for check in IDENTITY_CHECKS]
+            + [record for p in primes_up_to(bound) for record in prime_checks(layers, p)])

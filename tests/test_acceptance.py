@@ -11,27 +11,25 @@ from collections import Counter
 
 import pytest
 
-from genusmass.arith import distinct_prime_count, kronecker, primes_up_to
+from genusmass.arith import kronecker, primes_up_to
 from genusmass.class_group import build_class_group
 from genusmass.forms import automorph_count
 from genusmass.genus import character_pairs
-from genusmass.hecke import (
+from genusmass.qseries import QSeries
+from genusmass.series import eisenstein_for_genus, eisenstein_series, genus_eisenstein, theta_series, twisted_sum
+from oracles import (
+    build_layers,
     check_eigenform,
     check_genus_permutation,
     check_inert_theta,
     check_ramified_theta,
     check_split_theta,
-)
-from genusmass.qseries import QSeries
-from genusmass.series import eisenstein_for_genus, eisenstein_series, genus_eisenstein, theta_series, twisted_sum
-from genusmass.verify import verify_dirichlet
-from oracles import (
-    build_layers,
     class_forms,
     class_number,
     classify_prime,
     compose,
     compose_forms_oracle,
+    distinct_prime_count,
     divisors,
     elem_norm,
     form_to_ideal,
@@ -40,6 +38,7 @@ from oracles import (
     genus_members,
     ideal_points_up_to_norm,
     square_classes,
+    verify_dirichlet,
 )
 
 PRECISION = 200

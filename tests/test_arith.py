@@ -15,9 +15,9 @@ from genusmass.arith import (
     kronecker,
     prime_discriminant_factorization,
     primes_up_to,
-    distinct_prime_count,
 )
 from oracles import (
+    distinct_prime_count,
     divisors,
     fundamental_deltas,
     is_fundamental_discriminant,

@@ -2,20 +2,18 @@
 in batches capped by BATCH_ENTRIES, and then checks each discriminant on its
 slices: the report lines do not depend on the chunk size, the batch cap or the
 worker count, and a fault in one discriminant of a chunk fails that
-discriminant alone, with the first mismatch it has when it runs alone."""
+discriminant alone, with the first mismatch it has when it runs alone.  Every
+record of a report, clean or corrupted, is the one that the per-discriminant
+checks of tests/oracles.py give on the discriminant's own arrays."""
 
 import gc
 import json
-import os
-import subprocess
 import sys
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import genusmass
 import genusmass.arith as arith
 import genusmass.class_group as class_group
 import genusmass.genus as genus
@@ -26,8 +24,28 @@ from genusmass.class_group import build_class_group, compose_stacked
 from genusmass.cli import main
 from genusmass.forms import stacked_reduced_forms
 from genusmass.verify import delta_range, report_json_line, run_suite
-from faults import BATCH, BATCHES, FAULTS, batch_of, batch_reports, bumped_455, compared_again, untimed
-from oracles import build_layers, class_number, fundamental_deltas, inverse, principal_class
+from faults import (
+    BATCH,
+    BATCHES,
+    FAULTS,
+    batch_of,
+    batch_reports,
+    bumped_455,
+    compared_again,
+    swapped_genera,
+    swapped_images,
+    untimed,
+)
+from oracles import (
+    IDENTITY_CHECKS,
+    batch_record,
+    build_layers,
+    class_number,
+    fundamental_deltas,
+    inverse,
+    oracle_records,
+    principal_class,
+)
 
 
 def verify_lines(capsys, *argv) -> list[str]:
@@ -156,7 +174,7 @@ def test_a_batch_reads_each_delta_s_tables_once():
     arith.prime_discriminant_tables.cache_clear()
     batch = verify._batch_layers(deltas, *stacked_reduced_forms(deltas), 30, 10)
     assert arith.prime_discriminant_tables.cache_info().misses == len(deltas)
-    assert ([verify.batch_record(batch, k).eisenstein.l_zero for k in range(len(deltas))]
+    assert ([batch_record(batch, k).eisenstein.l_zero for k in range(len(deltas))]
             == [series.l_zero(delta) for delta in deltas])
 
 
@@ -216,7 +234,7 @@ def test_each_prime_class_composed_once_gives_the_same_layers():
 
 def records(batch) -> list:
     """The record of each delta of the batch, sliced out of it."""
-    return [verify.batch_record(batch, k) for k in range(len(batch.stack.deltas))]
+    return [batch_record(batch, k) for k in range(len(batch.stack.deltas))]
 
 
 def raising(message):
@@ -238,15 +256,15 @@ def refuse(monkeypatch, functions, message):
                     monkeypatch.setattr(module, attr, raising(message))
 
 
+# the functions that make the failing records of a report
 CHECKS = (verify.verify_gauss, verify.verify_character_counts, verify.verify_twisted_eisenstein,
-          verify.verify_genus_mass, verify.verify_dirichlet)
+          verify.verify_genus_mass, verify.verify_dirichlet, hecke.check_eigenform, hecke.check_split_theta,
+          hecke.check_ramified_theta, hecke.check_inert_theta, hecke.check_genus_permutation)
 
 
 def test_a_delta_s_checks_build_nothing(monkeypatch):
-    """A passing run calls no verify_* and builds no record per delta: with
-    those raising, and the record slicer, every slicer of a layer and the
-    slicing of a group out of its stack (Stack.group), the construction of a
-    prime layer or Eisenstein rows raising too,
+    """A passing run makes no failing record: with every function that makes
+    one raising, and the records at the primes from failures (sweep_records),
     the reports of a run are those of a plain run.  Once a batch is built, each
     delta's report reads the batch alone: with every builder of a layer
     raising too, the character table X and the character pairs among them, the
@@ -256,14 +274,7 @@ def test_a_delta_s_checks_build_nothing(monkeypatch):
     expected = [untimed(report_json_line(r)) for r in run_suite(deltas, n_max, bound, workers=1)]
     batch = batch_of(BATCH, n_max, bound)
     with monkeypatch.context() as patched:
-        refuse(patched, CHECKS + (genus.build_genus_characters, verify.batch_record, hecke.prime_layer,
-                                  series.own_rows), "a passing run built a record")
-        for kind, method in ((hecke._PrimeLayer, "__new__"), (series.EisensteinRows, "__new__"),
-                             (hecke.Layers, "__new__"), (class_group.Stack, "group"),
-                             (series.EisensteinStack, "rows_of")):
-            patched.setattr(kind, method, raising("a passing run built a record"))
-        with pytest.raises(AssertionError, match="built a record"):
-            build_layers(-84, n_max, bound)
+        refuse(patched, CHECKS + (hecke.sweep_records,), "a passing run made a failing record")
         assert [untimed(report_json_line(r)) for r in run_suite(deltas, n_max, bound, workers=1)] == expected
     builders = (series.representation_counts, verify.compose_stacked, verify.class_group_stack,
                 verify.eisenstein_stack, series.l_zero, arith.prime_discriminant_tables,
@@ -294,14 +305,45 @@ def test_a_fault_in_one_delta_s_layers_fails_that_delta_alone():
     assert clean.theta[row, n] == batch.theta[row, n] - 1
 
 
+def assert_oracle_records(batch, n_max, bound, k):
+    """The report of the k-th delta of the batch holds the records of the
+    per-discriminant checks (oracles.oracle_records) on that delta's own
+    arrays, sliced out of the batch: the same statuses, details and first
+    mismatches, passing or failing."""
+    report = verify._suite_job((batch.stack.deltas[k], n_max, bound, batch, k))
+    assert list(report.checks) == oracle_records(batch_record(batch, k), bound), batch.stack.deltas[k]
+
+
+@pytest.mark.parametrize("name", BATCHES)
+def test_every_record_of_a_clean_batch_is_the_oracle_s(monkeypatch, name):
+    """No delta of a clean batch passes or fails where the per-discriminant checks
+    on its own arrays would not: the missed-fault direction, which a passing
+    batch does not check again."""
+    deltas, n_max, bound, _, int64_bound = BATCHES[name]
+    if int64_bound is not None:
+        monkeypatch.setattr(series, "INT64_BOUND", int64_bound)
+    batch = batch_of(deltas, n_max, bound)
+    for k in range(len(deltas)):
+        assert_oracle_records(batch, n_max, bound, k)
+
+
+def test_every_record_of_the_acceptance_range_is_the_oracle_s():
+    """Every fundamental delta in [-500, -3] at 30/10, in the batches of a range
+    run."""
+    deltas = fundamental_deltas(-500)
+    batch = batch_of(deltas, 30, 10)
+    for k in range(len(deltas)):
+        assert_oracle_records(batch, 30, 10, k)
+
+
 @pytest.mark.parametrize("identity", verify.IDENTITIES)
 @pytest.mark.parametrize("name", BATCHES)
 def test_a_fault_in_one_identity_fails_that_delta_alone(monkeypatch, identity, name):
     """One corrupted entry of one delta's layers in its batch's arrays, compared
-    again: every delta's flags are the failures of the verify_* functions on
-    the record sliced out of the batch, the corrupted delta fails the identity
-    and its failing records are verify_*'s on its record, and the other
-    deltas' reports do not change."""
+    again: every delta's flags are the failures of the per-discriminant checks
+    on the record sliced out of the batch, the corrupted delta fails the
+    identity, every record of its report is the checks' on its record, and
+    the other deltas' reports do not change."""
     deltas, n_max, bound, target, int64_bound = BATCHES[name]
     if int64_bound is not None:
         monkeypatch.setattr(series, "INT64_BOUND", int64_bound)
@@ -312,40 +354,22 @@ def test_a_fault_in_one_identity_fails_that_delta_alone(monkeypatch, identity, n
     expected = batch_reports(clean, n_max, bound)
     batch = compared_again(FAULTS[identity](clean, target), n_max, bound)
     for k, found in enumerate(records(batch)):
-        assert found.identities_failed == [not check(found).passed for check in CHECKS], found.group.delta
-        assert any(found.identities_failed) == (k == target), found.group.delta
+        flags = batch.identities_failed[k].tolist()
+        assert flags == [not check(found).passed for check in IDENTITY_CHECKS], found.group.delta
+        assert any(flags) == (k == target), found.group.delta
         assert batch.summary[k][-1] == (k == target), found.group.delta
     assert batch.identities_failed[target, verify.IDENTITIES.index(identity)]
     lines = batch_reports(batch, n_max, bound)
     assert [line for k, line in enumerate(lines) if k != target] == [
         line for k, line in enumerate(expected) if k != target]
-    target_record = verify.batch_record(batch, target)
-    for record, check in zip(json.loads(lines[target])["checks"][: len(CHECKS)], CHECKS):
-        expected_record = check(target_record).to_dict()
-        expected_record.pop("elapsed_ms")
-        assert record == expected_record
+    assert_oracle_records(batch, n_max, bound, target)
 
 
-def test_a_flag_that_its_check_does_not_confirm_is_an_error():
-    """With asserts stripped, a flag in the batch's arrays whose verify_* passes
-    on the record sliced out of the batch raises RuntimeError, for each of the
-    five identities."""
-    code = "\n".join([
-        "from genusmass import verify",
-        "from genusmass.forms import stacked_reduced_forms",
-        "batch = verify._batch_layers([-84], *stacked_reduced_forms([-84]), 30, 10)",
-        "for i in range(5):",
-        "    flags = batch.identities_failed.copy()",
-        "    flags[0, i] = True",
-        "    try:",
-        "        verify._suite_job((-84, 30, 10, verify.summarized(batch._replace(identities_failed=flags)), 0))",
-        "    except RuntimeError as error:",
-        "        print(error)",
-    ])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(genusmass.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
-                            timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [f"the batch fails {name} at -84, {check.__name__} passes it"
-                                          for name, check in zip(verify.IDENTITIES, CHECKS)]
+def test_every_record_of_a_fault_at_the_primes_is_the_oracle_s():
+    """The theta count raised at -455 and the prime sweep's two faults
+    (tests/faults.py): every record of the corrupted delta's report is the
+    per-discriminant checks' on its own arrays."""
+    batch, _ = bumped_455()
+    assert_oracle_records(batch, 60, 13, 1)
+    for batch, k in (swapped_images()[:2], swapped_genera()):
+        assert_oracle_records(batch, 200, 50, k)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import genusmass
 from genusmass import class_group
-from genusmass.arith import distinct_prime_count, kronecker, prime_discriminant_factorization, primes_up_to
+from genusmass.arith import kronecker, prime_discriminant_factorization, primes_up_to
 from genusmass.class_group import build_class_group, compose_stacked, prime_ideal_class
 from genusmass.forms import reduced_forms, stacked_reduced_forms
 from oracles import (
@@ -24,12 +24,14 @@ from oracles import (
     class_number,
     compose,
     compose_forms_oracle,
+    distinct_prime_count,
     elem_mul,
     form_to_ideal,
     fundamental_deltas,
     genus_ids,
     genus_members,
     genus_of,
+    group_of,
     ideal_conj,
     ideal_mul,
     ideal_scale,
@@ -731,7 +733,7 @@ class TestStackOfOne:
 
     def test_every_array_refuses_a_write(self):
         stack = class_group.class_group_stack(self.DELTAS, *stacked_reduced_forms(self.DELTAS))
-        groups = [build_class_group(-84), stack] + [stack.group(k) for k in range(len(self.DELTAS))]
+        groups = [build_class_group(-84), stack] + [group_of(stack, k) for k in range(len(self.DELTAS))]
         for group in groups:
             assert isinstance(group.deltas, tuple)
             for name, array in group._asdict().items():
@@ -741,11 +743,12 @@ class TestStackOfOne:
         assert build_class_group(-84).classes.tolist() == reduced_forms(-84).tolist()
 
     def test_a_sliced_group_is_the_group_built_alone(self):
-        """Stack.group(k) rebases its rows: every array equals that of the group
-        of delta_k built alone."""
+        """oracles.group_of(stack, k), the slicer of the per-discriminant checks,
+        rebases its rows: every array equals that of the group of delta_k built
+        alone."""
         stack = class_group.class_group_stack(self.DELTAS, *stacked_reduced_forms(self.DELTAS))
         for k, delta in enumerate(self.DELTAS):
-            group, alone = stack.group(k), build_class_group(delta)
+            group, alone = group_of(stack, k), build_class_group(delta)
             assert group.delta == alone.delta == delta
             for name, array in alone._asdict().items():
                 if name != "deltas":

@@ -368,6 +368,41 @@ class TestVerify:
         assert err == "error: verify supports text or json output, not csv\n"
 
 
+# a fundamental discriminant beyond the int64 bound of composition, and of L(0)
+OVERSIZED = -4000000007
+
+
+@pytest.mark.parametrize("argv", [
+    ("classgroup", "--disc", str(OVERSIZED)),
+    ("series", "--disc", str(OVERSIZED), "--which", "eisenstein:1"),
+    ("verify", "--disc", str(OVERSIZED), "--prec", "5", "--primes", "3"),
+    ("verify", "--range", f"-3:{OVERSIZED}"),
+    ("verify", "--range", f"{OVERSIZED}:-3"),
+], ids=["classgroup", "series", "verify-disc", "verify-range-low", "verify-range-high"])
+def test_a_delta_beyond_the_int64_bounds_is_a_usage_error(capsys, monkeypatch, argv):
+    """A discriminant that the library would refuse only after building its forms
+    or its character tables is refused up front, at either end of a range,
+    with exit 2 and nothing built or factored."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized delta was built")
+
+    for module, name in ((cli, "build_class_group"), (cli, "iter_suite"), (cli, "eisenstein_series"),
+                         (cli, "is_fundamental"), (series, "l_zero"), (series, "prime_discriminant_tables")):
+        monkeypatch.setattr(module, name, refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: |delta| = 4000000007 is too large for the library's int64 arithmetic\n"
+
+
+def test_the_int64_bound_is_the_one_of_composition():
+    """The largest |delta| that the CLI takes is the largest that compose_stacked
+    takes on its array path, below L(0)'s bound of 4 * 10^9."""
+    assert class_group.composes_in_int64(-3221225470) and not class_group.composes_in_int64(-3221225471)
+    assert not class_group.composes_in_int64(-4 * 10**9)
+
+
 @pytest.fixture
 def parsers_used(monkeypatch):
     """The parser that each main call parses its argv with, in call order."""

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from genusmass.class_group import build_class_group, prime_ideal_class
 from genusmass.genus import build_genus_characters, character_pairs
 from genusmass.arith import kronecker, primes_up_to
-from genusmass.verify import verify_character_counts
 from oracles import (
     build_layers,
     character_table_oracle,
@@ -25,6 +24,7 @@ from oracles import (
     orthogonality_sum,
     principal_genus,
     represented_coprime_value,
+    verify_character_counts,
 )
 
 deltas_strategy = st.sampled_from(fundamental_deltas(-250))

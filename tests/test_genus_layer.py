@@ -12,7 +12,7 @@ from genusmass.class_group import build_class_group
 from genusmass.genus import build_genus_characters, character_pairs
 from genusmass.qseries import QSeries
 from genusmass.series import eisenstein_for_genus, eisenstein_matrix, genus_eisenstein, twisted_sum
-from genusmass.verify import verify_genus_mass, verify_twisted_eisenstein
+from genusmass.verify import run_suite
 from oracles import (
     build_layers,
     character_table_oracle,
@@ -23,6 +23,8 @@ from oracles import (
     genus_mass_detail_oracle,
     twisted_eisenstein_detail_oracle,
     twisted_sum_oracle,
+    verify_genus_mass,
+    verify_twisted_eisenstein,
 )
 
 LAYER_DELTAS = fundamental_deltas(-1000) + [-120120]
@@ -125,7 +127,7 @@ def test_perturbed_entry_fails_with_the_oracle_detail(monkeypatch, delta, kind, 
     twisted = verify_twisted_eisenstein(layers)
     mass = verify_genus_mass(layers)
     assert not twisted.passed and not mass.passed
-    assert layers.identities_failed[2:4] == [True, True]
+    assert run_suite([delta], n_max, 1, workers=1)[0].checks[2:4] == (twisted, mass)
     assert twisted.detail == twisted_eisenstein_detail_oracle(group, n_max, table)
     assert mass.detail == genus_mass_detail_oracle(group, n_max, table)
     if kind == "theta" and column == 0:

@@ -8,19 +8,17 @@ import genusmass.hecke as hecke
 
 from genusmass.arith import kronecker, primes_up_to
 from genusmass.class_group import build_class_group, prime_ideal_class
-from genusmass.hecke import (
-    check_eigenform,
-    check_genus_permutation,
-    check_inert_theta,
-    check_ramified_theta,
-    check_split_theta,
-)
 from genusmass.qseries import QSeries, apply_T, apply_U
 from genusmass.series import genus_eisenstein, theta_series
 from genusmass.verify import run_suite
 from oracles import (
     agrees_with,
     build_layers,
+    check_eigenform,
+    check_genus_permutation,
+    check_inert_theta,
+    check_ramified_theta,
+    check_split_theta,
     class_forms,
     class_number,
     classify_prime,

@@ -24,13 +24,19 @@ from genusmass.verify import (
     iter_suite,
     report_json_line,
     run_suite,
+)
+from oracles import (
+    build_layers,
+    classify_prime,
+    dirichlet_l1_oracle,
+    fundamental_deltas,
+    kronecker_table,
     verify_character_counts,
     verify_dirichlet,
     verify_gauss,
     verify_genus_mass,
     verify_twisted_eisenstein,
 )
-from oracles import build_layers, classify_prime, dirichlet_l1_oracle, fundamental_deltas, kronecker_table
 
 SAMPLED_DELTAS = random.Random(20000).sample(fundamental_deltas(-20000), 12)
 
