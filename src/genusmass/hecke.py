@@ -355,7 +355,7 @@ def sweep_failures(stack: Stack, primes: PrimeStack, theta: np.ndarray, totals: 
             failed[row, :, i0:i1] = np.logical_or.reduceat(unequal, segments, axis=1)
         # no genus translate at an inert p: its genus_permutation record is the skip
         failed[2, :, i0:i1] &= chi[:, i0:i1] != -1
-        for row, k, i in zip(*np.nonzero(failed[:, :, i0:i1])):
+        for row, k, i in zip(*failed[:, :, i0:i1].nonzero()):
             i, p, width = i0 + i, plan.primes[i0 + i], plan.widths[i0 + i]
             # the group's rows of the identity's array, and the prime's columns
             lo, count = ((k, 1), (stack.starts[k], stack.h[k]), (stack.genus_starts[k], stack.genus_counts[k]))[row]

@@ -203,13 +203,13 @@ def identity_failures(stack: Stack, tables: CharacterTables, totals: np.ndarray,
     divisor_sums = w[:, None] * dirichlet_convolution(chi, np.ones_like(chi))
     unequal = totals[:, 1:] != divisor_sums[:, 1:]
     failed[:, 0] = unequal.any(axis=1)
-    for g in np.flatnonzero(failed[:, 0]):
+    for g in failed[:, 0].nonzero()[0]:
         n = int(unequal[g].argmax()) + 1
         keep(g, 0, (n, Fraction(int(totals[g, n])), Fraction(int(divisor_sums[g, n]))))
     del unequal, divisor_sums
     lap(0)
     failed[:, 4] = w * eisenstein.l_zero[:, 0] != 2 * h * eisenstein.l_zero[:, 1]
-    for g in np.flatnonzero(failed[:, 4]):
+    for g in failed[:, 4].nonzero()[0]:
         keep(g, 4, int(w[g]), int(h[g]), Fraction(*eisenstein.l_zero[g].tolist()))
     lap(4)
     expected = 1 << (stack.t - 1)
@@ -240,7 +240,7 @@ def identity_failures(stack: Stack, tables: CharacterTables, totals: np.ndarray,
         unequal = lhs != e[0]
         fails = unequal.any(axis=(1, 2))
         failed[members, 2] |= fails
-        for j in np.flatnonzero(fails):
+        for j in fails.nonzero()[0]:
             g = members[j]
             row, n = first_true(unequal[j])
             unit = int(k[g] * w[g])
@@ -254,7 +254,7 @@ def identity_failures(stack: Stack, tables: CharacterTables, totals: np.ndarray,
         unequal = s[1] != rhs
         fails = unequal.any(axis=(1, 2)) | (sums[genus_rows, 0] != squares[members, None]).any(axis=1)
         failed[members, 3] |= fails
-        for j in np.flatnonzero(fails):
+        for j in fails.nonzero()[0]:
             g, ids = members[j], stack.leaders[genus_rows[j]] - stack.starts[members[j]]
             unit = int(h[g] * k[g] * squares[g])
             # a genus whose constant terms are not both 1, up to the first
@@ -267,7 +267,7 @@ def identity_failures(stack: Stack, tables: CharacterTables, totals: np.ndarray,
             keep(g, 3, int(ids[row]), n, Fraction(int(s[1, j, row, col]), unit), Fraction(int(rhs[j, row, col]), unit))
         del rhs, unequal
         lap(3)
-    for g in np.flatnonzero(failed[:, 1]):
+    for g in failed[:, 1].nonzero()[0]:
         keep(g, 1, int(pairs[g]), int(genera[g]), int(expected[g]))
     return failed, seconds, found
 
