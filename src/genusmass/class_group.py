@@ -220,8 +220,8 @@ def compose_stacked(stack: Stack, left, right) -> np.ndarray:
     shift forms (a r + b) r + c, at most b3^2 + |delta| in absolute value, and every
     later round works on a smaller form.  So every int64 intermediate is at most
     (2|delta|/3)^2 + |delta|, and the array path raises ValueError when that could
-    reach INT64_BOUND (composes_in_int64), for the largest |delta| of a stack.  The sort keys of a stack of at most n groups are below
-    2 n |delta|."""
+    reach INT64_BOUND (composes_in_int64), for the largest |delta| of a stack.
+    The sort keys of a stack of at most n groups are below 2 n |delta|."""
     left = np.asarray(left, dtype=np.int64)
     right = np.asarray(right, dtype=np.int64)
     classes = stack.classes

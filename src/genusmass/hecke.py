@@ -168,7 +168,8 @@ def _failing(identity: str, p: int, chi: int, width: int, mismatch: Mismatch) ->
 
 # The record of each identity at a prime that fails, made from the first mismatch
 # that sweep_failures kept (see there for the two sides).  The three theta
-# identities differ only in the prime's type.
+# identities differ only in the prime's type; they keep a name each because the
+# benchmark's tracer (perfbench/tracer.py) wraps each by name.
 
 
 def check_eigenform(p: int, chi: int, width: int, mismatch: Mismatch) -> CheckRecord:
@@ -358,7 +359,8 @@ def sweep_failures(stack: Stack, primes: PrimeStack, theta: np.ndarray, totals: 
         for row, k, i in zip(*failed[:, :, i0:i1].nonzero()):
             i, p, width = i0 + i, plan.primes[i0 + i], plan.widths[i0 + i]
             # the group's rows of the identity's array, and the prime's columns
-            lo, count = ((k, 1), (stack.starts[k], stack.h[k]), (stack.genus_starts[k], stack.genus_counts[k]))[row]
+            lo, count = ((k, 1), (stack.starts[k], stack.h[k]),
+                         (stack.genus_starts[k], stack.genus_counts[k]))[row]
             start = plan.starts[i] - c0
             r, col = first_true(diffs[row][lo : lo + count, start : start + width] != 0)
             x, value, m = compared[row][lo + r], int(chi[k, i]), col + 1
@@ -376,7 +378,8 @@ def sweep_passing(chi: list[int], n_max: int, bound: int) -> list[CheckRecord]:
     return [record for i, value in enumerate(chi) for record in plan.passing[i][value]]
 
 
-def sweep_records(chi: list[int], n_max: int, bound: int, found: dict[tuple[int, int], Mismatch]) -> list[CheckRecord]:
+def sweep_records(chi: list[int], n_max: int, bound: int,
+                  found: dict[tuple[int, int], Mismatch]) -> list[CheckRecord]:
     """The records of every identity at every prime p <= bound, p increasing, of
     a discriminant with chi(p) = chi[i] at the i-th prime, whose failures are
     found, its first mismatches by (identity, i) from sweep_failures: the

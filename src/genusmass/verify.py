@@ -264,7 +264,8 @@ def identity_failures(stack: Stack, tables: CharacterTables, totals: np.ndarray,
             if constant.any():
                 row, n = int(constant.argmax()), None
             col = 0 if n is None else n
-            keep(g, 3, int(ids[row]), n, Fraction(int(s[1, j, row, col]), unit), Fraction(int(rhs[j, row, col]), unit))
+            keep(g, 3, int(ids[row]), n, Fraction(int(s[1, j, row, col]), unit),
+                 Fraction(int(rhs[j, row, col]), unit))
         del rhs, unequal
         lap(3)
     for g in failed[:, 1].nonzero()[0]:
@@ -432,7 +433,8 @@ def _report_checks(batch: Batch, k: int, primes_bound: int) -> tuple[list[CheckR
         records += sweep_passing(chi, n, primes_bound)
         seconds[-1] = clock() - start
         return records, seconds
-    checks = (verify_gauss, verify_character_counts, verify_twisted_eisenstein, verify_genus_mass, verify_dirichlet)
+    checks = (verify_gauss, verify_character_counts, verify_twisted_eisenstein, verify_genus_mass,
+              verify_dirichlet)
     for i, found in batch.identity_mismatches.get(k, {}).items():
         start = clock()
         records[i] = checks[i](*found)

@@ -18,14 +18,17 @@ of a prime, the prime form of a non-inert prime, the h, w, principal class,
 inverses, classes, genera and squares of a class group read off its stack of
 one as Python ints and tuples, the product, inverse, genus product and
 principal genus of classes one at a time, the QuadForm type with its
-reduction, which the library replaced by rows of an integer array, the
-per-prime loop of
-check_* calls that the prime sweep replaced, the scalar search for the
-smallest value of a form coprime to a modulus, which the per-prime reading of
-the assigned characters replaced, the two-sided fundamental discriminant
-predicate, the Kronecker values (a|m) of a window read from the
-prime-discriminant tables, the column sums of a theta matrix, and the layers
-of one discriminant built as a batch of one.
+reduction, which the library replaced by rows of an integer array, the scalar
+search for the smallest value of a form coprime to a modulus, which the
+per-prime reading of the assigned characters replaced, the two-sided
+fundamental discriminant predicate, the Kronecker values (a|m) of a window
+read from the prime-discriminant tables, the column sums of a theta matrix and
+the number of distinct primes of a discriminant.  Last come the
+per-discriminant checks that the batch comparisons replaced, the reference
+for every record a report holds: one discriminant's arrays sliced out of its
+batch (batch_record, build_layers for a batch of one), the five verify_*
+and five check_* functions on them, the per-prime loop of check_* calls
+that the prime sweep replaced, and the records of a whole report.
 """
 
 from __future__ import annotations
