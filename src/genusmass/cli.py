@@ -59,10 +59,13 @@ def explain_not_fundamental(delta: int) -> str:
 
 
 def require_in_bounds(delta: int) -> None:
-    """A usage error for a negative delta beyond the library's int64 bounds, the
-    tightest of which is composition's (class_group.composes_in_int64): the
-    library would refuse it only after building its forms, or its character
-    tables.  A range is searched only where it is negative."""
+    """A usage error for a negative delta beyond the tightest of the library's
+    int64 bounds, composition's (class_group.composes_in_int64), which the
+    library would meet only after building its forms, or its character tables.
+    Every command takes this one bound, so series --which eisenstein:d, which
+    builds no class group and is bounded in the library by L(0)'s 4 * 10^9
+    alone, is refused from 3,221,225,471 on too.  A range is searched only
+    where it is negative."""
     if delta < 0 and not composes_in_int64(delta):
         raise UsageError(f"|delta| = {abs(delta)} is too large for the library's int64 arithmetic")
 

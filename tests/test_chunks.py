@@ -263,18 +263,20 @@ CHECKS = (verify.verify_gauss, verify.verify_character_counts, verify.verify_twi
 
 
 def test_a_delta_s_checks_build_nothing(monkeypatch):
-    """A passing run makes no failing record: with every function that makes
-    one raising, and the records at the primes from failures (sweep_records),
-    the reports of a run are those of a plain run.  Once a batch is built, each
-    delta's report reads the batch alone: with every builder of a layer
-    raising too, the character table X and the character pairs among them, the
-    reports are still the same."""
+    """A passing run makes no failing record and no per-delta character table:
+    with every function that makes a failing record raising, and the records
+    at the primes from failures (sweep_records) and build_genus_characters
+    too, the reports of a run are those of a plain run.  Once a batch is
+    built, each delta's report reads the batch alone: with every builder of a
+    layer raising too, the character table X and the character pairs among
+    them, the reports are still the same."""
     n_max, bound = 60, 20
     deltas = BATCH + fundamental_deltas(-1000, -900)
     expected = [untimed(report_json_line(r)) for r in run_suite(deltas, n_max, bound, workers=1)]
     batch = batch_of(BATCH, n_max, bound)
     with monkeypatch.context() as patched:
-        refuse(patched, CHECKS + (hecke.sweep_records,), "a passing run made a failing record")
+        refuse(patched, CHECKS + (hecke.sweep_records, genus.build_genus_characters),
+               "a passing run made a failing record or a character table")
         assert [untimed(report_json_line(r)) for r in run_suite(deltas, n_max, bound, workers=1)] == expected
     builders = (series.representation_counts, verify.compose_stacked, verify.class_group_stack,
                 verify.eisenstein_stack, series.l_zero, arith.prime_discriminant_tables,
