@@ -8,12 +8,12 @@ by np.searchsorted, and no composition table is stored.  The genus of a class
 is read off the assigned characters: one per prime discriminant p of delta,
 read from the table of p (arith.prime_discriminant_tables) at a value of the
 class that p does not divide.  class_group_stack builds the groups of many
-discriminants as one Stack of arrays (inverses, genera, principal classes,
-|H^2|), check_laws checks the group laws and the principal genus theorem (the
-squares are exactly the principal genus) for all of them from one composition
-call, and prime_ideal_rows finds the prime ideal classes of all of them.  One
-group is a stack of one, in which stack rows are class indices, and
-build_class_group builds one.
+discriminants as one Stack of arrays (inverses, genera, |H^2|; the first class
+of each group is its principal class), check_laws checks the group laws and
+the principal genus theorem (the squares are exactly the principal genus) for
+all of them from one composition call, and prime_ideal_rows finds the prime
+ideal classes of all of them.  One group is a stack of one, in which stack rows
+are class indices, and build_class_group builds one.
 """
 
 from __future__ import annotations
@@ -117,13 +117,13 @@ def _compose_arrays(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
 class Stack(NamedTuple):
     """Class groups stacked as arrays.  The classes of group k are the rows
     starts[k] <= row < starts[k] + h[k] of classes, lexicographically sorted
-    reduced forms, and owner[row] is k.
+    reduced forms, and owner[row] is k; the first of them, starts[k], is the
+    principal class (class_group_stack checks it).
     - Per class: inverses[row], the stack row of its inverse; genus[row], the
       row of its genus among the stacked genera (the groups in order, each
       one's genera in the order of their first classes).
-    - Per group: deltas[k]; w[k], its unit count; identity[k], the stack row of
-      the principal class; squares[k], |H^2|, the size of the principal genus;
-      factors[k], the prime discriminants of delta in
+    - Per group: deltas[k]; w[k], its unit count; squares[k], |H^2|, the size
+      of the principal genus; factors[k], the prime discriminants of delta in
       prime_discriminant_factorization order, t[k] of them, padded on the right
       with 1s; genus_starts[k] and genus_counts[k], where its genera start
       among the stacked genera and how many it has.
@@ -141,7 +141,6 @@ class Stack(NamedTuple):
     inverses: np.ndarray
     genus: np.ndarray
     w: np.ndarray
-    identity: np.ndarray
     squares: np.ndarray
     factors: np.ndarray
     t: np.ndarray
@@ -260,7 +259,7 @@ def law_rows(stack: Stack) -> tuple[np.ndarray, np.ndarray]:
     """The stack rows of the products e * h, h * h^-1 and h * h of every class h
     of every group, in three blocks of the stack's length, for check_laws."""
     every = np.arange(len(stack.classes))
-    return (np.concatenate((stack.identity[stack.owner], every, every)),
+    return (np.concatenate((stack.starts[stack.owner], every, every)),
             np.concatenate((every, stack.inverses, every)))
 
 
@@ -279,9 +278,9 @@ def check_laws(stack: Stack, products: np.ndarray) -> None:
     own = owner[squares] == owner
     square = np.zeros(n, dtype=bool)
     square[squares[own]] = True
-    principal = stack.genus == stack.genus[stack.identity][owner]
+    principal = stack.genus == stack.genus[stack.starts][owner]
     sizes = np.bincount(stack.genus, minlength=len(stack.leaders))
-    failing = (unit != every, inverse != stack.identity[owner], (square != principal) | ~own,
+    failing = (unit != every, inverse != stack.starts[owner], (square != principal) | ~own,
                sizes != stack.squares[owner[stack.leaders]])
     groups = (owner, owner, owner, owner[stack.leaders])
     first = [int(at[bad.argmax()]) if bad.any() else len(stack.deltas) for bad, at in zip(failing, groups)]
@@ -356,8 +355,9 @@ def _genera(classes: np.ndarray, starts: np.ndarray, owner: np.ndarray, factors:
 def class_group_stack(deltas: list[int], classes: np.ndarray, counts, read_tables=None) -> Stack:
     """The stack of the class groups of the fundamental discriminants deltas, in
     order, from their stacked reduced forms (forms.stacked_reduced_forms), with
-    their inverses, principal classes and genera as read-only arrays over all of
-    them at once; the group laws are not yet checked (check_laws).
+    their inverses and genera as read-only arrays over all of them at once, and
+    each group's first class checked to be its principal class; the group laws
+    are not yet checked (check_laws).
     read_tables(delta), when given, is called on each delta right after its
     genus characters are read from its prime-discriminant tables, while they are
     still the ones arith.prime_discriminant_tables keeps (the last delta's), so
@@ -387,7 +387,7 @@ def class_group_stack(deltas: list[int], classes: np.ndarray, counts, read_table
                            f"is not a class")
     return _read_only(Stack(
         deltas=deltas, classes=classes, starts=starts, h=counts, owner=owner, inverses=inverses, genus=genus,
-        w=np.array([UNIT_COUNTS.get(delta, 2) for delta in deltas]), identity=starts,
+        w=np.array([UNIT_COUNTS.get(delta, 2) for delta in deltas]),
         squares=np.bincount(genus, minlength=len(leaders))[genus[starts]], factors=factors,
         t=np.array(list(map(len, found))), genus_starts=genus_counts.cumsum() - genus_counts,
         genus_counts=genus_counts, leaders=leaders, genus_signs=signs))

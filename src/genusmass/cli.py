@@ -139,7 +139,7 @@ def cmd_classgroup(args: argparse.Namespace) -> int:
     if args.fmt not in ("json", "text"):
         raise UsageError(f"classgroup supports text or json output, not {args.fmt}")
     group = build_class_group(delta)
-    h, w, identity = int(group.h[0]), int(group.w[0]), int(group.identity[0])
+    h, w, identity = int(group.h[0]), int(group.w[0]), int(group.starts[0])
     ids, genus_of = group.leaders.tolist(), group.leaders[group.genus]
     genera = {g: np.flatnonzero(genus_of == g).tolist() for g in ids}
     squares = genera[int(genus_of[identity])]

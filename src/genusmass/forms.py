@@ -14,7 +14,6 @@ __all__ = [
     "reduced_forms",
     "stacked_reduced_forms",
     "representation_counts",
-    "automorph_count",
 ]
 
 
@@ -115,7 +114,7 @@ def _ragged(first: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Rows of consecutive integers first[i], first[i] + 1, ... of lengths[i]
     entries, as two flat arrays: each entry's row i, and its value."""
     ends = lengths.cumsum()
-    values = np.arange(ends[-1]) + (first + lengths - ends).repeat(lengths)
+    values = np.arange(lengths.sum()) + (first + lengths - ends).repeat(lengths)
     return np.arange(len(lengths)).repeat(lengths), values
 
 
@@ -158,10 +157,3 @@ def representation_counts(forms: np.ndarray, n_max: int) -> np.ndarray:
 
 # the unit counts w other than 2, by discriminant
 UNIT_COUNTS = {-3: 6, -4: 4}
-
-
-def automorph_count(delta: int) -> int:
-    """Unit count w of the order of discriminant delta: 6, 4, or 2."""
-    if not is_fundamental(delta):
-        raise ValueError(f"{delta} is not a negative fundamental discriminant")
-    return UNIT_COUNTS.get(delta, 2)

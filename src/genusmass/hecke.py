@@ -8,11 +8,12 @@ classes (rows of the theta matrix), all genera (rows of the genus sums) or the
 class-group sum, with T_p applied to every row at once by slicing.  The prime's
 character value and class permutation come from the prime layers of the stack
 of groups (prime_layers: one stacked array of the images of every class under
-every prime class, from one composition call, each distinct prime class
-composed once).  Where an identity fails, the sweep keeps its first mismatch,
-read off the arrays it compared.  sweep_passing gives a discriminant's records
-when none fails, and sweep_records its records from its failures: a failing
-identity's record is made by its check_* function from the kept mismatch."""
+every prime class, from one composition call of every class with each
+non-principal prime class).  Where an identity fails, the sweep keeps its first
+mismatch, read off the arrays it compared.  sweep_passing gives a
+discriminant's records when none fails, and sweep_records its records from its
+failures: a failing identity's record is made by its check_* function from the
+kept mismatch."""
 
 from __future__ import annotations
 
@@ -71,19 +72,14 @@ class CheckRecord:
 class PrimeClasses(NamedTuple):
     """The prime classes of a stack of groups at the primes p_i up to a bound:
     chi[k, i] = (delta_k|p_i), and the products that give the prime layers.
-    Each distinct non-principal prime class P of a group, up to inversion, is
-    composed with every class of its group once: left, right are the stack
-    rows of those products h P, in runs of h rows, the run r starting at
-    run_starts[r].  entries are the (k, i) where the class of the prime ideal
-    above p_i is not principal, each with the run of its class P or of P^-1,
-    and flip, which is set where the run's class is P^-1."""
+    entries are the (k, i) where the class P of the prime ideal above p_i is
+    not principal; left, right are the stack rows of the products h P of every
+    class h of group k with that P, one run of h[k] rows per entry, in the
+    order of the entries."""
 
     primes: tuple[int, ...]
     chi: np.ndarray
     entries: tuple[np.ndarray, np.ndarray]
-    run: np.ndarray
-    flip: np.ndarray
-    run_starts: np.ndarray
     left: np.ndarray
     right: np.ndarray
 
@@ -97,30 +93,15 @@ def primes_to(bound: int) -> tuple[int, ...]:
 def prime_classes(stack: Stack, bound: int) -> PrimeClasses:
     """(delta|p) for every group and prime p <= bound and the prime class of each
     non-inert p, for all groups at once (class_group.prime_ideal_rows); and the
-    products to compose for the prime layers: h P for each distinct
-    non-principal prime class P, the first of P and P^-1 in the order of the
-    groups and then of the primes.  A principal P permutes nothing, and
-    h P^-1 = (h^-1 P)^-1 is read from the run of P (prime_layers)."""
+    products to compose for the prime layers: every class of a group times the
+    class P of each prime whose P is not principal, the groups in order and,
+    within each, the primes.  A principal P permutes nothing, and h P^-1 is
+    read from the products with P (prime_layers)."""
     primes = primes_to(bound)
     chi, classes = prime_ideal_rows(stack, primes)
-    k, i = np.nonzero((classes != -1) & (classes != stack.identity[:, None]))
-    cls = classes[k, i]
-    # P and P^-1 share the smaller of their two stack rows; the first entry of
-    # each opens its run
-    pair, entries = np.minimum(cls, stack.inverses[cls]), np.arange(len(cls))
-    first = np.full(len(stack.classes), len(cls))
-    np.minimum.at(first, pair, entries)
-    first = first[pair]
-    opens = first == entries
-    run = (np.cumsum(opens) - 1)[first]
-    run_classes = cls[opens]
-    flip = cls != run_classes[run]
-    rows = stack.h[stack.owner[run_classes]]
-    if len(rows):
-        left = _ragged(stack.starts[stack.owner[run_classes]], rows)[1]
-    else:
-        left = np.zeros(0, dtype=np.int64)
-    return PrimeClasses(primes, chi, (k, i), run, flip, rows.cumsum() - rows, left, run_classes.repeat(rows))
+    k, i = np.nonzero((classes != -1) & (classes != stack.starts[:, None]))
+    rows = stack.h[k]
+    return PrimeClasses(primes, chi, (k, i), _ragged(stack.starts[k], rows)[1], classes[k, i].repeat(rows))
 
 
 class PrimeStack(NamedTuple):
@@ -137,22 +118,15 @@ class PrimeStack(NamedTuple):
 
 def prime_layers(stack: Stack, prime: PrimeClasses, products: np.ndarray) -> PrimeStack:
     """The prime layers of every group of the stack, from the stack rows products
-    of prime.left * prime.right: every class times each distinct non-principal
-    prime class P, up to inversion, from one compose_stacked call.  The class
+    of prime.left * prime.right, every class times each non-principal prime
+    class P, from one compose_stacked call: they are images[0].  The class
     group is abelian, so the inverse map v is an automorphism and
-    h P^-1 = v(v(h) P): the images of P^-1 are those of P read at the inverses
-    and mapped through them, which gives images[1], and images[0] where P^-1
-    was composed and P was not.  All primes and classes at once."""
+    h P^-1 = v(v(h) P): the images of P read at the inverses and mapped through
+    them give images[1].  All primes and classes at once."""
     n, inverses = len(stack.classes), stack.inverses
     images = np.tile(np.arange(n), (2, len(prime.primes), 1))
-    (k, i), run, flip = prime.entries, prime.run, prime.flip
-    if len(k):
-        # one entry per class of each non-principal prime class's group
-        entry, row = _ragged(stack.starts[k], stack.h[k])
-        flipped = flip[entry]
-        source = np.where(flipped, inverses[row], row) - stack.starts[k[entry]]
-        found = products[prime.run_starts[run[entry]] + source]
-        images[0, i[entry], row] = np.where(flipped, inverses[found], found)
+    k, i = prime.entries
+    images[0, i.repeat(stack.h[k]), prime.left] = products
     split = (prime.chi == 1)[stack.owner].T
     images[1] = np.where(split, inverses[images[0][:, inverses]], images[1])
     images.setflags(write=False)
@@ -322,7 +296,7 @@ def sweep_failures(stack: Stack, primes: PrimeStack, theta: np.ndarray, totals: 
     # inert or not split; and the factor of the genus sums, 2 at a split p,
     # 1 at a ramified one, 0 at an inert one
     targets = stack.genus[images[0][:, stack.leaders]]
-    kinds = [None if (chi != -1).all() else class_chi != -1, None if (chi == 1).all() else class_chi == 1]
+    kinds = (class_chi != -1, class_chi == 1)
     genus_factor = 1 + genus_chi
     compared = (totals, theta, sums)
     failed = np.zeros((3, len(stack.deltas), len(plan.primes)), dtype=bool)
@@ -343,8 +317,7 @@ def sweep_failures(stack: Stack, primes: PrimeStack, theta: np.ndarray, totals: 
         # at once, each zeroed where a group's p is not of that kind
         for image, kind in zip(images, kinds):
             rhs = theta[image[column].T, n]
-            if kind is not None:
-                rhs *= kind[:, column]
+            rhs *= kind[:, column]
             theta_diff -= rhs
             del rhs  # not held into the next block
         # the genus of g p, times its factor

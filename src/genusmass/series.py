@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,21 +217,20 @@ class EisensteinStack(NamedTuple):
     coefficient dtype of the deltas: rows, one per character pair, each delta's
     pairs in order, where pairs[r] is the (d, D) of row r and pair_owner[r] its
     delta; counts[k], the number of pairs of delta k, whose rows have the unit
-    1/units[k]; characters[k], the row [(delta_k|m) for 0 <= m <= n_max] as int8
-    (None for rows of given pairs); and l_zero[k], the numerator and
-    denominator of L(0) of delta k."""
+    1/units[k]; characters[k], the row [(delta_k|m) for 0 <= m <= n_max] as int8;
+    and l_zero[k], the numerator and denominator of L(0) of delta k."""
 
     rows: np.ndarray
     pairs: np.ndarray
     pair_owner: np.ndarray
     counts: np.ndarray
     units: np.ndarray
-    characters: Optional[np.ndarray]
+    characters: np.ndarray
     l_zero: np.ndarray
 
 
-def eisenstein_stack(deltas: list[int], class_numbers, n_max: int, pairs=None,
-                     reads: Optional[CharacterReads] = None) -> EisensteinStack:
+def eisenstein_stack(deltas: list[int], class_numbers, n_max: int, reads: CharacterReads,
+                     pairs=None) -> EisensteinStack:
     """The Eisenstein rows of each delta, of class number class_numbers[k], for
     its character pairs (genus.stacked_pairs, or pairs[k]), all at once: each
     row of (D|.) and (d|.) is the product of the windows of the prime
@@ -239,12 +238,8 @@ def eisenstein_stack(deltas: list[int], class_numbers, n_max: int, pairs=None,
     product, and all rows come from one Dirichlet convolution.  Which prime
     discriminants divide d is one comparison of the stacked pairs against the
     stacked prime discriminants, or the subsets that stacked_pairs makes the
-    pairs from.  The windows and L(0) are those of reads, read from the tables
-    of the deltas here when it is not given."""
-    if reads is None:
-        reads = CharacterReads(n_max)
-        for delta in deltas:
-            reads.add(delta)
+    pairs from.  The windows and L(0) are those of reads, which has read the
+    tables of the deltas in order."""
     # the prime discriminants of each delta and the rows of their windows, padded
     # with 1 and with the all-ones row 0
     width = max(map(len, reads.own))
@@ -261,7 +256,7 @@ def eisenstein_stack(deltas: list[int], class_numbers, n_max: int, pairs=None,
     # of a: those of D are the ones that do not divide d; then the character
     # of each delta, the product of all of its windows
     own = windows[owner]
-    index = [np.where(chosen, 0, own), np.where(chosen, own, 0)] + ([windows] if pairs is None else [])
+    index = [np.where(chosen, 0, own), np.where(chosen, own, 0), windows]
     values = np.array(reads.windows)[np.concatenate(index)].prod(axis=1, dtype=np.int64)
     divisor_sums = dirichlet_convolution(values[: len(d)], values[len(d) : 2 * len(d)])
     l_zero = np.array([(f.numerator, f.denominator) for f in reads.l_zero], dtype=np.int64).reshape(-1, 2)
@@ -272,15 +267,14 @@ def eisenstein_stack(deltas: list[int], class_numbers, n_max: int, pairs=None,
     rows = divisor_sums.astype(object if object in wide else np.int64) * units[owner, None]
     # the constant term of every row is 0, but L(0)/2 in the row of d = 1
     rows[:, 0] = np.where(d == 1, halves[owner], 0)
-    characters = values[2 * len(d) :].astype(np.int8) if pairs is None else None
+    characters = values[2 * len(d) :].astype(np.int8)
     pair_of = np.empty((len(d), 2), dtype=np.int64)
     pair_of[:, 0] = d
     pair_of[:, 1] = np.array(deltas, dtype=np.int64)[owner] // d
     out = EisensteinStack(rows, pair_of, owner, np.bincount(owner, minlength=len(deltas)), units, characters,
                           l_zero)
     for array in out:
-        if array is not None:
-            array.setflags(write=False)
+        array.setflags(write=False)
     return out
 
 
@@ -297,7 +291,7 @@ def eisenstein_matrix(delta: int, n_max: int, pairs=None) -> tuple[np.ndarray, F
     reads = CharacterReads(n_max)
     reads.add(delta)
     h = math.ceil(UNIT_COUNTS.get(delta, 2) * reads.l_zero[0] / 2)
-    found = eisenstein_stack([delta], [h], n_max, None if pairs is None else [pairs], reads)
+    found = eisenstein_stack([delta], [h], n_max, reads, None if pairs is None else [pairs])
     return found.rows, Fraction(1, int(found.units[0]))
 
 

@@ -227,15 +227,10 @@ def identity_failures(stack: Stack, tables: CharacterTables, totals: np.ndarray,
         xt = x.transpose(0, 2, 1)
         failed[members, 1] |= (x @ xt != count * np.eye(count, dtype=np.int64)).any(axis=(1, 2))
         lap(1)
-        # the rows of S and E of the block's groups: all of them, in order, when
-        # the block holds every group
+        # the rows of S and E of the block's groups
         genus_rows = stack.genus_starts[members][:, None] + np.arange(size)
-        if len(members) == len(stack.deltas):
-            s = scaled_sums.reshape(2, len(members), size, -1)
-            e = scaled_rows.reshape(2, len(members), count, -1)
-        else:
-            s = scaled_sums[:, genus_rows]
-            e = scaled_rows[:, pair_starts[members][:, None] + np.arange(count)]
+        s = scaled_sums[:, genus_rows]
+        e = scaled_rows[:, pair_starts[members][:, None] + np.arange(count)]
         lhs = x @ s[0]
         unequal = lhs != e[0]
         fails = unequal.any(axis=(1, 2))
@@ -378,7 +373,7 @@ def _batch_layers(deltas: list[int], classes: np.ndarray, counts: np.ndarray, n_
     primes_s, start = clock() - start, clock()
     series = series_stack(stack, n_max)
     theta_s, start = clock() - start, clock()
-    eisenstein = eisenstein_stack(deltas, stack.h.tolist(), n_max, reads=reads)
+    eisenstein = eisenstein_stack(deltas, stack.h.tolist(), n_max, reads)
     eisenstein_s, start = reads_s + clock() - start, clock()
     tables = character_tables(stack, eisenstein.pairs[:, 0], eisenstein.counts)
     tables_s, start = clock() - start, clock()

@@ -37,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -128,6 +128,13 @@ def is_fundamental_discriminant(d: int) -> bool:
         m = d // 4
         return m % 4 in (2, 3) and is_squarefree(m)
     return False
+
+
+def automorph_count(delta: int) -> int:
+    """Unit count w of the order of discriminant delta: 6, 4, or 2."""
+    if not is_fundamental(delta):
+        raise ValueError(f"{delta} is not a negative fundamental discriminant")
+    return {-3: 6, -4: 4}.get(delta, 2)
 
 
 def represented_coprime_value(q: tuple[int, int, int], d: int) -> int:
@@ -359,7 +366,7 @@ def unit_count(group: Stack) -> int:
 
 
 def principal_class(group: Stack) -> int:
-    return int(group.identity[0])
+    return int(group.starts[0])
 
 
 def class_index(group: Stack, form) -> int:
@@ -899,7 +906,7 @@ def group_of(stack: Stack, k: int) -> Stack:
     group = Stack(
         deltas=(stack.deltas[k],), classes=stack.classes[rows], starts=zero, h=stack.h[one],
         owner=np.zeros(h, dtype=np.int64), inverses=stack.inverses[rows] - lo, genus=stack.genus[rows] - g0,
-        w=stack.w[one], identity=stack.identity[one] - lo, squares=stack.squares[one],
+        w=stack.w[one], squares=stack.squares[one],
         factors=stack.factors[one, :t], t=stack.t[one], genus_starts=zero, genus_counts=stack.genus_counts[one],
         leaders=stack.leaders[genera] - lo, genus_signs=stack.genus_signs[genera, :t])
     for array in group[1:]:
@@ -918,13 +925,12 @@ def own_rows(array: np.ndarray, delta: int, h: int, n_max: int) -> np.ndarray:
 class EisensteinRows(NamedTuple):
     """One delta's Eisenstein rows, sliced out of an EisensteinStack (rows_of), and
     the character pairs (d, D) of its rows, its unit, its character row
-    [(delta|m) for 0 <= m <= n_max] as int8 (None for rows of given pairs) and
-    L(0)."""
+    [(delta|m) for 0 <= m <= n_max] as int8 and L(0)."""
 
     rows: np.ndarray
     pairs: list[tuple[int, int]]
     unit: Fraction
-    character: Optional[np.ndarray]
+    character: np.ndarray
     l_zero: Fraction
 
 
@@ -935,8 +941,7 @@ def rows_of(eisenstein: EisensteinStack, k: int, dtype) -> EisensteinRows:
     rows = eisenstein.rows[start : start + int(eisenstein.counts[k])].astype(dtype, copy=True)
     rows.setflags(write=False)
     pairs = list(map(tuple, eisenstein.pairs[start : start + len(rows)].tolist()))
-    character = None if eisenstein.characters is None else eisenstein.characters[k]
-    return EisensteinRows(rows, pairs, Fraction(1, int(eisenstein.units[k])), character,
+    return EisensteinRows(rows, pairs, Fraction(1, int(eisenstein.units[k])), eisenstein.characters[k],
                           Fraction(*eisenstein.l_zero[k].tolist()))
 
 

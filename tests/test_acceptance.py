@@ -13,11 +13,11 @@ import pytest
 
 from genusmass.arith import kronecker, primes_up_to
 from genusmass.class_group import build_class_group
-from genusmass.forms import automorph_count
 from genusmass.genus import character_pairs
 from genusmass.qseries import QSeries
 from genusmass.series import eisenstein_for_genus, eisenstein_series, genus_eisenstein, theta_series, twisted_sum
 from oracles import (
+    automorph_count,
     build_layers,
     check_eigenform,
     check_genus_permutation,

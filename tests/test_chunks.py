@@ -38,13 +38,13 @@ from faults import (
 )
 from oracles import (
     IDENTITY_CHECKS,
+    QuadForm,
     batch_record,
     build_layers,
-    class_number,
     fundamental_deltas,
-    inverse,
     oracle_records,
-    principal_class,
+    prime_form,
+    reduce_form,
 )
 
 
@@ -215,21 +215,46 @@ def test_workers_below_one_are_refused(workers):
         verify.iter_suite([-84], 20, 5, workers=workers)
 
 
-def test_each_prime_class_composed_once_gives_the_same_layers():
-    """The prime layer composes each distinct non-principal prime class once, up
-    to inversion; its permutations are the products with every prime class."""
+def test_prime_layers_are_the_products_with_each_prime_class():
+    """In one batch of every fundamental delta down to -3000, images[0] and
+    images[1] of every group at each p <= 50 are the products of every class
+    with the class P of the prime form above p (oracles.prime_form) and with
+    P^-1 at a split p, from compose_stacked; an inert p, and P^-1 at a
+    ramified one, leave every class.  Among them are groups whose primes give
+    one class and its inverse: at -23, p = 2 gives P and p = 3 and 13 give
+    P^-1; at -31, p = 2 and 5 share P and p = 7 gives P^-1."""
     bound = 50
-    for delta in fundamental_deltas(-3000):
-        group = build_class_group(delta)
-        layer = build_layers(delta, 0, bound).primes
-        h = class_number(group)
-        every = np.arange(h)
-        for p, perm in layer.perms.items():
-            cls = int(layer.perms[p][principal_class(group)])
-            assert perm.tolist() == compose_stacked(group, every, np.full(h, cls)).tolist(), (delta, p)
-            if p in layer.conjugates:
-                conjugate = compose_stacked(group, every, np.full(h, inverse(group, cls)))
-                assert layer.conjugates[p].tolist() == conjugate.tolist(), (delta, p)
+    batch = batch_of(fundamental_deltas(-3000), 0, bound)
+    stack, primes = batch.stack, batch.primes
+    every = np.arange(len(stack.classes))
+
+    def row(k, form):
+        """The stack row of the class of form in group k."""
+        lo = int(stack.starts[k])
+        classes = stack.classes[lo : lo + int(stack.h[k])].tolist()
+        return lo + classes.index(list(reduce_form(QuadForm(*form)).triple()))
+
+    split = {}
+    for i, p in enumerate(primes.primes):
+        # the class to compose every class of group k with, per side; the
+        # principal one leaves every class
+        right = stack.starts.copy(), stack.starts.copy()
+        for k, delta in enumerate(stack.deltas):
+            chi = arith.kronecker(delta, p)
+            if chi != -1:
+                a, b, c = prime_form(delta, p)
+                right[0][k] = row(k, (a, b, c))
+                if chi == 1:
+                    right[1][k] = row(k, (a, -b, c))
+                    split[delta, p] = (right[0][k], right[1][k])
+        for side in (0, 1):
+            bad = np.flatnonzero(primes.images[side, i] != compose_stacked(stack, every, right[side][stack.owner]))
+            assert not len(bad), (stack.deltas[stack.owner[bad[0]]], p, side)
+    for delta, same, inverted in ((-23, (2,), (3, 13)), (-31, (2, 5), (7,))):
+        p_class, inverse_class = split[delta, 2]
+        assert p_class != inverse_class
+        assert all(split[delta, p] == (p_class, inverse_class) for p in same), delta
+        assert all(split[delta, p] == (inverse_class, p_class) for p in inverted), delta
 
 
 def records(batch) -> list:

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from genusmass import forms as forms_module
 from genusmass.arith import kronecker
-from genusmass.forms import _isqrt, automorph_count, reduced_forms, representation_counts
+from genusmass.forms import _isqrt, _ragged, reduced_forms, representation_counts
 from oracles import (
     KNOWN_CLASS_NUMBERS,
     QuadForm,
+    automorph_count,
     box_representation_count,
     class_forms,
     divisors,
@@ -213,6 +214,11 @@ class TestRepresentationCount:
         values = sorted({v for r in roots for v in (r * r - 1, r * r, r * r + 1) if v >= 0}
                         | {2**53 - 1, 2**53, 2**53 + 1, 2**62 - 1})
         assert _isqrt(np.array(values, dtype=np.int64)).tolist() == [math.isqrt(v) for v in values]
+
+    def test_ragged_zero_rows(self):
+        empty = np.zeros(0, dtype=np.int64)
+        for out in _ragged(empty, empty):
+            assert out.dtype == np.int64 and out.shape == (0,)
 
     def test_int64_bound_is_checked(self, monkeypatch):
         classes = reduced_forms(-84)

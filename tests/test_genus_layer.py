@@ -90,8 +90,8 @@ def perturbed_case(delta, n_max, monkeypatch, kind, column):
         original = series.eisenstein_stack
         target = character_pairs(delta)[-1]
 
-        def perturbed(deltas, class_numbers, n, pairs=None, reads=None):
-            out = original(deltas, class_numbers, n, pairs, reads)
+        def perturbed(deltas, class_numbers, n, reads, pairs=None):
+            out = original(deltas, class_numbers, n, reads, pairs)
             rows = out.rows.copy()
             ours = np.array(deltas)[out.pair_owner] == delta
             rows[ours & (out.pairs == target).all(axis=1), column] += 1

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from genusmass.arith import kronecker
 from genusmass.class_group import build_class_group
-from genusmass.forms import automorph_count
 from genusmass.genus import character_pairs
 from genusmass.qseries import QSeries
 import genusmass.arith as arith
@@ -25,6 +24,7 @@ from genusmass.series import (
     twisted_sum,
 )
 from oracles import (
+    automorph_count,
     class_average,
     class_forms,
     class_index,

@@ -16,7 +16,6 @@ import genusmass.series as series
 import genusmass.verify as verify
 from genusmass.arith import kronecker, primes_up_to
 from genusmass.class_group import build_class_group
-from genusmass.forms import automorph_count
 from genusmass.genus import build_genus_characters
 from genusmass.series import l_zero
 from genusmass.verify import (
@@ -26,6 +25,7 @@ from genusmass.verify import (
     run_suite,
 )
 from oracles import (
+    automorph_count,
     build_layers,
     classify_prime,
     dirichlet_l1_oracle,
