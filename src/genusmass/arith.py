@@ -10,7 +10,6 @@ import numpy as np
 __all__ = [
     "kronecker",
     "is_fundamental",
-    "fundamental_flags",
     "factorize",
     "is_squarefree",
     "prime_discriminant_factorization",
@@ -135,53 +134,6 @@ def is_fundamental(delta: int) -> bool:
         return is_squarefree(delta)
     m, rem = divmod(delta, 4)
     return rem == 0 and m % 4 in (2, 3) and is_squarefree(m)
-
-
-# delta mod 16 of a fundamental delta: 1 mod 4, or 8 or 12, that is 4 m with
-# m = 2 or 3 (mod 4)
-_FUNDAMENTAL_MOD_16 = np.array([r % 4 == 1 or r in (8, 12) for r in range(16)])
-_FUNDAMENTAL_MOD_16.setflags(write=False)
-
-
-@lru_cache(maxsize=None)
-def _prime_squares(bits: int) -> np.ndarray:
-    """The squares of the primes below 2^bits, as a read-only int64 array."""
-    squares = np.array(primes_up_to((1 << bits) - 1), dtype=np.int64) ** 2
-    squares.setflags(write=False)
-    return squares
-
-
-# fundamental_flags compares at most this many (delta, p^2) pairs at once
-SQUAREFREE_BLOCK = 1 << 16
-# fundamental_flags sieves the primes below 2^20 at most: a run with a delta at
-# or beyond -2^40 is tested delta by delta by is_fundamental, whose trial
-# division needs no table
-FLAGS_SIEVE_BOUND = 1 << 40
-
-
-def fundamental_flags(deltas) -> np.ndarray:
-    """is_fundamental of every delta < 0 of the sequence deltas, and False for
-    every delta >= 0, as one bool array from one exact pass over all of them:
-    the mod-4 rules of is_fundamental, read from a table of delta mod 16, then
-    m % p^2 for the part m = delta or delta/4 that must be squarefree and every
-    prime p below the power of 2 above isqrt(max |m|), in blocks of
-    SQUAREFREE_BLOCK pairs.  A prime beyond isqrt(|m|) never divides m twice,
-    and a range run reads the squares of one bound.  With a delta at or below
-    -FLAGS_SIEVE_BOUND, each delta is tested by is_fundamental."""
-    if min(deltas, default=0) <= -FLAGS_SIEVE_BOUND:
-        return np.array([delta < 0 and is_fundamental(delta) for delta in deltas], dtype=bool)
-    delta = np.asarray(deltas, dtype=np.int64).ravel()
-    flags = _FUNDAMENTAL_MOD_16[delta % 16] & (delta < 0)
-    m = delta[flags]
-    if len(m):
-        m = np.where(m % 2 == 1, m, m // 4)
-        squares = _prime_squares(math.isqrt(-int(m.min())).bit_length())
-        step = max(1, SQUAREFREE_BLOCK // len(m))
-        squarefree = np.ones(len(m), dtype=bool)
-        for lo in range(0, len(squares), step):
-            squarefree &= (m[:, None] % squares[lo : lo + step]).all(axis=1)
-        flags[flags] = squarefree
-    return flags
 
 
 @lru_cache(maxsize=None)

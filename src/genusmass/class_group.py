@@ -416,48 +416,31 @@ def prime_ideal_class(group: Stack, p: int) -> int:
 
 
 class _PrimeTables(NamedTuple):
-    """Residue tables of the primes p_i, concatenated: (delta|p_i) is
-    chi[chi_at[i] + delta mod chi_mod[i]], where chi_mod[i] is p_i, or 8 at
-    p_i = 2; and the smallest b in [0, 2 p_i) with b^2 = delta (mod 4 p_i) is
-    roots[roots_at[i] + delta mod 4 p_i], or -1 where there is none: the prime
-    form (p_i, b, (b^2 - delta)/(4 p_i)) exists exactly where p_i is not
-    inert."""
+    """Square-root tables of the primes p_i, concatenated: the smallest b in
+    [0, 2 p_i) with b^2 = delta (mod 4 p_i) is roots[roots_at[i] + delta mod
+    4 p_i], or -1 where there is none.  So (delta|p_i) is 0 where p_i divides
+    delta, 1 where delta has a root and -1 elsewhere (at p_i = 2, delta = 5 is
+    the one residue mod 8 of a discriminant without one), and the prime form
+    (p_i, b, (b^2 - delta)/(4 p_i)) exists exactly where p_i is not inert."""
 
     primes: np.ndarray
-    chi: np.ndarray
-    chi_at: np.ndarray
-    chi_mod: np.ndarray
     roots: np.ndarray
     roots_at: np.ndarray
 
 
-# (r|2) for r mod 8: 0 at even r, 1 at r = 1, 7 and -1 at r = 3, 5
-_CHI_2 = (0, 1, 0, -1, 0, -1, 0, 1)
-
-
 @lru_cache(maxsize=1)
 def _prime_tables(primes: tuple[int, ...]) -> _PrimeTables:
-    """The residue tables of primes, read-only and kept for the last primes
-    only: they depend on no discriminant, so a range run builds them once.  At
-    an odd p, (r|p) is 0 at r = 0, 1 at the nonzero squares mod p and -1
-    elsewhere."""
-    chi, roots = [], []
+    """The square-root tables of primes, read-only and kept for the last primes
+    only: they depend on no discriminant, so a range run builds them once."""
+    roots = []
     for p in primes:
-        if p == 2:
-            chi.append(np.array(_CHI_2, dtype=np.int64))
-        else:
-            table = np.full(p, -1, dtype=np.int64)
-            table[np.arange(p) ** 2 % p] = 1
-            table[0] = 0
-            chi.append(table)
         b = np.arange(2 * p, dtype=np.int64)
         squares, smallest = np.unique(b * b % (4 * p), return_index=True)
         table = np.full(4 * p, -1, dtype=np.int64)
         table[squares] = smallest
         roots.append(table)
-    out = _PrimeTables(np.array(primes, dtype=np.int64), np.concatenate(chi),
-                       np.cumsum([0] + [len(t) for t in chi[:-1]]), np.array([len(t) for t in chi]),
-                       np.concatenate(roots), np.cumsum([0] + [4 * p for p in primes[:-1]]))
+    out = _PrimeTables(np.array(primes, dtype=np.int64), np.concatenate(roots),
+                       np.cumsum([0] + [4 * p for p in primes[:-1]]))
     for array in out:
         array.setflags(write=False)
     return out
@@ -467,26 +450,29 @@ def prime_ideal_rows(stack: Stack, primes: tuple[int, ...]) -> tuple[np.ndarray,
     """(delta_k|p_i) for every group k of the stack and every prime p_i, as a
     len(stack.deltas) x len(primes) int64 array; and the stack row of the class
     of the prime ideal above p_i in group k, or -1 where p_i is inert, all at
-    once: chi and b from the residue tables of the primes (_prime_tables), the
-    prime forms (p, b, c) reduced by reduce_triple one at a time below
+    once: chi and b from the square-root tables of the primes (_prime_tables),
+    the prime forms (p, b, c) reduced by reduce_triple one at a time below
     ARRAY_MIN_ROWS forms and by _reduce_rows from it on, and found by
-    _find_classes.  A prime form that is not a class raises RuntimeError.  The
-    crossover is compose_stacked's: on the prime forms of [-3, -2000] (2 vCPU,
-    numpy 2.4, best of 7), 34 forms took 15 us scalar and 36 us as arrays, 148
-    forms 46 and 38 us, and 500 forms 190 and 53 us."""
+    _find_classes.  A table entry b with b^2 != delta (mod 4p), or a prime form
+    that is not a class, raises RuntimeError.  The crossover is
+    compose_stacked's: on the prime forms of [-3, -2000] (2 vCPU, numpy 2.4,
+    best of 7), 34 forms took 15 us scalar and 36 us as arrays, 148 forms 46
+    and 38 us, and 500 forms 190 and 53 us."""
     shape = (len(stack.deltas), len(primes))
     if not primes:
         return np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
     tables = _prime_tables(tuple(primes))
     deltas = np.array(stack.deltas, dtype=np.int64)
-    chi = tables.chi[tables.chi_at + deltas[:, None] % tables.chi_mod]
-    k, i = np.nonzero(chi != -1)
-    p, delta = tables.primes[i], deltas[k]
-    b = tables.roots[tables.roots_at[i] + delta % (4 * p)]
-    if (b < 0).any():
-        j = int((b < 0).argmax())
-        raise RuntimeError(f"no square root of {int(delta[j])} mod {4 * int(p[j])} for non-inert {int(p[j])}")
-    c = (b * b - delta) // (4 * p)
+    residues = deltas[:, None] % (4 * tables.primes)
+    roots = tables.roots[tables.roots_at + residues]
+    chi = np.where(roots < 0, -1, (residues % tables.primes != 0).astype(np.int64))
+    k, i = np.nonzero(roots >= 0)
+    p, delta, b = tables.primes[i], deltas[k], roots[k, i]
+    c, off = np.divmod(b * b - delta, 4 * p)
+    if off.any():
+        j = int(off.astype(bool).argmax())
+        raise RuntimeError(f"delta={int(delta[j])}: the square-root table's b={int(b[j])} has b^2 != delta "
+                           f"(mod {4 * int(p[j])})")
     if len(p) < ARRAY_MIN_ROWS:
         reduced = chain.from_iterable(map(reduce_triple, p.tolist(), b.tolist(), c.tolist()))
         forms = np.fromiter(reduced, dtype=np.int64, count=3 * len(p)).reshape(-1, 3).T

@@ -3,7 +3,6 @@ and the character tables X of many class groups at once."""
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from math import prod
 from typing import NamedTuple
@@ -36,30 +35,6 @@ def character_pairs(delta: int) -> list[tuple[int, int]]:
             if d > 0:
                 ds.add(d)
     return [(d, delta // d) for d in sorted(ds)]
-
-
-def stacked_pairs(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """character_pairs of many deltas at once, from the prime discriminants
-    factors[k] of each (a row padded on the right with 1s): the delta k and the
-    d of every pair, each delta's pairs in character_pairs order, and which of
-    its delta's prime discriminants divide d.  The subsets of the t prime
-    discriminants are the bit masks below 2^t, and distinct subsets have
-    distinct products, the prime discriminants being coprime."""
-    bits = _subsets(factors.shape[1])
-    d = np.where(bits, factors[:, None, :], 1).prod(axis=2)
-    k, j = np.nonzero((d > 0) & (np.arange(len(bits)) < 1 << (factors != 1).sum(axis=1)[:, None]))
-    d = d[k, j]
-    order = np.lexsort((d, k))
-    return k[order], d[order], bits[j[order]]
-
-
-@lru_cache(maxsize=None)
-def _subsets(width: int) -> np.ndarray:
-    """The subsets of width elements as the rows of a read-only 2^width x width
-    bool array: row j holds the bits of j."""
-    bits = (np.arange(1 << width)[:, None] >> np.arange(width)) & 1 == 1
-    bits.setflags(write=False)
-    return bits
 
 
 class CharacterTables(NamedTuple):

@@ -19,7 +19,7 @@ import numpy as np
 from .arith import prime_discriminant_tables
 from .class_group import Stack, build_class_group
 from .forms import INT64_BOUND, UNIT_COUNTS, representation_counts
-from .genus import build_genus_characters, character_pairs, stacked_pairs
+from .genus import build_genus_characters, character_pairs
 from .qseries import QSeries, dirichlet_convolution
 
 __all__ = [
@@ -230,28 +230,24 @@ class EisensteinStack(NamedTuple):
 
 
 def eisenstein_stack(deltas: list[int], class_numbers, n_max: int, reads: CharacterReads,
-                     pairs=None) -> EisensteinStack:
+                     pairs: list) -> EisensteinStack:
     """The Eisenstein rows of each delta, of class number class_numbers[k], for
-    its character pairs (genus.stacked_pairs, or pairs[k]), all at once: each
-    row of (D|.) and (d|.) is the product of the windows of the prime
-    discriminants that divide D or d, all of them from one gather and one
+    the character pairs pairs[k] (genus.character_pairs, or some of them), all
+    at once: each row of (D|.) and (d|.) is the product of the windows of the
+    prime discriminants that divide D or d, all of them from one gather and one
     product, and all rows come from one Dirichlet convolution.  Which prime
     discriminants divide d is one comparison of the stacked pairs against the
-    stacked prime discriminants, or the subsets that stacked_pairs makes the
-    pairs from.  The windows and L(0) are those of reads, which has read the
-    tables of the deltas in order."""
+    stacked prime discriminants.  The windows and L(0) are those of reads,
+    which has read the tables of the deltas in order."""
     # the prime discriminants of each delta and the rows of their windows, padded
     # with 1 and with the all-ones row 0
     width = max(map(len, reads.own))
     padded = np.array([found + [(1, 0)] * (width - len(found)) for found in reads.own],
                       dtype=np.int64).reshape(len(deltas), width, 2)
     factors, windows = padded[:, :, 0], padded[:, :, 1]
-    if pairs is None:
-        owner, d, chosen = stacked_pairs(factors)
-    else:
-        owner = np.arange(len(deltas)).repeat([len(found) for found in pairs])
-        d = np.array([pair[0] for found in pairs for pair in found], dtype=np.int64)
-        chosen = d[:, None] % factors[owner] == 0
+    owner = np.arange(len(deltas)).repeat([len(found) for found in pairs])
+    d = np.array([pair[0] for found in pairs for pair in found], dtype=np.int64)
+    chosen = d[:, None] % factors[owner] == 0
     # the row of (a|.) is the product of the windows of the prime discriminants
     # of a: those of D are the ones that do not divide d; then the character
     # of each delta, the product of all of its windows
@@ -291,7 +287,7 @@ def eisenstein_matrix(delta: int, n_max: int, pairs=None) -> tuple[np.ndarray, F
     reads = CharacterReads(n_max)
     reads.add(delta)
     h = math.ceil(UNIT_COUNTS.get(delta, 2) * reads.l_zero[0] / 2)
-    found = eisenstein_stack([delta], [h], n_max, reads, None if pairs is None else [pairs])
+    found = eisenstein_stack([delta], [h], n_max, reads, [character_pairs(delta) if pairs is None else pairs])
     return found.rows, Fraction(1, int(found.units[0]))
 
 

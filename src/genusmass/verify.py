@@ -22,10 +22,10 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .arith import factorize, fundamental_flags, prime_discriminant_factorization, prime_discriminant_tables
+from .arith import factorize, is_fundamental, prime_discriminant_factorization, prime_discriminant_tables
 from .class_group import Stack, build_class_group, check_laws, class_group_stack, compose_stacked, law_rows
 from .forms import stacked_reduced_forms
-from .genus import CharacterTables, character_tables
+from .genus import CharacterTables, character_pairs, character_tables
 from .hecke import (
     CheckRecord,
     Mismatch,
@@ -373,7 +373,7 @@ def _batch_layers(deltas: list[int], classes: np.ndarray, counts: np.ndarray, n_
     primes_s, start = clock() - start, clock()
     series = series_stack(stack, n_max)
     theta_s, start = clock() - start, clock()
-    eisenstein = eisenstein_stack(deltas, stack.h.tolist(), n_max, reads)
+    eisenstein = eisenstein_stack(deltas, stack.h.tolist(), n_max, reads, [character_pairs(d) for d in deltas])
     eisenstein_s, start = reads_s + clock() - start, clock()
     tables = character_tables(stack, eisenstein.pairs[:, 0], eisenstein.counts)
     tables_s, start = clock() - start, clock()
@@ -524,18 +524,20 @@ BATCH_ENTRIES = 1 << 16
 
 def _chunk_reports(jobs: list[tuple[int, int, int]]) -> Iterator[VerificationReport]:
     """The reports of the jobs, all of one (n_max, primes_bound), in order, each
-    made when it is asked for.  The reduced forms of the chunk's fundamental
-    discriminants come from one enumeration; the discriminants then go in
-    batches of consecutive ones of at most BATCH_ENTRIES entries (one beyond it
-    alone), and each batch's layers are built when its first report is asked
-    for.  Each job takes the next delta of a batch, in input order, so that a
-    repeated delta has its own, and a job whose delta is not fundamental takes
-    no batch.  The
-    caches keyed by delta are emptied once the iterator is exhausted, closed or
+    made when it is asked for.  A job's delta is fundamental by
+    arith.is_fundamental, the test that the reduced forms and the
+    prime-discriminant factorization apply too (a delta >= 0 is not).  The
+    reduced forms of the chunk's fundamental discriminants come from one
+    enumeration; the discriminants then go in batches of consecutive ones of at
+    most BATCH_ENTRIES entries (one beyond it alone), and each batch's layers
+    are built when its first report is asked for.  Each job takes the next
+    delta of a batch, in input order, so that a repeated delta has its own, and
+    a job whose delta is not fundamental takes no batch.  The caches keyed by
+    delta are emptied once the iterator is exhausted, closed or
     garbage-collected, or passes on an exception."""
     start = time.perf_counter()
     _, n_max, primes_bound = jobs[0]
-    fundamental = fundamental_flags([delta for delta, _, _ in jobs]).tolist()
+    fundamental = [delta < 0 and is_fundamental(delta) for delta, _, _ in jobs]
     deltas = [job[0] for job, flag in zip(jobs, fundamental) if flag]
     forms, counts = stacked_reduced_forms(deltas) if deltas else (None, [])
     counts = list(counts)

@@ -1,14 +1,11 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from genusmass import arith
 from genusmass.arith import (
     ext_gcd,
     factorize,
-    fundamental_flags,
     is_fundamental,
     is_prime,
     is_squarefree,
@@ -97,40 +94,22 @@ class TestFundamental:
                 continue
             assert is_fundamental(delta) == is_fundamental_oracle(delta), delta
 
-    def test_flags_are_the_scalar_test_on_a_range(self, monkeypatch):
-        deltas = list(range(-5000, 0))
-        expected = [is_fundamental(d) for d in deltas]
-        assert fundamental_flags(deltas).tolist() == expected
-        # one prime square per block
-        monkeypatch.setattr(arith, "SQUAREFREE_BLOCK", 50)
-        assert fundamental_flags(deltas).tolist() == expected
-        assert fundamental_flags([0, 1, 5, 8, 12, -3, 4]).tolist() == [False] * 5 + [True, False]
-        # a delta beyond -2^40 (a fundamental 4 m and delta = 1 (mod 4), and a
-        # delta = 1 (mod 4) with the square factor 9) sends each delta to
-        # is_fundamental, with no sieve
-        large = [-4 * 274877906945, -2199023255555, -9 * 244301361599]
-        monkeypatch.setattr(arith, "_prime_squares", lambda bits: pytest.fail(f"a sieve below 2^{bits}"))
-        assert fundamental_flags(deltas[-100:] + large).tolist() == expected[-100:] + [True, True, False]
-
-    def test_flags_are_the_scalar_test_up_to_4e9(self):
-        """Scattered delta down to -4 * 10^9 in one pass, with p^2 factors near
-        the largest p^2 that a delta = 1 (mod 4) or 4 m of that size can hold
-        (3 p^2 and 4 * 3 p^2 at most 4 * 10^9), and products of two primes near
-        isqrt(4 * 10^9), the largest prime the pass divides by."""
-        rng = random.Random(400391)
+    def test_near_the_cli_bound(self):
+        """p^2 factors near the largest that a delta = 1 (mod 4) or 4 m down to
+        -4 * 10^9 can hold (3 p^2 and 4 * 3 p^2 at most 4 * 10^9), their
+        neighbours 3 p^2 + 4 k, and products of two primes near isqrt(4 * 10^9)."""
         near = primes_up_to(63245)
         big = [p for p in near if p > 63000]
         two_squares = [p for p in near if p <= 36514][-4:]
         four_squares = [p for p in near if p <= 18257][-4:]
-        deltas = [-rng.randrange(3, 4 * 10**9) for _ in range(120)]
-        deltas += [-3 * p * p for p in two_squares] + [-12 * p * p for p in four_squares]
-        deltas += [-3 * p * p - 4 * k for p in two_squares for k in (1, 2)]
-        deltas += [-p * q for p in big[:4] for q in big[-4:] if p * q % 4 == 3]
-        deltas += [-4 * 10**9 + k for k in range(9)]
-        flags = fundamental_flags(deltas).tolist()
-        assert flags == [is_fundamental(d) for d in deltas]
+        assert not any(is_fundamental(-3 * p * p) for p in two_squares)
+        assert not any(is_fundamental(-12 * p * p) for p in four_squares)
+        neighbours = [-3 * p * p - 4 * k for p in two_squares for k in (1, 2)]
+        flags = [is_fundamental(d) for d in neighbours]
+        assert flags == [is_fundamental_oracle(d) for d in neighbours]
         assert any(flags) and not all(flags)
-        assert not any(fundamental_flags([-3 * p * p for p in two_squares] + [-12 * p * p for p in four_squares]))
+        products = [-p * q for p in big[:4] for q in big[-4:] if p * q % 4 == 3]
+        assert products and all(is_fundamental(d) for d in products)
 
     def test_two_sided_predicate(self):
         assert is_fundamental_discriminant(1)

@@ -305,7 +305,7 @@ def test_a_delta_s_checks_build_nothing(monkeypatch):
         assert [untimed(report_json_line(r)) for r in run_suite(deltas, n_max, bound, workers=1)] == expected
     builders = (series.representation_counts, verify.compose_stacked, verify.class_group_stack,
                 verify.eisenstein_stack, series.l_zero, arith.prime_discriminant_tables,
-                genus.build_genus_characters, genus.character_tables, genus.character_pairs, genus.stacked_pairs,
+                genus.build_genus_characters, genus.character_tables, genus.character_pairs, arith.is_fundamental,
                 class_group.prime_ideal_rows)
     refuse(monkeypatch, CHECKS + builders, "a check built a layer")
     with pytest.raises(AssertionError, match="built a layer"):
@@ -330,6 +330,46 @@ def test_a_fault_in_one_delta_s_layers_fails_that_delta_alone():
     assert failing == {name: n for name in ("gauss_average", "eigenform[p=2]", "theta_split[p=2]",
                                             "eigenform[p=3]", "theta_split[p=3]")}
     assert clean.theta[row, n] == batch.theta[row, n] - 1
+
+
+# a batch with a split p = 13 (-23: 9^2 = -23 + 2 * 52) and an inert one (-47)
+ROOTS_BATCH = [-23, -47, -84, -455]
+
+
+def with_root(monkeypatch, p, residue, root):
+    """class_group._prime_tables with root, in place of its entry, as the
+    square root of residue mod 4p in the table of p."""
+    prime_tables = class_group._prime_tables
+
+    def changed(primes):
+        tables = prime_tables(primes)
+        roots = tables.roots.copy()
+        roots[tables.roots_at[primes.index(p)] + residue] = root
+        return tables._replace(roots=roots)
+
+    monkeypatch.setattr(class_group, "_prime_tables", changed)
+
+
+def test_a_square_root_removed_from_the_table_fails_its_delta_alone(monkeypatch):
+    """Without the root 9 of -23 mod 52, p = 13 reads as inert for -23: its
+    eigenform and its theta record at 13 fail, and the other deltas' reports
+    do not change."""
+    n_max, bound = 60, 13
+    expected = batch_reports(batch_of(ROOTS_BATCH, n_max, bound), n_max, bound)
+    with_root(monkeypatch, 13, -23 % 52, -1)
+    lines = batch_reports(batch_of(ROOTS_BATCH, n_max, bound), n_max, bound)
+    assert lines[1:] == expected[1:]
+    checks = json.loads(lines[0])["checks"]
+    assert {c["name"] for c in checks if c["status"] == "fail"} == {"eigenform[p=13]", "theta_inert[p=13]"}
+
+
+def test_a_square_root_invented_in_the_table_raises(monkeypatch):
+    """A root 1 of -47 mod 52, where p = 13 is inert, is refused before any
+    form is reduced: 1 is no square root of -47 mod 52."""
+    with_root(monkeypatch, 13, -47 % 52, 1)
+    message = r"^delta=-47: the square-root table's b=1 has b\^2 != delta \(mod 52\)$"
+    with pytest.raises(RuntimeError, match=message):
+        batch_of(ROOTS_BATCH, 60, 13)
 
 
 def assert_oracle_records(batch, n_max, bound, k):

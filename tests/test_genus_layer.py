@@ -90,7 +90,7 @@ def perturbed_case(delta, n_max, monkeypatch, kind, column):
         original = series.eisenstein_stack
         target = character_pairs(delta)[-1]
 
-        def perturbed(deltas, class_numbers, n, reads, pairs=None):
+        def perturbed(deltas, class_numbers, n, reads, pairs):
             out = original(deltas, class_numbers, n, reads, pairs)
             rows = out.rows.copy()
             ours = np.array(deltas)[out.pair_owner] == delta

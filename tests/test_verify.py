@@ -238,6 +238,18 @@ class TestRunSuite:
         assert by_delta[-10].skip_reason == "non-fundamental"
         assert by_delta[-23].skip_reason is None
 
+    def test_non_fundamental_inputs_are_skipped_in_place(self):
+        """Inputs of no negative fundamental discriminant, 0, 1, 5, 8 and 12 (not
+        negative) and -9 * 244301361599 (the square factor 9), each give a
+        non-fundamental skip report in input order, between -3 and -4, and
+        raise nothing."""
+        skipped = [0, 1, 5, 8, 12, -9 * 244301361599]
+        reports = run_suite([-3, *skipped, -4], n_max=10, primes_bound=5, workers=1)
+        assert [r.delta for r in reports] == [-3, *skipped, -4]
+        assert [r.skip_reason for r in reports] == [None] + ["non-fundamental"] * len(skipped) + [None]
+        assert not any(r.checks for r in reports[1:-1])
+        assert reports[0].passed and reports[-1].passed
+
     def test_check_times_fit_in_report_time(self):
         # every identity at a prime is timed on its own, so the checks' times
         # cannot add up to more than the report's own; the report holds them, one
